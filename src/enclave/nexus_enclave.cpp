@@ -318,13 +318,22 @@ const journal::Op* NexusEnclave::JournalFind(const Uuid& uuid) const {
   return journal_->committed.Find(uuid);
 }
 
-void NexusEnclave::EngageJournal(std::uint64_t next_seq,
-                                 const ByteArray<32>& chain_hash) {
+void NexusEnclave::EngageJournal(const journal::Anchor& anchor) {
   JournalState state;
   state.key = journal::DeriveJournalKey(session_->rootkey);
-  state.next_seq = next_seq;
-  state.chain_hash = chain_hash;
+  state.next_seq = anchor.next_seq;
+  state.chain_hash = anchor.chain_hash;
+  state.tail_on_store = !anchor.tail.empty();
   journal_ = std::move(state);
+}
+
+Status NexusEnclave::StoreAnchorO(const journal::Anchor& anchor,
+                                  const journal::JournalKey& key,
+                                  const Uuid& volume_uuid) {
+  NEXUS_ASSIGN_OR_RETURN(
+      Bytes blob,
+      journal::EncodeAnchor(anchor, key, volume_uuid, runtime_.rng()));
+  return StoreJournalO(journal::kAnchorName, blob);
 }
 
 Status NexusEnclave::CommitPending() {
@@ -333,18 +342,33 @@ Status NexusEnclave::CommitPending() {
   if (!j.pending.empty()) {
     trace::Span commit_span("journal:commit", "journal");
     const std::uint64_t commit_t0 = MonotonicNanos();
-    NEXUS_ASSIGN_OR_RETURN(
-        Bytes record,
-        journal::EncodeRecord(j.next_seq, j.chain_hash, j.pending.ops(), j.key,
-                              session_->volume_uuid, runtime_.rng()));
     // The single durability point of the whole transaction: one object
-    // store. Until it succeeds everything stays pending (retryable).
-    NEXUS_RETURN_IF_ERROR(StoreJournalO(journal::ObjectName(j.next_seq), record));
-    // Encode -> durable-store wall time of the record (group commit cost).
+    // store. Until it succeeds everything stays pending (retryable). When
+    // this commit is checkpointed right away and nothing older is
+    // outstanding, the anchor itself carries the transaction as its tail:
+    // no record is written, so none has to be deleted afterwards.
+    const bool via_anchor =
+        j.committed.empty() && j.committed_seqs.empty() &&
+        (checkpoint_interval_ops_ == 0 ||
+         j.pending.size() >= checkpoint_interval_ops_);
+    if (via_anchor) {
+      NEXUS_RETURN_IF_ERROR(StoreAnchorO(
+          journal::Anchor{j.next_seq + 1, j.chain_hash, j.pending.ops()}, j.key,
+          session_->volume_uuid));
+      j.tail_on_store = true;
+    } else {
+      NEXUS_ASSIGN_OR_RETURN(
+          Bytes record,
+          journal::EncodeRecord(j.next_seq, j.chain_hash, j.pending.ops(),
+                                j.key, session_->volume_uuid, runtime_.rng()));
+      NEXUS_RETURN_IF_ERROR(
+          StoreJournalO(journal::ObjectName(j.next_seq), record));
+      j.chain_hash = journal::ChainHash(record);
+      j.committed_seqs.push_back(j.next_seq);
+    }
+    // Encode -> durable-store wall time of the commit (group commit cost).
     trace::GlobalHistogram("journal.commit")
         .Record(MonotonicNanos() - commit_t0);
-    j.chain_hash = journal::ChainHash(record);
-    j.committed_seqs.push_back(j.next_seq);
     ++j.next_seq;
     journal_stats_.ops_deduped += j.pending.deduped();
     journal_stats_.ops_committed += j.pending.size();
@@ -373,8 +397,8 @@ Status NexusEnclave::CheckpointJournal() {
 
   // Apply committed ops onto the main objects. Order across objects is
   // irrelevant (each op carries the whole blob); a crash mid-apply is fine
-  // because the records survive until the anchor below moves past them, so
-  // mount-time recovery re-applies the remainder idempotently.
+  // because the anchor's tail and the records survive until a later anchor
+  // moves past them, so mount-time recovery re-applies the remainder.
   for (const journal::Op& op : j.committed.ops()) {
     if (op.kind == journal::OpKind::kPut) {
       std::uint64_t version = 0;
@@ -393,18 +417,21 @@ Status NexusEnclave::CheckpointJournal() {
   journal_stats_.ops_checkpointed += j.committed.size();
   j.committed.Clear();
 
-  // Truncate: persist the new chain position FIRST, then drop the records
-  // it supersedes. A crash in between leaves stale records below the
-  // anchor, which recovery deletes without replaying.
-  NEXUS_ASSIGN_OR_RETURN(
-      Bytes anchor,
-      journal::EncodeAnchor(journal::Anchor{j.next_seq, j.chain_hash}, j.key,
-                            session_->volume_uuid, runtime_.rng()));
-  NEXUS_RETURN_IF_ERROR(StoreJournalO(journal::kAnchorName, anchor));
-  for (const std::uint64_t seq : j.committed_seqs) {
-    (void)RemoveJournalO(journal::ObjectName(seq));
+  // Truncate records: persist the new chain position FIRST, then drop the
+  // records it supersedes. A crash in between leaves stale records below
+  // the anchor, which recovery deletes without replaying. A commit that
+  // went through the anchor left no record, and its (now applied) tail
+  // may stay: recovery re-applies it version-guarded.
+  if (!j.committed_seqs.empty()) {
+    NEXUS_RETURN_IF_ERROR(
+        StoreAnchorO(journal::Anchor{j.next_seq, j.chain_hash, {}}, j.key,
+                     session_->volume_uuid));
+    j.tail_on_store = false;
+    for (const std::uint64_t seq : j.committed_seqs) {
+      (void)RemoveJournalO(journal::ObjectName(seq));
+    }
+    j.committed_seqs.clear();
   }
-  j.committed_seqs.clear();
   ++journal_stats_.checkpoints;
   return Status::Ok();
 }
@@ -435,8 +462,47 @@ void NexusEnclave::PatchCachedStorageVersion(const Uuid& uuid,
   }
 }
 
-Result<journal::Anchor> NexusEnclave::RecoverJournal(
-    const journal::JournalKey& key, const Uuid& volume_uuid) {
+Result<std::size_t> NexusEnclave::ReplayOps(const std::vector<journal::Op>& ops,
+                                            const RootKey& rootkey) {
+  std::size_t applied = 0;
+  for (const journal::Op& op : ops) {
+    // Recovery only reads until it finds something to change: the ops may
+    // all have been applied before the crash (always so for the anchor's
+    // tail after a clean commit).
+    auto stored = FetchMetaO(op.uuid);
+    if (!stored.ok() && stored.status().code() != ErrorCode::kNotFound) {
+      return stored.status();
+    }
+    if (op.kind == journal::OpKind::kRemove) {
+      if (!stored.ok()) continue;
+      const Status removed = RemoveMetaDirect(op.uuid);
+      if (!removed.ok() && removed.code() != ErrorCode::kNotFound) {
+        return removed;
+      }
+    } else {
+      // Version guard: a put lands only on a missing object or one whose
+      // authenticated version is lower — a later unjournaled session may
+      // have moved the object past the journaled state. The journaled blob
+      // came out of a sealed journal object, so its preamble is authentic
+      // as is. A stored object that does not authenticate is left alone
+      // for the next load to report.
+      if (stored.ok()) {
+        NEXUS_ASSIGN_OR_RETURN(const Preamble mine, PeekPreamble(op.blob));
+        const auto theirs =
+            DecodeMetadata(stored->data, rootkey, mine.type, op.uuid);
+        if (!theirs.ok() || theirs->preamble.version >= mine.version) continue;
+      }
+      NEXUS_RETURN_IF_ERROR(StoreMetaDirect(op.uuid, op.blob, nullptr));
+    }
+    ++applied;
+  }
+  journal_stats_.ops_replayed += applied;
+  return applied;
+}
+
+Result<journal::Anchor> NexusEnclave::RecoverJournal(const RootKey& rootkey,
+                                                     const Uuid& volume_uuid) {
+  const journal::JournalKey key = journal::DeriveJournalKey(rootkey);
   journal::Anchor anchor; // default: chain starts at seq 0, zero hash
   auto anchor_blob = FetchJournalO(journal::kAnchorName);
   if (anchor_blob.ok()) {
@@ -461,6 +527,11 @@ Result<journal::Anchor> NexusEnclave::RecoverJournal(
     seqs.push_back(*seq);
   }
   std::sort(seqs.begin(), seqs.end());
+
+  // The tail was committed before any record past the anchor, so it goes
+  // first.
+  NEXUS_ASSIGN_OR_RETURN(const std::size_t tail_applied,
+                         ReplayOps(anchor.tail, rootkey));
 
   // One batched fetch for every candidate record: recovery latency is one
   // round-trip instead of one per record, and a remote store coalesces the
@@ -500,17 +571,7 @@ Result<journal::Anchor> NexusEnclave::RecoverJournal(
       torn.push_back(seq);
       continue;
     }
-    for (const journal::Op& op : *ops) {
-      if (op.kind == journal::OpKind::kPut) {
-        NEXUS_RETURN_IF_ERROR(StoreMetaDirect(op.uuid, op.blob, nullptr));
-      } else {
-        const Status removed = RemoveMetaDirect(op.uuid);
-        if (!removed.ok() && removed.code() != ErrorCode::kNotFound) {
-          return removed;
-        }
-      }
-      ++journal_stats_.ops_replayed;
-    }
+    NEXUS_RETURN_IF_ERROR(ReplayOps(*ops, rootkey).status());
     anchor.chain_hash = journal::ChainHash(*blob);
     anchor.next_seq = seq + 1;
     replayed.push_back(seq);
@@ -518,12 +579,13 @@ Result<journal::Anchor> NexusEnclave::RecoverJournal(
   }
   journal_stats_.torn_records_discarded += torn.size();
 
-  // Truncate what we consumed: anchor first, then the record objects.
-  if (!replayed.empty() || !torn.empty() || !stale.empty()) {
-    NEXUS_ASSIGN_OR_RETURN(
-        Bytes anchor_out,
-        journal::EncodeAnchor(anchor, key, volume_uuid, runtime_.rng()));
-    NEXUS_RETURN_IF_ERROR(StoreJournalO(journal::kAnchorName, anchor_out));
+  // Truncate what we consumed: a tail-free anchor first, then the record
+  // objects. A tail that changed nothing (the common case after a clean
+  // commit) stays where it is and costs no store.
+  if (tail_applied > 0 || !replayed.empty() || !torn.empty() ||
+      !stale.empty()) {
+    anchor.tail.clear();
+    NEXUS_RETURN_IF_ERROR(StoreAnchorO(anchor, key, volume_uuid));
     for (const std::uint64_t seq : replayed) {
       (void)RemoveJournalO(journal::ObjectName(seq));
     }
@@ -548,17 +610,26 @@ Status NexusEnclave::EcallConfigureJournal(
   if (enabled && !journal_.has_value()) {
     // Engaging mid-session: fold any on-store journal leftovers in first
     // so the chain position is authoritative.
-    const journal::JournalKey key =
-        journal::DeriveJournalKey(session_->rootkey);
-    NEXUS_ASSIGN_OR_RETURN(journal::Anchor anchor,
-                           RecoverJournal(key, session_->volume_uuid));
-    EngageJournal(anchor.next_seq, anchor.chain_hash);
+    NEXUS_ASSIGN_OR_RETURN(
+        journal::Anchor anchor,
+        RecoverJournal(session_->rootkey, session_->volume_uuid));
+    EngageJournal(anchor);
   } else if (!enabled && journal_.has_value()) {
-    // Disabling flushes everything through to the main objects.
-    NEXUS_RETURN_IF_ERROR(CommitPending());
-    NEXUS_RETURN_IF_ERROR(CheckpointJournal());
+    NEXUS_RETURN_IF_ERROR(FlushJournal());
     journal_.reset();
   }
+  return Status::Ok();
+}
+
+Status NexusEnclave::FlushJournal() {
+  NEXUS_RETURN_IF_ERROR(CommitPending());
+  NEXUS_RETURN_IF_ERROR(CheckpointJournal());
+  JournalState& j = *journal_;
+  if (!j.tail_on_store) return Status::Ok();
+  NEXUS_RETURN_IF_ERROR(
+      StoreAnchorO(journal::Anchor{j.next_seq, j.chain_hash, {}}, j.key,
+                   session_->volume_uuid));
+  j.tail_on_store = false;
   return Status::Ok();
 }
 
@@ -806,7 +877,7 @@ Status NexusEnclave::FlushDirnode(DirnodeState& state,
   for (const std::size_t i : dirty_buckets) {
     DirBucket& bucket = state.buckets[i];
     BucketRef& ref = state.main.buckets[i];
-    if (!ref.uuid.IsNil()) superseded.push_back(ref.uuid);
+    if (!ref.uuid.IsNil()) superseded.push_back(ref.uuid); // nil: never stored
     const Uuid fresh_uuid = runtime_.rng().NewUuid();
     Preamble preamble{MetaType::kDirnodeBucket, fresh_uuid, /*version=*/1};
     NEXUS_ASSIGN_OR_RETURN(
@@ -832,6 +903,16 @@ Status NexusEnclave::FlushDirnode(DirnodeState& state,
     min_versions_.erase(old);
   }
   return Status::Ok();
+}
+
+std::size_t NexusEnclave::AppendEntry(DirnodeState& dir, DirEntry entry) {
+  const std::uint32_t bucket_cap = session_->supernode.config.dirnode_bucket_size;
+  if (dir.buckets.empty() || dir.buckets.back().entries.size() >= bucket_cap) {
+    dir.buckets.emplace_back();
+    dir.main.buckets.emplace_back();
+  }
+  dir.buckets.back().entries.push_back(std::move(entry));
+  return dir.buckets.size() - 1;
 }
 
 Status NexusEnclave::FlushFilenode(FilenodeState& state) {
@@ -930,7 +1011,7 @@ Result<NexusEnclave::CreateVolumeResult> NexusEnclave::EcallCreateVolume(
   session_ = std::move(session);
   if (journal_enabled_) {
     // Fresh volume: the journal chain starts at sequence 0.
-    EngageJournal(0, ByteArray<32>{});
+    EngageJournal(journal::Anchor{});
   }
 
   // Empty root directory.
@@ -1039,23 +1120,7 @@ Status NexusEnclave::CreateEntry(const std::string& path, EntryType type,
     }
     // Symlinks live entirely in the dirent (no metadata object).
 
-    // Append to the last bucket with room, or open a new one.
-    const std::uint32_t bucket_cap = session_->supernode.config.dirnode_bucket_size;
-    std::size_t target = dir->buckets.size();
-    if (!dir->buckets.empty() &&
-        dir->buckets.back().entries.size() < bucket_cap) {
-      target = dir->buckets.size() - 1;
-    }
-    if (target == dir->buckets.size()) {
-      DirBucket fresh;
-      fresh.uuid = runtime_.rng().NewUuid();
-      dir->buckets.push_back(std::move(fresh));
-      BucketRef ref;
-      ref.uuid = dir->buckets.back().uuid;
-      dir->main.buckets.push_back(ref);
-    }
-    dir->buckets[target].entries.push_back(std::move(entry));
-    return FlushDirnode(*dir, {target});
+    return FlushDirnode(*dir, {AppendEntry(*dir, std::move(entry))});
   }();
   // Commit the deferred metadata writes while still holding the directory
   // lock, so no other client can read-modify-write the pre-commit state.
@@ -1309,22 +1374,7 @@ Status NexusEnclave::EcallHardlink(const std::string& existing,
     entry.uuid = file_uuid;
     entry.type = EntryType::kFile;
 
-    const std::uint32_t bucket_cap = session_->supernode.config.dirnode_bucket_size;
-    std::size_t target = dst_dir->buckets.size();
-    if (!dst_dir->buckets.empty() &&
-        dst_dir->buckets.back().entries.size() < bucket_cap) {
-      target = dst_dir->buckets.size() - 1;
-    }
-    if (target == dst_dir->buckets.size()) {
-      DirBucket fresh;
-      fresh.uuid = runtime_.rng().NewUuid();
-      dst_dir->buckets.push_back(std::move(fresh));
-      BucketRef ref;
-      ref.uuid = dst_dir->buckets.back().uuid;
-      dst_dir->main.buckets.push_back(ref);
-    }
-    dst_dir->buckets[target].entries.push_back(std::move(entry));
-    return FlushDirnode(*dst_dir, {target});
+    return FlushDirnode(*dst_dir, {AppendEntry(*dst_dir, std::move(entry))});
   }();
   result = FinishMutation(result);
   const Status unlock = UnlockMetaO(dst_dir_uuid);
@@ -1432,22 +1482,7 @@ Status NexusEnclave::EcallRename(const std::string& from, const std::string& to)
 
     // Insert into destination.
     moved.name = to_name;
-    const std::uint32_t bucket_cap = session_->supernode.config.dirnode_bucket_size;
-    std::size_t target = dst_dir->buckets.size();
-    if (!dst_dir->buckets.empty() &&
-        dst_dir->buckets.back().entries.size() < bucket_cap) {
-      target = dst_dir->buckets.size() - 1;
-    }
-    if (target == dst_dir->buckets.size()) {
-      DirBucket fresh;
-      fresh.uuid = runtime_.rng().NewUuid();
-      dst_dir->buckets.push_back(std::move(fresh));
-      BucketRef ref;
-      ref.uuid = dst_dir->buckets.back().uuid;
-      dst_dir->main.buckets.push_back(ref);
-    }
-    dst_dir->buckets[target].entries.push_back(std::move(moved));
-    dst_dirty.push_back(target);
+    dst_dirty.push_back(AppendEntry(*dst_dir, std::move(moved)));
 
     if (dst_dir == src_dir) {
       dst_dirty.push_back(src_loc.bucket_index);
@@ -1931,12 +1966,11 @@ Status NexusEnclave::EcallUnmount() {
   std::optional<sgx::EnclaveRuntime::EcallScope> scope;
   if (!runtime_.inside()) scope.emplace(runtime_);
   if (journal_.has_value()) {
-    // Best-effort flush: commit whatever is pending and checkpoint it all.
-    // On failure the journal records stay behind and the next mount's
-    // recovery finishes the job.
+    // Best-effort flush: commit whatever is pending, checkpoint it all and
+    // drop the anchor's tail. On failure the tail and records stay behind
+    // and the next mount's recovery finishes the job.
     journal_->explicit_batch = false;
-    (void)CommitPending();
-    (void)CheckpointJournal();
+    (void)FlushJournal();
     journal_.reset();
   }
   SecureZero(session_->rootkey);

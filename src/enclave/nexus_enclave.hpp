@@ -220,10 +220,13 @@ class NexusEnclave {
   // ---- write-ahead metadata journal (group commit + crash recovery) --------
   // When journaling is on (the default), every metadata store/remove an
   // operation performs is deferred into an in-enclave pending transaction
-  // and made durable by ONE sealed journal record per operation — or per
+  // and made durable by ONE sealed journal store per operation — or per
   // explicit batch — before being checkpointed back onto the main "nx/"
-  // objects. Mount-time recovery replays committed records and discards
-  // torn tails, so a crash can never leave a half-applied operation.
+  // objects. That store is the anchor carrying the transaction when the
+  // checkpoint follows at once, a sequence-numbered record otherwise.
+  // Mount-time recovery re-applies the anchor's tail, replays committed
+  // records and discards torn tails, so a crash can never leave a
+  // half-applied operation.
 
   /// Reconfigures journaling. `checkpoint_interval_ops` bounds how many
   /// committed (journaled but not yet checkpointed) ops may accumulate
@@ -326,10 +329,9 @@ class NexusEnclave {
     RootKey rootkey{};
     Uuid volume_uuid;
     ByteArray<16> nonce{};
-    // Journal chain state recovered during the challenge, handed to the
+    // Journal anchor as recovery left it on the store, handed to the
     // session once authentication completes.
-    std::uint64_t journal_next_seq = 0;
-    ByteArray<32> journal_chain_hash{};
+    journal::Anchor journal_anchor;
   };
 
   /// Per-session journal state: the sealing key, the chain position, the
@@ -345,6 +347,7 @@ class NexusEnclave {
     std::vector<std::uint64_t> committed_seqs;
     std::vector<Uuid> deferred_data_removes;
     bool explicit_batch = false;
+    bool tail_on_store = false; // the stored anchor carries a transaction
   };
 
   // ---- ocall wrappers (transition accounting) -----------------------------
@@ -385,17 +388,29 @@ class NexusEnclave {
   /// Looks up `uuid` in the pending then committed buffers.
   [[nodiscard]] const journal::Op* JournalFind(const Uuid& uuid) const;
 
-  /// Engages journaling for the current session at a given chain position.
-  void EngageJournal(std::uint64_t next_seq, const ByteArray<32>& chain_hash);
+  /// Engages journaling for the current session at the chain position of
+  /// `anchor`, the anchor as it stands on the store.
+  void EngageJournal(const journal::Anchor& anchor);
 
-  /// Seals the pending transaction into one journal record, merges it into
-  /// the committed set and executes deferred data removes; checkpoints per
-  /// the configured interval. No-op when the transaction is empty.
+  /// Seals and stores `anchor` as the journal's "anchor" object.
+  Status StoreAnchorO(const journal::Anchor& anchor,
+                      const journal::JournalKey& key, const Uuid& volume_uuid);
+
+  /// Seals the pending transaction into one journal store (the anchor's
+  /// tail when it is checkpointed right away with nothing older
+  /// outstanding, a record otherwise), merges it into the committed set
+  /// and executes deferred data removes; checkpoints per the configured
+  /// interval. No-op when the transaction is empty.
   Status CommitPending();
 
-  /// Applies the committed set onto the main objects, writes the anchor and
-  /// truncates the journal records it covers.
+  /// Applies the committed set onto the main objects; when records are
+  /// outstanding, writes a tail-free anchor past them and deletes them.
   Status CheckpointJournal();
+
+  /// Commits and checkpoints everything, then replaces a tail-carrying
+  /// anchor with a tail-free one. Run before journaling stops (unmount,
+  /// disable), so only a session that dies leaves a tail behind.
+  Status FlushJournal();
 
   /// Per-operation epilogue for every mutating ecall: in auto mode commits
   /// (and per config checkpoints) what the operation deferred; in explicit
@@ -408,10 +423,18 @@ class NexusEnclave {
   /// version into any cache entry still carrying the journal sentinel.
   void PatchCachedStorageVersion(const Uuid& uuid, std::uint64_t version);
 
-  /// Mount-time recovery: replays every complete record past the anchor,
-  /// discards the torn tail (if any) and truncates the journal. Returns
-  /// the chain position a new session should continue from.
-  Result<journal::Anchor> RecoverJournal(const journal::JournalKey& key,
+  /// Recovery apply of journaled ops, shared by the anchor's tail and
+  /// record replay: a put is stored only when the stored object is missing
+  /// or carries a lower authenticated version, a remove only when the
+  /// object is still there. Returns how many ops changed the store.
+  Result<std::size_t> ReplayOps(const std::vector<journal::Op>& ops,
+                                const RootKey& rootkey);
+
+  /// Mount-time recovery: applies the anchor's tail, replays every
+  /// complete record past the anchor, discards the torn tail (if any) and
+  /// truncates the journal. Returns the anchor as it now stands on the
+  /// store (its tail is kept only when applying it changed nothing).
+  Result<journal::Anchor> RecoverJournal(const RootKey& rootkey,
                                          const Uuid& volume_uuid);
 
   // ---- internals -----------------------------------------------------------
@@ -437,6 +460,11 @@ class NexusEnclave {
   /// then the main object.
   Status FlushDirnode(DirnodeState& state, const std::vector<std::size_t>& dirty_buckets);
   Status FlushFilenode(FilenodeState& state);
+
+  /// Appends `entry` to the last bucket with room, or to a new bucket (nil
+  /// UUID until FlushDirnode first stores it). Returns the bucket index,
+  /// which the caller must flush.
+  std::size_t AppendEntry(DirnodeState& dir, DirEntry entry);
 
   /// Splits `path` into components; rejects empty/'.'/'..' components.
   static Result<std::vector<std::string>> SplitPath(const std::string& path);

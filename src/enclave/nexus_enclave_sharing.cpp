@@ -48,11 +48,9 @@ Result<ByteArray<16>> NexusEnclave::EcallAuthChallenge(
   // crashed session is replayed onto the store before authentication reads
   // it. Recovery is unconditional (even with write-journaling configured
   // off): committed transactions must never be lost.
-  auto recovered = RecoverJournal(journal::DeriveJournalKey(pending.rootkey),
-                                  pending.volume_uuid);
+  auto recovered = RecoverJournal(pending.rootkey, pending.volume_uuid);
   if (!recovered.ok()) return recovered.status();
-  pending.journal_next_seq = recovered->next_seq;
-  pending.journal_chain_hash = recovered->chain_hash;
+  pending.journal_anchor = std::move(recovered).value();
 
   pending_auth_ = pending;
   return pending.nonce;
@@ -97,7 +95,7 @@ Status NexusEnclave::EcallAuthResponse(const ByteArray<64>& signature) {
   session.supernode_storage_version = blob.storage_version;
   session_ = std::move(session);
   if (journal_enabled_) {
-    EngageJournal(pending.journal_next_seq, pending.journal_chain_hash);
+    EngageJournal(pending.journal_anchor);
   }
   return Status::Ok();
 }

@@ -31,6 +31,41 @@ Bytes AnchorAad(const Uuid& volume_uuid) {
   return std::move(w).Take();
 }
 
+// Op list shared by records and the anchor's tail: count, then per op its
+// kind, object UUID and (puts only) the sealed metadata blob.
+void WriteOps(Writer& w, const std::vector<Op>& ops) {
+  w.U32(static_cast<std::uint32_t>(ops.size()));
+  for (const Op& op : ops) {
+    w.U8(static_cast<std::uint8_t>(op.kind));
+    w.Id(op.uuid);
+    if (op.kind == OpKind::kPut) w.Var(op.blob);
+  }
+}
+
+Result<std::vector<Op>> ReadOps(Reader& r) {
+  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t count, r.U32());
+  if (count > kMaxOpsPerRecord) {
+    return Error(ErrorCode::kIntegrityViolation, "bad journal op count");
+  }
+  std::vector<Op> ops;
+  ops.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    Op op;
+    NEXUS_ASSIGN_OR_RETURN(const std::uint8_t kind, r.U8());
+    if (kind != static_cast<std::uint8_t>(OpKind::kPut) &&
+        kind != static_cast<std::uint8_t>(OpKind::kRemove)) {
+      return Error(ErrorCode::kIntegrityViolation, "bad journal op kind");
+    }
+    op.kind = static_cast<OpKind>(kind);
+    NEXUS_ASSIGN_OR_RETURN(op.uuid, r.Id());
+    if (op.kind == OpKind::kPut) {
+      NEXUS_ASSIGN_OR_RETURN(op.blob, r.Var());
+    }
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
 } // namespace
 
 JournalKey DeriveJournalKey(const Key128& rootkey) {
@@ -74,12 +109,7 @@ Result<Bytes> EncodeRecord(std::uint64_t seq, const ByteArray<32>& prev_hash,
     return Error(ErrorCode::kInvalidArgument, "journal record with no ops");
   }
   Writer payload;
-  payload.U32(static_cast<std::uint32_t>(ops.size()));
-  for (const Op& op : ops) {
-    payload.U8(static_cast<std::uint8_t>(op.kind));
-    payload.Id(op.uuid);
-    if (op.kind == OpKind::kPut) payload.Var(op.blob);
-  }
+  WriteOps(payload, ops);
 
   NEXUS_ASSIGN_OR_RETURN(crypto::Aes aes, crypto::Aes::Create(key));
   const Bytes iv = rng.Generate(crypto::kGcmIvSize);
@@ -123,25 +153,9 @@ Result<std::vector<Op>> DecodeRecord(ByteSpan blob, std::uint64_t expected_seq,
                       sealed));
 
   Reader pr(payload);
-  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t count, pr.U32());
-  if (count == 0 || count > kMaxOpsPerRecord) {
-    return Error(ErrorCode::kIntegrityViolation, "bad journal op count");
-  }
-  std::vector<Op> ops;
-  ops.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Op op;
-    NEXUS_ASSIGN_OR_RETURN(const std::uint8_t kind, pr.U8());
-    if (kind != static_cast<std::uint8_t>(OpKind::kPut) &&
-        kind != static_cast<std::uint8_t>(OpKind::kRemove)) {
-      return Error(ErrorCode::kIntegrityViolation, "bad journal op kind");
-    }
-    op.kind = static_cast<OpKind>(kind);
-    NEXUS_ASSIGN_OR_RETURN(op.uuid, pr.Id());
-    if (op.kind == OpKind::kPut) {
-      NEXUS_ASSIGN_OR_RETURN(op.blob, pr.Var());
-    }
-    ops.push_back(std::move(op));
+  NEXUS_ASSIGN_OR_RETURN(std::vector<Op> ops, ReadOps(pr));
+  if (ops.empty()) {
+    return Error(ErrorCode::kIntegrityViolation, "journal record with no ops");
   }
   if (!pr.AtEnd()) {
     return Error(ErrorCode::kIntegrityViolation,
@@ -159,6 +173,7 @@ Result<Bytes> EncodeAnchor(const Anchor& anchor, const JournalKey& key,
   Writer payload;
   payload.U64(anchor.next_seq);
   payload.Raw(anchor.chain_hash);
+  WriteOps(payload, anchor.tail);
 
   NEXUS_ASSIGN_OR_RETURN(crypto::Aes aes, crypto::Aes::Create(key));
   const Bytes iv = rng.Generate(crypto::kGcmIvSize);
@@ -193,6 +208,7 @@ Result<Anchor> DecodeAnchor(ByteSpan blob, const JournalKey& key,
   NEXUS_ASSIGN_OR_RETURN(anchor.next_seq, pr.U64());
   NEXUS_ASSIGN_OR_RETURN(const Bytes hash, pr.Raw(32));
   anchor.chain_hash = ToArray<32>(hash);
+  NEXUS_ASSIGN_OR_RETURN(anchor.tail, ReadOps(pr));
   if (!pr.AtEnd()) {
     return Error(ErrorCode::kIntegrityViolation,
                  "trailing bytes in journal anchor");

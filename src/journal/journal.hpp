@@ -3,12 +3,14 @@
 // NEXUS metadata updates become durable in two steps. First, every
 // StoreMeta/RemoveMeta an operation (or an explicit batch of operations)
 // performs is deferred into a pending transaction inside the enclave. On
-// commit, the whole transaction is serialized into ONE journal record —
-// an AES-GCM-sealed object stored on the untrusted backend under the
-// "nxj/" namespace — making the batch atomic and durable in a single
-// round trip. Later, a checkpoint applies the committed records to the
-// main "nx/" objects and truncates the journal; mount-time recovery
-// replays complete records and discards torn tails.
+// commit, the whole transaction is sealed into ONE AES-GCM object stored
+// on the untrusted backend under the "nxj/" namespace, making the batch
+// atomic and durable in a single round trip. When the commit is
+// checkpointed right away (the default), that object is the anchor
+// itself, carrying the transaction as its tail; when checkpoints are
+// deferred it is a sequence-numbered record. A checkpoint applies the
+// committed ops to the main "nx/" objects; mount-time recovery re-applies
+// the anchor's tail, replays complete records and discards torn tails.
 //
 // Integrity model: each record's AAD binds its sequence number, the
 // SHA-256 of the previous record (a rolling hash chain) and the volume
@@ -22,7 +24,9 @@
 // The anchor object ("nxj/anchor", same sealing) pins where the live
 // chain starts after a truncation: the next expected sequence number and
 // the hash of the last checkpointed record. Recovery treats records below
-// the anchor as already-applied garbage.
+// the anchor as already-applied garbage. Its tail is the last transaction
+// committed through the anchor; it may already be (partly) applied, so
+// recovery applies it version-guarded and before any record.
 //
 // This header is enclave-side code: decoders run on attacker-controlled
 // bytes and every read is bounds-checked (common/serial.hpp).
@@ -56,10 +60,12 @@ struct Op {
   Bytes blob; // empty for kRemove
 };
 
-/// Truncation point of the journal chain.
+/// Truncation point of the journal chain, plus the last transaction
+/// committed through the anchor while it may still need applying.
 struct Anchor {
   std::uint64_t next_seq = 0;   // first live sequence number
   ByteArray<32> chain_hash{};   // hash of the last checkpointed record
+  std::vector<Op> tail;         // ops that precede every record >= next_seq
 };
 
 // ---- object naming ("nxj/<name>" on the store) -----------------------------

@@ -305,13 +305,14 @@ TEST_F(CrashConsistencyTest, BatchedCommitAllOrNothing) {
 }
 
 // The journal must also be torn-proof for the implicit per-operation
-// batches: crash immediately after the journal record is durable but
-// before any checkpoint write, then verify a remount replays the record
-// and the operation's effect is fully visible.
+// batches: crash immediately after the commit is durable but before any
+// checkpoint write, then verify a remount applies it and the operation's
+// effect is fully visible.
 TEST_F(CrashConsistencyTest, ReplayAfterCrashBeforeCheckpoint) {
   // A journaled touch defers all metadata stores, so its first backend
-  // mutation is the journal record itself. fail_after=1 lets that record
-  // land and kills the very next write — the first checkpoint store.
+  // mutation is the commit itself: the anchor carrying the transaction.
+  // fail_after=1 lets that anchor land and kills the very next write —
+  // the first checkpoint store.
   RunWithCrash(1, [](enclave::NexusEnclave& e) {
     (void)e.EcallTouch("work/replayed", enclave::EntryType::kFile);
   });
@@ -325,8 +326,89 @@ TEST_F(CrashConsistencyTest, ReplayAfterCrashBeforeCheckpoint) {
   ASSERT_TRUE(entries.ok());
   bool found = false;
   for (const auto& e : *entries) found |= (e.name == "replayed");
-  EXPECT_TRUE(found) << "journal record was durable but not replayed";
+  EXPECT_TRUE(found) << "journal commit was durable but not replayed";
   ASSERT_TRUE(fresh.Unmount().ok());
+}
+
+// Default configuration, every crash point: the anchor store is the one
+// durability point of a create, so a remount shows the new file complete
+// (listed and readable) from the first mutation on, and no trace of it
+// before. Distinct names per run keep every run a genuine create.
+TEST_F(CrashConsistencyTest, DefaultCreateIsAllOrNothing) {
+  int run = 0;
+  const auto name = [&run] { return "new-" + std::to_string(run); };
+  const auto create = [&](enclave::NexusEnclave& e) {
+    (void)e.EcallTouch("work/" + name(), enclave::EntryType::kFile);
+  };
+  const auto applied = [&] {
+    machine_->afs->FlushCache();
+    core::NexusClient fresh(*machine_->runtime, *machine_->afs,
+                            world_.intel().root_public_key());
+    EXPECT_TRUE(
+        fresh.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
+            .ok());
+    const auto entries = fresh.ListDir("work");
+    EXPECT_TRUE(entries.ok()) << entries.status().ToString();
+    bool listed = false;
+    if (entries.ok()) {
+      for (const auto& e : *entries) listed |= (e.name == name());
+    }
+    if (listed) {
+      auto content = fresh.ReadFile("work/" + name());
+      EXPECT_TRUE(content.ok()) << "listed but unreadable: " << name();
+      EXPECT_TRUE(content.ok() && content->empty());
+    }
+    EXPECT_TRUE(fresh.Unmount().ok());
+    return listed;
+  };
+
+  const int total = RunWithCrash(-1, create);
+  ASSERT_GT(total, 1);
+  EXPECT_TRUE(applied());
+  for (int k = 0; k < total; ++k) {
+    SCOPED_TRACE("crash after mutation " + std::to_string(k));
+    ++run;
+    RunWithCrash(k, create);
+    EXPECT_EQ(applied(), k >= 1);
+    VerifyVolumeReadable(6);
+  }
+}
+
+// The same sweep for a default-configuration rewrite of a small file. The
+// data object goes first (a fresh, unreferenced UUID), then the anchor:
+// a remount reads exactly the previous content before that anchor and
+// exactly the new content from it on, never anything else.
+TEST_F(CrashConsistencyTest, DefaultWriteIsAllOrNothing) {
+  const auto read_back = [&] {
+    machine_->afs->FlushCache();
+    core::NexusClient fresh(*machine_->runtime, *machine_->afs,
+                            world_.intel().root_public_key());
+    EXPECT_TRUE(
+        fresh.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
+            .ok());
+    auto content = fresh.ReadFile("work/victim");
+    EXPECT_TRUE(content.ok()) << content.status().ToString();
+    EXPECT_TRUE(fresh.Unmount().ok());
+    return content.ok() ? std::move(content).value() : Bytes{};
+  };
+
+  const auto write = [](std::uint8_t fill) {
+    return [fill](enclave::NexusEnclave& e) {
+      (void)e.EcallEncrypt("work/victim", Bytes(500, fill));
+    };
+  };
+  const int total = RunWithCrash(-1, write(0x40));
+  ASSERT_GT(total, 2);
+  Bytes previous = read_back();
+  ASSERT_EQ(previous, Bytes(500, 0x40));
+  for (int k = 0; k < total; ++k) {
+    SCOPED_TRACE("crash after mutation " + std::to_string(k));
+    const Bytes next(500, static_cast<std::uint8_t>(0x41 + k));
+    RunWithCrash(k, write(next[0]));
+    const Bytes seen = read_back();
+    EXPECT_EQ(seen, k >= 2 ? next : previous);
+    previous = seen;
+  }
 }
 
 } // namespace

@@ -164,6 +164,50 @@ TEST_F(JournalCodecTest, AnchorRoundTripAndTamper) {
   EXPECT_FALSE(DecodeAnchor(blob, key_, rng_.NewUuid()).ok());
 }
 
+TEST_F(JournalCodecTest, AnchorCarriesTailAndRejectsEveryByteTamper) {
+  Anchor anchor;
+  anchor.next_seq = 7;
+  anchor.chain_hash = crypto::Sha256::Hash(AsBytes("chain"));
+  anchor.tail = SampleOps();
+  auto sealed = EncodeAnchor(anchor, key_, volume_, rng_);
+  ASSERT_TRUE(sealed.ok());
+  const Bytes blob = std::move(sealed).value();
+
+  auto opened = DecodeAnchor(blob, key_, volume_);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened->next_seq, anchor.next_seq);
+  EXPECT_EQ(opened->chain_hash, anchor.chain_hash);
+  ASSERT_EQ(opened->tail.size(), anchor.tail.size());
+  for (std::size_t i = 0; i < anchor.tail.size(); ++i) {
+    EXPECT_EQ(opened->tail[i].kind, anchor.tail[i].kind);
+    EXPECT_EQ(opened->tail[i].uuid, anchor.tail[i].uuid);
+    EXPECT_EQ(opened->tail[i].blob, anchor.tail[i].blob);
+  }
+
+  // The store holds the anchor: any single flipped byte, anywhere, must
+  // fail to open rather than hand recovery a forged transaction.
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    Bytes mutated = blob;
+    mutated[i] ^= 0x01;
+    EXPECT_FALSE(DecodeAnchor(mutated, key_, volume_).ok()) << "byte " << i;
+  }
+  // Truncation and extension are rejected too.
+  EXPECT_FALSE(
+      DecodeAnchor(ByteSpan(blob.data(), blob.size() - 1), key_, volume_).ok());
+  Bytes extended = blob;
+  extended.push_back(0);
+  EXPECT_FALSE(DecodeAnchor(extended, key_, volume_).ok());
+
+  // A tail-free anchor round-trips to an empty tail.
+  anchor.tail.clear();
+  auto bare = EncodeAnchor(anchor, key_, volume_, rng_);
+  ASSERT_TRUE(bare.ok());
+  auto bare_opened = DecodeAnchor(*bare, key_, volume_);
+  ASSERT_TRUE(bare_opened.ok());
+  EXPECT_TRUE(bare_opened->tail.empty());
+  EXPECT_LT(bare->size(), blob.size());
+}
+
 TEST_F(JournalCodecTest, AnchorAndRecordAreNotInterchangeable) {
   auto encoded = EncodeRecord(0, {}, SampleOps(), key_, volume_, rng_);
   ASSERT_TRUE(encoded.ok());
