@@ -201,9 +201,15 @@ int main(int argc, char** argv) {
   }
   // Event-loop health (zero on a worker-per-connection daemon).
   if (s.epoll_wakeups > 0 || s.arena_slabs_high_water > 0) {
-    std::printf("  reactor       %llu wakeups, dispatch p50 %.3f ms, "
-                "p99 %.3f ms\n",
-                static_cast<unsigned long long>(s.epoll_wakeups),
+    // Wakeups per served RPC: about 1 when every request frame arrives
+    // in one piece; a client that splits its frames pushes it up.
+    const double per_rpc =
+        s.rpcs_served > 0 ? static_cast<double>(s.epoll_wakeups) /
+                                static_cast<double>(s.rpcs_served)
+                          : 0.0;
+    std::printf("  reactor       %llu wakeups (%.2f per rpc), dispatch p50 "
+                "%.3f ms, p99 %.3f ms\n",
+                static_cast<unsigned long long>(s.epoll_wakeups), per_rpc,
                 s.loop_dispatch_p50_ms, s.loop_dispatch_p99_ms);
     std::printf("  arena         %llu slabs in use, high-water %llu, "
                 "%llu oversize frames\n",

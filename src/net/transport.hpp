@@ -6,14 +6,18 @@
 // the RPC outcome is unknown" and decides retry policy above; server
 // verdicts travel inside well-formed response frames instead.
 //
-// TcpTransport is the real thing: a connected socket with per-frame I/O
-// deadlines (poll + non-blocking reads). FaultyTransport (fault.hpp)
-// wraps it for deterministic failure injection.
+// TcpTransport is the real thing: a connected socket with an I/O deadline
+// on every blocking wait. Each frame leaves in one gathered write (length
+// prefix and payload together, so the peer's reactor wakes once per
+// frame), and frames arrive through a per-connection receive buffer, so a
+// small frame costs one read. FaultyTransport (fault.hpp) wraps it
+// for deterministic failure injection.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -28,19 +32,27 @@ class Transport {
   /// Sends one length-prefixed frame.
   virtual Status SendFrame(ByteSpan payload) = 0;
   /// Receives the next frame's payload, blocking up to the I/O deadline.
+  /// One reader at a time; it may run concurrently with one sender.
   virtual Result<Bytes> RecvFrame() = 0;
   /// Hard-closes the connection; subsequent calls fail.
   virtual void Close() = 0;
   /// Breaks the connection WITHOUT releasing the descriptor: any thread
-  /// blocked in SendFrame/RecvFrame fails promptly, and the fd stays
-  /// allocated until Close()/destruction. This is the only member safe to
-  /// call concurrently with in-flight I/O — the multiplexer uses it to
-  /// unblock its demux thread (a concurrent Close would race fd reuse).
+  /// blocked in SendFrame/RecvFrame fails promptly, later calls fail
+  /// (RecvFrame returns no frame it had already buffered), and the fd
+  /// stays allocated until Close()/destruction. This is the only member
+  /// safe to call concurrently with in-flight I/O — the multiplexer uses
+  /// it to unblock its demux thread (a concurrent Close would race fd
+  /// reuse).
   virtual void Shutdown() { Close(); }
 };
 
 class TcpTransport final : public Transport {
  public:
+  /// Receive buffer per connection. A frame that fits (prefix included)
+  /// is assembled here; a longer one reads its remainder straight into
+  /// the payload.
+  static constexpr std::size_t kRecvBufferBytes = 64u << 10;
+
   /// Connects to host:port. `io_deadline_ms` bounds every subsequent
   /// frame send/receive; <= 0 means block forever (server side).
   static Result<std::unique_ptr<TcpTransport>> Dial(const std::string& host,
@@ -65,7 +77,7 @@ class TcpTransport final : public Transport {
   /// in one syscall batch with no coalescing copy. Used for MultiGet
   /// replies, whose object bodies would otherwise be memcpy'd into one
   /// contiguous response buffer.
-  Status SendFrameParts(const std::vector<ByteSpan>& parts);
+  Status SendFrameParts(std::span<const ByteSpan> parts);
 
   /// Fault-injection seam: writes the frame's length prefix but only the
   /// first `keep` payload bytes, then shuts the socket down — the peer
@@ -73,13 +85,24 @@ class TcpTransport final : public Transport {
   Status SendTruncated(ByteSpan payload, std::size_t keep);
 
  private:
-  Status WriteAll(int fd, const std::uint8_t* data, std::size_t len);
-  Status ReadAll(int fd, std::uint8_t* data, std::size_t len);
+  /// Writes a prefix declaring `frame_len` bytes, then `parts`, with as
+  /// few sendmsg calls as the socket buffer allows.
+  Status SendGathered(std::size_t frame_len, std::span<const ByteSpan> parts);
+  /// Reads at least one byte (at most `len`), waiting up to the deadline.
+  Result<std::size_t> ReadSome(int fd, std::uint8_t* data, std::size_t len);
+  /// Reads until at least `need` (<= kRecvBufferBytes) bytes are buffered.
+  Status Fill(int fd, std::size_t need);
 
   // Atomic so Shutdown() can read it while another thread is mid-I/O;
   // only Close() writes it (to -1), exactly once.
   std::atomic<int> fd_{-1};
-  int io_deadline_ms_ = 0;
+  std::atomic<bool> shut_down_{false};
+
+  // Bytes read from the socket but not yet returned: [rbuf_begin_,
+  // rbuf_end_) of rbuf_. Only RecvFrame touches them.
+  std::unique_ptr<std::uint8_t[]> rbuf_;
+  std::size_t rbuf_begin_ = 0;
+  std::size_t rbuf_end_ = 0;
 };
 
 } // namespace nexus::net

@@ -119,6 +119,29 @@ TEST_F(NetReactorTest, ReactorServesBasicOpsStreamsAndStats) {
   EXPECT_GE(s.loop_dispatch_p99_ms, 0.0);
 }
 
+// Every request frame leaves the client in one gathered write, so the
+// loop wakes about once per lock-step RPC. A client that sent the length
+// prefix and the payload as two writes cost it 1.5 to 1.9 per RPC.
+TEST_F(NetReactorTest, LockStepRpcsCostAboutOneWakeupEach) {
+  StartServer();
+  constexpr int kRounds = 200;
+  const ServerStats before = remote_->Stats().value();
+  for (int i = 0; i < kRounds; ++i) {
+    const std::string name = "w" + std::to_string(i % 16);
+    const Bytes data(100 + i, static_cast<std::uint8_t>(i));
+    ASSERT_TRUE(remote_->Put(name, data).ok());
+    ASSERT_EQ(remote_->Get(name).value(), data);
+  }
+  const ServerStats after = remote_->Stats().value();
+  const double rpcs =
+      static_cast<double>(after.rpcs_served - before.rpcs_served);
+  const double wakeups =
+      static_cast<double>(after.epoll_wakeups - before.epoll_wakeups);
+  ASSERT_GE(rpcs, 2.0 * kRounds);
+  EXPECT_LE(wakeups, 1.1 * rpcs)
+      << wakeups << " wakeups for " << rpcs << " rpcs";
+}
+
 TEST_F(NetReactorTest, ThreadPerConnectionModeStillServes) {
   NexusdOptions options;
   options.serve_mode = ServeMode::kThreadPerConnection;
