@@ -11,8 +11,8 @@
 //     the lock-step request/response baseline,
 //  9. the client object cache — cold vs warm sequential reads and a
 //     git-clone-shaped metadata workload over a loopback daemon,
-// 10. connection scaling — the legacy thread-per-connection daemon vs the
-//     event-driven epoll reactor at a flat thread count,
+// 10. connection scaling — idle connections the event-driven epoll
+//     reactor holds at a flat thread count,
 // 11. cluster scaling — quorum put/get throughput against 1/2/4 nexusd
 //     shards plus the failover latency tail when a replica dies mid-run,
 // 12. the streamed cluster write path — streaming vs buffered replicated
@@ -316,9 +316,7 @@ void NetworkAblation() {
     std::unique_ptr<storage::StorageBackend> store;
     if (remote) {
       served = std::move(disk);
-      net::NexusdOptions options;
-      options.workers = 8;
-      daemon = net::NexusdServer::Start(*served, options).value();
+      daemon = net::NexusdServer::Start(*served).value();
       auto client = net::RemoteBackend::Connect("127.0.0.1", daemon->port());
       Abort(client.status(), "connect nexusd");
       store = std::move(client).value();
@@ -446,7 +444,6 @@ void PipelineSweep() {
   }
 
   net::NexusdOptions server_options;
-  server_options.workers = 8;
   server_options.rpc_workers = 8;
   auto daemon = net::NexusdServer::Start(store, server_options).value();
 
@@ -671,7 +668,6 @@ void ObjectCacheAblation() {
   }
 
   net::NexusdOptions server_options;
-  server_options.workers = 8;
   server_options.rpc_workers = 8;
   auto daemon = net::NexusdServer::Start(store, server_options).value();
 
@@ -788,19 +784,17 @@ void ObjectCacheAblation() {
   }
 }
 
-// Ablation 10: connection scaling — thread-per-connection vs the epoll
-// reactor. Phase A measures low-concurrency latency (2000 small Gets, one
-// client) in both modes: the reactor must not tax the common case. Phase B
-// opens idle connections in batches, probing after each batch that a fresh
-// short-deadline client still gets served; the count where the probe last
-// succeeded is the mode's sustained connection capacity at its (flat)
-// resident thread count. The legacy mode parks one pool worker per live
-// connection, so it saturates at --workers; the reactor's loop holds every
-// idle socket in one thread. Emits BENCH_c10k.json; aborts if the reactor
-// sustains fewer than 10x the baseline's connections.
+// Ablation 10: connection scaling of the epoll reactor. Phase A measures
+// low-concurrency latency (2000 small Gets, one client): the reactor must
+// not tax the common case. Phase B opens idle connections in batches,
+// probing after each batch that a fresh short-deadline client still gets
+// served; the count where the probe last succeeded is the sustained
+// connection capacity at the daemon's (flat) resident thread count. The
+// loop holds every idle socket in one thread. Emits BENCH_c10k.json;
+// aborts unless the reactor sustains every one of the sweep's
+// target_conns connections.
 void C10kAblation() {
-  PrintHeader(
-      "Ablation 10: connection scaling (thread-per-connection vs reactor)");
+  PrintHeader("Ablation 10: connection scaling (reactor)");
 
   // Idle sockets are cheap but each costs an fd on both ends; raise the
   // soft limit toward the hard cap so the sweep isn't fd-bound.
@@ -818,110 +812,79 @@ void C10kAblation() {
                             : 128;
   const std::size_t target_conns = std::min<std::size_t>(1024, fd_budget);
 
-  struct Row {
-    const char* config;
-    std::uint64_t sustained_conns = 0;
-    std::uint64_t resident_threads = 0;
-    double get_p50_ms = 0, get_p99_ms = 0;
-    double loop_dispatch_p99_ms = 0;
-    std::uint64_t arena_high_water = 0;
-  };
-  std::vector<Row> rows;
+  storage::MemBackend store;
+  Abort(store.Put("probe", Bytes(512, 0x5a)), "seed");
+  net::NexusdOptions options;
+  options.rpc_workers = 4;
+  auto daemon = net::NexusdServer::Start(store, options).value();
+  std::uint64_t sustained_conns = 0;
+  double get_p50_ms = 0, get_p99_ms = 0;
 
-  for (const bool reactor : {false, true}) {
-    storage::MemBackend store;
-    Abort(store.Put("probe", Bytes(512, 0x5a)), "seed");
-    net::NexusdOptions options;
-    options.serve_mode = reactor ? net::ServeMode::kReactor
-                                 : net::ServeMode::kThreadPerConnection;
-    options.workers = 16; // legacy: pool workers == serviceable connections
-    options.rpc_workers = 4;
-    auto daemon = net::NexusdServer::Start(store, options).value();
-    Row row;
-    row.config = reactor ? "reactor" : "threads";
+  // ---- phase A: low-concurrency latency, one lock-step client.
+  {
+    net::RemoteBackendOptions copts;
+    copts.rpc_deadline_ms = 5000;
+    auto client =
+        net::RemoteBackend::Connect("127.0.0.1", daemon->port(), copts);
+    Abort(client.status(), "connect");
+    net::ResetGlobalNetCounters();
+    for (int i = 0; i < 2000; ++i) {
+      Abort(client.value()->Get("probe").status(), "latency get");
+    }
+    const net::NetCounters nc = net::GlobalNetSnapshot();
+    get_p50_ms = nc.rpc_p50_ms;
+    get_p99_ms = nc.rpc_p99_ms;
+  }
 
-    // ---- phase A: low-concurrency latency, one lock-step client.
-    {
-      net::RemoteBackendOptions copts;
-      copts.rpc_deadline_ms = 5000;
-      auto client =
-          net::RemoteBackend::Connect("127.0.0.1", daemon->port(), copts);
-      Abort(client.status(), "connect");
-      net::ResetGlobalNetCounters();
-      for (int i = 0; i < 2000; ++i) {
-        Abort(client.value()->Get("probe").status(), "latency get");
-      }
-      const net::NetCounters nc = net::GlobalNetSnapshot();
-      row.get_p50_ms = nc.rpc_p50_ms;
-      row.get_p99_ms = nc.rpc_p99_ms;
-    } // client gone: its pooled connections release their workers
-
-    // ---- phase B: idle-connection scaling with a served-probe check.
-    std::vector<std::unique_ptr<net::Transport>> idle;
-    idle.reserve(target_conns);
-    bool capacity_hit = false;
-    while (idle.size() < target_conns && !capacity_hit) {
-      for (int b = 0; b < 8 && idle.size() < target_conns; ++b) {
-        auto conn = net::TcpTransport::Dial("127.0.0.1", daemon->port(),
-                                            /*connect_deadline_ms=*/1000,
-                                            /*io_deadline_ms=*/1000);
-        if (!conn.ok()) {
-          capacity_hit = true;
-          break;
-        }
-        idle.push_back(std::move(conn).value());
-      }
-      // The probe dials fresh and must complete a real RPC promptly; a
-      // daemon whose workers are all parked by idle connections fails it.
-      net::RemoteBackendOptions probe_options;
-      probe_options.connect_deadline_ms = 1000;
-      probe_options.rpc_deadline_ms = 1000;
-      probe_options.max_attempts = 1;
-      auto probe = net::RemoteBackend::Connect("127.0.0.1", daemon->port(),
-                                               probe_options);
-      if (!probe.ok() || !probe.value()->Get("probe").ok()) {
+  // ---- phase B: idle-connection scaling with a served-probe check.
+  std::vector<std::unique_ptr<net::Transport>> idle;
+  idle.reserve(target_conns);
+  bool capacity_hit = false;
+  while (idle.size() < target_conns && !capacity_hit) {
+    for (int b = 0; b < 8 && idle.size() < target_conns; ++b) {
+      auto conn = net::TcpTransport::Dial("127.0.0.1", daemon->port(),
+                                          /*connect_deadline_ms=*/1000,
+                                          /*io_deadline_ms=*/1000);
+      if (!conn.ok()) {
         capacity_hit = true;
         break;
       }
-      row.sustained_conns = idle.size();
+      idle.push_back(std::move(conn).value());
     }
-
-    const net::ServerStats s = daemon->WireStats();
-    row.resident_threads = s.resident_threads;
-    row.loop_dispatch_p99_ms = s.loop_dispatch_p99_ms;
-    row.arena_high_water = s.arena_slabs_high_water;
-    rows.push_back(row);
-    idle.clear();
-    daemon->Stop();
+    // The probe dials fresh and must complete a real RPC promptly.
+    net::RemoteBackendOptions probe_options;
+    probe_options.connect_deadline_ms = 1000;
+    probe_options.rpc_deadline_ms = 1000;
+    probe_options.max_attempts = 1;
+    auto probe = net::RemoteBackend::Connect("127.0.0.1", daemon->port(),
+                                             probe_options);
+    if (!probe.ok() || !probe.value()->Get("probe").ok()) {
+      capacity_hit = true;
+      break;
+    }
+    sustained_conns = idle.size();
   }
 
-  const Row& base = rows[0];
-  const Row& evented = rows[1];
+  const net::ServerStats s = daemon->WireStats();
+  idle.clear();
+  daemon->Stop();
+
   std::printf("%-8s %12s %9s %10s %10s %14s %8s\n", "config", "sustained",
               "threads", "p50 ms", "p99 ms", "loop p99 ms", "slabs");
-  for (const Row& r : rows) {
-    std::printf("%-8s %12llu %9llu %10.3f %10.3f %14.3f %8llu\n", r.config,
-                static_cast<unsigned long long>(r.sustained_conns),
-                static_cast<unsigned long long>(r.resident_threads),
-                r.get_p50_ms, r.get_p99_ms, r.loop_dispatch_p99_ms,
-                static_cast<unsigned long long>(r.arena_high_water));
-  }
-  const double conn_ratio =
-      static_cast<double>(evented.sustained_conns) /
-      static_cast<double>(std::max<std::uint64_t>(1, base.sustained_conns));
-  const double p99_ratio =
-      base.get_p99_ms > 0 ? evented.get_p99_ms / base.get_p99_ms : 1.0;
-  std::printf("reactor holds %.0fx the connections at %llu threads "
-              "(baseline %llu); low-concurrency p99 %.2fx baseline\n",
-              conn_ratio,
-              static_cast<unsigned long long>(evented.resident_threads),
-              static_cast<unsigned long long>(base.resident_threads),
-              p99_ratio);
+  std::printf("%-8s %12llu %9llu %10.3f %10.3f %14.3f %8llu\n", "reactor",
+              static_cast<unsigned long long>(sustained_conns),
+              static_cast<unsigned long long>(s.resident_threads), get_p50_ms,
+              get_p99_ms, s.loop_dispatch_p99_ms,
+              static_cast<unsigned long long>(s.arena_slabs_high_water));
+  std::printf("reactor holds %llu of %zu target connections at %llu "
+              "threads\n",
+              static_cast<unsigned long long>(sustained_conns), target_conns,
+              static_cast<unsigned long long>(s.resident_threads));
   // Latency is jittery on a shared box (not gated); the structural claim —
-  // an order of magnitude more connections at a flat thread count — is not.
-  if (conn_ratio < 10.0) {
+  // every target connection held at a flat thread count — is.
+  if (sustained_conns < target_conns) {
     Abort(Error(ErrorCode::kInternal,
-                "reactor sustained fewer than 10x baseline connections"),
+                "reactor sustained fewer than the target connections"),
           "c10k");
   }
 
@@ -931,24 +894,17 @@ void C10kAblation() {
                  "{\n  \"workload\": \"c10k_connection_scaling\",\n"
                  "  \"target_connections\": %zu,\n  \"configs\": [\n",
                  target_conns);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(
-          json,
-          "    {\"config\": \"%s\", \"sustained_connections\": %llu, "
-          "\"resident_threads\": %llu, \"get_p50_ms\": %.4f, "
-          "\"get_p99_ms\": %.4f, \"loop_dispatch_p99_ms\": %.4f, "
-          "\"arena_slabs_high_water\": %llu}%s\n",
-          r.config, static_cast<unsigned long long>(r.sustained_conns),
-          static_cast<unsigned long long>(r.resident_threads), r.get_p50_ms,
-          r.get_p99_ms, r.loop_dispatch_p99_ms,
-          static_cast<unsigned long long>(r.arena_high_water),
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json,
-                 "  ],\n  \"connection_ratio\": %.1f,\n"
-                 "  \"p99_ratio\": %.3f\n}\n",
-                 conn_ratio, p99_ratio);
+    std::fprintf(
+        json,
+        "    {\"config\": \"reactor\", \"sustained_connections\": %llu, "
+        "\"resident_threads\": %llu, \"get_p50_ms\": %.4f, "
+        "\"get_p99_ms\": %.4f, \"loop_dispatch_p99_ms\": %.4f, "
+        "\"arena_slabs_high_water\": %llu}\n",
+        static_cast<unsigned long long>(sustained_conns),
+        static_cast<unsigned long long>(s.resident_threads), get_p50_ms,
+        get_p99_ms, s.loop_dispatch_p99_ms,
+        static_cast<unsigned long long>(s.arena_slabs_high_water));
+    std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
     std::printf("wrote BENCH_c10k.json\n");
   }
@@ -982,10 +938,7 @@ struct ClusterFleet {
 
   std::uint16_t StartServer() {
     stores.push_back(std::make_unique<storage::MemBackend>());
-    net::NexusdOptions options;
-    options.workers = 8;
-    servers.push_back(
-        net::NexusdServer::Start(*stores.back(), options).value());
+    servers.push_back(net::NexusdServer::Start(*stores.back()).value());
     ports.push_back(servers.back()->port());
     return ports.back();
   }
@@ -1009,7 +962,6 @@ struct ClusterFleet {
     servers[i].reset();
     stores[i] = std::make_unique<storage::MemBackend>();
     net::NexusdOptions options;
-    options.workers = 8;
     options.port = ports[i];
     servers[i] = net::NexusdServer::Start(*stores[i], options).value();
   }

@@ -402,8 +402,9 @@ std::vector<Result<Bytes>> CachedBackend::MultiGet(
     std::vector<std::string> missing;
     missing.reserve(miss_idx.size());
     for (const std::size_t i : miss_idx) missing.push_back(names[i]);
-    // One batched round for the whole miss set, asking for leases (wire
-    // v5 grants them per entry; older peers leave every flag false).
+    // One batched round for the whole miss set, asking for leases (a
+    // remote grants them per entry; a lease-less inner leaves every flag
+    // false).
     std::vector<bool> lease_flags;
     fetched = inner_->MultiGetLeased(missing, &lease_flags);
     const std::lock_guard<std::mutex> lock(mu_);
@@ -593,7 +594,7 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
     InsertCleanLocked(name, ToBytes(data), Entry::State::kClean, NowMs(),
                       /*prefetched=*/false);
   } else if (write_lease && channel_up_ && fresh) {
-    // The server granted a WRITE lease (wire v5): we keep our own bytes
+    // The server granted a WRITE lease: we keep our own bytes
     // and will be invalidated only when ANOTHER client mutates the name —
     // not by our own write. `fresh` guards the race where a concurrent
     // writer's invalidation arrived between our Put and this insert: the
@@ -735,7 +736,7 @@ Status CachedBackend::FlushOneBatch() {
         entry.dirty_it = dirty_queue_.end();
       } else if (item.leased && channel_up_ &&
                  inval_seq_[item.name] == item.seq) {
-        // The flush earned a WRITE lease (wire v5): the entry stays
+        // The flush earned a WRITE lease: the entry stays
         // resident under it. The seq check rejects the race where another
         // writer's invalidation landed mid-flush — the grant is already
         // broken then, and keeping the copy would retain stale bytes.
@@ -743,9 +744,9 @@ Status CachedBackend::FlushOneBatch() {
         entry.stamp_ms = NowMs();
         entry.dirty_it = dirty_queue_.end();
       } else {
-        // No write lease (v4 peer, channel down, or broken mid-flush): a
-        // retained copy could go stale silently. Drop it; the next read
-        // re-fetches under a lease.
+        // No write lease (channel down, or broken mid-flush): a retained
+        // copy could go stale silently. Drop it; the next read re-fetches
+        // under a lease.
         mem_bytes_ -= entry.data.size();
         lru_.erase(entry.lru_it);
         entries_.erase(it);

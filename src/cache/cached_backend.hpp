@@ -10,12 +10,12 @@
 // server reply, never trusted.
 //
 // Writes go through a writeback queue when the inner backend can push
-// invalidations (wire-v4 leases): dirty objects coalesce in memory and
+// invalidations (wire leases): dirty objects coalesce in memory and
 // flush in oldest-first batches, with a write barrier ahead of any
 // journal-namespace mutation ("nxj/" by default) so the PR 1 write-ahead
 // ordering — record before data, truncate after checkpoint — still holds
-// through the cache. Without leases (v3 peer, local inner) the cache falls
-// back to write-through and bounds staleness by a TTL.
+// through the cache. Over an inner that grants no leases (the cluster, a
+// local store) the cache writes through and bounds staleness by a TTL.
 //
 // Freshness model per entry:
 //   dirty  — locally written, not yet flushed; always valid (local truth).

@@ -501,15 +501,11 @@ Result<std::unique_ptr<ClusterBackend>> ClusterBackend::Connect(
     shards.push_back(ShardSpec{
         endpoint,
         [host, port, remote]() -> Result<std::unique_ptr<storage::StorageBackend>> {
-          // Lazy construction, best-effort negotiation: a shard that is
-          // down when the client starts must still JOIN the ring (it gets
-          // ejected on first failed RPC and reinstated by the health
-          // prober), so the eager-Ping Connect() path is wrong here. A
-          // shard that misses this Ping just runs v2 lock-step until the
-          // process reconnects — correct, merely unbatched.
-          net::RemoteBackendOptions client = remote;
-          const int connect_ms = client.connect_deadline_ms;
-          const int rpc_ms = client.rpc_deadline_ms;
+          // Lazy construction, no Ping: a shard that is down when the
+          // client starts must still JOIN the ring (it gets ejected on
+          // its first failed RPC and reinstated by the health prober).
+          const int connect_ms = remote.connect_deadline_ms;
+          const int rpc_ms = remote.rpc_deadline_ms;
           auto backend = std::make_unique<net::RemoteBackend>(
               [host, port, connect_ms,
                rpc_ms]() -> Result<std::unique_ptr<net::Transport>> {
@@ -518,17 +514,10 @@ Result<std::unique_ptr<ClusterBackend>> ClusterBackend::Connect(
                     net::TcpTransport::Dial(host, port, connect_ms, rpc_ms));
                 return std::unique_ptr<net::Transport>(std::move(t));
               },
-              client);
-          (void)backend->Ping();
+              remote);
           return std::unique_ptr<storage::StorageBackend>(std::move(backend));
         },
-        // Reinstatement hook: a shard that missed the construction-time
-        // Ping (dead at client start) would otherwise speak v2 lock-step
-        // until the process restarts. Re-Ping renegotiates the protocol
-        // and re-widens the connection windows.
-        [](storage::StorageBackend& b) {
-          return static_cast<net::RemoteBackend&>(b).Ping();
-        }});
+        /*revive=*/nullptr});
   }
   return Create(std::move(shards), std::move(options));
 }
@@ -1484,7 +1473,7 @@ void ClusterBackend::ReviveShards() {
     }
     if (!need) continue;
     const Status st = shard->revive(*shard->backend);
-    // Feed the health tracker: a revive that cannot even Ping means the
+    // Feed the health tracker: a revive hook that fails on I/O means the
     // reinstatement was premature.
     RecordShardOutcome(*shard, st.ok() || st.code() != ErrorCode::kIOError);
   }

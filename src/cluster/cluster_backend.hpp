@@ -102,10 +102,8 @@ struct ShardSpec {
   std::string id;
   std::function<Result<std::unique_ptr<storage::StorageBackend>>()> factory;
   /// Optional health-restore hook, run on the maintenance thread after
-  /// the shard's first successful RPC ends an eject episode. Connect()
-  /// points this at RemoteBackend::Ping so a shard that was down when the
-  /// client started renegotiates the protocol on reinstatement instead of
-  /// speaking v2 lock-step forever.
+  /// the shard's first successful RPC ends an eject episode. A hook that
+  /// fails with kIOError counts as a failed RPC against the shard.
   std::function<Status(storage::StorageBackend&)> revive;
 };
 
@@ -155,8 +153,7 @@ class ClusterBackend final : public storage::StorageBackend {
 
   // StorageBackend surface. Leases and invalidation push are not offered
   // at cluster level (every read already consults a quorum), so the cache
-  // tier above falls back to write-through + TTL exactly as it would over
-  // a pre-v4 server.
+  // tier above runs lease-less: write-through + TTL.
   Result<Bytes> Get(const std::string& name) override;
   Status Put(const std::string& name, ByteSpan data) override;
   Status Delete(const std::string& name) override;
@@ -262,7 +259,7 @@ class ClusterBackend final : public storage::StorageBackend {
       const ShardPtr& shard, const std::vector<std::string>& names);
   Result<std::vector<std::string>> ShardList(const ShardPtr& shard,
                                              const std::string& prefix);
-  /// Bounded-batch listing (wire v6 kListPage when the shard speaks it);
+  /// Bounded-batch listing (kListPage on a remote shard);
   /// the rebalancer and handoff drainer page with this so a huge shard
   /// never materializes its whole listing in one frame.
   Result<storage::StorageBackend::ListPage> ShardListPage(

@@ -101,6 +101,7 @@ void Sha512::Compress(const std::uint8_t* block) noexcept {
 }
 
 void Sha512::Update(ByteSpan data) noexcept {
+  if (data.empty()) return; // also avoids memcpy(_, nullptr, 0) UB
   total_len_ += data.size();
   std::size_t offset = 0;
   if (buffer_len_ > 0) {

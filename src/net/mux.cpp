@@ -61,18 +61,6 @@ std::size_t MuxConnection::inflight() const {
   return pending_.size();
 }
 
-std::size_t MuxConnection::window() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return window_;
-}
-
-void MuxConnection::SetWindow(std::size_t window) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    window_ = window == 0 ? 1 : window;
-  }
-  window_cv_.notify_all();
-}
 
 std::shared_ptr<MuxConnection::Slot> MuxConnection::Submit(
     ByteSpan request, CompletionHook on_done) {

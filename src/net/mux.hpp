@@ -4,9 +4,9 @@
 // `window` RPCs in flight at once. Submitters serialize their request
 // frames onto the socket; the demux thread receives response frames and
 // routes each one to its waiting submitter by the correlation id already
-// stamped on every frame (wire v2) — so a server that replies out of
-// order (nexusd's v3 per-connection dispatch pool) is handled for free,
-// and a server that replies in order just degenerates to a pipeline.
+// stamped on every frame — so a server that replies out of order
+// (nexusd's shared handler pool) is handled for free, and a server that
+// replies in order just degenerates to a pipeline.
 //
 // Failure semantics are whole-connection: a transport error, a response
 // carrying an unknown correlation id, or a malformed frame means the byte
@@ -109,10 +109,7 @@ class MuxConnection {
   [[nodiscard]] bool broken() const;
   /// In-flight request count (registered, not yet completed).
   [[nodiscard]] std::size_t inflight() const;
-  [[nodiscard]] std::size_t window() const;
-  /// Re-bounds the window (version negotiation widens it from the
-  /// pre-negotiation lock-step 1 once the peer is known to speak v3).
-  void SetWindow(std::size_t window);
+  [[nodiscard]] std::size_t window() const noexcept { return window_; }
 
  private:
   std::shared_ptr<Slot> DoSubmit(ByteSpan request, bool blocking,
@@ -124,12 +121,12 @@ class MuxConnection {
 
   std::unique_ptr<Transport> transport_;
   DeliveryHook on_delivery_;
+  const std::size_t window_;
 
   mutable std::mutex mu_;
   std::condition_variable window_cv_; // submitters waiting for a free slot
   std::condition_variable demux_cv_;  // demux parked while nothing is owed
   std::map<std::uint64_t, std::shared_ptr<Slot>> pending_;
-  std::size_t window_;
   std::size_t sent_inflight_ = 0; // pending slots whose frame hit the wire
   bool broken_ = false;
   bool closing_ = false;

@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.cache_invalidations),
                 static_cast<unsigned long long>(s.cache_dirty_high_water));
   }
-  // Event-loop health (zero on a worker-per-connection daemon).
+  // Event-loop health.
   if (s.epoll_wakeups > 0 || s.arena_slabs_high_water > 0) {
     // Wakeups per served RPC: about 1 when every request frame arrives
     // in one piece; a client that splits its frames pushes it up.

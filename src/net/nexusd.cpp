@@ -5,14 +5,13 @@
 // only ciphertext and opaque names, so it runs with no keys, no
 // authentication and no SGX — all security machinery lives in the clients.
 //
-//   nexusd [--mem | --root DIR] [--bind ADDR] [--port N] [--workers N]
-//          [--rpc-workers N] [--serve-mode reactor|threads]
+//   nexusd [--mem | --root DIR] [--bind ADDR] [--port N] [--rpc-workers N]
 //          [--cache-mem BYTES] [--cache-disk BYTES] [--cache-dir DIR]
 //
-// --serve-mode picks the connection/thread layout: `reactor` (default) is
-// the event-driven epoll loop — thousands of idle connections cost no
-// threads; `threads` restores the legacy worker-per-connection pool where
-// --workers bounds the concurrently served connections.
+// Connections are served by one event-driven loop (epoll, or poll where
+// epoll is missing): thousands of idle connections cost no threads.
+// --rpc-workers sizes the shared pool that runs request handlers (0 runs
+// them inline on the loop, replying strictly in order).
 //
 // The --cache-* flags front the backend with cache::CachedBackend — useful
 // when --root points at slow storage (NFS, a FUSE mount): the daemon then
@@ -39,9 +38,8 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--mem | --root DIR] [--bind ADDR] [--port N] "
-               "[--workers N] [--rpc-workers N] "
-               "[--serve-mode reactor|threads] [--cache-mem BYTES] "
-               "[--cache-disk BYTES] [--cache-dir DIR]\n",
+               "[--rpc-workers N] [--cache-mem BYTES] [--cache-disk BYTES] "
+               "[--cache-dir DIR]\n",
                argv0);
 }
 
@@ -75,21 +73,8 @@ int main(int argc, char** argv) {
       options.bind_address = next();
     } else if (arg == "--port") {
       options.port = static_cast<std::uint16_t>(std::atoi(next()));
-    } else if (arg == "--workers") {
-      options.workers = static_cast<std::size_t>(std::atoi(next()));
     } else if (arg == "--rpc-workers") {
       options.rpc_workers = static_cast<std::size_t>(std::atoi(next()));
-    } else if (arg == "--serve-mode") {
-      const std::string mode = next();
-      if (mode == "reactor") {
-        options.serve_mode = nexus::net::ServeMode::kReactor;
-      } else if (mode == "threads") {
-        options.serve_mode = nexus::net::ServeMode::kThreadPerConnection;
-      } else {
-        std::fprintf(stderr, "nexusd: unknown serve mode '%s'\n", mode.c_str());
-        Usage(argv[0]);
-        return 2;
-      }
     } else if (arg == "--cache-mem") {
       use_cache = true;
       cache_options.mem_budget_bytes =
@@ -140,13 +125,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const bool reactor_mode =
-      options.serve_mode == nexus::net::ServeMode::kReactor;
-  std::printf("nexusd listening on %s:%u (%s, %s, %zu rpc workers)\n",
+  std::printf("nexusd listening on %s:%u (%s, reactor, %zu rpc workers)\n",
               options.bind_address.c_str(), server.value()->port(),
-              use_mem ? "mem" : root.c_str(),
-              reactor_mode ? "reactor" : "thread-per-connection",
-              options.rpc_workers);
+              use_mem ? "mem" : root.c_str(), options.rpc_workers);
   std::fflush(stdout);
 
   int sig = 0;

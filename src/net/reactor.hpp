@@ -53,8 +53,8 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// False when neither epoll nor the wake pipe could be created; the
-  /// server falls back to worker-per-connection in that case.
+  /// False when the wake pipe could not be created (a missing epoll only
+  /// selects the poll backend); NexusdServer::Start fails in that case.
   bool ok() const noexcept { return ok_; }
 
   Status Add(int fd, std::uint32_t interest, EventFn fn);

@@ -105,8 +105,6 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
   }
   auto backend =
       std::make_unique<RemoteBackend>(std::move(factory), options);
-  // The eager Ping doubles as version negotiation: after it, the pooled
-  // connections run at the full window and batch RPCs are available.
   NEXUS_RETURN_IF_ERROR(backend->Ping());
   return backend;
 }
@@ -162,45 +160,8 @@ void RemoteBackend::CountRetry() {
 
 // ---- connection pool --------------------------------------------------------
 
-std::uint8_t RemoteBackend::peer_version() const noexcept {
-  return peer_version_.load(std::memory_order_acquire);
-}
-
-bool RemoteBackend::peer_speaks_v3() const noexcept {
-  return options_.max_protocol_version >= 3 && peer_version() >= 3;
-}
-
-bool RemoteBackend::peer_speaks_v4() const noexcept {
-  return options_.max_protocol_version >= 4 && peer_version() >= 4;
-}
-
-bool RemoteBackend::peer_speaks_v5() const noexcept {
-  return options_.max_protocol_version >= 5 && peer_version() >= 5;
-}
-
-bool RemoteBackend::peer_speaks_v6() const noexcept {
-  return options_.max_protocol_version >= 6 && peer_version() >= 6;
-}
-
-std::uint8_t RemoteBackend::wire_version() const noexcept {
-  if (peer_speaks_v6()) return 6;
-  if (peer_speaks_v5()) return 5;
-  if (peer_speaks_v4()) return 4;
-  return peer_speaks_v3() ? std::uint8_t{3} : std::uint8_t{2};
-}
-
-std::size_t RemoteBackend::effective_window() const noexcept {
-  // Until a Ping proves the peer speaks v3, stay lock-step: a window of 1
-  // over v2 heads is exactly the wire behavior every v2 server expects.
-  return peer_speaks_v3() ? rpc_window_ : 1;
-}
-
 std::uint64_t RemoteBackend::lease_session() const noexcept {
   return lease_session_.load(std::memory_order_acquire);
-}
-
-Writer RemoteBackend::Req(Rpc rpc) const {
-  return BeginRequest(rpc, NextCorrelationId(), wire_version());
 }
 
 std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
@@ -226,14 +187,14 @@ std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
     GlobalNetAdd(delta);
     GlobalNetRecordLatencyMs(ms);
   };
-  return std::make_shared<MuxConnection>(std::move(transport),
-                                         effective_window(), std::move(hook));
+  return std::make_shared<MuxConnection>(std::move(transport), rpc_window_,
+                                         std::move(hook));
 }
 
 void RemoteBackend::AttachLease(MuxConnection& conn) {
   const std::uint64_t sid = lease_session();
-  if (sid == 0 || !peer_speaks_v4()) return;
-  Writer req = Req(Rpc::kLeaseAttach);
+  if (sid == 0) return;
+  Writer req = BeginRequest(Rpc::kLeaseAttach);
   req.U64(sid);
   auto slot = conn.Submit(req.bytes());
   // Best effort: an unattached connection still works, the server just
@@ -366,37 +327,11 @@ Result<Bytes> RemoteBackend::Call(const Writer& request, bool* ambiguous) {
 }
 
 Status RemoteBackend::Ping() {
-  // Always probes with a v2 head: a v2 server sees a normal Ping (it
-  // ignores trailing bytes), while a v3+ server reads the probe byte and
-  // answers with the version it will speak. No other RPC negotiates, so
-  // clients that never Ping stay lock-step v2 — and their fault-injection
-  // schedules stay exactly as long as before.
-  Writer req = BeginRequest(Rpc::kPing, NextCorrelationId(), 2);
-  req.U8(options_.max_protocol_version);
-  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
-  std::uint8_t negotiated = 2;
-  Reader reader(payload);
-  if (reader.Remaining() > 0) {
-    auto offered = reader.U8();
-    if (offered.ok() && offered.value() >= kMinProtocolVersion) {
-      negotiated = static_cast<std::uint8_t>(std::min<unsigned>(
-          offered.value(), options_.max_protocol_version));
-    }
-  }
-  peer_version_.store(negotiated, std::memory_order_release);
-  // Connections dialed before negotiation were created lock-step; widen
-  // them to the window the negotiated version allows.
-  std::vector<std::shared_ptr<MuxConnection>> conns;
-  {
-    const std::lock_guard<std::mutex> lock(pool_mu_);
-    conns = pool_;
-  }
-  for (const auto& conn : conns) conn->SetWindow(effective_window());
-  return Status::Ok();
+  return Call(BeginRequest(Rpc::kPing)).status();
 }
 
 Result<ServerStats> RemoteBackend::Stats() {
-  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(Req(Rpc::kStats)));
+  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(BeginRequest(Rpc::kStats)));
   Reader reader(payload);
   NEXUS_ASSIGN_OR_RETURN(ServerStats stats, DecodeServerStats(reader));
   if (!reader.AtEnd()) {
@@ -448,21 +383,16 @@ Result<Bytes> RemoteBackend::GetLeased(const std::string& name,
     // Timed out, failed, withdrawn, or completed without retaining the
     // bytes: fall through to an ordinary demand fetch.
   }
-  const bool v4 = peer_speaks_v4();
-  Writer req = Req(Rpc::kGet);
+  Writer req = BeginRequest(Rpc::kGet);
   req.Str(name);
-  // v4 Gets carry a want-lease byte; the server only registers a holder
-  // (and pays the break protocol later) when the caller will track it.
-  if (v4) req.U8(lease_granted != nullptr ? 1 : 0);
+  // The want-lease byte: the server only registers a holder (and pays the
+  // break protocol later) when the caller will track the grant.
+  req.U8(lease_granted != nullptr ? 1 : 0);
   NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
   Reader reader(payload);
   NEXUS_ASSIGN_OR_RETURN(Bytes data, reader.Var(kMaxObjectBytes));
-  if (v4 && reader.Remaining() > 0) {
-    auto flag = reader.U8();
-    if (flag.ok() && lease_granted != nullptr) {
-      *lease_granted = flag.value() != 0;
-    }
-  }
+  NEXUS_ASSIGN_OR_RETURN(const std::uint8_t granted, reader.U8());
+  if (lease_granted != nullptr) *lease_granted = granted != 0;
   return data;
 }
 
@@ -476,27 +406,21 @@ Status RemoteBackend::PutLeased(const std::string& name, ByteSpan data,
   if (data.size() > kMaxObjectBytes) {
     return Error(ErrorCode::kInvalidArgument, "object too large: " + name);
   }
-  const bool v5 = peer_speaks_v5();
-  Writer req = Req(Rpc::kPut);
+  Writer req = BeginRequest(Rpc::kPut);
   req.Str(name);
   req.Var(data);
-  // v5 Puts carry a want-write-lease byte; as with Get, the server only
-  // registers a holder when the caller will track the grant.
-  if (v5) req.U8(lease_granted != nullptr ? 1 : 0);
-  auto payload = Call(req);
-  if (!payload.ok()) return payload.status();
-  if (v5 && lease_granted != nullptr) {
-    Reader reader(payload.value());
-    if (reader.Remaining() > 0) {
-      auto flag = reader.U8();
-      if (flag.ok()) *lease_granted = flag.value() != 0;
-    }
-  }
+  // The want-write-lease byte; as with Get, the server only registers a
+  // holder when the caller will track the grant.
+  req.U8(lease_granted != nullptr ? 1 : 0);
+  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
+  Reader reader(payload);
+  NEXUS_ASSIGN_OR_RETURN(const std::uint8_t granted, reader.U8());
+  if (lease_granted != nullptr) *lease_granted = granted != 0;
   return Status::Ok();
 }
 
 Status RemoteBackend::Delete(const std::string& name) {
-  Writer req = Req(Rpc::kDelete);
+  Writer req = BeginRequest(Rpc::kDelete);
   req.Str(name);
   bool ambiguous = false;
   const Status verdict = Call(req, &ambiguous).status();
@@ -510,7 +434,7 @@ Status RemoteBackend::Delete(const std::string& name) {
 }
 
 bool RemoteBackend::Exists(const std::string& name) {
-  Writer req = Req(Rpc::kExists);
+  Writer req = BeginRequest(Rpc::kExists);
   req.Str(name);
   auto payload = Call(req);
   // The StorageBackend contract cannot express transport failure here;
@@ -523,7 +447,7 @@ bool RemoteBackend::Exists(const std::string& name) {
 }
 
 std::vector<std::string> RemoteBackend::List(const std::string& prefix) {
-  Writer req = Req(Rpc::kList);
+  Writer req = BeginRequest(Rpc::kList);
   req.Str(prefix);
   auto payload = Call(req);
   std::vector<std::string> names;
@@ -546,17 +470,13 @@ std::vector<std::string> RemoteBackend::List(const std::string& prefix) {
 storage::StorageBackend::ListPage RemoteBackend::ListSome(
     const std::string& prefix, const std::string& start_after,
     std::size_t limit) {
-  if (!peer_speaks_v6()) {
-    // Pre-v6 peer: fetch the full listing and slice locally.
-    return storage::StorageBackend::ListSome(prefix, start_after, limit);
-  }
   ListPage page;
   if (limit == 0) return page;
   // The server treats limits above kMaxMultiEntries as a protocol error;
   // clamp here so callers can pass any bound they like.
   const std::uint32_t capped = static_cast<std::uint32_t>(
       std::min<std::size_t>(limit, kMaxMultiEntries));
-  Writer req = Req(Rpc::kListPage);
+  Writer req = BeginRequest(Rpc::kListPage);
   req.Str(prefix);
   req.Str(start_after);
   req.U32(capped);
@@ -581,7 +501,7 @@ storage::StorageBackend::ListPage RemoteBackend::ListSome(
   return page;
 }
 
-// ---- batch ops (wire v3) ----------------------------------------------------
+// ---- batch ops --------------------------------------------------------------
 
 std::vector<Result<Bytes>> RemoteBackend::MultiGet(
     const std::vector<std::string>& names) {
@@ -591,30 +511,23 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGet(
 std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
     const std::vector<std::string>& names, std::vector<bool>* leased) {
   if (leased != nullptr) leased->assign(names.size(), false);
-  if (!peer_speaks_v3()) {
-    // v2 peer: the base-class loop of single Gets is the whole protocol.
-    return storage::StorageBackend::MultiGet(names);
-  }
-  // Leases on batch fills need the v5 per-entry granted flags; against a
-  // v4-or-older peer the caller falls back to TTL-clean installs.
-  const bool want_lease = leased != nullptr && peer_speaks_v5();
-  const std::uint8_t wv = wire_version();
+  const bool want_lease = leased != nullptr;
   std::vector<Result<Bytes>> results;
   results.reserve(names.size());
   for (std::size_t base = 0; base < names.size(); base += kMaxMultiEntries) {
     const std::size_t n = std::min(kMaxMultiEntries, names.size() - base);
     const std::vector<std::string> batch(names.begin() + base,
                                          names.begin() + base + n);
-    Writer req = Req(Rpc::kMultiGet);
+    Writer req = BeginRequest(Rpc::kMultiGet);
     EncodeNameList(req, batch);
-    if (wv >= 5) req.U8(want_lease ? 1 : 0);
+    req.U8(want_lease ? 1 : 0);
     auto payload = Call(req);
     if (!payload.ok()) {
       for (std::size_t i = 0; i < n; ++i) results.push_back(payload.status());
       continue;
     }
     Reader reader(payload.value());
-    auto entries = DecodeMultiGetEntries(reader, wv);
+    auto entries = DecodeMultiGetEntries(reader);
     const bool shape_ok = entries.ok() && reader.AtEnd() &&
                           entries.value().size() == n;
     if (!shape_ok) {
@@ -650,9 +563,9 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
     // packs another response-budget's worth, so a deferred tail of k
     // objects costs ~(total bytes / budget) round trips instead of k.
     while (!deferred_names.empty()) {
-      Writer follow = Req(Rpc::kMultiGet);
+      Writer follow = BeginRequest(Rpc::kMultiGet);
       EncodeNameList(follow, deferred_names);
-      if (wv >= 5) follow.U8(want_lease ? 1 : 0);
+      follow.U8(want_lease ? 1 : 0);
       auto follow_payload = Call(follow);
       if (!follow_payload.ok()) {
         for (const std::size_t slot : deferred_slots) {
@@ -661,7 +574,7 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
         break;
       }
       Reader follow_reader(follow_payload.value());
-      auto follow_entries = DecodeMultiGetEntries(follow_reader, wv);
+      auto follow_entries = DecodeMultiGetEntries(follow_reader);
       const bool follow_ok = follow_entries.ok() && follow_reader.AtEnd() &&
                              follow_entries.value().size() ==
                                  deferred_names.size();
@@ -713,16 +626,13 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
 
 std::vector<bool> RemoteBackend::MultiExists(
     const std::vector<std::string>& names) {
-  if (!peer_speaks_v3()) {
-    return storage::StorageBackend::MultiExists(names);
-  }
   std::vector<bool> results;
   results.reserve(names.size());
   for (std::size_t base = 0; base < names.size(); base += kMaxMultiEntries) {
     const std::size_t n = std::min(kMaxMultiEntries, names.size() - base);
     const std::vector<std::string> batch(names.begin() + base,
                                          names.begin() + base + n);
-    Writer req = Req(Rpc::kMultiExists);
+    Writer req = BeginRequest(Rpc::kMultiExists);
     EncodeNameList(req, batch);
     auto payload = Call(req);
     // One u8 flag per requested name, in request order. Transport failure
@@ -762,7 +672,7 @@ void RemoteBackend::FinishFlight(const std::shared_ptr<PrefetchFlight>& flight,
 }
 
 void RemoteBackend::Prefetch(const std::string& name) {
-  if (readahead_budget_ == 0 || effective_window() <= 1) return;
+  if (readahead_budget_ == 0 || rpc_window_ <= 1) return;
   PrefetchSink sink;
   std::shared_ptr<PrefetchFlight> flight;
   {
@@ -792,9 +702,9 @@ void RemoteBackend::Prefetch(const std::string& name) {
   std::shared_ptr<MuxConnection::Slot> slot;
   if (conn != nullptr) {
     trace::Span span("prefetch_issue", "net.prefetch");
-    Writer req = Req(Rpc::kGet);
+    Writer req = BeginRequest(Rpc::kGet);
     req.Str(name);
-    if (peer_speaks_v4()) req.U8(0); // speculation never takes a lease
+    req.U8(0); // speculation never takes a lease
     const std::uint64_t corr = RequestCorrelation(req.bytes());
     slot = conn->TrySubmit(
         req.bytes(), [this, name, sink, corr](const Status& failure,
@@ -859,7 +769,7 @@ void RemoteBackend::OnPrefetchDone(const std::string& name,
     return;
   }
   auto data = reader.Var(kMaxObjectBytes);
-  if (!data.ok()) {
+  if (!data.ok() || !reader.U8().ok()) { // the (unused) lease byte
     if (flight != nullptr) {
       FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"),
                    nullptr);
@@ -875,11 +785,10 @@ void RemoteBackend::OnPrefetchDone(const std::string& name,
   sink(name, Result<Bytes>(std::move(body)), false);
 }
 
-// ---- lease subscription (wire v4) -------------------------------------------
+// ---- lease subscription -----------------------------------------------------
 
 bool RemoteBackend::SubscribeInvalidations(InvalidationListener on_invalidate,
                                            ChannelDownHandler on_channel_down) {
-  if (!peer_speaks_v4()) return false;
   {
     const std::lock_guard<std::mutex> lock(lease_mu_);
     if (lease_thread_.joinable()) return false; // already subscribed
@@ -891,7 +800,7 @@ bool RemoteBackend::SubscribeInvalidations(InvalidationListener on_invalidate,
     std::unique_ptr<Transport> transport = std::move(dialed).value();
 
     // Lock-step subscription handshake on the dedicated connection.
-    Writer req = BeginRequest(Rpc::kLeaseSubscribe, NextCorrelationId(), 4);
+    Writer req = BeginRequest(Rpc::kLeaseSubscribe);
     const std::uint64_t corr = RequestCorrelation(req.bytes());
     if (!transport->SendFrame(req.bytes()).ok()) return false;
     auto response = transport->RecvFrame();
@@ -942,7 +851,7 @@ void RemoteBackend::LeaseCallbackLoop() {
       span.SetCorrelation(corr);
       if (lease_listener_) lease_listener_(names.value());
     }
-    Writer ack = BeginResponse(Status::Ok(), corr, 4);
+    Writer ack = BeginResponse(Status::Ok(), corr);
     if (!lease_transport_->SendFrame(ack.bytes()).ok()) break;
   }
   lease_session_.store(0, std::memory_order_release);
@@ -981,7 +890,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
     }
     nexus::Append(replay_, data);
     if (conn_ != nullptr) {
-      Writer req = Req(Rpc::kStreamAppend);
+      Writer req = BeginRequest(Rpc::kStreamAppend);
       req.U64(handle_);
       req.Var(data);
       Status verdict = Status::Ok();
@@ -1013,7 +922,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
           continue;
         }
       }
-      Writer req = Req(Rpc::kStreamCommit);
+      Writer req = BeginRequest(Rpc::kStreamCommit);
       req.U64(handle_);
       Status verdict = Status::Ok();
       auto payload = Exchange(req, &verdict);
@@ -1037,7 +946,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
     if (finished_) return;
     finished_ = true;
     if (conn_ != nullptr) {
-      Writer req = Req(Rpc::kStreamAbort);
+      Writer req = BeginRequest(Rpc::kStreamAbort);
       req.U64(handle_);
       Status verdict = Status::Ok();
       (void)Exchange(req, &verdict); // best effort; disconnect also aborts
@@ -1047,10 +956,6 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
   }
 
  private:
-  /// Stream requests carry the backend's negotiated head version, like
-  /// every other RPC (the server accepts both on any connection).
-  Writer Req(Rpc rpc) const { return backend_.Req(rpc); }
-
   /// One request/response on the stream's dedicated connection. The OUTER
   /// result is transport/protocol health (error => drop the connection);
   /// on outer success `verdict` holds the server's authoritative answer
@@ -1121,8 +1026,8 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
     // not invalidate the writer's own cache. A server verdict error
     // (stale session) is benign — the stream works unattached.
     const std::uint64_t sid = backend_.lease_session();
-    if (sid != 0 && backend_.peer_speaks_v4()) {
-      Writer attach = Req(Rpc::kLeaseAttach);
+    if (sid != 0) {
+      Writer attach = BeginRequest(Rpc::kLeaseAttach);
       attach.U64(sid);
       Status attach_verdict = Status::Ok();
       auto acked = Exchange(attach, &attach_verdict);
@@ -1132,7 +1037,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
       }
     }
 
-    Writer begin = Req(Rpc::kStreamBegin);
+    Writer begin = BeginRequest(Rpc::kStreamBegin);
     begin.Str(name_);
     Status verdict = Status::Ok();
     auto payload = Exchange(begin, &verdict);
@@ -1152,7 +1057,7 @@ class RemotePutStream final : public storage::StorageBackend::PutStream {
          off += kReplaySegmentBytes) {
       const std::size_t n =
           std::min(kReplaySegmentBytes, replay_.size() - off);
-      Writer append = Req(Rpc::kStreamAppend);
+      Writer append = BeginRequest(Rpc::kStreamAppend);
       append.U64(handle_);
       append.Var(ByteSpan(replay_.data() + off, n));
       Status segment_verdict = Status::Ok();
@@ -1229,7 +1134,7 @@ class MuxPutStream final : public storage::StorageBackend::PutStream {
     while (inflight_.size() >= conn_->window()) {
       NEXUS_RETURN_IF_ERROR(DrainOldest());
     }
-    Writer req = backend_.Req(Rpc::kStreamAppend);
+    Writer req = BeginRequest(Rpc::kStreamAppend);
     req.U64(handle_);
     req.Var(data);
     auto slot = conn_->Submit(req.bytes());
@@ -1267,7 +1172,7 @@ class MuxPutStream final : public storage::StorageBackend::PutStream {
         return drained;
       }
     }
-    Writer req = backend_.Req(Rpc::kStreamCommit);
+    Writer req = BeginRequest(Rpc::kStreamCommit);
     req.U64(handle_);
     auto slot = conn_->Submit(req.bytes());
     finished_ = true;
@@ -1293,7 +1198,7 @@ class MuxPutStream final : public storage::StorageBackend::PutStream {
     while (!inflight_.empty()) {
       if (!DrainOldest().ok()) return; // FailStream dropped the connection
     }
-    Writer req = backend_.Req(Rpc::kStreamAbort);
+    Writer req = BeginRequest(Rpc::kStreamAbort);
     req.U64(handle_);
     auto slot = conn_->Submit(req.bytes());
     if (slot != nullptr) (void)slot->Wait();
@@ -1315,7 +1220,7 @@ class MuxPutStream final : public storage::StorageBackend::PutStream {
     // Same best-effort session tie as pooled connections: the commit
     // must not invalidate the writer's own cache.
     backend_.AttachLease(*conn_);
-    Writer begin = backend_.Req(Rpc::kStreamBegin);
+    Writer begin = BeginRequest(Rpc::kStreamBegin);
     begin.Str(name_);
     auto slot = conn_->Submit(begin.bytes());
     if (slot == nullptr) {

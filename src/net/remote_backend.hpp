@@ -23,23 +23,25 @@
 //     commit are last-writer-wins), so blind re-execution is safe. The
 //     one wrinkle is Delete: if an earlier attempt's outcome is unknown
 //     and the retry says kNotFound, the delete DID happen — report Ok,
-//   * version negotiation — requests go out with v2 heads and a window of
-//     1 until a Ping learns the peer speaks v3/v4 (wire.hpp); then the
-//     window widens and MultiGet/MultiExists coalesce name fan-outs into
-//     one frame each way. v2 peers keep working, lock-step, forever,
+//   * one wire version — every connection runs the full window from its
+//     first RPC and MultiGet/MultiExists coalesce name fan-outs into one
+//     frame each way. Nothing is negotiated: a response head carrying any
+//     other version drops the connection like any malformed head, and a
+//     reply missing a required field (a lease byte) fails its call —
+//     those bytes come from the untrusted store,
 //   * chunk readahead — Prefetch(name) speculatively issues a Get through
 //     any spare window slot (never blocking, never retrying, never
 //     dialing) and delivers the parsed object to the registered
 //     PrefetchSink on the demux thread. The cache layer (cache/
 //     cached_backend.hpp) owns buffering, budgets and eviction; this
 //     backend holds no prefetched bytes of its own,
-//   * lease coherence (wire v4) — SubscribeInvalidations dials a
-//     dedicated callback connection, registers a lease session, and
-//     pumps server-pushed kInvalidate frames to the listener, acking
-//     each. GetLeased asks the server for a read lease on the fetched
-//     object; pooled data connections (and stream connections) attach
-//     themselves to the session so the server can skip invalidating the
-//     writer's own cache. Pre-v4 peers simply never grant leases.
+//   * lease coherence — SubscribeInvalidations dials a dedicated
+//     callback connection, registers a lease session, and pumps
+//     server-pushed kInvalidate frames to the listener, acking each.
+//     GetLeased asks the server for a read lease on the fetched object;
+//     pooled data connections (and stream connections) attach themselves
+//     to the session so the server can skip invalidating the writer's own
+//     cache.
 //
 // Streamed puts replay: the stream keeps the bytes appended so far, and a
 // transport failure at any point (including an ambiguous Commit) restarts
@@ -92,18 +94,14 @@ struct RemoteBackendOptions {
   std::size_t max_pooled_connections = 4;
   /// Injectable sleep so fault tests record backoff instead of waiting.
   std::function<void(int ms)> sleep_ms; // null => real sleep
-  /// Max in-flight RPCs per connection once the peer negotiated v3.
-  /// 0 = DefaultRpcWindow() (NEXUS_RPC_WINDOW).
+  /// Max in-flight RPCs per connection. 0 = DefaultRpcWindow()
+  /// (NEXUS_RPC_WINDOW).
   std::size_t rpc_window = 0;
-  /// Highest wire version this client will speak — lowering it simulates
-  /// a legacy client against a modern server (2 = lock-step singles,
-  /// 3 = batches but no leases).
-  std::uint8_t max_protocol_version = kProtocolVersion;
   /// Readahead gate: 0 = default (NEXUS_READAHEAD_BUDGET, 32 MiB) and an
   /// EXPLICIT NEXUS_READAHEAD_BUDGET=0 disables speculation entirely. The
   /// byte budget itself is enforced by the cache tier that consumes the
-  /// deliveries; prefetch is also off while the negotiated window is 1
-  /// (nothing to overlap with).
+  /// deliveries; prefetch is also off with a window of 1 (nothing to
+  /// overlap with).
   std::size_t readahead_budget_bytes = 0;
   /// Most speculative Gets in flight at once.
   std::size_t max_inflight_prefetches = 8;
@@ -121,8 +119,7 @@ class RemoteBackend final : public storage::StorageBackend {
   ~RemoteBackend() override;
 
   /// TCP convenience: dials host:port eagerly once (a Ping) so a dead
-  /// server fails fast at construction instead of on the first Get — and
-  /// the Ping doubles as the wire-version negotiation.
+  /// server fails fast at construction instead of on the first Get.
   static Result<std::unique_ptr<RemoteBackend>> Connect(
       const std::string& host, std::uint16_t port,
       RemoteBackendOptions options = {});
@@ -136,14 +133,13 @@ class RemoteBackend final : public storage::StorageBackend {
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;
-  /// One kListPage round trip against a v6 peer; pre-v6 peers fall back
-  /// to the base-class slice over List().
+  /// One kListPage round trip.
   ListPage ListSome(const std::string& prefix, const std::string& start_after,
                     std::size_t limit) override;
   Result<std::unique_ptr<PutStream>> OpenPutStream(
       const std::string& name) override;
   /// Pipelined multi-append stream on a dedicated mux connection: keeps up
-  /// to the negotiated window of segments in flight and retains NOTHING
+  /// to a window of segments in flight and retains NOTHING
   /// after a segment hits the socket, so client memory is O(window), not
   /// O(object). No replay buffer means a transport failure mid-stream
   /// fails the stream permanently — callers with their own redundancy
@@ -163,8 +159,6 @@ class RemoteBackend final : public storage::StorageBackend {
                               ChannelDownHandler on_channel_down) override;
 
   /// Liveness probe through the full RPC machinery (retries included).
-  /// Also negotiates the wire version: the request carries this client's
-  /// max version, and a v3+ server's reply names the version to use.
   Status Ping();
 
   /// Fetches the server's lifetime counters and per-op latency summary
@@ -172,9 +166,6 @@ class RemoteBackend final : public storage::StorageBackend {
   Result<ServerStats> Stats();
 
   [[nodiscard]] NetCounters counters() const;
-  /// Negotiated peer wire version (0 until the first Ping completes; a
-  /// peer that never confirmed v3 is treated as v2).
-  [[nodiscard]] std::uint8_t peer_version() const noexcept;
   /// Lease session id on the server (0 = not subscribed / channel down).
   [[nodiscard]] std::uint64_t lease_session() const noexcept;
 
@@ -188,22 +179,13 @@ class RemoteBackend final : public storage::StorageBackend {
   /// reports whether any FAILED attempt may have reached the server.
   Result<Bytes> Call(const Writer& request, bool* ambiguous = nullptr);
 
-  /// Starts a request with the negotiated head version.
-  Writer Req(Rpc rpc) const;
-  [[nodiscard]] std::uint8_t wire_version() const noexcept;
-  [[nodiscard]] bool peer_speaks_v3() const noexcept;
-  [[nodiscard]] bool peer_speaks_v5() const noexcept;
-  [[nodiscard]] bool peer_speaks_v4() const noexcept;
-  [[nodiscard]] bool peer_speaks_v6() const noexcept;
-  [[nodiscard]] std::size_t effective_window() const noexcept;
-
   /// Returns a connection with window room, dialing a fresh one when the
   /// pool has none to give. Counts a reconnect when `is_retry` dials.
   Result<std::shared_ptr<MuxConnection>> AcquireConnection(bool is_retry);
   std::shared_ptr<MuxConnection> NewConnection(
       std::unique_ptr<Transport> transport);
   /// Best-effort kLeaseAttach on a fresh data connection (no-op when no
-  /// session is live or the peer predates v4).
+  /// session is live).
   void AttachLease(MuxConnection& conn);
 
   /// Consecutive-failure streak driving the backoff delay.
@@ -225,7 +207,6 @@ class RemoteBackend final : public storage::StorageBackend {
   std::size_t rpc_window_;
   std::size_t readahead_budget_;
 
-  std::atomic<std::uint8_t> peer_version_{0}; // 0 = not yet negotiated
   std::atomic<int> failure_streak_{0};
 
   mutable std::mutex mu_;

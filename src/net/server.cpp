@@ -51,9 +51,8 @@ Status SetNonBlocking(int fd) {
 
 /// Response payload as scatter/gather segments. Small replies are one
 /// Writer's bytes; large object bodies ride as their own part so framing
-/// never copies them into a contiguous buffer — the transport's sendmsg
-/// (legacy mode) or the reactor's send queue keeps them separate all the
-/// way to the socket.
+/// never copies them into a contiguous buffer — the send queue keeps them
+/// separate all the way to the socket.
 struct NexusdServer::WireReply {
   std::vector<Bytes> parts;
   std::size_t payload_bytes = 0;
@@ -65,15 +64,6 @@ struct NexusdServer::WireReply {
   void Add(Bytes&& b) {
     payload_bytes += b.size();
     parts.push_back(std::move(b));
-  }
-
-  [[nodiscard]] std::vector<ByteSpan> Spans() const {
-    std::vector<ByteSpan> out;
-    out.reserve(parts.size());
-    for (const Bytes& p : parts) {
-      if (!p.empty()) out.emplace_back(p.data(), p.size());
-    }
-    return out;
   }
 };
 
@@ -94,7 +84,7 @@ struct NexusdServer::Dispatch {
   bool subscribed = false; // kImmediate: connection became a lease channel
 };
 
-/// Per-connection protocol state shared by both serve modes.
+/// Per-connection protocol state.
 struct NexusdServer::ConnState {
   /// In-flight put streams, scoped to the connection. Destruction aborts
   /// whatever the client never committed (DiskPutStream removes its temp
@@ -109,14 +99,14 @@ struct NexusdServer::ConnState {
   std::map<std::uint64_t, OpenStream> streams; // under stream_mu
   std::uint64_t next_stream_handle = 1;        // under stream_mu
 
-  // v4 connection state, decode-thread only: the lease session this data
+  // Lease state, loop thread only: the lease session this data
   // connection belongs to (kLeaseAttach), and the session this connection
   // BECAME the invalidation channel of (kLeaseSubscribe).
   std::uint64_t attached_session = 0;
   std::shared_ptr<LeaseSession> subscription;
 };
 
-/// One reactor-mode connection.
+/// One served connection.
 struct NexusdServer::RConn {
   int fd = -1;
 
@@ -220,35 +210,19 @@ Result<std::unique_ptr<NexusdServer>> NexusdServer::Start(
 
   server->listen_fd_ = fd;
   server->port_ = ntohs(addr.sin_port);
+  NEXUS_RETURN_IF_ERROR(SetNonBlocking(fd));
+  server->reactor_ = std::make_unique<Reactor>();
+  if (!server->reactor_->ok()) {
+    return Error(ErrorCode::kIOError, "reactor: cannot create wake pipe");
+  }
   if (server->options_.rpc_workers > 0) {
-    // Handlers live on their own pool: if they shared the connection
-    // pool, enough simultaneous connections would occupy every worker
-    // with readers and the handlers they wait on could never run.
     server->rpc_pool_ =
         std::make_unique<parallel::ThreadPool>(server->options_.rpc_workers);
   }
-
-  if (server->options_.serve_mode == ServeMode::kReactor) {
-    auto reactor = std::make_unique<Reactor>();
-    if (reactor->ok() && SetNonBlocking(fd).ok()) {
-      server->reactor_ = std::move(reactor);
-      NexusdServer* s = server.get();
-      const Status added = server->reactor_->Add(
-          fd, Reactor::kRead, [s](std::uint32_t) { s->ReactorAccept(); });
-      if (!added.ok()) return added;
-      server->loop_thread_ = std::thread([s] { s->reactor_->Run(); });
-      return server;
-    }
-    // No event queue and no wake pipe (or the listener refused
-    // O_NONBLOCK): serve the old way rather than not at all.
-    server->options_.serve_mode = ServeMode::kThreadPerConnection;
-  }
-
-  server->pool_ = std::make_unique<parallel::ThreadPool>(
-      std::max<std::size_t>(1, server->options_.workers));
-  server->connections_ =
-      std::make_unique<parallel::TaskGroup>(server->pool_.get());
-  server->accept_thread_ = std::thread([s = server.get()] { s->AcceptLoop(); });
+  NexusdServer* s = server.get();
+  NEXUS_RETURN_IF_ERROR(server->reactor_->Add(
+      fd, Reactor::kRead, [s](std::uint32_t) { s->ReactorAccept(); }));
+  server->loop_thread_ = std::thread([s] { s->reactor_->Run(); });
   return server;
 }
 
@@ -256,59 +230,52 @@ void NexusdServer::Stop() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
-    if (reactor_ == nullptr && listen_fd_ >= 0) {
-      ::shutdown(listen_fd_, SHUT_RDWR);
+    // Unblock every live connection, lease channels parked in I/O on
+    // their ack threads included.
+    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
+  }
+  if (loop_thread_.joinable()) {
+    reactor_->Post([this] {
+      int lfd;
+      {
+        const std::lock_guard<std::mutex> lock(mu_);
+        lfd = listen_fd_;
+        listen_fd_ = -1;
+      }
+      if (lfd >= 0) {
+        reactor_->Remove(lfd);
+        ::close(lfd);
+      }
+      std::vector<std::shared_ptr<RConn>> conns;
+      conns.reserve(rconns_.size());
+      for (const auto& [cfd, conn] : rconns_) conns.push_back(conn);
+      for (const auto& conn : conns) {
+        ReactorTeardown(conn, /*drain=*/false);
+        ReactorMaintain(conn);
+      }
+    });
+    // Handler tasks never block on connection I/O (replies are
+    // nonblocking enqueues) and lease breaks are bounded by
+    // lease_break_ms_, so the drain always completes.
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      drain_cv_.wait(lock, [this] {
+        return reactor_conns_ == 0 && reactor_tasks_ == 0;
+      });
+    }
+    reactor_->Stop();
+    loop_thread_.join();
+  }
+  {
+    // Start() failed before the loop thread launched.
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (listen_fd_ >= 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
     }
-    // Unblock every thread parked in I/O on a live connection.
-    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  if (reactor_ != nullptr) {
-    if (!loop_thread_.joinable()) {
-      // Start() failed before the loop thread launched.
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (listen_fd_ >= 0) {
-        ::close(listen_fd_);
-        listen_fd_ = -1;
-      }
-    } else {
-      reactor_->Post([this] {
-        int lfd;
-        {
-          const std::lock_guard<std::mutex> lock(mu_);
-          lfd = listen_fd_;
-          listen_fd_ = -1;
-        }
-        if (lfd >= 0) {
-          reactor_->Remove(lfd);
-          ::close(lfd);
-        }
-        std::vector<std::shared_ptr<RConn>> conns;
-        conns.reserve(rconns_.size());
-        for (const auto& [cfd, conn] : rconns_) conns.push_back(conn);
-        for (const auto& conn : conns) {
-          ReactorTeardown(conn, /*drain=*/false);
-          ReactorMaintain(conn);
-        }
-      });
-      // Handler tasks never block on connection I/O (replies are
-      // nonblocking enqueues) and lease breaks are bounded by
-      // lease_break_ms_, so the drain always completes.
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        drain_cv_.wait(lock, [this] {
-          return reactor_conns_ == 0 && reactor_tasks_ == 0;
-        });
-      }
-      reactor_->Stop();
-      loop_thread_.join();
-    }
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
   // Connections drain first: every lease thread is spawned (and recorded)
-  // by a connection, so after the drain the vector is complete.
-  if (connections_) connections_->WaitAll();
+  // by a migrating connection, so after the drain the vector is complete.
   std::vector<std::thread> acks;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -349,14 +316,10 @@ ServerStats NexusdServer::WireStats() const {
     out.leases_broken = stats_.leases_broken;
     out.invalidations_sent = stats_.invalidations_sent;
     out.lease_break_timeouts = stats_.lease_break_timeouts;
-    // Gauge of threads this daemon is resident with: the loop (or the
-    // legacy accept thread + connection workers), the rpc pool, and one
-    // thread per lease channel. The c10k bench pins this flat while the
-    // connection count climbs.
-    out.resident_threads =
-        (reactor_ != nullptr ? 1
-                             : 1 + std::max<std::size_t>(1, options_.workers)) +
-        options_.rpc_workers + lease_threads_.size();
+    // Gauge of threads this daemon is resident with: the loop, the rpc
+    // pool, and one thread per lease channel. The c10k bench pins this
+    // flat while the connection count climbs.
+    out.resident_threads = 1 + options_.rpc_workers + lease_threads_.size();
     for (std::size_t i = static_cast<std::size_t>(Rpc::kPing); i < kRpcSlots;
          ++i) {
       if (per_op_[i].count == 0) continue;
@@ -372,16 +335,13 @@ ServerStats NexusdServer::WireStats() const {
     const std::lock_guard<std::mutex> lock(lease_mu_);
     out.lease_sessions = sessions_.size();
   }
-  if (reactor_ != nullptr) {
-    const Reactor::Stats rs = reactor_->stats();
-    out.epoll_wakeups = rs.wakeups;
-    const BufferArena::Stats as = arena_.stats();
-    out.arena_slabs_in_use = as.slabs_in_use;
-    out.arena_slabs_high_water = as.slabs_high_water;
-    out.arena_oversize_frames = as.oversize_frames;
-    out.loop_dispatch_p50_ms = reactor_->dispatch_latency().PercentileMs(0.50);
-    out.loop_dispatch_p99_ms = reactor_->dispatch_latency().PercentileMs(0.99);
-  }
+  out.epoll_wakeups = reactor_->stats().wakeups;
+  const BufferArena::Stats as = arena_.stats();
+  out.arena_slabs_in_use = as.slabs_in_use;
+  out.arena_slabs_high_water = as.slabs_high_water;
+  out.arena_oversize_frames = as.oversize_frames;
+  out.loop_dispatch_p50_ms = reactor_->dispatch_latency().PercentileMs(0.50);
+  out.loop_dispatch_p99_ms = reactor_->dispatch_latency().PercentileMs(0.99);
   // Process-wide object-cache counters: non-zero when this daemon fronts
   // its backend with cache::CachedBackend (nexusd --cache-mem).
   const cache::CacheCounters cc = cache::GlobalCacheSnapshot();
@@ -412,35 +372,6 @@ void NexusdServer::CountOp(std::size_t op, std::uint64_t bytes_in,
   ++per_op_[op].count;
   per_op_[op].bytes_in += bytes_in;
   per_op_[op].bytes_out += bytes_out;
-}
-
-// ---- legacy accept loop -----------------------------------------------------
-
-void NexusdServer::AcceptLoop() {
-  for (;;) {
-    int listen_fd;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
-      listen_fd = listen_fd_;
-    }
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return; // listener closed (Stop) or fatal: stop accepting
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) {
-        ::close(fd);
-        return;
-      }
-      ++stats_.connections_accepted;
-      live_fds_.push_back(fd);
-    }
-    connections_->Submit(
-        [this, fd](parallel::WorkerContext&) { ServeConnection(fd); });
-  }
 }
 
 // ---- lease machinery --------------------------------------------------------
@@ -554,7 +485,7 @@ bool NexusdServer::FinishMutation(const std::string& name,
   std::uint64_t sent = 0;
   for (const auto& session : targets) {
     Push push{session, NextCorrelationId()};
-    Writer frame = BeginRequest(Rpc::kInvalidate, push.corr, 4);
+    Writer frame = BeginRequest(Rpc::kInvalidate, push.corr);
     EncodeNameList(frame, {name});
     bool delivered = false;
     {
@@ -643,21 +574,15 @@ void NexusdServer::CleanupSession(
 
 // ---- the protocol engine ----------------------------------------------------
 
-NexusdServer::Dispatch NexusdServer::DecodeFrame(
-    ByteSpan frame, ConnState& state, TcpTransport* subscribe_channel) {
+NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
+                                                 ConnState& state) {
   using Kind = Dispatch::Kind;
   Dispatch d; // defaults to kProtocolError
 
   Reader reader(frame);
   std::uint64_t corr = 0;
-  std::uint8_t version = kProtocolVersion;
-  auto rpc = ParseRequestHead(reader, &corr, &version);
-  if (!rpc.ok() || version > options_.max_protocol_version) {
-    // Malformed head — or a version this deployment was told not to
-    // speak (a max_protocol_version=2 nexusd is how interop tests stand
-    // up a "legacy" server; to it, a v3 head is as alien as garbage).
-    return d;
-  }
+  auto rpc = ParseRequestHead(reader, &corr);
+  if (!rpc.ok()) return d; // malformed head, foreign version, unknown rpc
   d.op = static_cast<std::size_t>(rpc.value());
   d.corr = corr;
   d.name = RpcName(rpc.value());
@@ -665,67 +590,42 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
   // Argument decoding stays HERE, in arrival order, so a malformed frame
   // kills the connection at a deterministic point in the stream. The
   // closures own copies of their arguments — the frame bytes (an arena
-  // slab in reactor mode) are dead the moment this function returns.
-  // Responses always echo the request head's version: a v2 client must
-  // never see a version byte it rejects.
+  // slab) are dead the moment this function returns.
   switch (rpc.value()) {
     case Rpc::kPing: {
-      // A v3+ client appends a probe byte naming its own max version; a
-      // v2 client appends nothing. Only a probed v3+ server answers with
-      // a version byte, so every other pairing stays byte-identical to
-      // the v2 exchange — negotiation is invisible to old peers.
-      std::uint8_t probe = 0;
-      if (reader.Remaining() > 0) {
-        auto p = reader.U8();
-        if (p.ok()) probe = p.value();
-      }
-      const bool advertise = probe >= 3 && options_.max_protocol_version >= 3;
-      const std::uint8_t offer =
-          std::min({kProtocolVersion, options_.max_protocol_version, probe});
       d.kind = Kind::kStateless;
-      d.execute = [corr, version, advertise, offer] {
-        Writer r = BeginResponse(Status::Ok(), corr, version);
-        if (advertise) r.U8(offer);
-        return WireReply(std::move(r));
+      d.execute = [corr] {
+        return WireReply(BeginResponse(Status::Ok(), corr));
       };
       break;
     }
     case Rpc::kGet: {
       auto name = reader.Str();
       if (!name.ok()) break;
-      // v4 Gets carry a trailing want-lease byte (absent = 0).
-      std::uint8_t want_lease = 0;
-      if (version >= 4 && reader.Remaining() > 0) {
-        auto w = reader.U8();
-        if (w.ok()) want_lease = w.value();
-      }
+      auto want_lease = reader.U8();
+      if (!want_lease.ok()) break;
+      const bool want = want_lease.value() != 0 && state.attached_session != 0;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version, sid, want_lease,
-                   name = std::move(name).value()] {
+      d.execute = [this, corr, sid, want, name = std::move(name).value()] {
         std::uint64_t v0 = 0;
-        bool granted = version >= 4 && want_lease != 0 && sid != 0 &&
-                       PreGrantLease(name, sid, &v0);
+        bool granted = want && PreGrantLease(name, sid, &v0);
         auto data = backend_.Get(name);
         if (granted) granted = PostGrantLease(name, sid, v0, data.ok());
-        if (!data.ok()) {
-          return WireReply(BeginResponse(data.status(), corr, version));
-        }
+        if (!data.ok()) return WireReply(BeginResponse(data.status(), corr));
         Bytes body = std::move(data).value();
-        Writer head = BeginResponse(Status::Ok(), corr, version);
+        Writer head = BeginResponse(Status::Ok(), corr);
         head.U32(static_cast<std::uint32_t>(body.size())); // Var(body)...
         if (body.size() <= kInlineBodyBytes) {
           head.Raw(body); // ...small: inline
-          if (version >= 4) head.U8(granted ? 1 : 0);
+          head.U8(granted ? 1 : 0);
           return WireReply(std::move(head));
         }
         WireReply reply(std::move(head)); // ...large: own segment, no copy
         reply.Add(std::move(body));
-        if (version >= 4) {
-          Writer tail;
-          tail.U8(granted ? 1 : 0);
-          reply.Add(std::move(tail));
-        }
+        Writer tail;
+        tail.U8(granted ? 1 : 0);
+        reply.Add(std::move(tail));
         return reply;
       };
       break;
@@ -735,24 +635,19 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       if (!name.ok()) break;
       auto data = reader.Var(kMaxObjectBytes);
       if (!data.ok()) break;
-      // v5 Puts carry a trailing want-write-lease byte (absent = 0).
-      std::uint8_t want_lease = 0;
-      if (version >= 5 && reader.Remaining() > 0) {
-        auto w = reader.U8();
-        if (w.ok()) want_lease = w.value();
-      }
+      auto want_lease = reader.U8();
+      if (!want_lease.ok()) break;
+      const bool want = want_lease.value() != 0 && state.attached_session != 0;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version, sid, want_lease,
-                   name = std::move(name).value(),
+      d.execute = [this, corr, sid, want, name = std::move(name).value(),
                    data = std::move(data).value()] {
-        const bool want = version >= 5 && want_lease != 0 && sid != 0;
         const std::uint64_t v0 = BeginMutation(name, sid, want);
         const Status verdict = backend_.Put(name, data);
         const bool granted =
             FinishMutation(name, sid, v0, want, verdict.ok());
-        Writer r = BeginResponse(verdict, corr, version);
-        if (version >= 5 && verdict.ok()) r.U8(granted ? 1 : 0);
+        Writer r = BeginResponse(verdict, corr);
+        if (verdict.ok()) r.U8(granted ? 1 : 0);
         return WireReply(std::move(r));
       };
       break;
@@ -762,11 +657,11 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       if (!name.ok()) break;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version, sid, name = std::move(name).value()] {
+      d.execute = [this, corr, sid, name = std::move(name).value()] {
         BeginMutation(name);
         const Status verdict = backend_.Delete(name);
         FinishMutation(name, sid);
-        return WireReply(BeginResponse(verdict, corr, version));
+        return WireReply(BeginResponse(verdict, corr));
       };
       break;
     }
@@ -774,8 +669,8 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       auto name = reader.Str();
       if (!name.ok()) break;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version, name = std::move(name).value()] {
-        Writer r = BeginResponse(Status::Ok(), corr, version);
+      d.execute = [this, corr, name = std::move(name).value()] {
+        Writer r = BeginResponse(Status::Ok(), corr);
         r.U8(backend_.Exists(name) ? 1 : 0);
         return WireReply(std::move(r));
       };
@@ -785,16 +680,16 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       auto prefix = reader.Str();
       if (!prefix.ok()) break;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version, prefix = std::move(prefix).value()] {
+      d.execute = [this, corr, prefix = std::move(prefix).value()] {
         const std::vector<std::string> names = backend_.List(prefix);
         std::size_t payload = 0;
         for (const auto& n : names) payload += n.size() + 4;
         if (payload > kMaxObjectBytes) {
           return WireReply(BeginResponse(
               Error(ErrorCode::kOutOfRange, "listing exceeds frame bound"),
-              corr, version));
+              corr));
         }
-        Writer r = BeginResponse(Status::Ok(), corr, version);
+        Writer r = BeginResponse(Status::Ok(), corr);
         r.U32(static_cast<std::uint32_t>(names.size()));
         for (const auto& n : names) r.Str(n);
         return WireReply(std::move(r));
@@ -810,12 +705,12 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       if (!limit.ok()) break;
       if (limit.value() == 0 || limit.value() > kMaxMultiEntries) break;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version, prefix = std::move(prefix).value(),
+      d.execute = [this, corr, prefix = std::move(prefix).value(),
                    start_after = std::move(start_after).value(),
                    limit = limit.value()] {
         const storage::StorageBackend::ListPage page =
             backend_.ListSome(prefix, start_after, limit);
-        Writer r = BeginResponse(Status::Ok(), corr, version);
+        Writer r = BeginResponse(Status::Ok(), corr);
         r.U32(static_cast<std::uint32_t>(page.names.size()));
         for (const auto& n : page.names) r.Str(n);
         r.U8(page.more ? 1 : 0);
@@ -826,17 +721,12 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
     case Rpc::kMultiGet: {
       auto names = DecodeNameList(reader);
       if (!names.ok()) break;
-      // v5 MultiGets carry a trailing want-lease byte (absent = 0).
-      std::uint8_t want_lease = 0;
-      if (version >= 5 && reader.Remaining() > 0) {
-        auto w = reader.U8();
-        if (w.ok()) want_lease = w.value();
-      }
+      auto want_lease = reader.U8();
+      if (!want_lease.ok()) break;
+      const bool want = want_lease.value() != 0 && state.attached_session != 0;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version, sid, want_lease,
-                   names = std::move(names).value()] {
-        const bool want = version >= 5 && want_lease != 0 && sid != 0;
+      d.execute = [this, corr, sid, want, names = std::move(names).value()] {
         std::vector<std::uint64_t> v0(names.size(), 0);
         std::vector<char> pre(names.size(), 0);
         if (want) {
@@ -853,17 +743,16 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
         // bodies become their own scatter/gather segments instead of
         // being copied into one contiguous response.
         WireReply reply;
-        Writer seg = BeginResponse(Status::Ok(), corr, version);
+        Writer seg = BeginResponse(Status::Ok(), corr);
         seg.U32(static_cast<std::uint32_t>(fetched.size()));
         std::size_t used = 4; // the entry-count u32
         bool overflowed = false;
         for (std::size_t i = 0; i < fetched.size(); ++i) {
           Result<Bytes>& result = fetched[i];
-          const std::size_t lease_byte = version >= 5 ? 1 : 0;
           auto entry_state = MultiGetEntry::State::kDeferred;
           if (!overflowed) {
             const std::size_t cost =
-                result.ok() ? 1 + 4 + result.value().size() + lease_byte
+                result.ok() ? 1 + 4 + result.value().size() + 1 // lease byte
                             : 1 + 1 + 4 + result.status().message().size();
             if (used + cost > kMaxObjectBytes) {
               overflowed = true;
@@ -893,7 +782,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
                 reply.Add(std::move(body)); // the body rides uncopied
                 seg = Writer();
               }
-              if (version >= 5) seg.U8(granted ? 1 : 0);
+              seg.U8(granted ? 1 : 0);
               break;
             }
             case MultiGetEntry::State::kError:
@@ -913,9 +802,9 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       auto names = DecodeNameList(reader);
       if (!names.ok()) break;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version, names = std::move(names).value()] {
+      d.execute = [this, corr, names = std::move(names).value()] {
         const std::vector<bool> flags = backend_.MultiExists(names);
-        Writer r = BeginResponse(Status::Ok(), corr, version);
+        Writer r = BeginResponse(Status::Ok(), corr);
         for (const bool flag : flags) r.U8(flag ? 1 : 0);
         return WireReply(std::move(r));
       };
@@ -923,8 +812,8 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
     }
     case Rpc::kStats: {
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, version] {
-        Writer r = BeginResponse(Status::Ok(), corr, version);
+      d.execute = [this, corr] {
+        Writer r = BeginResponse(Status::Ok(), corr);
         EncodeServerStats(r, WireStats());
         return WireReply(std::move(r));
       };
@@ -943,15 +832,10 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
         session->id = next_session_id_++;
         sessions_[session->id] = session;
       }
-      if (subscribe_channel != nullptr) {
-        // Thread-per-connection: the reader thread that decoded us owns
-        // the transport for the session's whole life, so the push channel
-        // binds right here. The reactor binds it at migration instead.
-        const std::lock_guard<std::mutex> lock(session->mu);
-        session->channel = subscribe_channel;
-      }
+      // The push channel binds when the connection migrates to its ack
+      // thread, once this reply is flushed.
       state.subscription = session;
-      Writer r = BeginResponse(Status::Ok(), corr, version);
+      Writer r = BeginResponse(Status::Ok(), corr);
       r.U64(session->id);
       d.response = WireReply(std::move(r));
       d.subscribed = true;
@@ -965,15 +849,12 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       if (!sid.ok()) break;
       // Immediate (not pooled): attachment must order before the Gets
       // and Puts pipelined behind it on this connection.
-      Writer r = FindSession(sid.value()) != nullptr
-                     ? BeginResponse(Status::Ok(), corr, version)
-                     : BeginResponse(
-                           Error(ErrorCode::kNotFound, "unknown lease session"),
-                           corr, version);
-      if (FindSession(sid.value()) != nullptr) {
-        state.attached_session = sid.value();
-      }
-      d.response = WireReply(std::move(r));
+      const bool known = FindSession(sid.value()) != nullptr;
+      if (known) state.attached_session = sid.value();
+      d.response = WireReply(BeginResponse(
+          known ? Status::Ok()
+                : Error(ErrorCode::kNotFound, "unknown lease session"),
+          corr));
       d.kind = Kind::kImmediate;
       break;
     }
@@ -986,10 +867,10 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       if (!name.ok()) break;
       ConnState* st = &state;
       d.kind = Kind::kOrdered;
-      d.execute = [this, st, corr, version, name = std::move(name).value()] {
+      d.execute = [this, st, corr, name = std::move(name).value()] {
         auto stream = backend_.OpenPutStream(name);
         if (!stream.ok()) {
-          return WireReply(BeginResponse(stream.status(), corr, version));
+          return WireReply(BeginResponse(stream.status(), corr));
         }
         std::uint64_t handle;
         {
@@ -1002,7 +883,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
           const std::lock_guard<std::mutex> lock(mu_);
           ++stats_.open_streams;
         }
-        Writer r = BeginResponse(Status::Ok(), corr, version);
+        Writer r = BeginResponse(Status::Ok(), corr);
         r.U64(handle);
         return WireReply(std::move(r));
       };
@@ -1015,17 +896,17 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       if (!segment.ok()) break;
       ConnState* st = &state;
       d.kind = Kind::kOrdered;
-      d.execute = [this, st, corr, version, handle = handle.value(),
+      d.execute = [this, st, corr, handle = handle.value(),
                    segment = std::move(segment).value()] {
         const std::lock_guard<std::mutex> lock(st->stream_mu);
         const auto it = st->streams.find(handle);
         if (it == st->streams.end()) {
           return WireReply(BeginResponse(
               Error(ErrorCode::kInvalidArgument, "unknown stream handle"),
-              corr, version));
+              corr));
         }
         return WireReply(
-            BeginResponse(it->second.stream->Append(segment), corr, version));
+            BeginResponse(it->second.stream->Append(segment), corr));
       };
       break;
     }
@@ -1035,13 +916,13 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       ConnState* st = &state;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kOrdered;
-      d.execute = [this, st, corr, version, sid, handle = handle.value()] {
+      d.execute = [this, st, corr, sid, handle = handle.value()] {
         std::unique_lock<std::mutex> lock(st->stream_mu);
         const auto it = st->streams.find(handle);
         if (it == st->streams.end()) {
           return WireReply(BeginResponse(
               Error(ErrorCode::kInvalidArgument, "unknown stream handle"),
-              corr, version));
+              corr));
         }
         const std::string name = it->second.name;
         auto stream = std::move(it->second.stream);
@@ -1056,7 +937,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
           const std::lock_guard<std::mutex> stats_lock(mu_);
           --stats_.open_streams;
         }
-        return WireReply(BeginResponse(verdict, corr, version));
+        return WireReply(BeginResponse(verdict, corr));
       };
       break;
     }
@@ -1065,13 +946,13 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
       if (!handle.ok()) break;
       ConnState* st = &state;
       d.kind = Kind::kOrdered;
-      d.execute = [this, st, corr, version, handle = handle.value()] {
+      d.execute = [this, st, corr, handle = handle.value()] {
         std::unique_lock<std::mutex> lock(st->stream_mu);
         const auto it = st->streams.find(handle);
         if (it == st->streams.end()) {
           return WireReply(BeginResponse(
               Error(ErrorCode::kInvalidArgument, "unknown stream handle"),
-              corr, version));
+              corr));
         }
         auto stream = std::move(it->second.stream);
         st->streams.erase(it);
@@ -1081,7 +962,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(
           const std::lock_guard<std::mutex> stats_lock(mu_);
           --stats_.open_streams;
         }
-        return WireReply(BeginResponse(Status::Ok(), corr, version));
+        return WireReply(BeginResponse(Status::Ok(), corr));
       };
       break;
     }
@@ -1095,149 +976,6 @@ NexusdServer::WireReply NexusdServer::RunHandler(const Dispatch& d) {
   trace::Span span(d.name, "net.server");
   span.SetCorrelation(d.corr);
   return d.execute();
-}
-
-// ---- the thread-per-connection serve loop -----------------------------------
-
-void NexusdServer::ServeConnection(int fd) {
-  // Block-forever reads: Stop() shutdown()s the fd, which surfaces as a
-  // clean "closed by peer" and ends the loop. Heap-owned so a connection
-  // that becomes a lease subscription can hand its transport to the
-  // dedicated ack thread.
-  auto owned = std::make_unique<TcpTransport>(fd, /*io_deadline_ms=*/-1);
-  TcpTransport& transport = *owned;
-
-  // Shared between this reader and its handler tasks on rpc_pool_.
-  struct ConnCtx {
-    std::mutex send_mu; // serializes whole response frames onto the fd
-    bool send_failed = false; // under send_mu; reader stops pulling
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t inflight = 0; // handler tasks not yet finished
-  };
-  const auto ctx = std::make_shared<ConnCtx>();
-  // With no rpc pool the group executes inline on this thread: the serial
-  // and pipelined server share one code shape.
-  parallel::TaskGroup handlers(rpc_pool_.get());
-
-  ConnState state;
-
-  for (;;) {
-    auto frame = transport.RecvFrame();
-    if (!frame.ok()) break; // disconnect, reset, or Stop()
-    const std::uint64_t service_start_ns = MonotonicNanos();
-    const std::size_t frame_bytes = frame.value().size();
-
-    Dispatch d = DecodeFrame(frame.value(), state, &transport);
-
-    if (d.kind == Dispatch::Kind::kProtocolError) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.protocol_errors;
-      break;
-    }
-
-    if (d.kind == Dispatch::Kind::kStateless) {
-      // Backpressure: cap this connection's outstanding handlers so one
-      // client cannot queue unbounded work (and memory) behind a slow
-      // backend.
-      {
-        std::unique_lock<std::mutex> lock(ctx->mu);
-        ctx->cv.wait(lock, [&] {
-          return ctx->inflight < options_.max_inflight_per_connection;
-        });
-        ++ctx->inflight;
-      }
-      handlers.Submit([this, ctx, &transport, frame_bytes, service_start_ns,
-                       d = std::move(d)](parallel::WorkerContext&) {
-        WireReply reply = RunHandler(d);
-        CountOp(d.op, frame_bytes, reply.payload_bytes);
-        {
-          const std::lock_guard<std::mutex> lock(ctx->send_mu);
-          if (!ctx->send_failed &&
-              !transport.SendFrameParts(reply.Spans()).ok()) {
-            ctx->send_failed = true;
-          }
-        }
-        op_latency_ns_[d.op].Record(MonotonicNanos() - service_start_ns);
-        {
-          const std::lock_guard<std::mutex> lock(ctx->mu);
-          --ctx->inflight;
-        }
-        ctx->cv.notify_one();
-      });
-      const std::lock_guard<std::mutex> lock(ctx->send_mu);
-      if (ctx->send_failed) break; // peer is gone; stop pulling frames
-      continue;
-    }
-
-    // Inline path: ordered (stream) ops execute right here on the reader
-    // — they are connection state the in-order byte stream defines — and
-    // immediate ops already carry their reply from decode.
-    WireReply reply = d.kind == Dispatch::Kind::kOrdered
-                          ? RunHandler(d)
-                          : std::move(d.response);
-    CountOp(d.op, frame_bytes, reply.payload_bytes);
-    bool sent;
-    {
-      const std::lock_guard<std::mutex> lock(ctx->send_mu);
-      sent = !ctx->send_failed && transport.SendFrameParts(reply.Spans()).ok();
-      if (!sent) ctx->send_failed = true;
-    }
-    op_latency_ns_[d.op].Record(MonotonicNanos() - service_start_ns);
-    if (!sent) break;
-
-    if (d.subscribed) {
-      // The subscribe reply is out; from here the connection carries only
-      // server pushes and client acks. Subscriptions live as long as the
-      // client, so the ack loop moves to a dedicated thread: pool workers
-      // (options_.workers) stay available for data connections instead of
-      // being pinned by every subscriber.
-      std::thread ack([this, fd, channel = std::move(owned),
-                       session = state.subscription] {
-        AckLoop(*channel, session);
-        CleanupSession(session);
-        const std::lock_guard<std::mutex> lock(mu_);
-        live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
-                        live_fds_.end());
-        // `channel` closes the fd on thread exit.
-      });
-      handlers.WaitAll();
-      std::size_t aborted;
-      {
-        const std::lock_guard<std::mutex> lock(state.stream_mu);
-        aborted = state.streams.size();
-      }
-      {
-        const std::lock_guard<std::mutex> lock(mu_);
-        lease_threads_.push_back(std::move(ack));
-        stats_.streams_aborted_on_disconnect += aborted;
-        stats_.open_streams -= aborted;
-      }
-      return; // fd teardown now belongs to the ack thread
-    }
-  }
-
-  // Drain the handlers before the transport (their send target) and the
-  // stats teardown below.
-  handlers.WaitAll();
-
-  // Reachable with a live session only when the subscribe reply itself
-  // failed to send (the success path detaches above).
-  if (state.subscription != nullptr) CleanupSession(state.subscription);
-
-  std::size_t aborted;
-  {
-    const std::lock_guard<std::mutex> lock(state.stream_mu);
-    aborted = state.streams.size();
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stats_.streams_aborted_on_disconnect += aborted;
-    stats_.open_streams -= aborted;
-    live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
-                    live_fds_.end());
-  }
-  // `transport` closes the fd; `state.streams` aborts anything uncommitted.
 }
 
 // ---- the reactor ------------------------------------------------------------
@@ -1448,15 +1186,14 @@ bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
   RConn& c = *conn;
   const std::uint64_t start_ns = MonotonicNanos();
   const std::size_t frame_bytes = frame.size();
-  Dispatch d = DecodeFrame(frame, c.proto, /*subscribe_channel=*/nullptr);
+  Dispatch d = DecodeFrame(frame, c.proto);
 
   if (d.kind == Dispatch::Kind::kProtocolError) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       ++stats_.protocol_errors;
     }
-    // Soft teardown: in-flight handlers still get their replies out, as
-    // they do in thread-per-connection mode.
+    // Soft teardown: in-flight handlers still get their replies out.
     ReactorTeardown(conn, /*drain=*/true);
     return false;
   }
@@ -1535,7 +1272,7 @@ void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
     });
   } else {
     // rpc_workers=0: handlers run inline on the loop thread — strictly
-    // in-order replies, the pre-v3 behavior.
+    // in-order replies.
     task();
   }
 }
@@ -1845,9 +1582,9 @@ void NexusdServer::ReactorMigrate(const std::shared_ptr<RConn>& conn) {
   c.in_begin = 0;
 
   // The invalidation channel lives on a dedicated ack thread with the
-  // blocking framed transport — exactly the thread-per-connection shape,
-  // so FinishMutation's push/ack protocol is one code path for both
-  // modes. Restore blocking I/O before the handoff.
+  // blocking framed transport: FinishMutation pushes through it and the
+  // thread reads acks between pushes. Restore blocking I/O before the
+  // handoff.
   const int flags = ::fcntl(c.fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(c.fd, F_SETFL, flags & ~O_NONBLOCK);
   c.migrated = true; // the transport owns the fd now

@@ -1,45 +1,37 @@
 // nexusd server library: serves any StorageBackend over the wire protocol.
 //
-// Two serve modes share one protocol engine (DecodeFrame in server.cpp):
-//
-//  * kReactor (default) — event-driven. A single loop thread owns an
-//    epoll/poll Reactor over the nonblocking listener and every DATA
-//    connection. Request bytes land in pooled BufferArena slabs and frames
-//    are parsed in place; handlers run on the shared rpc pool and stage
-//    their responses into a per-connection scatter/gather send queue
-//    (small replies coalesce into arena slabs, large MultiGet bodies stay
-//    zero-copy), flushed with sendmsg and drained by EPOLLOUT when a
-//    socket pushes back. Idle connections cost one registration, not a
-//    thread, so the daemon holds thousands of clients at a flat resident
-//    thread count (see BENCH_c10k.json).
-//
-//  * kThreadPerConnection — the original worker-per-connection layout: one
-//    listener thread accepts and hands each connection to the
-//    parallel::ThreadPool as a long-lived task whose worker owns the
-//    connection's READER for its lifetime. The pool's worker count bounds
-//    the number of SIMULTANEOUSLY SERVED connections. Kept as the
-//    benchmark baseline and as a fallback where the reactor cannot start.
+// One event-driven serve loop. A single loop thread owns an epoll/poll
+// Reactor over the nonblocking listener and every DATA connection.
+// Request bytes land in pooled BufferArena slabs and frames are parsed in
+// place; handlers run on the shared rpc pool and stage their responses
+// into a per-connection scatter/gather send queue (small replies coalesce
+// into arena slabs, large MultiGet bodies stay zero-copy), flushed with
+// sendmsg and drained by EPOLLOUT when a socket pushes back. Idle
+// connections cost one registration, not a thread, so the daemon holds
+// thousands of clients at a flat resident thread count (see
+// BENCH_c10k.json). A daemon whose Reactor cannot start fails Start().
 //
 // Within one connection, requests are pipelined: frames are parsed in
 // arrival order (framing errors must kill the connection
-// deterministically) and the stateless RPCs dispatch onto the SEPARATE
-// rpc pool, where each finished handler sends its own response — so
-// responses can leave out of order, matched back by correlation id on the
-// client's demux. The stream RPCs (Begin/Append/Commit/Abort) are
-// connection state that the in-order byte stream defines: the legacy mode
-// runs them inline on the reader thread, the reactor funnels them through
-// a per-connection ordered queue (one in flight at a time, FIFO). The rpc
-// pool is distinct from the connection pool so a burst of connections can
-// never deadlock waiting for its own workers.
+// deterministically) and the stateless RPCs dispatch onto the rpc pool,
+// where each finished handler sends its own response — so responses can
+// leave out of order, matched back by correlation id on the client's
+// demux. The stream RPCs (Begin/Append/Commit/Abort) are connection state
+// that the in-order byte stream defines: they funnel through a
+// per-connection ordered queue (one in flight at a time, FIFO). A frame
+// whose head carries any version other than kProtocolVersion is a
+// protocol error like any malformed frame: the connection dies and
+// protocol_errors ticks.
 //
-// Wire v4 adds lease-based cache coherence. A client turns one connection
-// into its invalidation channel with kLeaseSubscribe (the response names a
-// session id; from then on the SERVER originates kInvalidate frames on it
-// and the client acks each with a response frame), and ties its data
-// connections to the session with kLeaseAttach. A v4 Get asking for a
-// lease registers the session as a holder of that object BEFORE the
-// backend read and re-validates the object's version after it — a
-// concurrent mutation between the two denies the lease, so a granted
+// Lease-based cache coherence. A client turns one connection into its
+// invalidation channel with kLeaseSubscribe (the response names a session
+// id; from then on the SERVER originates kInvalidate frames on it and the
+// client acks each with a response frame), and ties its data connections
+// to the session with kLeaseAttach. The subscription connection leaves
+// the loop for a dedicated ack thread once its reply is flushed. A Get
+// asking for a lease registers the session as a holder of that object
+// BEFORE the backend read and re-validates the object's version after it
+// — a concurrent mutation between the two denies the lease, so a granted
 // lease always covers the exact bytes returned. Mutations bump the
 // version first, apply, then break every holder except the writer's own
 // session: push the invalidation, wait for the ack up to lease_break_ms,
@@ -75,34 +67,16 @@ namespace nexus::net {
 class TcpTransport;
 class Reactor;
 
-/// How nexusd maps connections onto threads (header comment above).
-enum class ServeMode {
-  kReactor,
-  kThreadPerConnection,
-};
-
 struct NexusdOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read the actual one from port().
   std::uint16_t port = 0;
-  /// Event-driven by default; kThreadPerConnection restores the legacy
-  /// worker-per-connection layout (and is the C10k bench baseline).
-  ServeMode serve_mode = ServeMode::kReactor;
-  /// kThreadPerConnection only: pool workers == max concurrently served
-  /// DATA connections (the reactor has no such bound). Lease subscription
-  /// channels (kLeaseSubscribe) migrate to their own dedicated threads and
-  /// do not count against this bound.
-  std::size_t workers = 4;
   /// Workers on the shared RPC-handler pool (all connections). 0 runs
-  /// every handler inline on its connection's reader thread — strictly
-  /// in-order replies, the pre-v3 behavior.
+  /// every handler inline on the loop thread — strictly in-order replies.
   std::size_t rpc_workers = 4;
-  /// Most handler tasks one connection may have outstanding before its
-  /// reader stops pulling frames (per-connection backpressure).
+  /// Most handler tasks one connection may have outstanding before the
+  /// loop stops reading its frames (per-connection backpressure).
   std::size_t max_inflight_per_connection = 64;
-  /// Highest wire version this server will accept or advertise — set to 2
-  /// to stand up a legacy server for interop tests.
-  std::uint8_t max_protocol_version = kProtocolVersion;
   /// How long a mutation waits for a lease holder's invalidation ack
   /// before killing the holder's session. 0 = NEXUS_LEASE_BREAK_MS or
   /// 1000 ms.
@@ -136,7 +110,7 @@ class NexusdServer {
     std::uint64_t bytes_sent = 0;
     std::uint64_t active_connections = 0; // gauge
     std::uint64_t open_streams = 0;       // gauge
-    // v4 lease coherence.
+    // Lease coherence.
     std::uint64_t lease_sessions = 0; // gauge
     std::uint64_t leases_granted = 0;
     std::uint64_t leases_broken = 0;
@@ -163,8 +137,8 @@ class NexusdServer {
   };
 
   /// One subscribed client. `channel` points at the subscription
-  /// connection's transport while its reader thread is alive (nulled at
-  /// cleanup); pushes serialize on `mu` and the reader erases acked
+  /// connection's transport while its ack thread is alive (nulled at
+  /// cleanup); pushes serialize on `mu` and the ack thread erases acked
   /// correlation ids from `pending_acks`.
   struct LeaseSession {
     std::uint64_t id = 0;
@@ -175,31 +149,25 @@ class NexusdServer {
     bool dead = false;                    // under mu
   };
 
-  // Protocol-engine types shared by both serve modes; defined in
-  // server.cpp (they drag in transport/reactor internals).
+  // Protocol-engine types; defined in server.cpp (they drag in
+  // transport/reactor internals).
   struct ConnState; // per-connection protocol state (streams, session)
   struct WireReply; // response payload as scatter/gather segments
   struct Dispatch;  // one decoded request frame + its handler closure
-  struct RConn;     // reactor-mode connection
+  struct RConn;     // one served connection
 
   NexusdServer(storage::StorageBackend& backend, NexusdOptions options);
 
-  void AcceptLoop();
-  void ServeConnection(int fd);
-
   /// Decodes one request frame against `state` and classifies it for
-  /// dispatch. `subscribe_channel` is non-null in thread-per-connection
-  /// mode, where a kLeaseSubscribe can bind the session's push channel at
-  /// decode time (the reactor binds it at migration instead).
-  Dispatch DecodeFrame(ByteSpan frame, ConnState& state,
-                       TcpTransport* subscribe_channel);
+  /// dispatch.
+  Dispatch DecodeFrame(ByteSpan frame, ConnState& state);
   /// Runs a dispatch's handler under its server span.
   WireReply RunHandler(const Dispatch& d);
   /// Counters a response must bump BEFORE it is sent (net_e2e contract).
   void CountOp(std::size_t op, std::uint64_t bytes_in,
                std::uint64_t bytes_out);
 
-  // Reactor mode (all loop-thread-only unless noted).
+  // The serve loop (all loop-thread-only unless noted).
   void ReactorAccept();
   void ReactorOnEvent(const std::shared_ptr<RConn>& conn, std::uint32_t ready);
   void ReactorOnReadable(const std::shared_ptr<RConn>& conn);
@@ -236,7 +204,7 @@ class NexusdServer {
                       std::uint64_t version_before, bool read_ok);
   /// Bumps the object's version BEFORE the backend mutation so any read
   /// racing the mutation fails its PostGrant validation. When the writer
-  /// wants a WRITE lease (v5 Put), it is registered as a holder here —
+  /// wants a WRITE lease (Put), it is registered as a holder here —
   /// mirroring PreGrantLease — and the bumped version is returned so
   /// FinishMutation can confirm the grant only if no other mutation
   /// interleaved.
@@ -264,12 +232,8 @@ class NexusdServer {
   int listen_fd_ = -1;
   int lease_break_ms_ = 1000;
 
-  std::unique_ptr<parallel::ThreadPool> pool_;
   std::unique_ptr<parallel::ThreadPool> rpc_pool_; // null: inline handlers
-  std::unique_ptr<parallel::TaskGroup> connections_;
-  std::thread accept_thread_;
 
-  // Reactor mode.
   std::unique_ptr<Reactor> reactor_;
   std::thread loop_thread_;
   BufferArena arena_;
@@ -277,14 +241,13 @@ class NexusdServer {
   std::size_t reactor_conns_ = 0; // under mu_: rconns_ not yet finalized
   std::size_t reactor_tasks_ = 0; // under mu_: handler tasks in flight
   std::condition_variable drain_cv_; // with mu_; Stop() waits for zero
-  /// One thread per lease subscription channel (ack loops). Subscriptions
-  /// live as long as their client, so they move OFF the connection pool —
-  /// otherwise every subscriber would pin a `workers` slot forever and
-  /// starve data connections. Joined in Stop(), under mu_ until swapped.
+  /// One thread per lease subscription channel (ack loops): the channel
+  /// blocks in RecvFrame between acks, so it leaves the loop for good.
+  /// Joined in Stop(), under mu_ until swapped.
   std::vector<std::thread> lease_threads_;
 
   mutable std::mutex mu_;
-  std::vector<int> live_fds_; // shutdown() on Stop unblocks workers
+  std::vector<int> live_fds_; // shutdown() on Stop unblocks ack threads
   bool stopping_ = false;
   Stats stats_;                     // open_streams maintained, active derived
   PerOpCounters per_op_[kRpcSlots]; // under mu_

@@ -35,12 +35,8 @@ std::uint64_t NextCorrelationId() noexcept {
 Writer BeginRequest(Rpc rpc) { return BeginRequest(rpc, NextCorrelationId()); }
 
 Writer BeginRequest(Rpc rpc, std::uint64_t correlation) {
-  return BeginRequest(rpc, correlation, kProtocolVersion);
-}
-
-Writer BeginRequest(Rpc rpc, std::uint64_t correlation, std::uint8_t version) {
   Writer w;
-  w.U8(version);
+  w.U8(kProtocolVersion);
   w.U8(static_cast<std::uint8_t>(rpc));
   w.U64(correlation);
   return w;
@@ -70,34 +66,33 @@ std::uint64_t ResponseCorrelation(ByteSpan response) noexcept {
   return v;
 }
 
-Result<Rpc> ParseRequestHead(Reader& reader, std::uint64_t* correlation,
-                             std::uint8_t* version_out) {
+namespace {
+
+Status CheckVersion(std::uint8_t version) {
+  if (version == kProtocolVersion) return Status::Ok();
+  return Error(ErrorCode::kInvalidArgument,
+               "unsupported protocol version " + std::to_string(version));
+}
+
+} // namespace
+
+Result<Rpc> ParseRequestHead(Reader& reader, std::uint64_t* correlation) {
   NEXUS_ASSIGN_OR_RETURN(const std::uint8_t version, reader.U8());
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "unsupported protocol version " + std::to_string(version));
-  }
+  NEXUS_RETURN_IF_ERROR(CheckVersion(version));
   NEXUS_ASSIGN_OR_RETURN(const std::uint8_t rpc, reader.U8());
-  const auto max_rpc = version == 2   ? kMaxV2Rpc
-                       : version == 3 ? kMaxV3Rpc
-                       : version <= 5 ? kMaxV5Rpc
-                                      : Rpc::kListPage;
   if (rpc < static_cast<std::uint8_t>(Rpc::kPing) ||
-      rpc > static_cast<std::uint8_t>(max_rpc)) {
+      rpc > static_cast<std::uint8_t>(Rpc::kListPage)) {
     return Error(ErrorCode::kInvalidArgument,
-                 "unknown rpc id " + std::to_string(rpc) + " for version " +
-                     std::to_string(version));
+                 "unknown rpc id " + std::to_string(rpc));
   }
   NEXUS_ASSIGN_OR_RETURN(const std::uint64_t corr, reader.U64());
   if (correlation != nullptr) *correlation = corr;
-  if (version_out != nullptr) *version_out = version;
   return static_cast<Rpc>(rpc);
 }
 
-Writer BeginResponse(const Status& status, std::uint64_t correlation,
-                     std::uint8_t version) {
+Writer BeginResponse(const Status& status, std::uint64_t correlation) {
   Writer w;
-  w.U8(version);
+  w.U8(kProtocolVersion);
   w.U64(correlation);
   w.U8(CodeToWire(status.code()));
   w.Str(status.message());
@@ -107,10 +102,7 @@ Writer BeginResponse(const Status& status, std::uint64_t correlation,
 Status ParseResponseHead(Reader& reader, Status* verdict,
                          std::uint64_t* correlation) {
   NEXUS_ASSIGN_OR_RETURN(const std::uint8_t version, reader.U8());
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "unsupported protocol version " + std::to_string(version));
-  }
+  NEXUS_RETURN_IF_ERROR(CheckVersion(version));
   NEXUS_ASSIGN_OR_RETURN(const std::uint64_t corr, reader.U64());
   if (correlation != nullptr) *correlation = corr;
   NEXUS_ASSIGN_OR_RETURN(const std::uint8_t code, reader.U8());
@@ -245,15 +237,14 @@ Result<std::vector<std::string>> DecodeNameList(Reader& reader) {
 }
 
 void EncodeMultiGetEntries(Writer& writer,
-                           const std::vector<MultiGetEntry>& entries,
-                           std::uint8_t version) {
+                           const std::vector<MultiGetEntry>& entries) {
   writer.U32(static_cast<std::uint32_t>(entries.size()));
   for (const MultiGetEntry& entry : entries) {
     writer.U8(static_cast<std::uint8_t>(entry.state));
     switch (entry.state) {
       case MultiGetEntry::State::kOk:
         writer.Var(entry.data);
-        if (version >= 5) writer.U8(entry.leased ? 1 : 0);
+        writer.U8(entry.leased ? 1 : 0);
         break;
       case MultiGetEntry::State::kError:
         writer.U8(CodeToWire(entry.error.code()));
@@ -265,8 +256,7 @@ void EncodeMultiGetEntries(Writer& writer,
   }
 }
 
-Result<std::vector<MultiGetEntry>> DecodeMultiGetEntries(
-    Reader& reader, std::uint8_t version) {
+Result<std::vector<MultiGetEntry>> DecodeMultiGetEntries(Reader& reader) {
   NEXUS_ASSIGN_OR_RETURN(const std::uint32_t n, reader.U32());
   if (n > kMaxMultiEntries) {
     return Error(ErrorCode::kOutOfRange,
@@ -281,10 +271,8 @@ Result<std::vector<MultiGetEntry>> DecodeMultiGetEntries(
       case static_cast<std::uint8_t>(MultiGetEntry::State::kOk): {
         entry.state = MultiGetEntry::State::kOk;
         NEXUS_ASSIGN_OR_RETURN(entry.data, reader.Var(kMaxObjectBytes));
-        if (version >= 5) {
-          NEXUS_ASSIGN_OR_RETURN(const std::uint8_t granted, reader.U8());
-          entry.leased = granted != 0;
-        }
+        NEXUS_ASSIGN_OR_RETURN(const std::uint8_t granted, reader.U8());
+        entry.leased = granted != 0;
         break;
       }
       case static_cast<std::uint8_t>(MultiGetEntry::State::kError): {

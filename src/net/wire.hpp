@@ -9,51 +9,38 @@
 // Response payload:  u8 version, u64 correlation id, u8 error code,
 //                    Str message, results
 //
-// The correlation id (protocol v2) is drawn by the client per request and
-// echoed verbatim by the server. It serves two jobs: the client verifies
-// the echo to detect a desynchronized byte stream (a mismatch means the
-// response belongs to some other request — the connection is dropped, the
-// call treated as ambiguous), and both sides stamp it on their trace spans
-// so a client span can be matched to the server span that served it.
+// The correlation id is drawn by the client per request and echoed
+// verbatim by the server. It serves two jobs: the client verifies the echo
+// to detect a desynchronized byte stream (a mismatch means the response
+// belongs to some other request — the connection is dropped, the call
+// treated as ambiguous), and both sides stamp it on their trace spans so a
+// client span can be matched to the server span that served it. Because
+// every response names its request, the server may answer the requests of
+// one connection in any order and the client keeps a whole window of them
+// in flight.
 //
-// Protocol v3 keeps the framing byte-identical and adds two batch RPCs
-// (MultiGet / MultiExists) plus out-of-order responses: since every
-// response already names its request via the correlation id, a v3 server
-// may answer the requests of one connection in any order, and a v3 client
-// may keep a whole window of them in flight. Version negotiation rides on
-// Ping: a v3 client appends its max version byte to the Ping arguments (v2
-// servers ignore trailing request bytes on Ping), and a v3 server appends
-// its negotiated version byte to the Ping response payload (v2 clients
-// never look at Ping results). An empty Ping payload therefore means "v2
-// peer": the client falls back to lock-step singles.
+// There is exactly one protocol version, kProtocolVersion. Client and
+// daemon build from the same tree, so nothing is negotiated: a head with
+// any other version byte is a protocol violation on either side, the same
+// as a malformed head. Ping is a plain liveness RPC with no arguments and
+// no results.
 //
-// Protocol v4 adds client-cache coherence: the server grants per-object
-// read leases on Get (a trailing flag byte on v4 Get responses) and pushes
-// invalidation callbacks when another client mutates a leased object. The
-// callbacks ride a dedicated subscription connection: the client sends
-// kLeaseSubscribe once (response carries a u64 session id), after which the
-// SERVER originates request-format kInvalidate frames on that connection
-// and the client answers each with an ordinary response frame (the ack).
-// Pooled data connections tie themselves to the session with kLeaseAttach
-// so the server can skip invalidating the writer's own cache. v3 peers
-// negotiate down exactly as before — none of the three new RPC ids is
-// valid in a pre-v4 request head.
+// Beyond the single-object StorageBackend calls the protocol carries:
 //
-// Protocol v5 adds a read/write distinction to leases: a v5 Put request
-// carries a trailing want-lease byte and an OK v5 Put response a trailing
-// granted byte, so a writer that also caches reads can keep its own copy
-// as a WRITE lease holder instead of dropping it on its own invalidation.
-// v5 MultiGet requests likewise carry a trailing want-lease byte and each
-// kOk entry in a v5 MultiGet response a per-entry granted byte, so batched
-// miss fills install under leases exactly like single Gets. The framing,
-// negotiation, and every other RPC are byte-identical to v4.
-//
-// Protocol v6 adds bounded-batch listing: kListPage carries a prefix, an
-// exclusive start-after cursor and a page limit, and the response is one
-// sorted page of names plus a truncation flag, so an enumeration of a
-// million-object shard costs O(page) memory on both sides instead of one
-// kList frame holding every name. kListPage requires a v6 request head;
-// pre-v6 peers keep using kList and nothing else changes.
+//   * batches — kMultiGet / kMultiExists move a whole fan-out of names in
+//     one frame each way; kListPage enumerates a prefix one bounded,
+//     sorted page at a time (prefix, exclusive start-after cursor, limit)
+//     so listing a huge shard costs O(page) memory on both sides;
+//   * lease coherence — Get, Put and MultiGet requests carry a
+//     want-lease byte, and their OK replies a granted byte (per kOk entry
+//     for MultiGet). Both bytes are required fields. The server pushes
+//     invalidations when another client mutates a leased object: the
+//     client sends kLeaseSubscribe once on a dedicated connection (the
+//     response carries a u64 session id), after which the SERVER
+//     originates request-format kInvalidate frames there and the client
+//     answers each with an ordinary response frame (the ack). Data
+//     connections tie themselves to the session with kLeaseAttach so the
+//     server can skip invalidating the writer's own cache.
 //
 // The server is untrusted in the NEXUS threat model, so nothing here is
 // authenticated — the protocol only moves ciphertext and opaque object
@@ -74,10 +61,8 @@
 
 namespace nexus::net {
 
+/// The one wire version; heads carrying any other byte are rejected.
 inline constexpr std::uint8_t kProtocolVersion = 6;
-/// Oldest peer version both sides still speak (v2 = correlation ids +
-/// Stats, lock-step only). Frames with older versions are rejected.
-inline constexpr std::uint8_t kMinProtocolVersion = 2;
 
 /// Largest object the protocol moves (bulk data chunks are ≤1 MiB today;
 /// whole journal records and streamed segments stay far below this).
@@ -119,27 +104,19 @@ enum class Rpc : std::uint8_t {
   kStreamCommit = 9,  // handle; object becomes visible atomically
   kStreamAbort = 10,  // handle; store untouched
   kStats = 11,        // -> ServerStats (counters, per-op latency)
-  // v3 batch ops: one frame each way for a whole fan-out of names.
+  // Batch ops: one frame each way for a whole fan-out of names.
   kMultiGet = 12,     // name list -> per-name ok/error/deferred entries
   kMultiExists = 13,  // name list -> per-name presence flags
-  // v4 cache-coherence ops.
+  // Cache-coherence ops.
   kLeaseSubscribe = 14, // -> u64 session id; connection becomes the
                         //    server-push invalidation channel
   kLeaseAttach = 15,    // u64 session id; ties a data connection to it
   kInvalidate = 16,     // SERVER-sent on the subscription channel: name
                         //    list whose leases are revoked; client acks
-  // v6 bounded-batch listing.
+  // Bounded-batch listing.
   kListPage = 17,       // prefix, start-after cursor, u32 limit -> one
                         //    sorted page of names + u8 truncated flag
 };
-
-/// Last RPC id a v2 peer understands; v2-version request heads carrying a
-/// later id are a protocol violation (a v2 client can never have sent one).
-inline constexpr Rpc kMaxV2Rpc = Rpc::kStats;
-/// Same bound for v3 heads — the lease RPCs require a v4 head.
-inline constexpr Rpc kMaxV3Rpc = Rpc::kMultiExists;
-/// Same bound for v4/v5 heads — kListPage requires a v6 head.
-inline constexpr Rpc kMaxV5Rpc = Rpc::kInvalidate;
 
 /// Stable lowercase name for an RPC id ("get", "stream_begin", ...). Used
 /// as span names and in nexus-stat output.
@@ -157,10 +134,8 @@ std::uint64_t NextCorrelationId() noexcept;
 Writer BeginRequest(Rpc rpc);
 /// Same, with an explicit correlation id (tests, retransmissions).
 Writer BeginRequest(Rpc rpc, std::uint64_t correlation);
-/// Same, with an explicit head version (talking down to a v2 server).
-Writer BeginRequest(Rpc rpc, std::uint64_t correlation, std::uint8_t version);
 
-/// Reads the rpc id out of raw request bytes (0 if too short / pre-v2).
+/// Reads the rpc id out of raw request bytes (0 if too short).
 Rpc RequestRpc(ByteSpan request) noexcept;
 /// Reads the correlation id out of raw request bytes (0 if too short).
 std::uint64_t RequestCorrelation(ByteSpan request) noexcept;
@@ -170,22 +145,19 @@ std::uint64_t RequestCorrelation(ByteSpan request) noexcept;
 std::uint64_t ResponseCorrelation(ByteSpan response) noexcept;
 
 /// Parses (and validates) a request head; the reader is left at the first
-/// argument. When `correlation` is non-null it receives the request's
-/// correlation id; when `version` is non-null, the head's version byte
-/// (within [kMinProtocolVersion, kProtocolVersion], or the head is
-/// rejected — as is a v2 head naming a v3-only rpc).
+/// argument. A version byte other than kProtocolVersion or an unknown rpc
+/// id rejects the head. When `correlation` is non-null it receives the
+/// request's correlation id.
 Result<Rpc> ParseRequestHead(Reader& reader,
-                             std::uint64_t* correlation = nullptr,
-                             std::uint8_t* version = nullptr);
+                             std::uint64_t* correlation = nullptr);
 
 /// Starts a response carrying `status`, echoing the request's correlation
-/// id (OK responses append results). `version` must echo the REQUEST
-/// head's version so v2 clients never see a version byte they reject.
-Writer BeginResponse(const Status& status, std::uint64_t correlation,
-                     std::uint8_t version = kProtocolVersion);
+/// id (OK responses append results).
+Writer BeginResponse(const Status& status, std::uint64_t correlation);
 
 /// Parses a response head. The RETURNED Status is a protocol violation
-/// (malformed frame — treat the connection as broken); on success,
+/// (malformed frame or a version other than kProtocolVersion — treat the
+/// connection as broken); on success,
 /// `verdict` receives the server's verdict for the RPC, which is
 /// authoritative and final (never retried), and `correlation` (when
 /// non-null) the echoed correlation id for the caller to verify.
@@ -221,7 +193,7 @@ struct ServerStats {
   std::uint64_t streams_aborted_on_disconnect = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t bytes_sent = 0;
-  // v4 lease/coherence counters.
+  // Lease/coherence counters.
   std::uint64_t lease_sessions = 0; // gauge
   std::uint64_t leases_granted = 0;
   std::uint64_t leases_broken = 0;
@@ -236,8 +208,7 @@ struct ServerStats {
   std::uint64_t cache_writeback_batches = 0;
   std::uint64_t cache_invalidations = 0;
   std::uint64_t cache_dirty_high_water = 0; // gauge
-  // Event-loop / buffer-arena health (zero on a worker-per-connection
-  // daemon: the legacy mode has no loop and no arena).
+  // Event-loop / buffer-arena health.
   std::uint64_t epoll_wakeups = 0;
   std::uint64_t arena_slabs_in_use = 0;    // gauge
   std::uint64_t arena_slabs_high_water = 0;
@@ -258,7 +229,7 @@ inline constexpr std::size_t kMaxStatsEntries =
 void EncodeServerStats(Writer& writer, const ServerStats& stats);
 Result<ServerStats> DecodeServerStats(Reader& reader);
 
-// ---- Batch RPC payloads (v3) ------------------------------------------------
+// ---- Batch RPC payloads -----------------------------------------------------
 
 /// Most names one MultiGet/MultiExists frame carries. Far above any real
 /// fan-out (a chunk table tops out in the hundreds) but small enough that
@@ -277,16 +248,14 @@ struct MultiGetEntry {
   State state = State::kDeferred;
   Bytes data;                  // kOk only
   Status error = Status::Ok(); // kError only (the per-name verdict)
-  bool leased = false;         // kOk only, v5 frames only: lease granted
+  bool leased = false;         // kOk only: lease granted
 };
 
-/// `version` selects the frame dialect: v5 appends a per-entry lease
-/// granted byte to kOk entries; pre-v5 encodes/decodes the v3 layout and
-/// leaves `leased` false.
+/// u32 count, then per entry a state byte and its body: kOk carries the
+/// data and a lease granted byte, kError a code byte and message,
+/// kDeferred nothing.
 void EncodeMultiGetEntries(Writer& writer,
-                           const std::vector<MultiGetEntry>& entries,
-                           std::uint8_t version = kProtocolVersion);
-Result<std::vector<MultiGetEntry>> DecodeMultiGetEntries(
-    Reader& reader, std::uint8_t version = kProtocolVersion);
+                           const std::vector<MultiGetEntry>& entries);
+Result<std::vector<MultiGetEntry>> DecodeMultiGetEntries(Reader& reader);
 
 } // namespace nexus::net

@@ -77,9 +77,9 @@ class StorageBackend {
   /// `start_after` (exclusive cursor) that carry `prefix`, sorted; `more`
   /// is set when the listing was truncated — pass the last returned name
   /// back as `start_after` to continue. The default materializes List()
-  /// and slices it; backends with native paging (RemoteBackend over wire
-  /// v6) override it so a million-object enumeration never materializes
-  /// whole on either side.
+  /// and slices it; backends with native paging (RemoteBackend's
+  /// kListPage) override it so a million-object enumeration never
+  /// materializes whole on either side.
   struct ListPage {
     std::vector<std::string> names;
     bool more = false;
@@ -88,12 +88,11 @@ class StorageBackend {
                             const std::string& start_after, std::size_t limit);
 
   /// Batched Get: one result per name, same order. The default loops over
-  /// Get(); RemoteBackend overrides it with a single MultiGet round trip
-  /// when the peer speaks wire v3.
+  /// Get(); RemoteBackend overrides it with a single MultiGet round trip.
   virtual std::vector<Result<Bytes>> MultiGet(
       const std::vector<std::string>& names);
   /// Batched Get that also reports, per name, whether a read lease was
-  /// granted (wire v5). `leased` may be null; when non-null it is resized
+  /// granted. `leased` may be null; when non-null it is resized
   /// to match `names` and filled alongside the results. The default
   /// delegates to MultiGet with every flag false.
   virtual std::vector<Result<Bytes>> MultiGetLeased(
@@ -132,7 +131,7 @@ class StorageBackend {
   }
 
   /// Put that also reports whether the backend granted the writer a WRITE
-  /// lease on the object (wire v5): the writer keeps its own copy cached
+  /// lease on the object: the writer keeps its own copy cached
   /// and will NOT receive an invalidation for its own mutation, only for
   /// later mutations by others. Plain stores never grant leases.
   virtual Status PutLeased(const std::string& name, ByteSpan data,

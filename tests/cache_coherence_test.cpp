@@ -1,6 +1,6 @@
-// Multi-client cache coherence over wire-v4 leases, against a live
-// loopback nexusd: invalidation pushes give open-to-close consistency
-// between two CachedBackend clients, a v3 peer falls back to
+// Multi-client cache coherence over wire leases, against a live loopback
+// nexusd: invalidation pushes give open-to-close consistency between two
+// CachedBackend clients, an inner backend that grants no leases runs
 // write-through + TTL, a dropped invalidation stays TTL-bounded because
 // the server kills unresponsive sessions, and a two-client soak holds
 // under TSan. Set NEXUS_REMOTE_ADDR=host:port to aim the soak at an
@@ -163,35 +163,31 @@ TEST(CacheCoherence, StreamCommitInvalidatesRemoteHolders) {
   server->Stop();
 }
 
-// ---- v3 interop -------------------------------------------------------------
+// ---- lease-less inner backend ----------------------------------------------
 
-TEST(CacheCoherence, V3PeerFallsBackToWriteThroughAndTtl) {
-  storage::MemBackend backend;
-  NexusdOptions server_options;
-  server_options.max_protocol_version = 3; // legacy daemon: no leases
-  auto server = NexusdServer::Start(backend, server_options).value();
-
+// An inner backend that grants no leases — a plain store here, the
+// cluster on the benchmark's stack — runs the cache write-through, and
+// only the TTL bounds how long a write by another client stays invisible.
+TEST(CacheCoherence, LeaselessInnerRunsWriteThroughAndTtl) {
+  auto owned = std::make_unique<storage::MemBackend>();
+  storage::MemBackend& store = *owned;
   CacheOptions cache_options;
   cache_options.ttl_ms = 100; // short: the only staleness bound left
-  Client c = MakeClient(server->port(), cache_options);
-  EXPECT_FALSE(c.cache->lease_mode());
-  EXPECT_EQ(c.remote->lease_session(), 0u);
+  CachedBackend cache(std::move(owned), cache_options);
+  EXPECT_FALSE(cache.lease_mode());
 
-  // Write-through: the object reaches the server before Put returns.
-  ASSERT_TRUE(c.cache->Put("obj", Blob('a', 64)).ok());
-  EXPECT_EQ(backend.Get("obj").value(), Blob('a', 64));
-  EXPECT_EQ(c.cache->dirty_bytes(), 0u);
+  // Write-through: the object reaches the store before Put returns.
+  ASSERT_TRUE(cache.Put("obj", Blob('a', 64)).ok());
+  EXPECT_EQ(store.Get("obj").value(), Blob('a', 64));
+  EXPECT_EQ(cache.dirty_bytes(), 0u);
 
   // Another writer mutates behind our back (no push can warn us).
-  ASSERT_TRUE(backend.Put("obj", Blob('b', 64)).ok());
+  ASSERT_TRUE(store.Put("obj", Blob('b', 64)).ok());
   // Inside the TTL the stale read is permitted...
-  EXPECT_EQ(c.cache->Get("obj").value(), Blob('a', 64));
+  EXPECT_EQ(cache.Get("obj").value(), Blob('a', 64));
   // ...and past it the cache re-fetches: staleness is bounded by ttl_ms.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  EXPECT_EQ(c.cache->Get("obj").value(), Blob('b', 64));
-
-  c.cache.reset();
-  server->Stop();
+  EXPECT_EQ(cache.Get("obj").value(), Blob('b', 64));
 }
 
 // ---- fault: dropped invalidations -------------------------------------------
@@ -354,7 +350,7 @@ TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
   if (server) server->Stop();
 }
 
-// ---- wire v5: write leases --------------------------------------------------
+// ---- write leases -----------------------------------------------------------
 
 // The raw protocol surface: PutLeased grants a write lease only to a
 // client with a live lease session, and the grant registers the writer

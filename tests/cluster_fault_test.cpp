@@ -66,9 +66,7 @@ class NexusdCluster {
     std::vector<ShardSpec> specs;
     for (std::size_t i = 0; i < n; ++i) {
       stores_.push_back(std::make_unique<storage::MemBackend>());
-      NexusdOptions options;
-      options.workers = 8;
-      servers_.push_back(NexusdServer::Start(*stores_[i], options).value());
+      servers_.push_back(NexusdServer::Start(*stores_[i]).value());
       const std::uint16_t port = servers_[i]->port();
       ports_.push_back(port);
 
@@ -93,8 +91,8 @@ class NexusdCluster {
             return std::unique_ptr<storage::StorageBackend>(
                 std::make_unique<RemoteBackend>(transport, client));
           },
-          // Same revive hook ClusterBackend::Connect installs: re-Ping so
-          // a shard that came back renegotiates its wire version.
+          // Liveness check on reinstatement: a shard that cannot answer
+          // a Ping counts one more failed RPC.
           [](storage::StorageBackend& b) {
             return static_cast<RemoteBackend&>(b).Ping();
           }});
@@ -115,7 +113,6 @@ class NexusdCluster {
     servers_[i].reset();
     stores_[i] = std::make_unique<storage::MemBackend>();
     NexusdOptions options;
-    options.workers = 8;
     options.port = ports_[i];
     servers_[i] = NexusdServer::Start(*stores_[i], options).value();
   }

@@ -78,6 +78,21 @@ TEST(Sha512, MillionA) {
             "de0ff244877ea60a4cb0432ce577c31beb009c5c2c49aa2e4eadb217ad8cc09b");
 }
 
+// An empty span carries a null data pointer; feeding one after a partial
+// block (and as a whole message) must leave the digest untouched.
+TEST(Sha512, EmptyUpdatesAreNoOps) {
+  Sha512 partial;
+  partial.Update(AsBytes("ab"));
+  partial.Update(ByteSpan{});
+  partial.Update(AsBytes("c"));
+  partial.Update(ByteSpan{});
+  EXPECT_EQ(HexOf(partial.Finish()), HexOf(Sha512::Hash(AsBytes("abc"))));
+
+  Sha512 empty;
+  empty.Update(ByteSpan{});
+  EXPECT_EQ(HexOf(empty.Finish()), HexOf(Sha512::Hash({})));
+}
+
 // RFC 4231 HMAC-SHA256 test cases.
 TEST(HmacSha256, Rfc4231Case1) {
   const Bytes key(20, 0x0b);

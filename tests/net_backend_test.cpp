@@ -28,11 +28,7 @@ RemoteBackendOptions FastOptions() {
 class NetBackendTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // A live connection parks a worker for its lifetime, so give the test
-    // daemon headroom for the fixture client plus per-test extras.
-    NexusdOptions options;
-    options.workers = 8;
-    server_ = NexusdServer::Start(store_, options).value();
+    server_ = NexusdServer::Start(store_).value();
     auto client =
         RemoteBackend::Connect("127.0.0.1", server_->port(), FastOptions());
     ASSERT_TRUE(client.ok()) << client.status().ToString();

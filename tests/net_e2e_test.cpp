@@ -29,9 +29,7 @@ class NetE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
     net::ResetGlobalNetCounters();
-    net::NexusdOptions options;
-    options.workers = 8;
-    server_ = net::NexusdServer::Start(store_, options).value();
+    server_ = net::NexusdServer::Start(store_).value();
 
     auto remote = net::RemoteBackend::Connect("127.0.0.1", server_->port());
     ASSERT_TRUE(remote.ok()) << remote.status().ToString();

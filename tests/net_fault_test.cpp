@@ -35,9 +35,7 @@ struct SleepRecorder {
 class FaultScenario {
  public:
   FaultScenario(FaultSpec spec, std::uint64_t seed, int max_attempts = 6) {
-    NexusdOptions options;
-    options.workers = 8;
-    server_ = NexusdServer::Start(store_, options).value();
+    server_ = NexusdServer::Start(store_).value();
     stats_ = std::make_shared<FaultStats>();
 
     const std::uint16_t port = server_->port();
@@ -243,9 +241,7 @@ TEST(NetFault, StatsRpcRetriesThroughDroppedResponses) {
 // Put's first attempt) drops again and ordinal 4 succeeds.
 TEST(NetFault, BackoffStreakResetsAfterSuccess) {
   storage::MemBackend store;
-  NexusdOptions server_options;
-  server_options.workers = 8;
-  auto server = NexusdServer::Start(store, server_options).value();
+  auto server = NexusdServer::Start(store).value();
 
   const std::uint16_t port = server->port();
   auto stats = std::make_shared<FaultStats>();

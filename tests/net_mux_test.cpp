@@ -1,14 +1,15 @@
 // Pipelined RPC multiplexing: out-of-order responses, windowed failure
 // isolation, correlation-desync handling, readahead through the cache
-// tier, and v2/v3 interop — all against a live loopback nexusd.
+// tier, and the one-version rule — all against a live loopback nexusd.
 //
-// These tests pin the PROTOCOL-level behaviors the mux introduced: a v3
+// These tests pin the PROTOCOL-level behaviors the mux introduced: a
 // connection resolves responses by correlation id rather than arrival
 // order; a transport failure inside a full window retries only the
 // requests that were actually robbed of their response; a desynchronized
-// response kills the connection without orphaning its siblings; and every
-// combination of v2/v3 client and server still interoperates (lock-step
-// singles when either side is legacy).
+// response kills the connection without orphaning its siblings; and a
+// frame in any dialect other than kProtocolVersion — a foreign head
+// version, or a Get/Put/MultiGet missing its lease byte — is a protocol
+// error on whichever side receives it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,7 +205,6 @@ TEST(NetMux, OutOfOrderRepliesResolveByCorrelation) {
   ASSERT_TRUE(backend.inner().Put("fast", Blob('f', 128)).ok());
 
   NexusdOptions server_options;
-  server_options.workers = 2;
   server_options.rpc_workers = 4;
   auto server = NexusdServer::Start(backend, server_options).value();
 
@@ -213,7 +214,6 @@ TEST(NetMux, OutOfOrderRepliesResolveByCorrelation) {
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   RemoteBackend& client = *remote.value();
-  ASSERT_EQ(client.peer_version(), net::kProtocolVersion);
 
   std::thread slow_reader([&] {
     EXPECT_EQ(client.Get("slow").value(), Blob('s', 512));
@@ -263,7 +263,6 @@ TEST(NetMux, DroppedResponseInFullWindowRetriesOnlyThatRequest) {
       },
       options);
   ASSERT_TRUE(client.Ping().ok());
-  ASSERT_EQ(client.peer_version(), net::kProtocolVersion);
 
   // Fill the window: four concurrent Gets on one connection, one of which
   // loses its response. The other three must complete from the original
@@ -308,7 +307,6 @@ TEST(NetMux, CorrelationMismatchDropsConnectionWithoutOrphans) {
       },
       options);
   ASSERT_TRUE(client.Ping().ok());
-  ASSERT_EQ(client.peer_version(), net::kProtocolVersion);
 
   // Hold "a" open server-side until both Gets are in flight, so the
   // corrupted response provably has a sibling outstanding.
@@ -337,7 +335,6 @@ TEST(NetMux, CorrelationMismatchDropsConnectionWithoutOrphans) {
 TEST(NetMux, ConcurrentWindowSoak) {
   storage::MemBackend backend;
   NexusdOptions server_options;
-  server_options.workers = 4;
   server_options.rpc_workers = 4;
   auto server = NexusdServer::Start(backend, server_options).value();
 
@@ -352,7 +349,7 @@ TEST(NetMux, ConcurrentWindowSoak) {
   cache::CacheOptions cache_options;
   cache_options.mem_budget_bytes = kBudget;
   cache::CachedBackend client(std::move(remote).value(), cache_options);
-  EXPECT_TRUE(client.lease_mode()); // loopback v4: soak covers leases too
+  EXPECT_TRUE(client.lease_mode()); // loopback leases: the soak covers them
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 40;
@@ -446,7 +443,6 @@ TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
   options.max_pooled_connections = 1;
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  ASSERT_EQ(remote.value()->peer_version(), net::kProtocolVersion);
   cache::CacheOptions cache_options;
   cache_options.mem_budget_bytes = kBudget;
   cache::CachedBackend client(std::move(remote).value(), cache_options);
@@ -481,67 +477,7 @@ TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
   server->Stop();
 }
 
-// ---- version interop -------------------------------------------------------
-
-TEST(NetMux, V3ClientFallsBackAgainstV2Server) {
-  storage::MemBackend backend;
-  ASSERT_TRUE(backend.Put("a", Blob('a', 64)).ok());
-  ASSERT_TRUE(backend.Put("b", Blob('b', 65)).ok());
-
-  NexusdOptions server_options;
-  server_options.max_protocol_version = 2; // legacy daemon
-  auto server = NexusdServer::Start(backend, server_options).value();
-
-  auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  RemoteBackend& client = *remote.value();
-  EXPECT_EQ(client.peer_version(), 2);
-
-  // Batch ops degrade to lock-step singles: correct results, no kMultiGet
-  // frame ever reaches the legacy server.
-  const auto results = client.MultiGet({"a", "b", "missing"});
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].value(), Blob('a', 64));
-  EXPECT_EQ(results[1].value(), Blob('b', 65));
-  EXPECT_EQ(results[2].status().code(), ErrorCode::kNotFound);
-  const auto exists = client.MultiExists({"a", "missing"});
-  ASSERT_EQ(exists.size(), 2u);
-  EXPECT_TRUE(exists[0]);
-  EXPECT_FALSE(exists[1]);
-
-  for (const auto& row : server->WireStats().per_op) {
-    EXPECT_LE(row.rpc, static_cast<std::uint8_t>(net::kMaxV2Rpc));
-  }
-  EXPECT_EQ(server->stats().protocol_errors, 0u);
-  server->Stop();
-}
-
-TEST(NetMux, V2ClientInteroperatesWithV3Server) {
-  storage::MemBackend backend;
-  auto server = NexusdServer::Start(backend).value();
-
-  RemoteBackendOptions options;
-  options.max_protocol_version = 2; // legacy client
-  auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  RemoteBackend& client = *remote.value();
-  EXPECT_EQ(client.peer_version(), 2);
-
-  ASSERT_TRUE(client.Put("k", Blob('k', 100)).ok());
-  EXPECT_EQ(client.Get("k").value(), Blob('k', 100));
-  const auto results = client.MultiGet({"k", "gone"});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].value(), Blob('k', 100));
-  EXPECT_EQ(results[1].status().code(), ErrorCode::kNotFound);
-
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  for (const auto& row : stats.value().per_op) {
-    EXPECT_LE(row.rpc, static_cast<std::uint8_t>(net::kMaxV2Rpc));
-  }
-  EXPECT_EQ(server->stats().protocol_errors, 0u);
-  server->Stop();
-}
+// ---- batch ops -------------------------------------------------------------
 
 TEST(NetMux, BatchOpsAppearInServerStats) {
   storage::MemBackend backend;
@@ -552,7 +488,6 @@ TEST(NetMux, BatchOpsAppearInServerStats) {
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   RemoteBackend& client = *remote.value();
-  ASSERT_EQ(client.peer_version(), net::kProtocolVersion);
 
   const auto results = client.MultiGet({"one", "two", "absent"});
   ASSERT_EQ(results.size(), 3u);
@@ -581,35 +516,141 @@ TEST(NetMux, BatchOpsAppearInServerStats) {
   server->Stop();
 }
 
-// A raw v2 request must get a byte-for-byte v2 response head back — the
-// server echoes the REQUEST's version so legacy decoders never see v3.
-TEST(NetMux, ServerEchoesRequestHeadVersion) {
+// ---- the one-version rule --------------------------------------------------
+
+// Sends one raw request frame on a fresh connection and reports whether
+// the daemon answered (true) or closed the connection on it (false).
+bool RawRequestAnswered(std::uint16_t port, ByteSpan request) {
+  auto tcp = net::TcpTransport::Dial("127.0.0.1", port, 2000, 2000);
+  EXPECT_TRUE(tcp.ok()) << tcp.status().ToString();
+  if (!tcp.ok()) return false;
+  EXPECT_TRUE(tcp.value()->SendFrame(request).ok());
+  return tcp.value()->RecvFrame().ok();
+}
+
+// A head carrying any version but kProtocolVersion kills its connection
+// and ticks protocol_errors, exactly like a malformed head; a client on
+// the same daemon keeps being served throughout.
+TEST(NetMux, ForeignHeadVersionsCloseOnlyTheirConnection) {
+  storage::MemBackend backend;
+  ASSERT_TRUE(backend.Put("obj", Blob('o', 16)).ok());
+  auto server = NexusdServer::Start(backend).value();
+  auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  RemoteBackend& client = *remote.value();
+
+  std::uint64_t errors = server->stats().protocol_errors;
+  for (const std::uint8_t version :
+       {static_cast<std::uint8_t>(net::kProtocolVersion - 1),
+        static_cast<std::uint8_t>(net::kProtocolVersion + 1),
+        std::uint8_t{2}}) {
+    Writer request = net::BeginRequest(net::Rpc::kGet, 7);
+    request.Str("obj");
+    request.U8(0);
+    Bytes frame = request.bytes();
+    frame[0] = version;
+    EXPECT_FALSE(RawRequestAnswered(server->port(), frame))
+        << unsigned{version};
+    EXPECT_EQ(server->stats().protocol_errors, ++errors) << unsigned{version};
+    EXPECT_EQ(client.Get("obj").value(), Blob('o', 16)) << unsigned{version};
+  }
+
+  // The same frame in the one version is served.
+  Writer native = net::BeginRequest(net::Rpc::kGet, 8);
+  native.Str("obj");
+  native.U8(0);
+  EXPECT_TRUE(RawRequestAnswered(server->port(), native.bytes()));
+  EXPECT_EQ(server->stats().protocol_errors, errors);
+  server->Stop();
+}
+
+// The want-lease byte on Get, Put and MultiGet requests is a required
+// field: a request that ends before it is malformed.
+TEST(NetMux, RequestsMissingLeaseByteAreProtocolErrors) {
+  storage::MemBackend backend;
+  auto server = NexusdServer::Start(backend).value();
+
+  Writer get = net::BeginRequest(net::Rpc::kGet);
+  get.Str("obj");
+  Writer put = net::BeginRequest(net::Rpc::kPut);
+  put.Str("obj");
+  put.Var(Blob('p', 8));
+  Writer multi_get = net::BeginRequest(net::Rpc::kMultiGet);
+  net::EncodeNameList(multi_get, {"obj"});
+
+  std::uint64_t errors = server->stats().protocol_errors;
+  for (const Writer* request : {&get, &put, &multi_get}) {
+    EXPECT_FALSE(RawRequestAnswered(server->port(), request->bytes()))
+        << net::RpcName(net::RequestRpc(request->bytes()));
+    EXPECT_EQ(server->stats().protocol_errors, ++errors);
+  }
+  EXPECT_FALSE(backend.Exists("obj")); // the lease-less Put never applied
+  server->Stop();
+}
+
+// Client side of the same rule: the lease byte on a Get reply, a Put
+// reply and every kOk MultiGet entry comes from the untrusted store, and
+// a reply without it fails the call instead of decoding as a lease-less
+// dialect.
+class StripReplyLeaseByte final : public net::Transport {
+ public:
+  explicit StripReplyLeaseByte(std::unique_ptr<net::Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  Status SendFrame(ByteSpan payload) override {
+    const net::Rpc rpc = net::RequestRpc(payload);
+    if (rpc == net::Rpc::kGet || rpc == net::Rpc::kPut ||
+        rpc == net::Rpc::kMultiGet) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      targets_.insert(net::RequestCorrelation(payload));
+    }
+    return inner_->SendFrame(payload);
+  }
+
+  Result<Bytes> RecvFrame() override {
+    auto frame = inner_->RecvFrame();
+    if (!frame.ok()) return frame;
+    Bytes bytes = std::move(frame).value();
+    const std::lock_guard<std::mutex> lock(mu_);
+    // Every targeted reply here is OK and ends in its lease byte.
+    if (targets_.erase(net::ResponseCorrelation(bytes)) > 0) bytes.pop_back();
+    return bytes;
+  }
+
+  void Close() override { inner_->Close(); }
+  void Shutdown() override { inner_->Shutdown(); }
+
+ private:
+  std::unique_ptr<net::Transport> inner_;
+  std::mutex mu_;
+  std::set<std::uint64_t> targets_;
+};
+
+TEST(NetMux, RepliesMissingLeaseByteFailOnTheClient) {
   storage::MemBackend backend;
   ASSERT_TRUE(backend.Put("obj", Blob('o', 16)).ok());
   auto server = NexusdServer::Start(backend).value();
 
-  auto tcp = net::TcpTransport::Dial("127.0.0.1", server->port(), 2000, 2000);
-  ASSERT_TRUE(tcp.ok()) << tcp.status().ToString();
+  RemoteBackendOptions options;
+  options.max_attempts = 1;
+  const std::uint16_t port = server->port();
+  RemoteBackend client(
+      [port]() -> Result<std::unique_ptr<net::Transport>> {
+        auto tcp = net::TcpTransport::Dial("127.0.0.1", port, 2000, 2000);
+        if (!tcp.ok()) return tcp.status();
+        return Result<std::unique_ptr<net::Transport>>(
+            std::make_unique<StripReplyLeaseByte>(std::move(tcp).value()));
+      },
+      options);
 
-  Writer v2_request = net::BeginRequest(net::Rpc::kGet, 7, 2);
-  v2_request.Str("obj");
-  ASSERT_TRUE(tcp.value()->SendFrame(v2_request.bytes()).ok());
-  auto v2_response = tcp.value()->RecvFrame();
-  ASSERT_TRUE(v2_response.ok());
-  ASSERT_GE(v2_response.value().size(), 9u);
-  EXPECT_EQ(v2_response.value()[0], 2); // v2 head in, v2 head out
-  EXPECT_EQ(net::ResponseCorrelation(v2_response.value()), 7u);
-
-  Writer v3_request = net::BeginRequest(net::Rpc::kGet, 8, 3);
-  v3_request.Str("obj");
-  ASSERT_TRUE(tcp.value()->SendFrame(v3_request.bytes()).ok());
-  auto v3_response = tcp.value()->RecvFrame();
-  ASSERT_TRUE(v3_response.ok());
-  ASSERT_GE(v3_response.value().size(), 9u);
-  EXPECT_EQ(v3_response.value()[0], 3);
-  EXPECT_EQ(net::ResponseCorrelation(v3_response.value()), 8u);
-
-  tcp.value()->Close();
+  EXPECT_FALSE(client.Get("obj").ok());
+  EXPECT_FALSE(client.Put("other", Blob('x', 4)).ok());
+  const auto results = client.MultiGet({"obj"});
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_FALSE(results[0].ok());
+  // Nothing above is a transport failure: the replies arrived whole and
+  // were rejected by the decoder.
+  EXPECT_EQ(client.counters().retries, 0u);
   server->Stop();
 }
 

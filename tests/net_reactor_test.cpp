@@ -1,9 +1,7 @@
-// Event-driven nexusd: the epoll/poll reactor serve mode. Covers the
-// reactor-specific failure surface that the thread-per-connection tests
-// never exercised — trickled frames, half-open connections, hundreds of
-// idle sockets on a flat thread count — plus the legacy mode staying
-// serviceable, buffer-arena accounting, and the readahead/batch client
-// optimizations that ride this PR.
+// Event-driven nexusd: the epoll/poll reactor serve loop. Covers its
+// failure surface — trickled frames, half-open connections, hundreds of
+// idle sockets on a flat thread count — plus buffer-arena accounting and
+// the readahead/batch client optimizations that ride on it.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -95,7 +93,7 @@ class NetReactorTest : public ::testing::Test {
 };
 
 TEST_F(NetReactorTest, ReactorServesBasicOpsStreamsAndStats) {
-  StartServer(); // reactor is the default serve mode
+  StartServer();
   ASSERT_TRUE(remote_->Put("a", Bytes{1, 2, 3}).ok());
   EXPECT_EQ(remote_->Get("a").value(), (Bytes{1, 2, 3}));
   EXPECT_TRUE(remote_->Exists("a"));
@@ -140,24 +138,6 @@ TEST_F(NetReactorTest, LockStepRpcsCostAboutOneWakeupEach) {
   ASSERT_GE(rpcs, 2.0 * kRounds);
   EXPECT_LE(wakeups, 1.1 * rpcs)
       << wakeups << " wakeups for " << rpcs << " rpcs";
-}
-
-TEST_F(NetReactorTest, ThreadPerConnectionModeStillServes) {
-  NexusdOptions options;
-  options.serve_mode = ServeMode::kThreadPerConnection;
-  options.workers = 8;
-  StartServer(options);
-  ASSERT_TRUE(remote_->Put("legacy", Bytes{9}).ok());
-  EXPECT_EQ(remote_->Get("legacy").value(), Bytes{9});
-  auto stream = remote_->OpenPutStream("s").value();
-  ASSERT_TRUE(stream->Append(Bytes(4096, 2)).ok());
-  ASSERT_TRUE(stream->Commit().ok());
-  EXPECT_EQ(remote_->Get("s").value().size(), 4096u);
-
-  // No loop, no arena in the legacy layout.
-  const ServerStats s = remote_->Stats().value();
-  EXPECT_EQ(s.epoll_wakeups, 0u);
-  EXPECT_EQ(s.arena_slabs_high_water, 0u);
 }
 
 // A malicious (or glacial) client dribbling a request one byte at a time

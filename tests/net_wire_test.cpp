@@ -93,16 +93,23 @@ TEST(WireRequest, RejectsUnknownRpcId) {
   }
 }
 
-TEST(WireRequest, RejectsBatchRpcsOnV2Heads) {
-  // The batch ops exist only in v3: a v2 head naming them is malformed,
-  // not a forward-compatible surprise for an old server.
-  for (const Rpc rpc : {Rpc::kMultiGet, Rpc::kMultiExists}) {
-    Writer w = BeginRequest(rpc, 7, /*version=*/2);
-    Reader r(w.bytes());
-    EXPECT_FALSE(ParseRequestHead(r).ok()) << RpcName(rpc);
-    Writer v3 = BeginRequest(rpc, 7, /*version=*/3);
-    Reader r3(v3.bytes());
-    ASSERT_TRUE(ParseRequestHead(r3).ok()) << RpcName(rpc);
+// One wire version: both neighbours of kProtocolVersion, and the oldest
+// version ever deployed (2), are foreign heads.
+constexpr std::uint8_t kForeignVersions[] = {
+    static_cast<std::uint8_t>(kProtocolVersion - 1),
+    static_cast<std::uint8_t>(kProtocolVersion + 1), 2};
+
+TEST(WireRequest, RejectsEveryOtherVersion) {
+  for (const std::uint8_t version : kForeignVersions) {
+    for (const Rpc rpc : {Rpc::kPing, Rpc::kGet, Rpc::kMultiGet}) {
+      Writer w;
+      w.U8(version);
+      w.U8(static_cast<std::uint8_t>(rpc));
+      w.U64(7);
+      Reader r(w.bytes());
+      EXPECT_FALSE(ParseRequestHead(r).ok())
+          << unsigned{version} << " " << RpcName(rpc);
+    }
   }
 }
 
@@ -172,6 +179,17 @@ TEST(WireResponse, TruncatedHeadIsProtocolViolation) {
   }
 }
 
+TEST(WireResponse, RejectsEveryOtherVersion) {
+  for (const std::uint8_t version : kForeignVersions) {
+    Writer w = BeginResponse(Status::Ok(), 3);
+    Bytes frame = w.bytes();
+    frame[0] = version;
+    Reader r(frame);
+    Status verdict = Status::Ok();
+    EXPECT_FALSE(ParseResponseHead(r, &verdict).ok()) << unsigned{version};
+  }
+}
+
 TEST(WireResponse, WrongVersionIsProtocolViolation) {
   Writer w;
   w.U8(kProtocolVersion + 7);
@@ -181,6 +199,35 @@ TEST(WireResponse, WrongVersionIsProtocolViolation) {
   Reader r(w.bytes());
   Status verdict = Status::Ok();
   EXPECT_FALSE(ParseResponseHead(r, &verdict).ok());
+}
+
+// Each kOk MultiGet entry carries a required lease byte; an entry that
+// ends right after its data is malformed, not a lease-less dialect.
+TEST(WireMultiGet, OkEntryRoundTripsItsLeaseByte) {
+  MultiGetEntry ok;
+  ok.state = MultiGetEntry::State::kOk;
+  ok.data = Bytes{1, 2, 3};
+  ok.leased = true;
+  MultiGetEntry deferred;
+  Writer w;
+  EncodeMultiGetEntries(w, {ok, deferred});
+  Reader r(w.bytes());
+  auto decoded = DecodeMultiGetEntries(r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_EQ(decoded.value().size(), 2u);
+  EXPECT_EQ(decoded.value()[0].data, (Bytes{1, 2, 3}));
+  EXPECT_TRUE(decoded.value()[0].leased);
+  EXPECT_EQ(decoded.value()[1].state, MultiGetEntry::State::kDeferred);
+}
+
+TEST(WireMultiGet, OkEntryWithoutLeaseByteIsRejected) {
+  Writer w;
+  w.U32(1);
+  w.U8(static_cast<std::uint8_t>(MultiGetEntry::State::kOk));
+  w.Var(Bytes{4, 5});
+  Reader r(w.bytes());
+  EXPECT_FALSE(DecodeMultiGetEntries(r).ok());
 }
 
 // A rogue server cannot smuggle an out-of-range enum value into client
