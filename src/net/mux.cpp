@@ -1,5 +1,6 @@
 #include "net/mux.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -10,6 +11,12 @@ namespace nexus::net {
 
 Result<Bytes> MuxConnection::Slot::Wait() {
   std::unique_lock<std::mutex> lock(mu);
+  if (!done) {
+    lock.unlock();
+    mux->AwaitReply(*this);
+    lock.lock();
+  }
+  // Left pending_, so completion is at most one hook call away.
   cv.wait(lock, [this] { return done; });
   if (!failure.ok()) return failure;
   return std::move(response);
@@ -75,12 +82,13 @@ std::shared_ptr<MuxConnection::Slot> MuxConnection::TrySubmit(
 std::shared_ptr<MuxConnection::Slot> MuxConnection::DoSubmit(
     ByteSpan request, bool blocking, CompletionHook on_done) {
   auto slot = std::make_shared<Slot>();
+  slot->mux = this;
   slot->correlation = RequestCorrelation(request);
   slot->request_bytes = request.size();
   slot->on_done = std::move(on_done);
   if (slot->correlation == 0) return nullptr; // not a valid request frame
-  // Stamped before the slot is published to the demux thread (the mutex
-  // below is the only happens-before edge between the two threads).
+  // Stamped before the slot is published to the reading threads (the
+  // mutex below is the only happens-before edge between them).
   slot->start_ns = MonotonicNanos();
 
   {
@@ -118,18 +126,18 @@ std::shared_ptr<MuxConnection::Slot> MuxConnection::DoSubmit(
   }
 
   slot->sent.store(true, std::memory_order_release);
-  {
+  if (slot->on_done) {
+    // A hooked slot may have no waiter at all, so the demux thread now
+    // owes it a read. If the response already arrived (or the connection
+    // already failed), the slot left the map and must not be counted.
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = pending_.find(slot->correlation);
     if (it != pending_.end() && it->second == slot) {
-      // Still pending: the demux thread now owes us a wakeup. If the
-      // response already arrived (or the connection already failed), the
-      // slot left the map and must not count toward sent_inflight_.
       slot->counted = true;
-      ++sent_inflight_;
+      ++hooked_inflight_;
+      HandOffLocked();
     }
   }
-  demux_cv_.notify_one();
   return slot;
 }
 
@@ -141,7 +149,7 @@ void MuxConnection::Fail(const Status& reason) {
     victims.reserve(pending_.size());
     for (auto& [corr, slot] : pending_) victims.push_back(std::move(slot));
     pending_.clear();
-    sent_inflight_ = 0;
+    hooked_inflight_ = 0;
   }
   window_cv_.notify_all();
   demux_cv_.notify_all();
@@ -151,50 +159,114 @@ void MuxConnection::Fail(const Status& reason) {
 
 void MuxConnection::Poison(const Status& reason) { Fail(reason); }
 
+bool MuxConnection::OwedLocked(const Slot& slot) const {
+  const auto it = pending_.find(slot.correlation);
+  return it != pending_.end() && it->second.get() == &slot;
+}
+
+void MuxConnection::HandOffLocked() {
+  if (reader_busy_) return;
+  if (!parked_.empty()) {
+    Slot* next = parked_.front();
+    {
+      const std::lock_guard<std::mutex> lock(next->mu);
+      next->may_read = true;
+    }
+    next->cv.notify_all();
+  } else if (hooked_inflight_ > 0) {
+    demux_cv_.notify_one();
+  }
+}
+
+void MuxConnection::AwaitReply(Slot& slot) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (OwedLocked(slot)) {
+    if (!reader_busy_) {
+      reader_busy_ = true;
+      lock.unlock();
+      ReadFrames(&slot);
+      lock.lock();
+      reader_busy_ = false;
+      break;
+    }
+    parked_.push_back(&slot);
+    lock.unlock();
+    {
+      std::unique_lock<std::mutex> slot_lock(slot.mu);
+      slot.cv.wait(slot_lock, [&slot] { return slot.done || slot.may_read; });
+      slot.may_read = false;
+    }
+    lock.lock();
+    parked_.erase(std::find(parked_.begin(), parked_.end(), &slot));
+  }
+  // Pass the role on: our own release, or a handoff that reached us after
+  // our slot had already been routed.
+  HandOffLocked();
+}
+
+bool MuxConnection::ReadFrames(const Slot* mine) {
+  for (;;) {
+    auto frame = transport_->RecvFrame();
+    if (!frame.ok()) {
+      Fail(frame.status());
+      return false;
+    }
+    const std::shared_ptr<Slot> routed = Route(std::move(frame).value());
+    if (routed == nullptr) return false;
+    if (mine == nullptr || routed.get() == mine) return true;
+  }
+}
+
+std::shared_ptr<MuxConnection::Slot> MuxConnection::Route(Bytes frame) {
+  const std::uint64_t corr = ResponseCorrelation(frame);
+  std::shared_ptr<Slot> slot;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = corr != 0 ? pending_.find(corr) : pending_.end();
+    if (it != pending_.end()) {
+      slot = std::move(it->second);
+      pending_.erase(it);
+      if (slot->counted) --hooked_inflight_;
+    }
+  }
+  if (!slot) {
+    // A response nobody asked for: the stream is desynchronized (or the
+    // server hostile). Every sibling fails and retries independently —
+    // none of them can trust this connection's framing any more.
+    Fail(Error(ErrorCode::kIOError,
+               "unroutable response correlation " + std::to_string(corr)));
+    return nullptr;
+  }
+  window_cv_.notify_one();
+  if (on_delivery_) {
+    on_delivery_(slot->request_bytes, frame.size(), slot->start_ns);
+  }
+  Complete(*slot, Status::Ok(), std::move(frame));
+  return slot;
+}
+
 void MuxConnection::DemuxLoop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      // Park while nothing is owed: blocking in RecvFrame on an idle
-      // connection would trip the I/O deadline and kill a healthy pooled
-      // connection.
+      // Read only for a hooked slot no waiter will read for. Blocking in
+      // RecvFrame while nothing is owed would trip the I/O deadline and
+      // kill a healthy pooled connection.
       demux_cv_.wait(lock, [this] {
-        return closing_ || broken_ || sent_inflight_ > 0;
+        return closing_ || broken_ ||
+               (hooked_inflight_ > 0 && !reader_busy_ && parked_.empty());
       });
       if (broken_) return;
       if (closing_) break;
+      reader_busy_ = true;
     }
-
-    auto frame = transport_->RecvFrame();
-    if (!frame.ok()) {
-      Fail(frame.status());
-      return;
-    }
-
-    const std::uint64_t corr = ResponseCorrelation(frame.value());
-    std::shared_ptr<Slot> slot;
+    const bool alive = ReadFrames(nullptr);
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      const auto it = corr != 0 ? pending_.find(corr) : pending_.end();
-      if (it != pending_.end()) {
-        slot = std::move(it->second);
-        pending_.erase(it);
-        if (slot->counted) --sent_inflight_;
-      }
+      reader_busy_ = false;
+      HandOffLocked();
     }
-    if (!slot) {
-      // A response nobody asked for: the stream is desynchronized (or the
-      // server hostile). Every sibling fails and retries independently —
-      // none of them can trust this connection's framing any more.
-      Fail(Error(ErrorCode::kIOError,
-                 "unroutable response correlation " + std::to_string(corr)));
-      return;
-    }
-    window_cv_.notify_one();
-    if (on_delivery_) {
-      on_delivery_(slot->request_bytes, frame.value().size(), slot->start_ns);
-    }
-    Complete(*slot, Status::Ok(), std::move(frame).value());
+    if (!alive) return;
   }
 
   // Clean close: fail whatever is still pending so no waiter hangs.

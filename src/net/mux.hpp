@@ -1,12 +1,24 @@
 // Pipelined RPC multiplexing over one transport connection.
 //
-// A MuxConnection owns a Transport plus one demux thread and keeps up to
-// `window` RPCs in flight at once. Submitters serialize their request
-// frames onto the socket; the demux thread receives response frames and
-// routes each one to its waiting submitter by the correlation id already
-// stamped on every frame — so a server that replies out of order
-// (nexusd's shared handler pool) is handled for free, and a server that
+// A MuxConnection owns a Transport and keeps up to `window` RPCs in
+// flight at once. Submitters serialize their request frames onto the
+// socket; every response frame is routed to its slot by the correlation
+// id already stamped on every frame — so a server that replies out of
+// order (nexusd's handler pool) is handled for free, and a server that
 // replies in order just degenerates to a pipeline.
+//
+// Who reads. The transport allows one reader at a time, and that is a
+// role taken under the connection mutex. A caller waiting on its slot
+// takes the role when nobody holds it and reads frames itself, routing
+// each one by correlation id, until its own slot completes; it then hands
+// the role to the next parked waiter. A lock-step RPC therefore blocks
+// once, on the caller's own thread, instead of waking a second thread
+// that wakes the caller. A waiter that finds the role taken parks until
+// its slot completes or the role is handed to it. The demux thread only
+// serves slots with a completion hook (prefetch): it takes the role while
+// such a slot is owed and no waiter holds or wants it, so a speculation
+// still completes on an otherwise idle connection. Waiters and the demux
+// thread share one routing routine.
 //
 // Failure semantics are whole-connection: a transport error, a response
 // carrying an unknown correlation id, or a malformed frame means the byte
@@ -14,13 +26,15 @@
 // connection fails at once (each marked ambiguous iff its frame hit the
 // wire). The requests are NOT orphaned — each caller holds its own slot,
 // observes the failure independently, and retries on a fresh connection
-// through RemoteBackend's per-request retry discipline.
+// through RemoteBackend's per-request retry discipline. A reader whose
+// RecvFrame fails breaks the connection, which completes every slot,
+// parked waiters included.
 //
-// The demux thread only blocks in RecvFrame while at least one sent
-// request is outstanding; otherwise it parks on a condition variable.
-// This keeps idle pooled connections alive (no deadline expiry while
-// nothing is owed) and preserves FaultyTransport's send-then-recv
-// schedule under fault injection.
+// Nobody blocks in RecvFrame unless a sent request is owed to it: a
+// waiter reads only while its own slot is pending, the demux thread only
+// while a hooked slot is. This keeps idle pooled connections alive (no
+// deadline expiry while nothing is owed) and preserves FaultyTransport's
+// send-then-recv schedule under fault injection.
 #pragma once
 
 #include <atomic>
@@ -31,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
@@ -41,8 +56,8 @@ namespace nexus::net {
 class MuxConnection {
  public:
   /// One in-flight RPC. Created by Submit/TrySubmit, completed exactly
-  /// once by the demux thread (delivery or connection failure) or by the
-  /// submitter itself (send failure).
+  /// once by whichever thread holds the reader role (delivery), by a
+  /// connection failure, or by the submitter itself (send failure).
   struct Slot {
     std::uint64_t correlation = 0;
     std::uint64_t start_ns = 0;
@@ -57,21 +72,25 @@ class MuxConnection {
     /// observes the object already in the cache.
     std::function<void(const Status& failure, const Bytes& response)> on_done;
 
-    /// Blocks until the slot completes; returns the full response payload
-    /// or the transport failure.
+    /// Blocks until the slot completes, reading the connection itself
+    /// while nobody else does; returns the full response payload or the
+    /// transport failure. The caller keeps the connection alive until an
+    /// unfinished slot's Wait returns.
     Result<Bytes> Wait();
 
    private:
     friend class MuxConnection;
+    MuxConnection* mux = nullptr; // set before the slot is published
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    bool counted = false; // contributes to sent_inflight_; under mux mu_
+    bool may_read = false; // under mu: the reader role was handed to us
+    bool counted = false;  // contributes to hooked_inflight_; under mux mu_
     Status failure = Status::Ok();
     Bytes response;
   };
 
-  /// Called on the demux thread for every response DELIVERED to a slot,
+  /// Called on the reading thread for every response DELIVERED to a slot,
   /// before the slot completes. RemoteBackend counts client rpcs/bytes/
   /// latency here so delivered-but-unconsumed prefetches still mirror the
   /// server's own counters exactly.
@@ -115,6 +134,20 @@ class MuxConnection {
   std::shared_ptr<Slot> DoSubmit(ByteSpan request, bool blocking,
                                  CompletionHook on_done);
   void DemuxLoop();
+  /// Slot::Wait's first half: returns once `slot` has left pending_,
+  /// reading frames itself whenever the reader role is free.
+  void AwaitReply(Slot& slot);
+  /// Holds the reader role: receives and routes frames until `mine` is
+  /// routed (nullptr: after one frame). False once the connection failed.
+  bool ReadFrames(const Slot* mine);
+  /// The one routing routine: hands `frame` to its pending slot, or fails
+  /// the connection when no slot owns its correlation id (returns null).
+  std::shared_ptr<Slot> Route(Bytes frame);
+  /// With mu_ held: if the reader role is free, hands it to the first
+  /// parked waiter, else to the demux thread when a hooked slot is owed.
+  void HandOffLocked();
+  /// With mu_ held: whether `slot` still awaits its response.
+  [[nodiscard]] bool OwedLocked(const Slot& slot) const;
   /// Breaks the connection: fails all pending slots with `reason`.
   void Fail(const Status& reason);
   static void Complete(Slot& slot, Status failure, Bytes response);
@@ -125,9 +158,11 @@ class MuxConnection {
 
   mutable std::mutex mu_;
   std::condition_variable window_cv_; // submitters waiting for a free slot
-  std::condition_variable demux_cv_;  // demux parked while nothing is owed
+  std::condition_variable demux_cv_;  // demux parked until it may read
   std::map<std::uint64_t, std::shared_ptr<Slot>> pending_;
-  std::size_t sent_inflight_ = 0; // pending slots whose frame hit the wire
+  std::size_t hooked_inflight_ = 0; // sent pending slots with an on_done
+  bool reader_busy_ = false;        // someone holds the reader role
+  std::vector<Slot*> parked_;       // waiters parked for the role, FIFO
   bool broken_ = false;
   bool closing_ = false;
 

@@ -10,8 +10,10 @@
 //
 // Connections are served by one event-driven loop (epoll, or poll where
 // epoll is missing): thousands of idle connections cost no threads.
-// --rpc-workers sizes the shared pool that runs request handlers (0 runs
-// them inline on the loop, replying strictly in order).
+// --mem handlers run inline on that loop, except lease breaks, which may
+// wait. --rpc-workers sizes the shared pool for handlers that may wait
+// (every --root handler, --mem lease breaks); 0 runs them all inline on
+// the loop, replying strictly in order.
 //
 // The --cache-* flags front the backend with cache::CachedBackend — useful
 // when --root points at slow storage (NFS, a FUSE mount): the daemon then
@@ -39,7 +41,11 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--mem | --root DIR] [--bind ADDR] [--port N] "
                "[--rpc-workers N] [--cache-mem BYTES] [--cache-disk BYTES] "
-               "[--cache-dir DIR]\n",
+               "[--cache-dir DIR]\n"
+               "  --rpc-workers N  pool for handlers that may wait (default "
+               "4); --mem runs\n"
+               "                   the others inline on the loop; 0 runs "
+               "every handler inline\n",
                argv0);
 }
 

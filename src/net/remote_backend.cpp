@@ -166,10 +166,11 @@ std::uint64_t RemoteBackend::lease_session() const noexcept {
 
 std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
     std::unique_ptr<Transport> transport) {
-  // Client rpcs/bytes/latency are counted at DELIVERY time on the demux
-  // thread — the one place every response passes, demand and speculative
-  // alike — so the client's view stays in exact agreement with the
-  // server's rpcs_served even while prefetched responses sit unconsumed.
+  // Client rpcs/bytes/latency are counted at DELIVERY time, in the mux's
+  // one routing routine — the one place every response passes, demand and
+  // speculative alike — so the client's view stays in exact agreement with
+  // the server's rpcs_served even while prefetched responses sit
+  // unconsumed.
   auto hook = [this](std::size_t request_bytes, std::size_t response_bytes,
                      std::uint64_t start_ns) {
     const double ms =
@@ -302,7 +303,7 @@ Result<Bytes> RemoteBackend::Call(const Writer& request, bool* ambiguous) {
     std::uint64_t echoed = 0;
     const Status parsed = ParseResponseHead(reader, &verdict, &echoed);
     if (!parsed.ok() || echoed != corr) {
-      // Delivered but untrustworthy: the demux routed it here by its
+      // Delivered but untrustworthy: the mux routed it here by its
       // correlation bytes, yet the head does not hold up. Protocol
       // desync — poison the connection so the siblings re-home too.
       ambig = true;
@@ -364,9 +365,18 @@ Result<Bytes> RemoteBackend::GetLeased(const std::string& name,
   if (flight != nullptr) {
     std::unique_lock<std::mutex> lock(flight->mu);
     ++flight->waiters;
-    const bool done = flight->cv.wait_for(
-        lock, std::chrono::milliseconds(options_.rpc_deadline_ms + 1000),
-        [&] { return flight->done; });
+    const auto flight_done = [&] { return flight->done; };
+    bool done = true;
+    if (options_.rpc_deadline_ms > 0) {
+      done = flight->cv.wait_for(
+          lock, std::chrono::milliseconds(options_.rpc_deadline_ms + 1000),
+          flight_done);
+    } else {
+      // No I/O deadline: a bounded wait could give up on a healthy flight
+      // and re-fetch behind it. The flight always finishes — delivery,
+      // failure or connection teardown all call FinishFlight.
+      flight->cv.wait(lock, flight_done);
+    }
     --flight->waiters;
     if (done && flight->verdict.ok() && flight->has_data) {
       Bytes data = flight->data; // copied: other joiners may want it too
@@ -656,17 +666,11 @@ void RemoteBackend::SetPrefetchSink(PrefetchSink sink) {
 }
 
 void RemoteBackend::FinishFlight(const std::shared_ptr<PrefetchFlight>& flight,
-                                 Status verdict, const Bytes* data) {
+                                 Status verdict) {
   {
     const std::lock_guard<std::mutex> lock(flight->mu);
     flight->done = true;
     flight->verdict = std::move(verdict);
-    // The copy is paid only when a demand read is actually parked on this
-    // speculation; the common case hands the bytes to the sink alone.
-    if (data != nullptr && flight->waiters > 0) {
-      flight->data = *data;
-      flight->has_data = true;
-    }
   }
   flight->cv.notify_all();
 }
@@ -719,8 +723,7 @@ void RemoteBackend::Prefetch(const std::string& name) {
       const std::lock_guard<std::mutex> lock(prefetch_mu_);
       prefetch_inflight_.erase(name);
     }
-    FinishFlight(flight, Error(ErrorCode::kIOError, "speculation withdrawn"),
-                 nullptr);
+    FinishFlight(flight, Error(ErrorCode::kIOError, "speculation withdrawn"));
     return;
   }
   cache::CacheCounters delta;
@@ -745,7 +748,7 @@ void RemoteBackend::OnPrefetchDone(const std::string& name,
   // Speculative traffic never retries; transport failures drop silently —
   // but a joined demand read must still be released to re-fetch.
   if (!failure.ok()) {
-    if (flight != nullptr) FinishFlight(flight, failure, nullptr);
+    if (flight != nullptr) FinishFlight(flight, failure);
     return;
   }
   Reader reader(response);
@@ -755,8 +758,7 @@ void RemoteBackend::OnPrefetchDone(const std::string& name,
       echoed != correlation) {
     // Malformed speculation: the demand path re-fetches.
     if (flight != nullptr) {
-      FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"),
-                   nullptr);
+      FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"));
     }
     return;
   }
@@ -765,24 +767,29 @@ void RemoteBackend::OnPrefetchDone(const std::string& name,
     // sink decides whether it is cacheable, and a joiner surfaces it
     // directly.
     sink(name, Result<Bytes>(verdict), false);
-    if (flight != nullptr) FinishFlight(flight, verdict, nullptr);
+    if (flight != nullptr) FinishFlight(flight, verdict);
     return;
   }
   auto data = reader.Var(kMaxObjectBytes);
   if (!data.ok() || !reader.U8().ok()) { // the (unused) lease byte
     if (flight != nullptr) {
-      FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"),
-                   nullptr);
+      FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"));
     }
     return;
   }
   Bytes body = std::move(data).value();
-  // Wake joiners first (copying the bytes only if someone waits), then
-  // move the bytes to the sink. If a woken joiner re-inserts before the
-  // sink delivery lands, the cache tier's "demand path won the race"
-  // check makes the delivery a no-op — never a double insert.
-  if (flight != nullptr) FinishFlight(flight, Status::Ok(), &body);
+  // Joiners get their copy first (paid only if someone waits), then the
+  // sink takes the bytes, then the joiners wake: like a mux slot's hook,
+  // the delivery lands before anyone observes the speculation done.
+  if (flight != nullptr) {
+    const std::lock_guard<std::mutex> lock(flight->mu);
+    if (flight->waiters > 0) {
+      flight->data = body;
+      flight->has_data = true;
+    }
+  }
   sink(name, Result<Bytes>(std::move(body)), false);
+  if (flight != nullptr) FinishFlight(flight, Status::Ok());
 }
 
 // ---- lease subscription -----------------------------------------------------
@@ -1259,7 +1266,7 @@ class MuxPutStream final : public storage::StorageBackend::PutStream {
     std::uint64_t echoed = 0;
     const Status head = ParseResponseHead(reader, &server, &echoed);
     if (!head.ok() || echoed != corr) {
-      // The demux routed this frame here by its correlation id, so a
+      // The mux routed this frame here by its correlation id, so a
       // mismatch or unparsable head means the byte stream itself can no
       // longer be trusted for ANY request on the connection.
       conn_->Poison(Error(ErrorCode::kIOError,

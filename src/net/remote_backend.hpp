@@ -32,9 +32,10 @@
 //   * chunk readahead — Prefetch(name) speculatively issues a Get through
 //     any spare window slot (never blocking, never retrying, never
 //     dialing) and delivers the parsed object to the registered
-//     PrefetchSink on the demux thread. The cache layer (cache/
-//     cached_backend.hpp) owns buffering, budgets and eviction; this
-//     backend holds no prefetched bytes of its own,
+//     PrefetchSink on whichever thread reads the reply: the connection's
+//     demux thread, or a caller waiting on the same connection. The cache
+//     layer (cache/cached_backend.hpp) owns buffering, budgets and
+//     eviction; this backend holds no prefetched bytes of its own,
 //   * lease coherence — SubscribeInvalidations dials a dedicated
 //     callback connection, registers a lease session, and pumps
 //     server-pushed kInvalidate frames to the listener, acking each.
@@ -224,15 +225,15 @@ class RemoteBackend final : public storage::StorageBackend {
     std::size_t waiters = 0;  // under mu
     bool done = false;        // under mu
     Status verdict = Status::Ok(); // under mu, valid once done
-    // A joiner that registered too late to be seen at completion finds
+    // A joiner that registered too late to be seen at delivery finds
     // has_data false (despite an ok verdict) and falls back to a demand
-    // fetch — which the sink delivery has usually made a cache hit anyway.
+    // fetch — which the sink delivery has already made a cache hit.
     bool has_data = false; // under mu
     Bytes data;            // under mu, valid when done && has_data
   };
   /// Completes a flight and wakes its joiners (never under prefetch_mu_).
   static void FinishFlight(const std::shared_ptr<PrefetchFlight>& flight,
-                           Status verdict, const Bytes* data);
+                           Status verdict);
 
   mutable std::mutex prefetch_mu_;
   PrefetchSink sink_;                          // under prefetch_mu_

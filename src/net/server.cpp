@@ -82,6 +82,9 @@ struct NexusdServer::Dispatch {
   std::function<WireReply()> execute; // kStateless / kOrdered
   WireReply response;                 // kImmediate
   bool subscribed = false; // kImmediate: connection became a lease channel
+  // A mutation of an object another session holds a lease on: its
+  // handler may wait up to lease_break_ms for invalidation acks.
+  bool breaks_leases = false;
 };
 
 /// Per-connection protocol state.
@@ -640,6 +643,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       const bool want = want_lease.value() != 0 && state.attached_session != 0;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
+      d.breaks_leases = OthersHoldLease(name.value(), sid);
       d.execute = [this, corr, sid, want, name = std::move(name).value(),
                    data = std::move(data).value()] {
         const std::uint64_t v0 = BeginMutation(name, sid, want);
@@ -657,6 +661,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       if (!name.ok()) break;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
+      d.breaks_leases = OthersHoldLease(name.value(), sid);
       d.execute = [this, corr, sid, name = std::move(name).value()] {
         BeginMutation(name);
         const Status verdict = backend_.Delete(name);
@@ -916,6 +921,13 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       ConnState* st = &state;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kOrdered;
+      std::string name;
+      {
+        const std::lock_guard<std::mutex> lock(state.stream_mu);
+        const auto it = state.streams.find(handle.value());
+        if (it != state.streams.end()) name = it->second.name;
+      }
+      d.breaks_leases = !name.empty() && OthersHoldLease(name, sid);
       d.execute = [this, st, corr, sid, handle = handle.value()] {
         std::unique_lock<std::mutex> lock(st->stream_mu);
         const auto it = st->streams.find(handle);
@@ -1215,10 +1227,27 @@ bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
   return !c.paused;
 }
 
+bool NexusdServer::OthersHoldLease(const std::string& name,
+                                   std::uint64_t writer_sid) {
+  const std::lock_guard<std::mutex> lock(lease_mu_);
+  const auto h = holders_.find(name);
+  if (h == holders_.end()) return false;
+  return std::any_of(
+      h->second.begin(), h->second.end(),
+      [writer_sid](std::uint64_t sid) { return sid != writer_sid; });
+}
+
 void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
                                    Dispatch d, std::size_t frame_bytes,
                                    std::uint64_t start_ns) {
   RConn& c = *conn;
+  // A handler runs on the loop thread when nothing in it can wait: always
+  // without a pool, else over a backend that never waits, unless it must
+  // break another session's lease. An ordered op decides only when it
+  // starts a runner. (A commit's stream lookup at decode is exact: the
+  // client learns the handle from the Begin reply, so Begin already ran.)
+  const bool on_loop = rpc_pool_ == nullptr ||
+                       (backend_.NeverWaits() && !d.breaks_leases);
   if (d.kind == Dispatch::Kind::kOrdered) {
     bool start_runner = false;
     {
@@ -1236,14 +1265,16 @@ void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
         const std::lock_guard<std::mutex> lock(mu_);
         ++reactor_tasks_;
       }
-      if (rpc_pool_ != nullptr) {
+      // A runner started on the pool keeps the queue until it drains, so
+      // later ops queue behind it in FIFO order wherever they would run.
+      if (on_loop) {
+        ReactorRunOrdered(conn);
+        OnTaskExit();
+      } else {
         rpc_pool_->Post([this, conn](parallel::WorkerContext&) {
           ReactorRunOrdered(conn);
           OnTaskExit();
         });
-      } else {
-        ReactorRunOrdered(conn);
-        OnTaskExit();
       }
     }
     return;
@@ -1266,14 +1297,13 @@ void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
     OnHandlerDone(conn);
     OnTaskExit();
   };
-  if (rpc_pool_ != nullptr) {
+  if (on_loop) {
+    // Inline on the loop thread: the reply leaves in arrival order.
+    task();
+  } else {
     rpc_pool_->Post([task = std::move(task)](parallel::WorkerContext&) {
       task();
     });
-  } else {
-    // rpc_workers=0: handlers run inline on the loop thread — strictly
-    // in-order replies.
-    task();
   }
 }
 

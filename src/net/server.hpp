@@ -3,23 +3,31 @@
 // One event-driven serve loop. A single loop thread owns an epoll/poll
 // Reactor over the nonblocking listener and every DATA connection.
 // Request bytes land in pooled BufferArena slabs and frames are parsed in
-// place; handlers run on the shared rpc pool and stage their responses
-// into a per-connection scatter/gather send queue (small replies coalesce
-// into arena slabs, large MultiGet bodies stay zero-copy), flushed with
-// sendmsg and drained by EPOLLOUT when a socket pushes back. Idle
-// connections cost one registration, not a thread, so the daemon holds
-// thousands of clients at a flat resident thread count (see
-// BENCH_c10k.json). A daemon whose Reactor cannot start fails Start().
+// place; handlers stage their responses into a per-connection
+// scatter/gather send queue (small replies coalesce into arena slabs,
+// large MultiGet bodies stay zero-copy), flushed with sendmsg and drained
+// by EPOLLOUT when a socket pushes back. Idle connections cost one
+// registration, not a thread, so the daemon holds thousands of clients at
+// a flat resident thread count (see BENCH_c10k.json). A daemon whose
+// Reactor cannot start fails Start().
+//
+// Where a handler runs. Over a backend whose calls never wait
+// (StorageBackend::NeverWaits: MemBackend), handlers run inline on the
+// loop thread that parsed the frame, so a lock-step RPC wakes one server
+// thread, not two. Everything that may wait runs on the shared rpc pool:
+// every handler of any other backend, and over a never-waiting one the
+// mutations that must break another session's lease (they wait up to
+// lease_break_ms for acks). rpc_workers == 0 runs every handler inline.
 //
 // Within one connection, requests are pipelined: frames are parsed in
 // arrival order (framing errors must kill the connection
-// deterministically) and the stateless RPCs dispatch onto the rpc pool,
-// where each finished handler sends its own response — so responses can
-// leave out of order, matched back by correlation id on the client's
-// demux. The stream RPCs (Begin/Append/Commit/Abort) are connection state
-// that the in-order byte stream defines: they funnel through a
-// per-connection ordered queue (one in flight at a time, FIFO). A frame
-// whose head carries any version other than kProtocolVersion is a
+// deterministically) and each finished handler sends its own response —
+// so responses from pool handlers can leave out of order, matched back by
+// correlation id on the client. The stream RPCs (Begin/Append/Commit/
+// Abort) are connection state that the in-order byte stream defines: they
+// funnel through a per-connection ordered queue (one in flight at a time,
+// FIFO); a runner started on the pool keeps that queue until it drains.
+// A frame whose head carries any version other than kProtocolVersion is a
 // protocol error like any malformed frame: the connection dies and
 // protocol_errors ticks.
 //
@@ -71,8 +79,10 @@ struct NexusdOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read the actual one from port().
   std::uint16_t port = 0;
-  /// Workers on the shared RPC-handler pool (all connections). 0 runs
-  /// every handler inline on the loop thread — strictly in-order replies.
+  /// Workers on the shared pool for handlers that may wait (all
+  /// connections; see "Where a handler runs" above). 0 runs every handler
+  /// inline on the loop thread, for any backend — strictly in-order
+  /// replies.
   std::size_t rpc_workers = 4;
   /// Most handler tasks one connection may have outstanding before the
   /// loop stops reading its frames (per-connection backpressure).
@@ -161,6 +171,9 @@ class NexusdServer {
   /// Decodes one request frame against `state` and classifies it for
   /// dispatch.
   Dispatch DecodeFrame(ByteSpan frame, ConnState& state);
+  /// Whether a session other than `writer_sid` holds a lease on `name`,
+  /// so mutating it must wait for that holder's ack.
+  bool OthersHoldLease(const std::string& name, std::uint64_t writer_sid);
   /// Runs a dispatch's handler under its server span.
   WireReply RunHandler(const Dispatch& d);
   /// Counters a response must bump BEFORE it is sent (net_e2e contract).

@@ -20,15 +20,16 @@
 namespace nexus::storage {
 
 // Thread-safety contract. A StorageBackend may be shared by concurrent
-// callers (nexusd serves one backend to many connections off a thread
-// pool), so implementations MUST make the whole-object operations (Get /
-// Put / Delete / Exists / List / OpenPutStream) safe to call from any
-// thread, including concurrently on the same object name — last writer
-// wins, and readers observe some previously committed whole object, never
-// a torn one. A PutStream instance, by contrast, is NOT thread-safe: it
-// belongs to the single caller that opened it (Append/Commit/Abort must
-// be externally serialized), though distinct PutStreams — even for the
-// same name — may be driven from different threads concurrently.
+// callers (nexusd serves one backend to many connections, from its loop
+// thread and its handler pool), so implementations MUST make the
+// whole-object operations (Get / Put / Delete / Exists / List /
+// OpenPutStream) safe to call from any thread, including concurrently on
+// the same object name — last writer wins, and readers observe some
+// previously committed whole object, never a torn one. A PutStream
+// instance, by contrast, is NOT thread-safe: it belongs to the single
+// caller that opened it (Append/Commit/Abort must be externally
+// serialized), though distinct PutStreams — even for the same name — may
+// be driven from different threads concurrently.
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -111,8 +112,11 @@ class StorageBackend {
 
   /// Where speculative Prefetch results land. `leased` mirrors GetLeased's
   /// flag for backends that grant read leases. May be invoked from a
-  /// backend-internal thread (RemoteBackend delivers on its demux thread),
-  /// so sinks must be thread-safe and must not call back into the backend.
+  /// backend-internal thread or from any caller's thread blocked inside
+  /// this backend (RemoteBackend delivers on whichever thread reads the
+  /// reply: its demux thread, or a caller waiting on its own RPC), so
+  /// sinks must be thread-safe, must not call back into the backend, and
+  /// must not take a lock a caller may hold across a backend call.
   using PrefetchSink =
       std::function<void(const std::string& name, Result<Bytes> object,
                          bool leased)>;
@@ -160,10 +164,16 @@ class StorageBackend {
     (void)on_channel_down;
     return false;
   }
+
+  /// True when no call ever waits on I/O or on another thread (beyond a
+  /// short internal lock). nexusd then runs this backend's handlers on
+  /// the loop thread that parsed the request instead of handing them to
+  /// its worker pool. Only MemBackend says yes.
+  [[nodiscard]] virtual bool NeverWaits() const noexcept { return false; }
 };
 
 /// Volatile in-memory store. Thread-safe per the contract above (one
-/// mutex around the object map).
+/// mutex around the object map; Get copies under it). No call does I/O.
 class MemBackend final : public StorageBackend {
  public:
   Result<Bytes> Get(const std::string& name) override;
@@ -171,6 +181,7 @@ class MemBackend final : public StorageBackend {
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;
+  [[nodiscard]] bool NeverWaits() const noexcept override { return true; }
 
   [[nodiscard]] std::size_t object_count() const noexcept;
   [[nodiscard]] std::uint64_t total_bytes() const noexcept;

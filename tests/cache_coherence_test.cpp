@@ -268,6 +268,58 @@ TEST(CacheCoherence, DroppedInvalidationIsBoundedByTtlAfterSessionKill) {
   server->Stop();
 }
 
+// A Put that must break a lease waits up to lease_break_ms for the
+// holder's ack. nexusd runs a MemBackend's handlers on its loop thread,
+// but never that one: while the writer waits on a holder that will never
+// answer, a third client is still served promptly.
+TEST(CacheCoherence, LeaseBreakWaitStaysOffTheServeLoop) {
+  storage::MemBackend backend;
+  NexusdOptions server_options;
+  server_options.lease_break_ms = 1000;
+  auto server = NexusdServer::Start(backend, server_options).value();
+
+  RemoteBackendOptions reader_options;
+  const std::uint16_t port = server->port();
+  reader_options.lease_transport_factory =
+      [port]() -> Result<std::unique_ptr<net::Transport>> {
+    auto dialed = net::TcpTransport::Dial("127.0.0.1", port, 5000, -1);
+    if (!dialed.ok()) return dialed.status();
+    return std::unique_ptr<net::Transport>(
+        new BlackholeTransport(std::move(dialed).value()));
+  };
+  Client reader = MakeClient(port, {}, reader_options);
+  Client writer = MakeClient(port);
+  ASSERT_TRUE(reader.cache->lease_mode());
+  ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 64)).ok());
+  ASSERT_TRUE(writer.cache->Flush().ok());
+  ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 64)); // leased
+
+  std::thread blocked_writer([&] {
+    ASSERT_TRUE(writer.cache->Put("obj", Blob('2', 64)).ok());
+    ASSERT_TRUE(writer.cache->Flush().ok());
+  });
+  // The push went out: the writer's Put now waits for an ack that the
+  // blackhole swallowed.
+  ASSERT_TRUE(WaitFor([&] { return server->stats().invalidations_sent >= 1; }));
+
+  const auto start = std::chrono::steady_clock::now();
+  auto third = RemoteBackend::Connect("127.0.0.1", port);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  ASSERT_TRUE(third.value()->Put("other", Blob('o', 32)).ok());
+  EXPECT_EQ(third.value()->Get("other").value(), Blob('o', 32));
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LT(elapsed_ms, 300) << "the lease break blocked the serve loop";
+  EXPECT_EQ(server->stats().lease_break_timeouts, 0u); // still waiting
+
+  blocked_writer.join();
+  reader.cache.reset();
+  writer.cache.reset();
+  server->Stop();
+}
+
 // ---- two-client soak (run under TSan in CI) ---------------------------------
 
 TEST(CacheCoherence, TwoClientOpenToCloseSoak) {

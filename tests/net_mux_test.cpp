@@ -418,6 +418,276 @@ TEST(NetMux, ConcurrentWindowSoak) {
   server->Stop();
 }
 
+// ---- the reader role --------------------------------------------------------
+
+// Counts the server-side Gets a client has caused, through kStats.
+std::uint64_t ServedGets(RemoteBackend& client) {
+  const auto stats = client.Stats();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  if (!stats.ok()) return 0;
+  for (const auto& row : stats.value().per_op) {
+    if (row.rpc == static_cast<std::uint8_t>(net::Rpc::kGet)) return row.count;
+  }
+  return 0;
+}
+
+// A prefetch has no waiter to read its reply, so the demux thread must
+// still pick it up on a connection that carries nothing else — and a
+// demand Get joining a parked speculation is answered off that one RPC.
+TEST(NetMux, PrefetchCompletesOnAnIdleConnection) {
+  GateBackend backend("slow");
+  ASSERT_TRUE(backend.inner().Put("idle", Blob('i', 200)).ok());
+  ASSERT_TRUE(backend.inner().Put("slow", Blob('s', 300)).ok());
+  auto server = NexusdServer::Start(backend).value();
+
+  RemoteBackendOptions options;
+  options.rpc_window = 4;
+  options.max_pooled_connections = 1;
+  auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  RemoteBackend& client = *remote.value();
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::map<std::string, Bytes> delivered;
+  client.SetPrefetchSink(
+      [&](const std::string& name, Result<Bytes> object, bool) {
+        ASSERT_TRUE(object.ok()) << object.status().ToString();
+        const std::lock_guard<std::mutex> lock(mu);
+        delivered[name] = std::move(object).value();
+        cv.notify_all();
+      });
+
+  client.Prefetch("idle");
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
+                            [&] { return delivered.contains("idle"); }));
+    EXPECT_EQ(delivered["idle"], Blob('i', 200));
+  }
+
+  const std::uint64_t gets_before = ServedGets(client);
+  client.Prefetch("slow");
+  backend.WaitForWaiters(1); // the speculation is parked server-side
+  std::thread demand([&] {
+    EXPECT_EQ(client.Get("slow").value(), Blob('s', 300));
+  });
+  // Give the demand read time to join, then let the speculation finish.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  backend.Release();
+  demand.join();
+
+  EXPECT_EQ(client.counters().prefetch_joined, 1u);
+  EXPECT_EQ(ServedGets(client) - gets_before, 1u)
+      << "the demand read duplicated the speculative Get";
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(delivered["slow"], Blob('s', 300));
+}
+
+// Eight lock-step callers and their prefetch hints share ONE connection
+// with a window of 4, so whoever holds the reader role keeps routing
+// other callers' replies (and speculations) before its own. Every reply
+// must reach its own caller byte for byte.
+TEST(NetMux, SharedConnectionSoakRoutesEveryReply) {
+  storage::MemBackend backend;
+  constexpr int kThreads = 8;
+  constexpr int kOps = 150;
+  // Read-only names, never rewritten: a Get that joins a speculation of
+  // one of them must see the same bytes as a fresh read.
+  const auto fixed = [](int id, int k) {
+    return Blob(static_cast<char>('a' + id), 100 + 37 * k);
+  };
+  for (int id = 0; id < kThreads; ++id) {
+    for (int k = 0; k < 4; ++k) {
+      ASSERT_TRUE(backend.Put("r" + std::to_string(id) + "-" +
+                                  std::to_string(k),
+                              fixed(id, k))
+                      .ok());
+    }
+  }
+  auto server = NexusdServer::Start(backend).value();
+
+  RemoteBackendOptions options;
+  options.rpc_window = 4;
+  options.max_pooled_connections = 1;
+  auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  RemoteBackend& client = *remote.value();
+  std::atomic<int> speculations{0};
+  client.SetPrefetchSink(
+      [&](const std::string& name, Result<Bytes> object, bool) {
+        ASSERT_TRUE(object.ok()) << name;
+        const int id = name[1] - '0';
+        const int k = name[3] - '0';
+        EXPECT_EQ(object.value(), fixed(id, k)) << name;
+        speculations.fetch_add(1);
+      });
+
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int id = 0; id < kThreads; ++id) {
+    threads.emplace_back([&client, &fixed, id] {
+      std::map<std::string, Bytes> written;
+      for (int k = 0; k < kOps; ++k) {
+        const std::string own = "w" + std::to_string(id) + "-" +
+                                std::to_string(k % 3);
+        const std::string shared =
+            "r" + std::to_string(id) + "-" + std::to_string(k % 4);
+        switch (k % 4) {
+          case 0: {
+            Bytes data = Blob(static_cast<char>('A' + id), 50 + k);
+            ASSERT_TRUE(client.Put(own, data).ok());
+            written[own] = std::move(data);
+            break;
+          }
+          case 1:
+            if (written.contains(own)) {
+              EXPECT_EQ(client.Get(own).value(), written[own]) << own;
+            }
+            break;
+          case 2:
+            client.Prefetch(shared);
+            break;
+          default:
+            EXPECT_EQ(client.Get(shared).value(), fixed(id, k % 4)) << shared;
+            break;
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(client.counters().retries, 0u);
+  EXPECT_EQ(server->stats().connections_accepted, 1u);
+  server->Stop();
+}
+
+// Hands every transport it dials to the test, which can shut them all
+// down at once (Shutdown is safe against in-flight I/O).
+class KillableTransports {
+ public:
+  Result<std::unique_ptr<net::Transport>> Dial(std::uint16_t port) {
+    auto tcp = net::TcpTransport::Dial("127.0.0.1", port, 2000, 5000);
+    if (!tcp.ok()) return tcp.status();
+    return Result<std::unique_ptr<net::Transport>>(
+        std::make_unique<Tracked>(std::move(tcp).value(), *this));
+  }
+
+  void KillAll() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    for (net::Transport* t : live_) t->Shutdown();
+  }
+
+ private:
+  class Tracked final : public net::Transport {
+   public:
+    Tracked(std::unique_ptr<net::Transport> inner, KillableTransports& owner)
+        : inner_(std::move(inner)), owner_(owner) {
+      const std::lock_guard<std::mutex> lock(owner_.mu_);
+      owner_.live_.insert(this);
+    }
+    ~Tracked() override {
+      const std::lock_guard<std::mutex> lock(owner_.mu_);
+      owner_.live_.erase(this);
+    }
+    Status SendFrame(ByteSpan payload) override {
+      return inner_->SendFrame(payload);
+    }
+    Result<Bytes> RecvFrame() override { return inner_->RecvFrame(); }
+    void Close() override { inner_->Close(); }
+    void Shutdown() override { inner_->Shutdown(); }
+
+   private:
+    std::unique_ptr<net::Transport> inner_;
+    KillableTransports& owner_;
+  };
+
+  std::mutex mu_;
+  std::set<net::Transport*> live_;
+};
+
+// Killing the connection under a full window fails the reader and every
+// parked follower at once: each op then either retries onto a fresh
+// connection and succeeds with its own bytes, or reports the failure —
+// none hangs.
+TEST(NetMux, KilledTransportReleasesReaderAndFollowers) {
+  storage::MemBackend backend;
+  auto server = NexusdServer::Start(backend).value();
+
+  KillableTransports transports;
+  RemoteBackendOptions options;
+  options.rpc_window = 4;
+  options.max_pooled_connections = 1;
+  options.sleep_ms = [](int) {};
+  const std::uint16_t port = server->port();
+  RemoteBackend client([&transports, port] { return transports.Dial(port); },
+                       options);
+  client.SetPrefetchSink([](const std::string&, Result<Bytes>, bool) {});
+  ASSERT_TRUE(client.Ping().ok());
+
+  constexpr int kThreads = 8;
+  constexpr int kKills = 5;
+  std::atomic<bool> stop{false};
+  std::atomic<int> ops{0};
+  std::atomic<int> finished{0};
+  std::atomic<int> failed_ops{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int id = 0; id < kThreads; ++id) {
+    threads.emplace_back([&, id] {
+      const std::string name = "k" + std::to_string(id);
+      Bytes last;
+      // Keep the window busy until every kill has landed.
+      for (int k = 0; !stop.load(); ++k, ops.fetch_add(1)) {
+        if (k % 2 == 0) {
+          Bytes data = Blob(static_cast<char>('A' + id), 40 + k);
+          // A failed (or ambiguous) Put may or may not have applied.
+          if (client.Put(name, data).ok()) {
+            last = std::move(data);
+          } else {
+            failed_ops.fetch_add(1);
+            last.clear();
+          }
+        } else {
+          if (k % 5 == 0) client.Prefetch(name);
+          auto got = client.Get(name);
+          if (!got.ok()) {
+            EXPECT_EQ(got.status().code(), ErrorCode::kIOError);
+            failed_ops.fetch_add(1);
+          } else if (!last.empty()) {
+            EXPECT_EQ(got.value(), last) << name;
+          }
+        }
+      }
+      finished.fetch_add(1);
+    });
+  }
+  for (int kill = 0; kill < kKills; ++kill) {
+    const int target = ops.load() + 50;
+    while (ops.load() < target) std::this_thread::yield();
+    transports.KillAll();
+  }
+  stop.store(true);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (finished.load() < kThreads &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  if (finished.load() < kThreads) {
+    ADD_FAILURE() << "a waiter hung after its transport was killed";
+    std::abort(); // the hung threads reference this frame
+  }
+  for (auto& t : threads) t.join();
+
+  // The kills cost retries, not answers: at least one waiter retried.
+  EXPECT_GE(client.counters().retries, 1u);
+  EXPECT_LE(failed_ops.load(), ops.load() / 10);
+  EXPECT_TRUE(client.Put("after", Blob('z', 8)).ok());
+  EXPECT_EQ(client.Get("after").value(), Blob('z', 8));
+  server->Stop();
+}
+
 // ---- readahead budget ------------------------------------------------------
 
 TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {

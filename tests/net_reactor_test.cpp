@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -138,6 +139,32 @@ TEST_F(NetReactorTest, LockStepRpcsCostAboutOneWakeupEach) {
   ASSERT_GE(rpcs, 2.0 * kRounds);
   EXPECT_LE(wakeups, 1.1 * rpcs)
       << wakeups << " wakeups for " << rpcs << " rpcs";
+}
+
+// A lock-step RPC blocks once on each side: the caller reads its own
+// reply off the socket, and nexusd runs a MemBackend's handlers on the
+// loop thread that parsed the request. Client and server share this
+// process, so its voluntary context switches count both sides: about 2
+// per RPC. A handoff to a second thread on either side (a client demux
+// thread, a server worker pool) costs about one more.
+TEST_F(NetReactorTest, LockStepRpcsCostAboutTwoContextSwitches) {
+  StartServer();
+  const auto round = [this](int i) {
+    const std::string name = "s" + std::to_string(i % 16);
+    const Bytes data(64 + i % 64, static_cast<std::uint8_t>(i));
+    ASSERT_TRUE(remote_->Put(name, data).ok());
+    ASSERT_EQ(remote_->Get(name).value(), data);
+  };
+  for (int i = 0; i < 100; ++i) round(i); // warm up: dial, arena, caches
+  constexpr int kPairs = 2000;
+  rusage before{};
+  rusage after{};
+  ::getrusage(RUSAGE_SELF, &before);
+  for (int i = 0; i < kPairs; ++i) round(i);
+  ::getrusage(RUSAGE_SELF, &after);
+  const double per_rpc =
+      static_cast<double>(after.ru_nvcsw - before.ru_nvcsw) / (2.0 * kPairs);
+  EXPECT_LE(per_rpc, 2.5) << per_rpc << " voluntary switches per RPC";
 }
 
 // A malicious (or glacial) client dribbling a request one byte at a time
@@ -444,6 +471,40 @@ TEST(NetReactorPrefetch, DemandGetJoinsInflightSpeculation) {
     if (op.rpc == static_cast<std::uint8_t>(Rpc::kGet)) gets = op.count;
   }
   EXPECT_EQ(gets, 1u) << "demand read duplicated the speculative Get";
+}
+
+// With no I/O deadline (rpc_deadline_ms 0) the join waits for the flight
+// itself, however long it takes: giving up after a fixed grace would
+// re-fetch behind a healthy speculation and race its delivery.
+TEST(NetReactorPrefetch, JoinWithoutDeadlineWaitsForTheFlight) {
+  storage::MemBackend store;
+  GatedBackend gated(store);
+  auto server = NexusdServer::Start(gated).value();
+  RemoteBackendOptions options = FastOptions();
+  options.rpc_deadline_ms = 0;
+  auto remote =
+      RemoteBackend::Connect("127.0.0.1", server->port(), options).value();
+  ASSERT_TRUE(remote->Put("slow/y", Bytes{8, 9}).ok());
+  remote->SetPrefetchSink([](const std::string&, Result<Bytes>, bool) {});
+  remote->Prefetch("slow/y");
+  gated.WaitEntered();
+
+  std::thread demand([&] {
+    auto got = remote->Get("slow/y");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), (Bytes{8, 9}));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  gated.Release();
+  demand.join();
+
+  EXPECT_EQ(remote->counters().prefetch_joined, 1u);
+  std::uint64_t gets = 0;
+  const ServerStats stats = remote->Stats().value();
+  for (const RpcOpStats& op : stats.per_op) {
+    if (op.rpc == static_cast<std::uint8_t>(Rpc::kGet)) gets = op.count;
+  }
+  EXPECT_EQ(gets, 1u) << "the join gave up and re-fetched";
 }
 
 // MultiGet whose bodies overflow the server's response budget: the
