@@ -1185,7 +1185,7 @@ void StreamAblation() {
       gc.counters() - before_delta;
   const cluster::ClusterCounters before_full = gc.counters();
   t = MonotonicNanos();
-  gc.RebalanceNow(); // no pending delta: full every-shard scan
+  gc.RebalanceNow(); // no pending delta: the whole-circle pass
   const double full_s = static_cast<double>(MonotonicNanos() - t) * 1e-9;
   const cluster::ClusterCounters full_pass = gc.counters() - before_full;
   const double moved_fraction =

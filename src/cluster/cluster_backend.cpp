@@ -1,6 +1,7 @@
 #include "cluster/cluster_backend.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <limits>
@@ -164,8 +165,15 @@ bool SplitHostPort(const std::string& endpoint, std::string* host,
       colon + 1 == endpoint.size()) {
     return false;
   }
-  const long parsed = std::strtol(endpoint.c_str() + colon + 1, nullptr, 10);
-  if (parsed < 1 || parsed > 65535) return false;
+  // 1-5 ASCII digits and nothing else: no sign, no space, no suffix.
+  const char* first = endpoint.data() + colon + 1;
+  const char* last = endpoint.data() + endpoint.size();
+  unsigned parsed = 0;
+  const auto [end, ec] = std::from_chars(first, last, parsed);
+  if (ec != std::errc() || end != last || last - first > 5 || parsed < 1 ||
+      parsed > 65535) {
+    return false;
+  }
   *host = endpoint.substr(0, colon);
   *port = static_cast<std::uint16_t>(parsed);
   return true;
@@ -738,35 +746,32 @@ std::mutex& ClusterBackend::StripeFor(const std::string& name) {
 
 // ---- quorum machinery -------------------------------------------------------
 
+std::optional<ClusterBackend::ReadHit> ClusterBackend::ToHit(
+    const ShardPtr& shard, const Result<Bytes>& res) {
+  if (!res.ok()) {
+    if (res.status().code() != ErrorCode::kNotFound) return std::nullopt;
+    return ReadHit{shard, std::nullopt};
+  }
+  Result<Envelope> env =
+      DecodeEnvelope(ByteSpan(res.value().data(), res.value().size()));
+  if (!env.ok()) return ReadHit{shard, std::nullopt};
+  ObserveVersion(env.value().version);
+  return ReadHit{shard, std::move(env).value()};
+}
+
 std::vector<ClusterBackend::ReadHit> ClusterBackend::QuorumRead(
     const std::string& name, bool count_failover) {
   const std::vector<ShardPtr> prefs = PreferenceList(name);
   const std::size_t needed = std::min(read_quorum_, prefs.size());
   std::vector<ReadHit> hits;
   for (std::size_t i = 0; i < prefs.size() && hits.size() < needed; ++i) {
-    Shard& shard = *prefs[i];
-    if (!ShardAvailable(shard)) continue;
-    Result<Bytes> res = ShardGet(prefs[i], name);
-    ReadHit hit;
-    hit.shard = prefs[i];
-    if (res.ok()) {
-      Result<Envelope> env = DecodeEnvelope(
-          ByteSpan(res.value().data(), res.value().size()));
-      if (env.ok()) {
-        ObserveVersion(env.value().version);
-        hit.envelope = std::move(env).value();
-      }
-      // A corrupt replica stays a hit with no envelope: the shard
-      // answered, and read-repair will overwrite the damage.
-    } else if (res.status().code() == ErrorCode::kNotFound) {
-      // Valid empty answer.
-    } else {
-      continue; // transport failure: slide to the next successor
-    }
+    if (!ShardAvailable(*prefs[i])) continue;
+    std::optional<ReadHit> hit = ToHit(prefs[i], ShardGet(prefs[i], name));
+    if (!hit) continue; // transport failure: slide to the next successor
     if (count_failover && i >= replication_) {
       Bump(&ClusterCounters::failovers);
     }
-    hits.push_back(std::move(hit));
+    hits.push_back(std::move(*hit));
   }
   if (hits.size() < needed) hits.clear();
   return hits;
@@ -782,30 +787,36 @@ std::optional<Envelope> ClusterBackend::BestOf(
   return best;
 }
 
-void ClusterBackend::RepairLocked(const std::string& name,
-                                  const Envelope& best,
-                                  const std::vector<ReadHit>& hits) {
-  Bytes encoded;
+void ClusterBackend::ReadRepair(const std::string& name, const Envelope& best,
+                                const std::vector<ReadHit>& hits) {
+  const auto stale = [&best](const ReadHit& hit) {
+    return !hit.envelope || EnvelopeNewer(best, *hit.envelope);
+  };
+  if (std::none_of(hits.begin(), hits.end(), stale)) return;
+  const Bytes encoded = EncodeEnvelope(best);
+  const std::lock_guard<std::mutex> lock(StripeFor(name));
   for (const ReadHit& hit : hits) {
-    const bool stale =
-        !hit.envelope || EnvelopeNewer(best, *hit.envelope);
-    if (!stale) continue;
-    // Re-check under the stripe lock: the replica may have caught up (or
-    // moved past `best`) since the unlocked quorum read sampled it.
-    const Result<Bytes> cur = ShardGet(hit.shard, name);
-    if (cur.ok()) {
-      const Result<Envelope> cur_env = DecodeEnvelope(
-          ByteSpan(cur.value().data(), cur.value().size()));
-      if (cur_env.ok() && !EnvelopeNewer(best, cur_env.value())) continue;
-    } else if (cur.status().code() != ErrorCode::kNotFound) {
-      continue; // unreachable right now; the rebalancer will catch it
-    }
-    if (encoded.empty()) encoded = EncodeEnvelope(best);
-    if (ShardPut(hit.shard, name, ByteSpan(encoded.data(), encoded.size()))
-            .ok()) {
+    if (!stale(hit)) continue;
+    if (CopyIfStaleLocked(hit.shard, name, best,
+                          ByteSpan(encoded.data(), encoded.size())) ==
+        CopyOutcome::kCopied) {
       Bump(&ClusterCounters::read_repairs);
     }
   }
+}
+
+ClusterBackend::CopyOutcome ClusterBackend::CopyIfStaleLocked(
+    const ShardPtr& target, const std::string& name, const Envelope& best,
+    ByteSpan encoded) {
+  // Re-check under the stripe lock: the target may have caught up (or
+  // moved past `best`) since whoever chose to copy last sampled it.
+  const std::optional<ReadHit> cur = ToHit(target, ShardGet(target, name));
+  if (!cur) return CopyOutcome::kFailed;
+  if (cur->envelope && !EnvelopeNewer(best, *cur->envelope)) {
+    return CopyOutcome::kCurrent;
+  }
+  return ShardPut(target, name, encoded).ok() ? CopyOutcome::kCopied
+                                              : CopyOutcome::kFailed;
 }
 
 Status ClusterBackend::QuorumWriteLocked(const std::string& name,
@@ -867,17 +878,7 @@ Result<Bytes> ClusterBackend::Get(const std::string& name) {
   if (!best || best->tombstone) {
     return Error(ErrorCode::kNotFound, "object not found: " + name);
   }
-  bool divergent = false;
-  for (const ReadHit& hit : hits) {
-    if (!hit.envelope || EnvelopeNewer(*best, *hit.envelope)) {
-      divergent = true;
-      break;
-    }
-  }
-  if (divergent) {
-    const std::lock_guard<std::mutex> lock(StripeFor(name));
-    RepairLocked(name, *best, hits);
-  }
+  ReadRepair(name, *best, hits);
   return best->payload;
 }
 
@@ -1011,23 +1012,13 @@ std::vector<Result<Bytes>> ClusterBackend::MultiGet(
       const std::vector<Result<Bytes>> res = ShardMultiGet(shard, batch_names);
       for (std::size_t j = 0; j < indices.size() && j < res.size(); ++j) {
         PerName& s = state[indices[j]];
-        ReadHit hit;
-        hit.shard = shard;
-        if (res[j].ok()) {
-          Result<Envelope> env = DecodeEnvelope(
-              ByteSpan(res[j].value().data(), res[j].value().size()));
-          if (env.ok()) {
-            ObserveVersion(env.value().version);
-            hit.envelope = std::move(env).value();
-          }
-        } else if (res[j].status().code() != ErrorCode::kNotFound) {
-          continue; // transport failure: this round contributed nothing
-        }
+        std::optional<ReadHit> hit = ToHit(shard, res[j]);
+        if (!hit) continue; // transport failure: nothing this round
         if (s.next_pref > replication_ && !s.failover_seen) {
           s.failover_seen = true;
           Bump(&ClusterCounters::failovers);
         }
-        s.hits.push_back(std::move(hit));
+        s.hits.push_back(std::move(*hit));
       }
     }
   }
@@ -1047,17 +1038,7 @@ std::vector<Result<Bytes>> ClusterBackend::MultiGet(
           Error(ErrorCode::kNotFound, "object not found: " + names[i]));
       continue;
     }
-    bool divergent = false;
-    for (const ReadHit& hit : s.hits) {
-      if (!hit.envelope || EnvelopeNewer(*best, *hit.envelope)) {
-        divergent = true;
-        break;
-      }
-    }
-    if (divergent) {
-      const std::lock_guard<std::mutex> lock(StripeFor(names[i]));
-      RepairLocked(names[i], *best, s.hits);
-    }
+    ReadRepair(names[i], *best, s.hits);
     out.emplace_back(best->payload);
   }
   return out;
@@ -1134,19 +1115,15 @@ Status ClusterBackend::RemoveShard(const std::string& id) {
 
 void ClusterBackend::RebalanceLoop() {
   for (;;) {
-    bool full = false;
     bool maintenance = false;
     std::vector<std::vector<MovedArc>> deltas;
     {
       std::unique_lock<std::mutex> lock(rebalance_mu_);
       rebalance_cv_.wait(lock, [this] {
-        return rebalance_pending_ || maintenance_pending_ ||
-               !pending_deltas_.empty() || shutdown_;
+        return maintenance_pending_ || !pending_deltas_.empty() || shutdown_;
       });
       if (shutdown_) return;
-      full = rebalance_pending_;
       maintenance = maintenance_pending_;
-      rebalance_pending_ = false;
       maintenance_pending_ = false;
       deltas.swap(pending_deltas_);
     }
@@ -1154,10 +1131,7 @@ void ClusterBackend::RebalanceLoop() {
       ReviveShards();
       DrainHandoffPass();
     }
-    for (const std::vector<MovedArc>& delta : deltas) {
-      DeltaRebalancePass(delta);
-    }
-    if (full) RebalancePass();
+    for (const std::vector<MovedArc>& delta : deltas) RebalancePass(delta);
   }
 }
 
@@ -1168,13 +1142,9 @@ void ClusterBackend::RebalanceNow() {
     const std::lock_guard<std::mutex> lock(rebalance_mu_);
     deltas.swap(pending_deltas_);
   }
-  if (deltas.empty()) {
-    RebalancePass();
-    return;
-  }
-  for (const std::vector<MovedArc>& delta : deltas) {
-    DeltaRebalancePass(delta);
-  }
+  // Nothing queued: one arc covering the whole circle (begin == end).
+  if (deltas.empty()) deltas.push_back({MovedArc{0, 0, {}, ShardIds()}});
+  for (const std::vector<MovedArc>& delta : deltas) RebalancePass(delta);
 }
 
 void ClusterBackend::DrainHandoffNow() {
@@ -1190,40 +1160,14 @@ std::vector<ClusterBackend::ShardPtr> ClusterBackend::SnapshotShards() const {
   return all;
 }
 
-void ClusterBackend::RebalancePass() {
+void ClusterBackend::RebalancePass(const std::vector<MovedArc>& arcs) {
   const trace::Span span("cluster.rebalance", "cluster");
   Bump(&ClusterCounters::rebalance_passes);
-  const std::vector<ShardPtr> all = SnapshotShards();
-  // Page through each shard's listing in bounded batches — a huge shard
-  // never materializes its whole listing in one frame — converging each
-  // new name as it appears. The dedup set is the only O(names) state.
-  std::set<std::string> done;
-  for (const ShardPtr& shard : all) {
-    if (!ShardAvailable(*shard)) continue;
-    std::string cursor;
-    for (;;) {
-      const Result<storage::StorageBackend::ListPage> page =
-          ShardListPage(shard, "", cursor, kListBatch);
-      if (!page.ok() || page.value().names.empty()) break;
-      cursor = page.value().names.back();
-      for (const std::string& name : page.value().names) {
-        if (IsControlName(name)) continue;
-        if (!done.insert(name).second) continue;
-        Bump(&ClusterCounters::rebalance_objects_scanned);
-        ConvergeName(name, all);
-      }
-      if (!page.value().more) break;
-    }
-  }
-}
-
-void ClusterBackend::DeltaRebalancePass(const std::vector<MovedArc>& arcs) {
-  const trace::Span span("cluster.rebalance.delta", "cluster");
-  Bump(&ClusterCounters::rebalance_delta_passes);
   if (arcs.empty()) return;
 
   // Normalize the (begin, end] arcs into sorted inclusive [lo, hi]
-  // intervals (wrap arcs split at zero) for binary-search membership.
+  // intervals (wrap arcs, and the begin == end whole circle, split at
+  // zero) for binary-search membership.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> intervals;
   intervals.reserve(arcs.size() + 1);
   for (const MovedArc& arc : arcs) {
@@ -1247,14 +1191,17 @@ void ClusterBackend::DeltaRebalancePass(const std::vector<MovedArc>& arcs) {
     return point <= it->second;
   };
 
-  // Only the shards that owned or received the moved arcs can hold (or
-  // need) the affected objects — list those, not the whole cluster.
+  // Only the shards that owned or received the arcs can hold (or need)
+  // the affected objects — list those, not the whole cluster.
   std::set<std::string> source_ids;
   for (const MovedArc& arc : arcs) {
     source_ids.insert(arc.from.begin(), arc.from.end());
     source_ids.insert(arc.to.begin(), arc.to.end());
   }
   const std::vector<ShardPtr> all = SnapshotShards();
+  // Page through each listing in bounded batches — a huge shard never
+  // materializes its whole listing in one frame — converging each new
+  // name as it appears. The dedup set is the only O(names) state.
   std::set<std::string> done;
   for (const ShardPtr& shard : all) {
     if (!source_ids.contains(shard->id)) continue;
@@ -1282,46 +1229,19 @@ void ClusterBackend::DeltaRebalancePass(const std::vector<MovedArc>& arcs) {
 void ClusterBackend::ConvergeName(const std::string& name,
                                   const std::vector<ShardPtr>& all) {
   const std::lock_guard<std::mutex> lock(StripeFor(name));
-  // Sample every shard's replica under the stripe lock.
-  struct Replica {
-    ShardPtr shard;
-    std::optional<Envelope> envelope; // nullopt = shard has no replica
-  };
-  std::vector<Replica> replicas;
-  std::set<std::string> unreachable;
+  // Sample every ring member's replica under the stripe lock.
+  std::vector<ReadHit> hits;
   for (const ShardPtr& shard : all) {
     bool in_ring = false;
     {
       const std::lock_guard<std::mutex> mlock(membership_mu_);
       in_ring = shards_.contains(shard->id);
     }
-    if (!in_ring) continue;
-    if (!ShardAvailable(*shard)) {
-      unreachable.insert(shard->id);
-      continue;
-    }
-    const Result<Bytes> res = ShardGet(shard, name);
-    if (res.ok()) {
-      Result<Envelope> env = DecodeEnvelope(
-          ByteSpan(res.value().data(), res.value().size()));
-      if (env.ok()) {
-        ObserveVersion(env.value().version);
-        replicas.push_back({shard, std::move(env).value()});
-      } else {
-        replicas.push_back({shard, std::nullopt}); // corrupt: overwrite
-      }
-    } else if (res.status().code() == ErrorCode::kNotFound) {
-      replicas.push_back({shard, std::nullopt});
-    } else {
-      unreachable.insert(shard->id);
-    }
+    if (!in_ring || !ShardAvailable(*shard)) continue;
+    std::optional<ReadHit> hit = ToHit(shard, ShardGet(shard, name));
+    if (hit) hits.push_back(std::move(*hit));
   }
-  std::optional<Envelope> best;
-  for (const Replica& r : replicas) {
-    if (r.envelope && (!best || EnvelopeNewer(*r.envelope, *best))) {
-      best = r.envelope;
-    }
-  }
+  const std::optional<Envelope> best = BestOf(hits);
   if (!best) return;
 
   std::set<std::string> owners;
@@ -1333,11 +1253,13 @@ void ClusterBackend::ConvergeName(const std::string& name,
   }
   const Bytes encoded = EncodeEnvelope(*best);
   bool owners_converged = true;
-  for (const Replica& r : replicas) {
-    if (!owners.contains(r.shard->id)) continue;
-    const bool stale = !r.envelope || EnvelopeNewer(*best, *r.envelope);
+  std::set<std::string> sampled;
+  for (const ReadHit& hit : hits) {
+    sampled.insert(hit.shard->id);
+    if (!owners.contains(hit.shard->id)) continue;
+    const bool stale = !hit.envelope || EnvelopeNewer(*best, *hit.envelope);
     if (!stale) continue;
-    if (ShardPut(r.shard, name, ByteSpan(encoded.data(), encoded.size()))
+    if (ShardPut(hit.shard, name, ByteSpan(encoded.data(), encoded.size()))
             .ok()) {
       Bump(&ClusterCounters::rebalance_objects_moved);
       Bump(&ClusterCounters::rebalance_bytes_moved, encoded.size());
@@ -1345,21 +1267,18 @@ void ClusterBackend::ConvergeName(const std::string& name,
       owners_converged = false;
     }
   }
+  // An owner that was not sampled (unreachable, or not in the snapshot)
+  // cannot be proven to hold the newest envelope.
   for (const std::string& owner : owners) {
-    if (unreachable.contains(owner)) owners_converged = false;
-    bool sampled = false;
-    for (const Replica& r : replicas) {
-      if (r.shard->id == owner) sampled = true;
-    }
-    if (!sampled) owners_converged = false;
+    if (!sampled.contains(owner)) owners_converged = false;
   }
   // Purge from non-owners only once every owner provably holds the
   // newest envelope — otherwise a sloppy-quorum replica might be the
   // sole survivor.
   if (!owners_converged) return;
-  for (const Replica& r : replicas) {
-    if (owners.contains(r.shard->id) || !r.envelope) continue;
-    if (ShardDelete(r.shard, name).ok()) {
+  for (const ReadHit& hit : hits) {
+    if (owners.contains(hit.shard->id) || !hit.envelope) continue;
+    if (ShardDelete(hit.shard, name).ok()) {
       Bump(&ClusterCounters::rebalance_objects_purged);
     }
   }
@@ -1417,40 +1336,29 @@ void ClusterBackend::DrainHandoffPass() {
         {
           const std::lock_guard<std::mutex> lock(StripeFor(object));
           const Result<Bytes> held = ShardGet(holder, object);
-          if (!held.ok()) {
-            // Purged or unreachable; either way nothing to replay now.
-            drained = held.status().code() == ErrorCode::kNotFound;
-            if (drained) Bump(&ClusterCounters::handoff_hints_dropped);
-          } else {
-            const Result<Envelope> env = DecodeEnvelope(
-                ByteSpan(held.value().data(), held.value().size()));
-            if (!env.ok()) {
-              drained = true; // corrupt stand-in replica: hint is useless
-              Bump(&ClusterCounters::handoff_hints_dropped);
-            } else {
-              // Replay only if the owner is missing or strictly older —
-              // the write may have been superseded since the hint.
-              bool replay = true;
-              const Result<Bytes> cur = ShardGet(owner, object);
-              if (cur.ok()) {
-                const Result<Envelope> cur_env = DecodeEnvelope(
-                    ByteSpan(cur.value().data(), cur.value().size()));
-                if (cur_env.ok() &&
-                    !EnvelopeNewer(env.value(), cur_env.value())) {
-                  replay = false; // owner already has this or newer
-                  drained = true;
-                  Bump(&ClusterCounters::handoff_hints_dropped);
-                }
-              } else if (cur.status().code() != ErrorCode::kNotFound) {
-                replay = false; // owner flapped mid-drain: retry later
-              }
-              if (replay &&
-                  ShardPut(owner, object,
-                           ByteSpan(held.value().data(), held.value().size()))
-                      .ok()) {
+          // An unreachable holder (no hit) keeps the hint for next time.
+          const std::optional<ReadHit> hit = ToHit(holder, held);
+          if (hit && !hit->envelope) {
+            // Purged, or a corrupt stand-in: nothing to replay.
+            drained = true;
+            Bump(&ClusterCounters::handoff_hints_dropped);
+          } else if (hit) {
+            // Replay the holder's bytes verbatim (possibly the stream
+            // form) only if the owner is missing or strictly older — the
+            // write may have been superseded since the hint.
+            switch (CopyIfStaleLocked(
+                owner, object, *hit->envelope,
+                ByteSpan(held.value().data(), held.value().size()))) {
+              case CopyOutcome::kCopied:
                 drained = true;
                 Bump(&ClusterCounters::handoff_hints_replayed);
-              }
+                break;
+              case CopyOutcome::kCurrent:
+                drained = true;
+                Bump(&ClusterCounters::handoff_hints_dropped);
+                break;
+              case CopyOutcome::kFailed:
+                break; // owner flapped mid-drain: retry later
             }
           }
         }

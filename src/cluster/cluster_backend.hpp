@@ -26,12 +26,16 @@
 //     observed) plus a per-client writer id as tiebreak. Deletes are
 //     TOMBSTONE envelopes written through the same quorum path, so a
 //     resurrecting replica cannot undo a delete.
-//   * Repair — when a quorum read sees divergent replicas, the newest
-//     envelope is copied to the stale/missing ones under the object's
-//     stripe lock (checking again under the lock, never drawing a new
-//     version). A background rebalancer runs the same convergence over
-//     the whole keyspace after membership changes, then purges replicas
-//     from shards that no longer own them.
+//   * Repair — every shard answer goes through one replica-read rule
+//     (missing or corrupt = an answer with no envelope, any other error
+//     = unreachable). When a quorum read sees divergent replicas, the
+//     newest envelope is copied to the stale/missing ones under the
+//     object's stripe lock (checking again under the lock, never drawing
+//     a new version); hinted handoff replays through the same copy
+//     routine. One rebalance pass converges the names in a set of ring
+//     arcs — the arcs a membership change moved, or the whole circle —
+//     onto their owners, then purges replicas from shards that no longer
+//     own them.
 //   * Health — consecutive transport failures (server verdicts do not
 //     count) eject a shard from candidate sets; a backoff-gated
 //     half-open probe reinstates it on the first success.
@@ -182,10 +186,10 @@ class ClusterBackend final : public storage::StorageBackend {
   /// restores full replication for the moved arcs.
   Status RemoveShard(const std::string& id);
 
-  /// One synchronous rebalance pass. Pending membership deltas are
-  /// consumed first (each pass bounded to the moved arcs); with no delta
-  /// queued, a full pass converges every object on any shard onto its
-  /// ring owners and purges non-owner replicas. Idempotent; safe under
+  /// Synchronous rebalancing: one pass per pending membership delta,
+  /// each bounded to its moved arcs; with no delta queued, one pass over
+  /// the whole circle converges every object on any shard onto its ring
+  /// owners and purges non-owner replicas. Idempotent; safe under
   /// concurrent writes (per-name stripe locks).
   void RebalanceNow();
 
@@ -231,11 +235,18 @@ class ClusterBackend final : public storage::StorageBackend {
   };
   using ShardPtr = std::shared_ptr<Shard>;
 
-  /// One shard's contribution to a quorum read: transport-ok response,
-  /// with the decoded envelope or nullopt for "shard has no replica".
+  /// One shard's answer for one name: transport-ok response, with the
+  /// decoded envelope or nullopt for "no replica" (missing or corrupt).
   struct ReadHit {
     ShardPtr shard;
     std::optional<Envelope> envelope;
+  };
+
+  /// What CopyIfStaleLocked did to its target.
+  enum class CopyOutcome {
+    kCopied,  // the target was missing, corrupt or older: overwritten
+    kCurrent, // the target already held the envelope or a newer one
+    kFailed,  // unreachable, or the put failed: retry later
   };
 
   ClusterBackend(ClusterOptions options, std::size_t replication,
@@ -270,6 +281,12 @@ class ClusterBackend final : public storage::StorageBackend {
   /// order (owners first, then the failover tail).
   std::vector<ShardPtr> PreferenceList(const std::string& name) const;
 
+  /// The replica-read rule every path applies to a shard's answer:
+  /// kNotFound or an undecodable replica is a hit with no envelope (an
+  /// overwritable copy), any other error is nullopt (unreachable), and a
+  /// decoded envelope advances the version clock.
+  std::optional<ReadHit> ToHit(const ShardPtr& shard, const Result<Bytes>& res);
+
   /// Reads `name` until `read_quorum_` transport-ok answers (kNotFound is
   /// a valid empty answer), sliding down the preference list past dead
   /// shards. Returns the hits, or empty when quorum was unreachable.
@@ -277,10 +294,17 @@ class ClusterBackend final : public storage::StorageBackend {
                                   bool count_failover);
   /// Best (newest) envelope among hits; nullopt when no replica exists.
   static std::optional<Envelope> BestOf(const std::vector<ReadHit>& hits);
-  /// Copies `best` onto responding replicas that were missing/stale.
-  /// Caller holds the name's stripe lock.
-  void RepairLocked(const std::string& name, const Envelope& best,
-                    const std::vector<ReadHit>& hits);
+  /// Read-repair: when some hit is missing or older than `best`, takes
+  /// the name's stripe lock and copies `best` onto each stale hit.
+  void ReadRepair(const std::string& name, const Envelope& best,
+                  const std::vector<ReadHit>& hits);
+  /// The copy routine read-repair and handoff replay share: re-reads
+  /// `target`'s replica and, unless it already holds `best` or newer,
+  /// puts `encoded` (an encoding of `best`, possibly the stream form)
+  /// over it. Caller holds the name's stripe lock.
+  CopyOutcome CopyIfStaleLocked(const ShardPtr& target,
+                                const std::string& name, const Envelope& best,
+                                ByteSpan encoded);
   /// Envelope quorum-write used by Put / Delete / read-repair commit.
   Status QuorumWriteLocked(const std::string& name, const Bytes& encoded);
 
@@ -298,10 +322,10 @@ class ClusterBackend final : public storage::StorageBackend {
                   const std::string& name);
 
   void RebalanceLoop();
-  void RebalancePass();
-  /// Arc-bounded pass after a membership change: lists only the shards
-  /// that held the moved arcs and converges only names hashing into them.
-  void DeltaRebalancePass(const std::vector<MovedArc>& arcs);
+  /// Lists only the shards that own `arcs` under either ring and
+  /// converges only the names hashing into them; a begin == end arc is
+  /// the whole circle.
+  void RebalancePass(const std::vector<MovedArc>& arcs);
   /// Converges one name: newest envelope onto every ring owner, then
   /// purge from non-owners once the owners provably hold it.
   void ConvergeName(const std::string& name, const std::vector<ShardPtr>& all);
@@ -329,7 +353,6 @@ class ClusterBackend final : public storage::StorageBackend {
   // ring deltas) and shard reinstatements (revive + handoff drain).
   std::mutex rebalance_mu_;
   std::condition_variable rebalance_cv_;
-  bool rebalance_pending_ = false;   // full pass requested
   bool maintenance_pending_ = false; // revive hooks + handoff drain
   std::vector<std::vector<MovedArc>> pending_deltas_;
   bool shutdown_ = false;

@@ -33,7 +33,6 @@ void AccumulateClusterCounters(ClusterCounters& into,
   into.rebalance_passes += delta.rebalance_passes;
   into.rebalance_objects_moved += delta.rebalance_objects_moved;
   into.rebalance_objects_purged += delta.rebalance_objects_purged;
-  into.rebalance_delta_passes += delta.rebalance_delta_passes;
   into.rebalance_objects_scanned += delta.rebalance_objects_scanned;
   into.rebalance_bytes_moved += delta.rebalance_bytes_moved;
   into.handoff_hints_recorded += delta.handoff_hints_recorded;

@@ -26,12 +26,9 @@ struct ClusterCounters {
   std::uint64_t failovers = 0; // a non-owner successor served/absorbed
   std::uint64_t read_repairs = 0;
   std::uint64_t tombstones_written = 0;
-  std::uint64_t rebalance_passes = 0;
+  std::uint64_t rebalance_passes = 0; // one per arc set (or whole circle)
   std::uint64_t rebalance_objects_moved = 0;
   std::uint64_t rebalance_objects_purged = 0;
-
-  // Delta rebalancing (arc-bounded passes after a membership change).
-  std::uint64_t rebalance_delta_passes = 0;
   std::uint64_t rebalance_objects_scanned = 0; // names listed/examined
   std::uint64_t rebalance_bytes_moved = 0;     // payload bytes copied
 
@@ -73,8 +70,6 @@ struct ClusterCounters {
         a.rebalance_objects_moved - b.rebalance_objects_moved;
     out.rebalance_objects_purged =
         a.rebalance_objects_purged - b.rebalance_objects_purged;
-    out.rebalance_delta_passes =
-        a.rebalance_delta_passes - b.rebalance_delta_passes;
     out.rebalance_objects_scanned =
         a.rebalance_objects_scanned - b.rebalance_objects_scanned;
     out.rebalance_bytes_moved = a.rebalance_bytes_moved - b.rebalance_bytes_moved;

@@ -378,7 +378,7 @@ TEST(ClusterFault, SwallowedStreamVerdictsStayExactAndDrainClean) {
 // NEXUS_CLUSTER / NEXUS_REPLICATION select the fleet, WritePhase runs
 // with all shards up, CI kills one shard, then ReadbackPhase must keep
 // writing AND read every phase-1 object back byte-identical — zero
-// failed client ops across the kill. Both tests skip without the env.
+// failed client ops across the kill. Every test skips without the env.
 
 Bytes SmokePayload(int i) {
   Bytes data;
@@ -510,6 +510,60 @@ TEST(ClusterSmokeEnv, HandoffDrainPhase) {
     EXPECT_EQ(got.value(), SmokePayload(i)) << i;
   }
   EXPECT_EQ(c.counters().quorum_failures, 0u);
+}
+
+// Runs after HandoffDrainPhase: one whole-circle rebalance pass. The
+// reborn shard lost every pre-kill object and hints covered only the
+// outage's writes, so the pass has owner replicas to restore. Afterwards
+// every smoke object sits on exactly NEXUS_REPLICATION shards — dialed
+// directly, bypassing the quorum — each holding the written payload.
+TEST(ClusterSmokeEnv, ConvergePhase) {
+  if (std::getenv("NEXUS_CLUSTER") == nullptr) {
+    GTEST_SKIP() << "NEXUS_CLUSTER not set";
+  }
+  auto cluster = ClusterBackend::Connect("", SmokeOptions(),
+                                         FastClientOptions());
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  ClusterBackend& c = **cluster;
+  c.RebalanceNow();
+  EXPECT_GT(c.counters().rebalance_objects_moved, 0u);
+  EXPECT_EQ(c.counters().quorum_failures, 0u);
+
+  std::vector<std::unique_ptr<RemoteBackend>> shards;
+  for (const std::string& endpoint :
+       ParseEndpointList(std::getenv("NEXUS_CLUSTER"))) {
+    std::string host;
+    std::uint16_t port = 0;
+    ASSERT_TRUE(SplitHostPort(endpoint, &host, &port)) << endpoint;
+    shards.push_back(std::make_unique<RemoteBackend>(
+        [host, port]() -> Result<std::unique_ptr<Transport>> {
+          NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<TcpTransport> t,
+                                 TcpTransport::Dial(host, port, 2000, 10000));
+          return std::unique_ptr<Transport>(std::move(t));
+        },
+        FastClientOptions()));
+  }
+  for (int i = 0; i < 60; ++i) {
+    const std::string name = "smoke-" + std::to_string(i);
+    std::vector<Bytes> copies;
+    for (const auto& shard : shards) {
+      Result<Bytes> raw = shard->Get(name);
+      if (!raw.ok()) {
+        ASSERT_EQ(raw.status().code(), ErrorCode::kNotFound)
+            << name << ": " << raw.status().ToString();
+        continue;
+      }
+      copies.push_back(std::move(raw).value());
+      const Bytes& copy = copies.back();
+      EXPECT_EQ(copy, copies.front()) << name; // same envelope everywhere
+      const Result<Envelope> env =
+          DecodeEnvelope(ByteSpan(copy.data(), copy.size()));
+      ASSERT_TRUE(env.ok()) << name;
+      EXPECT_FALSE(env.value().tombstone) << name;
+      EXPECT_EQ(env.value().payload, SmokePayload(i)) << name;
+    }
+    EXPECT_EQ(copies.size(), c.replication()) << name;
+  }
 }
 
 } // namespace

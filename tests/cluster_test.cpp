@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -19,6 +20,12 @@
 namespace nexus::cluster {
 namespace {
 
+// The names a shard was asked to Get, in call order.
+struct GetLog {
+  std::mutex mu;
+  std::vector<std::string> names;
+};
+
 // A MemBackend behind a kill switch: while down, every operation fails
 // like a dead TCP peer (kIOError / empty), which is exactly what the
 // cluster's health tracker keys on.
@@ -26,12 +33,17 @@ class SwitchableBackend final : public storage::StorageBackend {
  public:
   SwitchableBackend(std::shared_ptr<storage::MemBackend> inner,
                     std::shared_ptr<std::atomic<bool>> down,
-                    std::shared_ptr<std::atomic<std::uint64_t>> calls)
+                    std::shared_ptr<std::atomic<std::uint64_t>> calls,
+                    std::shared_ptr<GetLog> gets)
       : inner_(std::move(inner)), down_(std::move(down)),
-        calls_(std::move(calls)) {}
+        calls_(std::move(calls)), gets_(std::move(gets)) {}
 
   Result<Bytes> Get(const std::string& name) override {
     calls_->fetch_add(1);
+    {
+      const std::lock_guard<std::mutex> lock(gets_->mu);
+      gets_->names.push_back(name);
+    }
     if (down_->load()) return Error(ErrorCode::kIOError, "shard down");
     return inner_->Get(name);
   }
@@ -68,6 +80,7 @@ class SwitchableBackend final : public storage::StorageBackend {
   std::shared_ptr<storage::MemBackend> inner_;
   std::shared_ptr<std::atomic<bool>> down_;
   std::shared_ptr<std::atomic<std::uint64_t>> calls_;
+  std::shared_ptr<GetLog> gets_;
 };
 
 // One shard's test-side handles.
@@ -79,18 +92,47 @@ struct TestShard {
       std::make_shared<std::atomic<bool>>(false);
   std::shared_ptr<std::atomic<std::uint64_t>> calls =
       std::make_shared<std::atomic<std::uint64_t>>(0);
+  std::shared_ptr<GetLog> gets = std::make_shared<GetLog>();
 
   ShardSpec spec() const {
     return ShardSpec{
         id,
-        [mem = mem, down = down, calls = calls]()
+        [mem = mem, down = down, calls = calls, gets = gets]()
             -> Result<std::unique_ptr<storage::StorageBackend>> {
           return std::unique_ptr<storage::StorageBackend>(
-              std::make_unique<SwitchableBackend>(mem, down, calls));
+              std::make_unique<SwitchableBackend>(mem, down, calls, gets));
         },
         /*revive=*/{}};
   }
+
+  /// Data names Get was asked for since the last call (control-plane
+  /// names such as the listing liveness probe are skipped); clears the log.
+  std::vector<std::string> TakeDataGets() {
+    const std::lock_guard<std::mutex> lock(gets->mu);
+    std::vector<std::string> out;
+    for (const std::string& name : gets->names) {
+      if (name.empty() || name.front() != '\x01') out.push_back(name);
+    }
+    gets->names.clear();
+    return out;
+  }
 };
+
+// The keys among `keys` whose R=2 owner set differs between two rings.
+std::set<std::string> KeysWithNewOwners(const HashRing& before,
+                                        const HashRing& after,
+                                        const std::vector<std::string>& keys) {
+  std::set<std::string> moved;
+  for (const std::string& name : keys) {
+    const auto b = before.Successors(name, 2);
+    const auto a = after.Successors(name, 2);
+    if (std::set<std::string>(b.begin(), b.end()) !=
+        std::set<std::string>(a.begin(), a.end())) {
+      moved.insert(name);
+    }
+  }
+  return moved;
+}
 
 class ClusterFixture {
  public:
@@ -505,7 +547,88 @@ TEST(ClusterBackendTest, ReadRepairConvergesAStaleReplica) {
   EXPECT_EQ(envs[0].writer, envs[1].writer);
 }
 
+// An owner whose store answers with junk bytes (an untrusted shard, or a
+// torn disk) counts as an answer with no envelope on every path: the
+// read is served from the good replica, and both read-repair and the
+// whole-circle rebalance pass overwrite the damage.
+TEST(ClusterBackendTest, CorruptReplicaIsOverwrittenByRepairAndRebalance) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  const Bytes v1{4, 5, 6};
+  ASSERT_TRUE(c.Put("obj", ByteSpan(v1.data(), v1.size())).ok());
+  std::size_t victim = fx.size();
+  for (std::size_t i = 0; i < fx.size(); ++i) {
+    if (fx.shard(i).mem->Exists("obj")) {
+      victim = i;
+      break;
+    }
+  }
+  ASSERT_LT(victim, fx.size());
+  const Bytes junk{0xde, 0xad, 0xbe, 0xef, 0, 1, 2, 3};
+
+  // (a) Read-repair.
+  ASSERT_TRUE(
+      fx.shard(victim).mem->Put("obj", ByteSpan(junk.data(), junk.size())).ok());
+  EXPECT_EQ(c.Get("obj").value(), v1);
+  EXPECT_EQ(c.counters().read_repairs, 1u);
+  EXPECT_EQ(fx.ReplicaEnvelope(victim, "obj").payload, v1);
+
+  // (b) The whole-circle rebalance pass.
+  ASSERT_TRUE(
+      fx.shard(victim).mem->Put("obj", ByteSpan(junk.data(), junk.size())).ok());
+  c.RebalanceNow();
+  EXPECT_EQ(c.counters().rebalance_objects_moved, 1u);
+  EXPECT_EQ(fx.ReplicaEnvelope(victim, "obj").payload, v1);
+  EXPECT_EQ(fx.ReplicaCount("obj"), 2u);
+  EXPECT_EQ(c.counters().read_repairs, 1u);
+}
+
 // ---- rebalancing ------------------------------------------------------------
+
+// With nothing queued, RebalanceNow() walks the whole circle: a shard
+// wiped behind the cluster's back gets back every object it owns without
+// a single client read. The shard-RPC count pins the pass's cost — one
+// listing per shard, one replica read per name per shard, one copy per
+// missing owner replica.
+TEST(ClusterBackendTest, WholeCirclePassHealsAWipedShardWithoutReads) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  constexpr int kKeys = 40;
+  for (int i = 0; i < kKeys; ++i) {
+    const Bytes data{static_cast<std::uint8_t>(i), 9};
+    ASSERT_TRUE(
+        c.Put("w" + std::to_string(i), ByteSpan(data.data(), data.size()))
+            .ok());
+  }
+  HashRing ring(64);
+  for (int s = 0; s < 3; ++s) ring.AddNode("shard-" + std::to_string(s));
+  std::size_t owned_by_wiped = 0;
+  for (int i = 0; i < kKeys; ++i) {
+    const auto owners = ring.Successors("w" + std::to_string(i), 2);
+    if (std::find(owners.begin(), owners.end(), "shard-0") != owners.end()) {
+      ++owned_by_wiped;
+    }
+  }
+  ASSERT_GT(owned_by_wiped, 0u);
+  for (const std::string& name : fx.shard(0).mem->List("")) {
+    ASSERT_TRUE(fx.shard(0).mem->Delete(name).ok());
+  }
+
+  const ClusterCounters before = c.counters();
+  c.RebalanceNow();
+  const ClusterCounters pass = c.counters() - before;
+
+  for (int i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(fx.ReplicaCount("w" + std::to_string(i)), 2u) << i;
+  }
+  EXPECT_EQ(pass.rebalance_passes, 1u);
+  EXPECT_EQ(pass.rebalance_objects_scanned, std::uint64_t{kKeys});
+  EXPECT_EQ(pass.rebalance_objects_moved, owned_by_wiped);
+  EXPECT_EQ(pass.rebalance_objects_purged, 0u);
+  EXPECT_EQ(pass.shard_rpcs, 3u + 3u * kKeys + owned_by_wiped);
+  EXPECT_EQ(c.counters().read_repairs, 0u);
+  EXPECT_EQ(c.counters().quorum_reads, 0u);
+}
 
 TEST(ClusterBackendTest, AddShardMigratesItsArcsAndPurgesNonOwners) {
   ClusterFixture fx(2);
@@ -521,10 +644,33 @@ TEST(ClusterBackendTest, AddShardMigratesItsArcsAndPurgesNonOwners) {
     ASSERT_EQ(fx.ReplicaCount("k" + std::to_string(i)), 2u);
   }
 
+  // Mirror ring: the keys whose owner set the new shard changes.
+  HashRing before(64);
+  for (int s = 0; s < 2; ++s) before.AddNode("shard-" + std::to_string(s));
+  HashRing after = before;
+  after.AddNode("shard-extra");
+  std::vector<std::string> keys;
+  for (int i = 0; i < 30; ++i) keys.push_back("k" + std::to_string(i));
+  const std::set<std::string> moved = KeysWithNewOwners(before, after, keys);
+
   TestShard extra;
   extra.id = "shard-extra";
   ASSERT_TRUE(c.AddShard(extra.spec()).ok());
+  for (std::size_t s = 0; s < fx.size(); ++s) fx.shard(s).TakeDataGets();
   c.RebalanceNow();
+
+  // A membership change runs an arc-bounded pass, not a scan of every
+  // object: each replica read it issued names a key in a moved arc.
+  std::vector<std::string> pass_gets = extra.TakeDataGets();
+  for (std::size_t s = 0; s < fx.size(); ++s) {
+    for (const std::string& name : fx.shard(s).TakeDataGets()) {
+      pass_gets.push_back(name);
+    }
+  }
+  EXPECT_FALSE(pass_gets.empty());
+  for (const std::string& name : pass_gets) {
+    EXPECT_TRUE(moved.contains(name)) << name;
+  }
 
   // Every object still reads back, still has exactly R replicas, and the
   // new shard took over some arcs.
@@ -541,10 +687,7 @@ TEST(ClusterBackendTest, AddShardMigratesItsArcsAndPurgesNonOwners) {
   const ClusterCounters counters = c.counters();
   EXPECT_GT(counters.rebalance_objects_moved, 0u);
   EXPECT_GT(counters.rebalance_objects_purged, 0u);
-  // A membership change now runs an arc-bounded delta pass, not a full
-  // scan of every shard.
-  EXPECT_GT(counters.rebalance_delta_passes, 0u);
-  EXPECT_EQ(counters.rebalance_passes, 0u);
+  EXPECT_EQ(counters.rebalance_passes, 1u);
 }
 
 TEST(ClusterBackendTest, RemoveShardRestoresReplicationElsewhere) {
@@ -667,6 +810,49 @@ TEST(ClusterBackendTest, HandoffHintsDrainToTheReturnedOwner) {
   EXPECT_EQ(c.counters().read_repairs, 0u);
 }
 
+// A hint whose stand-in copy on the holder is corrupt has nothing to
+// replay: the drain drops it and deletes the marker, leaving the owner
+// untouched.
+TEST(ClusterBackendTest, HandoffDropsAHintWhoseHolderCopyIsCorrupt) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  // One key that shard-1 owns, written while shard-1 is down.
+  HashRing ring(64);
+  for (int s = 0; s < 3; ++s) ring.AddNode("shard-" + std::to_string(s));
+  std::string name;
+  for (int i = 0; name.empty(); ++i) {
+    const std::string candidate = "hc-" + std::to_string(i);
+    const auto owners = ring.Successors(candidate, 2);
+    if (std::find(owners.begin(), owners.end(), "shard-1") != owners.end()) {
+      name = candidate;
+    }
+  }
+  fx.shard(1).down->store(true);
+  const Bytes data{8, 8};
+  ASSERT_TRUE(c.Put(name, ByteSpan(data.data(), data.size())).ok());
+  ASSERT_EQ(c.counters().handoff_hints_recorded, 1u);
+  std::size_t holder = fx.size();
+  for (std::size_t s = 0; s < fx.size(); ++s) {
+    if (!fx.shard(s).mem->List(kHandoffHintPrefix).empty()) holder = s;
+  }
+  ASSERT_LT(holder, fx.size());
+
+  const Bytes junk{1, 2, 3, 4, 5, 6, 7, 8, 9};
+  ASSERT_TRUE(
+      fx.shard(holder).mem->Put(name, ByteSpan(junk.data(), junk.size())).ok());
+  fx.shard(1).down->store(false);
+  fx.AdvanceClock(60'000);
+  c.DrainHandoffNow();
+
+  const ClusterCounters counters = c.counters();
+  EXPECT_EQ(counters.handoff_hints_dropped, 1u);
+  EXPECT_EQ(counters.handoff_hints_replayed, 0u);
+  for (std::size_t s = 0; s < fx.size(); ++s) {
+    EXPECT_TRUE(fx.shard(s).mem->List(kHandoffHintPrefix).empty()) << s;
+  }
+  EXPECT_FALSE(fx.shard(1).mem->Exists(name));
+}
+
 // ---- delta rebalancing ------------------------------------------------------
 
 TEST(ClusterBackendTest, DeltaRebalanceTouchesOnlyMovedArcs) {
@@ -686,27 +872,31 @@ TEST(ClusterBackendTest, DeltaRebalanceTouchesOnlyMovedArcs) {
   for (int s = 0; s < 3; ++s) before.AddNode("shard-" + std::to_string(s));
   HashRing after = before;
   after.AddNode("shard-extra");
-  std::set<std::string> moved;
-  for (int i = 0; i < kKeys; ++i) {
-    const std::string name = "k" + std::to_string(i);
-    const auto b = before.Successors(name, 2);
-    const auto a = after.Successors(name, 2);
-    if (std::set<std::string>(b.begin(), b.end()) !=
-        std::set<std::string>(a.begin(), a.end())) {
-      moved.insert(name);
-    }
-  }
+  std::vector<std::string> keys;
+  for (int i = 0; i < kKeys; ++i) keys.push_back("k" + std::to_string(i));
+  const std::set<std::string> moved = KeysWithNewOwners(before, after, keys);
   ASSERT_FALSE(moved.empty());
   ASSERT_LT(moved.size(), static_cast<std::size_t>(kKeys)); // some untouched
 
   TestShard extra;
   extra.id = "shard-extra";
   ASSERT_TRUE(c.AddShard(extra.spec()).ok());
+  for (std::size_t s = 0; s < fx.size(); ++s) fx.shard(s).TakeDataGets();
   c.RebalanceNow();
 
+  // The arc bound: the pass read only keys in moved arcs — on every
+  // shard, including the new one.
+  std::set<std::string> read;
+  for (const std::string& name : extra.TakeDataGets()) read.insert(name);
+  for (std::size_t s = 0; s < fx.size(); ++s) {
+    for (const std::string& name : fx.shard(s).TakeDataGets()) {
+      read.insert(name);
+    }
+  }
+  EXPECT_EQ(read, moved);
+
   const ClusterCounters counters = c.counters();
-  EXPECT_EQ(counters.rebalance_delta_passes, 1u);
-  EXPECT_EQ(counters.rebalance_passes, 0u);
+  EXPECT_EQ(counters.rebalance_passes, 1u);
   // The counter pin: copy RPCs were issued ONLY for keys in moved arcs —
   // one copy each, onto the new shard — and an untouched key never even
   // landed there.
@@ -841,6 +1031,14 @@ TEST(ClusterConfigTest, ParsesEndpointLists) {
   EXPECT_FALSE(SplitHostPort(":70", &host, &port));
   EXPECT_FALSE(SplitHostPort("h:", &host, &port));
   EXPECT_FALSE(SplitHostPort("h:99999", &host, &port));
+  EXPECT_FALSE(SplitHostPort("h:0", &host, &port));
+  EXPECT_FALSE(SplitHostPort("h:80abc", &host, &port));
+  EXPECT_FALSE(SplitHostPort("h:+80", &host, &port));
+  EXPECT_FALSE(SplitHostPort("h:-80", &host, &port));
+  EXPECT_FALSE(SplitHostPort("h: 80", &host, &port));
+  EXPECT_FALSE(SplitHostPort("h:080080", &host, &port));
+  ASSERT_TRUE(SplitHostPort("h:65535", &host, &port));
+  EXPECT_EQ(port, 65535);
 }
 
 TEST(ClusterConfigTest, CreateValidatesItsInputs) {
