@@ -1097,73 +1097,14 @@ void ClusterAblation() {
   }
 }
 
-// Ablation 12: the streamed cluster write path. Phase A races the
-// buffered quorum put against the streaming fan-out across object sizes
-// and reports each mode's client-side buffering high-water (the gauge the
-// O(window) bound pins — the streamed put must hold only the fixed
-// envelope header; sizes stop at 32 MiB, under the 64 MiB object cap).
-// Phase B prices a membership change: the arc-bounded delta pass an
-// AddShard queues vs the full every-shard scan, in wall time and copy/RPC
-// counters. Phase C measures the repair window for writes a dead shard
-// slept through: hinted-handoff drain vs a full rebalance pass. Emits
-// BENCH_stream.json; aborts if the streamed put buffers more than a
-// window's worth client-side.
+// Ablation 12: cluster convergence. Phase B prices a membership change:
+// the arc-bounded delta pass an AddShard queues vs the full every-shard
+// scan, in wall time and copy/RPC counters. Phase C measures the repair
+// window for writes a dead shard slept through: hinted-handoff drain vs a
+// full rebalance pass. Emits BENCH_stream.json.
 void StreamAblation() {
-  PrintHeader(
-      "Ablation 12: streaming puts, delta rebalance, hinted handoff");
-
-  // ---- phase A: streamed vs buffered put across object sizes
-  constexpr std::size_t kSegment = 256 * 1024;
+  PrintHeader("Ablation 12: delta rebalance, hinted handoff");
   crypto::HmacDrbg rng(AsBytes("stream-ablation"));
-  const Bytes segment = rng.Generate(kSegment);
-  struct SizeRow {
-    std::size_t mib = 0;
-    double buffered_s = 0, streamed_s = 0;
-    unsigned long long buffered_hw = 0, streamed_hw = 0;
-  };
-  std::vector<SizeRow> size_rows;
-  std::printf("%-10s %12s %14s %12s %14s\n", "object", "buffered",
-              "buffered peak", "streamed", "streamed peak");
-  for (const std::size_t mib : {1u, 8u, 32u}) {
-    const std::size_t segments = mib * 1024 * 1024 / kSegment;
-    SizeRow row;
-    row.mib = mib;
-    for (const bool streamed : {true, false}) {
-      ClusterFleet fleet(3);
-      cluster::ClusterBackend& c = *fleet.cluster;
-      const std::uint64_t t0 = MonotonicNanos();
-      auto stream = streamed ? c.OpenUnbufferedPutStream("obj")
-                             : c.OpenPutStream("obj");
-      Abort(stream.status(), "open put stream");
-      for (std::size_t s = 0; s < segments; ++s) {
-        Abort((*stream)->Append(segment), "append");
-      }
-      Abort((*stream)->Commit(), "commit");
-      const double wall =
-          static_cast<double>(MonotonicNanos() - t0) * 1e-9;
-      const unsigned long long high_water =
-          c.counters().stream_put_buffered_high_water_bytes;
-      if (c.counters().quorum_failures != 0) {
-        Abort(Error(ErrorCode::kInternal, "streamed put lost quorum"),
-              "stream put");
-      }
-      (streamed ? row.streamed_s : row.buffered_s) = wall;
-      (streamed ? row.streamed_hw : row.buffered_hw) = high_water;
-    }
-    std::printf("%3zu MiB    %10.3fs %13lluB %10.3fs %13lluB\n", mib,
-                row.buffered_s, row.buffered_hw, row.streamed_s,
-                row.streamed_hw);
-    size_rows.push_back(row);
-  }
-  for (const SizeRow& row : size_rows) {
-    // The acceptance bound: the streamed path's client-side buffering is
-    // the envelope header, not the object — reject anything past a frame.
-    if (row.streamed_hw > 4096) {
-      Abort(Error(ErrorCode::kInternal,
-                  "streamed put buffered O(object) client-side"),
-            "stream high-water");
-    }
-  }
 
   // ---- phase B: rebalance cost after AddShard — delta pass vs full scan
   constexpr std::size_t kRebalanceObjects = 512;
@@ -1248,26 +1189,10 @@ void StreamAblation() {
 
   std::FILE* json = std::fopen("BENCH_stream.json", "w");
   if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"workload\": \"stream\",\n  \"segment_bytes\": %zu,\n"
-                 "  \"put\": [\n",
-                 kSegment);
-    for (std::size_t i = 0; i < size_rows.size(); ++i) {
-      const SizeRow& r = size_rows[i];
-      const double object_mib = static_cast<double>(r.mib);
-      std::fprintf(
-          json,
-          "    {\"object_mib\": %zu, \"buffered_s\": %.6f, "
-          "\"buffered_mib_s\": %.2f, \"buffered_high_water_bytes\": %llu, "
-          "\"streamed_s\": %.6f, \"streamed_mib_s\": %.2f, "
-          "\"streamed_high_water_bytes\": %llu}%s\n",
-          r.mib, r.buffered_s, object_mib / r.buffered_s, r.buffered_hw,
-          r.streamed_s, object_mib / r.streamed_s, r.streamed_hw,
-          i + 1 < size_rows.size() ? "," : "");
-    }
+    std::fprintf(json, "{\n  \"workload\": \"stream\",\n");
     std::fprintf(
         json,
-        "  ],\n  \"rebalance\": {\"objects\": %zu, \"delta\": "
+        "  \"rebalance\": {\"objects\": %zu, \"delta\": "
         "{\"wall_s\": %.6f, \"scanned\": %llu, \"moved\": %llu, "
         "\"moved_fraction\": %.4f, \"bytes_moved\": %llu, "
         "\"shard_rpcs\": %llu}, \"full\": {\"wall_s\": %.6f, "

@@ -181,44 +181,15 @@ bool SplitHostPort(const std::string& endpoint, std::string* host,
 
 // ---- put streams ------------------------------------------------------------
 
-// Default streamed put: buffers client-side and commits through the
-// quorum Put, so the atomicity story ("readers see old or new, never a
-// prefix") holds per replica exactly as it does for a plain Put — and a
-// mid-stream transport blip costs nothing, the buffered bytes just go
-// out on the retry. The price is O(object) client memory.
-class BufferedClusterPutStream final
-    : public storage::StorageBackend::PutStream {
- public:
-  BufferedClusterPutStream(ClusterBackend& parent, std::string name)
-      : parent_(parent), name_(std::move(name)) {}
-
-  Status Append(ByteSpan data) override {
-    if (buf_.size() + data.size() > net::kMaxObjectBytes) {
-      return Error(ErrorCode::kInvalidArgument, "streamed object too large");
-    }
-    nexus::Append(buf_, data);
-    parent_.GaugeMax(&ClusterCounters::stream_put_buffered_high_water_bytes,
-                     buf_.size());
-    return Status::Ok();
-  }
-
-  Status Commit() override {
-    return parent_.Put(name_, ByteSpan(buf_.data(), buf_.size()));
-  }
-
-  void Abort() override { buf_.clear(); }
-
- private:
-  ClusterBackend& parent_;
-  std::string name_;
-  Bytes buf_;
-};
-
-// Streaming replicated put (OpenUnbufferedPutStream): every appended
-// segment fans out immediately to one pipelined wire stream per replica,
-// so the client retains only the envelope header — peak memory is the
-// in-flight window of the underlying mux streams, independent of object
-// size — and upload overlaps whatever is producing the bytes.
+// The replicated streamed put. It holds a copy of the first appended
+// segment, because one whole-object Put per replica is the cheapest way
+// to store a one-segment object: a Commit with zero or one segment sends
+// it as one quorum Put — the same RPCs, hints and stripe locking as a
+// plain Put. The second Append opens one pipelined wire stream per
+// replica, sends the held segment, frees it and fans out every later
+// segment immediately, so the client retains at most one segment plus
+// the envelope header — independent of object size — and upload
+// overlaps whatever is producing the bytes.
 //
 // Placement mirrors QuorumWriteLocked's sloppy quorum at STREAM-OPEN
 // time: unavailable owners are slid past onto the next successors (a
@@ -228,13 +199,12 @@ class BufferedClusterPutStream final
 // the object's stripe lock; owners that missed the stream — slid past
 // at open, lost mid-put, or failed at commit — get a durable handoff
 // hint on a committed replica, which holds the full payload.
-class StreamingClusterPutStream final
-    : public storage::StorageBackend::PutStream {
+class ClusterPutStream final : public storage::StorageBackend::PutStream {
  public:
-  StreamingClusterPutStream(ClusterBackend& parent, std::string name)
+  ClusterPutStream(ClusterBackend& parent, std::string name)
       : parent_(parent), name_(std::move(name)) {}
 
-  ~StreamingClusterPutStream() override {
+  ~ClusterPutStream() override {
     if (!finished_) Abort();
   }
 
@@ -243,11 +213,25 @@ class StreamingClusterPutStream final
       return Error(ErrorCode::kInvalidArgument,
                    "append on finished stream: " + name_);
     }
-    if (!begun_) NEXUS_RETURN_IF_ERROR(Begin());
     if (header_.size() + total_bytes_ + data.size() > net::kMaxObjectBytes) {
       return Error(ErrorCode::kInvalidArgument, "streamed object too large");
     }
     total_bytes_ += data.size();
+    if (++segments_ == 1) {
+      held_ = ToBytes(data);
+      parent_.GaugeMax(&ClusterCounters::stream_put_buffered_high_water_bytes,
+                       held_.size());
+      return Status::Ok();
+    }
+    if (segments_ == 2) {
+      const Status begun = Begin();
+      if (!begun.ok()) {
+        Abort();
+        return begun;
+      }
+      FanOut(held_);
+      Bytes().swap(held_);
+    }
     FanOut(data);
     if (replicas_.size() < needed_) {
       finished_ = true;
@@ -256,10 +240,6 @@ class StreamingClusterPutStream final
       return Error(ErrorCode::kIOError,
                    "write quorum lost mid-stream: " + name_);
     }
-    // The cluster layer itself holds only the header; the segment is
-    // caller-owned and the wire streams retain nothing after send.
-    parent_.GaugeMax(&ClusterCounters::stream_put_buffered_high_water_bytes,
-                     header_.size());
     return Status::Ok();
   }
 
@@ -268,15 +248,8 @@ class StreamingClusterPutStream final
       return Error(ErrorCode::kInvalidArgument,
                    "commit on finished stream: " + name_);
     }
-    if (!begun_) {
-      // Zero-byte object: open the replica streams now.
-      const Status begun = Begin();
-      if (!begun.ok()) {
-        finished_ = true;
-        return begun;
-      }
-    }
     finished_ = true;
+    if (segments_ <= 1) return parent_.Put(name_, held_);
     const std::lock_guard<std::mutex> lock(parent_.StripeFor(name_));
     std::size_t acks = 0;
     std::set<std::string> committed;
@@ -328,9 +301,8 @@ class StreamingClusterPutStream final
 
   /// Draws the version, encodes the stream header and opens up to R
   /// replica streams along the preference list, sliding past unavailable
-  /// shards exactly like the buffered quorum write.
+  /// shards exactly like the quorum Put.
   Status Begin() {
-    begun_ = true;
     parent_.Bump(&ClusterCounters::quorum_writes);
     Envelope env;
     env.version = parent_.DrawVersion();
@@ -345,14 +317,13 @@ class StreamingClusterPutStream final
       return Error(ErrorCode::kIOError, "cluster has no shards");
     }
     const std::size_t owner_count = std::min(parent_.replication_, prefs.size());
-    const std::size_t target = owner_count;
-    for (std::size_t i = 0; i < prefs.size() && replicas_.size() < target;
+    for (std::size_t i = 0; i < prefs.size() && replicas_.size() < owner_count;
          ++i) {
       ClusterBackend::Shard& shard = *prefs[i];
       if (i < owner_count) owner_ids_.push_back(shard.id);
       if (!parent_.ShardAvailable(shard)) continue;
       parent_.Bump(&ClusterCounters::shard_rpcs);
-      auto opened = shard.backend->OpenUnbufferedPutStream(name_);
+      auto opened = shard.backend->OpenPutStream(name_);
       if (!opened.ok()) {
         parent_.Bump(&ClusterCounters::shard_failures);
         parent_.RecordShardOutcome(shard, false);
@@ -408,12 +379,13 @@ class StreamingClusterPutStream final
 
   ClusterBackend& parent_;
   std::string name_;
-  Bytes header_;
+  Bytes held_;   // the first segment, until the second arrives
+  Bytes header_; // stream envelope header, once the replicas open
   std::vector<Replica> replicas_;
   std::vector<std::string> owner_ids_; // true ring owners at Begin()
   std::size_t needed_ = 0;
   std::size_t total_bytes_ = 0;
-  bool begun_ = false;
+  std::size_t segments_ = 0;
   bool finished_ = false;
 };
 
@@ -1047,13 +1019,7 @@ std::vector<Result<Bytes>> ClusterBackend::MultiGet(
 Result<std::unique_ptr<storage::StorageBackend::PutStream>>
 ClusterBackend::OpenPutStream(const std::string& name) {
   return std::unique_ptr<PutStream>(
-      std::make_unique<BufferedClusterPutStream>(*this, name));
-}
-
-Result<std::unique_ptr<storage::StorageBackend::PutStream>>
-ClusterBackend::OpenUnbufferedPutStream(const std::string& name) {
-  return std::unique_ptr<PutStream>(
-      std::make_unique<StreamingClusterPutStream>(*this, name));
+      std::make_unique<ClusterPutStream>(*this, name));
 }
 
 // ---- membership -------------------------------------------------------------

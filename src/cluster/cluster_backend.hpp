@@ -165,14 +165,12 @@ class ClusterBackend final : public storage::StorageBackend {
   std::vector<std::string> List(const std::string& prefix) override;
   std::vector<Result<Bytes>> MultiGet(
       const std::vector<std::string>& names) override;
+  /// Replicated streamed put. Zero or one segment commits as one quorum
+  /// Put; the second segment opens one pipelined wire stream per replica
+  /// and fans out from then on, so the client holds at most one segment.
+  /// Quorum is evaluated at Commit (straggler replica streams are
+  /// aborted); an owner that missed the stream gets a handoff hint.
   Result<std::unique_ptr<PutStream>> OpenPutStream(
-      const std::string& name) override;
-  /// Streaming replicated put: each appended segment fans out to every
-  /// replica's pipelined wire stream immediately, so client memory stays
-  /// O(in-flight window) instead of O(object) and upload overlaps the
-  /// producer. Quorum is evaluated at Commit (straggler replica streams
-  /// are aborted); an owner that missed the stream gets a handoff hint.
-  Result<std::unique_ptr<PutStream>> OpenUnbufferedPutStream(
       const std::string& name) override;
 
   // ---- membership -----------------------------------------------------------
@@ -217,8 +215,7 @@ class ClusterBackend final : public storage::StorageBackend {
   [[nodiscard]] std::size_t read_quorum() const noexcept { return read_quorum_; }
 
  private:
-  friend class BufferedClusterPutStream;
-  friend class StreamingClusterPutStream;
+  friend class ClusterPutStream;
 
   struct Shard {
     std::string id;

@@ -37,11 +37,12 @@ struct ClusterCounters {
   std::uint64_t handoff_hints_replayed = 0;
   std::uint64_t handoff_hints_dropped = 0; // superseded or unreadable
 
-  // Streaming replicated puts.
+  // Streamed puts. Only those of two or more segments fan out through
+  // replica streams and count here; shorter ones commit as a quorum Put.
   std::uint64_t stream_puts = 0;
   std::uint64_t stream_put_replica_aborts = 0; // replica streams lost mid-put
-  // High-water mark of bytes a single streamed put held buffered
-  // client-side (gauge) — the number the O(window) memory bound pins.
+  // High-water mark of bytes a single streamed put held client-side
+  // (gauge): its first segment, which the one-segment bound pins.
   std::uint64_t stream_put_buffered_high_water_bytes = 0;
 
   // Health tracking.

@@ -23,11 +23,6 @@ std::uint64_t Mix(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-/// Replayed stream segments go out in pieces this size — the same shape
-/// the enclave's pipelined writer produces, so the server's code path is
-/// identical for first transmission and replay.
-constexpr std::size_t kReplaySegmentBytes = 1u << 20;
-
 std::size_t EnvSize(const char* name, std::size_t fallback, bool* found) {
   if (found != nullptr) *found = false;
   const char* env = std::getenv(name);
@@ -875,242 +870,18 @@ NetCounters RemoteBackend::counters() const {
 
 // ---- streamed puts ----------------------------------------------------------
 
-// Client half of the streaming RPC. Keeps every appended byte so a broken
-// connection can restart the stream from scratch on a fresh one — the
-// server publishes nothing before Commit, so a replay can never produce a
-// partial object, only delay the atomic publish. The stream runs lock-step
-// on its own dedicated transport: its RPCs are stateful (the handle lives
-// on the server's connection), so it cannot share the multiplexed pool.
-class RemotePutStream final : public storage::StorageBackend::PutStream {
- public:
-  RemotePutStream(RemoteBackend& backend, std::string name)
-      : backend_(backend), name_(std::move(name)) {}
-
-  ~RemotePutStream() override {
-    if (!finished_) Abort();
-  }
-
-  Status Append(ByteSpan data) override {
-    if (finished_) {
-      return Error(ErrorCode::kInvalidArgument,
-                   "append on finished stream: " + name_);
-    }
-    nexus::Append(replay_, data);
-    if (conn_ != nullptr) {
-      Writer req = BeginRequest(Rpc::kStreamAppend);
-      req.U64(handle_);
-      req.Var(data);
-      Status verdict = Status::Ok();
-      auto ack = Exchange(req, &verdict);
-      if (ack.ok() && verdict.ok()) return Status::Ok();
-      DropConnection();
-    }
-    // First segment, or the connection just broke: (re)establish and
-    // replay everything buffered so far (current segment included).
-    return RestartWithRetries();
-  }
-
-  Status Commit() override {
-    if (finished_) {
-      return Error(ErrorCode::kInvalidArgument,
-                   "commit on finished stream: " + name_);
-    }
-    Status last = Error(ErrorCode::kIOError, "commit never attempted");
-    for (int attempt = 0; attempt < backend_.options_.max_attempts;
-         ++attempt) {
-      if (attempt > 0) {
-        backend_.CountRetry();
-        backend_.Backoff();
-      }
-      if (conn_ == nullptr) {
-        const Status restarted = Restart();
-        if (!restarted.ok()) {
-          last = restarted;
-          continue;
-        }
-      }
-      Writer req = BeginRequest(Rpc::kStreamCommit);
-      req.U64(handle_);
-      Status verdict = Status::Ok();
-      auto payload = Exchange(req, &verdict);
-      if (payload.ok()) {
-        // Well-formed server verdict: final, success or not.
-        finished_ = true;
-        DropConnection();
-        return verdict;
-      }
-      // Transport failure: the commit outcome is unknown. Re-running the
-      // whole stream and committing again is safe — publishing the same
-      // bytes twice is idempotent (last writer wins, identical content).
-      DropConnection();
-      last = payload.status();
-    }
-    finished_ = true;
-    return last;
-  }
-
-  void Abort() override {
-    if (finished_) return;
-    finished_ = true;
-    if (conn_ != nullptr) {
-      Writer req = BeginRequest(Rpc::kStreamAbort);
-      req.U64(handle_);
-      Status verdict = Status::Ok();
-      (void)Exchange(req, &verdict); // best effort; disconnect also aborts
-      DropConnection();
-    }
-    replay_.clear();
-  }
-
- private:
-  /// One request/response on the stream's dedicated connection. The OUTER
-  /// result is transport/protocol health (error => drop the connection);
-  /// on outer success `verdict` holds the server's authoritative answer
-  /// and the returned bytes are the response payload after the head.
-  /// Feeds the backend's failure streak: a delivered well-formed response
-  /// resets it, a transport failure grows it.
-  Result<Bytes> Exchange(const Writer& request, Status* verdict) {
-    auto exchanged = ExchangeInner(request, verdict);
-    if (exchanged.ok()) {
-      backend_.NoteSuccess();
-    } else {
-      backend_.NoteFailure();
-    }
-    return exchanged;
-  }
-
-  Result<Bytes> ExchangeInner(const Writer& request, Status* verdict) {
-    const std::uint64_t corr = RequestCorrelation(request.bytes());
-    trace::Span span(RpcName(RequestRpc(request.bytes())), "net.client");
-    span.SetCorrelation(corr);
-
-    const std::uint64_t start = MonotonicNanos();
-    NEXUS_RETURN_IF_ERROR(conn_->SendFrame(request.bytes()));
-    NEXUS_ASSIGN_OR_RETURN(Bytes response, conn_->RecvFrame());
-    Reader reader(response);
-    Status server = Status::Ok();
-    std::uint64_t echoed = 0;
-    NEXUS_RETURN_IF_ERROR(ParseResponseHead(reader, &server, &echoed));
-    if (echoed != corr) {
-      return Error(ErrorCode::kIOError,
-                   "correlation mismatch on stream connection");
-    }
-    const double ms = static_cast<double>(MonotonicNanos() - start) * 1e-6;
-    {
-      const std::lock_guard<std::mutex> lock(backend_.mu_);
-      ++backend_.counters_.rpcs;
-      backend_.counters_.bytes_sent += request.bytes().size() + 4;
-      backend_.counters_.bytes_received += response.size() + 4;
-    }
-    NetCounters delta;
-    delta.rpcs = 1;
-    delta.bytes_sent = request.bytes().size() + 4;
-    delta.bytes_received = response.size() + 4;
-    GlobalNetAdd(delta);
-    GlobalNetRecordLatencyMs(ms);
-    *verdict = std::move(server);
-    return reader.Raw(reader.Remaining());
-  }
-
-  void DropConnection() {
-    conn_.reset();
-    handle_ = 0;
-  }
-
-  /// Fresh connection + StreamBegin + full replay of the bytes so far.
-  /// Any failure (transport or server verdict) fails this attempt; the
-  /// caller's retry budget decides whether to try again.
-  Status Restart() {
-    DropConnection();
-    auto dialed = backend_.factory_();
-    if (!dialed.ok()) {
-      backend_.NoteFailure();
-      return dialed.status();
-    }
-    conn_ = std::move(dialed).value();
-
-    // Tie the stream connection to the lease session so the commit does
-    // not invalidate the writer's own cache. A server verdict error
-    // (stale session) is benign — the stream works unattached.
-    const std::uint64_t sid = backend_.lease_session();
-    if (sid != 0) {
-      Writer attach = BeginRequest(Rpc::kLeaseAttach);
-      attach.U64(sid);
-      Status attach_verdict = Status::Ok();
-      auto acked = Exchange(attach, &attach_verdict);
-      if (!acked.ok()) {
-        DropConnection();
-        return acked.status();
-      }
-    }
-
-    Writer begin = BeginRequest(Rpc::kStreamBegin);
-    begin.Str(name_);
-    Status verdict = Status::Ok();
-    auto payload = Exchange(begin, &verdict);
-    if (!payload.ok() || !verdict.ok()) {
-      DropConnection();
-      return payload.ok() ? verdict : payload.status();
-    }
-    Reader reader(payload.value());
-    auto handle = reader.U64();
-    if (!handle.ok()) {
-      DropConnection();
-      return Error(ErrorCode::kIOError, "malformed stream-begin response");
-    }
-    handle_ = handle.value();
-
-    for (std::size_t off = 0; off < replay_.size();
-         off += kReplaySegmentBytes) {
-      const std::size_t n =
-          std::min(kReplaySegmentBytes, replay_.size() - off);
-      Writer append = BeginRequest(Rpc::kStreamAppend);
-      append.U64(handle_);
-      append.Var(ByteSpan(replay_.data() + off, n));
-      Status segment_verdict = Status::Ok();
-      auto ack = Exchange(append, &segment_verdict);
-      if (!ack.ok() || !segment_verdict.ok()) {
-        DropConnection();
-        return ack.ok() ? segment_verdict : ack.status();
-      }
-    }
-    return Status::Ok();
-  }
-
-  Status RestartWithRetries() {
-    Status last = Error(ErrorCode::kIOError, "stream restart never attempted");
-    for (int attempt = 0; attempt < backend_.options_.max_attempts;
-         ++attempt) {
-      if (attempt > 0) {
-        backend_.CountRetry();
-        backend_.Backoff();
-      }
-      const Status restarted = Restart();
-      if (restarted.ok()) return Status::Ok();
-      last = restarted;
-    }
-    return last;
-  }
-
-  RemoteBackend& backend_;
-  std::string name_;
-  Bytes replay_;
-  std::unique_ptr<Transport> conn_;
-  std::uint64_t handle_ = 0;
-  bool finished_ = false;
-};
-
-// Pipelined client half of the streaming RPC for callers that cannot
-// afford O(object) client memory. Runs on its own dedicated mux
-// connection — stream handles are per-connection server state, so the
-// pooled connections cannot carry them — and keeps only the in-flight
-// window's verdict slots alive: each segment's request frame is written
-// to the socket inside Submit and never retained, so peak client memory
-// is one segment plus a window of small verdicts, independent of object
-// size. The price of dropping the replay buffer is that a broken
-// connection is FINAL: there is nothing to rebuild a fresh stream from,
-// so failure is reported to the caller and redundancy is the caller's
-// job (the cluster layer absorbs a lost replica through its quorum).
+// Client half of the streaming RPC: a pipelined stream on its own
+// dedicated mux connection — stream handles are per-connection server
+// state, so the pooled connections cannot carry them. Only the in-flight
+// window's verdict slots stay alive: each segment's request frame is
+// written to the socket inside Submit and never retained, so peak client
+// memory is one segment plus a window of small verdicts, independent of
+// object size. Nothing is kept to replay, so a broken connection is
+// FINAL: the stream fails with kIOError and the server, which publishes
+// nothing before a Commit it fully received, drops the partial object.
+// Whole-object RPCs keep their per-request retries; redundancy for
+// streams is the caller's job (the cluster absorbs a lost replica
+// through its quorum).
 //
 // Every append verdict is collected BEFORE the commit frame goes out.
 // The server executes per-connection stream ops in FIFO order but
@@ -1313,11 +1084,6 @@ class MuxPutStream final : public storage::StorageBackend::PutStream {
 
 Result<std::unique_ptr<storage::StorageBackend::PutStream>>
 RemoteBackend::OpenPutStream(const std::string& name) {
-  return std::unique_ptr<PutStream>(new RemotePutStream(*this, name));
-}
-
-Result<std::unique_ptr<storage::StorageBackend::PutStream>>
-RemoteBackend::OpenUnbufferedPutStream(const std::string& name) {
   return std::unique_ptr<PutStream>(new MuxPutStream(*this, name));
 }
 

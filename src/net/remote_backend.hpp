@@ -19,8 +19,8 @@
 //     one transient blip early in a connection's life doesn't inflate
 //     every later retry. Server VERDICTS inside a well-formed response
 //     are authoritative and never retried,
-//   * ambiguity resolution — all RPCs here are idempotent (Put/stream
-//     commit are last-writer-wins), so blind re-execution is safe. The
+//   * ambiguity resolution — every retried RPC is idempotent (Put is
+//     last-writer-wins), so blind re-execution is safe. The
 //     one wrinkle is Delete: if an earlier attempt's outcome is unknown
 //     and the retry says kNotFound, the delete DID happen — report Ok,
 //   * one wire version — every connection runs the full window from its
@@ -44,11 +44,13 @@
 //     to the session so the server can skip invalidating the writer's own
 //     cache.
 //
-// Streamed puts replay: the stream keeps the bytes appended so far, and a
-// transport failure at any point (including an ambiguous Commit) restarts
-// the whole stream — Begin, replayed segments, Commit — on a fresh
-// dedicated connection, preserving exactly-once-visible semantics because
-// the server publishes nothing until a Commit it fully received.
+// Streamed puts are pipelined, not replayed: OpenPutStream opens a
+// dedicated mux connection, keeps up to a window of segments in flight
+// and retains none once it hits the socket. A transport failure at any
+// point fails the stream with kIOError; the server publishes nothing
+// until a Commit it fully received, so a broken stream never leaves a
+// partial object. Whole-object RPCs keep the per-request retries above;
+// a stream's redundancy is its caller's job (the cluster's quorum).
 #pragma once
 
 #include <atomic>
@@ -137,16 +139,10 @@ class RemoteBackend final : public storage::StorageBackend {
   /// One kListPage round trip.
   ListPage ListSome(const std::string& prefix, const std::string& start_after,
                     std::size_t limit) override;
+  /// Pipelined multi-append stream on a dedicated mux connection: client
+  /// memory is O(window), not O(object), and a transport failure fails
+  /// the stream permanently (see the header comment).
   Result<std::unique_ptr<PutStream>> OpenPutStream(
-      const std::string& name) override;
-  /// Pipelined multi-append stream on a dedicated mux connection: keeps up
-  /// to a window of segments in flight and retains NOTHING
-  /// after a segment hits the socket, so client memory is O(window), not
-  /// O(object). No replay buffer means a transport failure mid-stream
-  /// fails the stream permanently — callers with their own redundancy
-  /// (the cluster's quorum commit) take this; everyone else keeps the
-  /// replaying OpenPutStream.
-  Result<std::unique_ptr<PutStream>> OpenUnbufferedPutStream(
       const std::string& name) override;
   std::vector<Result<Bytes>> MultiGet(
       const std::vector<std::string>& names) override;
@@ -171,7 +167,6 @@ class RemoteBackend final : public storage::StorageBackend {
   [[nodiscard]] std::uint64_t lease_session() const noexcept;
 
  private:
-  friend class RemotePutStream;
   friend class MuxPutStream;
 
   /// One RPC through the mux with per-request retry/reconnect/backoff.

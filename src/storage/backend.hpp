@@ -54,21 +54,21 @@ class StorageBackend {
     virtual void Abort() = 0;
   };
 
-  /// Opens a segmented Put of `name`. The default implementation buffers
-  /// and delegates to Put() at commit (atomic for in-memory stores);
-  /// DiskBackend overrides it to spill segments straight to its temp file
-  /// so a large streamed object never needs a second in-memory copy.
+  /// Opens a segmented Put of `name`; each backend has exactly one
+  /// stream and owns its failure policy. The default implementation
+  /// buffers and delegates to Put() at commit (atomic for in-memory
+  /// stores); DiskBackend spills segments straight to its temp file so a
+  /// large streamed object never needs a second in-memory copy;
+  /// RemoteBackend pipelines segments over a dedicated connection and
+  /// fails the stream on a transport error; ClusterBackend holds the
+  /// first segment and fans out to per-replica streams from the second.
   virtual Result<std::unique_ptr<PutStream>> OpenPutStream(
       const std::string& name);
 
-  /// Opens a segmented Put that does NOT retain already-sent segments for
-  /// replay, so the caller's memory stays bounded by the in-flight window
-  /// rather than the object size. The trade is weaker failure recovery: a
-  /// transport-level failure mid-stream fails the stream permanently
-  /// instead of transparently restarting it (callers with their own
-  /// redundancy — a replicated cluster — prefer that). The default is the
-  /// plain OpenPutStream; RemoteBackend overrides it with a pipelined
-  /// multi-append stream over its RPC mux.
+  /// Forwarder to OpenPutStream; do not call or override it. Nothing in
+  /// src/ overrides it: it exists only because the full-stack
+  /// benchmark's probe wrapper (nexus_bench) overrides it, and goes away
+  /// together with that override. CI fails if any other code names it.
   virtual Result<std::unique_ptr<PutStream>> OpenUnbufferedPutStream(
       const std::string& name) {
     return OpenPutStream(name);

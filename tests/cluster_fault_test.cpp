@@ -291,7 +291,7 @@ TEST(ClusterFault, KillReplicaMidStreamingPutCommitsQuorumAndDrainsHint) {
     for (std::size_t j = 0; j < kSegment; ++j) seg[j] = StreamByte(off++);
   };
 
-  auto stream = c.OpenUnbufferedPutStream("streamed").value();
+  auto stream = c.OpenPutStream("streamed").value();
   for (int i = 0; i < 4; ++i) {
     fill();
     ASSERT_TRUE(stream->Append(ByteSpan(seg.data(), seg.size())).ok()) << i;
@@ -344,8 +344,7 @@ TEST(ClusterFault, SwallowedStreamVerdictsStayExactAndDrainClean) {
   constexpr int kSegments = 4;
   Bytes seg(kSegment);
   for (int i = 0; i < kObjects; ++i) {
-    auto stream =
-        c.OpenUnbufferedPutStream("s-" + std::to_string(i)).value();
+    auto stream = c.OpenPutStream("s-" + std::to_string(i)).value();
     for (int k = 0; k < kSegments; ++k) {
       const std::size_t base = (i * kSegments + k) * kSegment;
       for (std::size_t j = 0; j < kSegment; ++j) {
@@ -440,8 +439,8 @@ TEST(ClusterSmokeEnv, ReadbackPhase) {
   EXPECT_EQ(c.counters().quorum_failures, 0u);
 }
 
-// Streams one large object through OpenUnbufferedPutStream and pins the
-// client's peak RSS: the put must stay O(window), not O(object). CI sets
+// Streams one large object through OpenPutStream and pins the client's
+// peak RSS: the put must stay O(segment + window), not O(object). CI sets
 // NEXUS_SMOKE_RSS_CAP_MB as a hard cap; the byte-identical readback runs
 // AFTER the RSS sample so the Get's materialization cannot mask a
 // buffering regression in the put path.
@@ -457,7 +456,7 @@ TEST(ClusterSmokeEnv, StreamingPutUnderMemoryCap) {
   constexpr std::size_t kSegment = 256 * 1024;
   constexpr std::size_t kSegments = 192; // 48 MiB object
   Bytes seg(kSegment);
-  auto stream = c.OpenUnbufferedPutStream("smoke-large").value();
+  auto stream = c.OpenPutStream("smoke-large").value();
   for (std::size_t k = 0; k < kSegments; ++k) {
     for (std::size_t j = 0; j < kSegment; ++j) {
       seg[j] = StreamByte(k * kSegment + j);

@@ -26,6 +26,13 @@ struct GetLog {
   std::vector<std::string> names;
 };
 
+// How many operations reached a shard: all of them, and two kinds apart.
+struct ShardCalls {
+  std::atomic<std::uint64_t> all{0};
+  std::atomic<std::uint64_t> puts{0};
+  std::atomic<std::uint64_t> stream_opens{0};
+};
+
 // A MemBackend behind a kill switch: while down, every operation fails
 // like a dead TCP peer (kIOError / empty), which is exactly what the
 // cluster's health tracker keys on.
@@ -33,13 +40,13 @@ class SwitchableBackend final : public storage::StorageBackend {
  public:
   SwitchableBackend(std::shared_ptr<storage::MemBackend> inner,
                     std::shared_ptr<std::atomic<bool>> down,
-                    std::shared_ptr<std::atomic<std::uint64_t>> calls,
+                    std::shared_ptr<ShardCalls> calls,
                     std::shared_ptr<GetLog> gets)
       : inner_(std::move(inner)), down_(std::move(down)),
         calls_(std::move(calls)), gets_(std::move(gets)) {}
 
   Result<Bytes> Get(const std::string& name) override {
-    calls_->fetch_add(1);
+    calls_->all.fetch_add(1);
     {
       const std::lock_guard<std::mutex> lock(gets_->mu);
       gets_->names.push_back(name);
@@ -48,22 +55,23 @@ class SwitchableBackend final : public storage::StorageBackend {
     return inner_->Get(name);
   }
   Status Put(const std::string& name, ByteSpan data) override {
-    calls_->fetch_add(1);
+    calls_->all.fetch_add(1);
+    calls_->puts.fetch_add(1);
     if (down_->load()) return Error(ErrorCode::kIOError, "shard down");
     return inner_->Put(name, data);
   }
   Status Delete(const std::string& name) override {
-    calls_->fetch_add(1);
+    calls_->all.fetch_add(1);
     if (down_->load()) return Error(ErrorCode::kIOError, "shard down");
     return inner_->Delete(name);
   }
   bool Exists(const std::string& name) override {
-    calls_->fetch_add(1);
+    calls_->all.fetch_add(1);
     if (down_->load()) return false;
     return inner_->Exists(name);
   }
   std::vector<std::string> List(const std::string& prefix) override {
-    calls_->fetch_add(1);
+    calls_->all.fetch_add(1);
     if (down_->load()) return {};
     return inner_->List(prefix);
   }
@@ -71,7 +79,8 @@ class SwitchableBackend final : public storage::StorageBackend {
       const std::string& name) override {
     // Fail at OPEN when down, like a dead TCP peer refusing the dial —
     // the streaming cluster put keys its slide-past on exactly that.
-    calls_->fetch_add(1);
+    calls_->all.fetch_add(1);
+    calls_->stream_opens.fetch_add(1);
     if (down_->load()) return Error(ErrorCode::kIOError, "shard down");
     return inner_->OpenPutStream(name);
   }
@@ -79,7 +88,7 @@ class SwitchableBackend final : public storage::StorageBackend {
  private:
   std::shared_ptr<storage::MemBackend> inner_;
   std::shared_ptr<std::atomic<bool>> down_;
-  std::shared_ptr<std::atomic<std::uint64_t>> calls_;
+  std::shared_ptr<ShardCalls> calls_;
   std::shared_ptr<GetLog> gets_;
 };
 
@@ -90,8 +99,7 @@ struct TestShard {
       std::make_shared<storage::MemBackend>();
   std::shared_ptr<std::atomic<bool>> down =
       std::make_shared<std::atomic<bool>>(false);
-  std::shared_ptr<std::atomic<std::uint64_t>> calls =
-      std::make_shared<std::atomic<std::uint64_t>>(0);
+  std::shared_ptr<ShardCalls> calls = std::make_shared<ShardCalls>();
   std::shared_ptr<GetLog> gets = std::make_shared<GetLog>();
 
   ShardSpec spec() const {
@@ -164,6 +172,13 @@ class ClusterFixture {
     for (TestShard& s : shards_) {
       if (s.mem->Exists(name)) ++n;
     }
+    return n;
+  }
+
+  /// One ShardCalls field summed over every shard.
+  std::uint64_t TotalCalls(std::atomic<std::uint64_t> ShardCalls::*field) {
+    std::uint64_t n = 0;
+    for (TestShard& s : shards_) n += ((*s.calls).*field).load();
     return n;
   }
 
@@ -485,17 +500,17 @@ TEST(ClusterBackendTest, EjectionAndBackoffGatedReinstatement) {
 
   // While ejected and inside the backoff window, ops fail WITHOUT
   // touching the shard at all.
-  const std::uint64_t calls_before = fx.shard(0).calls->load();
+  const std::uint64_t calls_before = fx.shard(0).calls->all.load();
   EXPECT_FALSE(c.Put("k", ByteSpan(data.data(), data.size())).ok());
-  EXPECT_EQ(fx.shard(0).calls->load(), calls_before);
+  EXPECT_EQ(fx.shard(0).calls->all.load(), calls_before);
 
   // A failed probe after the backoff expires doubles the wait.
   fx.AdvanceClock(150);
   EXPECT_FALSE(c.Put("k", ByteSpan(data.data(), data.size())).ok());
   fx.AdvanceClock(150); // 100 * 2^1 = 200ms still pending
-  const std::uint64_t calls_mid = fx.shard(0).calls->load();
+  const std::uint64_t calls_mid = fx.shard(0).calls->all.load();
   EXPECT_FALSE(c.Put("k", ByteSpan(data.data(), data.size())).ok());
-  EXPECT_EQ(fx.shard(0).calls->load(), calls_mid); // gated, no probe
+  EXPECT_EQ(fx.shard(0).calls->all.load(), calls_mid); // gated, no probe
 
   // Shard recovers; once the backoff expires one probe reinstates it.
   fx.shard(0).down->store(false);
@@ -719,7 +734,7 @@ TEST(ClusterBackendTest, StreamingPutReplicatesAndBoundsClientBuffering) {
   ClusterFixture fx(3);
   ClusterBackend& c = fx.cluster();
 
-  auto stream = c.OpenUnbufferedPutStream("big").value();
+  auto stream = c.OpenPutStream("big").value();
   Bytes expect;
   for (int seg = 0; seg < 16; ++seg) {
     const Bytes chunk(4096, static_cast<std::uint8_t>(seg));
@@ -735,22 +750,78 @@ TEST(ClusterBackendTest, StreamingPutReplicatesAndBoundsClientBuffering) {
   EXPECT_EQ(counters.stream_puts, 1u);
   EXPECT_EQ(counters.quorum_failures, 0u);
   EXPECT_EQ(counters.handoff_hints_recorded, 0u);
-  // The O(window) bound: across a 64 KiB object the cluster layer never
-  // buffered more than the fixed-size envelope header.
-  EXPECT_GT(counters.stream_put_buffered_high_water_bytes, 0u);
-  EXPECT_LT(counters.stream_put_buffered_high_water_bytes, 64u);
+  // The one-segment bound: across a 64 KiB object the cluster layer
+  // held exactly the first 4 KiB segment, until the second arrived.
+  EXPECT_EQ(counters.stream_put_buffered_high_water_bytes, 4096u);
 
   // A zero-byte streamed object commits too.
-  auto empty = c.OpenUnbufferedPutStream("empty").value();
+  auto empty = c.OpenPutStream("empty").value();
   ASSERT_TRUE(empty->Commit().ok());
   EXPECT_EQ(c.Get("empty").value(), Bytes{});
 
   // An aborted stream leaves no trace.
-  auto aborted = c.OpenUnbufferedPutStream("aborted").value();
+  auto aborted = c.OpenPutStream("aborted").value();
   const Bytes junk{1, 2, 3};
   ASSERT_TRUE(aborted->Append(ByteSpan(junk.data(), junk.size())).ok());
   aborted->Abort();
   EXPECT_EQ(c.Get("aborted").status().code(), ErrorCode::kNotFound);
+}
+
+// A stream of zero or one segment is stored exactly like a plain Put: one
+// quorum write of whole-object shard Puts, and no replica stream at all.
+TEST(ClusterBackendTest, ShortStreamCommitsAsOneQuorumPut) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  const Bytes segment(100, 9);
+  for (const bool empty : {true, false}) {
+    const std::string name = empty ? "zero" : "one";
+    const ClusterCounters before = c.counters();
+    const std::uint64_t puts = fx.TotalCalls(&ShardCalls::puts);
+    const std::uint64_t opens = fx.TotalCalls(&ShardCalls::stream_opens);
+
+    auto stream = c.OpenPutStream(name).value();
+    if (!empty) {
+      ASSERT_TRUE(stream->Append(segment).ok());
+    }
+    ASSERT_TRUE(stream->Commit().ok());
+
+    const ClusterCounters d = c.counters() - before;
+    EXPECT_EQ(d.quorum_writes, 1u) << name;
+    EXPECT_EQ(d.stream_puts, 0u) << name;
+    EXPECT_EQ(fx.TotalCalls(&ShardCalls::puts) - puts, c.replication())
+        << name;
+    EXPECT_EQ(fx.TotalCalls(&ShardCalls::stream_opens), opens) << name;
+    EXPECT_EQ(c.Get(name).value(), empty ? Bytes{} : segment) << name;
+    EXPECT_EQ(fx.ReplicaCount(name), 2u) << name;
+  }
+}
+
+// The second segment switches the put to replica streams: both owners
+// receive the held first segment and everything after it.
+TEST(ClusterBackendTest, SecondSegmentFansOutThroughReplicaStreams) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  const Bytes first(100, 1);
+  const Bytes second(50, 2);
+  const ClusterCounters before = c.counters();
+  const std::uint64_t puts = fx.TotalCalls(&ShardCalls::puts);
+
+  auto stream = c.OpenPutStream("two").value();
+  ASSERT_TRUE(stream->Append(first).ok());
+  ASSERT_TRUE(stream->Append(second).ok());
+  ASSERT_TRUE(stream->Commit().ok());
+
+  const ClusterCounters d = c.counters() - before;
+  EXPECT_EQ(d.stream_puts, 1u);
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::puts), puts);
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::stream_opens), c.replication());
+  Bytes expect = first;
+  expect.insert(expect.end(), second.begin(), second.end());
+  ASSERT_EQ(fx.ReplicaCount("two"), 2u);
+  for (std::size_t i = 0; i < fx.size(); ++i) {
+    if (!fx.shard(i).mem->Exists("two")) continue;
+    EXPECT_EQ(fx.ReplicaEnvelope(i, "two").payload, expect) << i;
+  }
 }
 
 // ---- hinted handoff ---------------------------------------------------------
@@ -763,11 +834,12 @@ TEST(ClusterBackendTest, HandoffHintsDrainToTheReturnedOwner) {
   ClusterBackend& c = fx.cluster();
   fx.shard(1).down->store(true);
 
-  // Streamed writes slide past the dead owner (sloppy quorum) and leave
-  // a durable hint for it beside a committed replica.
+  // One-segment streamed writes commit as quorum Puts: they slide past
+  // the dead owner (sloppy quorum) and leave a durable hint for it
+  // beside a committed replica.
   for (int i = 0; i < 40; ++i) {
     const Bytes data{static_cast<std::uint8_t>(i), 42};
-    auto stream = c.OpenUnbufferedPutStream("h-" + std::to_string(i)).value();
+    auto stream = c.OpenPutStream("h-" + std::to_string(i)).value();
     ASSERT_TRUE(stream->Append(ByteSpan(data.data(), data.size())).ok()) << i;
     ASSERT_TRUE(stream->Commit().ok()) << i;
   }

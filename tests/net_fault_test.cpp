@@ -176,9 +176,9 @@ TEST(NetFault, MixedFaultStormNeverCorrupts) {
   EXPECT_LT(failures, 10); // the retry budget absorbs almost everything
 }
 
-// Streamed put under faults: any transport failure restarts the whole
-// stream on a fresh connection; the committed object is always the full
-// byte sequence, never a partial replay.
+// Streamed put under faults: a transport failure fails the stream for
+// good (nothing is replayed), so the put either commits the full byte
+// sequence or publishes nothing — never a prefix.
 TEST(NetFault, StreamedPutSurvivesFaultsOrFailsWithoutPartialObject) {
   FaultSpec spec;
   spec.truncate = 0.10;
@@ -211,6 +211,61 @@ TEST(NetFault, StreamedPutSurvivesFaultsOrFailsWithoutPartialObject) {
     EXPECT_EQ(scenario.store().Get("streamed").value(), want);
   }
   EXPECT_GT(scenario.fault_stats().injected(), 0u);
+}
+
+/// Forwards to a TcpTransport that the test can also reach, so it can
+/// break one chosen connection at one chosen moment.
+class SharedTransport final : public Transport {
+ public:
+  explicit SharedTransport(std::shared_ptr<TcpTransport> inner)
+      : inner_(std::move(inner)) {}
+  Status SendFrame(ByteSpan payload) override {
+    return inner_->SendFrame(payload);
+  }
+  Result<Bytes> RecvFrame() override { return inner_->RecvFrame(); }
+  void Close() override { inner_->Close(); }
+  void Shutdown() override { inner_->Shutdown(); }
+
+ private:
+  std::shared_ptr<TcpTransport> inner_;
+};
+
+// Deterministic stream break: the stream's own connection resets right
+// after its Begin. The put fails with kIOError instead of retrying,
+// publishes nothing, and leaves the backend fit for the next stream.
+TEST(NetFault, BrokenStreamFailsFastAndPublishesNothing) {
+  storage::MemBackend store;
+  auto server = NexusdServer::Start(store).value();
+  const std::uint16_t port = server->port();
+  auto dialed = std::make_shared<std::vector<std::shared_ptr<TcpTransport>>>();
+  TransportFactory factory =
+      [port, dialed]() -> Result<std::unique_ptr<Transport>> {
+    NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<TcpTransport> tcp,
+                           TcpTransport::Dial("127.0.0.1", port, 2000, 2000));
+    dialed->push_back(std::move(tcp));
+    return std::unique_ptr<Transport>(
+        std::make_unique<SharedTransport>(dialed->back()));
+  };
+  RemoteBackend remote(std::move(factory));
+
+  auto stream = remote.OpenPutStream("broken").value();
+  const Bytes segment(4096, 5);
+  ASSERT_TRUE(stream->Append(segment).ok()); // dials, begins, sends
+  ASSERT_EQ(dialed->size(), 1u);             // the stream's own connection
+  dialed->back()->Shutdown();
+
+  const Status appended = stream->Append(segment);
+  if (!appended.ok()) {
+    EXPECT_EQ(appended.code(), ErrorCode::kIOError);
+  }
+  EXPECT_EQ(stream->Commit().code(), ErrorCode::kIOError);
+  EXPECT_FALSE(store.Exists("broken"));
+  EXPECT_EQ(dialed->size(), 1u); // no redial: nothing was retried
+
+  auto fresh = remote.OpenPutStream("broken").value();
+  ASSERT_TRUE(fresh->Append(segment).ok());
+  ASSERT_TRUE(fresh->Commit().ok());
+  EXPECT_EQ(store.Get("broken").value(), segment);
 }
 
 // The Stats RPC rides the same retry machinery as storage RPCs: with

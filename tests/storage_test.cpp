@@ -1,6 +1,8 @@
-// Storage substrate tests: backend contract (parameterized over Mem/Disk,
-// plus a live RemoteBackend when NEXUS_REMOTE_ADDR points at a nexusd),
-// AFS caching semantics, locking, cost accounting and the adversary API.
+// Storage substrate tests: backend contract (parameterized over Mem, Disk,
+// a 3-shard in-process cluster and a RemoteBackend talking to an
+// in-process nexusd, plus a live daemon when NEXUS_REMOTE_ADDR points at
+// one), AFS caching semantics, locking, cost accounting and the adversary
+// API.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -8,7 +10,9 @@
 #include <fstream>
 #include <thread>
 
+#include "cluster/cluster_backend.hpp"
 #include "net/remote_backend.hpp"
+#include "net/server.hpp"
 #include "storage/afs.hpp"
 #include "storage/backend.hpp"
 
@@ -17,14 +21,17 @@ namespace {
 
 // ---- backend contract, parameterized over implementations -------------------
 
-enum class BackendKind { kMem, kDisk, kRemote };
+enum class BackendKind { kMem, kDisk, kCluster, kRemote, kLiveRemote };
 
-/// Mem and Disk always run; Remote joins when NEXUS_REMOTE_ADDR=host:port
-/// names a live nexusd (the CI loopback smoke step sets it).
+/// Mem, Disk, Cluster and Remote always run; LiveRemote joins when
+/// NEXUS_REMOTE_ADDR=host:port names a live nexusd (the CI loopback smoke
+/// step sets it).
 std::vector<BackendKind> BackendsUnderTest() {
-  std::vector<BackendKind> kinds = {BackendKind::kMem, BackendKind::kDisk};
+  std::vector<BackendKind> kinds = {BackendKind::kMem, BackendKind::kDisk,
+                                    BackendKind::kCluster,
+                                    BackendKind::kRemote};
   if (std::getenv("NEXUS_REMOTE_ADDR") != nullptr) {
-    kinds.push_back(BackendKind::kRemote);
+    kinds.push_back(BackendKind::kLiveRemote);
   }
   return kinds;
 }
@@ -43,7 +50,37 @@ class BackendContractTest : public ::testing::TestWithParam<BackendKind> {
         backend_ = std::make_unique<DiskBackend>(
             DiskBackend::Open(dir_.string()).value());
         break;
+      case BackendKind::kCluster: {
+        // Three in-process shards, R=2 with majority quorums.
+        std::vector<cluster::ShardSpec> shards;
+        for (int i = 0; i < 3; ++i) {
+          shards.push_back(cluster::ShardSpec{
+              "shard-" + std::to_string(i),
+              []() -> Result<std::unique_ptr<StorageBackend>> {
+                return std::unique_ptr<StorageBackend>(
+                    std::make_unique<MemBackend>());
+              },
+              /*revive=*/{}});
+        }
+        cluster::ClusterOptions options;
+        options.replication = 2;
+        options.background_rebalance = false;
+        auto cluster = cluster::ClusterBackend::Create(std::move(shards),
+                                                       options);
+        ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+        backend_ = std::move(cluster).value();
+        break;
+      }
       case BackendKind::kRemote: {
+        auto server = net::NexusdServer::Start(served_);
+        ASSERT_TRUE(server.ok()) << server.status().ToString();
+        server_ = std::move(server).value();
+        auto remote = net::RemoteBackend::Connect("127.0.0.1", server_->port());
+        ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+        backend_ = std::move(remote).value();
+        break;
+      }
+      case BackendKind::kLiveRemote: {
         const std::string addr = std::getenv("NEXUS_REMOTE_ADDR");
         const auto colon = addr.rfind(':');
         ASSERT_NE(colon, std::string::npos) << "NEXUS_REMOTE_ADDR=" << addr;
@@ -63,9 +100,12 @@ class BackendContractTest : public ::testing::TestWithParam<BackendKind> {
   }
   void TearDown() override {
     backend_.reset();
+    server_.reset();
     if (!dir_.empty()) std::filesystem::remove_all(dir_);
   }
 
+  MemBackend served_; // the in-process nexusd's store (kRemote)
+  std::unique_ptr<net::NexusdServer> server_;
   std::unique_ptr<StorageBackend> backend_;
   std::filesystem::path dir_;
 };
@@ -193,7 +233,10 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendContractTest,
                            switch (info.param) {
                              case BackendKind::kMem: return "Mem";
                              case BackendKind::kDisk: return "Disk";
+                             case BackendKind::kCluster: return "Cluster";
                              case BackendKind::kRemote: return "Remote";
+                             case BackendKind::kLiveRemote:
+                               return "LiveRemote";
                            }
                            return "Unknown";
                          });
