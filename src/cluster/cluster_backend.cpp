@@ -202,7 +202,9 @@ bool SplitHostPort(const std::string& endpoint, std::string* host,
 class ClusterPutStream final : public storage::StorageBackend::PutStream {
  public:
   ClusterPutStream(ClusterBackend& parent, std::string name)
-      : parent_(parent), name_(std::move(name)) {}
+      : parent_(parent),
+        name_(std::move(name)),
+        point_(HashRing::HashPoint(name_)) {}
 
   ~ClusterPutStream() override {
     if (!finished_) Abort();
@@ -249,8 +251,8 @@ class ClusterPutStream final : public storage::StorageBackend::PutStream {
                    "commit on finished stream: " + name_);
     }
     finished_ = true;
-    if (segments_ <= 1) return parent_.Put(name_, held_);
-    const std::lock_guard<std::mutex> lock(parent_.StripeFor(name_));
+    if (segments_ <= 1) return parent_.PutAt(name_, point_, held_);
+    const std::lock_guard<std::mutex> lock(parent_.StripeFor(point_));
     std::size_t acks = 0;
     std::set<std::string> committed;
     ClusterBackend::ShardPtr first_committed;
@@ -310,7 +312,7 @@ class ClusterPutStream final : public storage::StorageBackend::PutStream {
     header_ = EncodeEnvelopeStreamHeader(env);
 
     const std::vector<ClusterBackend::ShardPtr> prefs =
-        parent_.PreferenceList(name_);
+        parent_.PreferenceList(point_);
     needed_ = std::min(parent_.write_quorum_, prefs.size());
     if (needed_ == 0) {
       parent_.Bump(&ClusterCounters::quorum_failures);
@@ -379,6 +381,7 @@ class ClusterPutStream final : public storage::StorageBackend::PutStream {
 
   ClusterBackend& parent_;
   std::string name_;
+  std::uint64_t point_; // name_'s ring point
   Bytes held_;   // the first segment, until the second arrives
   Bytes header_; // stream envelope header, once the replicas open
   std::vector<Replica> replicas_;
@@ -699,10 +702,10 @@ Result<storage::StorageBackend::ListPage> ClusterBackend::ShardListPage(
 // ---- placement --------------------------------------------------------------
 
 std::vector<ClusterBackend::ShardPtr> ClusterBackend::PreferenceList(
-    const std::string& name) const {
+    std::uint64_t point) const {
   const std::lock_guard<std::mutex> lock(membership_mu_);
   const std::vector<std::string> ids =
-      ring_.Successors(name, shards_.size());
+      ring_.SuccessorsAt(point, shards_.size());
   std::vector<ShardPtr> out;
   out.reserve(ids.size());
   for (const std::string& id : ids) {
@@ -712,8 +715,8 @@ std::vector<ClusterBackend::ShardPtr> ClusterBackend::PreferenceList(
   return out;
 }
 
-std::mutex& ClusterBackend::StripeFor(const std::string& name) {
-  return stripes_[HashRing::HashPoint(name) % stripes_.size()];
+std::mutex& ClusterBackend::StripeFor(std::uint64_t point) {
+  return stripes_[point % stripes_.size()];
 }
 
 // ---- quorum machinery -------------------------------------------------------
@@ -732,8 +735,8 @@ std::optional<ClusterBackend::ReadHit> ClusterBackend::ToHit(
 }
 
 std::vector<ClusterBackend::ReadHit> ClusterBackend::QuorumRead(
-    const std::string& name, bool count_failover) {
-  const std::vector<ShardPtr> prefs = PreferenceList(name);
+    const std::string& name, std::uint64_t point, bool count_failover) {
+  const std::vector<ShardPtr> prefs = PreferenceList(point);
   const std::size_t needed = std::min(read_quorum_, prefs.size());
   std::vector<ReadHit> hits;
   for (std::size_t i = 0; i < prefs.size() && hits.size() < needed; ++i) {
@@ -759,14 +762,15 @@ std::optional<Envelope> ClusterBackend::BestOf(
   return best;
 }
 
-void ClusterBackend::ReadRepair(const std::string& name, const Envelope& best,
+void ClusterBackend::ReadRepair(const std::string& name, std::uint64_t point,
+                                const Envelope& best,
                                 const std::vector<ReadHit>& hits) {
   const auto stale = [&best](const ReadHit& hit) {
     return !hit.envelope || EnvelopeNewer(best, *hit.envelope);
   };
   if (std::none_of(hits.begin(), hits.end(), stale)) return;
   const Bytes encoded = EncodeEnvelope(best);
-  const std::lock_guard<std::mutex> lock(StripeFor(name));
+  const std::lock_guard<std::mutex> lock(StripeFor(point));
   for (const ReadHit& hit : hits) {
     if (!stale(hit)) continue;
     if (CopyIfStaleLocked(hit.shard, name, best,
@@ -792,8 +796,9 @@ ClusterBackend::CopyOutcome ClusterBackend::CopyIfStaleLocked(
 }
 
 Status ClusterBackend::QuorumWriteLocked(const std::string& name,
+                                         std::uint64_t point,
                                          const Bytes& encoded) {
-  const std::vector<ShardPtr> prefs = PreferenceList(name);
+  const std::vector<ShardPtr> prefs = PreferenceList(point);
   const std::size_t needed = std::min(write_quorum_, prefs.size());
   if (needed == 0) {
     return Error(ErrorCode::kIOError, "cluster has no shards");
@@ -841,7 +846,9 @@ Status ClusterBackend::QuorumWriteLocked(const std::string& name,
 Result<Bytes> ClusterBackend::Get(const std::string& name) {
   const trace::Span span("cluster.get", "cluster");
   Bump(&ClusterCounters::quorum_reads);
-  const std::vector<ReadHit> hits = QuorumRead(name, /*count_failover=*/true);
+  const std::uint64_t point = HashRing::HashPoint(name);
+  const std::vector<ReadHit> hits =
+      QuorumRead(name, point, /*count_failover=*/true);
   if (hits.empty()) {
     Bump(&ClusterCounters::quorum_failures);
     return Error(ErrorCode::kIOError, "read quorum not reached: " + name);
@@ -850,11 +857,16 @@ Result<Bytes> ClusterBackend::Get(const std::string& name) {
   if (!best || best->tombstone) {
     return Error(ErrorCode::kNotFound, "object not found: " + name);
   }
-  ReadRepair(name, *best, hits);
+  ReadRepair(name, point, *best, hits);
   return best->payload;
 }
 
 Status ClusterBackend::Put(const std::string& name, ByteSpan data) {
+  return PutAt(name, HashRing::HashPoint(name), data);
+}
+
+Status ClusterBackend::PutAt(const std::string& name, std::uint64_t point,
+                             ByteSpan data) {
   const trace::Span span("cluster.put", "cluster");
   Bump(&ClusterCounters::quorum_writes);
   Envelope env;
@@ -862,19 +874,21 @@ Status ClusterBackend::Put(const std::string& name, ByteSpan data) {
   env.writer = writer_id_;
   env.payload = ToBytes(data);
   const Bytes encoded = EncodeEnvelope(env);
-  const std::lock_guard<std::mutex> lock(StripeFor(name));
-  const Status st = QuorumWriteLocked(name, encoded);
+  const std::lock_guard<std::mutex> lock(StripeFor(point));
+  const Status st = QuorumWriteLocked(name, point, encoded);
   if (!st.ok()) Bump(&ClusterCounters::quorum_failures);
   return st;
 }
 
 Status ClusterBackend::Delete(const std::string& name) {
   const trace::Span span("cluster.delete", "cluster");
-  const std::lock_guard<std::mutex> lock(StripeFor(name));
+  const std::uint64_t point = HashRing::HashPoint(name);
+  const std::lock_guard<std::mutex> lock(StripeFor(point));
   // Quorum-read first so a delete of a missing object reports kNotFound
   // (the StorageBackend contract) instead of silently planting a marker.
   Bump(&ClusterCounters::quorum_reads);
-  const std::vector<ReadHit> hits = QuorumRead(name, /*count_failover=*/true);
+  const std::vector<ReadHit> hits =
+      QuorumRead(name, point, /*count_failover=*/true);
   if (hits.empty()) {
     Bump(&ClusterCounters::quorum_failures);
     return Error(ErrorCode::kIOError, "read quorum not reached: " + name);
@@ -888,7 +902,7 @@ Status ClusterBackend::Delete(const std::string& name) {
   tomb.version = DrawVersion();
   tomb.writer = writer_id_;
   Bump(&ClusterCounters::quorum_writes);
-  const Status st = QuorumWriteLocked(name, EncodeEnvelope(tomb));
+  const Status st = QuorumWriteLocked(name, point, EncodeEnvelope(tomb));
   if (!st.ok()) {
     Bump(&ClusterCounters::quorum_failures);
     return st;
@@ -900,7 +914,8 @@ Status ClusterBackend::Delete(const std::string& name) {
 bool ClusterBackend::Exists(const std::string& name) {
   const trace::Span span("cluster.exists", "cluster");
   Bump(&ClusterCounters::quorum_reads);
-  const std::vector<ReadHit> hits = QuorumRead(name, /*count_failover=*/false);
+  const std::vector<ReadHit> hits = QuorumRead(
+      name, HashRing::HashPoint(name), /*count_failover=*/false);
   if (hits.empty()) {
     Bump(&ClusterCounters::quorum_failures);
     return false;
@@ -932,8 +947,8 @@ std::vector<std::string> ClusterBackend::List(const std::string& prefix) {
   // envelope is not a tombstone.
   std::vector<std::string> out;
   for (const std::string& name : candidates) {
-    const std::vector<ReadHit> hits =
-        QuorumRead(name, /*count_failover=*/false);
+    const std::vector<ReadHit> hits = QuorumRead(
+        name, HashRing::HashPoint(name), /*count_failover=*/false);
     const std::optional<Envelope> best = BestOf(hits);
     if (best && !best->tombstone) out.push_back(name);
   }
@@ -946,6 +961,7 @@ std::vector<Result<Bytes>> ClusterBackend::MultiGet(
   // Per name: walk its preference list round by round, but BATCH all
   // names that target the same shard in one MultiGet RPC per round.
   struct PerName {
+    std::uint64_t point = 0;
     std::vector<ShardPtr> prefs;
     std::vector<ReadHit> hits;
     std::size_t next_pref = 0;
@@ -956,7 +972,8 @@ std::vector<Result<Bytes>> ClusterBackend::MultiGet(
   std::size_t max_rounds = 0;
   for (std::size_t i = 0; i < names.size(); ++i) {
     Bump(&ClusterCounters::quorum_reads);
-    state[i].prefs = PreferenceList(names[i]);
+    state[i].point = HashRing::HashPoint(names[i]);
+    state[i].prefs = PreferenceList(state[i].point);
     state[i].needed = std::min(read_quorum_, state[i].prefs.size());
     max_rounds = std::max(max_rounds, state[i].prefs.size());
   }
@@ -1010,7 +1027,7 @@ std::vector<Result<Bytes>> ClusterBackend::MultiGet(
           Error(ErrorCode::kNotFound, "object not found: " + names[i]));
       continue;
     }
-    ReadRepair(names[i], *best, s.hits);
+    ReadRepair(names[i], s.point, *best, s.hits);
     out.emplace_back(best->payload);
   }
   return out;
@@ -1184,8 +1201,9 @@ void ClusterBackend::RebalancePass(const std::vector<MovedArc>& arcs) {
         Bump(&ClusterCounters::rebalance_objects_scanned);
         // The O(moved) bound: names outside the moved arcs kept their
         // owner set, so they get no copy (or even read) RPC at all.
-        if (!in_moved_arc(HashRing::HashPoint(name))) continue;
-        ConvergeName(name, all);
+        const std::uint64_t point = HashRing::HashPoint(name);
+        if (!in_moved_arc(point)) continue;
+        ConvergeName(name, point, all);
       }
       if (!page.value().more) break;
     }
@@ -1193,8 +1211,9 @@ void ClusterBackend::RebalancePass(const std::vector<MovedArc>& arcs) {
 }
 
 void ClusterBackend::ConvergeName(const std::string& name,
+                                  std::uint64_t point,
                                   const std::vector<ShardPtr>& all) {
-  const std::lock_guard<std::mutex> lock(StripeFor(name));
+  const std::lock_guard<std::mutex> lock(StripeFor(point));
   // Sample every ring member's replica under the stripe lock.
   std::vector<ReadHit> hits;
   for (const ShardPtr& shard : all) {
@@ -1214,7 +1233,7 @@ void ClusterBackend::ConvergeName(const std::string& name,
   {
     const std::lock_guard<std::mutex> mlock(membership_mu_);
     const std::vector<std::string> ids =
-        ring_.Successors(name, replication_);
+        ring_.SuccessorsAt(point, replication_);
     owners.insert(ids.begin(), ids.end());
   }
   const Bytes encoded = EncodeEnvelope(*best);
@@ -1300,7 +1319,8 @@ void ClusterBackend::DrainHandoffPass() {
         if (!ShardAvailable(*owner)) continue; // still down: keep the hint
         bool drained = false;
         {
-          const std::lock_guard<std::mutex> lock(StripeFor(object));
+          const std::lock_guard<std::mutex> lock(
+              StripeFor(HashRing::HashPoint(object)));
           const Result<Bytes> held = ShardGet(holder, object);
           // An unreachable holder (no hit) keeps the hint for next time.
           const std::optional<ReadHit> hit = ToHit(holder, held);

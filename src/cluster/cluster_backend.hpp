@@ -274,9 +274,11 @@ class ClusterBackend final : public storage::StorageBackend {
       const ShardPtr& shard, const std::string& prefix,
       const std::string& start_after, std::size_t limit);
 
-  /// Extended successor list for `name`: EVERY shard in ring-successor
-  /// order (owners first, then the failover tail).
-  std::vector<ShardPtr> PreferenceList(const std::string& name) const;
+  /// Extended successor list for the name whose ring point is `point`
+  /// (HashRing::HashPoint): EVERY shard in ring-successor order (owners
+  /// first, then the failover tail). Each op hashes its name once and
+  /// passes the point to placement and to StripeFor.
+  std::vector<ShardPtr> PreferenceList(std::uint64_t point) const;
 
   /// The replica-read rule every path applies to a shard's answer:
   /// kNotFound or an undecodable replica is a hit with no envelope (an
@@ -287,13 +289,14 @@ class ClusterBackend final : public storage::StorageBackend {
   /// Reads `name` until `read_quorum_` transport-ok answers (kNotFound is
   /// a valid empty answer), sliding down the preference list past dead
   /// shards. Returns the hits, or empty when quorum was unreachable.
-  std::vector<ReadHit> QuorumRead(const std::string& name,
+  std::vector<ReadHit> QuorumRead(const std::string& name, std::uint64_t point,
                                   bool count_failover);
   /// Best (newest) envelope among hits; nullopt when no replica exists.
   static std::optional<Envelope> BestOf(const std::vector<ReadHit>& hits);
   /// Read-repair: when some hit is missing or older than `best`, takes
   /// the name's stripe lock and copies `best` onto each stale hit.
-  void ReadRepair(const std::string& name, const Envelope& best,
+  void ReadRepair(const std::string& name, std::uint64_t point,
+                  const Envelope& best,
                   const std::vector<ReadHit>& hits);
   /// The copy routine read-repair and handoff replay share: re-reads
   /// `target`'s replica and, unless it already holds `best` or newer,
@@ -302,10 +305,15 @@ class ClusterBackend final : public storage::StorageBackend {
   CopyOutcome CopyIfStaleLocked(const ShardPtr& target,
                                 const std::string& name, const Envelope& best,
                                 ByteSpan encoded);
+  /// Put for a name whose ring point the caller already holds (the put
+  /// stream's one-segment commit).
+  Status PutAt(const std::string& name, std::uint64_t point, ByteSpan data);
   /// Envelope quorum-write used by Put / Delete / read-repair commit.
-  Status QuorumWriteLocked(const std::string& name, const Bytes& encoded);
+  Status QuorumWriteLocked(const std::string& name, std::uint64_t point,
+                           const Bytes& encoded);
 
-  std::mutex& StripeFor(const std::string& name);
+  /// The stripe lock of the name whose ring point is `point`.
+  std::mutex& StripeFor(std::uint64_t point);
 
   void Bump(std::uint64_t ClusterCounters::* field, std::uint64_t n = 1);
   /// Monotone gauge update (instance and global mirror keep the max).
@@ -325,7 +333,8 @@ class ClusterBackend final : public storage::StorageBackend {
   void RebalancePass(const std::vector<MovedArc>& arcs);
   /// Converges one name: newest envelope onto every ring owner, then
   /// purge from non-owners once the owners provably hold it.
-  void ConvergeName(const std::string& name, const std::vector<ShardPtr>& all);
+  void ConvergeName(const std::string& name, std::uint64_t point,
+                    const std::vector<ShardPtr>& all);
   /// Runs pending revive hooks for shards reinstated since the last pass.
   void ReviveShards();
   void DrainHandoffPass();

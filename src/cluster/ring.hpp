@@ -43,7 +43,8 @@ class HashRing {
 
   /// The first `r` DISTINCT shards clockwise from an arbitrary ring
   /// point (inclusive) — Successors without the name hash, used by the
-  /// delta rebalancer to evaluate owner sets arc by arc.
+  /// delta rebalancer to evaluate owner sets arc by arc and by the
+  /// cluster client, which hashes each op's name once.
   [[nodiscard]] std::vector<std::string> SuccessorsAt(std::uint64_t point,
                                                       std::size_t r) const;
 
@@ -53,7 +54,8 @@ class HashRing {
   [[nodiscard]] std::vector<std::uint64_t> Points() const;
 
   /// Stable 64-bit point for a key (first 8 little-endian bytes of
-  /// SHA-256) — exposed so tests can pin the placement function.
+  /// SHA-256) — exposed so tests can pin the placement function and
+  /// callers can hash a name once for placement and striping.
   [[nodiscard]] static std::uint64_t HashPoint(const std::string& key);
 
  private:

@@ -17,11 +17,15 @@ int HexValue(char c) noexcept {
 std::string HexEncode(ByteSpan data) {
   std::string out;
   out.reserve(data.size() * 2);
+  HexAppend(data, out);
+  return out;
+}
+
+void HexAppend(ByteSpan data, std::string& out) {
   for (std::uint8_t b : data) {
     out.push_back(kHexDigits[b >> 4]);
     out.push_back(kHexDigits[b & 0x0f]);
   }
-  return out;
 }
 
 Result<Bytes> HexDecode(std::string_view hex) {

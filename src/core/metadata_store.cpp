@@ -1,18 +1,33 @@
 #include "core/metadata_store.hpp"
 
+#include "common/hex.hpp"
 #include "trace/trace.hpp"
 
 namespace nexus::core {
+namespace {
+
+// prefix + infix + the UUID's 32 hex digits, built in one allocation:
+// every metadata and data access names its object this way.
+std::string ObjectPath(const std::string& prefix, std::string_view infix,
+                       const Uuid& uuid) {
+  std::string out;
+  out.reserve(prefix.size() + infix.size() + 2 * Uuid::kSize);
+  out.append(prefix).append(infix);
+  HexAppend(uuid.span(), out);
+  return out;
+}
+
+} // namespace
 
 AfsMetadataStore::AfsMetadataStore(storage::AfsClient& afs, std::string prefix)
     : afs_(afs), prefix_(std::move(prefix)) {}
 
 std::string AfsMetadataStore::MetaPath(const Uuid& uuid) const {
-  return prefix_ + "/" + uuid.ToString();
+  return ObjectPath(prefix_, "/", uuid);
 }
 
 std::string AfsMetadataStore::DataPath(const Uuid& uuid) const {
-  return prefix_ + "d/" + uuid.ToString();
+  return ObjectPath(prefix_, "d/", uuid);
 }
 
 std::string AfsMetadataStore::JournalPath(const std::string& name) const {

@@ -20,8 +20,9 @@ namespace {
 
 std::atomic<bool> g_force_fallback{false};
 
-// NEXUS_NO_AESNI set (non-empty, not "0") disables the fast paths — used
-// by CI to keep the scalar implementations exercised on AES-NI machines.
+// NEXUS_NO_AESNI set (non-empty, not "0") disables the fast paths, AES and
+// SHA alike — used by CI to keep the scalar implementations exercised on
+// machines with the instructions.
 bool DisabledByEnv() noexcept {
   const char* v = std::getenv("NEXUS_NO_AESNI");
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
@@ -104,6 +105,12 @@ bool HasAesHardware() noexcept {
   // verification — a fast path that cannot prove it matches the portable
   // reference is never dispatched to.
   static const bool enabled = !DisabledByEnv() && AesniSelfTest();
+  return enabled && !g_force_fallback.load(std::memory_order_relaxed);
+}
+
+bool HasShaHardware() noexcept {
+  // The same gate as HasAesHardware, with the SHA-NI known answer.
+  static const bool enabled = !DisabledByEnv() && ShaNiSelfTest();
   return enabled && !g_force_fallback.load(std::memory_order_relaxed);
 }
 

@@ -3,25 +3,76 @@
 #include <bit>
 #include <cstring>
 
+#include "crypto/aesni.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 namespace nexus::crypto {
 namespace {
 
-constexpr std::uint32_t kK[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-};
-
 inline std::uint32_t Rotr(std::uint32_t x, int n) noexcept {
   return std::rotr(x, n);
+}
+
+// The portable reference: one block of FIPS 180-4 rounds.
+void CompressScalar(std::uint32_t state[8], const std::uint8_t* block) noexcept {
+  std::uint32_t w[64];
+  for (int i = 0; i < 16; ++i) {
+    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
+           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
+           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
+           static_cast<std::uint32_t>(block[4 * i + 3]);
+  }
+  for (int i = 16; i < 64; ++i) {
+    const std::uint32_t s0 =
+        Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+    const std::uint32_t s1 =
+        Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  }
+
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+  for (int i = 0; i < 64; ++i) {
+    const std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
+    const std::uint32_t ch = (e & f) ^ (~e & g);
+    const std::uint32_t t1 = h + s1 + ch + kSha256RoundConstants[i] + w[i];
+    const std::uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
+    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+    const std::uint32_t t2 = s0 + maj;
+    h = g;
+    g = f;
+    f = e;
+    e = d + t1;
+    d = c;
+    c = b;
+    b = a;
+    a = t1 + t2;
+  }
+
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+bool CpuidSupportsShaNi() noexcept {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & bit_SHA) != 0;
+  return sha && __builtin_cpu_supports("sse4.1") &&
+         __builtin_cpu_supports("ssse3");
+#else
+  return false;
+#endif
 }
 
 } // namespace
@@ -39,50 +90,34 @@ void Sha256::Reset() noexcept {
   buffer_len_ = 0;
 }
 
-void Sha256::Compress(const std::uint8_t* block) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
+bool ShaNiSelfTest() noexcept {
+  if (!CpuidSupportsShaNi()) return false;
+  // Three blocks in one call, so the kernel's state carry between blocks
+  // is checked too, from a state that is not the IV. The reference is the
+  // portable rounds called directly: Sha256::Compress consults the
+  // HasShaHardware() static this self-test initializes.
+  std::uint8_t blocks[3 * Sha256::kBlockSize];
+  for (std::size_t i = 0; i < sizeof(blocks); ++i) {
+    blocks[i] = static_cast<std::uint8_t>(i * 11 + 3);
   }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+  std::uint32_t want[8];
+  std::uint32_t got[8];
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    want[i] = got[i] = 0x9e3779b9u * (i + 1);
   }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = Rotr(a, 2) ^ Rotr(a, 13) ^ Rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
+  for (std::size_t b = 0; b < 3; ++b) {
+    CompressScalar(want, blocks + b * Sha256::kBlockSize);
   }
+  ShaNiCompress(got, blocks, 3);
+  return std::memcmp(got, want, sizeof(want)) == 0;
+}
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+void Sha256::Compress(const std::uint8_t* blocks, std::size_t n) noexcept {
+  if (HasShaHardware()) {
+    ShaNiCompress(state_, blocks, n);
+    return;
+  }
+  for (; n > 0; --n, blocks += kBlockSize) CompressScalar(state_, blocks);
 }
 
 void Sha256::Update(ByteSpan data) noexcept {
@@ -96,13 +131,14 @@ void Sha256::Update(ByteSpan data) noexcept {
     buffer_len_ += take;
     offset = take;
     if (buffer_len_ == kBlockSize) {
-      Compress(buffer_);
+      Compress(buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (offset + kBlockSize <= data.size()) {
-    Compress(data.data() + offset);
-    offset += kBlockSize;
+  const std::size_t blocks = (data.size() - offset) / kBlockSize;
+  if (blocks > 0) {
+    Compress(data.data() + offset, blocks);
+    offset += blocks * kBlockSize;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_, data.data() + offset, data.size() - offset);
@@ -111,16 +147,22 @@ void Sha256::Update(ByteSpan data) noexcept {
 }
 
 ByteArray<Sha256::kDigestSize> Sha256::Finish() noexcept {
+  // Padding: 0x80, zeros, then the 64-bit big-endian bit length in the
+  // last 8 bytes of a block; a tail too long for the length spills into
+  // a second block.
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  Update(ByteSpan(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != kBlockSize - 8) Update(ByteSpan(&zero, 1));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffer_len_, 0, kBlockSize - buffer_len_);
+    Compress(buffer_, 1);
+    buffer_len_ = 0;
   }
-  Update(len_be);
+  std::memset(buffer_ + buffer_len_, 0, kBlockSize - 8 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[kBlockSize - 8 + i] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  Compress(buffer_, 1);
 
   ByteArray<kDigestSize> out;
   for (int i = 0; i < 8; ++i) {

@@ -41,6 +41,14 @@ TEST(Hex, RoundTrip) {
   EXPECT_EQ(HexDecode(hex).value(), data);
 }
 
+TEST(Hex, AppendExtendsTheString) {
+  std::string out = "nx/";
+  HexAppend(Bytes{0x0a, 0xf0}, out);
+  EXPECT_EQ(out, "nx/0af0");
+  HexAppend(ByteSpan{}, out);
+  EXPECT_EQ(out, "nx/0af0");
+}
+
 TEST(Hex, RejectsBadInput) {
   EXPECT_FALSE(HexDecode("abc").ok());  // odd length
   EXPECT_FALSE(HexDecode("zz").ok());   // non-hex

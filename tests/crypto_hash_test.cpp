@@ -1,7 +1,17 @@
-// Known-answer and property tests for SHA-256, SHA-512, HMAC and HKDF.
+// Known-answer and property tests for SHA-256, SHA-512, HMAC and HKDF,
+// and the SHA-NI dispatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <random>
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+
 #include "common/hex.hpp"
+#include "crypto/aesni.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
@@ -46,6 +56,104 @@ TEST(Sha256, IncrementalMatchesOneShot) {
     h.Update(ByteSpan(data.data() + split, data.size() - split));
     EXPECT_EQ(HexOf(h.Finish()), HexOf(Sha256::Hash(data))) << split;
   }
+}
+
+// ---- SHA-NI dispatch --------------------------------------------------------
+
+Bytes Pattern(std::size_t n) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  return out;
+}
+
+// Hashes `msg` through Update calls split at seeded random points.
+std::string SplitDigest(const Bytes& msg, std::mt19937& gen) {
+  Sha256 h;
+  std::size_t pos = 0;
+  while (pos < msg.size()) {
+    // Up to about three blocks per call: partial fills, whole blocks and
+    // multi-block runs all occur, as do empty updates.
+    std::uniform_int_distribution<std::size_t> step(
+        0, std::min<std::size_t>(msg.size() - pos, 200));
+    const std::size_t n = step(gen);
+    h.Update(ByteSpan(msg.data() + pos, n));
+    pos += n;
+  }
+  return HexOf(h.Finish());
+}
+
+// Every length from 0 to 1,100 bytes, split into Update calls at the same
+// seeded points on both paths: the dispatched kernel (SHA-NI where the
+// host has it) must agree with the forced portable rounds, and each split
+// with the one-shot digest.
+TEST(Sha256Dispatch, HardwareMatchesScalarEveryLength) {
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    const Bytes msg = Pattern(len);
+    std::mt19937 hw_gen(static_cast<std::uint32_t>(len));
+    const std::string hw_split = SplitDigest(msg, hw_gen);
+    const std::string hw_whole = HexOf(Sha256::Hash(msg));
+
+    ForceAesFallbackForTesting(true);
+    std::mt19937 scalar_gen(static_cast<std::uint32_t>(len));
+    const std::string scalar_split = SplitDigest(msg, scalar_gen);
+    const std::string scalar_whole = HexOf(Sha256::Hash(msg));
+    ForceAesFallbackForTesting(false);
+
+    ASSERT_EQ(hw_whole, scalar_whole) << len;
+    ASSERT_EQ(hw_split, scalar_split) << len;
+    ASSERT_EQ(hw_split, hw_whole) << len;
+  }
+}
+
+// The lengths where one-shot padding changes shape: 55 leaves room for
+// the length in the last block, 56 and 63 spill into a second pad block,
+// 64 pads a whole block, and 119/120 repeat the 55/56 edge one block on.
+// Expected digests are from an independent SHA-256 (Python hashlib).
+TEST(Sha256Dispatch, PaddingBoundaryLengths) {
+  const std::pair<std::size_t, const char*> kCases[] = {
+      {55, "2900465fcb533e05a158fd2b3be0e5e3b03740d83060aa3580e0d98a96bf2384"},
+      {56, "31454ff48ef36af2f08fd511bdc37d9d5855ac23e992e5ff5445cb6b7674a674"},
+      {63, "5f6401b96532c36de4e65beec0409b69b1d181864c8009b7a04f43e5d56350d1"},
+      {64, "94eb5de4943613fd048dc93393ab06877405faa39c11f53e9386083339833e7e"},
+      {119, "b0dc41b1a384e2f1203f0351b38fbeaafceef577ce1191d5bfc25da39f721eae"},
+      {120, "5df24dd802ac26132ce608dcb5f09841eef039ee0f152acf98d26d17fe4e88e6"},
+  };
+  for (const bool forced : {false, true}) {
+    ForceAesFallbackForTesting(forced);
+    for (const auto& [len, want] : kCases) {
+      EXPECT_EQ(HexOf(Sha256::Hash(Pattern(len))), want)
+          << len << (forced ? " (forced scalar)" : "");
+    }
+  }
+  ForceAesFallbackForTesting(false);
+}
+
+bool CpuidReportsSha() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  return __get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) != 0 &&
+         (ebx & bit_SHA) != 0;
+#else
+  return false;
+#endif
+}
+
+TEST(Sha256Dispatch, SelfTestPassesWhenCpuidReportsSha) {
+  if (!CpuidReportsSha()) GTEST_SKIP() << "CPUID reports no SHA extensions";
+  EXPECT_TRUE(ShaNiSelfTest());
+}
+
+// Under NEXUS_NO_AESNI (the CI forced-scalar step) the SHA dispatch must
+// report scalar, so that step provably tests the portable rounds.
+TEST(Sha256Dispatch, ScalarWhenNexusNoAesniSet) {
+  const char* v = std::getenv("NEXUS_NO_AESNI");
+  if (v == nullptr || v[0] == '\0' || std::string(v) == "0") {
+    GTEST_SKIP() << "NEXUS_NO_AESNI not set";
+  }
+  EXPECT_FALSE(HasShaHardware());
+  EXPECT_FALSE(HasAesHardware());
 }
 
 TEST(Sha512, EmptyString) {

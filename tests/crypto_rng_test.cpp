@@ -3,6 +3,8 @@
 
 #include <set>
 
+#include "common/hex.hpp"
+#include "crypto/aesni.hpp"
 #include "crypto/rng.hpp"
 
 namespace nexus::crypto {
@@ -13,6 +15,22 @@ TEST(HmacDrbg, DeterministicFromSeed) {
   HmacDrbg b(AsBytes("seed"));
   EXPECT_EQ(a.Generate(64), b.Generate(64));
   EXPECT_EQ(a.Generate(13), b.Generate(13));
+}
+
+// Pins the stream: every key, IV and UUID the enclave draws comes from it,
+// so any change to HMAC-DRBG or SHA-256 that moves it fails here, on the
+// dispatched and the forced portable SHA-256 alike.
+TEST(HmacDrbg, KnownAnswerFirst64Bytes) {
+  const std::string kWant =
+      "da2e5b8e6af39cdce0a42247b47f7cda71fc7c09cf19526f962d95257b60dd30"
+      "a9ba9fb48a6fea6ab0eb463ba1624cef4530ffe895e44b903cea572f309dfada";
+  for (const bool forced : {false, true}) {
+    ForceAesFallbackForTesting(forced);
+    HmacDrbg rng(AsBytes("nexus-drbg-kat"));
+    EXPECT_EQ(HexEncode(rng.Generate(64)), kWant)
+        << (forced ? "forced scalar" : "dispatched");
+  }
+  ForceAesFallbackForTesting(false);
 }
 
 TEST(HmacDrbg, DifferentSeedsDiverge) {

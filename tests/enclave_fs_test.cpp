@@ -2,6 +2,7 @@
 // enclave -> AFS simulator.
 #include <gtest/gtest.h>
 
+#include "core/metadata_store.hpp"
 #include "test_env.hpp"
 
 namespace nexus {
@@ -250,6 +251,19 @@ TEST_F(FsTest, CacheStatsTrackHitsAndMisses) {
   const auto& stats = fs().enclave().cache_stats();
   EXPECT_EQ(stats.dirnode_misses, misses0); // warm lookups hit the cache
   EXPECT_GT(stats.dirnode_hits, 0u);
+}
+
+// Object names are the store's on-disk and on-wire keys: the path builder
+// must keep producing exactly prefix + "/" or "d/" + the 32 hex digits.
+TEST_F(FsTest, MetadataObjectPathsKeepTheirFormat) {
+  core::AfsMetadataStore store(*machine_->afs, "nx");
+  const Uuid uuid(ByteArray<Uuid::kSize>{0x00, 0x01, 0x23, 0x45, 0x67, 0x89,
+                                         0xab, 0xcd, 0xef, 0xfe, 0xdc, 0xba,
+                                         0x98, 0x76, 0x54, 0x10});
+  EXPECT_EQ(store.MetaPath(uuid), "nx/000123456789abcdeffedcba98765410");
+  EXPECT_EQ(store.DataPath(uuid), "nxd/000123456789abcdeffedcba98765410");
+  EXPECT_EQ(store.MetaPath(uuid), "nx/" + uuid.ToString());
+  EXPECT_EQ(store.JournalPath("anchor"), "nxj/anchor");
 }
 
 } // namespace
