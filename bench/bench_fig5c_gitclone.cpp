@@ -47,7 +47,7 @@ int Main() {
       nexus = RunClone(*setup, spec, /*batched=*/false);
     }
     double batched = 0;
-    core::JournalCounters journal;
+    journal::Stats journal;
     {
       auto setup = Setup::Nexus();
       Abort(setup->nexus()->ConfigureJournal(true, 0), "configure journal");

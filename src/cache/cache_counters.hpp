@@ -1,12 +1,5 @@
-// Client object-cache traffic counters.
-//
-// Same shape as net::NetCounters: a plain aggregate with PR 4 delta
-// semantics (counters subtract, gauges keep the later snapshot) plus a
-// process-global mirror so ProfileSnapshot can report cache behavior
-// without threading a CachedBackend pointer through every layer. The PR 5
-// readahead counters (prefetch_issued/hits/wasted_bytes) live here now —
-// RemoteBackend's private FIFO is gone and speculative fetches land in the
-// cache — but ProfileSnapshot keeps the old net.* names alive as aliases.
+// Client object-cache counters of one CachedBackend (counters()). A delta
+// between two snapshots subtracts counters; gauges keep the later value.
 #pragma once
 
 #include <cstdint>
@@ -31,16 +24,12 @@ struct CacheCounters {
   // Coherence.
   std::uint64_t invalidations_received = 0;
 
-  // Speculative readahead (owned here since the cache unification; issued
-  // is counted by RemoteBackend when a speculative Get actually departs,
-  // hits/wasted by the cache when the prefetched entry is consumed or
-  // evicted unread).
+  // Speculative readahead: fills the prefetch sink received, demand reads
+  // a prefetched entry served, and prefetched bytes evicted, invalidated
+  // or overwritten before any demand read consumed them.
   std::uint64_t prefetch_issued = 0;
   std::uint64_t prefetch_hits = 0;
   std::uint64_t prefetch_wasted_bytes = 0;
-  // Demand Gets that joined an in-flight prefetch RPC instead of
-  // re-issuing it (counted by RemoteBackend at the join).
-  std::uint64_t prefetch_joined = 0;
 
   /// Delta between two snapshots: counters subtract; the high-water gauge
   /// keeps the later snapshot's value.
@@ -61,21 +50,8 @@ struct CacheCounters {
     out.prefetch_hits = a.prefetch_hits - b.prefetch_hits;
     out.prefetch_wasted_bytes =
         a.prefetch_wasted_bytes - b.prefetch_wasted_bytes;
-    out.prefetch_joined = a.prefetch_joined - b.prefetch_joined;
     return out;
   }
 };
-
-/// Folds `delta` into `into`: counters accumulate, the high-water gauge
-/// takes the maximum. Shared by instance counters and the global mirror.
-void AccumulateCacheCounters(CacheCounters& into, const CacheCounters& delta);
-
-/// Process-wide totals across every cache instance (and RemoteBackend's
-/// prefetch submissions). Thread-safe.
-[[nodiscard]] CacheCounters GlobalCacheSnapshot();
-void ResetGlobalCacheCounters();
-/// Folds `delta` into the global totals; the high-water gauge takes the
-/// maximum instead of accumulating.
-void GlobalCacheAdd(const CacheCounters& delta);
 
 } // namespace nexus::cache

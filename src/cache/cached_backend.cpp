@@ -1,12 +1,12 @@
 #include "cache/cached_backend.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
 
 #include "common/clock.hpp"
+#include "common/env.hpp"
 #include "crypto/hmac.hpp"
 #include "trace/trace.hpp"
 
@@ -23,15 +23,6 @@ constexpr unsigned kLogCompactEvery = 1024;
 // Log record ops.
 constexpr std::uint8_t kLogInsert = 1;
 constexpr std::uint8_t kLogRemove = 2;
-
-std::uint64_t EnvU64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw) return fallback;
-  return static_cast<std::uint64_t>(v);
-}
 
 Result<Bytes> ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -126,13 +117,15 @@ CachedBackend::CachedBackend(std::unique_ptr<storage::StorageBackend> inner,
                              CacheOptions options)
     : options_(std::move(options)), inner_(std::move(inner)) {
   if (options_.mem_budget_bytes == 0) {
-    options_.mem_budget_bytes = EnvU64("NEXUS_CACHE_MEM_BUDGET", 64u << 20);
+    options_.mem_budget_bytes =
+        EnvUnsigned("NEXUS_CACHE_MEM_BUDGET", 64u << 20);
   }
   if (options_.disk_budget_bytes == 0) {
-    options_.disk_budget_bytes = EnvU64("NEXUS_CACHE_DISK_BUDGET", 256u << 20);
+    options_.disk_budget_bytes =
+        EnvUnsigned("NEXUS_CACHE_DISK_BUDGET", 256u << 20);
   }
   if (options_.ttl_ms == 0) {
-    options_.ttl_ms = EnvU64("NEXUS_CACHE_TTL_MS", 5000);
+    options_.ttl_ms = EnvUnsigned("NEXUS_CACHE_TTL_MS", 5000);
   }
   if (!options_.disk_dir.empty()) {
     std::error_code ec;
@@ -203,22 +196,7 @@ void CachedBackend::TouchLocked(const std::string& /*name*/, Entry& entry) {
 void CachedBackend::CountPrefetchReadLocked(Entry& entry) {
   if (!entry.prefetched || entry.prefetch_consumed) return;
   entry.prefetch_consumed = true;
-  CacheCounters d;
-  d.prefetch_hits = 1;
-  AccumulateCacheCounters(counters_, d);
-  GlobalCacheAdd(d);
-}
-
-void CachedBackend::AddGlobal(const CacheCounters& delta) const {
-  GlobalCacheAdd(delta);
-}
-
-void CachedBackend::NoteDirtyHighWaterLocked() {
-  if (dirty_bytes_ <= counters_.dirty_bytes_high_water) return;
-  counters_.dirty_bytes_high_water = dirty_bytes_;
-  CacheCounters d;
-  d.dirty_bytes_high_water = dirty_bytes_;
-  GlobalCacheAdd(d);
+  ++counters_.prefetch_hits;
 }
 
 void CachedBackend::RemoveEntryLocked(const std::string& name, bool demote) {
@@ -229,10 +207,7 @@ void CachedBackend::RemoveEntryLocked(const std::string& name, bool demote) {
     dirty_queue_.erase(entry.dirty_it);
     dirty_bytes_ -= entry.data.size();
   } else if (entry.prefetched && !entry.prefetch_consumed) {
-    CacheCounters d;
-    d.prefetch_wasted_bytes = entry.data.size();
-    AccumulateCacheCounters(counters_, d);
-    GlobalCacheAdd(d);
+    counters_.prefetch_wasted_bytes += entry.data.size();
   }
   mem_bytes_ -= entry.data.size();
   lru_.erase(entry.lru_it);
@@ -261,10 +236,7 @@ void CachedBackend::EvictOverMemBudgetLocked() {
     }
     if (victim.empty()) return; // everything left is pinned
     trace::Span span("cache.evict", "cache");
-    CacheCounters d;
-    d.evictions_mem = 1;
-    AccumulateCacheCounters(counters_, d);
-    GlobalCacheAdd(d);
+    ++counters_.evictions_mem;
     RemoveEntryLocked(victim, /*demote=*/true);
   }
 }
@@ -301,10 +273,7 @@ std::optional<Bytes> CachedBackend::TryDiskHitLocked(const std::string& name) {
     return std::nullopt;
   }
   trace::Span span("cache.hit_disk", "cache");
-  CacheCounters d;
-  d.disk_hits = 1;
-  AccumulateCacheCounters(counters_, d);
-  GlobalCacheAdd(d);
+  ++counters_.disk_hits;
   // Promote to the memory tier, TTL continuing from the disk stamp.
   InsertCleanLocked(name, data.value(), Entry::State::kClean,
                     it->second.stamp_ms, /*prefetched=*/false);
@@ -321,19 +290,13 @@ Result<Bytes> CachedBackend::Get(const std::string& name) {
         trace::Span span("cache.hit_mem", "cache");
         TouchLocked(name, it->second);
         CountPrefetchReadLocked(it->second);
-        CacheCounters d;
-        d.mem_hits = 1;
-        AccumulateCacheCounters(counters_, d);
-        GlobalCacheAdd(d);
+        ++counters_.mem_hits;
         return it->second.data;
       }
       RemoveEntryLocked(name, /*demote=*/false); // expired
     }
     if (auto disk = TryDiskHitLocked(name)) return std::move(*disk);
-    CacheCounters d;
-    d.misses = 1;
-    AccumulateCacheCounters(counters_, d);
-    GlobalCacheAdd(d);
+    ++counters_.misses;
     seq_before = inval_seq_[name];
   }
   trace::Span span("cache.miss", "cache");
@@ -378,10 +341,7 @@ std::vector<Result<Bytes>> CachedBackend::MultiGet(
       if (it != entries_.end() && EntryValidLocked(it->second)) {
         TouchLocked(name, it->second);
         CountPrefetchReadLocked(it->second);
-        CacheCounters d;
-        d.mem_hits = 1;
-        AccumulateCacheCounters(counters_, d);
-        GlobalCacheAdd(d);
+        ++counters_.mem_hits;
         served.emplace(i, it->second.data);
         continue;
       }
@@ -389,10 +349,7 @@ std::vector<Result<Bytes>> CachedBackend::MultiGet(
         served.emplace(i, std::move(*disk));
         continue;
       }
-      CacheCounters d;
-      d.misses = 1;
-      AccumulateCacheCounters(counters_, d);
-      GlobalCacheAdd(d);
+      ++counters_.misses;
       miss_idx.push_back(i);
       miss_seq.push_back(inval_seq_[name]);
     }
@@ -533,10 +490,7 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
           dirty_bytes_ -= entry.data.size();
         } else {
           if (entry.prefetched && !entry.prefetch_consumed) {
-            CacheCounters d;
-            d.prefetch_wasted_bytes = entry.data.size();
-            AccumulateCacheCounters(counters_, d);
-            GlobalCacheAdd(d);
+            counters_.prefetch_wasted_bytes += entry.data.size();
           }
           dirty_queue_.push_back(name);
           entry.dirty_it = std::prev(dirty_queue_.end());
@@ -550,7 +504,8 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
         entry.prefetched = false;
         TouchLocked(name, entry);
       }
-      NoteDirtyHighWaterLocked();
+      counters_.dirty_bytes_high_water = std::max<std::uint64_t>(
+          counters_.dirty_bytes_high_water, dirty_bytes_);
       EvictOverMemBudgetLocked();
       over_high_water = dirty_bytes_ > options_.writeback_high_water_bytes;
     }
@@ -714,8 +669,7 @@ Status CachedBackend::FlushOneBatch() {
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    CacheCounters d;
-    d.writeback_batches = 1;
+    ++counters_.writeback_batches;
     for (Item& item : batch) {
       const auto it = entries_.find(item.name);
       if (it == entries_.end()) continue;
@@ -727,7 +681,7 @@ Status CachedBackend::FlushOneBatch() {
           entry.dirty_gen != item.gen) {
         continue;
       }
-      ++d.writeback_objects;
+      ++counters_.writeback_objects;
       dirty_queue_.erase(entry.dirty_it);
       dirty_bytes_ -= entry.data.size();
       if (!lease_mode_) {
@@ -752,8 +706,6 @@ Status CachedBackend::FlushOneBatch() {
         entries_.erase(it);
       }
     }
-    AccumulateCacheCounters(counters_, d);
-    GlobalCacheAdd(d);
   }
   return first_error;
 }
@@ -778,10 +730,9 @@ Status CachedBackend::Flush() {
 void CachedBackend::OnInvalidate(const std::vector<std::string>& names) {
   trace::Span span("cache.invalidate", "cache");
   const std::lock_guard<std::mutex> lock(mu_);
-  CacheCounters d;
   for (const std::string& name : names) {
     ++inval_seq_[name];
-    ++d.invalidations_received;
+    ++counters_.invalidations_received;
     const auto it = entries_.find(name);
     // Dirty entries survive: our pending write supersedes the remote one
     // under last-writer-wins, and dropping it would lose data.
@@ -790,8 +741,6 @@ void CachedBackend::OnInvalidate(const std::vector<std::string>& names) {
     }
     DiskRemoveLocked(name);
   }
-  AccumulateCacheCounters(counters_, d);
-  GlobalCacheAdd(d);
 }
 
 void CachedBackend::OnChannelDown() {
@@ -813,6 +762,7 @@ void CachedBackend::OnPrefetchDelivered(const std::string& name,
                                         Result<Bytes> object) {
   if (!object.ok()) return; // negative results are not cached
   const std::lock_guard<std::mutex> lock(mu_);
+  ++counters_.prefetch_issued;
   const auto it = entries_.find(name);
   if (it != entries_.end()) {
     if (EntryValidLocked(it->second)) return; // demand path won the race
@@ -884,10 +834,7 @@ void CachedBackend::DiskInsertLocked(const std::string& name, ByteSpan data,
   disk_entries_.emplace(name, entry);
   while (disk_bytes_ > options_.disk_budget_bytes && !disk_lru_.empty()) {
     const std::string victim = disk_lru_.back();
-    CacheCounters d;
-    d.evictions_disk = 1;
-    AccumulateCacheCounters(counters_, d);
-    GlobalCacheAdd(d);
+    ++counters_.evictions_disk;
     DiskRemoveLocked(victim);
   }
   AppendDiskLogLocked(kLogInsert, name, data.size());

@@ -187,9 +187,6 @@ class CachedBackend final : public storage::StorageBackend {
   void OnStreamCommitted(const std::string& name);
   [[nodiscard]] std::optional<Bytes> TryDiskHitLocked(const std::string& name);
 
-  void AddGlobal(const CacheCounters& delta) const;
-  void NoteDirtyHighWaterLocked();
-
   friend class CachedPutStream;
 
   CacheOptions options_;

@@ -9,6 +9,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "common/env.hpp"
 #include "common/serial.hpp"
 #include "net/transport.hpp"
 #include "trace/trace.hpp"
@@ -79,12 +80,8 @@ std::uint64_t MonotonicNs() {
 }
 
 std::size_t EnvReplication() {
-  const char* env = std::getenv("NEXUS_REPLICATION");
-  if (env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1 && parsed <= 64) return static_cast<std::size_t>(parsed);
-  }
-  return 2;
+  const std::uint64_t r = EnvUnsigned("NEXUS_REPLICATION", 2);
+  return r >= 1 && r <= 64 ? static_cast<std::size_t>(r) : 2;
 }
 
 } // namespace
@@ -596,7 +593,7 @@ Result<Bytes> ClusterBackend::ShardGet(const ShardPtr& shard,
   Bump(&ClusterCounters::shard_rpcs);
   const std::uint64_t t0 = MonotonicNs();
   Result<Bytes> res = shard->backend->Get(name);
-  trace::GlobalHistogram("cluster.rpc").Record(MonotonicNs() - t0);
+  shard_rpc_latency_.Record(MonotonicNs() - t0);
   const bool transport_ok = res.ok() || res.status().code() != ErrorCode::kIOError;
   if (!transport_ok) Bump(&ClusterCounters::shard_failures);
   RecordShardOutcome(*shard, transport_ok);
@@ -608,7 +605,7 @@ Status ClusterBackend::ShardPut(const ShardPtr& shard, const std::string& name,
   Bump(&ClusterCounters::shard_rpcs);
   const std::uint64_t t0 = MonotonicNs();
   const Status st = shard->backend->Put(name, data);
-  trace::GlobalHistogram("cluster.rpc").Record(MonotonicNs() - t0);
+  shard_rpc_latency_.Record(MonotonicNs() - t0);
   const bool transport_ok = st.ok() || st.code() != ErrorCode::kIOError;
   if (!transport_ok) Bump(&ClusterCounters::shard_failures);
   RecordShardOutcome(*shard, transport_ok);
@@ -620,7 +617,7 @@ Status ClusterBackend::ShardDelete(const ShardPtr& shard,
   Bump(&ClusterCounters::shard_rpcs);
   const std::uint64_t t0 = MonotonicNs();
   const Status st = shard->backend->Delete(name);
-  trace::GlobalHistogram("cluster.rpc").Record(MonotonicNs() - t0);
+  shard_rpc_latency_.Record(MonotonicNs() - t0);
   const bool transport_ok = st.ok() || st.code() != ErrorCode::kIOError;
   if (!transport_ok) Bump(&ClusterCounters::shard_failures);
   RecordShardOutcome(*shard, transport_ok);
@@ -632,7 +629,7 @@ std::vector<Result<Bytes>> ClusterBackend::ShardMultiGet(
   Bump(&ClusterCounters::shard_rpcs);
   const std::uint64_t t0 = MonotonicNs();
   std::vector<Result<Bytes>> res = shard->backend->MultiGet(names);
-  trace::GlobalHistogram("cluster.rpc").Record(MonotonicNs() - t0);
+  shard_rpc_latency_.Record(MonotonicNs() - t0);
   // A transport failure fails the whole batch; a healthy server answers
   // per name. Treat "every entry kIOError" as the transport case.
   bool transport_ok = names.empty();
@@ -663,7 +660,7 @@ Result<std::vector<std::string>> ClusterBackend::ShardList(
     transport_ok =
         probe.ok() || probe.status().code() != ErrorCode::kIOError;
   }
-  trace::GlobalHistogram("cluster.rpc").Record(MonotonicNs() - t0);
+  shard_rpc_latency_.Record(MonotonicNs() - t0);
   if (!transport_ok) {
     Bump(&ClusterCounters::shard_failures);
     RecordShardOutcome(*shard, false);
@@ -689,7 +686,7 @@ Result<storage::StorageBackend::ListPage> ClusterBackend::ShardListPage(
     transport_ok =
         probe.ok() || probe.status().code() != ErrorCode::kIOError;
   }
-  trace::GlobalHistogram("cluster.rpc").Record(MonotonicNs() - t0);
+  shard_rpc_latency_.Record(MonotonicNs() - t0);
   if (!transport_ok) {
     Bump(&ClusterCounters::shard_failures);
     RecordShardOutcome(*shard, false);
@@ -1377,24 +1374,14 @@ void ClusterBackend::ReviveShards() {
 
 void ClusterBackend::Bump(std::uint64_t ClusterCounters::* field,
                           std::uint64_t n) {
-  {
-    const std::lock_guard<std::mutex> lock(counters_mu_);
-    counters_.*field += n;
-  }
-  ClusterCounters delta;
-  delta.*field = n;
-  GlobalClusterAdd(delta);
+  const std::lock_guard<std::mutex> lock(counters_mu_);
+  counters_.*field += n;
 }
 
 void ClusterBackend::GaugeMax(std::uint64_t ClusterCounters::* field,
                               std::uint64_t value) {
-  {
-    const std::lock_guard<std::mutex> lock(counters_mu_);
-    if (counters_.*field < value) counters_.*field = value;
-  }
-  ClusterCounters delta;
-  delta.*field = value;
-  GlobalClusterAdd(delta); // the accumulator keeps the max for gauges
+  const std::lock_guard<std::mutex> lock(counters_mu_);
+  if (counters_.*field < value) counters_.*field = value;
 }
 
 ClusterCounters ClusterBackend::counters() const {
@@ -1403,11 +1390,8 @@ ClusterCounters ClusterBackend::counters() const {
     const std::lock_guard<std::mutex> lock(counters_mu_);
     out = counters_;
   }
-  const trace::Histogram& latency = trace::GlobalHistogram("cluster.rpc");
-  if (latency.Count() > 0) {
-    out.shard_rpc_p50_ms = latency.PercentileMs(0.50);
-    out.shard_rpc_p99_ms = latency.PercentileMs(0.99);
-  }
+  out.shard_rpc_p50_ms = shard_rpc_latency_.PercentileMs(0.50);
+  out.shard_rpc_p99_ms = shard_rpc_latency_.PercentileMs(0.99);
   return out;
 }
 

@@ -64,6 +64,7 @@
 #include "common/result.hpp"
 #include "net/remote_backend.hpp"
 #include "storage/backend.hpp"
+#include "trace/histogram.hpp"
 
 namespace nexus::cluster {
 
@@ -257,7 +258,7 @@ class ClusterBackend final : public storage::StorageBackend {
   bool ShardAvailable(Shard& shard);
   void RecordShardOutcome(Shard& shard, bool transport_ok);
 
-  // Shard RPC wrappers: time into the "cluster.rpc" histogram, bump
+  // Shard RPC wrappers: time into shard_rpc_latency_, bump
   // rpc/failure counters, feed the health tracker.
   Result<Bytes> ShardGet(const ShardPtr& shard, const std::string& name);
   Status ShardPut(const ShardPtr& shard, const std::string& name,
@@ -316,7 +317,7 @@ class ClusterBackend final : public storage::StorageBackend {
   std::mutex& StripeFor(std::uint64_t point);
 
   void Bump(std::uint64_t ClusterCounters::* field, std::uint64_t n = 1);
-  /// Monotone gauge update (instance and global mirror keep the max).
+  /// Monotone gauge update: keeps the max.
   void GaugeMax(std::uint64_t ClusterCounters::* field, std::uint64_t value);
 
   [[nodiscard]] std::vector<ShardPtr> SnapshotShards() const;
@@ -353,7 +354,8 @@ class ClusterBackend final : public storage::StorageBackend {
   std::array<std::mutex, 64> stripes_;
 
   mutable std::mutex counters_mu_;
-  ClusterCounters counters_;
+  ClusterCounters counters_; // percentiles come from shard_rpc_latency_
+  trace::Histogram shard_rpc_latency_; // records lock-free
 
   // Rebalance/maintenance thread: woken by membership changes (queued
   // ring deltas) and shard reinstatements (revive + handoff drain).

@@ -1,11 +1,5 @@
-// Cluster-client traffic counters.
-//
-// Same shape as net::NetCounters / cache::CacheCounters: a plain
-// aggregate with PR 4 delta semantics (counters subtract, gauges keep the
-// later snapshot) plus a process-global mirror so ProfileSnapshot can
-// report cluster behavior without threading a ClusterBackend pointer
-// through every layer. Latency gauges are fed from the process-wide
-// "cluster.rpc" trace::Histogram at snapshot time.
+// Cluster-client counters of one ClusterBackend (counters()). A delta
+// between two snapshots subtracts counters; gauges keep the later value.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +43,7 @@ struct ClusterCounters {
   std::uint64_t shards_ejected = 0;
   std::uint64_t shards_reinstated = 0;
 
-  // Shard RPC latency (gauges from the "cluster.rpc" histogram).
+  // Shard RPC latency (gauges from this backend's histogram).
   double shard_rpc_p50_ms = 0;
   double shard_rpc_p99_ms = 0;
 
@@ -92,16 +86,5 @@ struct ClusterCounters {
     return out;
   }
 };
-
-/// Folds `delta` into `into`: counters accumulate, latency gauges take the
-/// later (non-zero) value. Shared by instance counters and the mirror.
-void AccumulateClusterCounters(ClusterCounters& into,
-                               const ClusterCounters& delta);
-
-/// Process-wide totals across every ClusterBackend instance, with the
-/// latency gauges filled from the "cluster.rpc" histogram. Thread-safe.
-[[nodiscard]] ClusterCounters GlobalClusterSnapshot();
-void ResetGlobalClusterCounters();
-void GlobalClusterAdd(const ClusterCounters& delta);
 
 } // namespace nexus::cluster

@@ -147,33 +147,14 @@ class NexusClient {
   [[nodiscard]] storage::AfsClient& afs() noexcept { return afs_; }
   [[nodiscard]] ProfileSnapshot Profile() const {
     const storage::SimClock& clock = afs_.server().clock();
-    const journal::Stats& js = enclave_->journal_stats();
     ProfileSnapshot snap;
     snap.io_seconds = clock.Now();
     snap.enclave_seconds = enclave_seconds_;
     snap.metadata_io_seconds = clock.Account(kMetaIoAccount);
     snap.data_io_seconds = clock.Account(kDataIoAccount);
     snap.journal_io_seconds = clock.Account(kJournalIoAccount);
-    snap.journal = JournalCounters{
-        js.records_committed, js.ops_committed,   js.ops_deduped,
-        js.checkpoints,       js.ops_checkpointed, js.records_replayed,
-        js.ops_replayed,      js.torn_records_discarded};
-    const enclave::NexusEnclave::ParallelStats& ps = enclave_->parallel_stats();
-    snap.parallel = ParallelCounters{
-        ps.chunks_encrypted,    ps.chunks_decrypted,
-        ps.parallel_batches,    ps.segments_streamed,
-        ps.tasks_stolen,        ps.peak_queue_depth,
-        ps.worker_busy_seconds, ps.critical_path_seconds,
-        ps.saved_seconds};
-    snap.net = net::GlobalNetSnapshot();
-    snap.cache = cache::GlobalCacheSnapshot();
-    snap.cluster = cluster::GlobalClusterSnapshot();
-    // PR 5 reported readahead effectiveness under net.*; the cache layer
-    // owns those counters now, so keep the old names aliased.
-    snap.net.prefetch_issued = snap.cache.prefetch_issued;
-    snap.net.prefetch_hits = snap.cache.prefetch_hits;
-    snap.net.prefetch_wasted_bytes = snap.cache.prefetch_wasted_bytes;
-    snap.net.prefetch_joined = snap.cache.prefetch_joined;
+    snap.journal = enclave_->journal_stats();
+    snap.parallel = enclave_->parallel_stats();
     {
       const trace::Histogram& ecalls = trace::GlobalHistogram("ecall");
       snap.ecall_latency = LatencySummary{

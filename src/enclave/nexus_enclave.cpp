@@ -4,10 +4,10 @@
 #include "enclave/nexus_enclave.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <thread>
 
 #include "common/clock.hpp"
+#include "common/env.hpp"
 #include "trace/trace.hpp"
 #include "common/serial.hpp"
 #include "crypto/aes.hpp"
@@ -38,13 +38,8 @@ Bytes ChunkAad(const Uuid& file_uuid, std::uint32_t index) {
 // SGX parts with 4 hyperthreads; more workers than that only adds queue
 // contention for the 1 MiB-granular tasks.
 std::size_t DefaultCryptoWorkers() {
-  if (const char* env = std::getenv("NEXUS_CRYPTO_WORKERS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v <= 64) {
-      return static_cast<std::size_t>(v);
-    }
-  }
+  const std::uint64_t v = EnvUnsigned("NEXUS_CRYPTO_WORKERS", ~0ull);
+  if (v <= 64) return static_cast<std::size_t>(v);
   const std::size_t hw = std::thread::hardware_concurrency();
   return std::min<std::size_t>(4, hw == 0 ? 1 : hw);
 }

@@ -271,16 +271,38 @@ class NexusEnclave {
     return crypto_workers_;
   }
 
+  /// Counters of the parallel chunk-crypto engine. The timing fields are
+  /// thread-CPU seconds: `worker_busy_seconds` sums every crypto task,
+  /// `critical_path_seconds` sums each batch's slowest worker — the batch
+  /// wall time an unloaded machine with as many cores as workers would
+  /// observe. `saved_seconds` is the surplus (measured wall − critical
+  /// path) already subtracted from NexusClient's enclave seconds, i.e. how
+  /// much the worker pool shortened the modeled enclave runtime.
   struct ParallelStats {
     std::uint64_t chunks_encrypted = 0;
     std::uint64_t chunks_decrypted = 0;
     std::uint64_t parallel_batches = 0;  // dispatched chunk batches
     std::uint64_t segments_streamed = 0; // pipelined store/fetch segments
     std::uint64_t tasks_stolen = 0;
-    std::uint64_t peak_queue_depth = 0;
-    double worker_busy_seconds = 0;   // CPU seconds across all workers
-    double critical_path_seconds = 0; // max per-worker CPU seconds per batch
-    double saved_seconds = 0;         // modeled wall time removed by workers
+    std::uint64_t peak_queue_depth = 0; // gauge
+    double worker_busy_seconds = 0;
+    double critical_path_seconds = 0;
+    double saved_seconds = 0;
+
+    friend ParallelStats operator-(const ParallelStats& a,
+                                   const ParallelStats& b) {
+      return ParallelStats{
+          a.chunks_encrypted - b.chunks_encrypted,
+          a.chunks_decrypted - b.chunks_decrypted,
+          a.parallel_batches - b.parallel_batches,
+          a.segments_streamed - b.segments_streamed,
+          a.tasks_stolen - b.tasks_stolen,
+          a.peak_queue_depth, // a gauge keeps the later sample's peak
+          a.worker_busy_seconds - b.worker_busy_seconds,
+          a.critical_path_seconds - b.critical_path_seconds,
+          a.saved_seconds - b.saved_seconds,
+      };
+    }
   };
   [[nodiscard]] const ParallelStats& parallel_stats() const noexcept {
     return parallel_stats_;

@@ -142,6 +142,19 @@ struct Stats {
   std::uint64_t records_replayed = 0;
   std::uint64_t ops_replayed = 0;
   std::uint64_t torn_records_discarded = 0;
+
+  friend Stats operator-(const Stats& a, const Stats& b) {
+    return Stats{
+        a.records_committed - b.records_committed,
+        a.ops_committed - b.ops_committed,
+        a.ops_deduped - b.ops_deduped,
+        a.checkpoints - b.checkpoints,
+        a.ops_checkpointed - b.ops_checkpointed,
+        a.records_replayed - b.records_replayed,
+        a.ops_replayed - b.ops_replayed,
+        a.torn_records_discarded - b.torn_records_discarded,
+    };
+  }
 };
 
 } // namespace nexus::journal

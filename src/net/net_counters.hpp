@@ -1,11 +1,5 @@
-// Client-side network instrumentation for the remote-store data path.
-//
-// Every RemoteBackend feeds two sinks: its own per-instance counters and
-// a process-wide aggregate. The aggregate exists because the backend sits
-// several layers below NexusClient (NexusClient -> AfsClient -> AfsServer
-// -> RemoteBackend) with no plumbing for instance handles through the
-// simulator; ProfileSnapshot reads the global and benchmark deltas work
-// the same way as every other counter group.
+// Client-side network counters of one RemoteBackend (counters()). A delta
+// between two snapshots subtracts counters; gauges keep the later value.
 #pragma once
 
 #include <cstdint>
@@ -18,20 +12,14 @@ struct NetCounters {
   std::uint64_t reconnects = 0; // fresh dials replacing a broken connection
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
-  // Speculative readahead traffic (counters, PR 4 delta semantics):
-  // issued = Gets sent ahead of demand, hits = demand reads served from a
-  // prefetched object, wasted = prefetched bytes evicted or invalidated
-  // before any demand read consumed them.
+  // Speculative Gets sent ahead of demand (Prefetch calls that found
+  // window room), and demand reads that found their object already in
+  // flight as one and waited on that RPC instead of duplicating it. Hits
+  // and wasted bytes are the cache's: the prefetched bytes land there.
   std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_hits = 0;
-  std::uint64_t prefetch_wasted_bytes = 0;
-  // Demand reads that found their object already in flight as a
-  // speculative readahead and waited on that RPC instead of duplicating it.
   std::uint64_t prefetch_joined = 0;
-  // Latency of successful RPC attempts (send -> response decoded), from a
-  // process-wide log-bucket histogram (trace::Histogram). Gauges, not
-  // counters: a delta keeps the later snapshot's value, mirroring
-  // peak_queue_depth.
+  // Latency of successful RPC attempts (send -> response decoded), from
+  // this backend's log-bucket histogram (trace::Histogram). Gauges.
   double rpc_p50_ms = 0;
   double rpc_p99_ms = 0;
 
@@ -43,23 +31,11 @@ struct NetCounters {
     out.bytes_sent = a.bytes_sent - b.bytes_sent;
     out.bytes_received = a.bytes_received - b.bytes_received;
     out.prefetch_issued = a.prefetch_issued - b.prefetch_issued;
-    out.prefetch_hits = a.prefetch_hits - b.prefetch_hits;
-    out.prefetch_wasted_bytes = a.prefetch_wasted_bytes - b.prefetch_wasted_bytes;
     out.prefetch_joined = a.prefetch_joined - b.prefetch_joined;
     out.rpc_p50_ms = a.rpc_p50_ms; // gauges keep the later snapshot
     out.rpc_p99_ms = a.rpc_p99_ms;
     return out;
   }
 };
-
-/// Process-wide aggregate across every RemoteBackend, percentiles included.
-NetCounters GlobalNetSnapshot();
-
-/// Zeroes the global aggregate (benchmark phase boundaries).
-void ResetGlobalNetCounters();
-
-// Accumulation entry points (called by RemoteBackend).
-void GlobalNetAdd(const NetCounters& delta);
-void GlobalNetRecordLatencyMs(double ms);
 
 } // namespace nexus::net

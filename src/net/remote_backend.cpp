@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <deque>
 #include <thread>
 #include <utility>
 
-#include "cache/cache_counters.hpp"
 #include "common/clock.hpp"
+#include "common/env.hpp"
 #include "trace/trace.hpp"
 
 namespace nexus::net {
@@ -23,28 +22,17 @@ std::uint64_t Mix(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::size_t EnvSize(const char* name, std::size_t fallback, bool* found) {
-  if (found != nullptr) *found = false;
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return fallback;
-  if (found != nullptr) *found = true;
-  return static_cast<std::size_t>(v);
-}
-
 } // namespace
 
 std::size_t DefaultRpcWindow() {
-  const std::size_t w = EnvSize("NEXUS_RPC_WINDOW", 8, nullptr);
-  return std::clamp<std::size_t>(w, 1, 256);
+  return static_cast<std::size_t>(
+      std::clamp<std::uint64_t>(EnvUnsigned("NEXUS_RPC_WINDOW", 8), 1, 256));
 }
 
 std::size_t DefaultReadaheadBudgetBytes() {
-  bool found = false;
-  const std::size_t b = EnvSize("NEXUS_READAHEAD_BUDGET", 0, &found);
-  return found ? b : (32u << 20); // explicit 0 disables readahead
+  // An explicit 0 disables readahead.
+  return static_cast<std::size_t>(
+      EnvUnsigned("NEXUS_READAHEAD_BUDGET", 32u << 20));
 }
 
 RemoteBackend::RemoteBackend(TransportFactory factory,
@@ -144,13 +132,8 @@ void RemoteBackend::Backoff() {
 }
 
 void RemoteBackend::CountRetry() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.retries;
-  }
-  NetCounters delta;
-  delta.retries = 1;
-  GlobalNetAdd(delta);
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++counters_.retries;
 }
 
 // ---- connection pool --------------------------------------------------------
@@ -168,20 +151,11 @@ std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
   // unconsumed.
   auto hook = [this](std::size_t request_bytes, std::size_t response_bytes,
                      std::uint64_t start_ns) {
-    const double ms =
-        static_cast<double>(MonotonicNanos() - start_ns) * 1e-6;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.rpcs;
-      counters_.bytes_sent += request_bytes + 4;
-      counters_.bytes_received += response_bytes + 4;
-    }
-    NetCounters delta;
-    delta.rpcs = 1;
-    delta.bytes_sent = request_bytes + 4;
-    delta.bytes_received = response_bytes + 4;
-    GlobalNetAdd(delta);
-    GlobalNetRecordLatencyMs(ms);
+    rpc_latency_.Record(MonotonicNanos() - start_ns);
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++counters_.rpcs;
+    counters_.bytes_sent += request_bytes + 4;
+    counters_.bytes_received += response_bytes + 4;
   };
   return std::make_shared<MuxConnection>(std::move(transport), rpc_window_,
                                          std::move(hook));
@@ -231,13 +205,8 @@ Result<std::shared_ptr<MuxConnection>> RemoteBackend::AcquireConnection(
   // Dial outside the lock — a slow handshake must not stall siblings.
   NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<Transport> fresh, factory_());
   if (is_retry) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.reconnects;
-    }
-    NetCounters delta;
-    delta.reconnects = 1;
-    GlobalNetAdd(delta);
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++counters_.reconnects;
   }
   auto conn = NewConnection(std::move(fresh));
   // Tie the data connection to the lease session BEFORE publishing it so
@@ -380,9 +349,6 @@ Result<Bytes> RemoteBackend::GetLeased(const std::string& name,
         const std::lock_guard<std::mutex> count_lock(mu_);
         ++counters_.prefetch_joined;
       }
-      cache::CacheCounters delta;
-      delta.prefetch_joined = 1;
-      cache::GlobalCacheAdd(delta);
       return data;
     }
     // Timed out, failed, withdrawn, or completed without retaining the
@@ -721,9 +687,8 @@ void RemoteBackend::Prefetch(const std::string& name) {
     FinishFlight(flight, Error(ErrorCode::kIOError, "speculation withdrawn"));
     return;
   }
-  cache::CacheCounters delta;
-  delta.prefetch_issued = 1;
-  cache::GlobalCacheAdd(delta);
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++counters_.prefetch_issued;
 }
 
 void RemoteBackend::OnPrefetchDone(const std::string& name,
@@ -864,8 +829,14 @@ void RemoteBackend::LeaseCallbackLoop() {
 }
 
 NetCounters RemoteBackend::counters() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  NetCounters out;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    out = counters_;
+  }
+  out.rpc_p50_ms = rpc_latency_.PercentileMs(0.50);
+  out.rpc_p99_ms = rpc_latency_.PercentileMs(0.99);
+  return out;
 }
 
 // ---- streamed puts ----------------------------------------------------------

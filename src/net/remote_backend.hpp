@@ -69,6 +69,7 @@
 #include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "storage/backend.hpp"
+#include "trace/histogram.hpp"
 
 namespace nexus::net {
 
@@ -207,7 +208,8 @@ class RemoteBackend final : public storage::StorageBackend {
 
   mutable std::mutex mu_;
   std::uint64_t jitter_state_;
-  NetCounters counters_;
+  NetCounters counters_; // percentiles come from rpc_latency_
+  trace::Histogram rpc_latency_; // successful RPCs; records lock-free
 
   /// One speculative Get in flight. A demand read for the same name JOINS
   /// the speculation (waits on `cv`) instead of issuing a duplicate RPC —

@@ -5,11 +5,11 @@
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <fcntl.h>
 #include <functional>
+#include <limits>
 #include <map>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -17,8 +17,9 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include "cache/cache_counters.hpp"
+#include "cache/cached_backend.hpp"
 #include "common/clock.hpp"
+#include "common/env.hpp"
 #include "net/reactor.hpp"
 #include "net/transport.hpp"
 #include "net/wire.hpp"
@@ -173,9 +174,10 @@ Result<std::unique_ptr<NexusdServer>> NexusdServer::Start(
 
   server->lease_break_ms_ = server->options_.lease_break_ms;
   if (server->lease_break_ms_ <= 0) {
-    const char* env = std::getenv("NEXUS_LEASE_BREAK_MS");
-    const int v = (env != nullptr && *env != '\0') ? std::atoi(env) : 0;
-    server->lease_break_ms_ = v > 0 ? v : 1000;
+    const std::uint64_t v = EnvUnsigned("NEXUS_LEASE_BREAK_MS", 1000);
+    server->lease_break_ms_ =
+        v > 0 && v <= std::numeric_limits<int>::max() ? static_cast<int>(v)
+                                                       : 1000;
   }
 
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -320,8 +322,8 @@ ServerStats NexusdServer::WireStats() const {
     out.invalidations_sent = stats_.invalidations_sent;
     out.lease_break_timeouts = stats_.lease_break_timeouts;
     // Gauge of threads this daemon is resident with: the loop, the rpc
-    // pool, and one thread per lease channel. The c10k bench pins this
-    // flat while the connection count climbs.
+    // pool, and one thread per lease channel. The high-connection test
+    // pins this flat while the connection count climbs.
     out.resident_threads = 1 + options_.rpc_workers + lease_threads_.size();
     for (std::size_t i = static_cast<std::size_t>(Rpc::kPing); i < kRpcSlots;
          ++i) {
@@ -345,16 +347,19 @@ ServerStats NexusdServer::WireStats() const {
   out.arena_oversize_frames = as.oversize_frames;
   out.loop_dispatch_p50_ms = reactor_->dispatch_latency().PercentileMs(0.50);
   out.loop_dispatch_p99_ms = reactor_->dispatch_latency().PercentileMs(0.99);
-  // Process-wide object-cache counters: non-zero when this daemon fronts
-  // its backend with cache::CachedBackend (nexusd --cache-mem).
-  const cache::CacheCounters cc = cache::GlobalCacheSnapshot();
-  out.cache_mem_hits = cc.mem_hits;
-  out.cache_disk_hits = cc.disk_hits;
-  out.cache_misses = cc.misses;
-  out.cache_evictions = cc.evictions_mem + cc.evictions_disk;
-  out.cache_writeback_batches = cc.writeback_batches;
-  out.cache_invalidations = cc.invalidations_received;
-  out.cache_dirty_high_water = cc.dirty_bytes_high_water;
+  // The cache rows: this daemon fronts its store with a CachedBackend
+  // under nexusd --cache-mem, and they stay zero otherwise.
+  if (const auto* cached =
+          dynamic_cast<const cache::CachedBackend*>(&backend_)) {
+    const cache::CacheCounters cc = cached->counters();
+    out.cache_mem_hits = cc.mem_hits;
+    out.cache_disk_hits = cc.disk_hits;
+    out.cache_misses = cc.misses;
+    out.cache_evictions = cc.evictions_mem + cc.evictions_disk;
+    out.cache_writeback_batches = cc.writeback_batches;
+    out.cache_invalidations = cc.invalidations_received;
+    out.cache_dirty_high_water = cc.dirty_bytes_high_water;
+  }
   // Histograms are internally synchronized; read them outside mu_.
   for (RpcOpStats& row : out.per_op) {
     const trace::Histogram& h = op_latency_ns_[row.rpc];

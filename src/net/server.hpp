@@ -8,8 +8,8 @@
 // large MultiGet bodies stay zero-copy), flushed with sendmsg and drained
 // by EPOLLOUT when a socket pushes back. Idle connections cost one
 // registration, not a thread, so the daemon holds thousands of clients at
-// a flat resident thread count (see BENCH_c10k.json). A daemon whose
-// Reactor cannot start fails Start().
+// a flat resident thread count (the CI high-connection smoke holds 512).
+// A daemon whose Reactor cannot start fails Start().
 //
 // Where a handler runs. Over a backend whose calls never wait
 // (StorageBackend::NeverWaits: MemBackend), handlers run inline on the
@@ -131,8 +131,8 @@ class NexusdServer {
 
   /// Snapshot served over Rpc::kStats: stats() plus one row per RPC id
   /// actually served, with p50/p99 service latency from the per-op
-  /// histograms, plus the process-wide object-cache counters (non-zero
-  /// when this daemon fronts its backend with cache::CachedBackend).
+  /// histograms, plus the object-cache counters of the served backend
+  /// when it is a cache::CachedBackend (nexusd --cache-mem).
   [[nodiscard]] ServerStats WireStats() const;
 
  private:

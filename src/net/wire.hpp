@@ -199,8 +199,8 @@ struct ServerStats {
   std::uint64_t leases_broken = 0;
   std::uint64_t invalidations_sent = 0;
   std::uint64_t lease_break_timeouts = 0;
-  // Object-cache counters mirrored by a cache-enabled nexusd (zero when
-  // the daemon runs without --cache-mem).
+  // Counters of the cache::CachedBackend a cache-enabled nexusd serves
+  // (zero when the daemon runs without --cache-mem).
   std::uint64_t cache_mem_hits = 0;
   std::uint64_t cache_disk_hits = 0;
   std::uint64_t cache_misses = 0;

@@ -11,9 +11,8 @@
 //    two in value). Histograms merge associatively, so per-shard instances
 //    can be summed into one distribution.
 //
-//  * Reservoir — the bounded sample buffer previously private to
-//    net_counters.cpp, kept for callers that want EXACT percentiles over
-//    recent samples. Not thread-safe; callers lock.
+//  * Reservoir — a bounded sample buffer for callers that want EXACT
+//    percentiles over recent samples. Not thread-safe; callers lock.
 #pragma once
 
 #include <atomic>

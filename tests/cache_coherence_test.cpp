@@ -7,6 +7,7 @@
 // external daemon instead of the in-process one (CI's two-client smoke).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -558,6 +559,64 @@ TEST(CacheCoherence, MultiGetMissesFillInOneBatchedLeasedRound) {
 
   reader.cache.reset();
   writer.cache.reset();
+  server->Stop();
+}
+
+// ---- read savings and the daemon's cache rows -------------------------------
+
+// A warm sequential re-read over the wire costs at least five times fewer
+// RPCs than the cold one: the leased entries serve it from memory.
+TEST(CacheCoherence, WarmReReadCostsFiveTimesFewerRpcs) {
+  constexpr std::uint64_t kObjects = 64;
+  storage::MemBackend backend;
+  auto name = [](std::uint64_t i) { return "obj-" + std::to_string(i); };
+  auto blob = [](std::uint64_t i) {
+    return Blob(static_cast<char>('a' + i % 26), 8192);
+  };
+  for (std::uint64_t i = 0; i < kObjects; ++i) {
+    ASSERT_TRUE(backend.Put(name(i), blob(i)).ok());
+  }
+  auto server = NexusdServer::Start(backend).value();
+  Client client = MakeClient(server->port());
+  auto read_all = [&] {
+    for (std::uint64_t i = 0; i < kObjects; ++i) {
+      EXPECT_EQ(client.cache->Get(name(i)).value(), blob(i)) << i;
+    }
+  };
+
+  const std::uint64_t base = client.remote->counters().rpcs;
+  read_all();
+  const std::uint64_t cold = client.remote->counters().rpcs - base;
+  read_all();
+  const std::uint64_t warm = client.remote->counters().rpcs - base - cold;
+  EXPECT_GE(cold, kObjects);
+  EXPECT_GE(cold, 5 * std::max<std::uint64_t>(1, warm));
+  EXPECT_EQ(client.cache->counters().mem_hits, kObjects);
+  client.cache.reset();
+  server->Stop();
+}
+
+// nexusd --cache-mem serves a CachedBackend: the Stats RPC reports that
+// cache's own hits and misses, not those of other caches in the process.
+TEST(CacheCoherence, NexusdStatsReportTheServedCache) {
+  auto inner = std::make_unique<storage::MemBackend>();
+  ASSERT_TRUE(inner->Put("a", Blob('a', 64)).ok());
+  CacheOptions options;
+  options.mem_budget_bytes = 1u << 20;
+  CachedBackend served(std::move(inner), options);
+  auto server = NexusdServer::Start(served).value();
+  CachedBackend bystander(std::make_unique<storage::MemBackend>(), options);
+  EXPECT_FALSE(bystander.Get("missing").ok());
+
+  auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_EQ(remote.value()->Get("a").value(), Blob('a', 64)); // miss + fill
+  EXPECT_EQ(remote.value()->Get("a").value(), Blob('a', 64)); // memory hit
+  const net::ServerStats stats = remote.value()->Stats().value();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_mem_hits, 1u);
+  EXPECT_EQ(stats.cache_disk_hits, 0u);
+  remote.value().reset();
   server->Stop();
 }
 

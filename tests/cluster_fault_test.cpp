@@ -182,6 +182,49 @@ TEST(ClusterFault, KillOneShardMidWriteLosesNothing) {
   EXPECT_EQ(counters.shards_ejected, 1u);
 }
 
+// Quorum ops over real daemons cost exactly R = 2 shard RPCs each while
+// every shard is up (majority quorums of two replicas). A shard killed
+// between read sweeps then costs failovers, not answers: zero failed
+// client ops and byte-identical data on every later sweep.
+TEST(ClusterFault, ReadSweepsAcrossAShardKillLoseNothing) {
+  NexusdCluster fx(3);
+  ClusterBackend& c = fx.cluster();
+  constexpr std::uint64_t kObjects = 64;
+  auto payload = [](std::uint64_t i) {
+    return Bytes(48, static_cast<std::uint8_t>(i * 7 + 1));
+  };
+  for (std::uint64_t i = 0; i < kObjects; ++i) {
+    const Bytes data = payload(i);
+    ASSERT_TRUE(
+        c.Put("f" + std::to_string(i), ByteSpan(data.data(), data.size()))
+            .ok())
+        << i;
+  }
+  const ClusterCounters writes = c.counters();
+  EXPECT_EQ(writes.quorum_writes, kObjects);
+  EXPECT_EQ(writes.shard_rpcs, 2 * kObjects);
+
+  auto read_sweep = [&] {
+    for (std::uint64_t i = 0; i < kObjects; ++i) {
+      const auto got = c.Get("f" + std::to_string(i));
+      ASSERT_TRUE(got.ok()) << i << ": " << got.status().ToString();
+      EXPECT_EQ(got.value(), payload(i)) << i;
+    }
+  };
+  read_sweep();
+  const ClusterCounters healthy = c.counters() - writes;
+  EXPECT_EQ(healthy.quorum_reads, kObjects);
+  EXPECT_EQ(healthy.shard_rpcs, 2 * kObjects);
+  EXPECT_EQ(healthy.failovers, 0u);
+
+  fx.KillShard(1);
+  for (int sweep = 0; sweep < 3; ++sweep) read_sweep();
+  const ClusterCounters after = c.counters();
+  EXPECT_EQ(after.quorum_failures, 0u);
+  EXPECT_GT(after.failovers, 0u);
+  EXPECT_EQ(after.shards_ejected, 1u);
+}
+
 // Deterministic mid-write fault schedule: one shard's transport drops
 // every request frame. The quorum outcome is EXACT: every write commits
 // through the two healthy shards, no ambiguity leaks to the caller, and

@@ -925,6 +925,30 @@ TEST(ClusterBackendTest, HandoffDropsAHintWhoseHolderCopyIsCorrupt) {
   EXPECT_FALSE(fx.shard(1).mem->Exists(name));
 }
 
+// ---- observability ----------------------------------------------------------
+
+// Counters and shard-RPC latency belong to the backend that made the
+// calls: a second cluster in the same process stays at zero.
+TEST(ClusterBackendTest, CountersAndShardLatencyArePerInstance) {
+  ClusterFixture busy(3);
+  ClusterFixture idle(3);
+  const Bytes data{1, 2, 3};
+  ASSERT_TRUE(busy.cluster().Put("k", ByteSpan(data.data(), data.size())).ok());
+  ASSERT_EQ(busy.cluster().Get("k").value(), data);
+
+  const ClusterCounters active = busy.cluster().counters();
+  EXPECT_EQ(active.quorum_writes, 1u);
+  EXPECT_EQ(active.quorum_reads, 1u);
+  EXPECT_GT(active.shard_rpcs, 0u);
+  EXPECT_GT(active.shard_rpc_p50_ms, 0.0);
+  EXPECT_GE(active.shard_rpc_p99_ms, active.shard_rpc_p50_ms);
+  const ClusterCounters quiet = idle.cluster().counters();
+  EXPECT_EQ(quiet.quorum_writes, 0u);
+  EXPECT_EQ(quiet.shard_rpcs, 0u);
+  EXPECT_EQ(quiet.shard_rpc_p50_ms, 0.0);
+  EXPECT_EQ(quiet.shard_rpc_p99_ms, 0.0);
+}
+
 // ---- delta rebalancing ------------------------------------------------------
 
 TEST(ClusterBackendTest, DeltaRebalanceTouchesOnlyMovedArcs) {

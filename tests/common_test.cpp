@@ -1,7 +1,11 @@
-// Tests for Result, hex, UUID and the bounds-checked serializer.
+// Tests for Result, hex, UUID, the bounds-checked serializer and the
+// numeric environment parser.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "common/base64.hpp"
+#include "common/env.hpp"
 #include "common/hex.hpp"
 #include "common/result.hpp"
 #include "common/serial.hpp"
@@ -155,6 +159,31 @@ TEST(Bytes, ConcatAndHelpers) {
   Bytes z = {9, 9, 9};
   SecureZero(z);
   EXPECT_EQ(z, (Bytes{0, 0, 0}));
+}
+
+TEST(Env, ParsesOnlyCompleteUnsignedDecimals) {
+  EXPECT_EQ(ParseUnsigned("0"), 0u);
+  EXPECT_EQ(ParseUnsigned("67108864"), 67108864u);
+  EXPECT_EQ(ParseUnsigned("18446744073709551615"), ~0ull);
+  for (const char* junk : {"", "64MiB", "2x", "-1", "+5", " 5", "5 ", "0x10",
+                           "1e3", "18446744073709551616"}) {
+    EXPECT_EQ(ParseUnsigned(junk), std::nullopt) << '"' << junk << '"';
+  }
+}
+
+TEST(Env, JunkValuesFallBackToTheDefault) {
+  const char* kName = "NEXUS_ENV_PARSER_TEST";
+  ::unsetenv(kName);
+  EXPECT_EQ(EnvUnsigned(kName, 7), 7u);
+  for (const char* junk : {"", "64MiB", "2x", "-1", "+2", "12 "}) {
+    ::setenv(kName, junk, 1);
+    EXPECT_EQ(EnvUnsigned(kName, 7), 7u) << '"' << junk << '"';
+  }
+  ::setenv(kName, "0", 1);
+  EXPECT_EQ(EnvUnsigned(kName, 7), 0u); // an explicit zero is a value
+  ::setenv(kName, "4096", 1);
+  EXPECT_EQ(EnvUnsigned(kName, 7), 4096u);
+  ::unsetenv(kName);
 }
 
 } // namespace

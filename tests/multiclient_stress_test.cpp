@@ -176,8 +176,6 @@ TEST_F(StressTest, TracedSoakKeepsProfileCountersMonotone) {
     EXPECT_GE(cur.parallel.parallel_batches, prev.parallel.parallel_batches);
     EXPECT_GE(cur.parallel.worker_busy_seconds,
               prev.parallel.worker_busy_seconds);
-    EXPECT_GE(cur.net.rpcs, prev.net.rpcs);
-    EXPECT_GE(cur.net.retries, prev.net.retries);
     EXPECT_GE(cur.ecall_latency.count, prev.ecall_latency.count);
     EXPECT_GE(cur.journal_commit_latency.count,
               prev.journal_commit_latency.count);
@@ -194,8 +192,6 @@ TEST_F(StressTest, TracedSoakKeepsProfileCountersMonotone) {
     EXPECT_EQ(delta.journal_commit_latency.p50_ms,
               cur.journal_commit_latency.p50_ms);
     EXPECT_EQ(delta.parallel.peak_queue_depth, cur.parallel.peak_queue_depth);
-    EXPECT_EQ(delta.net.rpc_p50_ms, cur.net.rpc_p50_ms);
-    EXPECT_EQ(delta.net.rpc_p99_ms, cur.net.rpc_p99_ms);
     EXPECT_EQ(delta.trace_spans, cur.trace_spans - prev.trace_spans);
 
     prev = cur;

@@ -3,7 +3,6 @@
 // whose object store is a RemoteBackend talking to a live loopback nexusd.
 #include <gtest/gtest.h>
 
-#include "net/net_counters.hpp"
 #include "net/remote_backend.hpp"
 #include "net/server.hpp"
 #include "test_env.hpp"
@@ -28,7 +27,6 @@ class ScopedTracing {
 class NetE2eTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    net::ResetGlobalNetCounters();
     server_ = net::NexusdServer::Start(store_).value();
 
     auto remote = net::RemoteBackend::Connect("127.0.0.1", server_->port());
@@ -78,13 +76,13 @@ TEST_F(NetE2eTest, SixteenMegabyteFileStreamsThroughTheDaemon) {
   ASSERT_TRUE(fs().WriteFile("big.bin", content).ok());
   EXPECT_EQ(fs().ReadFile("big.bin").value(), content);
 
-  const auto profile = fs().Profile();
-  EXPECT_GT(profile.parallel.segments_streamed, 0u); // pipelined data path
-  EXPECT_GT(profile.net.rpcs, 0u);                   // ... over real RPCs
-  EXPECT_GT(profile.net.bytes_sent, content.size()); // payload + overhead
-  EXPECT_EQ(profile.net.retries, 0u);                // loopback is clean
-  EXPECT_GT(profile.net.rpc_p99_ms, 0.0);
-  EXPECT_GE(profile.net.rpc_p99_ms, profile.net.rpc_p50_ms);
+  EXPECT_GT(fs().Profile().parallel.segments_streamed, 0u); // pipelined
+  const net::NetCounters wire = remote_->counters(); // ... over real RPCs
+  EXPECT_GT(wire.rpcs, 0u);
+  EXPECT_GT(wire.bytes_sent, content.size()); // payload + overhead
+  EXPECT_EQ(wire.retries, 0u);                // loopback is clean
+  EXPECT_GT(wire.rpc_p99_ms, 0.0);
+  EXPECT_GE(wire.rpc_p99_ms, wire.rpc_p50_ms);
 }
 
 TEST_F(NetE2eTest, DirectoriesRenamesAndRemovesWork) {

@@ -24,7 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "cache/cache_counters.hpp"
 #include "cache/cached_backend.hpp"
 #include "common/bytes.hpp"
 #include "net/fault.hpp"
@@ -691,7 +690,6 @@ TEST(NetMux, KilledTransportReleasesReaderAndFollowers) {
 // ---- readahead budget ------------------------------------------------------
 
 TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
-  cache::ResetGlobalCacheCounters();
   storage::MemBackend backend;
   const std::size_t kObject = 4096;
   for (char c : {'w', 'x', 'y', 'z'}) {
@@ -713,25 +711,29 @@ TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
   options.max_pooled_connections = 1;
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  RemoteBackend& raw = *remote.value();
   cache::CacheOptions cache_options;
   cache_options.mem_budget_bytes = kBudget;
   cache::CachedBackend client(std::move(remote).value(), cache_options);
 
   for (char c : {'w', 'x', 'y', 'z'}) client.Prefetch(std::string(1, c));
 
-  // Prefetches complete on the demux thread; wait until the budget has
-  // provably forced at least one eviction.
+  // Prefetches complete on the demux thread; wait until every fill has
+  // landed and the budget has provably forced at least one eviction.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
   while (std::chrono::steady_clock::now() < deadline) {
-    if (cache::GlobalCacheSnapshot().prefetch_issued >= 4 &&
+    if (client.counters().prefetch_issued >= 4 &&
         client.counters().prefetch_wasted_bytes > 0) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
-  EXPECT_EQ(cache::GlobalCacheSnapshot().prefetch_issued, 4u);
+  // Each layer counts its own half: the remote sent four speculative
+  // Gets, the cache's sink received four fills.
+  EXPECT_EQ(raw.counters().prefetch_issued, 4u);
+  EXPECT_EQ(client.counters().prefetch_issued, 4u);
   EXPECT_GE(client.counters().prefetch_wasted_bytes, kObject); // one object
   EXPECT_LE(client.mem_bytes(), kBudget);
 
@@ -744,6 +746,54 @@ TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
   }
   EXPECT_GE(client.counters().prefetch_hits, 1u);
   EXPECT_LE(client.mem_bytes(), kBudget);
+  server->Stop();
+}
+
+// Speculative Gets and RPC latency are counted on the backend that sends
+// them, not in a process-wide total that other backends also feed.
+TEST(NetMux, PrefetchesCountOnTheIssuingBackend) {
+  storage::MemBackend backend;
+  for (char c : {'a', 'b', 'c', 'd'}) {
+    ASSERT_TRUE(backend.Put(std::string(1, c), Blob(c, 64)).ok());
+  }
+  auto server = NexusdServer::Start(backend).value();
+  std::atomic<int> delivered{0};
+  RemoteBackendOptions options;
+  options.rpc_window = 8;
+  options.max_pooled_connections = 1;
+  auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  RemoteBackend& client = *remote.value();
+  // A second backend in the same process whose traffic must not show up
+  // in the first one's counters.
+  auto bystander = RemoteBackend::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(bystander.ok()) << bystander.status().ToString();
+
+  const net::NetCounters before = client.counters();
+  client.SetPrefetchSink(
+      [&](const std::string&, Result<Bytes>, bool) { ++delivered; });
+  for (char c : {'a', 'b', 'c', 'd'}) client.Prefetch(std::string(1, c));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (delivered.load() < 4 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(delivered.load(), 4);
+
+  const net::NetCounters counters = client.counters();
+  EXPECT_EQ(counters.prefetch_issued, 4u);
+  EXPECT_GT(counters.rpc_p50_ms, 0.0);
+  EXPECT_GE(counters.rpc_p99_ms, counters.rpc_p50_ms);
+  // Delta semantics: counters subtract, latency gauges keep the later
+  // snapshot.
+  const net::NetCounters delta = counters - before;
+  EXPECT_EQ(delta.prefetch_issued, 4u);
+  EXPECT_EQ(delta.rpcs, counters.rpcs - before.rpcs);
+  EXPECT_EQ(delta.rpc_p50_ms, counters.rpc_p50_ms);
+  EXPECT_EQ(delta.rpc_p99_ms, counters.rpc_p99_ms);
+  const net::NetCounters idle = bystander.value()->counters();
+  EXPECT_EQ(idle.prefetch_issued, 0u);
+  EXPECT_EQ(idle.rpcs, 1u); // its own connect-time Ping only
   server->Stop();
 }
 
