@@ -125,7 +125,7 @@ void RevalidationAblation() {
 }
 
 // Metadata journal: no journal vs per-op commit vs group commit at
-// several batch sizes. Group commit amortises the journal record and —
+// several batch sizes. Group commit amortises the anchor store and —
 // because the checkpoint applies each object's last-wins state once —
 // collapses the O(files) dirnode rewrites into one store per batch.
 void JournalBatchAblation() {

@@ -14,7 +14,7 @@ namespace nexus::bench {
 namespace {
 
 // A clone is one logical transaction: with `batched` the whole checkout
-// rides a single BeginBatch/CommitBatch group commit (one journal record,
+// rides a single BeginBatch/CommitBatch group commit (one anchor store,
 // one checkpoint), instead of the default per-operation commit.
 double RunClone(Setup& setup, const workloads::TreeSpec& spec, bool batched) {
   Abort(setup.fs().Mkdir(spec.name), "mkdir");

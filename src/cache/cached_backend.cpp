@@ -524,8 +524,8 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
   }
 
   // Write-through (journal namespace, or no-lease fallback). Barrier
-  // first: a journal record or truncation must never reach the inner
-  // store ahead of data writes it assumes are durable.
+  // first: a journal anchor must never reach the inner store ahead of data
+  // writes it assumes are durable.
   if (IsWriteThroughName(name)) {
     NEXUS_RETURN_IF_ERROR(DrainDirty());
   }

@@ -12,9 +12,9 @@
 // Writes go through a writeback queue when the inner backend can push
 // invalidations (wire leases): dirty objects coalesce in memory and
 // flush in oldest-first batches, with a write barrier ahead of any
-// journal-namespace mutation ("nxj/" by default) so the PR 1 write-ahead
-// ordering — record before data, truncate after checkpoint — still holds
-// through the cache. Over an inner that grants no leases (the cluster, a
+// journal-namespace mutation ("nxj/" by default) so the write-ahead
+// ordering — data durable before the anchor that references it — still
+// holds through the cache. Over an inner that grants no leases (the cluster, a
 // local store) the cache writes through and bounds staleness by a TTL.
 //
 // Freshness model per entry:
@@ -78,7 +78,7 @@ struct CacheOptions {
 
   /// Names with these prefixes are write barriers: all dirty objects drain
   /// to the inner store BEFORE the mutation goes through (write-through).
-  /// Defaults to the journal namespace so PR 1 ordering survives.
+  /// Defaults to the journal namespace so the write-ahead ordering holds.
   std::vector<std::string> write_through_prefixes = {"nxj/"};
 
   /// Test clock (milliseconds); null uses monotonic time.

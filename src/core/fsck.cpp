@@ -25,21 +25,15 @@ Result<FsckReport> RunFsck(NexusClient& client, bool deep) {
                          client.afs().List("nx/"));
   NEXUS_ASSIGN_OR_RETURN(std::vector<std::string> data_objects,
                          client.afs().List("nxd/"));
-  for (const auto& name : meta_objects) {
-    if (!reachable.contains(name)) report.orphaned_objects.push_back(name);
-  }
-  for (const auto& name : data_objects) {
-    if (!reachable.contains(name)) report.orphaned_objects.push_back(name);
-  }
-
-  // Journal objects live under their own namespace and are reachable by
-  // construction (the recovery pass consumes them) — report them, but never
-  // as orphans. Record objects other than the anchor are committed
-  // transactions awaiting checkpoint.
-  NEXUS_ASSIGN_OR_RETURN(report.journal_objects, client.afs().List("nxj/"));
-  for (const auto& name : report.journal_objects) {
-    if (name != std::string("nxj/") + journal::kAnchorName) {
-      ++report.uncheckpointed_records;
+  // The journal's one object is its anchor, which recovery reads at every
+  // mount; anything else under nxj/ (say, a record an older build left) is
+  // garbage.
+  reachable.insert(std::string("nxj/") + journal::kAnchorName);
+  NEXUS_ASSIGN_OR_RETURN(std::vector<std::string> journal_objects,
+                         client.afs().List("nxj/"));
+  for (const auto* names : {&meta_objects, &data_objects, &journal_objects}) {
+    for (const auto& name : *names) {
+      if (!reachable.contains(name)) report.orphaned_objects.push_back(name);
     }
   }
   return report;

@@ -14,15 +14,9 @@ namespace nexus::core {
 struct FsckReport {
   enclave::NexusEnclave::VolumeAudit audit;
   /// Store object names (attacker-visible form) that exist but are not
-  /// reachable from the volume. Safe to delete.
+  /// reachable from the volume. Safe to delete. The journal anchor is
+  /// never one; any other journal object is.
   std::vector<std::string> orphaned_objects;
-  /// Write-ahead journal objects present on the store (records + anchor).
-  /// These are reachable by construction — never orphans — but committed
-  /// records awaiting checkpoint mean the main objects are behind the
-  /// journal until the next mount replays them.
-  std::vector<std::string> journal_objects;
-  /// Journal *records* (anchor excluded) awaiting checkpoint.
-  std::size_t uncheckpointed_records = 0;
 };
 
 /// Runs the audit on the mounted volume of `client`. With `deep`, every

@@ -173,32 +173,4 @@ Status AfsMetadataStore::StoreJournal(const std::string& name, ByteSpan data) {
   return afs_.Store(JournalPath(name), data);
 }
 
-Status AfsMetadataStore::RemoveJournal(const std::string& name) {
-  trace::Span io_span("io:remove_journal", kJournalIoAccount);
-  storage::SimClock::Attribution account(afs_.server().clock(),
-                                         kJournalIoAccount);
-  return afs_.Remove(JournalPath(name));
-}
-
-std::vector<Result<Bytes>> AfsMetadataStore::FetchJournalBatch(
-    const std::vector<std::string>& names) {
-  trace::Span io_span("io:fetch_journal_batch", kJournalIoAccount);
-  storage::SimClock::Attribution account(afs_.server().clock(),
-                                         kJournalIoAccount);
-  std::vector<std::string> paths;
-  paths.reserve(names.size());
-  for (const std::string& name : names) paths.push_back(JournalPath(name));
-  return afs_.FetchMany(paths);
-}
-
-Result<std::vector<std::string>> AfsMetadataStore::ListJournal() {
-  trace::Span io_span("io:list_journal", kJournalIoAccount);
-  storage::SimClock::Attribution account(afs_.server().clock(),
-                                         kJournalIoAccount);
-  const std::string prefix = prefix_ + "j/";
-  NEXUS_ASSIGN_OR_RETURN(std::vector<std::string> names, afs_.List(prefix));
-  for (std::string& name : names) name.erase(0, prefix.size());
-  return names;
-}
-
 } // namespace nexus::core

@@ -51,10 +51,6 @@ class AfsMetadataStore final : public enclave::StorageOcalls {
   bool CacheFresh(const Uuid& uuid, std::uint64_t storage_version) override;
   Result<Bytes> FetchJournal(const std::string& name) override;
   Status StoreJournal(const std::string& name, ByteSpan data) override;
-  Status RemoveJournal(const std::string& name) override;
-  Result<std::vector<std::string>> ListJournal() override;
-  std::vector<Result<Bytes>> FetchJournalBatch(
-      const std::vector<std::string>& names) override;
 
   [[nodiscard]] std::string MetaPath(const Uuid& uuid) const;
   [[nodiscard]] std::string DataPath(const Uuid& uuid) const;

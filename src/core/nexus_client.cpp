@@ -166,9 +166,12 @@ Status NexusClient::SetAcl(const std::string& dirpath,
 
 Status NexusClient::ConfigureJournal(bool enabled,
                                      std::uint64_t checkpoint_interval_ops) {
-  return TimedEcall("ecall:configure_journal", [&] {
-    return enclave_->EcallConfigureJournal(enabled, checkpoint_interval_ops);
-  });
+  if (checkpoint_interval_ops != 0) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "journal checkpoints cannot be deferred");
+  }
+  return TimedEcall("ecall:configure_journal",
+                    [&] { return enclave_->EcallConfigureJournal(enabled); });
 }
 
 Status NexusClient::BeginBatch() {

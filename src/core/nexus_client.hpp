@@ -77,15 +77,16 @@ class NexusClient {
 
   // ---- write-ahead journal / group commit -------------------------------------
 
-  /// Enables or disables write-ahead journaling of metadata stores, and
-  /// sets the checkpoint threshold (committed ops buffered before they are
-  /// applied to the main objects; 0 = checkpoint after every commit).
-  /// Recovery of committed-but-uncheckpointed records still runs at every
-  /// mount even when journaling is disabled.
+  /// Enables or disables write-ahead journaling of metadata stores. Every
+  /// commit is checkpointed at once, so `checkpoint_interval_ops` must be
+  /// 0 (anything else is kInvalidArgument); the parameter goes with the
+  /// next change to the full-stack benchmark, which passes it. Recovery of
+  /// a committed-but-unapplied anchor tail still runs at every mount even
+  /// when journaling is disabled.
   Status ConfigureJournal(bool enabled, std::uint64_t checkpoint_interval_ops);
 
   /// Opens an explicit batch: metadata writes from subsequent operations
-  /// accumulate in the enclave and become durable as ONE journal record at
+  /// accumulate in the enclave and become durable as ONE anchor store at
   /// CommitBatch (group commit). The batch is all-or-nothing under crashes.
   /// Requires journaling to be enabled; single writer per volume while a
   /// batch is open.

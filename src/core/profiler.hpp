@@ -4,7 +4,7 @@
 //                      a monotonic clock (accumulated by NexusClient)
 //   Metadata I/O     — virtual time of metadata fetch/store/lock RPCs
 //   Data I/O         — virtual time of bulk data RPCs
-//   Journal I/O      — virtual time of commit-journal record/anchor RPCs
+//   Journal I/O      — virtual time of commit-journal anchor RPCs
 //
 // A workload's end-to-end latency is (virtual I/O time) + (real compute
 // time); benchmarks combine the two explicitly so nothing double-counts.
@@ -46,7 +46,7 @@ struct ProfileSnapshot {
   /// Wall-time distribution of every timed ecall (process-global
   /// trace::GlobalHistogram("ecall")).
   LatencySummary ecall_latency;
-  /// Wall-time distribution of durable journal record commits
+  /// Wall-time distribution of durable journal commits
   /// (trace::GlobalHistogram("journal.commit")).
   LatencySummary journal_commit_latency;
   /// Spans completed by the tracer (0 unless tracing is enabled).

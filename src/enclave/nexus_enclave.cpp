@@ -285,25 +285,6 @@ Status NexusEnclave::StoreJournalO(const std::string& name, ByteSpan data) {
   return storage_.StoreJournal(name, data);
 }
 
-Status NexusEnclave::RemoveJournalO(const std::string& name) {
-  trace::Span ocall_span("ocall:remove_journal", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.RemoveJournal(name);
-}
-
-Result<std::vector<std::string>> NexusEnclave::ListJournalO() {
-  trace::Span ocall_span("ocall:list_journal", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.ListJournal();
-}
-
-std::vector<Result<Bytes>> NexusEnclave::FetchJournalBatchO(
-    const std::vector<std::string>& names) {
-  trace::Span ocall_span("ocall:fetch_journal_batch", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.FetchJournalBatch(names);
-}
-
 // ---- write-ahead journal ----------------------------------------------------
 
 const journal::Op* NexusEnclave::JournalFind(const Uuid& uuid) const {
@@ -313,21 +294,18 @@ const journal::Op* NexusEnclave::JournalFind(const Uuid& uuid) const {
   return journal_->committed.Find(uuid);
 }
 
-void NexusEnclave::EngageJournal(const journal::Anchor& anchor) {
+void NexusEnclave::EngageJournal(bool tail_on_store) {
   JournalState state;
   state.key = journal::DeriveJournalKey(session_->rootkey);
-  state.next_seq = anchor.next_seq;
-  state.chain_hash = anchor.chain_hash;
-  state.tail_on_store = !anchor.tail.empty();
+  state.tail_on_store = tail_on_store;
   journal_ = std::move(state);
 }
 
-Status NexusEnclave::StoreAnchorO(const journal::Anchor& anchor,
+Status NexusEnclave::StoreAnchorO(const std::vector<journal::Op>& tail,
                                   const journal::JournalKey& key,
                                   const Uuid& volume_uuid) {
   NEXUS_ASSIGN_OR_RETURN(
-      Bytes blob,
-      journal::EncodeAnchor(anchor, key, volume_uuid, runtime_.rng()));
+      Bytes blob, journal::EncodeAnchor(tail, key, volume_uuid, runtime_.rng()));
   return StoreJournalO(journal::kAnchorName, blob);
 }
 
@@ -337,34 +315,23 @@ Status NexusEnclave::CommitPending() {
   if (!j.pending.empty()) {
     trace::Span commit_span("journal:commit", "journal");
     const std::uint64_t commit_t0 = MonotonicNanos();
-    // The single durability point of the whole transaction: one object
-    // store. Until it succeeds everything stays pending (retryable). When
-    // this commit is checkpointed right away and nothing older is
-    // outstanding, the anchor itself carries the transaction as its tail:
-    // no record is written, so none has to be deleted afterwards.
-    const bool via_anchor =
-        j.committed.empty() && j.committed_seqs.empty() &&
-        (checkpoint_interval_ops_ == 0 ||
-         j.pending.size() >= checkpoint_interval_ops_);
-    if (via_anchor) {
-      NEXUS_RETURN_IF_ERROR(StoreAnchorO(
-          journal::Anchor{j.next_seq + 1, j.chain_hash, j.pending.ops()}, j.key,
-          session_->volume_uuid));
-      j.tail_on_store = true;
-    } else {
-      NEXUS_ASSIGN_OR_RETURN(
-          Bytes record,
-          journal::EncodeRecord(j.next_seq, j.chain_hash, j.pending.ops(),
-                                j.key, session_->volume_uuid, runtime_.rng()));
-      NEXUS_RETURN_IF_ERROR(
-          StoreJournalO(journal::ObjectName(j.next_seq), record));
-      j.chain_hash = journal::ChainHash(record);
-      j.committed_seqs.push_back(j.next_seq);
+    // The single durability point of the whole transaction: one store of
+    // the anchor, carrying the transaction as its tail. Until it succeeds
+    // everything stays pending (retryable). Ops an earlier commit left
+    // unapplied (its checkpoint failed) ride along, merged last-wins, so
+    // the anchor alone always holds everything the main objects may lack.
+    const std::vector<journal::Op>* tail = &j.pending.ops();
+    journal::TxnBuffer merged;
+    if (!j.committed.empty()) {
+      merged = j.committed;
+      for (const journal::Op& op : j.pending.ops()) merged.Apply(op);
+      tail = &merged.ops();
     }
+    NEXUS_RETURN_IF_ERROR(StoreAnchorO(*tail, j.key, session_->volume_uuid));
+    j.tail_on_store = true;
     // Encode -> durable-store wall time of the commit (group commit cost).
     trace::GlobalHistogram("journal.commit")
         .Record(MonotonicNanos() - commit_t0);
-    ++j.next_seq;
     journal_stats_.ops_deduped += j.pending.deduped();
     journal_stats_.ops_committed += j.pending.size();
     ++journal_stats_.records_committed;
@@ -377,23 +344,19 @@ Status NexusEnclave::CommitPending() {
     (void)storage_.RemoveData(uuid); // best effort: an orphan is harmless
   }
   j.deferred_data_removes.clear();
-  if (j.committed.size() >= checkpoint_interval_ops_ ||
-      checkpoint_interval_ops_ == 0) {
-    return CheckpointJournal();
-  }
-  return Status::Ok();
+  return CheckpointJournal();
 }
 
 Status NexusEnclave::CheckpointJournal() {
   if (!journal_.has_value()) return Status::Ok();
   JournalState& j = *journal_;
-  if (j.committed.empty() && j.committed_seqs.empty()) return Status::Ok();
+  if (j.committed.empty()) return Status::Ok();
   trace::Span checkpoint_span("journal:checkpoint", "journal");
 
   // Apply committed ops onto the main objects. Order across objects is
   // irrelevant (each op carries the whole blob); a crash mid-apply is fine
-  // because the anchor's tail and the records survive until a later anchor
-  // moves past them, so mount-time recovery re-applies the remainder.
+  // because the anchor's tail holds every committed op until it is
+  // replaced, so mount-time recovery re-applies the remainder.
   for (const journal::Op& op : j.committed.ops()) {
     if (op.kind == journal::OpKind::kPut) {
       std::uint64_t version = 0;
@@ -411,22 +374,8 @@ Status NexusEnclave::CheckpointJournal() {
   }
   journal_stats_.ops_checkpointed += j.committed.size();
   j.committed.Clear();
-
-  // Truncate records: persist the new chain position FIRST, then drop the
-  // records it supersedes. A crash in between leaves stale records below
-  // the anchor, which recovery deletes without replaying. A commit that
-  // went through the anchor left no record, and its (now applied) tail
-  // may stay: recovery re-applies it version-guarded.
-  if (!j.committed_seqs.empty()) {
-    NEXUS_RETURN_IF_ERROR(
-        StoreAnchorO(journal::Anchor{j.next_seq, j.chain_hash, {}}, j.key,
-                     session_->volume_uuid));
-    j.tail_on_store = false;
-    for (const std::uint64_t seq : j.committed_seqs) {
-      (void)RemoveJournalO(journal::ObjectName(seq));
-    }
-    j.committed_seqs.clear();
-  }
+  // The (now applied) tail may stay on the store: recovery re-applies it
+  // version-guarded, which changes nothing.
   ++journal_stats_.checkpoints;
   return Status::Ok();
 }
@@ -495,124 +444,45 @@ Result<std::size_t> NexusEnclave::ReplayOps(const std::vector<journal::Op>& ops,
   return applied;
 }
 
-Result<journal::Anchor> NexusEnclave::RecoverJournal(const RootKey& rootkey,
-                                                     const Uuid& volume_uuid) {
-  const journal::JournalKey key = journal::DeriveJournalKey(rootkey);
-  journal::Anchor anchor; // default: chain starts at seq 0, zero hash
+Result<bool> NexusEnclave::RecoverJournal(const RootKey& rootkey,
+                                          const Uuid& volume_uuid) {
   auto anchor_blob = FetchJournalO(journal::kAnchorName);
-  if (anchor_blob.ok()) {
-    NEXUS_ASSIGN_OR_RETURN(anchor,
-                           journal::DecodeAnchor(*anchor_blob, key, volume_uuid));
-  } else if (anchor_blob.status().code() != ErrorCode::kNotFound) {
+  if (!anchor_blob.ok()) {
+    if (anchor_blob.status().code() == ErrorCode::kNotFound) return false;
     return anchor_blob.status();
   }
-
-  NEXUS_ASSIGN_OR_RETURN(std::vector<std::string> names, ListJournalO());
-  std::vector<std::uint64_t> seqs;
-  std::vector<std::string> stale;
-  for (const std::string& name : names) {
-    if (name == journal::kAnchorName) continue;
-    const auto seq = journal::ParseObjectName(name);
-    if (!seq.has_value() || *seq < anchor.next_seq) {
-      // Foreign garbage, or a record a finished checkpoint superseded but
-      // did not get to delete: drop it without replaying.
-      stale.push_back(name);
-      continue;
-    }
-    seqs.push_back(*seq);
-  }
-  std::sort(seqs.begin(), seqs.end());
-
-  // The tail was committed before any record past the anchor, so it goes
-  // first.
-  NEXUS_ASSIGN_OR_RETURN(const std::size_t tail_applied,
-                         ReplayOps(anchor.tail, rootkey));
-
-  // One batched fetch for every candidate record: recovery latency is one
-  // round-trip instead of one per record, and a remote store coalesces the
-  // whole set into a single MultiGet frame. Each record still fails
-  // independently — a missing blob is a chain break for ITS sequence, not
-  // a fatal error for the batch.
-  std::vector<std::string> record_names;
-  record_names.reserve(seqs.size());
-  for (const std::uint64_t seq : seqs) {
-    record_names.push_back(journal::ObjectName(seq));
-  }
-  std::vector<Result<Bytes>> blobs = FetchJournalBatchO(record_names);
-
-  // Replay the contiguous, authenticated chain extension; the first gap,
-  // decode failure or chain break ends the committed prefix and everything
-  // from there on is a torn tail to discard.
-  std::vector<std::uint64_t> replayed;
-  std::vector<std::uint64_t> torn;
-  bool chain_ok = true;
-  for (std::size_t i = 0; i < seqs.size(); ++i) {
-    const std::uint64_t seq = seqs[i];
-    if (!chain_ok || seq != anchor.next_seq) {
-      chain_ok = false;
-      torn.push_back(seq);
-      continue;
-    }
-    const Result<Bytes>& blob = blobs[i];
-    if (!blob.ok()) {
-      chain_ok = false;
-      torn.push_back(seq);
-      continue;
-    }
-    auto ops = journal::DecodeRecord(*blob, seq, anchor.chain_hash, key,
-                                     volume_uuid);
-    if (!ops.ok()) {
-      chain_ok = false;
-      torn.push_back(seq);
-      continue;
-    }
-    NEXUS_RETURN_IF_ERROR(ReplayOps(*ops, rootkey).status());
-    anchor.chain_hash = journal::ChainHash(*blob);
-    anchor.next_seq = seq + 1;
-    replayed.push_back(seq);
-    ++journal_stats_.records_replayed;
-  }
-  journal_stats_.torn_records_discarded += torn.size();
-
-  // Truncate what we consumed: a tail-free anchor first, then the record
-  // objects. A tail that changed nothing (the common case after a clean
-  // commit) stays where it is and costs no store.
-  if (tail_applied > 0 || !replayed.empty() || !torn.empty() ||
-      !stale.empty()) {
-    anchor.tail.clear();
-    NEXUS_RETURN_IF_ERROR(StoreAnchorO(anchor, key, volume_uuid));
-    for (const std::uint64_t seq : replayed) {
-      (void)RemoveJournalO(journal::ObjectName(seq));
-    }
-    for (const std::uint64_t seq : torn) {
-      (void)RemoveJournalO(journal::ObjectName(seq));
-    }
-    for (const std::string& name : stale) (void)RemoveJournalO(name);
-  }
-  return anchor;
+  const journal::JournalKey key = journal::DeriveJournalKey(rootkey);
+  NEXUS_ASSIGN_OR_RETURN(const std::vector<journal::Op> tail,
+                         journal::DecodeAnchor(*anchor_blob, key, volume_uuid));
+  NEXUS_ASSIGN_OR_RETURN(const std::size_t applied, ReplayOps(tail, rootkey));
+  // A tail that changed nothing (the common case after a clean commit)
+  // stays where it is and costs no store.
+  if (applied == 0) return !tail.empty();
+  NEXUS_RETURN_IF_ERROR(StoreAnchorO({}, key, volume_uuid));
+  return false;
 }
 
-Status NexusEnclave::EcallConfigureJournal(
-    bool enabled, std::uint64_t checkpoint_interval_ops) {
+Status NexusEnclave::EcallConfigureJournal(bool enabled) {
   sgx::EnclaveRuntime::EcallScope scope(runtime_);
   if (journal_.has_value() && journal_->explicit_batch) {
     return Error(ErrorCode::kInvalidArgument,
                  "cannot reconfigure journal inside an open batch");
   }
-  checkpoint_interval_ops_ = checkpoint_interval_ops;
-  journal_enabled_ = enabled;
-  if (!session_.has_value()) return Status::Ok(); // applies at next mount
-  if (enabled && !journal_.has_value()) {
-    // Engaging mid-session: fold any on-store journal leftovers in first
-    // so the chain position is authoritative.
-    NEXUS_ASSIGN_OR_RETURN(
-        journal::Anchor anchor,
-        RecoverJournal(session_->rootkey, session_->volume_uuid));
-    EngageJournal(anchor);
-  } else if (!enabled && journal_.has_value()) {
-    NEXUS_RETURN_IF_ERROR(FlushJournal());
-    journal_.reset();
+  if (session_.has_value()) {
+    if (enabled && !journal_.has_value()) {
+      // Engaging mid-session: fold any on-store journal leftovers in first.
+      NEXUS_ASSIGN_OR_RETURN(
+          const bool tail_on_store,
+          RecoverJournal(session_->rootkey, session_->volume_uuid));
+      EngageJournal(tail_on_store);
+    } else if (!enabled && journal_.has_value()) {
+      NEXUS_RETURN_IF_ERROR(FlushJournal());
+      journal_.reset();
+    }
   }
+  // Set last: after a failed flush or recovery the journal is still as it
+  // was, and the flag must keep saying so.
+  journal_enabled_ = enabled;
   return Status::Ok();
 }
 
@@ -621,9 +491,7 @@ Status NexusEnclave::FlushJournal() {
   NEXUS_RETURN_IF_ERROR(CheckpointJournal());
   JournalState& j = *journal_;
   if (!j.tail_on_store) return Status::Ok();
-  NEXUS_RETURN_IF_ERROR(
-      StoreAnchorO(journal::Anchor{j.next_seq, j.chain_hash, {}}, j.key,
-                   session_->volume_uuid));
+  NEXUS_RETURN_IF_ERROR(StoreAnchorO({}, j.key, session_->volume_uuid));
   j.tail_on_store = false;
   return Status::Ok();
 }
@@ -1005,8 +873,7 @@ Result<NexusEnclave::CreateVolumeResult> NexusEnclave::EcallCreateVolume(
   session.supernode = supernode;
   session_ = std::move(session);
   if (journal_enabled_) {
-    // Fresh volume: the journal chain starts at sequence 0.
-    EngageJournal(journal::Anchor{});
+    EngageJournal(/*tail_on_store=*/false); // fresh volume: no anchor yet
   }
 
   // Empty root directory.
@@ -1962,8 +1829,8 @@ Status NexusEnclave::EcallUnmount() {
   if (!runtime_.inside()) scope.emplace(runtime_);
   if (journal_.has_value()) {
     // Best-effort flush: commit whatever is pending, checkpoint it all and
-    // drop the anchor's tail. On failure the tail and records stay behind
-    // and the next mount's recovery finishes the job.
+    // drop the anchor's tail. On failure the tail stays behind and the
+    // next mount's recovery finishes the job.
     journal_->explicit_batch = false;
     (void)FlushJournal();
     journal_.reset();

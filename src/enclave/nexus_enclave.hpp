@@ -220,28 +220,23 @@ class NexusEnclave {
   // ---- write-ahead metadata journal (group commit + crash recovery) --------
   // When journaling is on (the default), every metadata store/remove an
   // operation performs is deferred into an in-enclave pending transaction
-  // and made durable by ONE sealed journal store per operation — or per
-  // explicit batch — before being checkpointed back onto the main "nx/"
-  // objects. That store is the anchor carrying the transaction when the
-  // checkpoint follows at once, a sequence-numbered record otherwise.
-  // Mount-time recovery re-applies the anchor's tail, replays committed
-  // records and discards torn tails, so a crash can never leave a
-  // half-applied operation.
+  // and made durable by ONE store of the sealed journal anchor per
+  // operation — or per explicit batch — carrying the transaction as its
+  // tail, then checkpointed back onto the main "nx/" objects right away.
+  // Mount-time recovery re-applies the anchor's tail, so a crash can never
+  // leave a half-applied operation.
 
-  /// Reconfigures journaling. `checkpoint_interval_ops` bounds how many
-  /// committed (journaled but not yet checkpointed) ops may accumulate
-  /// before an automatic checkpoint; 0 checkpoints right after every
-  /// commit, which preserves cross-client visibility through the store.
-  /// Disabling while mounted flushes (commit + checkpoint) first.
-  Status EcallConfigureJournal(bool enabled,
-                               std::uint64_t checkpoint_interval_ops);
+  /// Turns journaling on or off. Disabling while mounted flushes (commit +
+  /// checkpoint) first, enabling runs recovery first; when that fails the
+  /// call fails and journaling stays as it was.
+  Status EcallConfigureJournal(bool enabled);
 
   /// Opens an explicit batch: subsequent operations accumulate in the
   /// pending transaction instead of committing individually. Single-writer
   /// only — other clients do not see batched updates until CommitBatch.
   Status EcallBeginBatch();
-  /// Seals the whole batch into one journal record (atomic group commit),
-  /// then checkpoints per the configured interval.
+  /// Seals the whole batch into one anchor store (atomic group commit),
+  /// then checkpoints it.
   Status EcallCommitBatch();
 
   [[nodiscard]] bool journal_enabled() const noexcept {
@@ -351,22 +346,19 @@ class NexusEnclave {
     RootKey rootkey{};
     Uuid volume_uuid;
     ByteArray<16> nonce{};
-    // Journal anchor as recovery left it on the store, handed to the
-    // session once authentication completes.
-    journal::Anchor journal_anchor;
+    // Whether the anchor recovery left on the store still carries a tail,
+    // handed to the session once authentication completes.
+    bool journal_tail_on_store = false;
   };
 
-  /// Per-session journal state: the sealing key, the chain position, the
-  /// pending (uncommitted) transaction and the committed-but-not-yet-
-  /// checkpointed set, plus data objects whose removal is deferred until
-  /// the transaction that stops referencing them has committed.
+  /// Per-session journal state: the sealing key, the pending (uncommitted)
+  /// transaction and the committed-but-not-yet-checkpointed set, plus data
+  /// objects whose removal is deferred until the transaction that stops
+  /// referencing them has committed.
   struct JournalState {
     journal::JournalKey key{};
-    std::uint64_t next_seq = 0;
-    ByteArray<32> chain_hash{};
     journal::TxnBuffer pending;
     journal::TxnBuffer committed;
-    std::vector<std::uint64_t> committed_seqs;
     std::vector<Uuid> deferred_data_removes;
     bool explicit_batch = false;
     bool tail_on_store = false; // the stored anchor carries a transaction
@@ -394,10 +386,6 @@ class NexusEnclave {
   bool CacheFreshO(const Uuid& uuid, std::uint64_t storage_version);
   Result<Bytes> FetchJournalO(const std::string& name);
   Status StoreJournalO(const std::string& name, ByteSpan data);
-  Status RemoveJournalO(const std::string& name);
-  Result<std::vector<std::string>> ListJournalO();
-  std::vector<Result<Bytes>> FetchJournalBatchO(
-      const std::vector<std::string>& names);
 
   // Journal-bypassing variants used by checkpoint apply and recovery
   // replay; everything else must go through StoreMetaO/RemoveMetaO.
@@ -410,23 +398,21 @@ class NexusEnclave {
   /// Looks up `uuid` in the pending then committed buffers.
   [[nodiscard]] const journal::Op* JournalFind(const Uuid& uuid) const;
 
-  /// Engages journaling for the current session at the chain position of
-  /// `anchor`, the anchor as it stands on the store.
-  void EngageJournal(const journal::Anchor& anchor);
+  /// Engages journaling for the current session; `tail_on_store` says
+  /// whether the anchor on the store carries a tail.
+  void EngageJournal(bool tail_on_store);
 
-  /// Seals and stores `anchor` as the journal's "anchor" object.
-  Status StoreAnchorO(const journal::Anchor& anchor,
+  /// Seals `tail` into the journal's anchor object and stores it.
+  Status StoreAnchorO(const std::vector<journal::Op>& tail,
                       const journal::JournalKey& key, const Uuid& volume_uuid);
 
-  /// Seals the pending transaction into one journal store (the anchor's
-  /// tail when it is checkpointed right away with nothing older
-  /// outstanding, a record otherwise), merges it into the committed set
-  /// and executes deferred data removes; checkpoints per the configured
-  /// interval. No-op when the transaction is empty.
+  /// Commits the pending transaction with one anchor store whose tail is
+  /// the committed set merged with it (last wins), merges it into the
+  /// committed set, executes deferred data removes and checkpoints. The
+  /// commit is a no-op when the transaction is empty.
   Status CommitPending();
 
-  /// Applies the committed set onto the main objects; when records are
-  /// outstanding, writes a tail-free anchor past them and deletes them.
+  /// Applies the committed set onto the main objects.
   Status CheckpointJournal();
 
   /// Commits and checkpoints everything, then replaces a tail-carrying
@@ -435,7 +421,7 @@ class NexusEnclave {
   Status FlushJournal();
 
   /// Per-operation epilogue for every mutating ecall: in auto mode commits
-  /// (and per config checkpoints) what the operation deferred; in explicit
+  /// (and checkpoints) what the operation deferred; in explicit
   /// batch mode leaves it pending. Partial state from a failed operation is
   /// still committed — exactly the durability the non-journaled write-through
   /// path had — so the version table never runs ahead of the store.
@@ -445,19 +431,18 @@ class NexusEnclave {
   /// version into any cache entry still carrying the journal sentinel.
   void PatchCachedStorageVersion(const Uuid& uuid, std::uint64_t version);
 
-  /// Recovery apply of journaled ops, shared by the anchor's tail and
-  /// record replay: a put is stored only when the stored object is missing
-  /// or carries a lower authenticated version, a remove only when the
-  /// object is still there. Returns how many ops changed the store.
+  /// Recovery apply of the anchor's tail: a put is stored only when the
+  /// stored object is missing or carries a lower authenticated version, a
+  /// remove only when the object is still there. Returns how many ops
+  /// changed the store.
   Result<std::size_t> ReplayOps(const std::vector<journal::Op>& ops,
                                 const RootKey& rootkey);
 
-  /// Mount-time recovery: applies the anchor's tail, replays every
-  /// complete record past the anchor, discards the torn tail (if any) and
-  /// truncates the journal. Returns the anchor as it now stands on the
-  /// store (its tail is kept only when applying it changed nothing).
-  Result<journal::Anchor> RecoverJournal(const RootKey& rootkey,
-                                         const Uuid& volume_uuid);
+  /// Mount-time recovery: applies the anchor's tail and, if that changed
+  /// anything, stores a tail-free anchor. Returns whether the anchor on
+  /// the store still carries a tail (kept when applying it changed
+  /// nothing).
+  Result<bool> RecoverJournal(const RootKey& rootkey, const Uuid& volume_uuid);
 
   // ---- internals -----------------------------------------------------------
   Status RequireMounted() const;
@@ -561,7 +546,6 @@ class NexusEnclave {
 
   std::optional<JournalState> journal_;
   bool journal_enabled_ = true;
-  std::uint64_t checkpoint_interval_ops_ = 0;
   journal::Stats journal_stats_;
 
   CacheStats cache_stats_;

@@ -50,7 +50,7 @@ Result<ByteArray<16>> NexusEnclave::EcallAuthChallenge(
   // off): committed transactions must never be lost.
   auto recovered = RecoverJournal(pending.rootkey, pending.volume_uuid);
   if (!recovered.ok()) return recovered.status();
-  pending.journal_anchor = std::move(recovered).value();
+  pending.journal_tail_on_store = *recovered;
 
   pending_auth_ = pending;
   return pending.nonce;
@@ -95,7 +95,7 @@ Status NexusEnclave::EcallAuthResponse(const ByteArray<64>& signature) {
   session.supernode_storage_version = blob.storage_version;
   session_ = std::move(session);
   if (journal_enabled_) {
-    EngageJournal(pending.journal_anchor);
+    EngageJournal(pending.journal_tail_on_store);
   }
   return Status::Ok();
 }

@@ -107,27 +107,12 @@ class StorageOcalls {
     (void)len;
   }
 
-  /// Journal objects: sealed write-ahead records named inside a flat
-  /// journal namespace ("nxj/<name>" on the store). Names are chosen by
-  /// the enclave (journal::ObjectName / journal::kAnchorName); contents
-  /// are ciphertext chained and authenticated under the journal key, so
-  /// the store can at worst drop or roll back whole suffixes.
+  /// Journal objects, named inside a flat journal namespace ("nxj/<name>"
+  /// on the store). The enclave uses just one, the sealed anchor
+  /// (journal::kAnchorName); it is authenticated under the journal key, so
+  /// the store can at worst roll it back or drop it.
   virtual Result<Bytes> FetchJournal(const std::string& name) = 0;
   virtual Status StoreJournal(const std::string& name, ByteSpan data) = 0;
-  virtual Status RemoveJournal(const std::string& name) = 0;
-  /// Lists journal object names (relative to the journal namespace).
-  virtual Result<std::vector<std::string>> ListJournal() = 0;
-  /// Fetches several journal objects in one trip: one result per name,
-  /// order preserved, each failing independently (recovery replay treats
-  /// a missing record as a chain break, not a fatal error). Default: a
-  /// loop of FetchJournal, so existing implementations keep working.
-  virtual std::vector<Result<Bytes>> FetchJournalBatch(
-      const std::vector<std::string>& names) {
-    std::vector<Result<Bytes>> out;
-    out.reserve(names.size());
-    for (const std::string& name : names) out.push_back(FetchJournal(name));
-    return out;
-  }
 
  private:
   // State for the default (buffered) streaming implementations. Overriding

@@ -65,7 +65,7 @@ namespace nexus::net {
 inline constexpr std::uint8_t kProtocolVersion = 6;
 
 /// Largest object the protocol moves (bulk data chunks are ≤1 MiB today;
-/// whole journal records and streamed segments stay far below this).
+/// journal anchors and streamed segments stay far below this).
 inline constexpr std::size_t kMaxObjectBytes = 64u << 20;
 /// Frame-size sanity bound: one max object plus framing/name slack. A
 /// length prefix above this is a protocol violation, not an allocation.

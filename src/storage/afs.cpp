@@ -48,31 +48,6 @@ Result<AfsServer::FetchResult> AfsServer::RpcFetch(const std::string& client,
   return FetchResult{std::move(data).value(), versions_[path]};
 }
 
-std::vector<Result<AfsServer::FetchResult>> AfsServer::RpcFetchMulti(
-    const std::string& client, const std::vector<std::string>& paths) {
-  // One round-trip for the batch: the backend's MultiGet coalesces the
-  // fan-out (a remote store ships one frame each way), and ChargeRpc runs
-  // once over the summed payload instead of once per object.
-  std::vector<Result<Bytes>> fetched = backend_->MultiGet(paths);
-  std::uint64_t payload = 0;
-  for (const Result<Bytes>& result : fetched) {
-    if (result.ok()) payload += result.value().size();
-  }
-  ChargeRpc(payload);
-  std::vector<Result<FetchResult>> out;
-  out.reserve(paths.size());
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    if (!fetched[i].ok()) {
-      out.push_back(fetched[i].status());
-      continue;
-    }
-    callbacks_[paths[i]].insert(client);
-    out.push_back(
-        FetchResult{std::move(fetched[i]).value(), versions_[paths[i]]});
-  }
-  return out;
-}
-
 void AfsServer::RpcPrefetchHint(const std::string& client,
                                 const std::string& path) {
   (void)client;
@@ -367,40 +342,6 @@ Result<AfsClient::RangeResult> AfsClient::FetchRange(const std::string& path,
 Result<Bytes> AfsClient::Fetch(const std::string& path) {
   NEXUS_ASSIGN_OR_RETURN(AfsServer::FetchResult result, FetchVersioned(path));
   return std::move(result.data);
-}
-
-std::vector<Result<Bytes>> AfsClient::FetchMany(
-    const std::vector<std::string>& paths) {
-  std::vector<Result<Bytes>> out(
-      paths.size(), Result<Bytes>(Error(ErrorCode::kInternal, "unfetched")));
-  std::vector<std::string> misses;
-  std::vector<std::size_t> miss_slots;
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    const auto cached = cache_.find(paths[i]);
-    if (cached != cache_.end() && server_.CallbackValid(id_, paths[i])) {
-      ++stats_.cache_hits;
-      out[i] = cached->second.data;
-      continue;
-    }
-    misses.push_back(paths[i]);
-    miss_slots.push_back(i);
-  }
-  if (misses.empty()) return out;
-  std::vector<Result<AfsServer::FetchResult>> fetched =
-      server_.RpcFetchMulti(id_, misses);
-  for (std::size_t j = 0; j < misses.size(); ++j) {
-    if (!fetched[j].ok()) {
-      out[miss_slots[j]] = fetched[j].status();
-      continue;
-    }
-    AfsServer::FetchResult result = std::move(fetched[j]).value();
-    ++stats_.fetches;
-    stats_.bytes_fetched += result.data.size();
-    CacheEntry& entry = cache_[misses[j]];
-    entry = CacheEntry{std::move(result.data), result.version};
-    out[miss_slots[j]] = entry.data;
-  }
-  return out;
 }
 
 void AfsClient::Prefetch(const std::string& path) {

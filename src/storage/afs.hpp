@@ -42,13 +42,6 @@ class AfsServer {
   };
 
   Result<FetchResult> RpcFetch(const std::string& client, const std::string& path);
-  /// Batched fetch: the whole set travels as ONE round-trip (the per-RPC
-  /// overhead is charged once; transfer time covers the summed payload),
-  /// riding the backend's MultiGet so a remote store coalesces the fan-out
-  /// into one frame each way. Results are per-path — a missing object
-  /// fails its own slot, never the batch.
-  std::vector<Result<FetchResult>> RpcFetchMulti(
-      const std::string& client, const std::vector<std::string>& paths);
   /// Readahead hint: asks the storage layer to start pulling `path` toward
   /// the client. Speculative traffic overlaps client computation, so it is
   /// free on the virtual clock and carries no reply; correctness never
@@ -166,10 +159,6 @@ class AfsClient {
   /// Whole-file fetch. Served from the local cache when the callback is
   /// still valid (zero cost), otherwise fetched from the server.
   Result<Bytes> Fetch(const std::string& path);
-  /// Batched fetch: cache-fresh paths are free local hits; all misses go
-  /// to the server as one RpcFetchMulti round-trip and are installed in
-  /// the cache. One result per input path, order preserved.
-  std::vector<Result<Bytes>> FetchMany(const std::vector<std::string>& paths);
   /// Readahead hint. A no-op when the cached copy is still fresh;
   /// otherwise forwards the hint to the server (and on to the backend's
   /// async prefetch window). Never blocks, never charges the clock.

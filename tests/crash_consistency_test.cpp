@@ -65,14 +65,6 @@ class CrashingStore final : public enclave::StorageOcalls {
     if (Mutate()) return DeadStatus();
     return inner_.StoreJournal(name, data);
   }
-  Status RemoveJournal(const std::string& name) override {
-    if (Mutate()) return DeadStatus();
-    return inner_.RemoveJournal(name);
-  }
-  Result<std::vector<std::string>> ListJournal() override {
-    if (crashed_) return Dead<std::vector<std::string>>();
-    return inner_.ListJournal();
-  }
 
  private:
   bool Mutate() {

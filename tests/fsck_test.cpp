@@ -13,6 +13,7 @@ class FsckTest : public ::testing::Test {
     machine_ = &world_.AddMachine("owen");
     auto handle = machine_->nexus->CreateVolume(machine_->user);
     ASSERT_TRUE(handle.ok());
+    handle_ = std::move(handle).value();
     auto& fs = *machine_->nexus;
     ASSERT_TRUE(fs.Mkdir("a").ok());
     ASSERT_TRUE(fs.Mkdir("a/b").ok());
@@ -21,8 +22,15 @@ class FsckTest : public ::testing::Test {
     ASSERT_TRUE(fs.Symlink("a/f1", "link").ok());
   }
 
+  Status Remount() {
+    NEXUS_RETURN_IF_ERROR(machine_->nexus->Unmount());
+    return machine_->nexus->Mount(machine_->user, handle_.volume_uuid,
+                                  handle_.sealed_rootkey);
+  }
+
   test::World world_;
   test::Machine* machine_ = nullptr;
+  NexusClient::VolumeHandle handle_;
 };
 
 TEST_F(FsckTest, HealthyVolumePasses) {
@@ -63,6 +71,25 @@ TEST_F(FsckTest, DetectsOrphansAndReclaimsThem) {
   report = RunFsck(*machine_->nexus, false).value();
   EXPECT_TRUE(report.orphaned_objects.empty());
   // The volume itself is untouched.
+  EXPECT_EQ(machine_->nexus->ReadFile("a/b/f2").value(), Bytes(5000, 2));
+}
+
+// The journal's one object is its anchor. Anything else under nxj/ — a
+// record an older build left, or foreign garbage — is an orphan: a mount
+// never reads it, and reclaiming it loses nothing.
+TEST_F(FsckTest, JournalDebrisIsAnOrphan) {
+  const std::string debris = "nxj/0000000000000001";
+  ASSERT_TRUE(world_.server().AdversaryWrite(debris, Bytes(100, 3)).ok());
+  ASSERT_TRUE(Remount().ok());
+
+  FsckReport report = RunFsck(*machine_->nexus, false).value();
+  EXPECT_EQ(report.orphaned_objects, std::vector<std::string>{debris});
+  EXPECT_EQ(ReclaimOrphans(*machine_->nexus, report).value(), 1u);
+  EXPECT_EQ(machine_->afs->List("nxj/").value(),
+            std::vector<std::string>{"nxj/anchor"});
+  EXPECT_TRUE(RunFsck(*machine_->nexus, false)->orphaned_objects.empty());
+
+  ASSERT_TRUE(Remount().ok());
   EXPECT_EQ(machine_->nexus->ReadFile("a/b/f2").value(), Bytes(5000, 2));
 }
 

@@ -1,9 +1,10 @@
-// Journal integration tests at the client level: a default commit is one
-// anchor store with no record left behind, per-op round trips are pinned,
-// group commit batches many operations into one record, checkpoints
-// truncate the journal, a second session replays committed-but-
-// uncheckpointed records at mount, recovery never rolls a newer object
-// back to the anchor's tail, and fsck surfaces the journal's state.
+// Journal integration tests at the client level: a commit is one anchor
+// store and the journal never holds anything but the anchor, per-op round
+// trips are pinned, group commit makes a whole batch one anchor store, a
+// second session replays a commit whose checkpoint never ran, a commit
+// after a failed checkpoint carries both transactions, recovery never
+// rolls a newer object back to the anchor's tail, and a reconfiguration
+// that fails leaves journaling as it was.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,9 +26,9 @@ class JournalRecoveryTest : public ::testing::Test {
     handle_ = std::move(handle).value();
   }
 
-  /// Journal record objects currently on the store (anchor excluded),
-  /// as "a,b,c" so assertion failures name the leftovers.
-  std::string RecordsOnStore() {
+  /// Journal objects other than the anchor on the store, as "a,b,c" so
+  /// assertion failures name them.
+  std::string JournalDebris() {
     std::string joined;
     const std::vector<std::string> names = machine_->afs->List("nxj/").value();
     for (const auto& name : names) {
@@ -38,15 +39,39 @@ class JournalRecoveryTest : public ::testing::Test {
     return joined;
   }
 
-  std::size_t RecordCount() {
-    const std::string joined = RecordsOnStore();
-    return joined.empty()
-               ? 0
-               : 1 + static_cast<std::size_t>(
-                         std::count(joined.begin(), joined.end(), ','));
+  std::size_t AnchorSize() {
+    return world_.server().AdversaryRead("nxj/anchor").value().size();
   }
 
-  test::World world_;
+  /// Runs `op` while every checkpoint store fails: the op's anchor lands
+  /// and the checkpoint after it does not, so the session holds a commit
+  /// the main objects lack, as if it had died right after the anchor.
+  /// Returns the op's status, which is the failed checkpoint's.
+  template <typename Op>
+  Status DieAfterAnchor(const Op& op) {
+    store_->FailPuts("nx/");
+    const Status status = op();
+    store_->Heal();
+    return status;
+  }
+
+  /// A second session on the machine, mounted after the first one's cache
+  /// is dropped, so it sees only what reached the store.
+  std::unique_ptr<core::NexusClient> MountFresh(bool journaling = true) {
+    machine_->afs->FlushCache();
+    auto client = std::make_unique<core::NexusClient>(
+        *machine_->runtime, *machine_->afs, world_.intel().root_public_key());
+    EXPECT_TRUE(client->ConfigureJournal(journaling, 0).ok());
+    EXPECT_TRUE(client
+                    ->Mount(machine_->user, handle_.volume_uuid,
+                            handle_.sealed_rootkey)
+                    .ok());
+    return client;
+  }
+
+  test::FaultyBackend* store_ =
+      new test::FaultyBackend(std::make_unique<storage::MemBackend>());
+  test::World world_{"world", std::unique_ptr<storage::StorageBackend>(store_)};
   test::Machine* machine_ = nullptr;
   core::NexusClient::VolumeHandle handle_;
 };
@@ -62,7 +87,7 @@ TEST_F(JournalRecoveryTest, PerOpCommitsCheckpointImmediately) {
   // checkpointed as soon as it commits, so the journal stays truncated.
   EXPECT_GE(delta.journal.records_committed, 2u);
   EXPECT_EQ(delta.journal.checkpoints, delta.journal.records_committed);
-  EXPECT_EQ(RecordsOnStore(), "");
+  EXPECT_EQ(JournalDebris(), "");
   EXPECT_GT(delta.journal_io_seconds, 0.0);
 }
 
@@ -168,38 +193,37 @@ TEST_F(JournalRecoveryTest, UnmountAndDisablingDropTheTail) {
 
 TEST_F(JournalRecoveryTest, GroupCommitProducesOneRecordForTheWholeBatch) {
   auto& nexus = *machine_->nexus;
-  // Large checkpoint interval keeps the committed record on the store so
-  // we can observe it before any checkpoint applies it.
-  ASSERT_TRUE(nexus.ConfigureJournal(true, 1 << 20).ok());
-
   const auto before = nexus.Profile();
+  const std::size_t anchors_before = store_->PutCount("nxj/");
   ASSERT_TRUE(nexus.BeginBatch().ok());
   ASSERT_TRUE(nexus.Mkdir("batch").ok());
   for (int i = 0; i < 8; ++i) {
     ASSERT_TRUE(
         nexus.WriteFile("batch/f" + std::to_string(i), Bytes(64, 3)).ok());
   }
-  ASSERT_TRUE(nexus.CommitBatch().ok());
+  // The checkpoint fails, so the batch lives only in the anchor.
+  EXPECT_FALSE(DieAfterAnchor([&] { return nexus.CommitBatch(); }).ok());
   const auto delta = nexus.Profile() - before;
 
   EXPECT_EQ(delta.journal.records_committed, 1u);
   EXPECT_GT(delta.journal.ops_committed, 8u); // dirnode + bucket + filenodes
   EXPECT_EQ(delta.journal.checkpoints, 0u);
-  EXPECT_EQ(RecordCount(), 1u) << RecordsOnStore();
+  EXPECT_EQ(store_->PutCount("nxj/") - anchors_before, 1u);
+  EXPECT_EQ(JournalDebris(), "");
 
-  // The uncommitted-to-main state is fully readable through the journal
-  // overlay, and a deep fsck sees a consistent volume plus the pending
-  // record.
+  // The state the main objects still lack is fully readable through the
+  // journal overlay, and a deep fsck sees a consistent volume.
   EXPECT_EQ(nexus.ReadFile("batch/f3").value(), Bytes(64, 3));
   auto fsck = core::RunFsck(*machine_->nexus, /*deep=*/true);
   ASSERT_TRUE(fsck.ok()) << fsck.status().ToString();
   EXPECT_EQ(fsck->audit.files, 8u);
   EXPECT_TRUE(fsck->orphaned_objects.empty());
-  EXPECT_EQ(fsck->uncheckpointed_records, 1u);
 
-  // Unmount flushes: checkpoint applies the record and truncates.
+  // Unmount flushes: the checkpoint applies the batch and the anchor
+  // drops its tail.
+  const std::size_t with_tail = AnchorSize();
   ASSERT_TRUE(nexus.Unmount().ok());
-  EXPECT_EQ(RecordsOnStore(), "");
+  EXPECT_LT(AnchorSize(), with_tail);
   ASSERT_TRUE(
       nexus.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
           .ok());
@@ -208,74 +232,139 @@ TEST_F(JournalRecoveryTest, GroupCommitProducesOneRecordForTheWholeBatch) {
 
 TEST_F(JournalRecoveryTest, BatchDedupCollapsesRepeatedMetadataStores) {
   auto& nexus = *machine_->nexus;
-  ASSERT_TRUE(nexus.ConfigureJournal(true, 1 << 20).ok());
   const auto before = nexus.Profile();
   ASSERT_TRUE(nexus.BeginBatch().ok());
   // Every create rewrites the same parent dirnode: without dedup the
-  // record would hold one dirnode copy per file.
+  // anchor would hold one dirnode copy per file.
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(nexus.Touch("f" + std::to_string(i)).ok());
   }
   ASSERT_TRUE(nexus.CommitBatch().ok());
   const auto delta = nexus.Profile() - before;
   EXPECT_GT(delta.journal.ops_deduped, 0u);
-  // The record holds one op per distinct object, not one per store call.
+  // The anchor holds one op per distinct object, not one per store call.
   EXPECT_LT(delta.journal.ops_committed, 6u + delta.journal.ops_deduped);
 }
 
 TEST_F(JournalRecoveryTest, SecondSessionReplaysCommittedRecordsAtMount) {
   auto& nexus = *machine_->nexus;
-  ASSERT_TRUE(nexus.ConfigureJournal(true, 1 << 20).ok());
   ASSERT_TRUE(nexus.BeginBatch().ok());
   ASSERT_TRUE(nexus.Mkdir("d").ok());
   ASSERT_TRUE(nexus.WriteFile("d/replayed", Bytes(32, 9)).ok());
-  ASSERT_TRUE(nexus.CommitBatch().ok());
-  ASSERT_EQ(RecordCount(), 1u) << RecordsOnStore();
-  // The first session now "dies" without unmounting (no checkpoint).
+  EXPECT_FALSE(DieAfterAnchor([&] { return nexus.CommitBatch(); }).ok());
+  const std::size_t with_tail = AnchorSize();
 
-  machine_->afs->FlushCache();
-  core::NexusClient second(*machine_->runtime, *machine_->afs,
-                           world_.intel().root_public_key());
-  ASSERT_TRUE(
-      second.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
-          .ok());
-  const auto profile = second.Profile();
-  EXPECT_GE(profile.journal.records_replayed, 1u);
-  EXPECT_GE(profile.journal.ops_replayed, 2u);
-  EXPECT_EQ(second.ReadFile("d/replayed").value(), Bytes(32, 9));
-  // Replay checkpointed the chain: the journal is truncated again.
-  EXPECT_EQ(RecordsOnStore(), "");
-  ASSERT_TRUE(second.Unmount().ok());
+  const auto second = MountFresh();
+  EXPECT_GE(second->Profile().journal.ops_replayed, 2u);
+  EXPECT_EQ(second->ReadFile("d/replayed").value(), Bytes(32, 9));
+  // Replay applied the tail, so the anchor no longer carries it.
+  EXPECT_LT(AnchorSize(), with_tail);
+  EXPECT_EQ(JournalDebris(), "");
+  ASSERT_TRUE(second->Unmount().ok());
 }
 
 TEST_F(JournalRecoveryTest, RecoveryRunsEvenWithJournalingDisabled) {
   auto& nexus = *machine_->nexus;
-  ASSERT_TRUE(nexus.ConfigureJournal(true, 1 << 20).ok());
   ASSERT_TRUE(nexus.BeginBatch().ok());
-  ASSERT_TRUE(nexus.WriteFile("precrash", Bytes(16, 4)).ok());
-  ASSERT_TRUE(nexus.CommitBatch().ok());
-  ASSERT_EQ(RecordCount(), 1u) << RecordsOnStore();
+  ASSERT_TRUE(nexus.Mkdir("d").ok());
+  ASSERT_TRUE(nexus.WriteFile("d/precrash", Bytes(16, 4)).ok());
+  EXPECT_FALSE(DieAfterAnchor([&] { return nexus.CommitBatch(); }).ok());
 
-  machine_->afs->FlushCache();
-  core::NexusClient second(*machine_->runtime, *machine_->afs,
-                           world_.intel().root_public_key());
   // Journaling off for the new session — but the committed transaction on
   // the store must still be applied, or durable writes would be lost.
-  ASSERT_TRUE(second.ConfigureJournal(false, 0).ok());
-  ASSERT_TRUE(
-      second.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
-          .ok());
-  EXPECT_EQ(second.ReadFile("precrash").value(), Bytes(16, 4));
-  EXPECT_EQ(RecordsOnStore(), "");
+  const auto second = MountFresh(/*journaling=*/false);
+  EXPECT_GE(second->Profile().journal.ops_replayed, 2u);
+  EXPECT_EQ(second->ReadFile("d/precrash").value(), Bytes(16, 4));
 
   // With journaling off, subsequent writes go straight to the main
-  // objects: no new records, no commits.
-  const auto before = second.Profile();
-  ASSERT_TRUE(second.WriteFile("direct", Bytes(16, 5)).ok());
-  const auto delta = second.Profile() - before;
+  // objects: no commits, no journal stores.
+  const auto before = second->Profile();
+  const std::size_t anchors_before = store_->PutCount("nxj/");
+  ASSERT_TRUE(second->WriteFile("direct", Bytes(16, 5)).ok());
+  const auto delta = second->Profile() - before;
   EXPECT_EQ(delta.journal.records_committed, 0u);
-  EXPECT_EQ(RecordsOnStore(), "");
-  ASSERT_TRUE(second.Unmount().ok());
+  EXPECT_EQ(store_->PutCount("nxj/"), anchors_before);
+  EXPECT_EQ(JournalDebris(), "");
+  ASSERT_TRUE(second->Unmount().ok());
+}
+
+// A checkpoint that fails leaves its commit unapplied. The next commit's
+// anchor carries both transactions, merged, in one store: the journal
+// never holds anything but the anchor, and a session that dies right
+// after that anchor loses neither.
+TEST_F(JournalRecoveryTest, CommitAfterFailedCheckpointCarriesBothInOneAnchor) {
+  auto& nexus = *machine_->nexus;
+  EXPECT_FALSE(DieAfterAnchor([&] { return nexus.Mkdir("first"); }).ok());
+  EXPECT_EQ(JournalDebris(), "");
+
+  const auto before = nexus.Profile();
+  const std::size_t anchors_before = store_->PutCount("nxj/");
+  EXPECT_FALSE(DieAfterAnchor([&] { return nexus.Mkdir("second"); }).ok());
+  EXPECT_EQ((nexus.Profile() - before).journal.records_committed, 1u);
+  EXPECT_EQ(store_->PutCount("nxj/") - anchors_before, 1u);
+  EXPECT_EQ(JournalDebris(), "");
+
+  const auto fresh = MountFresh();
+  const auto entries = fresh->ListDir("");
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+  std::vector<std::string> names;
+  for (const auto& e : *entries) names.push_back(e.name);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"first", "second"}));
+  EXPECT_EQ(JournalDebris(), "");
+  ASSERT_TRUE(fresh->Unmount().ok());
+}
+
+// With the store healed, the commit after a failed checkpoint is one anchor
+// store and its checkpoint applies both transactions.
+TEST_F(JournalRecoveryTest, CheckpointAfterAFailedOneAppliesBoth) {
+  auto& nexus = *machine_->nexus;
+  EXPECT_FALSE(DieAfterAnchor([&] { return nexus.Mkdir("first"); }).ok());
+
+  const auto before = nexus.Profile();
+  const std::size_t anchors_before = store_->PutCount("nxj/");
+  ASSERT_TRUE(nexus.Mkdir("second").ok());
+  const auto delta = nexus.Profile() - before;
+  EXPECT_EQ(delta.journal.records_committed, 1u);
+  EXPECT_EQ(delta.journal.checkpoints, 1u);
+  EXPECT_EQ(store_->PutCount("nxj/") - anchors_before, 1u);
+  EXPECT_EQ(JournalDebris(), "");
+
+  // A session that starts now reads both from the main objects alone:
+  // the tail it finds changes nothing.
+  const auto fresh = MountFresh();
+  EXPECT_EQ(fresh->Profile().journal.ops_replayed, 0u);
+  EXPECT_TRUE(fresh->ListDir("first").ok());
+  EXPECT_TRUE(fresh->ListDir("second").ok());
+  ASSERT_TRUE(fresh->Unmount().ok());
+}
+
+// A reconfiguration that fails changes nothing. Disabling flushes first;
+// while the store cannot take the flush, journaling stays on and engaged.
+TEST_F(JournalRecoveryTest, FailedDisableLeavesJournalingOn) {
+  auto& nexus = *machine_->nexus;
+  ASSERT_TRUE(nexus.WriteFile("g", Bytes(64, 1)).ok()); // anchor has a tail
+  store_->FailPuts("");
+  EXPECT_FALSE(nexus.ConfigureJournal(false, 0).ok());
+  EXPECT_TRUE(nexus.enclave().journal_enabled());
+  store_->Heal();
+  ASSERT_TRUE(nexus.BeginBatch().ok()); // the journal is still engaged
+  ASSERT_TRUE(nexus.CommitBatch().ok());
+
+  ASSERT_TRUE(nexus.ConfigureJournal(false, 0).ok());
+  EXPECT_FALSE(nexus.enclave().journal_enabled());
+  EXPECT_FALSE(nexus.BeginBatch().ok());
+}
+
+// Every commit is checkpointed at once; asking for deferral is an error,
+// not a setting that is silently ignored.
+TEST_F(JournalRecoveryTest, DeferredCheckpointsAreRejected) {
+  auto& nexus = *machine_->nexus;
+  EXPECT_EQ(nexus.ConfigureJournal(true, 5).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(nexus.ConfigureJournal(false, 1).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(nexus.enclave().journal_enabled());
 }
 
 TEST_F(JournalRecoveryTest, BatchRequiresJournalingEnabled) {

@@ -97,24 +97,36 @@ TEST_F(NetE2eTest, DirectoriesRenamesAndRemovesWork) {
 }
 
 TEST_F(NetE2eTest, JournalRecoveryAcrossSessionsOverTheWire) {
-  auto& nexus = *machine_->nexus;
-  ASSERT_TRUE(nexus.ConfigureJournal(true, 1 << 20).ok());
+  // A daemon of its own, whose store can fail the checkpoint that follows
+  // a commit's anchor.
+  test::FaultyBackend store(std::make_unique<storage::MemBackend>());
+  auto server = net::NexusdServer::Start(store);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  auto remote = net::RemoteBackend::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  test::World world("net-e2e-journal", std::move(remote).value());
+  test::Machine& machine = world.AddMachine("owen");
+  auto handle = machine.nexus->CreateVolume(machine.user);
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+
+  auto& nexus = *machine.nexus;
   ASSERT_TRUE(nexus.BeginBatch().ok());
   ASSERT_TRUE(nexus.Mkdir("d").ok());
   ASSERT_TRUE(nexus.WriteFile("d/replayed", Bytes(32, 9)).ok());
-  ASSERT_TRUE(nexus.CommitBatch().ok());
-  // The session "dies" without unmounting: the committed journal record
-  // sits in the daemon's store, not in any client cache.
-  EXPECT_FALSE(machine_->afs->List("nxj/").value().empty());
+  // The session "dies" right after its anchor: the committed batch sits
+  // in the daemon's store, not in any client cache.
+  store.FailPuts("nx/");
+  EXPECT_FALSE(nexus.CommitBatch().ok());
+  store.Heal();
+  EXPECT_EQ(store.List("nxj/"), std::vector<std::string>{"nxj/anchor"});
 
-  machine_->afs->FlushCache();
-  core::NexusClient second(*machine_->runtime, *machine_->afs,
-                           world_->intel().root_public_key());
+  machine.afs->FlushCache();
+  core::NexusClient second(*machine.runtime, *machine.afs,
+                           world.intel().root_public_key());
   ASSERT_TRUE(
-      second.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
+      second.Mount(machine.user, handle->volume_uuid, handle->sealed_rootkey)
           .ok());
-  const auto profile = second.Profile();
-  EXPECT_GE(profile.journal.records_replayed, 1u);
+  EXPECT_GE(second.Profile().journal.ops_replayed, 2u);
   EXPECT_EQ(second.ReadFile("d/replayed").value(), Bytes(32, 9));
   ASSERT_TRUE(second.Unmount().ok());
 }

@@ -226,6 +226,13 @@ TEST_F(NetReactorTest, HalfOpenConnectionsDoNotLeakSlabsOrWedgeTheLoop) {
     ASSERT_GE(fd, 0);
     idle.push_back(fd);
   }
+  // connect() returns once the client side of the handshake is done; on a
+  // loaded host the server's half can reach the accept queue later. Let
+  // the loop accept all 32 before checking that it serves with them parked.
+  for (int i = 0; i < 5000; ++i) {
+    if (remote_->Stats().value().active_connections >= 32) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // The daemon keeps serving with 32 half-open peers parked.
   ASSERT_TRUE(remote_->Put("alive", Bytes{1}).ok());
   EXPECT_EQ(remote_->Get("alive").value(), Bytes{1});

@@ -3,7 +3,10 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/nexus_client.hpp"
 #include "core/user_key.hpp"
@@ -14,6 +17,63 @@
 #include "storage/backend.hpp"
 
 namespace nexus::test {
+
+/// A store wrapper whose Puts can be made to fail: every Put whose name
+/// starts with the armed prefix ("" arms them all) fails with kIOError
+/// until Heal(). Arming "nx/" lets a journaled commit land its anchor
+/// ("nxj/anchor") while the checkpoint stores after it fail, so the
+/// session holds a commit the main objects lack — as if it had died right
+/// after the anchor. Also counts the Puts that went through.
+class FaultyBackend final : public storage::StorageBackend {
+ public:
+  explicit FaultyBackend(std::unique_ptr<storage::StorageBackend> inner)
+      : inner_(std::move(inner)) {}
+
+  void FailPuts(std::string prefix) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    failing_ = std::move(prefix);
+  }
+  void Heal() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    failing_.reset();
+  }
+  /// Successful Puts of names starting with `prefix` so far.
+  std::size_t PutCount(const std::string& prefix) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::size_t n = 0;
+    for (const std::string& name : puts_) n += name.starts_with(prefix);
+    return n;
+  }
+
+  Result<Bytes> Get(const std::string& name) override {
+    return inner_->Get(name);
+  }
+  Status Put(const std::string& name, ByteSpan data) override {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (failing_.has_value() && name.starts_with(*failing_)) {
+        return Error(ErrorCode::kIOError, "injected store failure: " + name);
+      }
+    }
+    NEXUS_RETURN_IF_ERROR(inner_->Put(name, data));
+    const std::lock_guard<std::mutex> lock(mu_);
+    puts_.push_back(name);
+    return Status::Ok();
+  }
+  Status Delete(const std::string& name) override {
+    return inner_->Delete(name);
+  }
+  bool Exists(const std::string& name) override { return inner_->Exists(name); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return inner_->List(prefix);
+  }
+
+ private:
+  std::unique_ptr<storage::StorageBackend> inner_;
+  std::mutex mu_;
+  std::optional<std::string> failing_;
+  std::vector<std::string> puts_;
+};
 
 /// One user's machine: SGX CPU + enclave runtime + AFS client + NEXUS.
 struct Machine {
