@@ -22,9 +22,12 @@ std::string HexEncode(ByteSpan data) {
 }
 
 void HexAppend(ByteSpan data, std::string& out) {
+  const std::size_t at = out.size();
+  out.resize(at + 2 * data.size());
+  char* p = out.data() + at;
   for (std::uint8_t b : data) {
-    out.push_back(kHexDigits[b >> 4]);
-    out.push_back(kHexDigits[b & 0x0f]);
+    *p++ = kHexDigits[b >> 4];
+    *p++ = kHexDigits[b & 0x0f];
   }
 }
 

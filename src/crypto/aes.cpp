@@ -81,8 +81,7 @@ void StoreBe32(std::uint32_t v, std::uint8_t* p) noexcept {
   p[3] = static_cast<std::uint8_t>(v);
 }
 
-std::uint32_t SubWord(std::uint32_t w) noexcept {
-  const auto& s = T().sbox;
+std::uint32_t SubWord(const std::uint8_t (&s)[256], std::uint32_t w) noexcept {
   return (static_cast<std::uint32_t>(s[(w >> 24) & 0xff]) << 24) |
          (static_cast<std::uint32_t>(s[(w >> 16) & 0xff]) << 16) |
          (static_cast<std::uint32_t>(s[(w >> 8) & 0xff]) << 8) |
@@ -105,78 +104,84 @@ Result<Aes> Aes::Create(ByteSpan key) {
 void Aes::ExpandKey(ByteSpan key) noexcept {
   const int nk = static_cast<int>(key.size() / 4);
   const int total = 4 * (rounds_ + 1);
+  const auto& sbox = T().sbox;
+  std::uint32_t w[60];
+  std::memcpy(round_keys_, key.data(), key.size());
   for (int i = 0; i < nk; ++i) {
-    round_keys_[i] = LoadBe32(key.data() + 4 * i);
+    w[i] = LoadBe32(key.data() + 4 * i);
   }
   std::uint32_t rcon = 0x01000000;
   for (int i = nk; i < total; ++i) {
-    std::uint32_t temp = round_keys_[i - 1];
+    std::uint32_t temp = w[i - 1];
     if (i % nk == 0) {
-      temp = SubWord((temp << 8) | (temp >> 24)) ^ rcon;
+      temp = SubWord(sbox, (temp << 8) | (temp >> 24)) ^ rcon;
       rcon = static_cast<std::uint32_t>(GfMul(
                  static_cast<std::uint8_t>(rcon >> 24), 2))
              << 24;
     } else if (nk == 8 && i % nk == 4) {
-      temp = SubWord(temp);
+      temp = SubWord(sbox, temp);
     }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
+    w[i] = w[i - nk] ^ temp;
+    StoreBe32(w[i], round_keys_ + 4 * i);
   }
 }
 
 void Aes::EncryptBlock(const std::uint8_t in[16],
                        std::uint8_t out[16]) const noexcept {
   const auto& t = T();
-  std::uint32_t s0 = LoadBe32(in) ^ round_keys_[0];
-  std::uint32_t s1 = LoadBe32(in + 4) ^ round_keys_[1];
-  std::uint32_t s2 = LoadBe32(in + 8) ^ round_keys_[2];
-  std::uint32_t s3 = LoadBe32(in + 12) ^ round_keys_[3];
+  // Round key word j of round r, as the schedule computed it.
+  auto rk = [this](int r, int j) noexcept {
+    return LoadBe32(round_keys_ + 16 * r + 4 * j);
+  };
+  std::uint32_t s0 = LoadBe32(in) ^ rk(0, 0);
+  std::uint32_t s1 = LoadBe32(in + 4) ^ rk(0, 1);
+  std::uint32_t s2 = LoadBe32(in + 8) ^ rk(0, 2);
+  std::uint32_t s3 = LoadBe32(in + 12) ^ rk(0, 3);
 
   for (int r = 1; r < rounds_; ++r) {
-    const std::uint32_t* rk = &round_keys_[4 * r];
     const std::uint32_t t0 = t.te[0][s0 >> 24] ^ t.te[1][(s1 >> 16) & 0xff] ^
                              t.te[2][(s2 >> 8) & 0xff] ^ t.te[3][s3 & 0xff] ^
-                             rk[0];
+                             rk(r, 0);
     const std::uint32_t t1 = t.te[0][s1 >> 24] ^ t.te[1][(s2 >> 16) & 0xff] ^
                              t.te[2][(s3 >> 8) & 0xff] ^ t.te[3][s0 & 0xff] ^
-                             rk[1];
+                             rk(r, 1);
     const std::uint32_t t2 = t.te[0][s2 >> 24] ^ t.te[1][(s3 >> 16) & 0xff] ^
                              t.te[2][(s0 >> 8) & 0xff] ^ t.te[3][s1 & 0xff] ^
-                             rk[2];
+                             rk(r, 2);
     const std::uint32_t t3 = t.te[0][s3 >> 24] ^ t.te[1][(s0 >> 16) & 0xff] ^
                              t.te[2][(s1 >> 8) & 0xff] ^ t.te[3][s2 & 0xff] ^
-                             rk[3];
+                             rk(r, 3);
     s0 = t0;
     s1 = t1;
     s2 = t2;
     s3 = t3;
   }
 
-  const std::uint32_t* rk = &round_keys_[4 * rounds_];
   const auto& s = t.sbox;
   const std::uint32_t o0 =
       ((static_cast<std::uint32_t>(s[s0 >> 24]) << 24) |
        (static_cast<std::uint32_t>(s[(s1 >> 16) & 0xff]) << 16) |
        (static_cast<std::uint32_t>(s[(s2 >> 8) & 0xff]) << 8) |
        s[s3 & 0xff]) ^
-      rk[0];
+      rk(rounds_, 0);
   const std::uint32_t o1 =
       ((static_cast<std::uint32_t>(s[s1 >> 24]) << 24) |
        (static_cast<std::uint32_t>(s[(s2 >> 16) & 0xff]) << 16) |
        (static_cast<std::uint32_t>(s[(s3 >> 8) & 0xff]) << 8) |
        s[s0 & 0xff]) ^
-      rk[1];
+      rk(rounds_, 1);
   const std::uint32_t o2 =
       ((static_cast<std::uint32_t>(s[s2 >> 24]) << 24) |
        (static_cast<std::uint32_t>(s[(s3 >> 16) & 0xff]) << 16) |
        (static_cast<std::uint32_t>(s[(s0 >> 8) & 0xff]) << 8) |
        s[s1 & 0xff]) ^
-      rk[2];
+      rk(rounds_, 2);
   const std::uint32_t o3 =
       ((static_cast<std::uint32_t>(s[s3 >> 24]) << 24) |
        (static_cast<std::uint32_t>(s[(s0 >> 16) & 0xff]) << 16) |
        (static_cast<std::uint32_t>(s[(s1 >> 8) & 0xff]) << 8) |
        s[s2 & 0xff]) ^
-      rk[3];
+      rk(rounds_, 3);
 
   StoreBe32(o0, out);
   StoreBe32(o1, out + 4);
@@ -184,18 +189,10 @@ void Aes::EncryptBlock(const std::uint8_t in[16],
   StoreBe32(o3, out + 12);
 }
 
-void Aes::ExportRoundKeyBytes(std::uint8_t* out) const noexcept {
-  for (int i = 0; i < 4 * (rounds_ + 1); ++i) {
-    StoreBe32(round_keys_[i], out + 4 * i);
-  }
-}
-
 void AesCtrXor(const Aes& aes, const std::uint8_t counter_block[16],
                ByteSpan in, MutableByteSpan out) noexcept {
-  if (HasAesHardware() && in.size() >= 64) {
-    std::uint8_t round_keys[240];
-    aes.ExportRoundKeyBytes(round_keys);
-    AesNiCtrXor(round_keys, aes.rounds(), counter_block, in, out);
+  if (HasAesHardware()) {
+    AesNiCtrXor(aes, counter_block, in, out);
     return;
   }
   std::uint8_t ctr[16];

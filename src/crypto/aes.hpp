@@ -28,16 +28,18 @@ class Aes {
   [[nodiscard]] std::size_t key_size() const noexcept { return key_size_; }
   [[nodiscard]] int rounds() const noexcept { return rounds_; }
 
-  /// Serializes the round keys in standard byte order ((rounds+1)*16
-  /// bytes) for the AES-NI fast path. `out` must hold 240 bytes.
-  void ExportRoundKeyBytes(std::uint8_t* out) const noexcept;
+  /// The round keys, (rounds+1)*16 bytes: the FIPS 197 schedule words
+  /// stored big-endian, which is the byte order AES-NI loads.
+  [[nodiscard]] const std::uint8_t* round_key_bytes() const noexcept {
+    return round_keys_;
+  }
 
  private:
   Aes() = default;
   void ExpandKey(ByteSpan key) noexcept;
 
   // Up to 15 round keys of 16 bytes (AES-256: 14 rounds + initial).
-  std::uint32_t round_keys_[60] = {};
+  alignas(16) std::uint8_t round_keys_[240] = {};
   int rounds_ = 0;
   std::size_t key_size_ = 0;
 };

@@ -1,5 +1,6 @@
-// Hardware fast paths for AES-CTR (AES-NI), GHASH (PCLMULQDQ) and the
-// SHA-256 compression function (SHA-NI), dispatched at runtime. The
+// Hardware fast paths for AES-CTR and one-pass AES-GCM (AES-NI with
+// PCLMULQDQ GHASH) and the SHA-256 compression function (SHA-NI),
+// dispatched at runtime. The
 // paper's enclave used mbedTLS with hardware crypto; without this the
 // simulated enclave's crypto throughput — and thus the Table 5a "Enclave"
 // column, the read-heavy Table II rows and every metadata op's HMAC-DRBG
@@ -17,14 +18,17 @@
 
 namespace nexus::crypto {
 
+class Aes;
+
 /// True when the AES-NI/PCLMUL fast paths are in use. Evaluated once:
 ///  1. CPUID must report aes + pclmul + ssse3,
 ///  2. NEXUS_NO_AESNI must not be set (non-empty, != "0") in the
 ///     environment — the CI knob that keeps the scalar path tested,
-///  3. a known-answer self-test must pass: the hardware CTR keystream and
-///     PCLMUL GHASH step are checked against the portable reference, so a
-///     mis-dispatched or miscompiled fast path degrades to the (correct)
-///     scalar code instead of producing wrong ciphertext.
+///  3. a known-answer self-test must pass: the hardware CTR keystream, a
+///     multi-group PCLMUL GHASH and one seal through the bulk GCM kernel
+///     are checked against the portable reference, so a mis-dispatched or
+///     miscompiled fast path degrades to the (correct) scalar code instead
+///     of producing wrong ciphertext.
 /// The result is cached; ForceAesFallbackForTesting overrides it at runtime.
 bool HasAesHardware() noexcept;
 
@@ -37,8 +41,8 @@ bool HasShaHardware() noexcept;
 /// Runtime override for equivalence tests: while `disabled` is true,
 /// HasAesHardware() and HasShaHardware() report false and every GCM/CTR
 /// call and SHA-256 compression takes the portable path. Thread-safe;
-/// affects only subsequently-created Ghash instances, future AesCtrXor
-/// calls and future Sha256 compressions.
+/// affects only subsequently-created Ghash instances, future GCM and
+/// AesCtrXor calls and future Sha256 compressions.
 void ForceAesFallbackForTesting(bool disabled) noexcept;
 
 /// Re-runs the dispatch-verification KAT (the check HasAesHardware caches).
@@ -50,17 +54,30 @@ bool AesniSelfTest() noexcept;
 /// False on non-x86 builds or when the CPU lacks the instructions.
 bool ShaNiSelfTest() noexcept;
 
-/// CTR keystream XOR using AES-NI. `round_key_bytes` is (rounds+1)*16
-/// bytes of standard-serialized round keys; `counter` uses the GCM
-/// convention (big-endian increment of the final 32 bits).
-void AesNiCtrXor(const std::uint8_t* round_key_bytes, int rounds,
-                 const std::uint8_t counter[16], ByteSpan in,
+/// CTR keystream XOR using AES-NI, any length. `counter` uses the GCM
+/// convention (big-endian increment of the final 32 bits, wrapping
+/// without carry into the rest of the block).
+void AesNiCtrXor(const Aes& aes, const std::uint8_t counter[16], ByteSpan in,
                  MutableByteSpan out) noexcept;
 
-/// GHASH block step via carry-less multiply: y <- (y ^ x) * h in GF(2^128)
-/// with the GCM bit order.
-void PclmulGhashBlock(std::uint8_t y[16], const std::uint8_t x[16],
-                      const std::uint8_t h[16]) noexcept;
+/// AES-GCM in one pass over `in` (NIST SP 800-38D, 12-byte IV): CTR from
+/// J0 + 1 into `out`, with GHASH over the ciphertext side (`out` when
+/// `encrypt`, else `in`) interleaved with the AES rounds, four blocks per
+/// aggregated reduction. Writes the tag; the caller compares it on open.
+void AesNiGcm(const Aes& aes, const std::uint8_t iv[12], ByteSpan aad,
+              ByteSpan in, MutableByteSpan out, bool encrypt,
+              std::uint8_t tag[16]) noexcept;
+
+/// GHASH key setup for PclmulGhashBlocks: H, H^2, H^3 and H^4 in the
+/// byte-reflected form CLMUL works on, 16 bytes each.
+void PclmulGhashInit(const std::uint8_t h[16],
+                     std::uint8_t powers[64]) noexcept;
+
+/// Absorbs `n` whole 16-byte blocks into the GHASH accumulator `y` (GCM
+/// byte order): y <- (...((y ^ x1) * H ^ x2) * H ...) * H, computed four
+/// blocks per reduction with the powers from PclmulGhashInit.
+void PclmulGhashBlocks(std::uint8_t y[16], const std::uint8_t powers[64],
+                       const std::uint8_t* blocks, std::size_t n) noexcept;
 
 /// SHA-256 compression of `n` consecutive 64-byte blocks into `state`
 /// (a, ..., h in FIPS 180-4 order) using the SHA extensions.

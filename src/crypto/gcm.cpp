@@ -1,5 +1,6 @@
 #include "crypto/gcm.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "crypto/aesni.hpp"
@@ -28,12 +29,15 @@ void StoreBe64(std::uint64_t v, std::uint8_t* p) noexcept {
 } // namespace
 
 Ghash::Ghash(const std::uint8_t h[16], bool force_portable) noexcept {
-  std::memcpy(h_, h, 16);
   // force_portable is checked FIRST: the AES-NI dispatch self-test builds
   // its reference with a forced-portable Ghash while HasAesHardware()'s
   // own initialization is in flight — short-circuiting here keeps that
   // from recursing into the in-progress static.
   use_pclmul_ = !force_portable && HasAesHardware();
+  if (use_pclmul_) {
+    PclmulGhashInit(h, powers_);
+    return;
+  }
 
   std::uint64_t vh = LoadBe64(h);
   std::uint64_t vl = LoadBe64(h + 8);
@@ -60,11 +64,6 @@ Ghash::Ghash(const std::uint8_t h[16], bool force_portable) noexcept {
 }
 
 void Ghash::MulY() noexcept {
-  if (use_pclmul_) {
-    static constexpr std::uint8_t kZero[16] = {};
-    PclmulGhashBlock(y_, kZero, h_);
-    return;
-  }
   std::uint8_t lo = y_[15] & 0xf;
   std::uint64_t zh = hh_[lo];
   std::uint64_t zl = hl_[lo];
@@ -91,27 +90,39 @@ void Ghash::MulY() noexcept {
   StoreBe64(zl, y_ + 8);
 }
 
-void Ghash::Update(ByteSpan data) noexcept {
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t take =
-        std::min<std::size_t>(16 - pending_len_, data.size() - pos);
-    std::memcpy(pending_ + pending_len_, data.data() + pos, take);
-    pending_len_ += take;
-    pos += take;
-    if (pending_len_ == 16) {
-      for (int i = 0; i < 16; ++i) y_[i] ^= pending_[i];
-      MulY();
-      pending_len_ = 0;
-    }
+void Ghash::Absorb(const std::uint8_t* blocks, std::size_t n) noexcept {
+  if (use_pclmul_) {
+    if (n > 0) PclmulGhashBlocks(y_, powers_, blocks, n);
+    return;
   }
+  for (; n > 0; --n, blocks += 16) {
+    for (int i = 0; i < 16; ++i) y_[i] ^= blocks[i];
+    MulY();
+  }
+}
+
+void Ghash::Update(ByteSpan data) noexcept {
+  if (data.empty()) return; // also avoids memcpy(_, nullptr, 0) UB
+  std::size_t pos = 0;
+  if (pending_len_ > 0) {
+    pos = std::min<std::size_t>(16 - pending_len_, data.size());
+    std::memcpy(pending_ + pending_len_, data.data(), pos);
+    pending_len_ += pos;
+    if (pending_len_ < 16) return;
+    Absorb(pending_, 1);
+    pending_len_ = 0;
+  }
+  const std::size_t whole = (data.size() - pos) / 16;
+  Absorb(data.data() + pos, whole);
+  pos += 16 * whole;
+  pending_len_ = data.size() - pos;
+  std::memcpy(pending_, data.data() + pos, pending_len_);
 }
 
 void Ghash::FlushBlock() noexcept {
   if (pending_len_ > 0) {
     std::memset(pending_ + pending_len_, 0, 16 - pending_len_);
-    for (int i = 0; i < 16; ++i) y_[i] ^= pending_[i];
-    MulY();
+    Absorb(pending_, 1);
     pending_len_ = 0;
   }
 }
@@ -122,8 +133,7 @@ void Ghash::FinishLengths(std::uint64_t aad_bytes, std::uint64_t ct_bytes,
   std::uint8_t len_block[16];
   StoreBe64(aad_bytes * 8, len_block);
   StoreBe64(ct_bytes * 8, len_block + 8);
-  for (int i = 0; i < 16; ++i) y_[i] ^= len_block[i];
-  MulY();
+  Absorb(len_block, 1);
   std::memcpy(out, y_, 16);
 }
 
@@ -136,21 +146,30 @@ ByteArray<16> Ghash::State() noexcept {
 
 namespace {
 
-// Computes the GCM tag over aad/ct and writes it to `tag`.
-void ComputeTag(const Aes& aes, ByteSpan iv, ByteSpan aad, ByteSpan ct,
-                std::uint8_t tag[16]) noexcept {
+// Seals (`encrypt`) or opens `in` into `out` and writes the GCM tag over
+// the ciphertext side; open compares it. The portable path runs T-table
+// CTR from J0 + 1, then GHASH, then E_K(J0).
+void GcmCrypt(const Aes& aes, ByteSpan iv, ByteSpan aad, ByteSpan in,
+              MutableByteSpan out, bool encrypt,
+              std::uint8_t tag[16]) noexcept {
+  if (HasAesHardware()) {
+    AesNiGcm(aes, iv.data(), aad, in, out, encrypt, tag);
+    return;
+  }
+  std::uint8_t j0[16] = {};
+  std::memcpy(j0, iv.data(), kGcmIvSize);
+  j0[15] = 2;
+  AesCtrXor(aes, j0, in, out);
+
   std::uint8_t h[16] = {};
   aes.EncryptBlock(h, h);
   Ghash ghash(h);
   ghash.Update(aad);
   ghash.FlushBlock();
-  ghash.Update(ct);
+  ghash.Update(encrypt ? ByteSpan(out) : in);
   std::uint8_t s[16];
-  ghash.FinishLengths(aad.size(), ct.size(), s);
+  ghash.FinishLengths(aad.size(), in.size(), s);
 
-  // E(K, J0) where J0 = IV || 0^31 || 1 for 12-byte IVs.
-  std::uint8_t j0[16] = {};
-  std::memcpy(j0, iv.data(), kGcmIvSize);
   j0[15] = 1;
   std::uint8_t ekj0[16];
   aes.EncryptBlock(j0, ekj0);
@@ -167,15 +186,8 @@ Status GcmSealInto(const Aes& aes, ByteSpan iv, ByteSpan aad,
   if (out.size() != plaintext.size() + kGcmTagSize) {
     return Error(ErrorCode::kCryptoFailure, "GCM output buffer size mismatch");
   }
-
-  // CTR starts at J0 + 1.
-  std::uint8_t ctr[16] = {};
-  std::memcpy(ctr, iv.data(), kGcmIvSize);
-  ctr[15] = 2;
-  AesCtrXor(aes, ctr, plaintext, MutableByteSpan(out.data(), plaintext.size()));
-
-  ComputeTag(aes, iv, aad, ByteSpan(out.data(), plaintext.size()),
-             out.data() + plaintext.size());
+  GcmCrypt(aes, iv, aad, plaintext, out.first(plaintext.size()),
+           /*encrypt=*/true, out.data() + plaintext.size());
   return Status::Ok();
 }
 
@@ -201,15 +213,11 @@ Status GcmOpenInto(const Aes& aes, ByteSpan iv, ByteSpan aad, ByteSpan sealed,
   }
 
   std::uint8_t expected[16];
-  ComputeTag(aes, iv, aad, ct, expected);
+  GcmCrypt(aes, iv, aad, ct, out, /*encrypt=*/false, expected);
   if (!ConstantTimeEqual(ByteSpan(expected, 16), tag)) {
+    std::fill(out.begin(), out.end(), std::uint8_t{0});
     return Error(ErrorCode::kIntegrityViolation, "GCM tag mismatch");
   }
-
-  std::uint8_t ctr[16] = {};
-  std::memcpy(ctr, iv.data(), kGcmIvSize);
-  ctr[15] = 2;
-  AesCtrXor(aes, ctr, ct, out);
   return Status::Ok();
 }
 

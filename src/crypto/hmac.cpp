@@ -23,19 +23,18 @@ ByteArray<64> NormalizeKey(ByteSpan key) noexcept {
 HmacSha256Stream::HmacSha256Stream(ByteSpan key) noexcept {
   const ByteArray<64> k = NormalizeKey(key);
   ByteArray<64> ipad;
+  ByteArray<64> opad;
   for (int i = 0; i < 64; ++i) {
     ipad[i] = k[i] ^ 0x36;
-    opad_key_[i] = k[i] ^ 0x5c;
+    opad[i] = k[i] ^ 0x5c;
   }
   inner_.Update(ipad);
+  outer_.Update(opad);
 }
 
 ByteArray<32> HmacSha256Stream::Finish() noexcept {
-  const auto inner_digest = inner_.Finish();
-  Sha256 outer;
-  outer.Update(opad_key_);
-  outer.Update(inner_digest);
-  return outer.Finish();
+  outer_.Update(inner_.Finish());
+  return outer_.Finish();
 }
 
 ByteArray<32> HmacSha256(ByteSpan key, ByteSpan message) noexcept {

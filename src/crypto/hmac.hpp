@@ -12,7 +12,10 @@ namespace nexus::crypto {
 /// One-shot HMAC-SHA256.
 ByteArray<32> HmacSha256(ByteSpan key, ByteSpan message) noexcept;
 
-/// Incremental HMAC-SHA256 for multi-part messages.
+/// Incremental HMAC-SHA256 for multi-part messages. A stream that has
+/// seen no Update is the key's keyed state: the SHA-256 midstates after
+/// the ipad and opad blocks. Copy it to start another MAC under the same
+/// key without hashing either key block again.
 class HmacSha256Stream {
  public:
   explicit HmacSha256Stream(ByteSpan key) noexcept;
@@ -20,8 +23,8 @@ class HmacSha256Stream {
   [[nodiscard]] ByteArray<32> Finish() noexcept;
 
  private:
-  Sha256 inner_;
-  ByteArray<64> opad_key_{};
+  Sha256 inner_; // after key ^ ipad
+  Sha256 outer_; // after key ^ opad
 };
 
 /// HKDF-Extract: PRK = HMAC(salt, ikm).

@@ -3,8 +3,6 @@
 #include <cstring>
 #include <random>
 
-#include "crypto/hmac.hpp"
-
 namespace nexus::crypto {
 
 std::uint64_t Rng::Below(std::uint64_t bound) noexcept {
@@ -19,36 +17,35 @@ std::uint64_t Rng::Below(std::uint64_t bound) noexcept {
 }
 
 HmacDrbg::HmacDrbg(ByteSpan seed) noexcept {
-  key_.fill(0x00);
+  // K = 0x00..00 (the member's initializer), V = 0x01..01.
   value_.fill(0x01);
   Update(seed);
 }
 
-void HmacDrbg::Update(ByteSpan provided) noexcept {
-  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V)
-  HmacSha256Stream mac1(key_);
-  mac1.Update(value_);
-  const std::uint8_t zero = 0x00;
-  mac1.Update(ByteSpan(&zero, 1));
-  mac1.Update(provided);
-  key_ = mac1.Finish();
-  value_ = HmacSha256(key_, value_);
+ByteArray<32> HmacDrbg::MacOfValue() const noexcept {
+  HmacSha256Stream mac = key_;
+  mac.Update(value_);
+  return mac.Finish();
+}
 
-  if (!provided.empty()) {
-    HmacSha256Stream mac2(key_);
-    mac2.Update(value_);
-    const std::uint8_t one = 0x01;
-    mac2.Update(ByteSpan(&one, 1));
-    mac2.Update(provided);
-    key_ = mac2.Finish();
-    value_ = HmacSha256(key_, value_);
+void HmacDrbg::Update(ByteSpan provided) noexcept {
+  // K = HMAC(K, V || 0x00 || provided); V = HMAC(K, V), then again with
+  // 0x01 when `provided` is non-empty.
+  for (const std::uint8_t round : {std::uint8_t{0x00}, std::uint8_t{0x01}}) {
+    if (round == 0x01 && provided.empty()) break;
+    HmacSha256Stream mac = key_;
+    mac.Update(value_);
+    mac.Update(ByteSpan(&round, 1));
+    mac.Update(provided);
+    key_ = HmacSha256Stream(mac.Finish());
+    value_ = MacOfValue();
   }
 }
 
 void HmacDrbg::Fill(MutableByteSpan out) noexcept {
   std::size_t pos = 0;
   while (pos < out.size()) {
-    value_ = HmacSha256(key_, value_);
+    value_ = MacOfValue();
     const std::size_t n = std::min(value_.size(), out.size() - pos);
     std::memcpy(out.data() + pos, value_.data(), n);
     pos += n;

@@ -11,6 +11,7 @@
 
 #include "common/bytes.hpp"
 #include "common/uuid.hpp"
+#include "crypto/hmac.hpp"
 
 namespace nexus::crypto {
 
@@ -52,8 +53,12 @@ class HmacDrbg final : public Rng {
 
  private:
   void Update(ByteSpan provided) noexcept;
+  /// HMAC(K, V), from the keyed state.
+  [[nodiscard]] ByteArray<32> MacOfValue() const noexcept;
 
-  ByteArray<32> key_{};
+  // The keyed state of the current K, built once per re-key and copied
+  // by every MAC under it.
+  HmacSha256Stream key_{ByteArray<32>{}};
   ByteArray<32> value_{};
 };
 

@@ -1,8 +1,12 @@
 // AES, AES-GCM and AES-GCM-SIV known-answer + property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "common/hex.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/aesni.hpp"
 #include "crypto/gcm.hpp"
 #include "crypto/gcm_siv.hpp"
 #include "crypto/rng.hpp"
@@ -126,6 +130,105 @@ TEST(Gcm, RoundTripAndTamperDetection) {
     Bytes bad_aad = aad;
     bad_aad[0] ^= 0xff;
     EXPECT_FALSE(GcmOpen(aes, iv, bad_aad, sealed).ok());
+  }
+}
+
+// ---- bulk AES-GCM dispatch --------------------------------------------------
+// The dispatched path (the AES-NI/PCLMUL bulk kernel where the host has
+// it) against the forced portable code. Lengths cross the kernel's
+// 4-block (64-byte) groups and its partial tails in both GCM sections.
+
+Bytes Pattern(std::size_t n, std::uint8_t seed) {
+  Bytes out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 31 + seed);
+  }
+  return out;
+}
+
+// Every plaintext length from 0 to 1,100 bytes, AAD lengths cycling
+// 0-80: both paths seal identically, and each opens the other's output.
+TEST(GcmDispatch, HardwareMatchesScalarEveryLength) {
+  const auto aes = Aes::Create(Pattern(16, 7)).value();
+  const Bytes iv = Pattern(12, 3);
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    const Bytes pt = Pattern(len, static_cast<std::uint8_t>(len));
+    const Bytes aad = Pattern(len % 81, 99);
+    const Bytes hw = GcmSeal(aes, iv, aad, pt).value();
+    ForceAesFallbackForTesting(true);
+    const Bytes scalar = GcmSeal(aes, iv, aad, pt).value();
+    const auto scalar_open = GcmOpen(aes, iv, aad, hw);
+    ForceAesFallbackForTesting(false);
+    ASSERT_EQ(hw, scalar) << len;
+    ASSERT_TRUE(scalar_open.ok()) << len;
+    ASSERT_EQ(*scalar_open, pt) << len;
+    ASSERT_EQ(GcmOpen(aes, iv, aad, scalar).value(), pt) << len;
+  }
+}
+
+// Hashes `data` through Update calls split at seeded random points: empty
+// updates, partial blocks, whole blocks and runs past one 4-block group.
+ByteArray<16> SplitGhash(const std::uint8_t h[16], bool force_portable,
+                         const Bytes& data, std::mt19937& gen) {
+  Ghash g(h, force_portable);
+  std::size_t pos = 0;
+  while (pos < data.size()) {
+    std::uniform_int_distribution<std::size_t> step(
+        0, std::min<std::size_t>(data.size() - pos, 90));
+    const std::size_t n = step(gen);
+    g.Update(ByteSpan(data.data() + pos, n));
+    pos += n;
+  }
+  return g.State();
+}
+
+TEST(GcmDispatch, GhashSplitUpdatesMatchOneShot) {
+  const Bytes h = Pattern(16, 41);
+  for (std::size_t len = 0; len <= 600; ++len) {
+    const Bytes data = Pattern(len, static_cast<std::uint8_t>(len * 3));
+    Ghash whole(h.data());
+    whole.Update(data);
+    const ByteArray<16> want = whole.State();
+    for (const bool portable : {false, true}) {
+      std::mt19937 gen(static_cast<std::uint32_t>(len));
+      ASSERT_EQ(SplitGhash(h.data(), portable, data, gen), want)
+          << len << (portable ? " (portable)" : "");
+    }
+  }
+}
+
+// The counter starts three blocks below the 32-bit wrap, so the wrap
+// lands inside the first 4-block group; inc32 must not carry into byte 11.
+TEST(GcmDispatch, CtrCounterWrapMatchesScalar) {
+  const auto aes = Aes::Create(Pattern(32, 5)).value();
+  const std::uint8_t ctr[16] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                0xff, 0xff, 0xff, 0xfd};
+  for (std::size_t len = 0; len <= 200; ++len) {
+    const Bytes in = Pattern(len, 17);
+    Bytes hw(len), scalar(len);
+    AesCtrXor(aes, ctr, in, hw);
+    ForceAesFallbackForTesting(true);
+    AesCtrXor(aes, ctr, in, scalar);
+    ForceAesFallbackForTesting(false);
+    ASSERT_EQ(hw, scalar) << len;
+  }
+}
+
+// Every single-bit flip of a 200-byte message's ciphertext and tag fails
+// the open with kIntegrityViolation and leaves no plaintext in `out`.
+TEST(GcmDispatch, EveryBitFlipIsRejected) {
+  const auto aes = Aes::Create(Pattern(16, 23)).value();
+  const Bytes iv = Pattern(12, 29);
+  const Bytes aad = Pattern(20, 31);
+  const Bytes sealed = GcmSeal(aes, iv, aad, Pattern(200, 37)).value();
+  Bytes out(200);
+  for (std::size_t bit = 0; bit < sealed.size() * 8; ++bit) {
+    Bytes bad = sealed;
+    bad[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    std::fill(out.begin(), out.end(), std::uint8_t{0xa5});
+    const Status s = GcmOpenInto(aes, iv, aad, bad, out);
+    ASSERT_EQ(s.code(), ErrorCode::kIntegrityViolation) << bit;
+    ASSERT_EQ(out, Bytes(200, 0)) << bit;
   }
 }
 
