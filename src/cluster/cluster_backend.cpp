@@ -408,7 +408,8 @@ ClusterBackend::ClusterBackend(ClusterOptions options, std::size_t replication,
   }
   // Hybrid logical clock seed: wall ms shifted to leave 2^20 draws per
   // tick. A client with a slow clock still orders correctly against live
-  // peers because every decoded envelope advances the clock past it.
+  // peers because every decoded envelope advances the clock past it;
+  // ToHit keeps envelopes more than kMaxClockSkewMs ahead out of it.
   version_clock_.store(options_.now_ms() << 20, std::memory_order_relaxed);
 }
 
@@ -514,7 +515,22 @@ ClusterBackend::~ClusterBackend() {
 // ---- versions ---------------------------------------------------------------
 
 std::uint64_t ClusterBackend::DrawVersion() {
-  return version_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Saturates instead of wrapping: a wrapped clock would lose every
+  // later write to the envelopes it already wrote.
+  std::uint64_t cur = version_clock_.load(std::memory_order_relaxed);
+  while (cur != std::numeric_limits<std::uint64_t>::max() &&
+         !version_clock_.compare_exchange_weak(cur, cur + 1,
+                                               std::memory_order_relaxed)) {
+  }
+  return cur == std::numeric_limits<std::uint64_t>::max() ? cur : cur + 1;
+}
+
+std::uint64_t ClusterBackend::MaxPlausibleVersion() const {
+  const std::uint64_t limit_ms = options_.now_ms() + kMaxClockSkewMs;
+  if (limit_ms > (std::numeric_limits<std::uint64_t>::max() >> 20)) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return limit_ms << 20;
 }
 
 void ClusterBackend::ObserveVersion(std::uint64_t version) {
@@ -727,6 +743,10 @@ std::optional<ClusterBackend::ReadHit> ClusterBackend::ToHit(
   Result<Envelope> env =
       DecodeEnvelope(ByteSpan(res.value().data(), res.value().size()));
   if (!env.ok()) return ReadHit{shard, std::nullopt};
+  if (env.value().version > MaxPlausibleVersion()) {
+    Bump(&ClusterCounters::forged_versions);
+    return ReadHit{shard, std::nullopt};
+  }
   ObserveVersion(env.value().version);
   return ReadHit{shard, std::move(env).value()};
 }

@@ -23,9 +23,10 @@
 //     R=2 cluster keep committing with W=2 while one shard is dead.
 //   * Versions — envelopes carry a hybrid logical clock (drawn from an
 //     atomic counter seeded with wall time, advanced past every version
-//     observed) plus a per-client writer id as tiebreak. Deletes are
-//     TOMBSTONE envelopes written through the same quorum path, so a
-//     resurrecting replica cannot undo a delete.
+//     observed that is not too far ahead of wall time) plus a per-client
+//     writer id as tiebreak. Deletes are TOMBSTONE envelopes written
+//     through the same quorum path, so a resurrecting replica cannot undo
+//     a delete.
 //   * Repair — every shard answer goes through one replica-read rule
 //     (missing or corrupt = an answer with no envelope, any other error
 //     = unreachable). When a quorum read sees divergent replicas, the
@@ -96,6 +97,14 @@ Result<Envelope> DecodeEnvelope(ByteSpan data);
 /// and the rebalancer never treat as data; exposed so nexus-stat can
 /// report pending hints per shard.
 inline constexpr char kHandoffHintPrefix[] = "\x01nxh/";
+
+/// How far ahead of this client's wall clock an envelope's version may
+/// run (the max-offset rule of hybrid logical clocks). A decoded version
+/// above `(now_ms + kMaxClockSkewMs) << 20` is treated as forged: the
+/// replica counts as an answer with no envelope, repair overwrites it,
+/// and the version clock never observes it. An honest client whose
+/// clock runs further ahead than this is treated the same way.
+inline constexpr std::uint64_t kMaxClockSkewMs = 5 * 60 * 1000;
 
 // ---- configuration ----------------------------------------------------------
 
@@ -253,6 +262,9 @@ class ClusterBackend final : public storage::StorageBackend {
   // Versions.
   std::uint64_t DrawVersion();
   void ObserveVersion(std::uint64_t version);
+  /// The highest version an honest writer can have drawn by now:
+  /// `(now_ms + kMaxClockSkewMs) << 20`, saturating.
+  std::uint64_t MaxPlausibleVersion() const;
 
   // Health.
   bool ShardAvailable(Shard& shard);
@@ -282,9 +294,10 @@ class ClusterBackend final : public storage::StorageBackend {
   std::vector<ShardPtr> PreferenceList(std::uint64_t point) const;
 
   /// The replica-read rule every path applies to a shard's answer:
-  /// kNotFound or an undecodable replica is a hit with no envelope (an
-  /// overwritable copy), any other error is nullopt (unreachable), and a
-  /// decoded envelope advances the version clock.
+  /// kNotFound, an undecodable replica or one whose version is further
+  /// ahead than kMaxClockSkewMs (counted in forged_versions) is a hit
+  /// with no envelope (an overwritable copy), any other error is nullopt
+  /// (unreachable), and a decoded envelope advances the version clock.
   std::optional<ReadHit> ToHit(const ShardPtr& shard, const Result<Bytes>& res);
 
   /// Reads `name` until `read_quorum_` transport-ok answers (kNotFound is

@@ -20,6 +20,9 @@ struct ClusterCounters {
   std::uint64_t failovers = 0; // a non-owner successor served/absorbed
   std::uint64_t read_repairs = 0;
   std::uint64_t tombstones_written = 0;
+  // Shard answers whose envelope version ran more than kMaxClockSkewMs
+  // ahead of the wall clock, treated as missing.
+  std::uint64_t forged_versions = 0;
   std::uint64_t rebalance_passes = 0; // one per arc set (or whole circle)
   std::uint64_t rebalance_objects_moved = 0;
   std::uint64_t rebalance_objects_purged = 0;
@@ -60,6 +63,7 @@ struct ClusterCounters {
     out.failovers = a.failovers - b.failovers;
     out.read_repairs = a.read_repairs - b.read_repairs;
     out.tombstones_written = a.tombstones_written - b.tombstones_written;
+    out.forged_versions = a.forged_versions - b.forged_versions;
     out.rebalance_passes = a.rebalance_passes - b.rebalance_passes;
     out.rebalance_objects_moved =
         a.rebalance_objects_moved - b.rebalance_objects_moved;

@@ -35,6 +35,10 @@ class Writer {
   void Str(std::string_view s) { Var(AsBytes(s)); }
   void Id(const Uuid& u) { Raw(u.span()); }
 
+  /// Grows capacity to `total` bytes, so a frame whose size is known up
+  /// front is written without regrowing (and recopying) its buffer.
+  void Reserve(std::size_t total) { buf_.reserve(total); }
+
   [[nodiscard]] const Bytes& bytes() const noexcept { return buf_; }
   [[nodiscard]] Bytes Take() && noexcept { return std::move(buf_); }
 

@@ -104,18 +104,6 @@ Result<enclave::RangeBlob> AfsMetadataStore::FetchDataRange(
     const Uuid& uuid, std::uint64_t offset, std::uint64_t len) {
   trace::Span io_span("io:fetch_data_range", kDataIoAccount);
   storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
-  bool arm = false;
-  {
-    const std::lock_guard<std::mutex> lock(seq_mu_);
-    SeqState& state = seq_[uuid.ToString()];
-    if (offset == state.next_off && offset > 0) {
-      arm = ++state.streak >= 1;
-    } else {
-      state.streak = 0;
-    }
-    state.next_off = offset + len;
-  }
-  if (arm) PrefetchData(uuid, offset + len, len);
   NEXUS_ASSIGN_OR_RETURN(storage::AfsClient::RangeResult range,
                          afs_.FetchRange(DataPath(uuid), offset, len));
   return enclave::RangeBlob{std::move(range.data), range.object_size,

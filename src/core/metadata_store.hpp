@@ -8,9 +8,7 @@
 // "data-io" clock accounts so benchmarks can report the paper's breakdown.
 #pragma once
 
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "enclave/ocalls.hpp"
 #include "storage/afs.hpp"
@@ -59,17 +57,6 @@ class AfsMetadataStore final : public enclave::StorageOcalls {
  private:
   storage::AfsClient& afs_;
   std::string prefix_;
-
-  // Sequential-scan detector: a range read that starts exactly where the
-  // previous one on the same object ended arms a readahead hint for that
-  // object (cheap no-op while the whole-file cache is warm; re-warms the
-  // transport's async window after an invalidation mid-scan).
-  struct SeqState {
-    std::uint64_t next_off = 0;
-    std::uint32_t streak = 0;
-  };
-  std::mutex seq_mu_;
-  std::unordered_map<std::string, SeqState> seq_;
 };
 
 } // namespace nexus::core

@@ -1499,11 +1499,13 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
 
     // Seal the re-keyed chunks: one task per chunk, each writing a
     // disjoint ciphertext slice. Workers are pure compute — every ocall
-    // below stays on this thread.
+    // below stays on this thread. A batch of one task has nothing to run
+    // in parallel, so it runs inline on this thread; the configured pool
+    // still picks the I/O path below.
     parallel::ThreadPool* pool = EnsurePool();
     std::vector<Status> seal_status(rekey.size(), Status::Ok());
     const std::uint64_t batch_t0 = MonotonicNanos();
-    parallel::TaskGroup group(pool);
+    parallel::TaskGroup group(rekey.size() > 1 ? pool : nullptr);
     for (std::size_t r = 0; r < rekey.size(); ++r) {
       const std::size_t i = rekey[r];
       const std::size_t pt_len =
@@ -1674,7 +1676,10 @@ Result<Bytes> NexusEnclave::EcallDecrypt(const std::string& path) {
   const std::uint64_t batch_t0 = MonotonicNanos();
   Status fetch_result = Status::Ok();
   {
-    parallel::TaskGroup group(pool);
+    // A one-chunk file opens inline on this thread: a batch of one task
+    // has nothing to run in parallel. The configured pool still picks the
+    // ranged-fetch path above.
+    parallel::TaskGroup group(chunk_count > 1 ? pool : nullptr);
     for (std::size_t c = 0; c < chunk_count && fetch_result.ok();
          c += seg_chunks) {
       const std::size_t n = std::min(seg_chunks, chunk_count - c);

@@ -378,6 +378,9 @@ Status RemoteBackend::PutLeased(const std::string& name, ByteSpan data,
     return Error(ErrorCode::kInvalidArgument, "object too large: " + name);
   }
   Writer req = BeginRequest(Rpc::kPut);
+  // Sized once: two u32 length prefixes, the name, the payload and the
+  // lease byte, so a large payload is copied into the frame exactly once.
+  req.Reserve(req.bytes().size() + 4 + name.size() + 4 + data.size() + 1);
   req.Str(name);
   req.Var(data);
   // The want-write-lease byte; as with Get, the server only registers a

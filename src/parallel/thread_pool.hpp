@@ -18,9 +18,11 @@
 // Scheduling: one deque per worker, submissions round-robined across them;
 // a worker pops its own deque from the back (LIFO, cache-warm) and steals
 // from the front of a victim's deque (FIFO, oldest first). A single mutex
-// guards all deques — tasks are coarse (a 1 MiB AES-GCM pass each, ~ms),
-// so queue operations are noise and the simplicity buys straightforward
-// TSan-clean shutdown and statistics.
+// guards all deques — tasks are coarse (an AES-GCM pass over one chunk of
+// a multi-chunk file; a one-chunk batch never reaches the pool, the
+// enclave runs it inline on the ecall thread), so queue operations are
+// noise and the simplicity buys straightforward TSan-clean shutdown and
+// statistics.
 #pragma once
 
 #include <condition_variable>

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -917,6 +918,107 @@ TEST(ClusterBackendTest, HandoffDropsAHintWhoseHolderCopyIsCorrupt) {
   c.DrainHandoffNow();
 
   const ClusterCounters counters = c.counters();
+  EXPECT_EQ(counters.handoff_hints_dropped, 1u);
+  EXPECT_EQ(counters.handoff_hints_replayed, 0u);
+  for (std::size_t s = 0; s < fx.size(); ++s) {
+    EXPECT_TRUE(fx.shard(s).mem->List(kHandoffHintPrefix).empty()) << s;
+  }
+  EXPECT_FALSE(fx.shard(1).mem->Exists(name));
+}
+
+// ---- forged versions --------------------------------------------------------
+
+// The first name "<prefix>-<i>" whose R=2 owner set (on a mirror of the
+// fixture's 3-shard ring) does / does not contain `shard`.
+std::string NameOwnedBy(const std::string& prefix, const std::string& shard,
+                        bool owned) {
+  HashRing ring(64);
+  for (int s = 0; s < 3; ++s) ring.AddNode("shard-" + std::to_string(s));
+  for (int i = 0;; ++i) {
+    const std::string name = prefix + "-" + std::to_string(i);
+    const auto owners = ring.Successors(name, 2);
+    if ((std::find(owners.begin(), owners.end(), shard) != owners.end()) ==
+        owned) {
+      return name;
+    }
+  }
+}
+
+// An envelope whose version is the largest a u64 holds.
+Bytes ForgedEnvelope(const Bytes& payload) {
+  Envelope env;
+  env.version = std::numeric_limits<std::uint64_t>::max();
+  env.writer = 666;
+  env.payload = payload;
+  return EncodeEnvelope(env);
+}
+
+// One shard forges the version of a replica it holds. Were the client's
+// version clock to observe it, the clock would wrap, and a later sloppy
+// write would lose to the replica it replaced once the owner returns.
+// The envelope is too far ahead of the wall clock to be honest, so the
+// read treats it as missing: repair overwrites it and the clock ignores
+// it.
+TEST(ClusterBackendTest, ForgedVersionDoesNotPoisonTheVersionClock) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  // `k` is owned by shard-1 (taken down later); `other` is held by
+  // shard-0, which forges it.
+  const std::string k = NameOwnedBy("k", "shard-1", true);
+  const std::string other = NameOwnedBy("o", "shard-0", true);
+  const Bytes a{0xA};
+  const Bytes b{0xB};
+  const Bytes old_payload{1, 2, 3};
+  ASSERT_TRUE(c.Put(k, ByteSpan(a.data(), a.size())).ok());
+  ASSERT_TRUE(
+      c.Put(other, ByteSpan(old_payload.data(), old_payload.size())).ok());
+  const Bytes v2{4, 5, 6};
+  ASSERT_TRUE(c.Put(other, ByteSpan(v2.data(), v2.size())).ok());
+
+  const Bytes forged = ForgedEnvelope(old_payload);
+  ASSERT_TRUE(
+      fx.shard(0).mem->Put(other, ByteSpan(forged.data(), forged.size())).ok());
+  EXPECT_EQ(c.Get(other).value(), v2);
+  // Seen twice: by the quorum read and by repair's re-read under the
+  // stripe lock.
+  EXPECT_EQ(c.counters().forged_versions, 2u);
+  EXPECT_EQ(fx.ReplicaEnvelope(0, other).payload, v2); // repaired
+
+  fx.shard(1).down->store(true);
+  ASSERT_TRUE(c.Put(k, ByteSpan(b.data(), b.size())).ok());
+  EXPECT_GT(c.counters().failovers, 0u);
+  fx.shard(1).down->store(false);
+  EXPECT_EQ(c.Get(k).value(), b);
+  c.RebalanceNow();
+  EXPECT_EQ(c.Get(k).value(), b);
+}
+
+// Handoff replay reads the holder's copy through the same rule: a forged
+// envelope there is dropped with its hint, never copied to the owner.
+TEST(ClusterBackendTest, HandoffDropsAHintWhoseHolderCopyHasAForgedVersion) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  const std::string name = NameOwnedBy("hf", "shard-1", true);
+  fx.shard(1).down->store(true);
+  const Bytes data{8, 8};
+  ASSERT_TRUE(c.Put(name, ByteSpan(data.data(), data.size())).ok());
+  ASSERT_EQ(c.counters().handoff_hints_recorded, 1u);
+  std::size_t holder = fx.size();
+  for (std::size_t s = 0; s < fx.size(); ++s) {
+    if (!fx.shard(s).mem->List(kHandoffHintPrefix).empty()) holder = s;
+  }
+  ASSERT_LT(holder, fx.size());
+
+  const Bytes forged = ForgedEnvelope(Bytes{6, 6, 6});
+  ASSERT_TRUE(fx.shard(holder)
+                  .mem->Put(name, ByteSpan(forged.data(), forged.size()))
+                  .ok());
+  fx.shard(1).down->store(false);
+  fx.AdvanceClock(60'000);
+  c.DrainHandoffNow();
+
+  const ClusterCounters counters = c.counters();
+  EXPECT_EQ(counters.forged_versions, 1u);
   EXPECT_EQ(counters.handoff_hints_dropped, 1u);
   EXPECT_EQ(counters.handoff_hints_replayed, 0u);
   for (std::size_t s = 0; s < fx.size(); ++s) {

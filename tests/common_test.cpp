@@ -122,6 +122,25 @@ TEST(Serial, VarLengthLimitEnforced) {
   EXPECT_FALSE(r.Var(/*max_len=*/50).ok());
 }
 
+// A frame reserved at its final size is written into one buffer: a
+// large Var followed by a trailing byte does not regrow it.
+TEST(Serial, ReservedWriterWritesIntoOneBuffer) {
+  Writer w;
+  w.U8(1);
+  const Bytes payload(1 << 20, 7);
+  w.Reserve(w.bytes().size() + 4 + payload.size() + 1);
+  const std::uint8_t* buffer = w.bytes().data();
+  w.Var(payload);
+  w.U8(9);
+  EXPECT_EQ(w.bytes().data(), buffer);
+  EXPECT_EQ(w.bytes().size(), 1 + 4 + payload.size() + 1);
+  Reader r(w.bytes());
+  EXPECT_EQ(r.U8().value(), 1);
+  EXPECT_EQ(r.Var(payload.size()).value(), payload);
+  EXPECT_EQ(r.U8().value(), 9);
+  EXPECT_TRUE(r.AtEnd());
+}
+
 
 TEST(Base64, Rfc4648Vectors) {
   EXPECT_EQ(Base64Encode(AsBytes("")), "");

@@ -107,37 +107,71 @@ TEST(ParallelCryptoTest, PartialRangeUpdatesStayByteIdentical) {
             ServerState(parallel.world, *parallel.machine));
 }
 
+// Both batch shapes of the parallel configuration are checked: a
+// multi-chunk file opens on the pool, a one-chunk file on the ecall
+// thread.
 TEST(ParallelCryptoTest, ParallelDecryptDetectsTamperAndTruncation) {
-  Deployment d(4);
+  struct Shape {
+    std::size_t size;
+    std::size_t tampered_chunk;
+  };
+  for (const Shape shape :
+       {Shape{9 * kChunk + 100, 4}, Shape{kChunk - 100, 0}}) {
+    SCOPED_TRACE(shape.size);
+    Deployment d(4);
+    core::NexusClient& fs = *d.machine->nexus;
+    ASSERT_TRUE(fs.WriteFile("f", Pattern(shape.size, 3)).ok());
+
+    const auto names = d.machine->afs->List("nxd/").value();
+    ASSERT_EQ(names.size(), 1u);
+    Bytes blob = d.world.server().AdversaryRead(names[0]).value();
+
+    // Flip one ciphertext byte in an interior chunk (the only one of a
+    // one-chunk file).
+    Bytes tampered = blob;
+    tampered[shape.tampered_chunk * (kChunk + crypto::kGcmTagSize) + 10] ^=
+        0x01;
+    ASSERT_TRUE(d.world.server().AdversaryWrite(names[0], tampered).ok());
+    fs.DropAllCaches();
+    auto r = fs.ReadFile("f");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::kIntegrityViolation);
+
+    // Truncate the object below what the filenode's chunk table demands.
+    Bytes truncated(blob.begin(), blob.begin() + blob.size() / 2);
+    ASSERT_TRUE(d.world.server().AdversaryWrite(names[0], truncated).ok());
+    fs.DropAllCaches();
+    r = fs.ReadFile("f");
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), ErrorCode::kIntegrityViolation);
+
+    // Restore → readable again (the checks above were the detector, not
+    // cached failure state).
+    ASSERT_TRUE(d.world.server().AdversaryWrite(names[0], blob).ok());
+    fs.DropAllCaches();
+    EXPECT_TRUE(fs.ReadFile("f").ok());
+  }
+}
+
+// A batch of one chunk has nothing to run in parallel, so its GCM seal
+// or open stays on the ecall thread and never reaches the pool's queue;
+// a multi-chunk batch still fans out.
+TEST(ParallelCryptoTest, OneChunkBatchesStayOnTheEcallThread) {
+  Deployment d(2);
   core::NexusClient& fs = *d.machine->nexus;
-  ASSERT_TRUE(fs.WriteFile("f", Pattern(9 * kChunk + 100, 3)).ok());
-
-  const auto names = d.machine->afs->List("nxd/").value();
-  ASSERT_EQ(names.size(), 1u);
-  Bytes blob = d.world.server().AdversaryRead(names[0]).value();
-
-  // Flip one ciphertext byte in an interior chunk.
-  Bytes tampered = blob;
-  tampered[4 * (kChunk + crypto::kGcmTagSize) + 10] ^= 0x01;
-  ASSERT_TRUE(d.world.server().AdversaryWrite(names[0], tampered).ok());
+  const Bytes one = Pattern(kChunk, 5);
+  ASSERT_TRUE(fs.WriteFile("one", one).ok());
   fs.DropAllCaches();
-  auto r = fs.ReadFile("f");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), ErrorCode::kIntegrityViolation);
+  EXPECT_EQ(fs.ReadFile("one").value(), one);
+  auto profile = fs.Profile();
+  EXPECT_EQ(profile.parallel.chunks_encrypted, 1u);
+  EXPECT_EQ(profile.parallel.chunks_decrypted, 1u);
+  EXPECT_EQ(profile.parallel.parallel_batches, 2u);
+  EXPECT_EQ(profile.parallel.peak_queue_depth, 0u);
 
-  // Truncate the object below what the filenode's chunk table demands.
-  Bytes truncated(blob.begin(), blob.begin() + blob.size() / 2);
-  ASSERT_TRUE(d.world.server().AdversaryWrite(names[0], truncated).ok());
-  fs.DropAllCaches();
-  r = fs.ReadFile("f");
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), ErrorCode::kIntegrityViolation);
-
-  // Restore → readable again (the checks above were the detector, not
-  // cached failure state).
-  ASSERT_TRUE(d.world.server().AdversaryWrite(names[0], blob).ok());
-  fs.DropAllCaches();
-  EXPECT_TRUE(fs.ReadFile("f").ok());
+  ASSERT_TRUE(fs.WriteFile("three", Pattern(3 * kChunk, 6)).ok());
+  profile = fs.Profile();
+  EXPECT_GE(profile.parallel.peak_queue_depth, 1u);
 }
 
 TEST(ParallelCryptoTest, WorkerCountIsReconfigurableMidVolume) {
