@@ -5,22 +5,19 @@
 //  3. chunk-granular re-encryption — ranged fsync vs whole-file rewrite,
 //  4. FetchStatus revalidation under metadata locks,
 //  5. metadata journal group-commit batch sizes,
-//  6. parallel chunk-crypto worker counts (modeled N-core scaling),
-//  8. remote read pipelining — RPC window widths and chunk readahead vs
-//     the lock-step request/response baseline.
+//  6. parallel chunk-crypto worker counts (modeled N-core scaling).
 // Ablations 7 and 9–12 (loopback store, object cache, connection scaling,
 // cluster scaling and convergence) are retired: nexus_bench runs those
 // paths end to end, and tier-1 tests hold their deterministic gates.
-#include <algorithm>
+// Ablation 8 (remote read pipelining) is retired with the readahead path
+// it measured; NetMux.ConcurrentWindowSoak holds its byte-identical-reads
+// gate under a wide window.
 #include <cstdio>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "cache/cached_backend.hpp"
-#include "net/remote_backend.hpp"
-#include "net/server.hpp"
 
 namespace nexus::bench {
 namespace {
@@ -270,240 +267,6 @@ void ParallelCryptoSweep() {
   }
 }
 
-// Sequential read of 512 x 2 KiB objects through a loopback nexusd,
-// sweeping the RPC window and toggling readahead. Loopback RTT is too
-// small to differentiate the configs in wall time, so each row also
-// reports a MODELED latency at a calibrated AFS-scale cost (rtt + per-op
-// overhead per blocking round-trip wave, payload at wire bandwidth): a
-// lock-step reader pays one wave per object, a readahead reader keeps the
-// window full and pays one wave per WINDOW of objects. The window alone
-// does NOT help a serial reader (the "no readahead" row models at the
-// lock-step wave count) — overlap must come from speculation. Emits
-// BENCH_pipeline.json; aborts unless the modeled window-16 throughput is
-// at least 2x lock-step and every config returned byte-identical data.
-void PipelineSweep() {
-  constexpr std::size_t kObjects = 512;
-  constexpr std::size_t kObjectBytes = 2048;
-  // Calibrated to the AFS cost model used by the simulated store (§VI
-  // scale): 0.5 ms RTT, 0.1 ms per-op service, 6 MiB/s wire bandwidth.
-  constexpr double kRttSeconds = 0.0005;
-  constexpr double kPerOpSeconds = 0.0001;
-  constexpr double kWireBytesPerSecond = 6.0 * (1 << 20);
-  const double payload_seconds =
-      static_cast<double>(kObjects * kObjectBytes) / kWireBytesPerSecond;
-
-  PrintHeader(
-      "Ablation 8: remote read pipelining (512 x 2 KiB sequential Gets)");
-
-  storage::MemBackend store;
-  crypto::HmacDrbg rng(AsBytes("pipeline-sweep"));
-  std::vector<std::string> names;
-  std::vector<Bytes> objects;
-  names.reserve(kObjects);
-  objects.reserve(kObjects);
-  for (std::size_t i = 0; i < kObjects; ++i) {
-    names.push_back("chunk-" + std::to_string(1000 + i));
-    objects.push_back(rng.Generate(kObjectBytes));
-    Abort(store.Put(names.back(), objects.back()), "seed object");
-  }
-
-  net::NexusdOptions server_options;
-  server_options.rpc_workers = 8;
-  auto daemon = net::NexusdServer::Start(store, server_options).value();
-
-  struct Config {
-    const char* label;
-    std::size_t window;
-    bool readahead;
-  };
-  const Config configs[] = {
-      {"W=1 lock-step", 1, false},
-      {"W=4 +readahead", 4, true},
-      {"W=16 +readahead", 16, true},
-      {"W=16 no readahead", 16, false},
-  };
-
-  struct Row {
-    const Config* config;
-    double wall_s = 0;
-    double modeled_s = 0;
-    net::NetCounters net;       // rpcs, speculative Gets sent
-    cache::CacheCounters cache; // fills received, hits, waste
-  };
-  std::vector<Row> rows;
-  std::vector<Bytes> baseline; // the lock-step row's plaintext, in order
-
-  std::printf("%-20s %10s %12s %12s %8s %8s %8s\n", "config", "wall",
-              "modeled", "modeled MB/s", "rpcs", "pf hits", "pf waste");
-  for (const Config& config : configs) {
-    net::RemoteBackendOptions client_options;
-    client_options.rpc_window = config.window;
-    client_options.max_pooled_connections = 1;
-    client_options.readahead_budget_bytes = 4u << 20;
-    client_options.max_inflight_prefetches = config.window;
-    auto remote =
-        net::RemoteBackend::Connect("127.0.0.1", daemon->port(), client_options);
-    Abort(remote.status(), "connect nexusd");
-    net::RemoteBackend& raw = *remote.value();
-    // Readahead lands in the cache tier now: RemoteBackend only fetches
-    // speculatively when a sink (the cache) is stacked on top of it.
-    cache::CacheOptions cache_options;
-    cache_options.mem_budget_bytes = 4u << 20;
-    cache_options.ttl_ms = 600000;
-    cache::CachedBackend client(std::move(remote).value(), cache_options);
-
-    std::vector<Bytes> read_back;
-    read_back.reserve(kObjects);
-    std::size_t prefetch_cursor = 0;
-    const std::uint64_t t0 = MonotonicNanos();
-    for (std::size_t i = 0; i < kObjects; ++i) {
-      if (config.readahead) {
-        // Keep the speculative window full ahead of the demand cursor.
-        while (prefetch_cursor < kObjects &&
-               prefetch_cursor < i + config.window) {
-          client.Prefetch(names[prefetch_cursor++]);
-        }
-      }
-      auto blob = client.Get(names[i]);
-      Abort(blob.status(), "sequential get");
-      read_back.push_back(std::move(blob).value());
-    }
-    const double wall = static_cast<double>(MonotonicNanos() - t0) * 1e-9;
-
-    // One blocking wave per object for a serial reader; one per full
-    // window when readahead keeps the pipe primed.
-    const std::size_t wave_span = config.readahead ? config.window : 1;
-    const std::size_t waves = (kObjects + wave_span - 1) / wave_span;
-    const double modeled = static_cast<double>(waves) *
-                               (kRttSeconds + kPerOpSeconds) +
-                           payload_seconds;
-
-    for (std::size_t i = 0; i < kObjects; ++i) {
-      if (read_back[i] != objects[i]) {
-        Abort(Error(ErrorCode::kIntegrityViolation,
-                    "pipelined read returned different bytes"),
-              config.label);
-      }
-    }
-    if (baseline.empty()) {
-      baseline = std::move(read_back);
-    }
-
-    rows.push_back({&config, wall, modeled, raw.counters(), client.counters()});
-    const Row& row = rows.back();
-    std::printf("%-20s %9.3fs %11.4fs %12.2f %8llu %8llu %8llu\n",
-                config.label, row.wall_s, row.modeled_s,
-                static_cast<double>(kObjects * kObjectBytes) / (1 << 20) /
-                    row.modeled_s,
-                static_cast<unsigned long long>(row.net.rpcs),
-                static_cast<unsigned long long>(row.cache.prefetch_hits),
-                static_cast<unsigned long long>(
-                    row.cache.prefetch_wasted_bytes));
-  }
-
-  const double speedup = rows[0].modeled_s / rows[2].modeled_s;
-  std::printf("modeled sequential-read speedup, window 16 + readahead vs "
-              "lock-step: %.2fx\n",
-              speedup);
-  if (speedup < 2.0) {
-    Abort(Error(ErrorCode::kInternal,
-                "pipelining regression: modeled W=16 speedup below 2x"),
-          "pipeline sweep");
-  }
-
-  // Full-stack phase: the enclave's sequential-scan detector arms
-  // PrefetchData hints that flow down to RemoteBackend::Prefetch, so a
-  // cold whole-file read over the daemon exercises the real readahead
-  // path end to end (and the plaintext must survive the trip).
-  double enclave_wall = 0;
-  net::NetCounters enclave_net;
-  cache::CacheCounters enclave_cache;
-  {
-    storage::MemBackend enclave_store;
-    auto enclave_daemon =
-        net::NexusdServer::Start(enclave_store, server_options).value();
-    net::RemoteBackendOptions client_options;
-    client_options.rpc_window = 16;
-    auto remote = net::RemoteBackend::Connect("127.0.0.1",
-                                              enclave_daemon->port(),
-                                              client_options);
-    Abort(remote.status(), "connect nexusd");
-    net::RemoteBackend& raw = *remote.value();
-    cache::CacheOptions cache_options;
-    cache_options.mem_budget_bytes = 8u << 20;
-    auto cached = std::make_unique<cache::CachedBackend>(
-        std::move(remote).value(), cache_options);
-    cache::CachedBackend* cache_tier = cached.get();
-    auto setup = Setup::Nexus({}, {}, std::move(cached));
-    const Bytes content = setup->rng().Generate(4 << 20);
-    Abort(setup->nexus()->WriteFile("big", content), "write");
-    setup->FlushCaches();
-    // The cache tier still holds our own freshly written chunks; a COLD
-    // read must re-fetch them over the wire, so drain and drop it too.
-    Abort(cache_tier->Flush(), "writeback drain");
-    cache_tier->DropCleanEntries();
-    const net::NetCounters net_before = raw.counters();
-    const cache::CacheCounters cache_before = cache_tier->counters();
-    const std::uint64_t t0 = MonotonicNanos();
-    auto back = setup->nexus()->ReadFile("big");
-    Abort(back.status(), "read");
-    enclave_wall = static_cast<double>(MonotonicNanos() - t0) * 1e-9;
-    if (back.value() != content) {
-      Abort(Error(ErrorCode::kIntegrityViolation, "readback mismatch"),
-            "verify");
-    }
-    enclave_net = raw.counters() - net_before;
-    enclave_cache = cache_tier->counters() - cache_before;
-    setup.reset();
-    enclave_daemon->Stop();
-    std::printf("enclave cold read (4 MB, W=16): %.3fs wall, %llu rpcs, "
-                "%llu prefetches issued\n",
-                enclave_wall,
-                static_cast<unsigned long long>(enclave_net.rpcs),
-                static_cast<unsigned long long>(enclave_net.prefetch_issued));
-  }
-  daemon->Stop();
-
-  std::FILE* json = std::fopen("BENCH_pipeline.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"workload\": \"sequential_read_512x2KiB\",\n"
-                 "  \"model\": {\"rtt_s\": %.6f, \"per_op_s\": %.6f, "
-                 "\"wire_bytes_per_s\": %.0f},\n  \"configs\": [\n",
-                 kRttSeconds, kPerOpSeconds, kWireBytesPerSecond);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const Row& r = rows[i];
-      std::fprintf(
-          json,
-          "    {\"config\": \"%s\", \"window\": %zu, \"readahead\": %s, "
-          "\"wall_s\": %.6f, \"modeled_s\": %.6f, "
-          "\"modeled_mib_per_s\": %.3f, \"rpcs\": %llu, "
-          "\"prefetch_issued\": %llu, \"prefetch_hits\": %llu, "
-          "\"prefetch_wasted_bytes\": %llu}%s\n",
-          r.config->label, r.config->window,
-          r.config->readahead ? "true" : "false", r.wall_s, r.modeled_s,
-          static_cast<double>(kObjects * kObjectBytes) / (1 << 20) /
-              r.modeled_s,
-          static_cast<unsigned long long>(r.net.rpcs),
-          static_cast<unsigned long long>(r.net.prefetch_issued),
-          static_cast<unsigned long long>(r.cache.prefetch_hits),
-          static_cast<unsigned long long>(r.cache.prefetch_wasted_bytes),
-          i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(json,
-                 "  ],\n  \"modeled_speedup_w16_vs_lockstep\": %.3f,\n"
-                 "  \"enclave_cold_read\": {\"file_mib\": 4, "
-                 "\"wall_s\": %.6f, \"rpcs\": %llu, "
-                 "\"prefetch_issued\": %llu, \"prefetch_hits\": %llu}\n}\n",
-                 speedup, enclave_wall,
-                 static_cast<unsigned long long>(enclave_net.rpcs),
-                 static_cast<unsigned long long>(enclave_net.prefetch_issued),
-                 static_cast<unsigned long long>(enclave_cache.prefetch_hits));
-    std::fclose(json);
-    std::printf("wrote BENCH_pipeline.json\n");
-  }
-}
-
 } // namespace
 
 int Main() {
@@ -513,7 +276,6 @@ int Main() {
   RevalidationAblation();
   JournalBatchAblation();
   ParallelCryptoSweep();
-  PipelineSweep();
   return 0;
 }
 

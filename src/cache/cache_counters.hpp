@@ -24,12 +24,9 @@ struct CacheCounters {
   // Coherence.
   std::uint64_t invalidations_received = 0;
 
-  // Speculative readahead: fills the prefetch sink received, demand reads
-  // a prefetched entry served, and prefetched bytes evicted, invalidated
-  // or overwritten before any demand read consumed them.
+  // Inert, always 0: nexus_bench reads them (ROADMAP item 2).
   std::uint64_t prefetch_issued = 0;
   std::uint64_t prefetch_hits = 0;
-  std::uint64_t prefetch_wasted_bytes = 0;
 
   /// Delta between two snapshots: counters subtract; the high-water gauge
   /// keeps the later snapshot's value.
@@ -46,10 +43,6 @@ struct CacheCounters {
     out.dirty_bytes_high_water = a.dirty_bytes_high_water;
     out.invalidations_received =
         a.invalidations_received - b.invalidations_received;
-    out.prefetch_issued = a.prefetch_issued - b.prefetch_issued;
-    out.prefetch_hits = a.prefetch_hits - b.prefetch_hits;
-    out.prefetch_wasted_bytes =
-        a.prefetch_wasted_bytes - b.prefetch_wasted_bytes;
     return out;
   }
 };

@@ -136,10 +136,6 @@ CachedBackend::CachedBackend(std::unique_ptr<storage::StorageBackend> inner,
       LoadDiskTierLocked();
     }
   }
-  inner_->SetPrefetchSink(
-      [this](const std::string& name, Result<Bytes> object, bool /*leased*/) {
-        OnPrefetchDelivered(name, std::move(object));
-      });
   lease_mode_ = inner_->SubscribeInvalidations(
       [this](const std::vector<std::string>& names) { OnInvalidate(names); },
       [this] { OnChannelDown(); });
@@ -193,12 +189,6 @@ void CachedBackend::TouchLocked(const std::string& /*name*/, Entry& entry) {
   lru_.splice(lru_.begin(), lru_, entry.lru_it);
 }
 
-void CachedBackend::CountPrefetchReadLocked(Entry& entry) {
-  if (!entry.prefetched || entry.prefetch_consumed) return;
-  entry.prefetch_consumed = true;
-  ++counters_.prefetch_hits;
-}
-
 void CachedBackend::RemoveEntryLocked(const std::string& name, bool demote) {
   const auto it = entries_.find(name);
   if (it == entries_.end()) return;
@@ -206,8 +196,6 @@ void CachedBackend::RemoveEntryLocked(const std::string& name, bool demote) {
   if (entry.state == Entry::State::kDirty) {
     dirty_queue_.erase(entry.dirty_it);
     dirty_bytes_ -= entry.data.size();
-  } else if (entry.prefetched && !entry.prefetch_consumed) {
-    counters_.prefetch_wasted_bytes += entry.data.size();
   }
   mem_bytes_ -= entry.data.size();
   lru_.erase(entry.lru_it);
@@ -243,12 +231,11 @@ void CachedBackend::EvictOverMemBudgetLocked() {
 
 void CachedBackend::InsertCleanLocked(const std::string& name, Bytes data,
                                       Entry::State state,
-                                      std::uint64_t stamp_ms, bool prefetched) {
+                                      std::uint64_t stamp_ms) {
   lru_.push_front(name);
   Entry entry;
   entry.state = state;
   entry.stamp_ms = stamp_ms;
-  entry.prefetched = prefetched;
   entry.lru_it = lru_.begin();
   entry.dirty_it = dirty_queue_.end();
   mem_bytes_ += data.size();
@@ -276,7 +263,7 @@ std::optional<Bytes> CachedBackend::TryDiskHitLocked(const std::string& name) {
   ++counters_.disk_hits;
   // Promote to the memory tier, TTL continuing from the disk stamp.
   InsertCleanLocked(name, data.value(), Entry::State::kClean,
-                    it->second.stamp_ms, /*prefetched=*/false);
+                    it->second.stamp_ms);
   return std::move(data.value());
 }
 
@@ -289,7 +276,6 @@ Result<Bytes> CachedBackend::Get(const std::string& name) {
       if (EntryValidLocked(it->second)) {
         trace::Span span("cache.hit_mem", "cache");
         TouchLocked(name, it->second);
-        CountPrefetchReadLocked(it->second);
         ++counters_.mem_hits;
         return it->second.data;
       }
@@ -315,7 +301,7 @@ Result<Bytes> CachedBackend::Get(const std::string& name) {
       InsertCleanLocked(name, fetched.value(),
                         leased && channel_up_ ? Entry::State::kLeased
                                               : Entry::State::kClean,
-                        NowMs(), /*prefetched=*/false);
+                        NowMs());
     }
   }
   return fetched;
@@ -340,7 +326,6 @@ std::vector<Result<Bytes>> CachedBackend::MultiGet(
       const auto it = entries_.find(name);
       if (it != entries_.end() && EntryValidLocked(it->second)) {
         TouchLocked(name, it->second);
-        CountPrefetchReadLocked(it->second);
         ++counters_.mem_hits;
         served.emplace(i, it->second.data);
         continue;
@@ -378,7 +363,7 @@ std::vector<Result<Bytes>> CachedBackend::MultiGet(
       InsertCleanLocked(name, fetched[j].value(),
                         entry_leased ? Entry::State::kLeased
                                      : Entry::State::kClean,
-                        NowMs(), /*prefetched=*/false);
+                        NowMs());
     }
   }
   std::vector<Result<Bytes>> out;
@@ -447,22 +432,6 @@ std::vector<std::string> CachedBackend::List(const std::string& prefix) {
   return inner_->List(prefix);
 }
 
-void CachedBackend::Prefetch(const std::string& name) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    if (it != entries_.end() && EntryValidLocked(it->second)) return;
-    if (disk_enabled_) {
-      const auto dit = disk_entries_.find(name);
-      if (dit != disk_entries_.end() &&
-          NowMs() < dit->second.stamp_ms + options_.ttl_ms) {
-        return;
-      }
-    }
-  }
-  inner_->Prefetch(name);
-}
-
 // ---- write path -------------------------------------------------------------
 
 Status CachedBackend::Put(const std::string& name, ByteSpan data) {
@@ -489,9 +458,6 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
         if (entry.state == Entry::State::kDirty) {
           dirty_bytes_ -= entry.data.size();
         } else {
-          if (entry.prefetched && !entry.prefetch_consumed) {
-            counters_.prefetch_wasted_bytes += entry.data.size();
-          }
           dirty_queue_.push_back(name);
           entry.dirty_it = std::prev(dirty_queue_.end());
         }
@@ -501,7 +467,6 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
         dirty_bytes_ += entry.data.size();
         entry.state = Entry::State::kDirty;
         ++entry.dirty_gen;
-        entry.prefetched = false;
         TouchLocked(name, entry);
       }
       counters_.dirty_bytes_high_water = std::max<std::uint64_t>(
@@ -546,16 +511,14 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
   if (!lease_mode_) {
     // TTL mode: our own write is the freshest value we can know; cache it
     // for the staleness window.
-    InsertCleanLocked(name, ToBytes(data), Entry::State::kClean, NowMs(),
-                      /*prefetched=*/false);
+    InsertCleanLocked(name, ToBytes(data), Entry::State::kClean, NowMs());
   } else if (write_lease && channel_up_ && fresh) {
     // The server granted a WRITE lease: we keep our own bytes
     // and will be invalidated only when ANOTHER client mutates the name —
     // not by our own write. `fresh` guards the race where a concurrent
     // writer's invalidation arrived between our Put and this insert: the
     // grant was already broken, so installing would retain stale bytes.
-    InsertCleanLocked(name, ToBytes(data), Entry::State::kLeased, NowMs(),
-                      /*prefetched=*/false);
+    InsertCleanLocked(name, ToBytes(data), Entry::State::kLeased, NowMs());
   }
   return Status::Ok();
 }
@@ -756,22 +719,6 @@ void CachedBackend::OnChannelDown() {
       entry.stamp_ms = now;
     }
   }
-}
-
-void CachedBackend::OnPrefetchDelivered(const std::string& name,
-                                        Result<Bytes> object) {
-  if (!object.ok()) return; // negative results are not cached
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.prefetch_issued;
-  const auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    if (EntryValidLocked(it->second)) return; // demand path won the race
-    RemoveEntryLocked(name, /*demote=*/false);
-  }
-  // Deliveries race invalidation pushes on a different connection, so a
-  // prefetched object is never trusted as leased — TTL bounds its life.
-  InsertCleanLocked(name, std::move(object.value()), Entry::State::kClean,
-                    NowMs(), /*prefetched=*/true);
 }
 
 // ---- observability / test hooks ---------------------------------------------

@@ -21,8 +21,8 @@
 //   dirty  — locally written, not yet flushed; always valid (local truth).
 //   leased — served under a server read lease; valid until the server
 //            pushes an invalidation or the lease channel dies.
-//   clean  — TTL-stamped (prefetch deliveries, MultiGet fills, disk-tier
-//            loads, lease-less mode); valid for ttl_ms after the stamp.
+//   clean  — TTL-stamped (MultiGet fills, disk-tier loads, lease-less
+//            mode); valid for ttl_ms after the stamp.
 //
 // The disk tier keeps one file per object (names percent-escaped like
 // DiskBackend) plus a MAC'd ".cache-index" base image updated crash-safely
@@ -87,9 +87,8 @@ struct CacheOptions {
 
 class CachedBackend final : public storage::StorageBackend {
  public:
-  /// Wraps `inner`, loads the disk tier, registers the prefetch sink and
-  /// subscribes to invalidations (falling back to TTL mode if the inner
-  /// backend cannot push them).
+  /// Wraps `inner`, loads the disk tier and subscribes to invalidations
+  /// (falling back to TTL mode if the inner backend cannot push them).
   explicit CachedBackend(std::unique_ptr<storage::StorageBackend> inner,
                          CacheOptions options = {});
   /// Drains the writeback queue and persists the disk index.
@@ -108,8 +107,6 @@ class CachedBackend final : public storage::StorageBackend {
       const std::vector<std::string>& names,
       std::vector<bool>* leased) override;
   std::vector<bool> MultiExists(const std::vector<std::string>& names) override;
-  /// Forwards the hint unless the object is already cached.
-  void Prefetch(const std::string& name) override;
   /// Write barrier: flushes every dirty object and persists the disk
   /// index. The cache's "close" in open-to-close consistency.
   Status Flush() override;
@@ -133,8 +130,6 @@ class CachedBackend final : public storage::StorageBackend {
         State::kClean;
     std::uint64_t stamp_ms = 0; // TTL base for kClean
     std::uint64_t dirty_gen = 0;
-    bool prefetched = false;       // origin was a speculative fetch
-    bool prefetch_consumed = false;
     bool flushing = false; // in an in-flight writeback batch
     std::list<std::string>::iterator lru_it;
     std::list<std::string>::iterator dirty_it; // valid iff state == kDirty
@@ -151,13 +146,11 @@ class CachedBackend final : public storage::StorageBackend {
   [[nodiscard]] bool EntryValidLocked(const Entry& entry) const;
 
   void TouchLocked(const std::string& name, Entry& entry);
-  void CountPrefetchReadLocked(Entry& entry);
   /// Removes a memory entry; `demote` spills clean bytes to the disk tier.
   void RemoveEntryLocked(const std::string& name, bool demote);
   void EvictOverMemBudgetLocked();
   void InsertCleanLocked(const std::string& name, Bytes data,
-                         Entry::State state, std::uint64_t stamp_ms,
-                         bool prefetched);
+                         Entry::State state, std::uint64_t stamp_ms);
 
   // Disk tier.
   void LoadDiskTierLocked();
@@ -182,7 +175,6 @@ class CachedBackend final : public storage::StorageBackend {
   // Coherence callbacks (inner backend threads).
   void OnInvalidate(const std::vector<std::string>& names);
   void OnChannelDown();
-  void OnPrefetchDelivered(const std::string& name, Result<Bytes> object);
   /// Stream commit published bytes the cache never saw: drop the entry.
   void OnStreamCommitted(const std::string& name);
   [[nodiscard]] std::optional<Bytes> TryDiskHitLocked(const std::string& name);
@@ -215,8 +207,8 @@ class CachedBackend final : public storage::StorageBackend {
   CacheCounters counters_;
 
   // Declared last so it is destroyed FIRST: the inner backend joins its
-  // demux/lease threads in its destructor, guaranteeing no sink or
-  // invalidation callback runs against a partially-destroyed cache.
+  // lease thread in its destructor, guaranteeing no invalidation callback
+  // runs against a partially-destroyed cache.
   std::unique_ptr<storage::StorageBackend> inner_;
 };
 

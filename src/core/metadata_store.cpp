@@ -100,26 +100,6 @@ Status AfsMetadataStore::AbortDataStream(std::uint64_t handle) {
   return afs_.StoreStreamAbort(handle);
 }
 
-Result<enclave::RangeBlob> AfsMetadataStore::FetchDataRange(
-    const Uuid& uuid, std::uint64_t offset, std::uint64_t len) {
-  trace::Span io_span("io:fetch_data_range", kDataIoAccount);
-  storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
-  NEXUS_ASSIGN_OR_RETURN(storage::AfsClient::RangeResult range,
-                         afs_.FetchRange(DataPath(uuid), offset, len));
-  return enclave::RangeBlob{std::move(range.data), range.object_size,
-                            range.version};
-}
-
-void AfsMetadataStore::PrefetchData(const Uuid& uuid, std::uint64_t offset,
-                                    std::uint64_t len) {
-  // Hints are free on the virtual clock — no Attribution scope. The span
-  // still records them so traces show where readahead was armed.
-  (void)offset;
-  (void)len;
-  trace::Span io_span("io:prefetch_data", kDataIoAccount);
-  afs_.Prefetch(DataPath(uuid));
-}
-
 Status AfsMetadataStore::RemoveData(const Uuid& uuid) {
   trace::Span io_span("io:remove_data", kDataIoAccount);
   storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);

@@ -31,19 +31,14 @@ class AfsMetadataStore final : public enclave::StorageOcalls {
   Status StoreData(const Uuid& uuid, ByteSpan data,
                    std::uint64_t changed_bytes) override;
   Status RemoveData(const Uuid& uuid) override;
-  // Pipelined data-path ocalls, mapped onto the AFS segmented-store RPCs
-  // and whole-file-cached ranged reads; all charged as data I/O.
+  // Pipelined data-store ocalls, mapped onto the AFS segmented-store RPCs;
+  // all charged as data I/O.
   Result<std::uint64_t> BeginDataStream(const Uuid& uuid,
                                         std::uint64_t total_bytes) override;
   Status StoreDataSegment(std::uint64_t handle, ByteSpan segment) override;
   Status CommitDataStream(std::uint64_t handle,
                           std::uint64_t changed_bytes) override;
   Status AbortDataStream(std::uint64_t handle) override;
-  Result<enclave::RangeBlob> FetchDataRange(const Uuid& uuid,
-                                            std::uint64_t offset,
-                                            std::uint64_t len) override;
-  void PrefetchData(const Uuid& uuid, std::uint64_t offset,
-                    std::uint64_t len) override;
   Status LockMeta(const Uuid& uuid) override;
   Status UnlockMeta(const Uuid& uuid) override;
   bool CacheFresh(const Uuid& uuid, std::uint64_t storage_version) override;

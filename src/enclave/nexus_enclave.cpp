@@ -89,7 +89,8 @@ parallel::ThreadPool* NexusEnclave::EnsurePool() {
 }
 
 void NexusEnclave::RecordParallelBatch(const parallel::TaskGroup& group,
-                                       double batch_wall_seconds) {
+                                       double batch_wall_seconds,
+                                       double ocall_seconds) {
   // The batch already ran; record it as a completed span ending now.
   if (trace::Enabled() && batch_wall_seconds > 0) {
     const auto wall_ns =
@@ -101,19 +102,22 @@ void NexusEnclave::RecordParallelBatch(const parallel::TaskGroup& group,
   ++parallel_stats_.parallel_batches;
   parallel_stats_.worker_busy_seconds += group.busy_seconds();
   parallel_stats_.critical_path_seconds += group.critical_path_seconds();
-  if (pool_ != nullptr) {
+  if (group.pool() != nullptr) {
     // Modeled multi-core scaling: on a host with fewer cores than workers
     // the batch's wall time degenerates to the serial sum, but the
     // critical path (max per-worker CPU seconds) is what an unloaded
     // N-core machine would measure. The surplus is drained by the client
     // profiler from the measured ecall wall time. On a real N-core host
     // wall ≈ critical path and the surplus is ~0 — no double counting.
-    const double saved = batch_wall_seconds - group.critical_path_seconds();
+    // Ocall time inside the window is the transport's, not the pool's,
+    // and a batch that ran inline had no pool to save anything.
+    const double saved =
+        batch_wall_seconds - ocall_seconds - group.critical_path_seconds();
     if (saved > 0) {
       parallel_stats_.saved_seconds += saved;
       pending_saved_seconds_ += saved;
     }
-    const parallel::PoolStats ps = pool_->stats();
+    const parallel::PoolStats ps = group.pool()->stats();
     parallel_stats_.tasks_stolen = ps.tasks_stolen;
     parallel_stats_.peak_queue_depth =
         std::max(parallel_stats_.peak_queue_depth, ps.peak_queue_depth);
@@ -219,21 +223,6 @@ Status NexusEnclave::AbortDataStreamO(std::uint64_t handle) {
   trace::Span ocall_span("ocall:abort_data_stream", "ocall");
   sgx::EnclaveRuntime::OcallScope scope(runtime_);
   return storage_.AbortDataStream(handle);
-}
-
-Result<RangeBlob> NexusEnclave::FetchDataRangeO(const Uuid& uuid,
-                                                std::uint64_t offset,
-                                                std::uint64_t len) {
-  trace::Span ocall_span("ocall:fetch_data_range", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.FetchDataRange(uuid, offset, len);
-}
-
-void NexusEnclave::PrefetchDataO(const Uuid& uuid, std::uint64_t offset,
-                                 std::uint64_t len) {
-  trace::Span ocall_span("ocall:prefetch_data", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  storage_.PrefetchData(uuid, offset, len);
 }
 
 Status NexusEnclave::RemoveDataO(const Uuid& uuid) {
@@ -1500,8 +1489,7 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
     // Seal the re-keyed chunks: one task per chunk, each writing a
     // disjoint ciphertext slice. Workers are pure compute — every ocall
     // below stays on this thread. A batch of one task has nothing to run
-    // in parallel, so it runs inline on this thread; the configured pool
-    // still picks the I/O path below.
+    // in parallel, so it runs inline on this thread.
     parallel::ThreadPool* pool = EnsurePool();
     std::vector<Status> seal_status(rekey.size(), Status::Ok());
     const std::uint64_t batch_t0 = MonotonicNanos();
@@ -1527,44 +1515,55 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
     }
     parallel_stats_.chunks_encrypted += rekey.size();
 
-    // Ship the ciphertext. With a pool and a full rewrite the store is
-    // pipelined: chunks are consumed in submission order as they finish
-    // and streamed to the backend while later chunks still encrypt; the
-    // object becomes visible atomically at commit. Partial updates (and
-    // the serial configuration) keep the whole-object store.
+    // Ship the ciphertext. A full rewrite streams: chunks are consumed in
+    // submission order as they finish and streamed to the backend while
+    // later chunks still encrypt; the object becomes visible atomically at
+    // commit. A partial update keeps the whole-object store so only the
+    // dirty chunks ship. The stream's ocalls run inside the batch window,
+    // so their time is measured and kept out of the pool's credit.
+    const bool stream = full_rewrite && !rekey.empty();
+    std::uint64_t ocall_ns = 0;
+    auto timed = [&ocall_ns](auto&& ocall) {
+      const std::uint64_t t0 = MonotonicNanos();
+      auto result = ocall();
+      ocall_ns += MonotonicNanos() - t0;
+      return result;
+    };
     Status store_result = Status::Ok();
-    if (pool != nullptr && full_rewrite && !rekey.empty()) {
+    if (stream) {
       store_result = [&]() -> Status {
-        NEXUS_ASSIGN_OR_RETURN(
-            std::uint64_t handle,
-            BeginDataStreamO(node.data_uuid, ciphertext.size()));
+        NEXUS_ASSIGN_OR_RETURN(std::uint64_t handle, timed([&] {
+                                 return BeginDataStreamO(node.data_uuid,
+                                                         ciphertext.size());
+                               }));
         for (std::size_t r = 0; r < rekey.size(); ++r) {
           group.Wait(r);
           if (!seal_status[r].ok()) {
-            (void)AbortDataStreamO(handle);
+            (void)timed([&] { return AbortDataStreamO(handle); });
             return seal_status[r];
           }
           const std::size_t i = rekey[r];
           const std::size_t seg_len = std::min<std::size_t>(
               ct_stride, ciphertext.size() - i * ct_stride);
-          const Status seg = StoreDataSegmentO(
-              handle, ByteSpan(ciphertext.data() + i * ct_stride, seg_len));
+          const Status seg = timed([&] {
+            return StoreDataSegmentO(
+                handle, ByteSpan(ciphertext.data() + i * ct_stride, seg_len));
+          });
           if (!seg.ok()) {
             group.WaitAll();
-            (void)AbortDataStreamO(handle);
+            (void)timed([&] { return AbortDataStreamO(handle); });
             return seg;
           }
           ++parallel_stats_.segments_streamed;
         }
-        return CommitDataStreamO(handle, changed_bytes);
+        return timed([&] { return CommitDataStreamO(handle, changed_bytes); });
       }();
-      group.WaitAll(); // error paths may leave tasks in flight
-      RecordParallelBatch(
-          group, static_cast<double>(MonotonicNanos() - batch_t0) * 1e-9);
-    } else {
-      group.WaitAll();
-      RecordParallelBatch(
-          group, static_cast<double>(MonotonicNanos() - batch_t0) * 1e-9);
+    }
+    group.WaitAll(); // error paths may leave tasks in flight
+    RecordParallelBatch(group,
+                        static_cast<double>(MonotonicNanos() - batch_t0) * 1e-9,
+                        static_cast<double>(ocall_ns) * 1e-9);
+    if (!stream) {
       for (const Status& s : seal_status) {
         if (!s.ok()) return s;
       }
@@ -1630,101 +1629,37 @@ Result<Bytes> NexusEnclave::EcallDecrypt(const std::string& path) {
         MutableByteSpan(plaintext.data() + i * cs, pt_len));
   };
 
-  parallel::ThreadPool* pool = EnsurePool();
-  if (pool == nullptr) {
-    // Serial configuration: whole-object fetch, chunks verified in place.
-    NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchDataO(node.data_uuid));
-    if (blob.data.size() < expected_ct) {
-      return Error(ErrorCode::kIntegrityViolation, "data object truncated");
-    }
-    if (blob.data.size() > expected_ct) {
-      return Error(ErrorCode::kIntegrityViolation,
-                   "data object has trailing bytes");
-    }
-    for (std::size_t i = 0; i < chunk_count; ++i) {
-      const std::size_t pt_len = std::min<std::size_t>(cs, node.size - i * cs);
-      const Status s = open_chunk(i, blob.data.data() + i * ct_stride,
-                                  pt_len + crypto::kGcmTagSize, pt_len);
-      if (!s.ok()) {
-        return Error(ErrorCode::kIntegrityViolation,
-                     "file chunk verification failed (tampering?)");
-      }
-    }
-    return plaintext;
+  // AFS transfers whole files, so the read is one fetch, checked against
+  // the size the chunk table pins before any chunk opens.
+  NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchDataO(node.data_uuid));
+  if (blob.data.size() != expected_ct) {
+    return Error(ErrorCode::kIntegrityViolation,
+                 blob.data.size() < expected_ct
+                     ? "data object truncated"
+                     : "data object has trailing bytes");
   }
 
-  // Parallel configuration: ranged fetches overlap GCM verification — a
-  // segment's chunks are dispatched to the pool while the next segment is
-  // still in the (ocall) transfer. Segment boundaries align to whole
-  // chunks; sized to keep every worker fed without degenerating to one
-  // fetch per chunk on large files.
-  std::size_t seg_chunks =
-      std::max<std::size_t>(1, (std::size_t{4} << 20) / ct_stride);
-  const std::size_t spread =
-      (chunk_count + 2 * pool->worker_count() - 1) /
-      (2 * pool->worker_count());
-  seg_chunks = std::max<std::size_t>(1, std::min(seg_chunks, spread));
-
-  // Announce the sequential scan before the first blocking fetch: the
-  // transport can start pulling ciphertext through its async readahead
-  // window while the enclave is still decrypting earlier segments.
-  PrefetchDataO(node.data_uuid, 0, expected_ct);
-
+  // One task per chunk. A one-chunk file opens inline on this thread: a
+  // batch of one task has nothing to run in parallel.
+  parallel::ThreadPool* pool = EnsurePool();
   std::vector<Status> open_status(chunk_count, Status::Ok());
-  std::vector<RangeBlob> segments; // keeps ciphertext alive until WaitAll
-  segments.reserve((chunk_count + seg_chunks - 1) / seg_chunks);
   const std::uint64_t batch_t0 = MonotonicNanos();
-  Status fetch_result = Status::Ok();
   {
-    // A one-chunk file opens inline on this thread: a batch of one task
-    // has nothing to run in parallel. The configured pool still picks the
-    // ranged-fetch path above.
     parallel::TaskGroup group(chunk_count > 1 ? pool : nullptr);
-    for (std::size_t c = 0; c < chunk_count && fetch_result.ok();
-         c += seg_chunks) {
-      const std::size_t n = std::min(seg_chunks, chunk_count - c);
-      const std::uint64_t seg_off = static_cast<std::uint64_t>(c) * ct_stride;
-      const std::uint64_t seg_end =
-          std::min<std::uint64_t>(expected_ct,
-                                  static_cast<std::uint64_t>(c + n) * ct_stride);
-      auto range = FetchDataRangeO(node.data_uuid, seg_off, seg_end - seg_off);
-      if (!range.ok()) {
-        fetch_result = range.status();
-        break;
-      }
-      if (range->object_size != expected_ct) {
-        fetch_result = Error(ErrorCode::kIntegrityViolation,
-                             range->object_size < expected_ct
-                                 ? "data object truncated"
-                                 : "data object has trailing bytes");
-        break;
-      }
-      if (range->data.size() != seg_end - seg_off) {
-        fetch_result =
-            Error(ErrorCode::kIntegrityViolation, "data object truncated");
-        break;
-      }
-      segments.push_back(std::move(*range));
-      const std::uint8_t* base = segments.back().data.data();
-      for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t i = c + j;
-        const std::size_t pt_len =
-            std::min<std::size_t>(cs, node.size - i * cs);
-        const std::uint8_t* ct = base + j * ct_stride;
-        group.Submit([&open_chunk, &open_status, i, ct,
-                      pt_len](parallel::WorkerContext&) {
-          open_status[i] =
-              open_chunk(i, ct, pt_len + crypto::kGcmTagSize, pt_len);
-        });
-      }
-      ++parallel_stats_.segments_streamed;
+    for (std::size_t i = 0; i < chunk_count; ++i) {
+      const std::size_t pt_len = std::min<std::size_t>(cs, node.size - i * cs);
+      const std::uint8_t* ct = blob.data.data() + i * ct_stride;
+      group.Submit([&open_chunk, &open_status, i, ct,
+                    pt_len](parallel::WorkerContext&) {
+        open_status[i] =
+            open_chunk(i, ct, pt_len + crypto::kGcmTagSize, pt_len);
+      });
     }
     group.WaitAll();
     parallel_stats_.chunks_decrypted += chunk_count;
     RecordParallelBatch(
         group, static_cast<double>(MonotonicNanos() - batch_t0) * 1e-9);
   }
-  NEXUS_RETURN_IF_ERROR(fetch_result);
   for (const Status& s : open_status) {
     if (!s.ok()) {
       return Error(ErrorCode::kIntegrityViolation,

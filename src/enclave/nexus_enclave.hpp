@@ -257,10 +257,10 @@ class NexusEnclave {
   // the output is byte-identical to the serial path: key/IV draws happen
   // serially in ascending chunk order before any task is dispatched.
 
-  /// Sets the crypto worker count. 0 = serial (no pool, inline crypto,
-  /// whole-object stores — the pre-pool behaviour). Takes effect on the
-  /// next encrypt/decrypt; an existing pool of a different size is torn
-  /// down first.
+  /// Sets the crypto worker count. 0 = serial: no pool, every chunk task
+  /// runs inline. The count picks where chunk tasks run, never which
+  /// ocalls run. Takes effect on the next encrypt/decrypt; an existing
+  /// pool of a different size is torn down first.
   Status EcallSetCryptoWorkers(std::size_t workers);
   [[nodiscard]] std::size_t crypto_workers() const noexcept {
     return crypto_workers_;
@@ -270,14 +270,15 @@ class NexusEnclave {
   /// thread-CPU seconds: `worker_busy_seconds` sums every crypto task,
   /// `critical_path_seconds` sums each batch's slowest worker — the batch
   /// wall time an unloaded machine with as many cores as workers would
-  /// observe. `saved_seconds` is the surplus (measured wall − critical
-  /// path) already subtracted from NexusClient's enclave seconds, i.e. how
-  /// much the worker pool shortened the modeled enclave runtime.
+  /// observe. `saved_seconds` is the surplus of pool batches (measured
+  /// wall − ocall time − critical path) already subtracted from
+  /// NexusClient's enclave seconds, i.e. how much the worker pool
+  /// shortened the modeled enclave runtime.
   struct ParallelStats {
     std::uint64_t chunks_encrypted = 0;
     std::uint64_t chunks_decrypted = 0;
     std::uint64_t parallel_batches = 0;  // dispatched chunk batches
-    std::uint64_t segments_streamed = 0; // pipelined store/fetch segments
+    std::uint64_t segments_streamed = 0; // pipelined store segments
     std::uint64_t tasks_stolen = 0;
     std::uint64_t peak_queue_depth = 0; // gauge
     double worker_busy_seconds = 0;
@@ -376,10 +377,6 @@ class NexusEnclave {
   Status StoreDataSegmentO(std::uint64_t handle, ByteSpan segment);
   Status CommitDataStreamO(std::uint64_t handle, std::uint64_t changed_bytes);
   Status AbortDataStreamO(std::uint64_t handle);
-  Result<RangeBlob> FetchDataRangeO(const Uuid& uuid, std::uint64_t offset,
-                                    std::uint64_t len);
-  void PrefetchDataO(const Uuid& uuid, std::uint64_t offset,
-                     std::uint64_t len);
   Status RemoveDataO(const Uuid& uuid);
   Status LockMetaO(const Uuid& uuid);
   Status UnlockMetaO(const Uuid& uuid);
@@ -516,9 +513,11 @@ class NexusEnclave {
 
   /// Folds one finished TaskGroup batch into parallel_stats_ and the
   /// modeled-savings accumulator. `batch_wall_seconds` is the measured wall
-  /// time of dispatch+join on this host.
+  /// time of dispatch+join on this host, `ocall_seconds` the part of it
+  /// spent in ocalls. Only a batch that ran on the pool is credited.
   void RecordParallelBatch(const parallel::TaskGroup& group,
-                           double batch_wall_seconds);
+                           double batch_wall_seconds,
+                           double ocall_seconds = 0);
 
   /// Pre-checks removability (directory emptiness) without mutating state.
   Status CheckRemovable(const DirEntry& entry, const Uuid& parent_uuid);

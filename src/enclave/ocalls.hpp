@@ -5,7 +5,6 @@
 // crosses this boundary is ciphertext (or object names, which are UUIDs).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -21,16 +20,6 @@ namespace nexus::enclave {
 /// only as a cache-freshness hint; it is untrusted).
 struct ObjectBlob {
   Bytes data;
-  std::uint64_t storage_version = 0;
-};
-
-/// A slice of a stored object plus the object's (untrusted) total size —
-/// the enclave cross-checks it against the authenticated filenode, so a
-/// lying transport is caught as an integrity violation, not silently
-/// truncated data.
-struct RangeBlob {
-  Bytes data;
-  std::uint64_t object_size = 0;
   std::uint64_t storage_version = 0;
 };
 
@@ -63,17 +52,17 @@ class StorageOcalls {
   /// serve stale-but-authentic state within a session.
   virtual bool CacheFresh(const Uuid& uuid, std::uint64_t storage_version) = 0;
 
-  // ---- pipelined (segmented) data transfer --------------------------------
-  // The parallel chunk-crypto engine overlaps backend I/O with in-enclave
-  // crypto: on writes it hands each completed run of chunk ciphertext to
-  // the transport while later chunks are still encrypting, and on reads it
-  // verifies already-fetched ranges while the rest of the object is in
-  // flight. Segments of one stream arrive in order; NOTHING becomes
-  // visible under the object's name until CommitDataStream — transports
-  // must apply the atomicity at commit (temp+rename for disk-backed
-  // stores), never per segment. The default implementations buffer and
-  // delegate to the whole-object calls, so existing StorageOcalls
-  // implementations (test fakes included) keep working unchanged.
+  // ---- pipelined (segmented) data store -----------------------------------
+  // Every full rewrite streams: the enclave hands each sealed chunk's
+  // ciphertext to the transport while later chunks are still encrypting.
+  // Reads have no counterpart: the storage service transfers whole files
+  // (AFS), so a read is one FetchData. Segments of one stream arrive in
+  // order; NOTHING becomes visible under the object's name until
+  // CommitDataStream — transports must apply the atomicity at commit
+  // (temp+rename for disk-backed stores), never per segment. The default
+  // implementations buffer and delegate to the whole-object calls, so
+  // existing StorageOcalls implementations (test fakes included) keep
+  // working unchanged.
 
   /// Opens a segmented store of `total_bytes` to `uuid`; returns a stream
   /// handle.
@@ -87,25 +76,6 @@ class StorageOcalls {
                                   std::uint64_t changed_bytes);
   /// Discards the stream; the stored object (if any) is untouched.
   virtual Status AbortDataStream(std::uint64_t handle);
-
-  /// Fetches bytes [offset, offset+len) of a data object (clamped to the
-  /// object's end) plus its total size. Default: whole fetch + slice.
-  virtual Result<RangeBlob> FetchDataRange(const Uuid& uuid,
-                                           std::uint64_t offset,
-                                           std::uint64_t len);
-
-  /// Readahead hint: the enclave expects to read bytes around
-  /// [offset, offset+len) of `uuid`'s data object soon (it detected a
-  /// sequential scan, or is about to start one). Purely advisory — the
-  /// transport may start pulling ciphertext toward the client through its
-  /// async window, or ignore it entirely. Never blocks; correctness never
-  /// depends on it, only latency. Default: no-op.
-  virtual void PrefetchData(const Uuid& uuid, std::uint64_t offset,
-                            std::uint64_t len) {
-    (void)uuid;
-    (void)offset;
-    (void)len;
-  }
 
   /// Journal objects, named inside a flat journal namespace ("nxj/<name>"
   /// on the store). The enclave uses just one, the sealed anchor
@@ -159,22 +129,6 @@ inline Status StorageOcalls::CommitDataStream(std::uint64_t handle,
 inline Status StorageOcalls::AbortDataStream(std::uint64_t handle) {
   default_streams_.erase(handle);
   return Status::Ok();
-}
-
-inline Result<RangeBlob> StorageOcalls::FetchDataRange(const Uuid& uuid,
-                                                       std::uint64_t offset,
-                                                       std::uint64_t len) {
-  NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchData(uuid));
-  RangeBlob out;
-  out.object_size = blob.data.size();
-  out.storage_version = blob.storage_version;
-  if (offset < blob.data.size()) {
-    const std::uint64_t take =
-        std::min<std::uint64_t>(len, blob.data.size() - offset);
-    out.data.assign(blob.data.begin() + static_cast<std::ptrdiff_t>(offset),
-                    blob.data.begin() + static_cast<std::ptrdiff_t>(offset + take));
-  }
-  return out;
 }
 
 } // namespace nexus::enclave

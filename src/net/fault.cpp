@@ -89,7 +89,7 @@ Result<Bytes> FaultyTransport::RecvFrame() {
       return Error(ErrorCode::kIOError, "connection reset (injected)");
   }
   // Blocking read outside mu_: SendFrame (and Shutdown) stay callable
-  // while the demux thread is parked here.
+  // while the caller holding the mux's reader role is parked here.
   return inner_->RecvFrame();
 }
 

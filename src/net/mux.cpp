@@ -16,7 +16,7 @@ Result<Bytes> MuxConnection::Slot::Wait() {
     mux->AwaitReply(*this);
     lock.lock();
   }
-  // Left pending_, so completion is at most one hook call away.
+  // Left pending_, so whoever removed it is completing it now.
   cv.wait(lock, [this] { return done; });
   if (!failure.ok()) return failure;
   return std::move(response);
@@ -27,13 +27,6 @@ void MuxConnection::Complete(Slot& slot, Status failure, Bytes response) {
     const std::lock_guard<std::mutex> lock(slot.mu);
     slot.failure = std::move(failure);
     slot.response = std::move(response);
-  }
-  // Hook first, completion flag second: by the time any waiter observes
-  // `done`, the hook's accounting (and any prefetch cache insert) for this
-  // slot has already happened.
-  if (slot.on_done) slot.on_done(slot.failure, slot.response);
-  {
-    const std::lock_guard<std::mutex> lock(slot.mu);
     slot.done = true;
   }
   slot.cv.notify_all();
@@ -42,19 +35,9 @@ void MuxConnection::Complete(Slot& slot, Status failure, Bytes response) {
 MuxConnection::MuxConnection(std::unique_ptr<Transport> transport,
                              std::size_t window, DeliveryHook on_delivery)
     : transport_(std::move(transport)), on_delivery_(std::move(on_delivery)),
-      window_(window == 0 ? 1 : window) {
-  demux_ = std::thread([this] { DemuxLoop(); });
-}
+      window_(window == 0 ? 1 : window) {}
 
 MuxConnection::~MuxConnection() {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    closing_ = true;
-  }
-  demux_cv_.notify_all();
-  window_cv_.notify_all();
-  transport_->Shutdown(); // unblocks a demux thread parked in RecvFrame
-  if (demux_.joinable()) demux_.join();
   Fail(Error(ErrorCode::kIOError, "connection closed"));
 }
 
@@ -69,23 +52,11 @@ std::size_t MuxConnection::inflight() const {
 }
 
 
-std::shared_ptr<MuxConnection::Slot> MuxConnection::Submit(
-    ByteSpan request, CompletionHook on_done) {
-  return DoSubmit(request, /*blocking=*/true, std::move(on_done));
-}
-
-std::shared_ptr<MuxConnection::Slot> MuxConnection::TrySubmit(
-    ByteSpan request, CompletionHook on_done) {
-  return DoSubmit(request, /*blocking=*/false, std::move(on_done));
-}
-
-std::shared_ptr<MuxConnection::Slot> MuxConnection::DoSubmit(
-    ByteSpan request, bool blocking, CompletionHook on_done) {
+std::shared_ptr<MuxConnection::Slot> MuxConnection::Submit(ByteSpan request) {
   auto slot = std::make_shared<Slot>();
   slot->mux = this;
   slot->correlation = RequestCorrelation(request);
   slot->request_bytes = request.size();
-  slot->on_done = std::move(on_done);
   if (slot->correlation == 0) return nullptr; // not a valid request frame
   // Stamped before the slot is published to the reading threads (the
   // mutex below is the only happens-before edge between them).
@@ -93,14 +64,9 @@ std::shared_ptr<MuxConnection::Slot> MuxConnection::DoSubmit(
 
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (blocking) {
-      window_cv_.wait(lock, [this] {
-        return broken_ || closing_ || pending_.size() < window_;
-      });
-    } else if (pending_.size() >= window_) {
-      return nullptr;
-    }
-    if (broken_ || closing_) return nullptr;
+    window_cv_.wait(lock,
+                    [this] { return broken_ || pending_.size() < window_; });
+    if (broken_) return nullptr;
     // Register BEFORE sending so a response that races back faster than
     // this thread resumes is still routable.
     pending_[slot->correlation] = slot;
@@ -126,18 +92,6 @@ std::shared_ptr<MuxConnection::Slot> MuxConnection::DoSubmit(
   }
 
   slot->sent.store(true, std::memory_order_release);
-  if (slot->on_done) {
-    // A hooked slot may have no waiter at all, so the demux thread now
-    // owes it a read. If the response already arrived (or the connection
-    // already failed), the slot left the map and must not be counted.
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = pending_.find(slot->correlation);
-    if (it != pending_.end() && it->second == slot) {
-      slot->counted = true;
-      ++hooked_inflight_;
-      HandOffLocked();
-    }
-  }
   return slot;
 }
 
@@ -149,10 +103,8 @@ void MuxConnection::Fail(const Status& reason) {
     victims.reserve(pending_.size());
     for (auto& [corr, slot] : pending_) victims.push_back(std::move(slot));
     pending_.clear();
-    hooked_inflight_ = 0;
   }
   window_cv_.notify_all();
-  demux_cv_.notify_all();
   transport_->Shutdown();
   for (const auto& slot : victims) Complete(*slot, reason, {});
 }
@@ -165,17 +117,13 @@ bool MuxConnection::OwedLocked(const Slot& slot) const {
 }
 
 void MuxConnection::HandOffLocked() {
-  if (reader_busy_) return;
-  if (!parked_.empty()) {
-    Slot* next = parked_.front();
-    {
-      const std::lock_guard<std::mutex> lock(next->mu);
-      next->may_read = true;
-    }
-    next->cv.notify_all();
-  } else if (hooked_inflight_ > 0) {
-    demux_cv_.notify_one();
+  if (reader_busy_ || parked_.empty()) return;
+  Slot* next = parked_.front();
+  {
+    const std::lock_guard<std::mutex> lock(next->mu);
+    next->may_read = true;
   }
+  next->cv.notify_all();
 }
 
 void MuxConnection::AwaitReply(Slot& slot) {
@@ -184,7 +132,7 @@ void MuxConnection::AwaitReply(Slot& slot) {
     if (!reader_busy_) {
       reader_busy_ = true;
       lock.unlock();
-      ReadFrames(&slot);
+      ReadFrames(slot);
       lock.lock();
       reader_busy_ = false;
       break;
@@ -204,16 +152,15 @@ void MuxConnection::AwaitReply(Slot& slot) {
   HandOffLocked();
 }
 
-bool MuxConnection::ReadFrames(const Slot* mine) {
+void MuxConnection::ReadFrames(const Slot& mine) {
   for (;;) {
     auto frame = transport_->RecvFrame();
     if (!frame.ok()) {
       Fail(frame.status());
-      return false;
+      return;
     }
     const std::shared_ptr<Slot> routed = Route(std::move(frame).value());
-    if (routed == nullptr) return false;
-    if (mine == nullptr || routed.get() == mine) return true;
+    if (routed == nullptr || routed.get() == &mine) return;
   }
 }
 
@@ -226,7 +173,6 @@ std::shared_ptr<MuxConnection::Slot> MuxConnection::Route(Bytes frame) {
     if (it != pending_.end()) {
       slot = std::move(it->second);
       pending_.erase(it);
-      if (slot->counted) --hooked_inflight_;
     }
   }
   if (!slot) {
@@ -243,34 +189,6 @@ std::shared_ptr<MuxConnection::Slot> MuxConnection::Route(Bytes frame) {
   }
   Complete(*slot, Status::Ok(), std::move(frame));
   return slot;
-}
-
-void MuxConnection::DemuxLoop() {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      // Read only for a hooked slot no waiter will read for. Blocking in
-      // RecvFrame while nothing is owed would trip the I/O deadline and
-      // kill a healthy pooled connection.
-      demux_cv_.wait(lock, [this] {
-        return closing_ || broken_ ||
-               (hooked_inflight_ > 0 && !reader_busy_ && parked_.empty());
-      });
-      if (broken_) return;
-      if (closing_) break;
-      reader_busy_ = true;
-    }
-    const bool alive = ReadFrames(nullptr);
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      reader_busy_ = false;
-      HandOffLocked();
-    }
-    if (!alive) return;
-  }
-
-  // Clean close: fail whatever is still pending so no waiter hangs.
-  Fail(Error(ErrorCode::kIOError, "connection closed"));
 }
 
 } // namespace nexus::net

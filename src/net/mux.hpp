@@ -14,11 +14,8 @@
 // the role to the next parked waiter. A lock-step RPC therefore blocks
 // once, on the caller's own thread, instead of waking a second thread
 // that wakes the caller. A waiter that finds the role taken parks until
-// its slot completes or the role is handed to it. The demux thread only
-// serves slots with a completion hook (prefetch): it takes the role while
-// such a slot is owed and no waiter holds or wants it, so a speculation
-// still completes on an otherwise idle connection. Waiters and the demux
-// thread share one routing routine.
+// its slot completes or the role is handed to it. Only waiters read, so
+// the connection starts no thread of its own.
 //
 // Failure semantics are whole-connection: a transport error, a response
 // carrying an unknown correlation id, or a malformed frame means the byte
@@ -31,10 +28,10 @@
 // parked waiters included.
 //
 // Nobody blocks in RecvFrame unless a sent request is owed to it: a
-// waiter reads only while its own slot is pending, the demux thread only
-// while a hooked slot is. This keeps idle pooled connections alive (no
-// deadline expiry while nothing is owed) and preserves FaultyTransport's
-// send-then-recv schedule under fault injection.
+// waiter reads only while its own slot is pending. This keeps idle pooled
+// connections alive (no deadline expiry while nothing is owed) and
+// preserves FaultyTransport's send-then-recv schedule under fault
+// injection.
 #pragma once
 
 #include <atomic>
@@ -44,7 +41,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -55,9 +51,9 @@ namespace nexus::net {
 
 class MuxConnection {
  public:
-  /// One in-flight RPC. Created by Submit/TrySubmit, completed exactly
-  /// once by whichever thread holds the reader role (delivery), by a
-  /// connection failure, or by the submitter itself (send failure).
+  /// One in-flight RPC. Created by Submit, completed exactly once by
+  /// whichever thread holds the reader role (delivery), by a connection
+  /// failure, or by the submitter itself (send failure).
   struct Slot {
     std::uint64_t correlation = 0;
     std::uint64_t start_ns = 0;
@@ -65,12 +61,6 @@ class MuxConnection {
     /// True once the request frame was fully written to the socket — a
     /// later failure leaves the RPC's outcome unknown (ambiguous).
     std::atomic<bool> sent{false};
-    /// Invoked on the completing thread after the outcome is decided and
-    /// strictly before any waiter wakes: `failure` is Ok on delivery (and
-    /// `response` the delivered frame, empty on failure). Prefetch parses
-    /// the frame right here so a consumer that observes the slot done also
-    /// observes the object already in the cache.
-    std::function<void(const Status& failure, const Bytes& response)> on_done;
 
     /// Blocks until the slot completes, reading the connection itself
     /// while nobody else does; returns the full response payload or the
@@ -85,15 +75,13 @@ class MuxConnection {
     std::condition_variable cv;
     bool done = false;
     bool may_read = false; // under mu: the reader role was handed to us
-    bool counted = false;  // contributes to hooked_inflight_; under mux mu_
     Status failure = Status::Ok();
     Bytes response;
   };
 
   /// Called on the reading thread for every response DELIVERED to a slot,
   /// before the slot completes. RemoteBackend counts client rpcs/bytes/
-  /// latency here so delivered-but-unconsumed prefetches still mirror the
-  /// server's own counters exactly.
+  /// latency here, so they mirror the server's own counters exactly.
   using DeliveryHook = std::function<void(
       std::size_t request_bytes, std::size_t response_bytes,
       std::uint64_t start_ns)>;
@@ -107,19 +95,10 @@ class MuxConnection {
   MuxConnection(const MuxConnection&) = delete;
   MuxConnection& operator=(const MuxConnection&) = delete;
 
-  using CompletionHook =
-      std::function<void(const Status& failure, const Bytes& response)>;
-
   /// Sends `request` (a complete request frame) and returns its slot.
   /// Blocks while the window is full; returns nullptr if the connection
   /// is (or becomes) broken — the caller acquires a fresh connection.
-  std::shared_ptr<Slot> Submit(ByteSpan request,
-                               CompletionHook on_done = nullptr);
-
-  /// Non-blocking Submit for speculative traffic: returns nullptr instead
-  /// of waiting when the window is full or the connection is broken.
-  std::shared_ptr<Slot> TrySubmit(ByteSpan request,
-                                  CompletionHook on_done = nullptr);
+  std::shared_ptr<Slot> Submit(ByteSpan request);
 
   /// Marks the connection unusable and fails every in-flight request
   /// (used when a delivered response turns out to be malformed).
@@ -131,20 +110,17 @@ class MuxConnection {
   [[nodiscard]] std::size_t window() const noexcept { return window_; }
 
  private:
-  std::shared_ptr<Slot> DoSubmit(ByteSpan request, bool blocking,
-                                 CompletionHook on_done);
-  void DemuxLoop();
   /// Slot::Wait's first half: returns once `slot` has left pending_,
   /// reading frames itself whenever the reader role is free.
   void AwaitReply(Slot& slot);
   /// Holds the reader role: receives and routes frames until `mine` is
-  /// routed (nullptr: after one frame). False once the connection failed.
-  bool ReadFrames(const Slot* mine);
+  /// routed or the connection fails.
+  void ReadFrames(const Slot& mine);
   /// The one routing routine: hands `frame` to its pending slot, or fails
   /// the connection when no slot owns its correlation id (returns null).
   std::shared_ptr<Slot> Route(Bytes frame);
   /// With mu_ held: if the reader role is free, hands it to the first
-  /// parked waiter, else to the demux thread when a hooked slot is owed.
+  /// parked waiter.
   void HandOffLocked();
   /// With mu_ held: whether `slot` still awaits its response.
   [[nodiscard]] bool OwedLocked(const Slot& slot) const;
@@ -158,16 +134,12 @@ class MuxConnection {
 
   mutable std::mutex mu_;
   std::condition_variable window_cv_; // submitters waiting for a free slot
-  std::condition_variable demux_cv_;  // demux parked until it may read
   std::map<std::uint64_t, std::shared_ptr<Slot>> pending_;
-  std::size_t hooked_inflight_ = 0; // sent pending slots with an on_done
-  bool reader_busy_ = false;        // someone holds the reader role
-  std::vector<Slot*> parked_;       // waiters parked for the role, FIFO
+  bool reader_busy_ = false;  // someone holds the reader role
+  std::vector<Slot*> parked_; // waiters parked for the role, FIFO
   bool broken_ = false;
-  bool closing_ = false;
 
   std::mutex send_mu_; // serializes whole frames onto the socket
-  std::thread demux_;
 };
 
 } // namespace nexus::net

@@ -12,12 +12,6 @@ struct NetCounters {
   std::uint64_t reconnects = 0; // fresh dials replacing a broken connection
   std::uint64_t bytes_sent = 0;
   std::uint64_t bytes_received = 0;
-  // Speculative Gets sent ahead of demand (Prefetch calls that found
-  // window room), and demand reads that found their object already in
-  // flight as one and waited on that RPC instead of duplicating it. Hits
-  // and wasted bytes are the cache's: the prefetched bytes land there.
-  std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_joined = 0;
   // Latency of successful RPC attempts (send -> response decoded), from
   // this backend's log-bucket histogram (trace::Histogram). Gauges.
   double rpc_p50_ms = 0;
@@ -30,8 +24,6 @@ struct NetCounters {
     out.reconnects = a.reconnects - b.reconnects;
     out.bytes_sent = a.bytes_sent - b.bytes_sent;
     out.bytes_received = a.bytes_received - b.bytes_received;
-    out.prefetch_issued = a.prefetch_issued - b.prefetch_issued;
-    out.prefetch_joined = a.prefetch_joined - b.prefetch_joined;
     out.rpc_p50_ms = a.rpc_p50_ms; // gauges keep the later snapshot
     out.rpc_p99_ms = a.rpc_p99_ms;
     return out;

@@ -29,21 +29,12 @@ std::size_t DefaultRpcWindow() {
       std::clamp<std::uint64_t>(EnvUnsigned("NEXUS_RPC_WINDOW", 8), 1, 256));
 }
 
-std::size_t DefaultReadaheadBudgetBytes() {
-  // An explicit 0 disables readahead.
-  return static_cast<std::size_t>(
-      EnvUnsigned("NEXUS_READAHEAD_BUDGET", 32u << 20));
-}
-
 RemoteBackend::RemoteBackend(TransportFactory factory,
                              RemoteBackendOptions options)
     : factory_(std::move(factory)), options_(options),
       rpc_window_(options.rpc_window != 0
                       ? std::clamp<std::size_t>(options.rpc_window, 1, 256)
                       : DefaultRpcWindow()),
-      readahead_budget_(options.readahead_budget_bytes != 0
-                            ? options.readahead_budget_bytes
-                            : DefaultReadaheadBudgetBytes()),
       jitter_state_(options.jitter_seed) {}
 
 RemoteBackend::~RemoteBackend() {
@@ -55,14 +46,6 @@ RemoteBackend::~RemoteBackend() {
     if (lease_transport_ != nullptr) lease_transport_->Shutdown();
   }
   if (lease_thread_.joinable()) lease_thread_.join();
-  // Then tear down every connection: their demux threads run delivery and
-  // prefetch hooks that touch this object's counters and sink.
-  std::vector<std::shared_ptr<MuxConnection>> conns;
-  {
-    const std::lock_guard<std::mutex> lock(pool_mu_);
-    conns.swap(pool_);
-  }
-  conns.clear(); // joins each demux thread still referencing this object
 }
 
 Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
@@ -145,10 +128,8 @@ std::uint64_t RemoteBackend::lease_session() const noexcept {
 std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
     std::unique_ptr<Transport> transport) {
   // Client rpcs/bytes/latency are counted at DELIVERY time, in the mux's
-  // one routing routine — the one place every response passes, demand and
-  // speculative alike — so the client's view stays in exact agreement with
-  // the server's rpcs_served even while prefetched responses sit
-  // unconsumed.
+  // one routing routine — the one place every response passes — so the
+  // client's view stays in exact agreement with the server's rpcs_served.
   auto hook = [this](std::size_t request_bytes, std::size_t response_bytes,
                      std::uint64_t start_ns) {
     rpc_latency_.Record(MonotonicNanos() - start_ns);
@@ -176,8 +157,8 @@ Result<std::shared_ptr<MuxConnection>> RemoteBackend::AcquireConnection(
     bool is_retry) {
   {
     const std::lock_guard<std::mutex> lock(pool_mu_);
-    // Prune broken connections so their demux threads wind down and a
-    // retry never lands back on the transport that just failed it.
+    // Prune broken connections so a retry never lands back on the
+    // transport that just failed it.
     std::erase_if(pool_, [](const auto& conn) { return conn->broken(); });
     std::shared_ptr<MuxConnection> spare;    // least-loaded with room
     std::shared_ptr<MuxConnection> fallback; // least-loaded overall
@@ -314,46 +295,6 @@ Result<Bytes> RemoteBackend::Get(const std::string& name) {
 Result<Bytes> RemoteBackend::GetLeased(const std::string& name,
                                        bool* lease_granted) {
   if (lease_granted != nullptr) *lease_granted = false;
-  // A demand read for a name already being speculated JOINS the in-flight
-  // prefetch RPC instead of issuing a duplicate Get: the duplicate would
-  // race the prefetch delivery into the cache tier, where the second
-  // insert can evict a surviving entry. The join never takes a lease
-  // (speculations ask for none) — the entry stays TTL-bounded, which only
-  // costs coherence freshness, never correctness.
-  std::shared_ptr<PrefetchFlight> flight;
-  {
-    const std::lock_guard<std::mutex> lock(prefetch_mu_);
-    const auto it = prefetch_inflight_.find(name);
-    if (it != prefetch_inflight_.end()) flight = it->second;
-  }
-  if (flight != nullptr) {
-    std::unique_lock<std::mutex> lock(flight->mu);
-    ++flight->waiters;
-    const auto flight_done = [&] { return flight->done; };
-    bool done = true;
-    if (options_.rpc_deadline_ms > 0) {
-      done = flight->cv.wait_for(
-          lock, std::chrono::milliseconds(options_.rpc_deadline_ms + 1000),
-          flight_done);
-    } else {
-      // No I/O deadline: a bounded wait could give up on a healthy flight
-      // and re-fetch behind it. The flight always finishes — delivery,
-      // failure or connection teardown all call FinishFlight.
-      flight->cv.wait(lock, flight_done);
-    }
-    --flight->waiters;
-    if (done && flight->verdict.ok() && flight->has_data) {
-      Bytes data = flight->data; // copied: other joiners may want it too
-      lock.unlock();
-      {
-        const std::lock_guard<std::mutex> count_lock(mu_);
-        ++counters_.prefetch_joined;
-      }
-      return data;
-    }
-    // Timed out, failed, withdrawn, or completed without retaining the
-    // bytes: fall through to an ordinary demand fetch.
-  }
   Writer req = BeginRequest(Rpc::kGet);
   req.Str(name);
   // The want-lease byte: the server only registers a holder (and pays the
@@ -620,139 +561,6 @@ std::vector<bool> RemoteBackend::MultiExists(
     }
   }
   return results;
-}
-
-// ---- readahead --------------------------------------------------------------
-
-void RemoteBackend::SetPrefetchSink(PrefetchSink sink) {
-  const std::lock_guard<std::mutex> lock(prefetch_mu_);
-  sink_ = std::move(sink);
-}
-
-void RemoteBackend::FinishFlight(const std::shared_ptr<PrefetchFlight>& flight,
-                                 Status verdict) {
-  {
-    const std::lock_guard<std::mutex> lock(flight->mu);
-    flight->done = true;
-    flight->verdict = std::move(verdict);
-  }
-  flight->cv.notify_all();
-}
-
-void RemoteBackend::Prefetch(const std::string& name) {
-  if (readahead_budget_ == 0 || rpc_window_ <= 1) return;
-  PrefetchSink sink;
-  std::shared_ptr<PrefetchFlight> flight;
-  {
-    const std::lock_guard<std::mutex> lock(prefetch_mu_);
-    if (!sink_) return; // nowhere for the bytes to land
-    if (prefetch_inflight_.contains(name)) return;
-    if (prefetch_inflight_.size() >= options_.max_inflight_prefetches) return;
-    // Register BEFORE submitting so a duplicate hint arriving while the
-    // speculation is in flight stays a no-op.
-    flight = std::make_shared<PrefetchFlight>();
-    prefetch_inflight_[name] = flight;
-    sink = sink_;
-  }
-
-  // Speculation only rides spare capacity: an unbroken pooled connection
-  // with window room. Never dials, never blocks, never retries.
-  std::shared_ptr<MuxConnection> conn;
-  {
-    const std::lock_guard<std::mutex> lock(pool_mu_);
-    for (const auto& candidate : pool_) {
-      if (!candidate->broken() && candidate->inflight() < candidate->window()) {
-        conn = candidate;
-        break;
-      }
-    }
-  }
-  std::shared_ptr<MuxConnection::Slot> slot;
-  if (conn != nullptr) {
-    trace::Span span("prefetch_issue", "net.prefetch");
-    Writer req = BeginRequest(Rpc::kGet);
-    req.Str(name);
-    req.U8(0); // speculation never takes a lease
-    const std::uint64_t corr = RequestCorrelation(req.bytes());
-    slot = conn->TrySubmit(
-        req.bytes(), [this, name, sink, corr](const Status& failure,
-                                              const Bytes& response) {
-          OnPrefetchDone(name, sink, corr, failure, response);
-        });
-  }
-  if (slot == nullptr) {
-    // Window filled up (or no connection): withdraw the registration and
-    // release any demand read that latched onto it in the meantime.
-    {
-      const std::lock_guard<std::mutex> lock(prefetch_mu_);
-      prefetch_inflight_.erase(name);
-    }
-    FinishFlight(flight, Error(ErrorCode::kIOError, "speculation withdrawn"));
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.prefetch_issued;
-}
-
-void RemoteBackend::OnPrefetchDone(const std::string& name,
-                                   const PrefetchSink& sink,
-                                   std::uint64_t correlation,
-                                   const Status& failure,
-                                   const Bytes& response) {
-  std::shared_ptr<PrefetchFlight> flight;
-  {
-    const std::lock_guard<std::mutex> lock(prefetch_mu_);
-    const auto it = prefetch_inflight_.find(name);
-    if (it != prefetch_inflight_.end()) {
-      flight = std::move(it->second);
-      prefetch_inflight_.erase(it);
-    }
-  }
-  // Speculative traffic never retries; transport failures drop silently —
-  // but a joined demand read must still be released to re-fetch.
-  if (!failure.ok()) {
-    if (flight != nullptr) FinishFlight(flight, failure);
-    return;
-  }
-  Reader reader(response);
-  Status verdict = Status::Ok();
-  std::uint64_t echoed = 0;
-  if (!ParseResponseHead(reader, &verdict, &echoed).ok() ||
-      echoed != correlation) {
-    // Malformed speculation: the demand path re-fetches.
-    if (flight != nullptr) {
-      FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"));
-    }
-    return;
-  }
-  if (!verdict.ok()) {
-    // A well-formed negative verdict (kNotFound) is a real answer — the
-    // sink decides whether it is cacheable, and a joiner surfaces it
-    // directly.
-    sink(name, Result<Bytes>(verdict), false);
-    if (flight != nullptr) FinishFlight(flight, verdict);
-    return;
-  }
-  auto data = reader.Var(kMaxObjectBytes);
-  if (!data.ok() || !reader.U8().ok()) { // the (unused) lease byte
-    if (flight != nullptr) {
-      FinishFlight(flight, Error(ErrorCode::kIOError, "malformed speculation"));
-    }
-    return;
-  }
-  Bytes body = std::move(data).value();
-  // Joiners get their copy first (paid only if someone waits), then the
-  // sink takes the bytes, then the joiners wake: like a mux slot's hook,
-  // the delivery lands before anyone observes the speculation done.
-  if (flight != nullptr) {
-    const std::lock_guard<std::mutex> lock(flight->mu);
-    if (flight->waiters > 0) {
-      flight->data = body;
-      flight->has_data = true;
-    }
-  }
-  sink(name, Result<Bytes>(std::move(body)), false);
-  if (flight != nullptr) FinishFlight(flight, Status::Ok());
 }
 
 // ---- lease subscription -----------------------------------------------------

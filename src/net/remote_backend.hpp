@@ -29,13 +29,6 @@
 //     other version drops the connection like any malformed head, and a
 //     reply missing a required field (a lease byte) fails its call —
 //     those bytes come from the untrusted store,
-//   * chunk readahead — Prefetch(name) speculatively issues a Get through
-//     any spare window slot (never blocking, never retrying, never
-//     dialing) and delivers the parsed object to the registered
-//     PrefetchSink on whichever thread reads the reply: the connection's
-//     demux thread, or a caller waiting on the same connection. The cache
-//     layer (cache/cached_backend.hpp) owns buffering, budgets and
-//     eviction; this backend holds no prefetched bytes of its own,
 //   * lease coherence — SubscribeInvalidations dials a dedicated
 //     callback connection, registers a lease session, and pumps
 //     server-pushed kInvalidate frames to the listener, acking each.
@@ -54,10 +47,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -81,8 +72,6 @@ using TransportFactory =
 
 /// Window size from NEXUS_RPC_WINDOW (default 8, clamped to [1, 256]).
 std::size_t DefaultRpcWindow();
-/// Readahead budget from NEXUS_READAHEAD_BUDGET (bytes; default 32 MiB).
-std::size_t DefaultReadaheadBudgetBytes();
 
 struct RemoteBackendOptions {
   int rpc_deadline_ms = 5000;
@@ -101,14 +90,8 @@ struct RemoteBackendOptions {
   /// Max in-flight RPCs per connection. 0 = DefaultRpcWindow()
   /// (NEXUS_RPC_WINDOW).
   std::size_t rpc_window = 0;
-  /// Readahead gate: 0 = default (NEXUS_READAHEAD_BUDGET, 32 MiB) and an
-  /// EXPLICIT NEXUS_READAHEAD_BUDGET=0 disables speculation entirely. The
-  /// byte budget itself is enforced by the cache tier that consumes the
-  /// deliveries; prefetch is also off with a window of 1 (nothing to
-  /// overlap with).
+  /// Inert: nothing reads it; nexus_bench sets it (ROADMAP item 2).
   std::size_t readahead_budget_bytes = 0;
-  /// Most speculative Gets in flight at once.
-  std::size_t max_inflight_prefetches = 8;
   /// Dials the dedicated lease-callback connection. Null uses the main
   /// factory — fine for tests; Connect() installs a deadline-free dialer
   /// here because the callback channel blocks in RecvFrame indefinitely
@@ -151,8 +134,6 @@ class RemoteBackend final : public storage::StorageBackend {
       const std::vector<std::string>& names,
       std::vector<bool>* leased) override;
   std::vector<bool> MultiExists(const std::vector<std::string>& names) override;
-  void Prefetch(const std::string& name) override;
-  void SetPrefetchSink(PrefetchSink sink) override;
   bool SubscribeInvalidations(InvalidationListener on_invalidate,
                               ChannelDownHandler on_channel_down) override;
 
@@ -191,18 +172,12 @@ class RemoteBackend final : public storage::StorageBackend {
   void Backoff();
   void CountRetry();
 
-  /// Demux-thread landing of a speculative Get: parses the response and
-  /// hands the object to the sink.
-  void OnPrefetchDone(const std::string& name, const PrefetchSink& sink,
-                      std::uint64_t correlation, const Status& failure,
-                      const Bytes& response);
   /// Pumps server-pushed kInvalidate frames until the channel dies.
   void LeaseCallbackLoop();
 
   TransportFactory factory_;
   RemoteBackendOptions options_;
   std::size_t rpc_window_;
-  std::size_t readahead_budget_;
 
   std::atomic<int> failure_streak_{0};
 
@@ -210,32 +185,6 @@ class RemoteBackend final : public storage::StorageBackend {
   std::uint64_t jitter_state_;
   NetCounters counters_; // percentiles come from rpc_latency_
   trace::Histogram rpc_latency_; // successful RPCs; records lock-free
-
-  /// One speculative Get in flight. A demand read for the same name JOINS
-  /// the speculation (waits on `cv`) instead of issuing a duplicate RPC —
-  /// the duplicate would race the prefetch delivery into the cache tier
-  /// and could evict a surviving entry with its second insert. The result
-  /// bytes are copied in only when a joiner is actually waiting.
-  struct PrefetchFlight {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::size_t waiters = 0;  // under mu
-    bool done = false;        // under mu
-    Status verdict = Status::Ok(); // under mu, valid once done
-    // A joiner that registered too late to be seen at delivery finds
-    // has_data false (despite an ok verdict) and falls back to a demand
-    // fetch — which the sink delivery has already made a cache hit.
-    bool has_data = false; // under mu
-    Bytes data;            // under mu, valid when done && has_data
-  };
-  /// Completes a flight and wakes its joiners (never under prefetch_mu_).
-  static void FinishFlight(const std::shared_ptr<PrefetchFlight>& flight,
-                           Status verdict);
-
-  mutable std::mutex prefetch_mu_;
-  PrefetchSink sink_;                          // under prefetch_mu_
-  std::map<std::string, std::shared_ptr<PrefetchFlight>>
-      prefetch_inflight_;                      // names being speculated
 
   // Lease-callback channel. The listener/handler are written once under
   // lease_mu_ before the thread starts and read by it without locking.
@@ -247,8 +196,6 @@ class RemoteBackend final : public storage::StorageBackend {
   std::atomic<std::uint64_t> lease_session_{0};
   std::atomic<bool> lease_shutdown_{false};
 
-  // Declared LAST: connections (and their demux threads, which may still
-  // run delivery hooks touching the members above) die first.
   mutable std::mutex pool_mu_;
   std::vector<std::shared_ptr<MuxConnection>> pool_;
 };

@@ -41,8 +41,8 @@ class Transport {
   /// (RecvFrame returns no frame it had already buffered), and the fd
   /// stays allocated until Close()/destruction. This is the only member
   /// safe to call concurrently with in-flight I/O — the multiplexer uses
-  /// it to unblock its demux thread (a concurrent Close would race fd
-  /// reuse).
+  /// it to unblock whichever caller holds the reader role when the
+  /// connection fails (a concurrent Close would race fd reuse).
   virtual void Shutdown() { Close(); }
 };
 

@@ -140,8 +140,8 @@ Rpc RequestRpc(ByteSpan request) noexcept;
 /// Reads the correlation id out of raw request bytes (0 if too short).
 std::uint64_t RequestCorrelation(ByteSpan request) noexcept;
 /// Reads the correlation id out of raw RESPONSE bytes without validating
-/// the rest of the head (0 if too short — real ids start at 1). The demux
-/// thread uses this to route a frame before anyone decodes it.
+/// the rest of the head (0 if too short — real ids start at 1). The mux's
+/// reader uses this to route a frame before anyone decodes it.
 std::uint64_t ResponseCorrelation(ByteSpan response) noexcept;
 
 /// Parses (and validates) a request head; the reader is left at the first

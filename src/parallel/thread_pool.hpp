@@ -138,6 +138,8 @@ class TaskGroup {
   void WaitAll();
 
   [[nodiscard]] std::size_t size() const noexcept { return submitted_; }
+  /// The pool tasks run on; null when they run inline.
+  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_; }
   /// Valid after WaitAll().
   [[nodiscard]] double busy_seconds() const noexcept { return busy_seconds_; }
   [[nodiscard]] double critical_path_seconds() const noexcept {

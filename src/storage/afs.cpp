@@ -48,15 +48,6 @@ Result<AfsServer::FetchResult> AfsServer::RpcFetch(const std::string& client,
   return FetchResult{std::move(data).value(), versions_[path]};
 }
 
-void AfsServer::RpcPrefetchHint(const std::string& client,
-                                const std::string& path) {
-  (void)client;
-  // Speculative readahead overlaps the client's computation, so it costs
-  // nothing on the virtual clock and is not a counted RPC; the backend
-  // decides whether (and how) to act on the hint.
-  backend_->Prefetch(path);
-}
-
 Result<std::uint64_t> AfsServer::RpcStore(const std::string& client,
                                           const std::string& path,
                                           ByteSpan data) {
@@ -320,34 +311,9 @@ Result<AfsServer::FetchResult> AfsClient::FetchVersioned(const std::string& path
   return AfsServer::FetchResult{entry->data, entry->version};
 }
 
-Result<AfsClient::RangeResult> AfsClient::FetchRange(const std::string& path,
-                                                     std::uint64_t offset,
-                                                     std::uint64_t len) {
-  // Whole-file caching (OpenAFS): the first range of an uncached object
-  // pays one full fetch; every further range is a free local slice.
-  NEXUS_ASSIGN_OR_RETURN(const CacheEntry* entry, FetchCached(path));
-  RangeResult out;
-  out.object_size = entry->data.size();
-  out.version = entry->version;
-  if (offset < entry->data.size()) {
-    const std::uint64_t take =
-        std::min<std::uint64_t>(len, entry->data.size() - offset);
-    out.data.assign(
-        entry->data.begin() + static_cast<std::ptrdiff_t>(offset),
-        entry->data.begin() + static_cast<std::ptrdiff_t>(offset + take));
-  }
-  return out;
-}
-
 Result<Bytes> AfsClient::Fetch(const std::string& path) {
   NEXUS_ASSIGN_OR_RETURN(AfsServer::FetchResult result, FetchVersioned(path));
   return std::move(result.data);
-}
-
-void AfsClient::Prefetch(const std::string& path) {
-  const auto cached = cache_.find(path);
-  if (cached != cache_.end() && server_.CallbackValid(id_, path)) return;
-  server_.RpcPrefetchHint(id_, path);
 }
 
 Result<std::uint64_t> AfsClient::StoreVersioned(const std::string& path,

@@ -42,11 +42,6 @@ class AfsServer {
   };
 
   Result<FetchResult> RpcFetch(const std::string& client, const std::string& path);
-  /// Readahead hint: asks the storage layer to start pulling `path` toward
-  /// the client. Speculative traffic overlaps client computation, so it is
-  /// free on the virtual clock and carries no reply; correctness never
-  /// depends on it.
-  void RpcPrefetchHint(const std::string& client, const std::string& path);
   Result<std::uint64_t> RpcStore(const std::string& client,
                                  const std::string& path, ByteSpan data);
   /// Store that only transfers `changed_bytes` over the wire (AFS fsync
@@ -159,10 +154,6 @@ class AfsClient {
   /// Whole-file fetch. Served from the local cache when the callback is
   /// still valid (zero cost), otherwise fetched from the server.
   Result<Bytes> Fetch(const std::string& path);
-  /// Readahead hint. A no-op when the cached copy is still fresh;
-  /// otherwise forwards the hint to the server (and on to the backend's
-  /// async prefetch window). Never blocks, never charges the clock.
-  void Prefetch(const std::string& path);
   /// Fetch that also reports the server version stamp of the bytes.
   Result<AfsServer::FetchResult> FetchVersioned(const std::string& path);
   /// Whole-file store (the close() flush in open-to-close semantics).
@@ -193,16 +184,6 @@ class AfsClient {
   Status StoreStreamCommit(std::uint64_t handle, std::uint64_t changed_bytes);
   Status StoreStreamAbort(std::uint64_t handle);
 
-  /// Bytes [offset, offset+len) of an object plus its total size. AFS
-  /// transfers whole files: the first access fetches (and caches) the full
-  /// object at full cost; subsequent ranges are free cache slices.
-  struct RangeResult {
-    Bytes data;
-    std::uint64_t object_size = 0;
-    std::uint64_t version = 0;
-  };
-  Result<RangeResult> FetchRange(const std::string& path, std::uint64_t offset,
-                                 std::uint64_t len);
   Status Remove(const std::string& path);
   Result<bool> Exists(const std::string& path);
   Result<AfsServer::StatResult> Stat(const std::string& path);

@@ -104,24 +104,13 @@ class StorageBackend {
   /// Batched Exists, same shape.
   virtual std::vector<bool> MultiExists(const std::vector<std::string>& names);
 
-  /// Non-binding readahead hint: `name` is likely to be Get() soon. The
-  /// default does nothing; RemoteBackend speculatively fetches the object
-  /// through its async window and delivers the result to the registered
-  /// PrefetchSink (the cache layer) so the later Get is served locally.
+  /// Inert no-op: only nexus_bench's probe overrides it (ROADMAP item 2).
   virtual void Prefetch(const std::string& name) { (void)name; }
-
-  /// Where speculative Prefetch results land. `leased` mirrors GetLeased's
-  /// flag for backends that grant read leases. May be invoked from a
-  /// backend-internal thread or from any caller's thread blocked inside
-  /// this backend (RemoteBackend delivers on whichever thread reads the
-  /// reply: its demux thread, or a caller waiting on its own RPC), so
-  /// sinks must be thread-safe, must not call back into the backend, and
-  /// must not take a lock a caller may hold across a backend call.
+  /// Inert: only nexus_bench's probe names it (ROADMAP item 2).
   using PrefetchSink =
       std::function<void(const std::string& name, Result<Bytes> object,
                          bool leased)>;
-  /// Registers the sink Prefetch deliveries flow into. Backends without
-  /// async prefetch ignore it (their Prefetch is already a no-op).
+  /// Inert no-op: only nexus_bench's probe overrides it (ROADMAP item 2).
   virtual void SetPrefetchSink(PrefetchSink sink) { (void)sink; }
 
   /// Get that also reports whether the backend granted a read lease on the

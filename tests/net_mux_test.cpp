@@ -1,6 +1,7 @@
 // Pipelined RPC multiplexing: out-of-order responses, windowed failure
-// isolation, correlation-desync handling, readahead through the cache
-// tier, and the one-version rule — all against a live loopback nexusd.
+// isolation, correlation-desync handling, the reader role (no client
+// thread of its own), and the one-version rule — all against a live
+// loopback nexusd.
 //
 // These tests pin the PROTOCOL-level behaviors the mux introduced: a
 // connection resolves responses by correlation id rather than arrival
@@ -16,6 +17,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -341,7 +343,6 @@ TEST(NetMux, ConcurrentWindowSoak) {
   RemoteBackendOptions options;
   options.rpc_window = 16;
   options.max_pooled_connections = 2;
-  options.readahead_budget_bytes = kBudget;
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   RemoteBackend* raw = remote.value().get();
@@ -362,7 +363,7 @@ TEST(NetMux, ConcurrentWindowSoak) {
       for (int k = 0; k < kOpsPerThread; ++k) {
         const std::string name =
             "t" + std::to_string(id) + "-" + std::to_string(k % 6);
-        switch (k % 5) {
+        switch (k % 4) {
           case 0: {
             Bytes data = Blob(static_cast<char>('A' + id), 64 + k);
             ASSERT_TRUE(client.Put(name, data).ok());
@@ -382,7 +383,7 @@ TEST(NetMux, ConcurrentWindowSoak) {
           case 2:
             EXPECT_EQ(client.Exists(name), model.count(name) == 1);
             break;
-          case 3: {
+          default: {
             std::vector<std::string> batch;
             for (int j = 0; j < 3; ++j) {
               batch.push_back("t" + std::to_string(id) + "-" +
@@ -400,9 +401,6 @@ TEST(NetMux, ConcurrentWindowSoak) {
             }
             break;
           }
-          default:
-            client.Prefetch(name); // advisory; next Get may consume it
-            break;
         }
       }
     });
@@ -419,80 +417,62 @@ TEST(NetMux, ConcurrentWindowSoak) {
 
 // ---- the reader role --------------------------------------------------------
 
-// Counts the server-side Gets a client has caused, through kStats.
-std::uint64_t ServedGets(RemoteBackend& client) {
-  const auto stats = client.Stats();
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  if (!stats.ok()) return 0;
-  for (const auto& row : stats.value().per_op) {
-    if (row.rpc == static_cast<std::uint8_t>(net::Rpc::kGet)) return row.count;
+// The Threads: line of /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
   }
-  return 0;
+  return -1;
 }
 
-// A prefetch has no waiter to read its reply, so the demux thread must
-// still pick it up on a connection that carries nothing else — and a
-// demand Get joining a parked speculation is answered off that one RPC.
-TEST(NetMux, PrefetchCompletesOnAnIdleConnection) {
-  GateBackend backend("slow");
-  ASSERT_TRUE(backend.inner().Put("idle", Blob('i', 200)).ok());
-  ASSERT_TRUE(backend.inner().Put("slow", Blob('s', 300)).ok());
+// Only waiters read replies, so neither a pooled connection nor a
+// streamed put's dedicated one starts a client thread.
+TEST(NetMux, ConnectionsAndStreamedPutsStartNoClientThread) {
+  storage::MemBackend backend;
   auto server = NexusdServer::Start(backend).value();
-
   RemoteBackendOptions options;
   options.rpc_window = 4;
-  options.max_pooled_connections = 1;
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   RemoteBackend& client = *remote.value();
+  ASSERT_TRUE(client.Put("warm", Blob('w', 16)).ok()); // server side is up
 
-  std::mutex mu;
-  std::condition_variable cv;
-  std::map<std::string, Bytes> delivered;
-  client.SetPrefetchSink(
-      [&](const std::string& name, Result<Bytes> object, bool) {
-        ASSERT_TRUE(object.ok()) << object.status().ToString();
-        const std::lock_guard<std::mutex> lock(mu);
-        delivered[name] = std::move(object).value();
-        cv.notify_all();
-      });
-
-  client.Prefetch("idle");
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5),
-                            [&] { return delivered.contains("idle"); }));
-    EXPECT_EQ(delivered["idle"], Blob('i', 200));
+  const int before = ProcessThreads();
+  ASSERT_GT(before, 0);
+  std::vector<std::unique_ptr<net::MuxConnection>> conns;
+  for (int i = 0; i < 4; ++i) {
+    auto transport =
+        net::TcpTransport::Dial("127.0.0.1", server->port(), 2000, 5000);
+    ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+    conns.push_back(std::make_unique<net::MuxConnection>(
+        std::move(transport).value(), 4));
   }
+  auto stream = client.OpenPutStream("streamed");
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  for (char c : {'a', 'b', 'c'}) {
+    ASSERT_TRUE(stream.value()->Append(Blob(c, 1000)).ok());
+  }
+  ASSERT_TRUE(stream.value()->Commit().ok());
+  EXPECT_EQ(ProcessThreads(), before);
 
-  const std::uint64_t gets_before = ServedGets(client);
-  client.Prefetch("slow");
-  backend.WaitForWaiters(1); // the speculation is parked server-side
-  std::thread demand([&] {
-    EXPECT_EQ(client.Get("slow").value(), Blob('s', 300));
-  });
-  // Give the demand read time to join, then let the speculation finish.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  backend.Release();
-  demand.join();
-
-  EXPECT_EQ(client.counters().prefetch_joined, 1u);
-  EXPECT_EQ(ServedGets(client) - gets_before, 1u)
-      << "the demand read duplicated the speculative Get";
-  const std::lock_guard<std::mutex> lock(mu);
-  EXPECT_EQ(delivered["slow"], Blob('s', 300));
+  Bytes expected = Blob('a', 1000);
+  Append(expected, Blob('b', 1000));
+  Append(expected, Blob('c', 1000));
+  EXPECT_EQ(client.Get("streamed").value(), expected);
+  conns.clear();
+  server->Stop();
 }
 
-// Eight lock-step callers and their prefetch hints share ONE connection
-// with a window of 4, so whoever holds the reader role keeps routing
-// other callers' replies (and speculations) before its own. Every reply
-// must reach its own caller byte for byte.
+// Eight lock-step callers share ONE connection with a window of 4, so
+// whoever holds the reader role keeps routing other callers' replies
+// before its own. Every reply must reach its own caller byte for byte.
 TEST(NetMux, SharedConnectionSoakRoutesEveryReply) {
   storage::MemBackend backend;
   constexpr int kThreads = 8;
   constexpr int kOps = 150;
-  // Read-only names, never rewritten: a Get that joins a speculation of
-  // one of them must see the same bytes as a fresh read.
+  // Read-only names, never rewritten.
   const auto fixed = [](int id, int k) {
     return Blob(static_cast<char>('a' + id), 100 + 37 * k);
   };
@@ -512,15 +492,6 @@ TEST(NetMux, SharedConnectionSoakRoutesEveryReply) {
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   RemoteBackend& client = *remote.value();
-  std::atomic<int> speculations{0};
-  client.SetPrefetchSink(
-      [&](const std::string& name, Result<Bytes> object, bool) {
-        ASSERT_TRUE(object.ok()) << name;
-        const int id = name[1] - '0';
-        const int k = name[3] - '0';
-        EXPECT_EQ(object.value(), fixed(id, k)) << name;
-        speculations.fetch_add(1);
-      });
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -543,9 +514,6 @@ TEST(NetMux, SharedConnectionSoakRoutesEveryReply) {
             if (written.contains(own)) {
               EXPECT_EQ(client.Get(own).value(), written[own]) << own;
             }
-            break;
-          case 2:
-            client.Prefetch(shared);
             break;
           default:
             EXPECT_EQ(client.Get(shared).value(), fixed(id, k % 4)) << shared;
@@ -621,7 +589,6 @@ TEST(NetMux, KilledTransportReleasesReaderAndFollowers) {
   const std::uint16_t port = server->port();
   RemoteBackend client([&transports, port] { return transports.Dial(port); },
                        options);
-  client.SetPrefetchSink([](const std::string&, Result<Bytes>, bool) {});
   ASSERT_TRUE(client.Ping().ok());
 
   constexpr int kThreads = 8;
@@ -648,7 +615,6 @@ TEST(NetMux, KilledTransportReleasesReaderAndFollowers) {
             last.clear();
           }
         } else {
-          if (k % 5 == 0) client.Prefetch(name);
           auto got = client.Get(name);
           if (!got.ok()) {
             EXPECT_EQ(got.status().code(), ErrorCode::kIOError);
@@ -687,118 +653,6 @@ TEST(NetMux, KilledTransportReleasesReaderAndFollowers) {
   server->Stop();
 }
 
-// ---- readahead budget ------------------------------------------------------
-
-TEST(NetMux, ReadaheadEvictionStaysUnderBudget) {
-  storage::MemBackend backend;
-  const std::size_t kObject = 4096;
-  for (char c : {'w', 'x', 'y', 'z'}) {
-    ASSERT_TRUE(backend.Put(std::string(1, c), Blob(c, kObject)).ok());
-  }
-  // Strictly in-order replies: this test reasons about WHICH prefetched
-  // entries the LRU keeps, so prefetch deliveries must land in issue
-  // order. Pooled handlers may legally reorder replies (v3), which would
-  // leave a different pair resident.
-  NexusdOptions server_options;
-  server_options.rpc_workers = 0;
-  auto server = NexusdServer::Start(backend, server_options).value();
-
-  // Cache budget fits TWO buffered 4 KiB objects but not four: completing
-  // four prefetches must evict LRU-oldest entries as wasted bytes.
-  constexpr std::size_t kBudget = 8192;
-  RemoteBackendOptions options;
-  options.rpc_window = 8;
-  options.max_pooled_connections = 1;
-  auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  RemoteBackend& raw = *remote.value();
-  cache::CacheOptions cache_options;
-  cache_options.mem_budget_bytes = kBudget;
-  cache::CachedBackend client(std::move(remote).value(), cache_options);
-
-  for (char c : {'w', 'x', 'y', 'z'}) client.Prefetch(std::string(1, c));
-
-  // Prefetches complete on the demux thread; wait until every fill has
-  // landed and the budget has provably forced at least one eviction.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (client.counters().prefetch_issued >= 4 &&
-        client.counters().prefetch_wasted_bytes > 0) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  // Each layer counts its own half: the remote sent four speculative
-  // Gets, the cache's sink received four fills.
-  EXPECT_EQ(raw.counters().prefetch_issued, 4u);
-  EXPECT_EQ(client.counters().prefetch_issued, 4u);
-  EXPECT_GE(client.counters().prefetch_wasted_bytes, kObject); // one object
-  EXPECT_LE(client.mem_bytes(), kBudget);
-
-  // Every demand read is still correct — evicted entries just fall back to
-  // the wire — and at least one surviving entry serves as a hit. Read
-  // newest-first: the LRU keeps the LAST prefetches, and refilling an
-  // evicted name would itself evict a survivor before it was read.
-  for (char c : {'z', 'y', 'x', 'w'}) {
-    EXPECT_EQ(client.Get(std::string(1, c)).value(), Blob(c, kObject));
-  }
-  EXPECT_GE(client.counters().prefetch_hits, 1u);
-  EXPECT_LE(client.mem_bytes(), kBudget);
-  server->Stop();
-}
-
-// Speculative Gets and RPC latency are counted on the backend that sends
-// them, not in a process-wide total that other backends also feed.
-TEST(NetMux, PrefetchesCountOnTheIssuingBackend) {
-  storage::MemBackend backend;
-  for (char c : {'a', 'b', 'c', 'd'}) {
-    ASSERT_TRUE(backend.Put(std::string(1, c), Blob(c, 64)).ok());
-  }
-  auto server = NexusdServer::Start(backend).value();
-  std::atomic<int> delivered{0};
-  RemoteBackendOptions options;
-  options.rpc_window = 8;
-  options.max_pooled_connections = 1;
-  auto remote = RemoteBackend::Connect("127.0.0.1", server->port(), options);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  RemoteBackend& client = *remote.value();
-  // A second backend in the same process whose traffic must not show up
-  // in the first one's counters.
-  auto bystander = RemoteBackend::Connect("127.0.0.1", server->port());
-  ASSERT_TRUE(bystander.ok()) << bystander.status().ToString();
-
-  const net::NetCounters before = client.counters();
-  client.SetPrefetchSink(
-      [&](const std::string&, Result<Bytes>, bool) { ++delivered; });
-  for (char c : {'a', 'b', 'c', 'd'}) client.Prefetch(std::string(1, c));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (delivered.load() < 4 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(delivered.load(), 4);
-
-  const net::NetCounters counters = client.counters();
-  EXPECT_EQ(counters.prefetch_issued, 4u);
-  EXPECT_GT(counters.rpc_p50_ms, 0.0);
-  EXPECT_GE(counters.rpc_p99_ms, counters.rpc_p50_ms);
-  // Delta semantics: counters subtract, latency gauges keep the later
-  // snapshot.
-  const net::NetCounters delta = counters - before;
-  EXPECT_EQ(delta.prefetch_issued, 4u);
-  EXPECT_EQ(delta.rpcs, counters.rpcs - before.rpcs);
-  EXPECT_EQ(delta.rpc_p50_ms, counters.rpc_p50_ms);
-  EXPECT_EQ(delta.rpc_p99_ms, counters.rpc_p99_ms);
-  const net::NetCounters idle = bystander.value()->counters();
-  EXPECT_EQ(idle.prefetch_issued, 0u);
-  EXPECT_EQ(idle.rpcs, 1u); // its own connect-time Ping only
-  server->Stop();
-}
-
-// ---- batch ops -------------------------------------------------------------
-
 TEST(NetMux, BatchOpsAppearInServerStats) {
   storage::MemBackend backend;
   ASSERT_TRUE(backend.Put("one", Blob('1', 32)).ok());
@@ -808,6 +662,11 @@ TEST(NetMux, BatchOpsAppearInServerStats) {
   auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   RemoteBackend& client = *remote.value();
+  // A second backend in the same process whose traffic must not show up
+  // in the first one's counters.
+  auto bystander = RemoteBackend::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(bystander.ok()) << bystander.status().ToString();
+  const net::NetCounters before = client.counters();
 
   const auto results = client.MultiGet({"one", "two", "absent"});
   ASSERT_EQ(results.size(), 3u);
@@ -818,6 +677,17 @@ TEST(NetMux, BatchOpsAppearInServerStats) {
   ASSERT_EQ(exists.size(), 2u);
   EXPECT_TRUE(exists[0]);
   EXPECT_FALSE(exists[1]);
+
+  const net::NetCounters counters = client.counters();
+  EXPECT_GT(counters.rpc_p50_ms, 0.0);
+  EXPECT_GE(counters.rpc_p99_ms, counters.rpc_p50_ms);
+  // Delta semantics: counters subtract, latency gauges keep the later
+  // snapshot.
+  const net::NetCounters delta = counters - before;
+  EXPECT_EQ(delta.rpcs, 2u);
+  EXPECT_EQ(delta.rpc_p50_ms, counters.rpc_p50_ms);
+  EXPECT_EQ(delta.rpc_p99_ms, counters.rpc_p99_ms);
+  EXPECT_EQ(bystander.value()->counters().rpcs, 1u); // its connect-time Ping
 
   const auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();

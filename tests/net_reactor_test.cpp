@@ -1,7 +1,7 @@
 // Event-driven nexusd: the epoll/poll reactor serve loop. Covers its
 // failure surface — trickled frames, half-open connections, hundreds of
 // idle sockets on a flat thread count — plus buffer-arena accounting and
-// the readahead/batch client optimizations that ride on it.
+// the batched client calls that ride on it.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,9 +12,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -145,7 +143,7 @@ TEST_F(NetReactorTest, LockStepRpcsCostAboutOneWakeupEach) {
 // reply off the socket, and nexusd runs a MemBackend's handlers on the
 // loop thread that parsed the request. Client and server share this
 // process, so its voluntary context switches count both sides: about 2
-// per RPC. A handoff to a second thread on either side (a client demux
+// per RPC. A handoff to a second thread on either side (a client reader
 // thread, a server worker pool) costs about one more.
 TEST_F(NetReactorTest, LockStepRpcsCostAboutTwoContextSwitches) {
   StartServer();
@@ -392,127 +390,7 @@ TEST_F(NetReactorTest, HighConnectionCountSmoke) {
   for (const int fd : idle) ::close(fd);
 }
 
-// ---- client-side optimizations riding this PR ------------------------------
-
-/// MemBackend wrapper that blocks Get("slow/…") until released — holds a
-/// speculative fetch open on the server so a demand read can join it.
-class GatedBackend final : public storage::StorageBackend {
- public:
-  explicit GatedBackend(storage::StorageBackend& inner) : inner_(inner) {}
-
-  Result<Bytes> Get(const std::string& name) override {
-    if (name.rfind("slow/", 0) == 0) {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++entered_;
-      cv_.notify_all();
-      cv_.wait(lock, [this] { return released_; });
-    }
-    return inner_.Get(name);
-  }
-  Status Put(const std::string& name, ByteSpan data) override {
-    return inner_.Put(name, data);
-  }
-  Status Delete(const std::string& name) override {
-    return inner_.Delete(name);
-  }
-  bool Exists(const std::string& name) override { return inner_.Exists(name); }
-  std::vector<std::string> List(const std::string& prefix) override {
-    return inner_.List(prefix);
-  }
-
-  void WaitEntered() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] { return entered_ > 0; });
-  }
-  void Release() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  storage::StorageBackend& inner_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  int entered_ = 0;    // under mu_
-  bool released_ = false; // under mu_
-};
-
-// A demand Get that finds its object already in flight as a speculative
-// readahead waits on that RPC instead of issuing a duplicate — observable
-// as prefetch_joined, and as exactly ONE kGet reaching the server.
-TEST(NetReactorPrefetch, DemandGetJoinsInflightSpeculation) {
-  storage::MemBackend store;
-  GatedBackend gated(store);
-  auto server = NexusdServer::Start(gated).value();
-  auto remote =
-      RemoteBackend::Connect("127.0.0.1", server->port(), FastOptions())
-          .value();
-  ASSERT_TRUE(remote->Put("slow/x", Bytes{5, 6, 7}).ok());
-
-  std::atomic<int> delivered{0};
-  remote->SetPrefetchSink([&](const std::string&, Result<Bytes> object,
-                              bool) {
-    if (object.ok()) delivered.fetch_add(1);
-  });
-  remote->Prefetch("slow/x");
-  gated.WaitEntered(); // the speculative Get is now parked server-side
-
-  std::thread demand([&] {
-    auto got = remote->Get("slow/x");
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got.value(), (Bytes{5, 6, 7}));
-  });
-  // Give the demand thread time to reach the join point, then open the
-  // gate: both the sink delivery and the joiner resolve off one RPC.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  gated.Release();
-  demand.join();
-
-  const NetCounters counters = remote->counters();
-  EXPECT_EQ(counters.prefetch_joined, 1u);
-  EXPECT_EQ(delivered.load(), 1);
-  std::uint64_t gets = 0;
-  const ServerStats stats = remote->Stats().value();
-  for (const RpcOpStats& op : stats.per_op) {
-    if (op.rpc == static_cast<std::uint8_t>(Rpc::kGet)) gets = op.count;
-  }
-  EXPECT_EQ(gets, 1u) << "demand read duplicated the speculative Get";
-}
-
-// With no I/O deadline (rpc_deadline_ms 0) the join waits for the flight
-// itself, however long it takes: giving up after a fixed grace would
-// re-fetch behind a healthy speculation and race its delivery.
-TEST(NetReactorPrefetch, JoinWithoutDeadlineWaitsForTheFlight) {
-  storage::MemBackend store;
-  GatedBackend gated(store);
-  auto server = NexusdServer::Start(gated).value();
-  RemoteBackendOptions options = FastOptions();
-  options.rpc_deadline_ms = 0;
-  auto remote =
-      RemoteBackend::Connect("127.0.0.1", server->port(), options).value();
-  ASSERT_TRUE(remote->Put("slow/y", Bytes{8, 9}).ok());
-  remote->SetPrefetchSink([](const std::string&, Result<Bytes>, bool) {});
-  remote->Prefetch("slow/y");
-  gated.WaitEntered();
-
-  std::thread demand([&] {
-    auto got = remote->Get("slow/y");
-    ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(got.value(), (Bytes{8, 9}));
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
-  gated.Release();
-  demand.join();
-
-  EXPECT_EQ(remote->counters().prefetch_joined, 1u);
-  std::uint64_t gets = 0;
-  const ServerStats stats = remote->Stats().value();
-  for (const RpcOpStats& op : stats.per_op) {
-    if (op.rpc == static_cast<std::uint8_t>(Rpc::kGet)) gets = op.count;
-  }
-  EXPECT_EQ(gets, 1u) << "the join gave up and re-fetched";
-}
+// ---- client-side batching ---------------------------------------------------
 
 // MultiGet whose bodies overflow the server's response budget: the
 // deferred tail is re-fetched in follow-up BATCHES, not one Get per name.

@@ -5,6 +5,7 @@
 // a multithreaded stress run (TSan-clean under the sanitizer CI job).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
@@ -43,12 +44,104 @@ struct Deployment {
       : world("parallel-identity"), machine(&world.AddMachine("alice")) {
     enclave::VolumeConfig config;
     config.chunk_size = kChunk;
-    auto handle = machine->nexus->CreateVolume(machine->user, config);
-    EXPECT_TRUE(handle.ok());
+    auto created = machine->nexus->CreateVolume(machine->user, config);
+    EXPECT_TRUE(created.ok());
+    if (created.ok()) handle = std::move(created).value();
     EXPECT_TRUE(machine->nexus->SetCryptoWorkers(workers).ok());
   }
   test::World world;
   test::Machine* machine;
+  core::NexusClient::VolumeHandle handle;
+};
+
+/// The real AFS ocall bridge, counting whole-object data fetches and
+/// sleeping `stream_sleep_ms` in each streamed-store ocall.
+class ProbeStore final : public enclave::StorageOcalls {
+ public:
+  explicit ProbeStore(storage::AfsClient& afs) : inner_(afs) {}
+
+  int stream_sleep_ms = 0;
+  int data_fetches = 0;
+  int stream_ocalls = 0;
+
+  Result<enclave::ObjectBlob> FetchMeta(const Uuid& uuid) override {
+    return inner_.FetchMeta(uuid);
+  }
+  Result<std::uint64_t> StoreMeta(const Uuid& uuid, ByteSpan data) override {
+    return inner_.StoreMeta(uuid, data);
+  }
+  Status RemoveMeta(const Uuid& uuid) override {
+    return inner_.RemoveMeta(uuid);
+  }
+  Result<enclave::ObjectBlob> FetchData(const Uuid& uuid) override {
+    ++data_fetches;
+    return inner_.FetchData(uuid);
+  }
+  Status StoreData(const Uuid& uuid, ByteSpan data,
+                   std::uint64_t changed_bytes) override {
+    return inner_.StoreData(uuid, data, changed_bytes);
+  }
+  Status RemoveData(const Uuid& uuid) override {
+    return inner_.RemoveData(uuid);
+  }
+  Result<std::uint64_t> BeginDataStream(const Uuid& uuid,
+                                        std::uint64_t total_bytes) override {
+    Sleep();
+    return inner_.BeginDataStream(uuid, total_bytes);
+  }
+  Status StoreDataSegment(std::uint64_t handle, ByteSpan segment) override {
+    Sleep();
+    return inner_.StoreDataSegment(handle, segment);
+  }
+  Status CommitDataStream(std::uint64_t handle,
+                          std::uint64_t changed_bytes) override {
+    Sleep();
+    return inner_.CommitDataStream(handle, changed_bytes);
+  }
+  Status AbortDataStream(std::uint64_t handle) override {
+    return inner_.AbortDataStream(handle);
+  }
+  Status LockMeta(const Uuid& uuid) override { return inner_.LockMeta(uuid); }
+  Status UnlockMeta(const Uuid& uuid) override {
+    return inner_.UnlockMeta(uuid);
+  }
+  bool CacheFresh(const Uuid& uuid, std::uint64_t v) override {
+    return inner_.CacheFresh(uuid, v);
+  }
+  Result<Bytes> FetchJournal(const std::string& name) override {
+    return inner_.FetchJournal(name);
+  }
+  Status StoreJournal(const std::string& name, ByteSpan data) override {
+    return inner_.StoreJournal(name, data);
+  }
+
+ private:
+  void Sleep() {
+    ++stream_ocalls;
+    std::this_thread::sleep_for(std::chrono::milliseconds(stream_sleep_ms));
+  }
+
+  core::AfsMetadataStore inner_;
+};
+
+/// A second enclave on the deployment's machine, mounted over `store`.
+struct ProbedEnclave {
+  ProbedEnclave(Deployment& d, ProbeStore& store, std::size_t workers)
+      : runtime(*d.machine->cpu, sgx::NexusEnclaveImage(),
+                AsBytes("probed-enclave")),
+        enclave(runtime, store, d.world.intel().root_public_key()) {
+    auto nonce = enclave.EcallAuthChallenge(d.machine->user.public_key(),
+                                            d.handle.sealed_rootkey,
+                                            d.handle.volume_uuid);
+    EXPECT_TRUE(nonce.ok());
+    const Bytes supernode =
+        d.machine->afs->Fetch("nx/" + d.handle.volume_uuid.ToString()).value();
+    const auto sig = d.machine->user.Sign(Concat(*nonce, supernode));
+    EXPECT_TRUE(enclave.EcallAuthResponse(sig).ok());
+    EXPECT_TRUE(enclave.EcallSetCryptoWorkers(workers).ok());
+  }
+  sgx::EnclaveRuntime runtime;
+  enclave::NexusEnclave enclave;
 };
 
 // Chunk-count shapes: empty, exactly one, several, many, short tail.
@@ -172,6 +265,48 @@ TEST(ParallelCryptoTest, OneChunkBatchesStayOnTheEcallThread) {
   ASSERT_TRUE(fs.WriteFile("three", Pattern(3 * kChunk, 6)).ok());
   profile = fs.Profile();
   EXPECT_GE(profile.parallel.peak_queue_depth, 1u);
+}
+
+// AFS transfers whole files, so a read is one data fetch whatever the
+// worker count: the pool only decides where the chunks open.
+TEST(ParallelCryptoTest, ColdReadIsOneDataFetch) {
+  Deployment d(4);
+  const Bytes content = Pattern(9 * kChunk, 12);
+  ASSERT_TRUE(d.machine->nexus->WriteFile("f", content).ok());
+  ProbeStore store(*d.machine->afs);
+  ProbedEnclave probed(d, store, 4);
+  EXPECT_EQ(probed.enclave.EcallDecrypt("f").value(), content);
+  EXPECT_EQ(store.data_fetches, 1);
+}
+
+// A batch that ran inline had no pool to shorten it: one-chunk writes and
+// reads credit no modeled parallel saving.
+TEST(ParallelCryptoTest, InlineBatchesCreditNoParallelSaving) {
+  Deployment d(2);
+  core::NexusClient& fs = *d.machine->nexus;
+  const Bytes one = Pattern(kChunk - 7, 8);
+  ASSERT_TRUE(fs.WriteFile("one", one).ok());
+  for (int i = 0; i < 200; ++i) ASSERT_EQ(fs.ReadFile("one").value(), one);
+  const auto profile = fs.Profile();
+  EXPECT_EQ(profile.parallel.chunks_decrypted, 200u);
+  EXPECT_EQ(profile.parallel.saved_seconds, 0.0);
+}
+
+// A streamed write runs its Begin, Segment and Commit ocalls inside the
+// batch window; that time is the store's, never credited to the pool.
+TEST(ParallelCryptoTest, StreamOcallTimeIsNotCreditedAsParallelSaving) {
+  Deployment d(2);
+  ASSERT_TRUE(d.machine->nexus->WriteFile("f", Pattern(10, 1)).ok());
+  ProbeStore store(*d.machine->afs);
+  ProbedEnclave probed(d, store, 2);
+  store.stream_sleep_ms = 5;
+  const Bytes content = Pattern(8 * kChunk, 4);
+  ASSERT_TRUE(probed.enclave.EcallEncrypt("f", content).ok());
+  EXPECT_EQ(probed.enclave.EcallDecrypt("f").value(), content);
+  ASSERT_EQ(store.stream_ocalls, 10); // Begin, 8 segments, Commit
+  // Crediting the sleeps would put the credit above 50 ms.
+  EXPECT_LT(probed.enclave.parallel_stats().saved_seconds,
+            store.stream_ocalls * 5e-3 / 2);
 }
 
 TEST(ParallelCryptoTest, WorkerCountIsReconfigurableMidVolume) {

@@ -600,31 +600,6 @@ TEST_F(AfsTest, StreamedStoreCostMatchesWholeStorePlusOneRtt) {
               server_.cost().rtt_seconds + server_.cost().per_op_seconds, 1e-9);
 }
 
-TEST_F(AfsTest, FetchRangeUsesWholeFileCache) {
-  const std::size_t size = 2 << 20;
-  Bytes data(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    data[i] = static_cast<std::uint8_t>(i);
-  }
-  ASSERT_TRUE(alice_.Store("f", data).ok());
-
-  // Cold client: the first range pays a full whole-file fetch (OpenAFS
-  // transfers files, not ranges)...
-  const double t0 = clock_.Now();
-  const auto first = bob_.FetchRange("f", 100, 1000).value();
-  const double first_cost = clock_.Now() - t0;
-  EXPECT_EQ(first.object_size, size);
-  EXPECT_EQ(first.data, Bytes(data.begin() + 100, data.begin() + 1100));
-  EXPECT_NEAR(first_cost, server_.cost().RpcSeconds(size), 1e-9);
-
-  // ...and every later range is a free cache slice.
-  const double t1 = clock_.Now();
-  const auto tail = bob_.FetchRange("f", size - 50, 500).value();
-  EXPECT_EQ(clock_.Now(), t1);
-  EXPECT_EQ(tail.data.size(), 50u); // clamped at EOF
-  EXPECT_EQ(tail.data, Bytes(data.end() - 50, data.end()));
-}
-
 TEST_F(AfsTest, GetVersionReestablishesCallback) {
   ASSERT_TRUE(alice_.Store("f", Bytes{1}).ok());
   ASSERT_TRUE(bob_.Fetch("f").ok());
