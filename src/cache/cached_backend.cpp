@@ -398,6 +398,18 @@ bool CachedBackend::Exists(const std::string& name) {
   return inner_->Exists(name);
 }
 
+Result<storage::StorageBackend::Head> CachedBackend::GetHead(
+    const std::string& name, std::size_t max_bytes) {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = entries_.find(name);
+    if (it != entries_.end() && EntryValidLocked(it->second)) {
+      return HeadOf(it->second.data, max_bytes);
+    }
+  }
+  return inner_->GetHead(name, max_bytes);
+}
+
 std::vector<bool> CachedBackend::MultiExists(
     const std::vector<std::string>& names) {
   std::vector<bool> out(names.size(), false);

@@ -99,6 +99,9 @@ class CachedBackend final : public storage::StorageBackend {
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;
+  /// Answers from a valid memory entry; otherwise forwards to the inner
+  /// backend's head read and fills nothing (a head is not the object).
+  Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
   Result<std::unique_ptr<PutStream>> OpenPutStream(
       const std::string& name) override;
   std::vector<Result<Bytes>> MultiGet(

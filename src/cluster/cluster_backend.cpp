@@ -108,8 +108,20 @@ Bytes EncodeEnvelopeStreamHeader(const Envelope& env) {
   return std::move(w).Take();
 }
 
-Result<Envelope> DecodeEnvelope(ByteSpan data) {
-  Reader r(data);
+namespace {
+
+// The streamed form's head: magic, flags, version, writer.
+constexpr std::size_t kStreamHeadBytes = 21;
+
+/// The head checks both decoders share. `prefix` holds the object's first
+/// bytes and `size` its full length; `payload_offset` receives where the
+/// payload starts.
+Result<Envelope> DecodeHead(ByteSpan prefix, std::uint64_t size,
+                            std::size_t* payload_offset) {
+  if (prefix.size() > size) {
+    return Error(ErrorCode::kIntegrityViolation, "envelope prefix past its end");
+  }
+  Reader r(prefix);
   NEXUS_ASSIGN_OR_RETURN(const std::uint32_t magic, r.U32());
   if (magic != kEnvelopeMagic) {
     return Error(ErrorCode::kIntegrityViolation, "bad envelope magic");
@@ -123,14 +135,34 @@ Result<Envelope> DecodeEnvelope(ByteSpan data) {
   NEXUS_ASSIGN_OR_RETURN(env.version, r.U64());
   NEXUS_ASSIGN_OR_RETURN(env.writer, r.U64());
   if ((flags & kFlagStreamTail) != 0) {
-    NEXUS_ASSIGN_OR_RETURN(env.payload, r.Raw(r.Remaining()));
+    *payload_offset = kStreamHeadBytes;
     return env;
   }
-  NEXUS_ASSIGN_OR_RETURN(env.payload, r.Var(net::kMaxObjectBytes));
-  if (!r.AtEnd()) {
-    return Error(ErrorCode::kIntegrityViolation, "trailing envelope bytes");
+  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t length, r.U32());
+  if (length > net::kMaxObjectBytes) {
+    return Error(ErrorCode::kIntegrityViolation, "envelope payload too large");
   }
+  if (size != kEnvelopeHeadBytes + length) {
+    return Error(ErrorCode::kIntegrityViolation,
+                 "envelope length disagrees with its object");
+  }
+  *payload_offset = kEnvelopeHeadBytes;
   return env;
+}
+
+} // namespace
+
+Result<Envelope> DecodeEnvelope(ByteSpan data) {
+  std::size_t offset = 0;
+  NEXUS_ASSIGN_OR_RETURN(Envelope env, DecodeHead(data, data.size(), &offset));
+  env.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(offset),
+                     data.end());
+  return env;
+}
+
+Result<Envelope> DecodeEnvelopeHead(ByteSpan prefix, std::uint64_t size) {
+  std::size_t offset = 0;
+  return DecodeHead(prefix, size, &offset);
 }
 
 bool EnvelopeNewer(const Envelope& a, const Envelope& b) {
@@ -616,6 +648,18 @@ Result<Bytes> ClusterBackend::ShardGet(const ShardPtr& shard,
   return res;
 }
 
+Result<storage::StorageBackend::Head> ClusterBackend::ShardGetHead(
+    const ShardPtr& shard, const std::string& name) {
+  Bump(&ClusterCounters::shard_rpcs);
+  const std::uint64_t t0 = MonotonicNs();
+  Result<Head> res = shard->backend->GetHead(name, kEnvelopeHeadBytes);
+  shard_rpc_latency_.Record(MonotonicNs() - t0);
+  const bool transport_ok = res.ok() || res.status().code() != ErrorCode::kIOError;
+  if (!transport_ok) Bump(&ClusterCounters::shard_failures);
+  RecordShardOutcome(*shard, transport_ok);
+  return res;
+}
+
 Status ClusterBackend::ShardPut(const ShardPtr& shard, const std::string& name,
                                 ByteSpan data) {
   Bump(&ClusterCounters::shard_rpcs);
@@ -735,30 +779,56 @@ std::mutex& ClusterBackend::StripeFor(std::uint64_t point) {
 // ---- quorum machinery -------------------------------------------------------
 
 std::optional<ClusterBackend::ReadHit> ClusterBackend::ToHit(
-    const ShardPtr& shard, const Result<Bytes>& res) {
-  if (!res.ok()) {
-    if (res.status().code() != ErrorCode::kNotFound) return std::nullopt;
-    return ReadHit{shard, std::nullopt};
+    const ShardPtr& shard, const Status& verdict,
+    const std::function<Result<Envelope>()>& decode, bool whole) {
+  if (!verdict.ok()) {
+    if (verdict.code() != ErrorCode::kNotFound) return std::nullopt;
+    return ReadHit{shard, std::nullopt, whole};
   }
-  Result<Envelope> env =
-      DecodeEnvelope(ByteSpan(res.value().data(), res.value().size()));
-  if (!env.ok()) return ReadHit{shard, std::nullopt};
+  Result<Envelope> env = decode();
+  if (!env.ok()) return ReadHit{shard, std::nullopt, whole};
   if (env.value().version > MaxPlausibleVersion()) {
     Bump(&ClusterCounters::forged_versions);
-    return ReadHit{shard, std::nullopt};
+    return ReadHit{shard, std::nullopt, whole};
   }
   ObserveVersion(env.value().version);
-  return ReadHit{shard, std::move(env).value()};
+  return ReadHit{shard, std::move(env).value(), whole};
+}
+
+std::optional<ClusterBackend::ReadHit> ClusterBackend::ToHit(
+    const ShardPtr& shard, const Result<Bytes>& res) {
+  return ToHit(
+      shard, res.status(),
+      [&res] {
+        return DecodeEnvelope(ByteSpan(res.value().data(), res.value().size()));
+      },
+      /*whole=*/true);
+}
+
+std::optional<ClusterBackend::ReadHit> ClusterBackend::ReadReplica(
+    const ShardPtr& shard, const std::string& name, bool head_only) {
+  if (!head_only) return ToHit(shard, ShardGet(shard, name));
+  const Result<Head> res = ShardGetHead(shard, name);
+  return ToHit(
+      shard, res.status(),
+      [&res] {
+        return DecodeEnvelopeHead(
+            ByteSpan(res.value().prefix.data(), res.value().prefix.size()),
+            res.value().size);
+      },
+      /*whole=*/false);
 }
 
 std::vector<ClusterBackend::ReadHit> ClusterBackend::QuorumRead(
-    const std::string& name, std::uint64_t point, bool count_failover) {
+    const std::string& name, std::uint64_t point, bool count_failover,
+    bool first_whole) {
   const std::vector<ShardPtr> prefs = PreferenceList(point);
   const std::size_t needed = std::min(read_quorum_, prefs.size());
   std::vector<ReadHit> hits;
   for (std::size_t i = 0; i < prefs.size() && hits.size() < needed; ++i) {
     if (!ShardAvailable(*prefs[i])) continue;
-    std::optional<ReadHit> hit = ToHit(prefs[i], ShardGet(prefs[i], name));
+    std::optional<ReadHit> hit = ReadReplica(
+        prefs[i], name, /*head_only=*/!(first_whole && hits.empty()));
     if (!hit) continue; // transport failure: slide to the next successor
     if (count_failover && i >= replication_) {
       Bump(&ClusterCounters::failovers);
@@ -769,14 +839,23 @@ std::vector<ClusterBackend::ReadHit> ClusterBackend::QuorumRead(
   return hits;
 }
 
+std::size_t ClusterBackend::NewestOf(const std::vector<ReadHit>& hits) {
+  std::size_t newest = hits.size();
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    if (!hits[i].envelope) continue;
+    if (newest == hits.size() ||
+        EnvelopeNewer(*hits[i].envelope, *hits[newest].envelope)) {
+      newest = i;
+    }
+  }
+  return newest;
+}
+
 std::optional<Envelope> ClusterBackend::BestOf(
     const std::vector<ReadHit>& hits) {
-  std::optional<Envelope> best;
-  for (const ReadHit& hit : hits) {
-    if (!hit.envelope) continue;
-    if (!best || EnvelopeNewer(*hit.envelope, *best)) best = hit.envelope;
-  }
-  return best;
+  const std::size_t newest = NewestOf(hits);
+  if (newest == hits.size()) return std::nullopt;
+  return hits[newest].envelope;
 }
 
 void ClusterBackend::ReadRepair(const std::string& name, std::uint64_t point,
@@ -802,8 +881,10 @@ ClusterBackend::CopyOutcome ClusterBackend::CopyIfStaleLocked(
     const ShardPtr& target, const std::string& name, const Envelope& best,
     ByteSpan encoded) {
   // Re-check under the stripe lock: the target may have caught up (or
-  // moved past `best`) since whoever chose to copy last sampled it.
-  const std::optional<ReadHit> cur = ToHit(target, ShardGet(target, name));
+  // moved past `best`) since whoever chose to copy last sampled it. The
+  // head decides that.
+  const std::optional<ReadHit> cur =
+      ReadReplica(target, name, /*head_only=*/true);
   if (!cur) return CopyOutcome::kFailed;
   if (cur->envelope && !EnvelopeNewer(best, *cur->envelope)) {
     return CopyOutcome::kCurrent;
@@ -864,18 +945,34 @@ Result<Bytes> ClusterBackend::Get(const std::string& name) {
   const trace::Span span("cluster.get", "cluster");
   Bump(&ClusterCounters::quorum_reads);
   const std::uint64_t point = HashRing::HashPoint(name);
-  const std::vector<ReadHit> hits =
-      QuorumRead(name, point, /*count_failover=*/true);
+  std::vector<ReadHit> hits =
+      QuorumRead(name, point, /*count_failover=*/true, /*first_whole=*/true);
   if (hits.empty()) {
     Bump(&ClusterCounters::quorum_failures);
     return Error(ErrorCode::kIOError, "read quorum not reached: " + name);
   }
-  const std::optional<Envelope> best = BestOf(hits);
-  if (!best || best->tombstone) {
+  // A head newer than every whole answer names a replica whose payload
+  // this read has not seen: fetch it (one more shard RPC, paid only when
+  // replicas diverge). The fresh answer replaces the head, so each pass
+  // reads one more hit whole and the loop ends within hits.size() passes.
+  std::size_t newest = NewestOf(hits);
+  while (newest != hits.size() && !hits[newest].whole &&
+         !hits[newest].envelope->tombstone) {
+    std::optional<ReadHit> whole =
+        ReadReplica(hits[newest].shard, name, /*head_only=*/false);
+    if (!whole) {
+      Bump(&ClusterCounters::quorum_failures);
+      return Error(ErrorCode::kIOError,
+                   "newest replica unreachable: " + name);
+    }
+    hits[newest] = std::move(*whole);
+    newest = NewestOf(hits);
+  }
+  if (newest == hits.size() || hits[newest].envelope->tombstone) {
     return Error(ErrorCode::kNotFound, "object not found: " + name);
   }
-  ReadRepair(name, point, *best, hits);
-  return best->payload;
+  ReadRepair(name, point, *hits[newest].envelope, hits);
+  return std::move(hits[newest].envelope->payload);
 }
 
 Status ClusterBackend::Put(const std::string& name, ByteSpan data) {
@@ -904,8 +1001,8 @@ Status ClusterBackend::Delete(const std::string& name) {
   // Quorum-read first so a delete of a missing object reports kNotFound
   // (the StorageBackend contract) instead of silently planting a marker.
   Bump(&ClusterCounters::quorum_reads);
-  const std::vector<ReadHit> hits =
-      QuorumRead(name, point, /*count_failover=*/true);
+  const std::vector<ReadHit> hits = QuorumRead(
+      name, point, /*count_failover=*/true, /*first_whole=*/false);
   if (hits.empty()) {
     Bump(&ClusterCounters::quorum_failures);
     return Error(ErrorCode::kIOError, "read quorum not reached: " + name);
@@ -931,8 +1028,9 @@ Status ClusterBackend::Delete(const std::string& name) {
 bool ClusterBackend::Exists(const std::string& name) {
   const trace::Span span("cluster.exists", "cluster");
   Bump(&ClusterCounters::quorum_reads);
-  const std::vector<ReadHit> hits = QuorumRead(
-      name, HashRing::HashPoint(name), /*count_failover=*/false);
+  const std::vector<ReadHit> hits =
+      QuorumRead(name, HashRing::HashPoint(name), /*count_failover=*/false,
+                 /*first_whole=*/false);
   if (hits.empty()) {
     Bump(&ClusterCounters::quorum_failures);
     return false;
@@ -964,8 +1062,9 @@ std::vector<std::string> ClusterBackend::List(const std::string& prefix) {
   // envelope is not a tombstone.
   std::vector<std::string> out;
   for (const std::string& name : candidates) {
-    const std::vector<ReadHit> hits = QuorumRead(
-        name, HashRing::HashPoint(name), /*count_failover=*/false);
+    const std::vector<ReadHit> hits =
+        QuorumRead(name, HashRing::HashPoint(name), /*count_failover=*/false,
+                   /*first_whole=*/false);
     const std::optional<Envelope> best = BestOf(hits);
     if (best && !best->tombstone) out.push_back(name);
   }
@@ -1240,7 +1339,7 @@ void ClusterBackend::ConvergeName(const std::string& name,
       in_ring = shards_.contains(shard->id);
     }
     if (!in_ring || !ShardAvailable(*shard)) continue;
-    std::optional<ReadHit> hit = ToHit(shard, ShardGet(shard, name));
+    std::optional<ReadHit> hit = ReadReplica(shard, name, /*head_only=*/false);
     if (hit) hits.push_back(std::move(*hit));
   }
   const std::optional<Envelope> best = BestOf(hits);

@@ -27,16 +27,23 @@
 //     writer id as tiebreak. Deletes are TOMBSTONE envelopes written
 //     through the same quorum path, so a resurrecting replica cannot undo
 //     a delete.
-//   * Repair — every shard answer goes through one replica-read rule
-//     (missing or corrupt = an answer with no envelope, any other error
-//     = unreachable). When a quorum read sees divergent replicas, the
-//     newest envelope is copied to the stale/missing ones under the
-//     object's stripe lock (checking again under the lock, never drawing
-//     a new version); hinted handoff replays through the same copy
-//     routine. One rebalance pass converges the names in a set of ring
-//     arcs — the arcs a membership change moved, or the whole circle —
-//     onto their owners, then purges replicas from shards that no longer
-//     own them.
+//   * Digest reads — the store holds ciphertext and the enclave's AEAD,
+//     not the envelope, guards integrity, so an envelope's 25-byte head
+//     tells a quorum read everything its full decode does. Paths that
+//     only compare versions (Delete, Exists, List's tombstone filter,
+//     repair's re-check) read heads only; Get reads the payload from the
+//     first replica that answers and heads from the rest, fetching a
+//     second payload only when a head is newer.
+//   * Repair — every shard answer, whole or head, goes through one
+//     replica-read rule (missing or corrupt = an answer with no
+//     envelope, any other error = unreachable). When a quorum read sees
+//     divergent replicas, the newest envelope is copied to the
+//     stale/missing ones under the object's stripe lock (checking again
+//     under the lock, never drawing a new version); hinted handoff
+//     replays through the same copy routine. One rebalance pass
+//     converges the names in a set of ring arcs — the arcs a membership
+//     change moved, or the whole circle — onto their owners, then purges
+//     replicas from shards that no longer own them.
 //   * Health — consecutive transport failures (server verdicts do not
 //     count) eject a shard from candidate sets; a backoff-gated
 //     half-open probe reinstates it on the first success.
@@ -88,6 +95,17 @@ Bytes EncodeEnvelope(const Envelope& env);
 /// DecodeEnvelope as a buffered one. `env.payload` is ignored.
 Bytes EncodeEnvelopeStreamHeader(const Envelope& env);
 Result<Envelope> DecodeEnvelope(ByteSpan data);
+/// Bytes of an envelope's fixed head: magic, flags, version, writer and
+/// the payload length of the buffered form (the streamed form's head is
+/// the first 21 of them).
+inline constexpr std::size_t kEnvelopeHeadBytes = 25;
+/// Decodes the head of a stored envelope from its first bytes and the
+/// whole object's size, with DecodeEnvelope's checks: magic, flags, and
+/// for the buffered form a length within kMaxObjectBytes that accounts
+/// for exactly the bytes after the head. A prefix of at least
+/// kEnvelopeHeadBytes (or the whole object) decodes exactly when the
+/// whole object would; the payload is left empty.
+Result<Envelope> DecodeEnvelopeHead(ByteSpan prefix, std::uint64_t size);
 /// Strict "a supersedes b" in last-writer-wins order: lexicographic on
 /// (version, writer).
 [[nodiscard]] bool EnvelopeNewer(const Envelope& a, const Envelope& b);
@@ -244,9 +262,12 @@ class ClusterBackend final : public storage::StorageBackend {
 
   /// One shard's answer for one name: transport-ok response, with the
   /// decoded envelope or nullopt for "no replica" (missing or corrupt).
+  /// `whole` marks an answer read in full, whose envelope carries its
+  /// payload; a head answer's envelope has an empty payload.
   struct ReadHit {
     ShardPtr shard;
     std::optional<Envelope> envelope;
+    bool whole = false;
   };
 
   /// What CopyIfStaleLocked did to its target.
@@ -273,6 +294,7 @@ class ClusterBackend final : public storage::StorageBackend {
   // Shard RPC wrappers: time into shard_rpc_latency_, bump
   // rpc/failure counters, feed the health tracker.
   Result<Bytes> ShardGet(const ShardPtr& shard, const std::string& name);
+  Result<Head> ShardGetHead(const ShardPtr& shard, const std::string& name);
   Status ShardPut(const ShardPtr& shard, const std::string& name,
                   ByteSpan data);
   Status ShardDelete(const ShardPtr& shard, const std::string& name);
@@ -298,13 +320,27 @@ class ClusterBackend final : public storage::StorageBackend {
   /// ahead than kMaxClockSkewMs (counted in forged_versions) is a hit
   /// with no envelope (an overwritable copy), any other error is nullopt
   /// (unreachable), and a decoded envelope advances the version clock.
+  /// `verdict` is the shard's; `decode` runs only when it is ok.
+  std::optional<ReadHit> ToHit(const ShardPtr& shard, const Status& verdict,
+                               const std::function<Result<Envelope>()>& decode,
+                               bool whole);
+  /// The rule applied to a whole replica.
   std::optional<ReadHit> ToHit(const ShardPtr& shard, const Result<Bytes>& res);
+  /// One shard's replica of `name` through the rule: its head only, or
+  /// the whole object.
+  std::optional<ReadHit> ReadReplica(const ShardPtr& shard,
+                                     const std::string& name, bool head_only);
 
   /// Reads `name` until `read_quorum_` transport-ok answers (kNotFound is
   /// a valid empty answer), sliding down the preference list past dead
-  /// shards. Returns the hits, or empty when quorum was unreachable.
+  /// shards. Every answer is a head, except that with `first_whole` the
+  /// first answering shard is read whole. Returns the hits, or empty when
+  /// quorum was unreachable.
   std::vector<ReadHit> QuorumRead(const std::string& name, std::uint64_t point,
-                                  bool count_failover);
+                                  bool count_failover, bool first_whole);
+  /// Index of the newest hit with an envelope (the first of equals);
+  /// hits.size() when no replica exists.
+  static std::size_t NewestOf(const std::vector<ReadHit>& hits);
   /// Best (newest) envelope among hits; nullopt when no replica exists.
   static std::optional<Envelope> BestOf(const std::vector<ReadHit>& hits);
   /// Read-repair: when some hit is missing or older than `best`, takes
@@ -313,7 +349,7 @@ class ClusterBackend final : public storage::StorageBackend {
                   const Envelope& best,
                   const std::vector<ReadHit>& hits);
   /// The copy routine read-repair and handoff replay share: re-reads
-  /// `target`'s replica and, unless it already holds `best` or newer,
+  /// `target`'s head and, unless it already holds `best` or newer,
   /// puts `encoded` (an encoding of `best`, possibly the stream form)
   /// over it. Caller holds the name's stripe lock.
   CopyOutcome CopyIfStaleLocked(const ShardPtr& target,

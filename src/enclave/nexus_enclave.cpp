@@ -110,9 +110,13 @@ void NexusEnclave::RecordParallelBatch(const parallel::TaskGroup& group,
     // profiler from the measured ecall wall time. On a real N-core host
     // wall ≈ critical path and the surplus is ~0 — no double counting.
     // Ocall time inside the window is the transport's, not the pool's,
-    // and a batch that ran inline had no pool to save anything.
-    const double saved =
-        batch_wall_seconds - ocall_seconds - group.critical_path_seconds();
+    // and a batch that ran inline had no pool to save anything. Nor can
+    // the credit exceed busy − critical path, the most that running the
+    // tasks side by side can save: the rest of the window is queueing
+    // and wake-up latency (a 1-worker pool saves nothing).
+    const double saved = std::min(
+        batch_wall_seconds - ocall_seconds - group.critical_path_seconds(),
+        group.busy_seconds() - group.critical_path_seconds());
     if (saved > 0) {
       parallel_stats_.saved_seconds += saved;
       pending_saved_seconds_ += saved;

@@ -271,9 +271,9 @@ class NexusEnclave {
   /// `critical_path_seconds` sums each batch's slowest worker — the batch
   /// wall time an unloaded machine with as many cores as workers would
   /// observe. `saved_seconds` is the surplus of pool batches (measured
-  /// wall − ocall time − critical path) already subtracted from
-  /// NexusClient's enclave seconds, i.e. how much the worker pool
-  /// shortened the modeled enclave runtime.
+  /// wall − ocall time − critical path, at most busy − critical path)
+  /// already subtracted from NexusClient's enclave seconds, i.e. how much
+  /// the worker pool shortened the modeled enclave runtime.
   struct ParallelStats {
     std::uint64_t chunks_encrypted = 0;
     std::uint64_t chunks_decrypted = 0;

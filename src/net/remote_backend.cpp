@@ -361,6 +361,25 @@ bool RemoteBackend::Exists(const std::string& name) {
   return flag.ok() && flag.value() != 0;
 }
 
+Result<storage::StorageBackend::Head> RemoteBackend::GetHead(
+    const std::string& name, std::size_t max_bytes) {
+  const auto max = static_cast<std::uint32_t>(
+      std::min<std::size_t>(max_bytes, kMaxObjectBytes));
+  Writer req = BeginRequest(Rpc::kGetHead);
+  req.Str(name);
+  req.U32(max);
+  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
+  Reader reader(payload);
+  Head head;
+  NEXUS_ASSIGN_OR_RETURN(head.size, reader.U64());
+  NEXUS_ASSIGN_OR_RETURN(head.prefix, reader.Var(max));
+  if (head.prefix.size() != std::min<std::uint64_t>(max, head.size)) {
+    return Error(ErrorCode::kIntegrityViolation,
+                 "head reply prefix does not match its size: " + name);
+  }
+  return head;
+}
+
 std::vector<std::string> RemoteBackend::List(const std::string& prefix) {
   Writer req = BeginRequest(Rpc::kList);
   req.Str(prefix);

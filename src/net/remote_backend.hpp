@@ -120,6 +120,10 @@ class RemoteBackend final : public storage::StorageBackend {
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;
+  /// One kGetHead round trip. `max_bytes` is clamped to kMaxObjectBytes;
+  /// a reply whose prefix is not exactly min(max, size) bytes fails the
+  /// call, since those bytes come from the untrusted store.
+  Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
   /// One kListPage round trip.
   ListPage ListSome(const std::string& prefix, const std::string& start_after,
                     std::size_t limit) override;

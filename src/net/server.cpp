@@ -686,6 +686,23 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       };
       break;
     }
+    case Rpc::kGetHead: {
+      auto name = reader.Str();
+      if (!name.ok()) break;
+      auto max_bytes = reader.U32();
+      if (!max_bytes.ok() || max_bytes.value() > kMaxObjectBytes) break;
+      d.kind = Kind::kStateless;
+      d.execute = [this, corr, name = std::move(name).value(),
+                   max_bytes = max_bytes.value()] {
+        auto head = backend_.GetHead(name, max_bytes);
+        if (!head.ok()) return WireReply(BeginResponse(head.status(), corr));
+        Writer r = BeginResponse(Status::Ok(), corr);
+        r.U64(head.value().size);
+        r.Var(head.value().prefix);
+        return WireReply(std::move(r));
+      };
+      break;
+    }
     case Rpc::kList: {
       auto prefix = reader.Str();
       if (!prefix.ok()) break;

@@ -138,7 +138,7 @@ class NexusdServer {
  private:
   /// Dense per-RPC slot array; index = static_cast<std::size_t>(Rpc).
   static constexpr std::size_t kRpcSlots =
-      static_cast<std::size_t>(Rpc::kListPage) + 1;
+      static_cast<std::size_t>(kLastRpc) + 1;
 
   struct PerOpCounters {
     std::uint64_t count = 0;

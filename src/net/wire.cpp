@@ -23,6 +23,7 @@ const char* RpcName(Rpc rpc) noexcept {
     case Rpc::kLeaseAttach: return "lease_attach";
     case Rpc::kInvalidate: return "invalidate";
     case Rpc::kListPage: return "list_page";
+    case Rpc::kGetHead: return "get_head";
   }
   return "unknown";
 }
@@ -68,6 +69,11 @@ std::uint64_t ResponseCorrelation(ByteSpan response) noexcept {
 
 namespace {
 
+bool KnownRpc(std::uint8_t rpc) {
+  return rpc >= static_cast<std::uint8_t>(Rpc::kPing) &&
+         rpc <= static_cast<std::uint8_t>(kLastRpc);
+}
+
 Status CheckVersion(std::uint8_t version) {
   if (version == kProtocolVersion) return Status::Ok();
   return Error(ErrorCode::kInvalidArgument,
@@ -80,8 +86,7 @@ Result<Rpc> ParseRequestHead(Reader& reader, std::uint64_t* correlation) {
   NEXUS_ASSIGN_OR_RETURN(const std::uint8_t version, reader.U8());
   NEXUS_RETURN_IF_ERROR(CheckVersion(version));
   NEXUS_ASSIGN_OR_RETURN(const std::uint8_t rpc, reader.U8());
-  if (rpc < static_cast<std::uint8_t>(Rpc::kPing) ||
-      rpc > static_cast<std::uint8_t>(Rpc::kListPage)) {
+  if (!KnownRpc(rpc)) {
     return Error(ErrorCode::kInvalidArgument,
                  "unknown rpc id " + std::to_string(rpc));
   }
@@ -201,8 +206,7 @@ Result<ServerStats> DecodeServerStats(Reader& reader) {
   for (std::uint32_t i = 0; i < n; ++i) {
     RpcOpStats op;
     NEXUS_ASSIGN_OR_RETURN(op.rpc, reader.U8());
-    if (op.rpc < static_cast<std::uint8_t>(Rpc::kPing) ||
-        op.rpc > static_cast<std::uint8_t>(Rpc::kListPage)) {
+    if (!KnownRpc(op.rpc)) {
       return Error(ErrorCode::kInvalidArgument,
                    "stats entry with unknown rpc id " + std::to_string(op.rpc));
     }

@@ -27,6 +27,9 @@
 //
 // Beyond the single-object StorageBackend calls the protocol carries:
 //
+//   * header reads — kGetHead returns an object's size and its first
+//     bytes, so a caller that needs only a header (the cluster's replica
+//     envelope, a stat) never downloads the payload;
 //   * batches — kMultiGet / kMultiExists move a whole fan-out of names in
 //     one frame each way; kListPage enumerates a prefix one bounded,
 //     sorted page at a time (prefix, exclusive start-after cursor, limit)
@@ -116,7 +119,15 @@ enum class Rpc : std::uint8_t {
   // Bounded-batch listing.
   kListPage = 17,       // prefix, start-after cursor, u32 limit -> one
                         //    sorted page of names + u8 truncated flag
+  // Header read.
+  kGetHead = 18,        // name, u32 max -> u64 size + Var prefix of the
+                        //    first min(max, size) bytes
 };
+
+/// The highest RPC id: ids run densely from Rpc::kPing to here. Head
+/// parsing, the Stats decoder and nexusd's per-op table all size from it,
+/// so a new RPC moves this constant and no range check.
+inline constexpr Rpc kLastRpc = Rpc::kGetHead;
 
 /// Stable lowercase name for an RPC id ("get", "stream_begin", ...). Used
 /// as span names and in nexus-stat output.
@@ -224,7 +235,7 @@ struct ServerStats {
 /// Upper bound on per_op rows a decoder accepts — there are only that many
 /// RPC ids, so anything larger is malformed.
 inline constexpr std::size_t kMaxStatsEntries =
-    static_cast<std::size_t>(Rpc::kListPage);
+    static_cast<std::size_t>(kLastRpc);
 
 void EncodeServerStats(Writer& writer, const ServerStats& stats);
 Result<ServerStats> DecodeServerStats(Reader& reader);

@@ -128,9 +128,15 @@ Result<AfsServer::StatResult> AfsServer::RpcStat(const std::string& client,
                                                  const std::string& path) {
   (void)client;
   ChargeRpc(0);
-  if (!backend_->Exists(path)) return StatResult{false, 0};
-  NEXUS_ASSIGN_OR_RETURN(Bytes data, backend_->Get(path));
-  return StatResult{true, data.size()};
+  // A zero-byte head read: the size without the payload.
+  auto head = backend_->GetHead(path, 0);
+  if (!head.ok()) {
+    if (head.status().code() == ErrorCode::kNotFound) {
+      return StatResult{false, 0};
+    }
+    return head.status();
+  }
+  return StatResult{true, head.value().size};
 }
 
 Result<std::uint64_t> AfsServer::RpcGetVersion(const std::string& client,

@@ -51,6 +51,16 @@ std::vector<std::string> MemBackend::List(const std::string& prefix) {
   return out;
 }
 
+Result<StorageBackend::Head> MemBackend::GetHead(
+    const std::string& name, std::size_t max_bytes) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto it = objects_.find(name);
+  if (it == objects_.end()) {
+    return Error(ErrorCode::kNotFound, "object not found: " + name);
+  }
+  return HeadOf(it->second, max_bytes);
+}
+
 std::size_t MemBackend::object_count() const noexcept {
   const std::lock_guard<std::mutex> lock(mu_);
   return objects_.size();
@@ -141,6 +151,18 @@ std::vector<bool> StorageBackend::MultiExists(
   return results;
 }
 
+Result<StorageBackend::Head> StorageBackend::GetHead(const std::string& name,
+                                                    std::size_t max_bytes) {
+  NEXUS_ASSIGN_OR_RETURN(const Bytes data, Get(name));
+  return HeadOf(data, max_bytes);
+}
+
+StorageBackend::Head StorageBackend::HeadOf(ByteSpan object,
+                                            std::size_t max_bytes) {
+  return Head{ToBytes(object.first(std::min(max_bytes, object.size()))),
+              object.size()};
+}
+
 // ---- DiskBackend -----------------------------------------------------------
 
 // Escapes object names into flat, safe filenames: alphanumerics, '-', '_'
@@ -218,6 +240,23 @@ Result<Bytes> DiskBackend::Get(const std::string& name) {
              std::istreambuf_iterator<char>());
   if (in.bad()) return Error(ErrorCode::kIOError, "read failed: " + name);
   return data;
+}
+
+Result<StorageBackend::Head> DiskBackend::GetHead(const std::string& name,
+                                                 std::size_t max_bytes) {
+  std::ifstream in(PathFor(name), std::ios::binary | std::ios::ate);
+  if (!in) return Error(ErrorCode::kNotFound, "object not found: " + name);
+  const std::streamoff end = in.tellg();
+  if (end < 0) return Error(ErrorCode::kIOError, "read failed: " + name);
+  Head head;
+  head.size = static_cast<std::uint64_t>(end);
+  head.prefix.resize(
+      static_cast<std::size_t>(std::min<std::uint64_t>(max_bytes, head.size)));
+  in.seekg(0);
+  in.read(reinterpret_cast<char*>(head.prefix.data()),
+          static_cast<std::streamsize>(head.prefix.size()));
+  if (!in) return Error(ErrorCode::kIOError, "read failed: " + name);
+  return head;
 }
 
 Status DiskBackend::Put(const std::string& name, ByteSpan data) {

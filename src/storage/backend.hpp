@@ -41,6 +41,20 @@ class StorageBackend {
   /// All object names with the given prefix, sorted.
   [[nodiscard]] virtual std::vector<std::string> List(const std::string& prefix) = 0;
 
+  /// The first `max_bytes` bytes of an object and its full size: a read
+  /// that moves a header, not a payload. `prefix` holds exactly
+  /// min(max_bytes, size) bytes; a missing object is kNotFound, as for
+  /// Get. The default is Get followed by truncation, so a decorator that
+  /// does not forward it stays correct; MemBackend, DiskBackend,
+  /// RemoteBackend (kGetHead) and CachedBackend override it.
+  struct Head {
+    Bytes prefix;
+    std::uint64_t size = 0;
+  };
+  virtual Result<Head> GetHead(const std::string& name, std::size_t max_bytes);
+  /// The head of a whole object held in memory.
+  static Head HeadOf(ByteSpan object, std::size_t max_bytes);
+
   /// An in-progress segmented Put. Append() receives the object's bytes in
   /// order; the object becomes visible under its name only at Commit(),
   /// atomically — readers see the old content or the new content, never a
@@ -170,6 +184,8 @@ class MemBackend final : public StorageBackend {
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;
+  /// Copies only the prefix under the map lock.
+  Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
   [[nodiscard]] bool NeverWaits() const noexcept override { return true; }
 
   [[nodiscard]] std::size_t object_count() const noexcept;
@@ -202,6 +218,9 @@ class DiskBackend final : public StorageBackend {
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;
+  /// Reads the prefix and the size through one open file, so both
+  /// describe the same committed object even across a concurrent Put.
+  Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
   /// Streams segments into the ".%tmp-" file and renames at Commit — the
   /// same crash-atomicity as Put, applied at commit rather than per
   /// segment.

@@ -21,17 +21,21 @@
 namespace nexus::cluster {
 namespace {
 
-// The names a shard was asked to Get, in call order.
+// The names a shard was asked to read (whole or head), in call order.
 struct GetLog {
   std::mutex mu;
   std::vector<std::string> names;
 };
 
-// How many operations reached a shard: all of them, and two kinds apart.
+// How many operations reached a shard: all of them, and some kinds apart.
+// `data_gets` are whole reads of data names (the listing's liveness probe
+// reads a control name and is not counted); `heads` are head reads.
 struct ShardCalls {
   std::atomic<std::uint64_t> all{0};
   std::atomic<std::uint64_t> puts{0};
   std::atomic<std::uint64_t> stream_opens{0};
+  std::atomic<std::uint64_t> data_gets{0};
+  std::atomic<std::uint64_t> heads{0};
 };
 
 // A MemBackend behind a kill switch: while down, every operation fails
@@ -48,12 +52,18 @@ class SwitchableBackend final : public storage::StorageBackend {
 
   Result<Bytes> Get(const std::string& name) override {
     calls_->all.fetch_add(1);
-    {
-      const std::lock_guard<std::mutex> lock(gets_->mu);
-      gets_->names.push_back(name);
-    }
+    if (name.empty() || name.front() != '\x01') calls_->data_gets.fetch_add(1);
+    LogRead(name);
     if (down_->load()) return Error(ErrorCode::kIOError, "shard down");
     return inner_->Get(name);
+  }
+  Result<Head> GetHead(const std::string& name,
+                       std::size_t max_bytes) override {
+    calls_->all.fetch_add(1);
+    calls_->heads.fetch_add(1);
+    LogRead(name);
+    if (down_->load()) return Error(ErrorCode::kIOError, "shard down");
+    return inner_->GetHead(name, max_bytes);
   }
   Status Put(const std::string& name, ByteSpan data) override {
     calls_->all.fetch_add(1);
@@ -87,6 +97,11 @@ class SwitchableBackend final : public storage::StorageBackend {
   }
 
  private:
+  void LogRead(const std::string& name) {
+    const std::lock_guard<std::mutex> lock(gets_->mu);
+    gets_->names.push_back(name);
+  }
+
   std::shared_ptr<storage::MemBackend> inner_;
   std::shared_ptr<std::atomic<bool>> down_;
   std::shared_ptr<ShardCalls> calls_;
@@ -114,7 +129,7 @@ struct TestShard {
         /*revive=*/{}};
   }
 
-  /// Data names Get was asked for since the last call (control-plane
+  /// Data names read since the last call (control-plane
   /// names such as the listing liveness probe are skipped); clears the log.
   std::vector<std::string> TakeDataGets() {
     const std::lock_guard<std::mutex> lock(gets->mu);
@@ -342,6 +357,59 @@ TEST(EnvelopeTest, StreamHeaderPlusRawPayloadDecodes) {
   EXPECT_TRUE(DecodeEnvelope(ByteSpan(bare.data(), bare.size()))
                   .value()
                   .payload.empty());
+}
+
+// A head decode needs only the first kEnvelopeHeadBytes and the object's
+// size, and accepts exactly the objects the whole decode accepts.
+TEST(EnvelopeTest, HeadDecodesExactlyWhenTheWholeDoes) {
+  Envelope env;
+  env.version = 42;
+  env.writer = 9;
+  env.payload = Bytes(100, 0x33);
+  const Bytes plain = EncodeEnvelope(env);
+  Envelope tomb;
+  tomb.tombstone = true;
+  tomb.version = 43;
+  Bytes streamed = EncodeEnvelopeStreamHeader(env);
+  streamed.insert(streamed.end(), env.payload.begin(), env.payload.end());
+  const Bytes bare_stream = EncodeEnvelopeStreamHeader(env);
+
+  std::vector<Bytes> cases = {plain, EncodeEnvelope(Envelope{}),
+                              EncodeEnvelope(tomb), streamed, bare_stream,
+                              Bytes{}, Bytes{1, 2, 3, 4, 5, 6, 7, 8}};
+  Bytes trailing = plain;
+  trailing.push_back(0);
+  cases.push_back(trailing);
+  cases.push_back(Bytes(plain.begin(), plain.end() - 1)); // truncated
+  cases.push_back(Bytes(plain.begin(), plain.begin() + 24)); // short head
+  Bytes bad_magic = plain;
+  bad_magic[0] ^= 0xff;
+  cases.push_back(bad_magic);
+  Bytes bad_flags = plain;
+  bad_flags[4] = 0x80;
+  cases.push_back(bad_flags);
+
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Bytes& whole = cases[i];
+    const std::size_t n = std::min(whole.size(), kEnvelopeHeadBytes);
+    const auto full = DecodeEnvelope(ByteSpan(whole.data(), whole.size()));
+    const auto head = DecodeEnvelopeHead(ByteSpan(whole.data(), n),
+                                         whole.size());
+    ASSERT_EQ(head.ok(), full.ok()) << "case " << i;
+    if (!full.ok()) continue;
+    EXPECT_EQ(head.value().tombstone, full.value().tombstone) << "case " << i;
+    EXPECT_EQ(head.value().version, full.value().version) << "case " << i;
+    EXPECT_EQ(head.value().writer, full.value().writer) << "case " << i;
+    EXPECT_TRUE(head.value().payload.empty()) << "case " << i;
+  }
+
+  // A length past kMaxObjectBytes is refused even when the size agrees.
+  Bytes huge(plain.begin(), plain.begin() + kEnvelopeHeadBytes);
+  for (std::size_t b = 21; b < 25; ++b) huge[b] = 0xff;
+  EXPECT_FALSE(
+      DecodeEnvelopeHead(ByteSpan(huge.data(), huge.size()),
+                         kEnvelopeHeadBytes + std::uint64_t{0xffffffff})
+          .ok());
 }
 
 TEST(EnvelopeTest, RejectsGarbage) {
@@ -1025,6 +1093,151 @@ TEST(ClusterBackendTest, HandoffDropsAHintWhoseHolderCopyHasAForgedVersion) {
     EXPECT_TRUE(fx.shard(s).mem->List(kHandoffHintPrefix).empty()) << s;
   }
   EXPECT_FALSE(fx.shard(1).mem->Exists(name));
+}
+
+// ---- digest reads -----------------------------------------------------------
+
+// Shard indices of `name`'s two owners in preference order, on the ring
+// ClusterFixture(3) builds.
+std::vector<std::size_t> OwnerOrder(const std::string& name) {
+  HashRing ring(64);
+  for (int s = 0; s < 3; ++s) ring.AddNode("shard-" + std::to_string(s));
+  std::vector<std::size_t> out;
+  for (const std::string& id : ring.Successors(name, 2)) {
+    out.push_back(static_cast<std::size_t>(id.back() - '0'));
+  }
+  return out;
+}
+
+// Delete, Exists and List only compare versions, so they read envelope
+// heads and never a payload — not even to report a missing object.
+TEST(ClusterDigestReadTest, DeleteExistsAndListReadNoPayload) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  const Bytes payload(64 << 10, 0x42);
+  ASSERT_TRUE(c.Put("obj", ByteSpan(payload.data(), payload.size())).ok());
+  const std::uint64_t heads0 = fx.TotalCalls(&ShardCalls::heads);
+
+  EXPECT_TRUE(c.Exists("obj"));
+  EXPECT_FALSE(c.Exists("missing"));
+  EXPECT_EQ(c.List(""), std::vector<std::string>{"obj"});
+  EXPECT_EQ(c.Delete("missing").code(), ErrorCode::kNotFound);
+  ASSERT_TRUE(c.Delete("obj").ok());
+  EXPECT_FALSE(c.Exists("obj"));
+  EXPECT_TRUE(c.List("").empty());
+  EXPECT_EQ(c.Delete("obj").code(), ErrorCode::kNotFound);
+
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::data_gets), 0u);
+  // Every quorum read above asked two owners for a head.
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::heads) - heads0, 2u * 8);
+}
+
+// A healthy Get reads one payload, from the first owner, and heads from
+// the rest of the read quorum: the same shard RPC count as reading every
+// replica whole.
+TEST(ClusterDigestReadTest, HealthyGetReadsOnePayloadAndHeads) {
+  for (const std::size_t read_quorum : {1u, 2u, 3u}) {
+    ClusterOptions options;
+    options.replication = 3;
+    options.write_quorum = 3;
+    options.read_quorum = read_quorum;
+    ClusterFixture fx(3, options);
+    ClusterBackend& c = fx.cluster();
+    const Bytes payload(4096, 0x17);
+    ASSERT_TRUE(c.Put("obj", ByteSpan(payload.data(), payload.size())).ok());
+    const std::uint64_t rpcs0 = c.counters().shard_rpcs;
+    const std::uint64_t gets0 = fx.TotalCalls(&ShardCalls::data_gets);
+    const std::uint64_t heads0 = fx.TotalCalls(&ShardCalls::heads);
+
+    EXPECT_EQ(c.Get("obj").value(), payload) << read_quorum;
+    EXPECT_EQ(fx.TotalCalls(&ShardCalls::data_gets) - gets0, 1u) << read_quorum;
+    EXPECT_EQ(fx.TotalCalls(&ShardCalls::heads) - heads0, read_quorum - 1)
+        << read_quorum;
+    EXPECT_EQ(c.counters().shard_rpcs - rpcs0, read_quorum) << read_quorum;
+    EXPECT_EQ(c.counters().read_repairs, 0u) << read_quorum;
+  }
+}
+
+// The first owner is stale and the second holds a newer envelope: its
+// head outranks the payload already read, so Get fetches that replica's
+// payload (one extra shard Get), serves the newer bytes and repairs the
+// stale owner. A head read also advances the version clock, as a whole
+// read does.
+TEST(ClusterDigestReadTest, NewerReplicaBehindAHeadIsFetchedAndRepairs) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  const std::vector<std::size_t> owners = OwnerOrder("obj");
+  const Bytes v1{1, 1, 1};
+  const Bytes v2{2, 2, 2, 2};
+  ASSERT_TRUE(c.Put("obj", ByteSpan(v1.data(), v1.size())).ok());
+  Envelope newer = fx.ReplicaEnvelope(owners[1], "obj");
+  newer.version += 10;
+  newer.payload = v2;
+  const Bytes encoded = EncodeEnvelope(newer);
+  ASSERT_TRUE(fx.shard(owners[1])
+                  .mem->Put("obj", ByteSpan(encoded.data(), encoded.size()))
+                  .ok());
+
+  ASSERT_TRUE(c.Exists("obj")); // heads only
+  ASSERT_TRUE(c.Put("other", ByteSpan(v1.data(), v1.size())).ok());
+  EXPECT_GT(fx.ReplicaEnvelope(OwnerOrder("other")[0], "other").version,
+            newer.version);
+
+  const std::uint64_t rpcs0 = c.counters().shard_rpcs;
+  const std::uint64_t first_gets0 = fx.shard(owners[0]).calls->data_gets;
+  const std::uint64_t second_gets0 = fx.shard(owners[1]).calls->data_gets;
+  EXPECT_EQ(c.Get("obj").value(), v2);
+  EXPECT_EQ(fx.shard(owners[0]).calls->data_gets - first_gets0, 1u);
+  EXPECT_EQ(fx.shard(owners[1]).calls->data_gets - second_gets0, 1u);
+  // Two quorum answers, one extra payload fetch, then repair's head
+  // re-check and copy onto the stale owner.
+  EXPECT_EQ(c.counters().shard_rpcs - rpcs0, 2u + 1 + 2);
+  EXPECT_EQ(c.counters().read_repairs, 1u);
+  EXPECT_EQ(fx.ReplicaEnvelope(owners[0], "obj").payload, v2);
+  EXPECT_EQ(fx.ReplicaEnvelope(owners[0], "obj").version, newer.version);
+
+  // Converged: the next Get is healthy again.
+  const std::uint64_t gets1 = fx.TotalCalls(&ShardCalls::data_gets);
+  EXPECT_EQ(c.Get("obj").value(), v2);
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::data_gets) - gets1, 1u);
+}
+
+// A replica whose envelope length disagrees with its object size, and one
+// with a forged version, are answers with no envelope whether they were
+// read whole (first owner) or as a head (second owner): Get serves the
+// good replica, forged_versions counts the forgery at the read and at
+// repair's re-check, and repair overwrites the bad replica.
+TEST(ClusterDigestReadTest, BadReplicasAreClassifiedAlikeWholeOrHead) {
+  const Bytes v1{7, 8, 9};
+  for (const bool forged : {false, true}) {
+    for (const std::size_t position : {0u, 1u}) {
+      ClusterFixture fx(3);
+      ClusterBackend& c = fx.cluster();
+      const std::vector<std::size_t> owners = OwnerOrder("obj");
+      ASSERT_TRUE(c.Put("obj", ByteSpan(v1.data(), v1.size())).ok());
+      Bytes bad;
+      if (forged) {
+        bad = ForgedEnvelope(v1);
+      } else {
+        bad = EncodeEnvelope(fx.ReplicaEnvelope(owners[position], "obj"));
+        bad.pop_back(); // one byte short of the length it declares
+      }
+      const std::size_t victim = owners[position];
+      ASSERT_TRUE(
+          fx.shard(victim).mem->Put("obj", ByteSpan(bad.data(), bad.size()))
+              .ok());
+      const std::string what =
+          std::string(forged ? "forged" : "short") + " at owner " +
+          std::to_string(position);
+
+      EXPECT_TRUE(c.Exists("obj")) << what;
+      EXPECT_EQ(c.counters().forged_versions, forged ? 1u : 0u) << what;
+      EXPECT_EQ(c.Get("obj").value(), v1) << what;
+      EXPECT_EQ(c.counters().forged_versions, forged ? 3u : 0u) << what;
+      EXPECT_EQ(c.counters().read_repairs, 1u) << what;
+      EXPECT_EQ(fx.ReplicaEnvelope(victim, "obj").payload, v1) << what;
+    }
+  }
 }
 
 // ---- observability ----------------------------------------------------------

@@ -778,6 +778,103 @@ TEST(NetMux, RequestsMissingLeaseByteAreProtocolErrors) {
   server->Stop();
 }
 
+// A kGetHead request carries a name and a u32 max; a frame that ends
+// before the max, or asks for more than kMaxObjectBytes, closes only its
+// own connection. A client on the same daemon keeps reading heads.
+TEST(NetMux, MalformedGetHeadClosesOnlyItsConnection) {
+  storage::MemBackend backend;
+  ASSERT_TRUE(backend.Put("obj", Blob('o', 64)).ok());
+  auto server = NexusdServer::Start(backend).value();
+  auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  RemoteBackend& client = *remote.value();
+
+  Writer no_max = net::BeginRequest(net::Rpc::kGetHead);
+  no_max.Str("obj");
+  Writer huge_max = net::BeginRequest(net::Rpc::kGetHead);
+  huge_max.Str("obj");
+  huge_max.U32(static_cast<std::uint32_t>(net::kMaxObjectBytes + 1));
+
+  std::uint64_t errors = server->stats().protocol_errors;
+  for (const Writer* request : {&no_max, &huge_max}) {
+    EXPECT_FALSE(RawRequestAnswered(server->port(), request->bytes()));
+    EXPECT_EQ(server->stats().protocol_errors, ++errors);
+    const auto head = client.GetHead("obj", 4);
+    ASSERT_TRUE(head.ok()) << head.status().ToString();
+    EXPECT_EQ(head.value().size, 64u);
+    EXPECT_EQ(head.value().prefix, Blob('o', 4));
+  }
+
+  Writer native = net::BeginRequest(net::Rpc::kGetHead);
+  native.Str("obj");
+  native.U32(4);
+  EXPECT_TRUE(RawRequestAnswered(server->port(), native.bytes()));
+  EXPECT_EQ(server->stats().protocol_errors, errors);
+  server->Stop();
+}
+
+// The head reply comes from the untrusted store: one whose prefix does
+// not match its claimed size fails the call on the client.
+class ShrinkHeadSize final : public net::Transport {
+ public:
+  explicit ShrinkHeadSize(std::unique_ptr<net::Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  Status SendFrame(ByteSpan payload) override {
+    if (net::RequestRpc(payload) == net::Rpc::kGetHead) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      targets_.insert(net::RequestCorrelation(payload));
+    }
+    return inner_->SendFrame(payload);
+  }
+
+  Result<Bytes> RecvFrame() override {
+    auto frame = inner_->RecvFrame();
+    if (!frame.ok()) return frame;
+    Bytes bytes = std::move(frame).value();
+    const std::lock_guard<std::mutex> lock(mu_);
+    // An OK head: version, correlation, code, empty message, then the u64
+    // size at offset 14 — claim one byte.
+    if (targets_.erase(net::ResponseCorrelation(bytes)) > 0) {
+      for (std::size_t i = 14; i < 22; ++i) bytes[i] = i == 14 ? 1 : 0;
+    }
+    return bytes;
+  }
+
+  void Close() override { inner_->Close(); }
+  void Shutdown() override { inner_->Shutdown(); }
+
+ private:
+  std::unique_ptr<net::Transport> inner_;
+  std::mutex mu_;
+  std::set<std::uint64_t> targets_;
+};
+
+TEST(NetMux, HeadReplyLongerThanItsSizeFailsOnTheClient) {
+  storage::MemBackend backend;
+  ASSERT_TRUE(backend.Put("obj", Blob('o', 16)).ok());
+  auto server = NexusdServer::Start(backend).value();
+  RemoteBackendOptions options;
+  options.max_attempts = 1;
+  const std::uint16_t port = server->port();
+  RemoteBackend client(
+      [port]() -> Result<std::unique_ptr<net::Transport>> {
+        auto tcp = net::TcpTransport::Dial("127.0.0.1", port, 2000, 2000);
+        if (!tcp.ok()) return tcp.status();
+        return Result<std::unique_ptr<net::Transport>>(
+            std::make_unique<ShrinkHeadSize>(std::move(tcp).value()));
+      },
+      options);
+
+  EXPECT_FALSE(client.GetHead("obj", 8).ok());
+  // A zero-byte head has no prefix to disagree with the size.
+  const auto bare = client.GetHead("obj", 0);
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_EQ(bare.value().size, 1u);
+  EXPECT_EQ(client.counters().retries, 0u);
+  server->Stop();
+}
+
 // Client side of the same rule: the lease byte on a Get reply, a Put
 // reply and every kOk MultiGet entry comes from the untrusted store, and
 // a reply without it fails the call instead of decoding as a lease-less

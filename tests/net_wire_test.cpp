@@ -80,9 +80,10 @@ TEST(WireRequest, RejectsLegacyV1Frames) {
 }
 
 TEST(WireRequest, RejectsUnknownRpcId) {
-  // 18 is the first id past the v6 paged-listing RPC — the new "one past
-  // the end" probe; bump it when the RPC table grows again.
-  for (const std::uint8_t id : {std::uint8_t{0}, std::uint8_t{18},
+  // kLastRpc + 1 is the first id past the table, whatever its size.
+  const auto past_end = static_cast<std::uint8_t>(
+      static_cast<std::uint8_t>(kLastRpc) + 1);
+  for (const std::uint8_t id : {std::uint8_t{0}, past_end,
                                 std::uint8_t{200}}) {
     Writer w;
     w.U8(kProtocolVersion);
@@ -130,7 +131,13 @@ TEST(WireRequest, RpcNameCoversEveryRpc) {
   for (const Rpc rpc : kAllRpcs) {
     EXPECT_STRNE(RpcName(rpc), "unknown");
   }
+  // Every id up to kLastRpc is named, not just the ones listed above.
+  for (auto id = static_cast<std::uint8_t>(Rpc::kPing);
+       id <= static_cast<std::uint8_t>(kLastRpc); ++id) {
+    EXPECT_STRNE(RpcName(static_cast<Rpc>(id)), "unknown") << unsigned{id};
+  }
   EXPECT_STREQ(RpcName(Rpc::kStats), "stats");
+  EXPECT_STREQ(RpcName(Rpc::kGetHead), "get_head");
   EXPECT_STREQ(RpcName(static_cast<Rpc>(250)), "unknown");
 }
 

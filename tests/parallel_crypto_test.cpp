@@ -292,6 +292,25 @@ TEST(ParallelCryptoTest, InlineBatchesCreditNoParallelSaving) {
   EXPECT_EQ(profile.parallel.saved_seconds, 0.0);
 }
 
+// One worker runs a batch's chunks one after another, exactly as the
+// caller would: its busy time is its critical path, so the pool saves
+// nothing and the queueing and wake-up latency in the batch window is
+// not credited as a saving.
+TEST(ParallelCryptoTest, OneWorkerPoolCreditsNoParallelSaving) {
+  Deployment d(1);
+  core::NexusClient& fs = *d.machine->nexus;
+  const Bytes content = Pattern(16 * kChunk + 99, 10);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(fs.WriteFile("f", content).ok());
+    fs.DropAllCaches();
+    ASSERT_EQ(fs.ReadFile("f").value(), content);
+  }
+  const auto profile = fs.Profile();
+  EXPECT_EQ(profile.parallel.chunks_decrypted, 20u * 17);
+  EXPECT_GE(profile.parallel.peak_queue_depth, 1u); // the pool did run
+  EXPECT_EQ(profile.parallel.saved_seconds, 0.0);
+}
+
 // A streamed write runs its Begin, Segment and Commit ocalls inside the
 // batch window; that time is the store's, never credited to the pool.
 TEST(ParallelCryptoTest, StreamOcallTimeIsNotCreditedAsParallelSaving) {

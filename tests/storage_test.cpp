@@ -185,6 +185,40 @@ TEST_P(BackendContractTest, MalformedEscapesListVerbatim) {
   }
 }
 
+// A head read returns exactly min(max, size) leading bytes and the full
+// size, whatever the backend; a missing object is kNotFound, as for Get.
+TEST_P(BackendContractTest, GetHeadReturnsPrefixAndSize) {
+  Bytes data(300);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  ASSERT_TRUE(backend_->Put("obj", data).ok());
+
+  auto head = backend_->GetHead("obj", 25);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(head.value().size, data.size());
+  EXPECT_EQ(head.value().prefix, Bytes(data.begin(), data.begin() + 25));
+
+  head = backend_->GetHead("obj", 0);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(head.value().size, data.size());
+  EXPECT_TRUE(head.value().prefix.empty());
+
+  head = backend_->GetHead("obj", 1000);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(head.value().size, data.size());
+  EXPECT_EQ(head.value().prefix, data);
+
+  ASSERT_TRUE(backend_->Put("empty", {}).ok());
+  head = backend_->GetHead("empty", 25);
+  ASSERT_TRUE(head.ok()) << head.status().ToString();
+  EXPECT_EQ(head.value().size, 0u);
+  EXPECT_TRUE(head.value().prefix.empty());
+
+  EXPECT_EQ(backend_->GetHead("nope", 25).status().code(),
+            ErrorCode::kNotFound);
+}
+
 // A PutStream is single-shot: after Commit or Abort the stream is dead and
 // every further call fails kInvalidArgument instead of silently writing.
 TEST_P(BackendContractTest, StreamDeadAfterCommit) {
@@ -414,6 +448,39 @@ TEST_F(DiskBackendAtomicityTest, PutStreamAbortLeavesOldContent) {
 
 // ---- AFS semantics ------------------------------------------------------------
 
+// Counts the object bytes a backend hands back, whole or as a head.
+class ByteCountingBackend final : public StorageBackend {
+ public:
+  explicit ByteCountingBackend(std::uint64_t* bytes_out)
+      : bytes_out_(bytes_out) {}
+
+  Result<Bytes> Get(const std::string& name) override {
+    auto data = inner_.Get(name);
+    if (data.ok()) *bytes_out_ += data.value().size();
+    return data;
+  }
+  Result<Head> GetHead(const std::string& name,
+                       std::size_t max_bytes) override {
+    auto head = inner_.GetHead(name, max_bytes);
+    if (head.ok()) *bytes_out_ += head.value().prefix.size();
+    return head;
+  }
+  Status Put(const std::string& name, ByteSpan data) override {
+    return inner_.Put(name, data);
+  }
+  Status Delete(const std::string& name) override {
+    return inner_.Delete(name);
+  }
+  bool Exists(const std::string& name) override { return inner_.Exists(name); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return inner_.List(prefix);
+  }
+
+ private:
+  MemBackend inner_;
+  std::uint64_t* bytes_out_;
+};
+
 class AfsTest : public ::testing::Test {
  protected:
   SimClock clock_;
@@ -421,6 +488,26 @@ class AfsTest : public ::testing::Test {
   AfsClient alice_{server_, "alice"};
   AfsClient bob_{server_, "bob"};
 };
+
+// FetchStatus learns the size from a zero-byte head read: a stat of a
+// 1 MiB object moves no payload out of the store.
+TEST_F(AfsTest, StatOfALargeObjectMovesNoPayload) {
+  std::uint64_t bytes_out = 0;
+  SimClock clock;
+  AfsServer server(std::make_unique<ByteCountingBackend>(&bytes_out), clock);
+  AfsClient client(server, "alice");
+  ASSERT_TRUE(client.Store("big", Bytes(1 << 20, 0x5a)).ok());
+  bytes_out = 0;
+
+  auto stat = client.Stat("big");
+  ASSERT_TRUE(stat.ok()) << stat.status().ToString();
+  EXPECT_TRUE(stat.value().exists);
+  EXPECT_EQ(stat.value().size, 1u << 20);
+  stat = client.Stat("missing");
+  ASSERT_TRUE(stat.ok()) << stat.status().ToString();
+  EXPECT_FALSE(stat.value().exists);
+  EXPECT_LE(bytes_out, 64u);
+}
 
 TEST_F(AfsTest, StoreFetchRoundTrip) {
   const Bytes data(1000, 0xab);
