@@ -113,11 +113,9 @@ namespace {
 // The streamed form's head: magic, flags, version, writer.
 constexpr std::size_t kStreamHeadBytes = 21;
 
-/// The head checks both decoders share. `prefix` holds the object's first
-/// bytes and `size` its full length; `payload_offset` receives where the
-/// payload starts.
-Result<Envelope> DecodeHead(ByteSpan prefix, std::uint64_t size,
-                            std::size_t* payload_offset) {
+} // namespace
+
+Result<EnvelopeHead> DecodeEnvelopeHead(ByteSpan prefix, std::uint64_t size) {
   if (prefix.size() > size) {
     return Error(ErrorCode::kIntegrityViolation, "envelope prefix past its end");
   }
@@ -130,39 +128,32 @@ Result<Envelope> DecodeHead(ByteSpan prefix, std::uint64_t size,
   if ((flags & ~(kFlagTombstone | kFlagStreamTail)) != 0) {
     return Error(ErrorCode::kIntegrityViolation, "unknown envelope flags");
   }
-  Envelope env;
-  env.tombstone = (flags & kFlagTombstone) != 0;
-  NEXUS_ASSIGN_OR_RETURN(env.version, r.U64());
-  NEXUS_ASSIGN_OR_RETURN(env.writer, r.U64());
-  if ((flags & kFlagStreamTail) != 0) {
-    *payload_offset = kStreamHeadBytes;
-    return env;
+  EnvelopeHead head;
+  head.envelope.tombstone = (flags & kFlagTombstone) != 0;
+  NEXUS_ASSIGN_OR_RETURN(head.envelope.version, r.U64());
+  NEXUS_ASSIGN_OR_RETURN(head.envelope.writer, r.U64());
+  std::size_t offset = kStreamHeadBytes;
+  if ((flags & kFlagStreamTail) == 0) {
+    NEXUS_ASSIGN_OR_RETURN(const std::uint32_t length, r.U32());
+    if (length > net::kMaxObjectBytes) {
+      return Error(ErrorCode::kIntegrityViolation, "envelope payload too large");
+    }
+    if (size != kEnvelopeHeadBytes + length) {
+      return Error(ErrorCode::kIntegrityViolation,
+                   "envelope length disagrees with its object");
+    }
+    offset = kEnvelopeHeadBytes;
   }
-  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t length, r.U32());
-  if (length > net::kMaxObjectBytes) {
-    return Error(ErrorCode::kIntegrityViolation, "envelope payload too large");
-  }
-  if (size != kEnvelopeHeadBytes + length) {
-    return Error(ErrorCode::kIntegrityViolation,
-                 "envelope length disagrees with its object");
-  }
-  *payload_offset = kEnvelopeHeadBytes;
-  return env;
+  head.envelope.payload.assign(
+      prefix.begin() + static_cast<std::ptrdiff_t>(offset), prefix.end());
+  head.payload_size = size - offset;
+  return head;
 }
-
-} // namespace
 
 Result<Envelope> DecodeEnvelope(ByteSpan data) {
-  std::size_t offset = 0;
-  NEXUS_ASSIGN_OR_RETURN(Envelope env, DecodeHead(data, data.size(), &offset));
-  env.payload.assign(data.begin() + static_cast<std::ptrdiff_t>(offset),
-                     data.end());
-  return env;
-}
-
-Result<Envelope> DecodeEnvelopeHead(ByteSpan prefix, std::uint64_t size) {
-  std::size_t offset = 0;
-  return DecodeHead(prefix, size, &offset);
+  NEXUS_ASSIGN_OR_RETURN(EnvelopeHead head,
+                         DecodeEnvelopeHead(data, data.size()));
+  return std::move(head.envelope);
 }
 
 bool EnvelopeNewer(const Envelope& a, const Envelope& b) {
@@ -649,10 +640,10 @@ Result<Bytes> ClusterBackend::ShardGet(const ShardPtr& shard,
 }
 
 Result<storage::StorageBackend::Head> ClusterBackend::ShardGetHead(
-    const ShardPtr& shard, const std::string& name) {
+    const ShardPtr& shard, const std::string& name, std::size_t max_bytes) {
   Bump(&ClusterCounters::shard_rpcs);
   const std::uint64_t t0 = MonotonicNs();
-  Result<Head> res = shard->backend->GetHead(name, kEnvelopeHeadBytes);
+  Result<Head> res = shard->backend->GetHead(name, max_bytes);
   shard_rpc_latency_.Record(MonotonicNs() - t0);
   const bool transport_ok = res.ok() || res.status().code() != ErrorCode::kIOError;
   if (!transport_ok) Bump(&ClusterCounters::shard_failures);
@@ -779,56 +770,51 @@ std::mutex& ClusterBackend::StripeFor(std::uint64_t point) {
 // ---- quorum machinery -------------------------------------------------------
 
 std::optional<ClusterBackend::ReadHit> ClusterBackend::ToHit(
-    const ShardPtr& shard, const Status& verdict,
-    const std::function<Result<Envelope>()>& decode, bool whole) {
+    const ShardPtr& shard, const Status& verdict, ByteSpan prefix,
+    std::uint64_t size) {
   if (!verdict.ok()) {
     if (verdict.code() != ErrorCode::kNotFound) return std::nullopt;
-    return ReadHit{shard, std::nullopt, whole};
+    return ReadHit{shard, std::nullopt};
   }
-  Result<Envelope> env = decode();
-  if (!env.ok()) return ReadHit{shard, std::nullopt, whole};
-  if (env.value().version > MaxPlausibleVersion()) {
+  Result<EnvelopeHead> head = DecodeEnvelopeHead(prefix, size);
+  if (!head.ok()) return ReadHit{shard, std::nullopt};
+  if (head.value().envelope.version > MaxPlausibleVersion()) {
     Bump(&ClusterCounters::forged_versions);
-    return ReadHit{shard, std::nullopt, whole};
+    return ReadHit{shard, std::nullopt};
   }
-  ObserveVersion(env.value().version);
-  return ReadHit{shard, std::move(env).value(), whole};
+  ObserveVersion(head.value().envelope.version);
+  return ReadHit{shard, std::move(head.value().envelope),
+                 head.value().payload_size};
 }
 
 std::optional<ClusterBackend::ReadHit> ClusterBackend::ToHit(
     const ShardPtr& shard, const Result<Bytes>& res) {
-  return ToHit(
-      shard, res.status(),
-      [&res] {
-        return DecodeEnvelope(ByteSpan(res.value().data(), res.value().size()));
-      },
-      /*whole=*/true);
+  if (!res.ok()) return ToHit(shard, res.status(), ByteSpan(), 0);
+  return ToHit(shard, Status::Ok(), res.value(), res.value().size());
 }
 
 std::optional<ClusterBackend::ReadHit> ClusterBackend::ReadReplica(
-    const ShardPtr& shard, const std::string& name, bool head_only) {
-  if (!head_only) return ToHit(shard, ShardGet(shard, name));
-  const Result<Head> res = ShardGetHead(shard, name);
-  return ToHit(
-      shard, res.status(),
-      [&res] {
-        return DecodeEnvelopeHead(
-            ByteSpan(res.value().prefix.data(), res.value().prefix.size()),
-            res.value().size);
-      },
-      /*whole=*/false);
+    const ShardPtr& shard, const std::string& name,
+    std::optional<std::size_t> head_bytes) {
+  if (!head_bytes) return ToHit(shard, ShardGet(shard, name));
+  const Result<Head> res = ShardGetHead(shard, name, *head_bytes);
+  if (!res.ok()) return ToHit(shard, res.status(), ByteSpan(), 0);
+  return ToHit(shard, Status::Ok(), res.value().prefix, res.value().size);
 }
 
 std::vector<ClusterBackend::ReadHit> ClusterBackend::QuorumRead(
     const std::string& name, std::uint64_t point, bool count_failover,
-    bool first_whole) {
+    bool first_whole, std::size_t head_bytes) {
   const std::vector<ShardPtr> prefs = PreferenceList(point);
   const std::size_t needed = std::min(read_quorum_, prefs.size());
   std::vector<ReadHit> hits;
   for (std::size_t i = 0; i < prefs.size() && hits.size() < needed; ++i) {
     if (!ShardAvailable(*prefs[i])) continue;
-    std::optional<ReadHit> hit = ReadReplica(
-        prefs[i], name, /*head_only=*/!(first_whole && hits.empty()));
+    std::optional<ReadHit> hit =
+        ReadReplica(prefs[i], name,
+                    first_whole && hits.empty()
+                        ? std::nullopt
+                        : std::optional<std::size_t>(head_bytes));
     if (!hit) continue; // transport failure: slide to the next successor
     if (count_failover && i >= replication_) {
       Bump(&ClusterCounters::failovers);
@@ -884,7 +870,7 @@ ClusterBackend::CopyOutcome ClusterBackend::CopyIfStaleLocked(
   // moved past `best`) since whoever chose to copy last sampled it. The
   // head decides that.
   const std::optional<ReadHit> cur =
-      ReadReplica(target, name, /*head_only=*/true);
+      ReadReplica(target, name, kEnvelopeHeadBytes);
   if (!cur) return CopyOutcome::kFailed;
   if (cur->envelope && !EnvelopeNewer(best, *cur->envelope)) {
     return CopyOutcome::kCurrent;
@@ -956,10 +942,10 @@ Result<Bytes> ClusterBackend::Get(const std::string& name) {
   // replicas diverge). The fresh answer replaces the head, so each pass
   // reads one more hit whole and the loop ends within hits.size() passes.
   std::size_t newest = NewestOf(hits);
-  while (newest != hits.size() && !hits[newest].whole &&
+  while (newest != hits.size() && !hits[newest].whole() &&
          !hits[newest].envelope->tombstone) {
     std::optional<ReadHit> whole =
-        ReadReplica(hits[newest].shard, name, /*head_only=*/false);
+        ReadReplica(hits[newest].shard, name, /*head_bytes=*/std::nullopt);
     if (!whole) {
       Bump(&ClusterCounters::quorum_failures);
       return Error(ErrorCode::kIOError,
@@ -1037,6 +1023,32 @@ bool ClusterBackend::Exists(const std::string& name) {
   }
   const std::optional<Envelope> best = BestOf(hits);
   return best.has_value() && !best->tombstone;
+}
+
+Result<storage::StorageBackend::Head> ClusterBackend::GetHead(
+    const std::string& name, std::size_t max_bytes) {
+  const trace::Span span("cluster.get_head", "cluster");
+  Bump(&ClusterCounters::quorum_reads);
+  // Each replica's head carries its own first payload bytes, so the
+  // newest head answers on its own: no payload moves beyond `max_bytes`.
+  const std::size_t payload_max =
+      std::min<std::size_t>(max_bytes, net::kMaxObjectBytes);
+  std::vector<ReadHit> hits =
+      QuorumRead(name, HashRing::HashPoint(name), /*count_failover=*/false,
+                 /*first_whole=*/false, kEnvelopeHeadBytes + payload_max);
+  if (hits.empty()) {
+    Bump(&ClusterCounters::quorum_failures);
+    return Error(ErrorCode::kIOError, "read quorum not reached: " + name);
+  }
+  const std::size_t newest = NewestOf(hits);
+  if (newest == hits.size() || hits[newest].envelope->tombstone) {
+    return Error(ErrorCode::kNotFound, "object not found: " + name);
+  }
+  ReadHit& hit = hits[newest];
+  // The streamed form's head is shorter, so its prefix may run past max.
+  Bytes& prefix = hit.envelope->payload;
+  prefix.resize(std::min<std::size_t>(prefix.size(), payload_max));
+  return Head{std::move(prefix), hit.payload_size};
 }
 
 std::vector<std::string> ClusterBackend::List(const std::string& prefix) {
@@ -1339,7 +1351,8 @@ void ClusterBackend::ConvergeName(const std::string& name,
       in_ring = shards_.contains(shard->id);
     }
     if (!in_ring || !ShardAvailable(*shard)) continue;
-    std::optional<ReadHit> hit = ReadReplica(shard, name, /*head_only=*/false);
+    std::optional<ReadHit> hit =
+        ReadReplica(shard, name, /*head_bytes=*/std::nullopt);
     if (hit) hits.push_back(std::move(*hit));
   }
   const std::optional<Envelope> best = BestOf(hits);

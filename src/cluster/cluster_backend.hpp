@@ -30,10 +30,10 @@
 //   * Digest reads — the store holds ciphertext and the enclave's AEAD,
 //     not the envelope, guards integrity, so an envelope's 25-byte head
 //     tells a quorum read everything its full decode does. Paths that
-//     only compare versions (Delete, Exists, List's tombstone filter,
-//     repair's re-check) read heads only; Get reads the payload from the
-//     first replica that answers and heads from the rest, fetching a
-//     second payload only when a head is newer.
+//     only compare versions (Delete, Exists, GetHead, List's tombstone
+//     filter, repair's re-check) read heads only; Get reads the payload
+//     from the first replica that answers and heads from the rest,
+//     fetching a second payload only when a head is newer.
 //   * Repair — every shard answer, whole or head, goes through one
 //     replica-read rule (missing or corrupt = an answer with no
 //     envelope, any other error = unreachable). When a quorum read sees
@@ -99,13 +99,21 @@ Result<Envelope> DecodeEnvelope(ByteSpan data);
 /// the payload length of the buffered form (the streamed form's head is
 /// the first 21 of them).
 inline constexpr std::size_t kEnvelopeHeadBytes = 25;
-/// Decodes the head of a stored envelope from its first bytes and the
-/// whole object's size, with DecodeEnvelope's checks: magic, flags, and
-/// for the buffered form a length within kMaxObjectBytes that accounts
-/// for exactly the bytes after the head. A prefix of at least
+/// A stored envelope read from its first bytes: `envelope.payload` holds
+/// whatever payload bytes the prefix reached, `payload_size` the stored
+/// payload's full length.
+struct EnvelopeHead {
+  Envelope envelope;
+  std::uint64_t payload_size = 0;
+};
+/// Decodes a stored envelope from its first bytes and the whole object's
+/// size, with the checks DecodeEnvelope makes (DecodeEnvelope is this
+/// with the whole object as the prefix): magic, flags, and for the
+/// buffered form a length within kMaxObjectBytes that accounts for
+/// exactly the bytes after the head. A prefix of at least
 /// kEnvelopeHeadBytes (or the whole object) decodes exactly when the
-/// whole object would; the payload is left empty.
-Result<Envelope> DecodeEnvelopeHead(ByteSpan prefix, std::uint64_t size);
+/// whole object would.
+Result<EnvelopeHead> DecodeEnvelopeHead(ByteSpan prefix, std::uint64_t size);
 /// Strict "a supersedes b" in last-writer-wins order: lexicographic on
 /// (version, writer).
 [[nodiscard]] bool EnvelopeNewer(const Envelope& a, const Envelope& b);
@@ -191,6 +199,11 @@ class ClusterBackend final : public storage::StorageBackend {
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;
+  /// A quorum of replica heads, each asking for kEnvelopeHeadBytes +
+  /// `max_bytes`: the newest answers with its own payload prefix and
+  /// size, so no payload moves past `max_bytes`. Like Exists, it does
+  /// not read-repair.
+  Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
   std::vector<Result<Bytes>> MultiGet(
       const std::vector<std::string>& names) override;
   /// Replicated streamed put. Zero or one segment commits as one quorum
@@ -262,12 +275,16 @@ class ClusterBackend final : public storage::StorageBackend {
 
   /// One shard's answer for one name: transport-ok response, with the
   /// decoded envelope or nullopt for "no replica" (missing or corrupt).
-  /// `whole` marks an answer read in full, whose envelope carries its
-  /// payload; a head answer's envelope has an empty payload.
+  /// A head answer's envelope holds only the payload bytes its prefix
+  /// reached; `payload_size` is the stored payload's full length.
   struct ReadHit {
     ShardPtr shard;
     std::optional<Envelope> envelope;
-    bool whole = false;
+    std::uint64_t payload_size = 0;
+    /// The envelope carries its whole payload.
+    [[nodiscard]] bool whole() const {
+      return envelope && envelope->payload.size() == payload_size;
+    }
   };
 
   /// What CopyIfStaleLocked did to its target.
@@ -294,7 +311,8 @@ class ClusterBackend final : public storage::StorageBackend {
   // Shard RPC wrappers: time into shard_rpc_latency_, bump
   // rpc/failure counters, feed the health tracker.
   Result<Bytes> ShardGet(const ShardPtr& shard, const std::string& name);
-  Result<Head> ShardGetHead(const ShardPtr& shard, const std::string& name);
+  Result<Head> ShardGetHead(const ShardPtr& shard, const std::string& name,
+                            std::size_t max_bytes);
   Status ShardPut(const ShardPtr& shard, const std::string& name,
                   ByteSpan data);
   Status ShardDelete(const ShardPtr& shard, const std::string& name);
@@ -320,24 +338,27 @@ class ClusterBackend final : public storage::StorageBackend {
   /// ahead than kMaxClockSkewMs (counted in forged_versions) is a hit
   /// with no envelope (an overwritable copy), any other error is nullopt
   /// (unreachable), and a decoded envelope advances the version clock.
-  /// `verdict` is the shard's; `decode` runs only when it is ok.
+  /// `verdict` is the shard's; when it is ok, `prefix` holds the
+  /// answer's first bytes (all of them for a whole read) and `size` the
+  /// object's length.
   std::optional<ReadHit> ToHit(const ShardPtr& shard, const Status& verdict,
-                               const std::function<Result<Envelope>()>& decode,
-                               bool whole);
+                               ByteSpan prefix, std::uint64_t size);
   /// The rule applied to a whole replica.
   std::optional<ReadHit> ToHit(const ShardPtr& shard, const Result<Bytes>& res);
-  /// One shard's replica of `name` through the rule: its head only, or
-  /// the whole object.
+  /// One shard's replica of `name` through the rule: its first
+  /// `head_bytes` bytes, or the whole object when that is nullopt.
   std::optional<ReadHit> ReadReplica(const ShardPtr& shard,
-                                     const std::string& name, bool head_only);
+                                     const std::string& name,
+                                     std::optional<std::size_t> head_bytes);
 
   /// Reads `name` until `read_quorum_` transport-ok answers (kNotFound is
   /// a valid empty answer), sliding down the preference list past dead
-  /// shards. Every answer is a head, except that with `first_whole` the
-  /// first answering shard is read whole. Returns the hits, or empty when
-  /// quorum was unreachable.
-  std::vector<ReadHit> QuorumRead(const std::string& name, std::uint64_t point,
-                                  bool count_failover, bool first_whole);
+  /// shards. Every answer is a head of `head_bytes` bytes, except that
+  /// with `first_whole` the first answering shard is read whole. Returns
+  /// the hits, or empty when quorum was unreachable.
+  std::vector<ReadHit> QuorumRead(
+      const std::string& name, std::uint64_t point, bool count_failover,
+      bool first_whole, std::size_t head_bytes = kEnvelopeHeadBytes);
   /// Index of the newest hit with an envelope (the first of equals);
   /// hits.size() when no replica exists.
   static std::size_t NewestOf(const std::vector<ReadHit>& hits);

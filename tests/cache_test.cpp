@@ -57,11 +57,17 @@ class CountingBackend final : public storage::StorageBackend {
     ++exists_;
     return store_->Exists(name);
   }
+  Result<Head> GetHead(const std::string& name,
+                       std::size_t max_bytes) override {
+    ++heads_;
+    return store_->GetHead(name, max_bytes);
+  }
   std::vector<std::string> List(const std::string& prefix) override {
     return store_->List(prefix);
   }
 
   std::atomic<int> gets_{0};
+  std::atomic<int> heads_{0};
   std::atomic<int> puts_{0};
   std::atomic<int> deletes_{0};
   std::atomic<int> exists_{0};
@@ -113,6 +119,33 @@ TEST(CacheTest, RepeatReadServedWithoutInnerContact) {
   const auto counters = cache->counters();
   EXPECT_EQ(counters.mem_hits, 2u);
   EXPECT_EQ(counters.misses, 0u);
+}
+
+// A head read answers from a valid memory entry; on a miss it forwards
+// the head read and fills nothing, since a head is not the object.
+TEST(CacheTest, HeadReadAnswersFromMemoryOrForwardsWithoutFilling) {
+  Harness h;
+  auto cache = h.MakeCache();
+  const Bytes cold = Blob('c', 1000);
+  ASSERT_TRUE(h.store->Put("cold", ByteSpan(cold.data(), cold.size())).ok());
+
+  auto head = cache->GetHead("cold", 4);
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(head.value().prefix, Blob('c', 4));
+  EXPECT_EQ(head.value().size, 1000u);
+  EXPECT_EQ(h.inner->heads_.load(), 1);
+  EXPECT_EQ(h.inner->gets_.load(), 0);
+
+  EXPECT_EQ(cache->Get("cold").value(), cold); // not filled by the head
+  EXPECT_EQ(h.inner->gets_.load(), 1);
+  head = cache->GetHead("cold", 2000);
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(head.value().prefix, cold);
+  EXPECT_EQ(head.value().size, 1000u);
+  EXPECT_EQ(h.inner->heads_.load(), 1); // served from memory
+
+  EXPECT_EQ(cache->GetHead("missing", 4).status().code(),
+            ErrorCode::kNotFound);
 }
 
 TEST(CacheTest, TtlExpiryRefetchesFromInner) {

@@ -397,10 +397,17 @@ TEST(EnvelopeTest, HeadDecodesExactlyWhenTheWholeDoes) {
                                          whole.size());
     ASSERT_EQ(head.ok(), full.ok()) << "case " << i;
     if (!full.ok()) continue;
-    EXPECT_EQ(head.value().tombstone, full.value().tombstone) << "case " << i;
-    EXPECT_EQ(head.value().version, full.value().version) << "case " << i;
-    EXPECT_EQ(head.value().writer, full.value().writer) << "case " << i;
-    EXPECT_TRUE(head.value().payload.empty()) << "case " << i;
+    const Envelope& got = head.value().envelope;
+    EXPECT_EQ(got.tombstone, full.value().tombstone) << "case " << i;
+    EXPECT_EQ(got.version, full.value().version) << "case " << i;
+    EXPECT_EQ(got.writer, full.value().writer) << "case " << i;
+    EXPECT_EQ(head.value().payload_size, full.value().payload.size())
+        << "case " << i;
+    // The head keeps the payload bytes its prefix reached, no more.
+    ASSERT_LE(got.payload.size(), full.value().payload.size()) << "case " << i;
+    EXPECT_TRUE(std::equal(got.payload.begin(), got.payload.end(),
+                           full.value().payload.begin()))
+        << "case " << i;
   }
 
   // A length past kMaxObjectBytes is refused even when the size agrees.
@@ -1238,6 +1245,49 @@ TEST(ClusterDigestReadTest, BadReplicasAreClassifiedAlikeWholeOrHead) {
       EXPECT_EQ(fx.ReplicaEnvelope(victim, "obj").payload, v1) << what;
     }
   }
+}
+
+// GetHead is a quorum of heads, each asking for the envelope head plus
+// the payload bytes wanted: the newest replica answers with its own
+// prefix and size, and no shard hands over a payload past it. A streamed
+// envelope's shorter head still yields exactly the bytes asked for.
+TEST(ClusterDigestReadTest, GetHeadReadsOnlyTheAskedPrefix) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  Bytes payload(64 << 10);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i);
+  }
+  ASSERT_TRUE(c.Put("obj", ByteSpan(payload.data(), payload.size())).ok());
+  auto stream = c.OpenPutStream("streamed").value();
+  ASSERT_TRUE(stream->Append(ByteSpan(payload.data(), 100)).ok());
+  ASSERT_TRUE(stream->Append(ByteSpan(payload.data() + 100, 100)).ok());
+  ASSERT_TRUE(stream->Commit().ok());
+  const std::uint64_t heads0 = fx.TotalCalls(&ShardCalls::heads);
+
+  for (const std::string name : {"obj", "streamed"}) {
+    const std::uint64_t size = name == "obj" ? payload.size() : 200;
+    for (const std::size_t max : {std::size_t{0}, std::size_t{3},
+                                  std::size_t{150}, std::size_t{1} << 20}) {
+      const auto head = c.GetHead(name, max);
+      ASSERT_TRUE(head.ok()) << name << " " << max;
+      EXPECT_EQ(head.value().size, size) << name << " " << max;
+      const std::size_t want = std::min<std::uint64_t>(max, size);
+      EXPECT_EQ(head.value().prefix,
+                Bytes(payload.begin(),
+                      payload.begin() + static_cast<std::ptrdiff_t>(want)))
+          << name << " " << max;
+    }
+  }
+  EXPECT_EQ(c.GetHead("missing", 4).status().code(), ErrorCode::kNotFound);
+  ASSERT_TRUE(c.Delete("obj").ok());
+  EXPECT_EQ(c.GetHead("obj", 4).status().code(), ErrorCode::kNotFound);
+
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::data_gets), 0u);
+  // 8 reads of an object, 1 of a missing one, the delete's and the last
+  // read: 11 quorum reads of two owner heads each.
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::heads) - heads0, 2u * 11);
+  EXPECT_EQ(c.counters().read_repairs, 0u);
 }
 
 // ---- observability ----------------------------------------------------------
