@@ -8,12 +8,13 @@
 //   nexusd [--mem | --root DIR] [--bind ADDR] [--port N] [--rpc-workers N]
 //          [--cache-mem BYTES] [--cache-disk BYTES] [--cache-dir DIR]
 //
-// Connections are served by one event-driven loop (epoll, or poll where
-// epoll is missing): thousands of idle connections cost no threads.
-// --mem handlers run inline on that loop, except lease breaks, which may
-// wait. --rpc-workers sizes the shared pool for handlers that may wait
-// (every --root handler, --mem lease breaks); 0 runs them all inline on
-// the loop, replying strictly in order.
+// Connections are served by one epoll loop, lease channels included:
+// thousands of idle connections and subscribers cost no threads. --mem
+// handlers run inline on that loop, except mutations while any client
+// holds a lease channel (their lease breaks may wait). --rpc-workers
+// (at least 1) sizes the shared pool for handlers that may wait: every
+// --root handler and those --mem mutations. A malformed --port or
+// --rpc-workers prints the usage and exits 2.
 //
 // The --cache-* flags front the backend with cache::CachedBackend — useful
 // when --root points at slow storage (NFS, a FUSE mount): the daemon then
@@ -24,6 +25,7 @@
 // ephemeral port; scripts parse this line), then runs until SIGINT or
 // SIGTERM, shutting down cleanly: in-flight connections are unblocked and
 // drained, uncommitted streams aborted.
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -42,11 +44,25 @@ void Usage(const char* argv0) {
                "usage: %s [--mem | --root DIR] [--bind ADDR] [--port N] "
                "[--rpc-workers N] [--cache-mem BYTES] [--cache-disk BYTES] "
                "[--cache-dir DIR]\n"
-               "  --rpc-workers N  pool for handlers that may wait (default "
-               "4); --mem runs\n"
-               "                   the others inline on the loop; 0 runs "
-               "every handler inline\n",
+               "  --port N         0..65535; 0 picks an ephemeral port "
+               "(default 0)\n"
+               "  --rpc-workers N  1..1024 pool threads for handlers that "
+               "may wait\n"
+               "                   (default 4); --mem runs the others "
+               "inline on the loop\n",
                argv0);
+}
+
+/// Parses all of `text` as a decimal number in [lo, hi].
+bool ParseBounded(const char* text, unsigned long long lo,
+                  unsigned long long hi, unsigned long long* out) {
+  if (*text < '0' || *text > '9') return false; // no sign, no blanks
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
+  *out = v;
+  return true;
 }
 
 } // namespace
@@ -70,6 +86,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto next_bounded = [&](unsigned long long lo, unsigned long long hi) {
+      unsigned long long v = 0;
+      if (!ParseBounded(next(), lo, hi, &v)) {
+        Usage(argv[0]);
+        std::exit(2);
+      }
+      return v;
+    };
     if (arg == "--mem") {
       use_mem = true;
     } else if (arg == "--root") {
@@ -78,9 +102,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--bind") {
       options.bind_address = next();
     } else if (arg == "--port") {
-      options.port = static_cast<std::uint16_t>(std::atoi(next()));
+      options.port = static_cast<std::uint16_t>(next_bounded(0, 65535));
     } else if (arg == "--rpc-workers") {
-      options.rpc_workers = static_cast<std::size_t>(std::atoi(next()));
+      options.rpc_workers = static_cast<std::size_t>(next_bounded(1, 1024));
     } else if (arg == "--cache-mem") {
       use_cache = true;
       cache_options.mem_budget_bytes =

@@ -1,15 +1,10 @@
 #include "net/reactor.hpp"
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
-#include <poll.h>
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 #include "common/clock.hpp"
 
@@ -21,40 +16,19 @@ Status Errno(const std::string& what) {
   return Error(ErrorCode::kIOError, what + ": " + std::strerror(errno));
 }
 
-bool MakeNonblockingPipe(int fds[2]) {
-  if (::pipe(fds) != 0) return false;
-  for (int i = 0; i < 2; ++i) {
-    const int flags = ::fcntl(fds[i], F_GETFL, 0);
-    ::fcntl(fds[i], F_SETFL, flags | O_NONBLOCK);
-    ::fcntl(fds[i], F_SETFD, FD_CLOEXEC);
-  }
-  return true;
-}
-
 } // namespace
 
 Reactor::Reactor() {
   int pipe_fds[2] = {-1, -1};
-  if (!MakeNonblockingPipe(pipe_fds)) return;
+  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) return;
   wake_read_ = pipe_fds[0];
   wake_write_ = pipe_fds[1];
-#ifdef __linux__
-  // NEXUS_NO_EPOLL forces the portable poll backend (used by tests to
-  // exercise the fallback on Linux CI).
-  if (std::getenv("NEXUS_NO_EPOLL") == nullptr) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  }
-  if (epoll_fd_ >= 0) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.u64 = 0; // generation 0 == the wake pipe
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_read_, &ev) != 0) {
-      ::close(epoll_fd_);
-      epoll_fd_ = -1;
-    }
-  }
-#endif
-  ok_ = true;
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return;
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = 0; // generation 0 == the wake pipe
+  ok_ = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_read_, &ev) == 0;
 }
 
 Reactor::~Reactor() {
@@ -66,8 +40,6 @@ Reactor::~Reactor() {
 
 bool Reactor::EpollArm(int fd, std::uint32_t interest,
                        std::uint64_t generation, bool add) {
-#ifdef __linux__
-  if (epoll_fd_ < 0) return true;
   epoll_event ev{};
   if ((interest & kRead) != 0) ev.events |= EPOLLIN;
   if ((interest & kWrite) != 0) ev.events |= EPOLLOUT;
@@ -76,13 +48,6 @@ bool Reactor::EpollArm(int fd, std::uint32_t interest,
   ev.data.u64 = (generation << 20) | static_cast<std::uint32_t>(fd & 0xfffff);
   return ::epoll_ctl(epoll_fd_, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, fd,
                      &ev) == 0;
-#else
-  (void)fd;
-  (void)interest;
-  (void)generation;
-  (void)add;
-  return true;
-#endif
 }
 
 Status Reactor::Add(int fd, std::uint32_t interest, EventFn fn) {
@@ -113,11 +78,7 @@ Status Reactor::Modify(int fd, std::uint32_t interest) {
 void Reactor::Remove(int fd) {
   auto it = registry_.find(fd);
   if (it == registry_.end()) return;
-#ifdef __linux__
-  if (epoll_fd_ >= 0) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-#endif
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   registry_.erase(it);
 }
 
@@ -158,21 +119,15 @@ Reactor::Stats Reactor::stats() const {
   Stats s;
   s.wakeups = wakeups_.load(std::memory_order_relaxed);
   s.dispatches = dispatches_.load(std::memory_order_relaxed);
-  s.using_epoll = epoll_fd_ >= 0;
   return s;
 }
 
 void Reactor::Run() {
-  if (epoll_fd_ >= 0) {
-    RunEpoll();
-  } else {
-    RunPoll();
-  }
+  RunEpoll();
   DrainPosted(); // tasks posted between the last wakeup and Stop()
 }
 
 void Reactor::RunEpoll() {
-#ifdef __linux__
   std::vector<epoll_event> events(256);
   while (!stop_.load(std::memory_order_acquire)) {
     const int n = ::epoll_wait(epoll_fd_, events.data(),
@@ -212,50 +167,6 @@ void Reactor::RunEpoll() {
     if (n == static_cast<int>(events.size()) && events.size() < 4096) {
       events.resize(events.size() * 2);
     }
-  }
-#endif
-}
-
-void Reactor::RunPoll() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::vector<pollfd> fds;
-    std::vector<std::pair<int, std::uint64_t>> order; // (fd, generation)
-    fds.reserve(registry_.size() + 1);
-    fds.push_back(pollfd{wake_read_, POLLIN, 0});
-    order.emplace_back(wake_read_, 0);
-    for (const auto& [fd, reg] : registry_) {
-      short events = 0;
-      if ((reg.interest & kRead) != 0) events |= POLLIN;
-      if ((reg.interest & kWrite) != 0) events |= POLLOUT;
-      fds.push_back(pollfd{fd, events, 0});
-      order.emplace_back(fd, reg.generation);
-    }
-    const int n = ::poll(fds.data(), fds.size(), -1);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    wakeups_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t t0 = MonotonicNanos();
-    DrainPosted();
-    if (stop_.load(std::memory_order_acquire)) break;
-    for (std::size_t i = 1; i < fds.size(); ++i) {
-      if (fds[i].revents == 0) continue;
-      auto it = registry_.find(order[i].first);
-      if (it == registry_.end() || it->second.generation != order[i].second) {
-        continue;
-      }
-      std::uint32_t ready = 0;
-      if ((fds[i].revents & (POLLIN | POLLHUP)) != 0) ready |= kRead;
-      if ((fds[i].revents & POLLOUT) != 0) ready |= kWrite;
-      if ((fds[i].revents & (POLLERR | POLLNVAL)) != 0) ready |= kError;
-      if (ready == 0) continue;
-      auto fn = it->second.fn;
-      dispatches_.fetch_add(1, std::memory_order_relaxed);
-      (*fn)(ready);
-      if (stop_.load(std::memory_order_acquire)) return;
-    }
-    dispatch_latency_.Record(MonotonicNanos() - t0);
   }
 }
 

@@ -1,11 +1,10 @@
 // Single-threaded readiness loop for the event-driven nexusd.
 //
-// One Reactor owns one OS event queue — epoll where available, with a
-// portable poll(2) backend as the fallback — and a loop thread that
-// dispatches readiness callbacks for every registered descriptor. nexusd
-// registers its listener plus every nonblocking DATA connection; the
-// callbacks never block (handler work runs on the rpc-worker pool), so a
-// single loop thread multiplexes thousands of connections.
+// One Reactor owns one level-triggered epoll instance and a loop thread
+// that dispatches readiness callbacks for every registered descriptor.
+// nexusd registers its listener plus every nonblocking connection; the
+// callbacks never block (handler work that may wait runs on the rpc
+// pool), so a single loop thread multiplexes thousands of connections.
 //
 // Thread model:
 //   * Add/Modify/Remove mutate the registration table and are loop-thread
@@ -42,9 +41,8 @@ class Reactor {
   using EventFn = std::function<void(std::uint32_t ready)>;
 
   struct Stats {
-    std::uint64_t wakeups = 0;    // poll/epoll_wait returns
+    std::uint64_t wakeups = 0;    // epoll_wait returns
     std::uint64_t dispatches = 0; // callbacks invoked
-    bool using_epoll = false;
   };
 
   Reactor();
@@ -53,8 +51,8 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// False when the wake pipe could not be created (a missing epoll only
-  /// selects the poll backend); NexusdServer::Start fails in that case.
+  /// False when the epoll instance or the wake pipe could not be created;
+  /// NexusdServer::Start fails in that case.
   bool ok() const noexcept { return ok_; }
 
   Status Add(int fd, std::uint32_t interest, EventFn fn);
@@ -91,10 +89,9 @@ class Reactor {
   bool EpollArm(int fd, std::uint32_t interest, std::uint64_t generation,
                 bool add);
   void RunEpoll();
-  void RunPoll();
 
   bool ok_ = false;
-  int epoll_fd_ = -1;   // -1 => poll backend
+  int epoll_fd_ = -1;
   int wake_read_ = -1;  // self-pipe
   int wake_write_ = -1;
   std::uint64_t next_generation_ = 1;

@@ -446,113 +446,79 @@ std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
     const std::vector<std::string>& names, std::vector<bool>* leased) {
   if (leased != nullptr) leased->assign(names.size(), false);
   const bool want_lease = leased != nullptr;
-  std::vector<Result<Bytes>> results;
-  results.reserve(names.size());
+  // Every slot is assigned below; the placeholder is a short (unallocated)
+  // error so a slot that is not can never pass for an empty object.
+  std::vector<Result<Bytes>> results(names.size(),
+                                     Error(ErrorCode::kIOError, "unresolved"));
   for (std::size_t base = 0; base < names.size(); base += kMaxMultiEntries) {
-    const std::size_t n = std::min(kMaxMultiEntries, names.size() - base);
-    const std::vector<std::string> batch(names.begin() + base,
-                                         names.begin() + base + n);
-    Writer req = BeginRequest(Rpc::kMultiGet);
-    EncodeNameList(req, batch);
-    req.U8(want_lease ? 1 : 0);
-    auto payload = Call(req);
-    if (!payload.ok()) {
-      for (std::size_t i = 0; i < n; ++i) results.push_back(payload.status());
-      continue;
+    // Slots of this batch still unresolved. The server defers every entry
+    // past its response budget; they go out again as the next round's
+    // BATCH, not as singles, so a deferred tail of k objects costs
+    // ~(total bytes / budget) round trips instead of k.
+    std::vector<std::size_t> pending;
+    for (std::size_t slot = base;
+         slot < std::min(names.size(), base + kMaxMultiEntries); ++slot) {
+      pending.push_back(slot);
     }
-    Reader reader(payload.value());
-    auto entries = DecodeMultiGetEntries(reader);
-    const bool shape_ok = entries.ok() && reader.AtEnd() &&
-                          entries.value().size() == n;
-    if (!shape_ok) {
-      const Status bad =
-          entries.ok() ? Error(ErrorCode::kIOError,
-                               "malformed multi-get response shape")
-                       : entries.status();
-      for (std::size_t i = 0; i < n; ++i) results.push_back(bad);
-      continue;
-    }
-    std::vector<std::size_t> deferred_slots; // indexes into `results`
-    std::vector<std::string> deferred_names;
-    for (std::size_t i = 0; i < n; ++i) {
-      MultiGetEntry& entry = entries.value()[i];
-      switch (entry.state) {
-        case MultiGetEntry::State::kOk:
-          if (want_lease) (*leased)[results.size()] = entry.leased;
-          results.push_back(std::move(entry.data));
-          break;
-        case MultiGetEntry::State::kError:
-          results.push_back(entry.error);
-          break;
-        case MultiGetEntry::State::kDeferred:
-          // The server hit its response-size budget before this name.
-          deferred_slots.push_back(results.size());
-          deferred_names.push_back(batch[i]);
-          results.push_back(
-              Error(ErrorCode::kIOError, "multi-get entry unresolved"));
-          break;
-      }
-    }
-    // Re-fetch stragglers in follow-up BATCHES, not singles: each round
-    // packs another response-budget's worth, so a deferred tail of k
-    // objects costs ~(total bytes / budget) round trips instead of k.
-    while (!deferred_names.empty()) {
-      Writer follow = BeginRequest(Rpc::kMultiGet);
-      EncodeNameList(follow, deferred_names);
-      follow.U8(want_lease ? 1 : 0);
-      auto follow_payload = Call(follow);
-      if (!follow_payload.ok()) {
-        for (const std::size_t slot : deferred_slots) {
-          results[slot] = follow_payload.status();
+    while (!pending.empty()) {
+      std::vector<std::string> batch;
+      batch.reserve(pending.size());
+      for (const std::size_t slot : pending) batch.push_back(names[slot]);
+      Writer req = BeginRequest(Rpc::kMultiGet);
+      EncodeNameList(req, batch);
+      req.U8(want_lease ? 1 : 0);
+      auto payload = Call(req);
+      Status failure = payload.status();
+      std::vector<MultiGetEntry> entries;
+      if (failure.ok()) {
+        Reader reader(payload.value());
+        auto decoded = DecodeMultiGetEntries(reader);
+        if (!decoded.ok()) {
+          failure = decoded.status();
+        } else if (!reader.AtEnd() || decoded.value().size() != batch.size()) {
+          failure =
+              Error(ErrorCode::kIOError, "malformed multi-get response shape");
+        } else {
+          entries = std::move(decoded).value();
         }
+      }
+      if (!failure.ok()) {
+        for (const std::size_t slot : pending) results[slot] = failure;
         break;
       }
-      Reader follow_reader(follow_payload.value());
-      auto follow_entries = DecodeMultiGetEntries(follow_reader);
-      const bool follow_ok = follow_entries.ok() && follow_reader.AtEnd() &&
-                             follow_entries.value().size() ==
-                                 deferred_names.size();
-      std::vector<std::size_t> next_slots;
-      std::vector<std::string> next_names;
-      if (follow_ok) {
-        for (std::size_t i = 0; i < deferred_names.size(); ++i) {
-          MultiGetEntry& entry = follow_entries.value()[i];
-          switch (entry.state) {
-            case MultiGetEntry::State::kOk:
-              if (want_lease) (*leased)[deferred_slots[i]] = entry.leased;
-              results[deferred_slots[i]] = std::move(entry.data);
-              break;
-            case MultiGetEntry::State::kError:
-              results[deferred_slots[i]] = entry.error;
-              break;
-            case MultiGetEntry::State::kDeferred:
-              next_slots.push_back(deferred_slots[i]);
-              next_names.push_back(deferred_names[i]);
-              break;
-          }
+      std::vector<std::size_t> deferred;
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        MultiGetEntry& entry = entries[i];
+        const std::size_t slot = pending[i];
+        switch (entry.state) {
+          case MultiGetEntry::State::kOk:
+            if (want_lease) (*leased)[slot] = entry.leased;
+            results[slot] = std::move(entry.data);
+            break;
+          case MultiGetEntry::State::kError:
+            results[slot] = entry.error;
+            break;
+          case MultiGetEntry::State::kDeferred:
+            deferred.push_back(slot);
+            break;
         }
       }
-      if (!follow_ok || next_names.size() == deferred_names.size()) {
-        // Malformed round, or zero progress (a first entry so large its
-        // encoding alone overflows the budget): single Gets have no
-        // response budget and always terminate.
-        const std::vector<std::size_t>& slots =
-            follow_ok ? next_slots : deferred_slots;
-        const std::vector<std::string>& strays =
-            follow_ok ? next_names : deferred_names;
-        for (std::size_t i = 0; i < strays.size(); ++i) {
+      if (deferred.size() == pending.size()) {
+        // Zero progress (a first entry so large its encoding alone
+        // overflows the budget): single Gets have no response budget and
+        // always terminate.
+        for (const std::size_t slot : deferred) {
           if (want_lease) {
             bool granted = false;
-            results[slots[i]] = GetLeased(strays[i], &granted);
-            (*leased)[slots[i]] = granted;
+            results[slot] = GetLeased(names[slot], &granted);
+            (*leased)[slot] = granted;
           } else {
-            results[slots[i]] = Get(strays[i]);
+            results[slot] = Get(names[slot]);
           }
         }
         break;
       }
-      deferred_slots = std::move(next_slots);
-      deferred_names = std::move(next_names);
+      pending = std::move(deferred);
     }
   }
   return results;

@@ -1,15 +1,12 @@
 #include "net/server.hpp"
 
-#include <algorithm>
 #include <arpa/inet.h>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <fcntl.h>
 #include <functional>
-#include <limits>
 #include <map>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -19,9 +16,7 @@
 
 #include "cache/cached_backend.hpp"
 #include "common/clock.hpp"
-#include "common/env.hpp"
 #include "net/reactor.hpp"
-#include "net/transport.hpp"
 #include "net/wire.hpp"
 #include "trace/trace.hpp"
 
@@ -37,14 +32,6 @@ Status Errno(const std::string& what) {
 /// response segment; larger bodies ride as their own scatter/gather part,
 /// uncopied until the socket write.
 constexpr std::size_t kInlineBodyBytes = 4096;
-
-Status SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
-    return Errno("fcntl(O_NONBLOCK)");
-  }
-  return Status::Ok();
-}
 
 } // namespace
 
@@ -82,10 +69,9 @@ struct NexusdServer::Dispatch {
   const char* name = "";
   std::function<WireReply()> execute; // kStateless / kOrdered
   WireReply response;                 // kImmediate
-  bool subscribed = false; // kImmediate: connection became a lease channel
-  // A mutation of an object another session holds a lease on: its
+  // Put, Delete or StreamCommit: while any lease session exists its
   // handler may wait up to lease_break_ms for invalidation acks.
-  bool breaks_leases = false;
+  bool mutation = false;
 };
 
 /// Per-connection protocol state.
@@ -122,7 +108,6 @@ struct NexusdServer::RConn {
   std::size_t big_need = 0; // payload bytes expected; 0 = not in big mode
   std::uint32_t interest = Reactor::kRead; // what the reactor is armed for
   bool finalized = false;
-  bool migrated = false; // fd ownership moved to a lease-channel transport
   ConnState proto;
 
   std::mutex mu;
@@ -137,8 +122,7 @@ struct NexusdServer::RConn {
   bool paused = false;          // under mu: backpressure, stop reading
   bool maintain_posted = false; // under mu
   bool draining = false; // under mu: EOF / protocol error — finish sends
-  bool migrating = false; // under mu: subscribe reply pending, then migrate
-  bool dead = false;      // under mu: hard failure — drop everything
+  bool dead = false;     // under mu: hard failure — drop everything
 
   std::mutex send_mu;
   bool send_failed = false; // under send_mu
@@ -155,7 +139,7 @@ struct NexusdServer::RConn {
   bool arm_posted = false; // under send_mu: a maintain pass is scheduled
 
   ~RConn() {
-    if (fd >= 0 && !migrated) ::close(fd);
+    if (fd >= 0) ::close(fd);
   }
 };
 
@@ -169,18 +153,17 @@ NexusdServer::~NexusdServer() { Stop(); }
 
 Result<std::unique_ptr<NexusdServer>> NexusdServer::Start(
     storage::StorageBackend& backend, NexusdOptions options) {
+  if (options.rpc_workers == 0) {
+    return Error(ErrorCode::kInvalidArgument, "rpc_workers must be >= 1");
+  }
+  if (options.lease_break_ms <= 0) {
+    return Error(ErrorCode::kInvalidArgument, "lease_break_ms must be > 0");
+  }
   auto server = std::unique_ptr<NexusdServer>(
       new NexusdServer(backend, std::move(options)));
 
-  server->lease_break_ms_ = server->options_.lease_break_ms;
-  if (server->lease_break_ms_ <= 0) {
-    const std::uint64_t v = EnvUnsigned("NEXUS_LEASE_BREAK_MS", 1000);
-    server->lease_break_ms_ =
-        v > 0 && v <= std::numeric_limits<int>::max() ? static_cast<int>(v)
-                                                       : 1000;
-  }
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) return Errno("socket");
   const int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -215,15 +198,13 @@ Result<std::unique_ptr<NexusdServer>> NexusdServer::Start(
 
   server->listen_fd_ = fd;
   server->port_ = ntohs(addr.sin_port);
-  NEXUS_RETURN_IF_ERROR(SetNonBlocking(fd));
   server->reactor_ = std::make_unique<Reactor>();
   if (!server->reactor_->ok()) {
-    return Error(ErrorCode::kIOError, "reactor: cannot create wake pipe");
+    return Error(ErrorCode::kIOError,
+                 "reactor: cannot create the epoll instance or wake pipe");
   }
-  if (server->options_.rpc_workers > 0) {
-    server->rpc_pool_ =
-        std::make_unique<parallel::ThreadPool>(server->options_.rpc_workers);
-  }
+  server->rpc_pool_ =
+      std::make_unique<parallel::ThreadPool>(server->options_.rpc_workers);
   NexusdServer* s = server.get();
   NEXUS_RETURN_IF_ERROR(server->reactor_->Add(
       fd, Reactor::kRead, [s](std::uint32_t) { s->ReactorAccept(); }));
@@ -235,9 +216,6 @@ void NexusdServer::Stop() {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
-    // Unblock every live connection, lease channels parked in I/O on
-    // their ack threads included.
-    for (const int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   if (loop_thread_.joinable()) {
     reactor_->Post([this] {
@@ -260,12 +238,12 @@ void NexusdServer::Stop() {
       }
     });
     // Handler tasks never block on connection I/O (replies are
-    // nonblocking enqueues) and lease breaks are bounded by
-    // lease_break_ms_, so the drain always completes.
+    // nonblocking enqueues), and a lease break ends when its channel is
+    // torn down above, so the drain always completes.
     {
       std::unique_lock<std::mutex> lock(mu_);
       drain_cv_.wait(lock, [this] {
-        return reactor_conns_ == 0 && reactor_tasks_ == 0;
+        return stats_.active_connections == 0 && reactor_tasks_ == 0;
       });
     }
     reactor_->Stop();
@@ -279,14 +257,6 @@ void NexusdServer::Stop() {
       listen_fd_ = -1;
     }
   }
-  // Connections drain first: every lease thread is spawned (and recorded)
-  // by a migrating connection, so after the drain the vector is complete.
-  std::vector<std::thread> acks;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    acks.swap(lease_threads_);
-  }
-  for (std::thread& t : acks) t.join();
 }
 
 // ---- stats ------------------------------------------------------------------
@@ -296,7 +266,6 @@ NexusdServer::Stats NexusdServer::stats() const {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     out = stats_;
-    out.active_connections = live_fds_.size();
   }
   {
     const std::lock_guard<std::mutex> lock(lease_mu_);
@@ -310,7 +279,7 @@ ServerStats NexusdServer::WireStats() const {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     out.connections_accepted = stats_.connections_accepted;
-    out.active_connections = live_fds_.size();
+    out.active_connections = stats_.active_connections;
     out.rpcs_served = stats_.rpcs_served;
     out.protocol_errors = stats_.protocol_errors;
     out.open_streams = stats_.open_streams;
@@ -321,10 +290,9 @@ ServerStats NexusdServer::WireStats() const {
     out.leases_broken = stats_.leases_broken;
     out.invalidations_sent = stats_.invalidations_sent;
     out.lease_break_timeouts = stats_.lease_break_timeouts;
-    // Gauge of threads this daemon is resident with: the loop, the rpc
-    // pool, and one thread per lease channel. The high-connection test
-    // pins this flat while the connection count climbs.
-    out.resident_threads = 1 + options_.rpc_workers + lease_threads_.size();
+    // Gauge of threads this daemon is resident with: the loop and the rpc
+    // pool, whatever the number of connections and lease channels.
+    out.resident_threads = 1 + options_.rpc_workers;
     for (std::size_t i = static_cast<std::size_t>(Rpc::kPing); i < kRpcSlots;
          ++i) {
       if (per_op_[i].count == 0) continue;
@@ -490,7 +458,6 @@ bool NexusdServer::FinishMutation(const std::string& name,
   };
   std::vector<Push> pushes;
   pushes.reserve(targets.size());
-  std::uint64_t sent = 0;
   for (const auto& session : targets) {
     Push push{session, NextCorrelationId()};
     Writer frame = BeginRequest(Rpc::kInvalidate, push.corr);
@@ -498,26 +465,24 @@ bool NexusdServer::FinishMutation(const std::string& name,
     bool delivered = false;
     {
       const std::lock_guard<std::mutex> lock(session->mu);
-      if (!session->dead && session->channel != nullptr) {
+      const std::shared_ptr<RConn> channel = session->channel.lock();
+      if (!session->dead && channel != nullptr) {
         // Register the pending ack BEFORE sending: the client's ack can
         // race back faster than this thread resumes.
         session->pending_acks.insert(push.corr);
-        delivered = session->channel->SendFrame(frame.bytes()).ok();
+        delivered = SendReply(channel, WireReply(std::move(frame)));
         if (!delivered) session->pending_acks.erase(push.corr);
       }
     }
-    if (delivered) {
-      ++sent;
-      pushes.push_back(std::move(push));
-    }
+    if (delivered) pushes.push_back(std::move(push));
   }
-  if (sent > 0) {
+  if (!pushes.empty()) {
     const std::lock_guard<std::mutex> lock(mu_);
-    stats_.invalidations_sent += sent;
+    stats_.invalidations_sent += pushes.size();
   }
 
   const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(lease_break_ms_);
+                        std::chrono::milliseconds(options_.lease_break_ms);
   for (const Push& push : pushes) {
     std::unique_lock<std::mutex> lock(push.session->mu);
     const bool acked = push.session->cv.wait_until(lock, deadline, [&] {
@@ -526,35 +491,20 @@ bool NexusdServer::FinishMutation(const std::string& name,
     });
     if (acked) continue;
     // The holder never answered: kill its session so the break completes
-    // in bounded time. Its reader observes the shutdown, tears the
-    // session down, and the client's channel-down path demotes every
-    // leased entry to TTL — staleness stays bounded either way.
+    // in bounded time. The loop sees the shut-down socket, tears the
+    // connection down and cleans the session up, and the client's
+    // channel-down path demotes every leased entry to TTL — staleness
+    // stays bounded either way.
     push.session->dead = true;
-    if (push.session->channel != nullptr) push.session->channel->Shutdown();
+    if (const auto channel = push.session->channel.lock()) {
+      ::shutdown(channel->fd, SHUT_RDWR);
+    }
     lock.unlock();
     push.session->cv.notify_all();
     const std::lock_guard<std::mutex> stats_lock(mu_);
     ++stats_.lease_break_timeouts;
   }
   return granted;
-}
-
-void NexusdServer::AckLoop(TcpTransport& transport,
-                           const std::shared_ptr<LeaseSession>& session) {
-  // After kLeaseSubscribe the connection inverts: the server originates
-  // request-format kInvalidate frames (FinishMutation) and the client
-  // answers with response frames, which are all this loop ever reads.
-  for (;;) {
-    auto frame = transport.RecvFrame();
-    if (!frame.ok()) break; // disconnect, reset, Stop(), or break timeout
-    const std::uint64_t corr = ResponseCorrelation(frame.value());
-    if (corr == 0) break; // not a response frame: protocol violation
-    {
-      const std::lock_guard<std::mutex> lock(session->mu);
-      session->pending_acks.erase(corr);
-    }
-    session->cv.notify_all();
-  }
 }
 
 void NexusdServer::CleanupSession(
@@ -574,7 +524,7 @@ void NexusdServer::CleanupSession(
   {
     const std::lock_guard<std::mutex> lock(session->mu);
     session->dead = true;
-    session->channel = nullptr;
+    session->channel.reset();
     session->pending_acks.clear();
   }
   session->cv.notify_all(); // writers waiting on acks see `dead`
@@ -648,7 +598,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       const bool want = want_lease.value() != 0 && state.attached_session != 0;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.breaks_leases = OthersHoldLease(name.value(), sid);
+      d.mutation = true;
       d.execute = [this, corr, sid, want, name = std::move(name).value(),
                    data = std::move(data).value()] {
         const std::uint64_t v0 = BeginMutation(name, sid, want);
@@ -666,7 +616,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       if (!name.ok()) break;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.breaks_leases = OthersHoldLease(name.value(), sid);
+      d.mutation = true;
       d.execute = [this, corr, sid, name = std::move(name).value()] {
         BeginMutation(name);
         const Status verdict = backend_.Delete(name);
@@ -852,20 +802,18 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       // the connection carries only server pushes and client acks.
       trace::Span span(d.name, "net.server");
       span.SetCorrelation(corr);
-      if (state.subscription != nullptr) break; // double-subscribe
       auto session = std::make_shared<LeaseSession>();
       {
         const std::lock_guard<std::mutex> lock(lease_mu_);
         session->id = next_session_id_++;
         sessions_[session->id] = session;
       }
-      // The push channel binds when the connection migrates to its ack
-      // thread, once this reply is flushed.
+      // The push channel binds once this reply is queued
+      // (ReactorHandleFrame), so no push can overtake it.
       state.subscription = session;
       Writer r = BeginResponse(Status::Ok(), corr);
       r.U64(session->id);
       d.response = WireReply(std::move(r));
-      d.subscribed = true;
       d.kind = Kind::kImmediate;
       break;
     }
@@ -943,13 +891,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       ConnState* st = &state;
       const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kOrdered;
-      std::string name;
-      {
-        const std::lock_guard<std::mutex> lock(state.stream_mu);
-        const auto it = state.streams.find(handle.value());
-        if (it != state.streams.end()) name = it->second.name;
-      }
-      d.breaks_leases = !name.empty() && OthersHoldLease(name, sid);
+      d.mutation = true;
       d.execute = [this, st, corr, sid, handle = handle.value()] {
         std::unique_lock<std::mutex> lock(st->stream_mu);
         const auto it = st->streams.find(handle);
@@ -1022,14 +964,11 @@ void NexusdServer::ReactorAccept() {
       listen_fd = listen_fd_;
     }
     if (listen_fd < 0) return;
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
+    const int fd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return; // EAGAIN: the backlog is drained (or the listener is dying)
-    }
-    if (!SetNonBlocking(fd).ok()) {
-      ::close(fd);
-      continue;
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -1040,8 +979,7 @@ void NexusdServer::ReactorAccept() {
       const std::lock_guard<std::mutex> lock(mu_);
       if (stopping_) return; // conn's destructor closes the fd
       ++stats_.connections_accepted;
-      live_fds_.push_back(fd);
-      ++reactor_conns_;
+      ++stats_.active_connections;
     }
     rconns_[fd] = conn;
     const Status added = reactor_->Add(
@@ -1051,9 +989,7 @@ void NexusdServer::ReactorAccept() {
       rconns_.erase(fd);
       {
         const std::lock_guard<std::mutex> lock(mu_);
-        live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
-                        live_fds_.end());
-        --reactor_conns_;
+        --stats_.active_connections;
       }
       drain_cv_.notify_all();
       // conn's destructor closes the fd
@@ -1083,7 +1019,7 @@ void NexusdServer::ReactorOnReadable(const std::shared_ptr<RConn>& conn) {
   for (int budget = 8; budget > 0;) {
     {
       const std::lock_guard<std::mutex> lock(c.mu);
-      if (c.dead || c.draining || c.migrating || c.paused) return;
+      if (c.dead || c.draining || c.paused) return;
     }
 
     if (c.big_need > 0) {
@@ -1119,7 +1055,7 @@ void NexusdServer::ReactorOnReadable(const std::shared_ptr<RConn>& conn) {
     ReactorParseBuffered(conn);
     {
       const std::lock_guard<std::mutex> lock(c.mu);
-      if (c.dead || c.draining || c.migrating || c.paused) return;
+      if (c.dead || c.draining || c.paused) return;
     }
     if (c.big_need > 0) continue; // the parser switched to big mode
 
@@ -1177,14 +1113,15 @@ void NexusdServer::ReactorParseBuffered(const std::shared_ptr<RConn>& conn) {
   while (c.in != nullptr) {
     {
       const std::lock_guard<std::mutex> lock(c.mu);
-      if (c.dead || c.draining || c.migrating || c.paused) return;
+      if (c.dead || c.draining || c.paused) return;
     }
     const std::size_t avail = c.in->size - c.in_begin;
     if (avail < kFramePrefixBytes) break;
     const std::uint32_t len = DecodeFrameLength(c.in->data() + c.in_begin);
     if (len > kMaxFrameBytes) {
-      // Same bound (and same silence) as TcpTransport::RecvFrame: the
-      // byte stream is garbage — kill it without a protocol_errors tick.
+      // Same bound (and same silence) as the client transport's
+      // RecvFrame: the byte stream is garbage — kill it without a
+      // protocol_errors tick.
       ReactorTeardown(conn, /*drain=*/false);
       return;
     }
@@ -1220,7 +1157,25 @@ bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
   RConn& c = *conn;
   const std::uint64_t start_ns = MonotonicNanos();
   const std::size_t frame_bytes = frame.size();
-  Dispatch d = DecodeFrame(frame, c.proto);
+  Dispatch d; // kProtocolError unless decoded
+  if (c.proto.subscription == nullptr) {
+    d = DecodeFrame(frame, c.proto);
+  } else {
+    // A lease channel carries only the client's acks of kInvalidate
+    // pushes: bare responses echoing the push's correlation id.
+    Reader reader(frame);
+    Status verdict = Status::Ok();
+    std::uint64_t corr = 0;
+    if (ParseResponseHead(reader, &verdict, &corr).ok() && reader.AtEnd()) {
+      LeaseSession& session = *c.proto.subscription;
+      {
+        const std::lock_guard<std::mutex> lock(session.mu);
+        session.pending_acks.erase(corr);
+      }
+      session.cv.notify_all();
+      return true;
+    }
+  }
 
   if (d.kind == Dispatch::Kind::kProtocolError) {
     {
@@ -1236,10 +1191,10 @@ bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
     CountOp(d.op, frame_bytes, d.response.payload_bytes);
     SendReply(conn, std::move(d.response));
     op_latency_ns_[d.op].Record(MonotonicNanos() - start_ns);
-    if (d.subscribed) {
-      const std::lock_guard<std::mutex> lock(c.mu);
-      c.migrating = true; // no more reads; migrate once idle and flushed
-      return false;
+    if (c.proto.subscription != nullptr) {
+      // That was the subscribe reply: pushes may follow it now.
+      const std::lock_guard<std::mutex> lock(c.proto.subscription->mu);
+      c.proto.subscription->channel = conn;
     }
     return true;
   }
@@ -1249,27 +1204,21 @@ bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
   return !c.paused;
 }
 
-bool NexusdServer::OthersHoldLease(const std::string& name,
-                                   std::uint64_t writer_sid) {
-  const std::lock_guard<std::mutex> lock(lease_mu_);
-  const auto h = holders_.find(name);
-  if (h == holders_.end()) return false;
-  return std::any_of(
-      h->second.begin(), h->second.end(),
-      [writer_sid](std::uint64_t sid) { return sid != writer_sid; });
-}
-
 void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
                                    Dispatch d, std::size_t frame_bytes,
                                    std::uint64_t start_ns) {
   RConn& c = *conn;
-  // A handler runs on the loop thread when nothing in it can wait: always
-  // without a pool, else over a backend that never waits, unless it must
-  // break another session's lease. An ordered op decides only when it
-  // starts a runner. (A commit's stream lookup at decode is exact: the
-  // client learns the handle from the Begin reply, so Begin already ran.)
-  const bool on_loop = rpc_pool_ == nullptr ||
-                       (backend_.NeverWaits() && !d.breaks_leases);
+  // A handler runs on the loop thread when nothing in it can wait: over a
+  // backend that never waits, except a mutation while any lease session
+  // exists — its lease break waits for acks that only this thread reads.
+  // Sessions are created and finalized on this thread, so none can appear
+  // while an inline mutation runs. An ordered op decides only when it
+  // starts a runner.
+  bool on_loop = backend_.NeverWaits();
+  if (on_loop && d.mutation) {
+    const std::lock_guard<std::mutex> lock(lease_mu_);
+    on_loop = sessions_.empty();
+  }
   if (d.kind == Dispatch::Kind::kOrdered) {
     bool start_runner = false;
     {
@@ -1364,9 +1313,8 @@ void NexusdServer::OnHandlerDone(const std::shared_ptr<RConn>& conn) {
     --c.inflight;
     const bool idle = c.inflight == 0 && c.ordered.empty();
     const bool resumable = c.paused && !c.dead && !c.draining &&
-                           !c.migrating &&
                            c.inflight < options_.max_inflight_per_connection;
-    const bool settled = idle && (c.dead || c.draining || c.migrating);
+    const bool settled = idle && (c.dead || c.draining);
     if ((resumable || settled) && !c.maintain_posted) {
       c.maintain_posted = true;
       post = true;
@@ -1516,33 +1464,21 @@ void NexusdServer::ReactorMaintain(const std::shared_ptr<RConn>& conn) {
     }
     if (failed) ReactorTeardown(conn, /*drain=*/false);
 
-    bool finish = false, migrate = false, resume = false, reads_off;
+    bool finish = false, resume = false, reads_off;
     {
       const std::lock_guard<std::mutex> lock(c.mu);
       c.maintain_posted = false;
-      if (c.paused && !c.dead && !c.draining && !c.migrating &&
+      if (c.paused && !c.dead && !c.draining &&
           c.inflight < options_.max_inflight_per_connection) {
         c.paused = false;
         resume = true;
       }
-      reads_off = c.paused || c.dead || c.draining || c.migrating;
+      reads_off = c.paused || c.dead || c.draining;
       const bool idle = c.inflight == 0 && c.ordered.empty();
-      if (idle) {
-        if (c.dead) {
-          finish = true;
-        } else if (c.draining && flushed) {
-          finish = true;
-        } else if (c.migrating && flushed) {
-          migrate = true;
-        }
-      }
+      finish = idle && (c.dead || (c.draining && flushed));
     }
     if (finish) {
       ReactorFinalize(conn);
-      return;
-    }
-    if (migrate) {
-      ReactorMigrate(conn);
       return;
     }
 
@@ -1607,71 +1543,17 @@ void NexusdServer::ReactorFinalize(const std::shared_ptr<RConn>& conn) {
   const std::size_t aborted = streams.size();
   streams.clear(); // destructors abort anything uncommitted
   if (c.proto.subscription != nullptr) {
-    // Reachable only when the subscribe reply never made it out (the
-    // success path migrates instead of finalizing).
-    CleanupSession(c.proto.subscription);
+    CleanupSession(c.proto.subscription); // the lease channel is gone
     c.proto.subscription.reset();
   }
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stats_.streams_aborted_on_disconnect += aborted;
     stats_.open_streams -= aborted;
-    live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), c.fd),
-                    live_fds_.end());
-    --reactor_conns_;
+    --stats_.active_connections;
   }
   drain_cv_.notify_all();
   // The fd closes when the last shared_ptr reference drops (RConn dtor).
-}
-
-void NexusdServer::ReactorMigrate(const std::shared_ptr<RConn>& conn) {
-  RConn& c = *conn;
-  if (c.finalized) return;
-  c.finalized = true;
-  reactor_->Remove(c.fd);
-  rconns_.erase(c.fd);
-  c.in.reset();
-  c.in_begin = 0;
-
-  // The invalidation channel lives on a dedicated ack thread with the
-  // blocking framed transport: FinishMutation pushes through it and the
-  // thread reads acks between pushes. Restore blocking I/O before the
-  // handoff.
-  const int flags = ::fcntl(c.fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(c.fd, F_SETFL, flags & ~O_NONBLOCK);
-  c.migrated = true; // the transport owns the fd now
-  auto channel = std::make_unique<TcpTransport>(c.fd, /*io_deadline_ms=*/-1);
-  std::shared_ptr<LeaseSession> session = std::move(c.proto.subscription);
-  {
-    const std::lock_guard<std::mutex> lock(session->mu);
-    if (!session->dead) session->channel = channel.get();
-  }
-
-  std::map<std::uint64_t, ConnState::OpenStream> streams;
-  {
-    const std::lock_guard<std::mutex> lock(c.proto.stream_mu);
-    streams.swap(c.proto.streams);
-  }
-  const std::size_t aborted = streams.size();
-  streams.clear();
-
-  const int fd = c.fd; // stays in live_fds_ so Stop() unblocks the channel
-  std::thread ack([this, fd, channel = std::move(channel), session] {
-    AckLoop(*channel, session);
-    CleanupSession(session);
-    const std::lock_guard<std::mutex> lock(mu_);
-    live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
-                    live_fds_.end());
-    // `channel` closes the fd on thread exit.
-  });
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    lease_threads_.push_back(std::move(ack));
-    stats_.streams_aborted_on_disconnect += aborted;
-    stats_.open_streams -= aborted;
-    --reactor_conns_;
-  }
-  drain_cv_.notify_all();
 }
 
 } // namespace nexus::net

@@ -1,23 +1,26 @@
 // nexusd server library: serves any StorageBackend over the wire protocol.
 //
-// One event-driven serve loop. A single loop thread owns an epoll/poll
-// Reactor over the nonblocking listener and every DATA connection.
-// Request bytes land in pooled BufferArena slabs and frames are parsed in
-// place; handlers stage their responses into a per-connection
+// One event-driven serve loop. A single loop thread owns an epoll Reactor
+// over the nonblocking listener and every connection, lease channels
+// included. Request bytes land in pooled BufferArena slabs and frames are
+// parsed in place; handlers stage their responses into a per-connection
 // scatter/gather send queue (small replies coalesce into arena slabs,
 // large MultiGet bodies stay zero-copy), flushed with sendmsg and drained
 // by EPOLLOUT when a socket pushes back. Idle connections cost one
 // registration, not a thread, so the daemon holds thousands of clients at
-// a flat resident thread count (the CI high-connection smoke holds 512).
-// A daemon whose Reactor cannot start fails Start().
+// a flat resident thread count: the loop plus the rpc pool (the CI
+// high-connection smoke holds 512). A daemon whose Reactor cannot start
+// fails Start().
 //
 // Where a handler runs. Over a backend whose calls never wait
 // (StorageBackend::NeverWaits: MemBackend), handlers run inline on the
 // loop thread that parsed the frame, so a lock-step RPC wakes one server
 // thread, not two. Everything that may wait runs on the shared rpc pool:
-// every handler of any other backend, and over a never-waiting one the
-// mutations that must break another session's lease (they wait up to
-// lease_break_ms for acks). rpc_workers == 0 runs every handler inline.
+// every handler of any other backend, and over a never-waiting one every
+// mutation (Put, Delete, StreamCommit) while any lease session exists —
+// it may wait up to lease_break_ms for acks that only the loop reads.
+// Sessions are created and finalized on the loop thread, so the rule is
+// exact at dispatch time.
 //
 // Within one connection, requests are pipelined: frames are parsed in
 // arrival order (framing errors must kill the connection
@@ -35,15 +38,17 @@
 // invalidation channel with kLeaseSubscribe (the response names a session
 // id; from then on the SERVER originates kInvalidate frames on it and the
 // client acks each with a response frame), and ties its data connections
-// to the session with kLeaseAttach. The subscription connection leaves
-// the loop for a dedicated ack thread once its reply is flushed. A Get
-// asking for a lease registers the session as a holder of that object
-// BEFORE the backend read and re-validates the object's version after it
-// — a concurrent mutation between the two denies the lease, so a granted
+// to the session with kLeaseAttach. The channel stays on the loop: pushes
+// go through its send queue like any reply, and the loop reads the acks;
+// any frame on it that is not a response ends the session. A Get asking
+// for a lease registers the session as a holder of that object BEFORE the
+// backend read and re-validates the object's version after it — a
+// concurrent mutation between the two denies the lease, so a granted
 // lease always covers the exact bytes returned. Mutations bump the
 // version first, apply, then break every holder except the writer's own
 // session: push the invalidation, wait for the ack up to lease_break_ms,
-// and kill the session on timeout — an unresponsive client can delay a
+// and shut the channel's socket down on timeout, which ends the session
+// through the ordinary teardown — an unresponsive client can delay a
 // writer only briefly and can never hold stale data past its TTL.
 //
 // The daemon is the paper's untrusted storage service: it sees only
@@ -72,7 +77,6 @@
 
 namespace nexus::net {
 
-class TcpTransport;
 class Reactor;
 
 struct NexusdOptions {
@@ -80,17 +84,14 @@ struct NexusdOptions {
   /// 0 picks an ephemeral port; read the actual one from port().
   std::uint16_t port = 0;
   /// Workers on the shared pool for handlers that may wait (all
-  /// connections; see "Where a handler runs" above). 0 runs every handler
-  /// inline on the loop thread, for any backend — strictly in-order
-  /// replies.
+  /// connections; see "Where a handler runs" above). At least 1.
   std::size_t rpc_workers = 4;
   /// Most handler tasks one connection may have outstanding before the
   /// loop stops reading its frames (per-connection backpressure).
   std::size_t max_inflight_per_connection = 64;
   /// How long a mutation waits for a lease holder's invalidation ack
-  /// before killing the holder's session. 0 = NEXUS_LEASE_BREAK_MS or
-  /// 1000 ms.
-  int lease_break_ms = 0;
+  /// before killing the holder's session. Must be positive.
+  int lease_break_ms = 1000;
 };
 
 class NexusdServer {
@@ -146,34 +147,30 @@ class NexusdServer {
     std::uint64_t bytes_out = 0;
   };
 
-  /// One subscribed client. `channel` points at the subscription
-  /// connection's transport while its ack thread is alive (nulled at
-  /// cleanup); pushes serialize on `mu` and the ack thread erases acked
-  /// correlation ids from `pending_acks`.
-  struct LeaseSession {
-    std::uint64_t id = 0;
-    std::mutex mu;
-    std::condition_variable cv;
-    TcpTransport* channel = nullptr; // under mu
-    std::set<std::uint64_t> pending_acks; // under mu
-    bool dead = false;                    // under mu
-  };
-
   // Protocol-engine types; defined in server.cpp (they drag in
-  // transport/reactor internals).
+  // reactor internals).
   struct ConnState; // per-connection protocol state (streams, session)
   struct WireReply; // response payload as scatter/gather segments
   struct Dispatch;  // one decoded request frame + its handler closure
   struct RConn;     // one served connection
+
+  /// One subscribed client. `channel` is the subscription connection;
+  /// pushes queue on its send queue under `mu`, and the loop erases acked
+  /// correlation ids from `pending_acks` as the acks arrive.
+  struct LeaseSession {
+    std::uint64_t id = 0;
+    std::mutex mu;
+    std::condition_variable cv;
+    std::weak_ptr<RConn> channel;         // under mu
+    std::set<std::uint64_t> pending_acks; // under mu
+    bool dead = false;                    // under mu
+  };
 
   NexusdServer(storage::StorageBackend& backend, NexusdOptions options);
 
   /// Decodes one request frame against `state` and classifies it for
   /// dispatch.
   Dispatch DecodeFrame(ByteSpan frame, ConnState& state);
-  /// Whether a session other than `writer_sid` holds a lease on `name`,
-  /// so mutating it must wait for that holder's ack.
-  bool OthersHoldLease(const std::string& name, std::uint64_t writer_sid);
   /// Runs a dispatch's handler under its server span.
   WireReply RunHandler(const Dispatch& d);
   /// Counters a response must bump BEFORE it is sent (net_e2e contract).
@@ -201,7 +198,6 @@ class NexusdServer {
   void ReactorMaintain(const std::shared_ptr<RConn>& conn);
   void ReactorTeardown(const std::shared_ptr<RConn>& conn, bool drain);
   void ReactorFinalize(const std::shared_ptr<RConn>& conn);
-  void ReactorMigrate(const std::shared_ptr<RConn>& conn);
 
   // Lease machinery (registry under lease_mu_; never hold lease_mu_
   // while touching a session's channel).
@@ -225,17 +221,15 @@ class NexusdServer {
                               std::uint64_t writer_sid = 0,
                               bool want_lease = false);
   /// Breaks every holder except the writer's own session: pushes the
-  /// invalidation, waits for acks up to lease_break_ms_, kills sessions
-  /// that never answer. Returns whether the writer's WRITE lease (asked
-  /// for at BeginMutation) was confirmed: the write must have succeeded
-  /// and the object version must still equal `version_at_begin` with the
-  /// writer still registered — any overlapping mutation denies the grant.
+  /// invalidation, waits for acks up to lease_break_ms, and shuts down the
+  /// channel of every session that never answers. Returns whether the
+  /// writer's WRITE lease (asked for at BeginMutation) was confirmed: the
+  /// write must have succeeded and the object version must still equal
+  /// `version_at_begin` with the writer still registered — any
+  /// overlapping mutation denies the grant.
   bool FinishMutation(const std::string& name, std::uint64_t writer_sid,
                       std::uint64_t version_at_begin = 0,
                       bool want_lease = false, bool write_ok = false);
-  /// Reads invalidation acks off a subscription connection until it dies.
-  void AckLoop(TcpTransport& transport,
-               const std::shared_ptr<LeaseSession>& session);
   /// Tears a session out of the registry and wakes any waiting writers.
   void CleanupSession(const std::shared_ptr<LeaseSession>& session);
 
@@ -243,31 +237,26 @@ class NexusdServer {
   NexusdOptions options_;
   std::uint16_t port_ = 0;
   int listen_fd_ = -1;
-  int lease_break_ms_ = 1000;
 
-  std::unique_ptr<parallel::ThreadPool> rpc_pool_; // null: inline handlers
+  std::unique_ptr<parallel::ThreadPool> rpc_pool_;
 
   std::unique_ptr<Reactor> reactor_;
   std::thread loop_thread_;
   BufferArena arena_;
   std::map<int, std::shared_ptr<RConn>> rconns_; // loop thread only
-  std::size_t reactor_conns_ = 0; // under mu_: rconns_ not yet finalized
   std::size_t reactor_tasks_ = 0; // under mu_: handler tasks in flight
-  std::condition_variable drain_cv_; // with mu_; Stop() waits for zero
-  /// One thread per lease subscription channel (ack loops): the channel
-  /// blocks in RecvFrame between acks, so it leaves the loop for good.
-  /// Joined in Stop(), under mu_ until swapped.
-  std::vector<std::thread> lease_threads_;
+  // With mu_; Stop() waits for zero tasks and zero active connections.
+  std::condition_variable drain_cv_;
 
   mutable std::mutex mu_;
-  std::vector<int> live_fds_; // shutdown() on Stop unblocks ack threads
   bool stopping_ = false;
-  Stats stats_;                     // open_streams maintained, active derived
+  Stats stats_; // lease_sessions derived, the rest maintained under mu_
   PerOpCounters per_op_[kRpcSlots]; // under mu_
   trace::Histogram op_latency_ns_[kRpcSlots]; // internally synchronized
 
   // Lease registry. Lock order: lease_mu_ before mu_ (counter updates),
-  // never after a session's mu.
+  // never after a session's mu; a session's mu before its channel's
+  // send_mu (pushes).
   mutable std::mutex lease_mu_;
   std::uint64_t next_session_id_ = 1;
   std::map<std::uint64_t, std::shared_ptr<LeaseSession>> sessions_;

@@ -224,7 +224,7 @@ struct ServerStats {
   std::uint64_t arena_slabs_in_use = 0;    // gauge
   std::uint64_t arena_slabs_high_water = 0;
   std::uint64_t arena_oversize_frames = 0; // frames that bypassed the arena
-  std::uint64_t resident_threads = 0;      // gauge: loop + pools + channels
+  std::uint64_t resident_threads = 0;      // gauge: loop + rpc pool
   double loop_dispatch_p50_ms = 0; // per-wakeup dispatch latency
   double loop_dispatch_p99_ms = 0;
   std::vector<RpcOpStats> per_op; // ascending rpc id, served ops only

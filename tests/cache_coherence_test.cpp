@@ -321,6 +321,45 @@ TEST(CacheCoherence, LeaseBreakWaitStaysOffTheServeLoop) {
   server->Stop();
 }
 
+// Lease channels are served by the daemon's one event loop: eight
+// subscribed clients, each taking a lease and acking a push, cost the
+// daemon no thread, and the gauge stays flat after they all leave.
+TEST(CacheCoherence, SubscribedClientsHoldNoServerThread) {
+  storage::MemBackend backend;
+  NexusdOptions server_options;
+  server_options.rpc_workers = 2;
+  auto server = NexusdServer::Start(backend, server_options).value();
+  const std::uint64_t loop_and_pool = 1 + server_options.rpc_workers;
+
+  std::vector<Client> clients;
+  for (int i = 0; i < 8; ++i) {
+    clients.push_back(MakeClient(server->port()));
+    ASSERT_TRUE(clients.back().cache->lease_mode());
+  }
+  EXPECT_EQ(server->stats().lease_sessions, 8u);
+  ASSERT_TRUE(clients[0].cache->Put("obj", Blob('1', 64)).ok());
+  ASSERT_TRUE(clients[0].cache->Flush().ok());
+  for (std::size_t i = 1; i < clients.size(); ++i) {
+    ASSERT_EQ(clients[i].cache->Get("obj").value(), Blob('1', 64));
+  }
+  // One push per other client, each acked over its channel.
+  ASSERT_TRUE(clients[0].cache->Put("obj", Blob('2', 64)).ok());
+  ASSERT_TRUE(clients[0].cache->Flush().ok());
+  for (std::size_t i = 1; i < clients.size(); ++i) {
+    EXPECT_GE(clients[i].cache->counters().invalidations_received, 1u);
+  }
+  EXPECT_EQ(server->stats().lease_break_timeouts, 0u);
+  EXPECT_EQ(server->WireStats().resident_threads, loop_and_pool);
+
+  clients.clear();
+  ASSERT_TRUE(WaitFor([&] {
+    const auto s = server->stats();
+    return s.lease_sessions == 0 && s.active_connections == 0;
+  }));
+  EXPECT_EQ(server->WireStats().resident_threads, loop_and_pool);
+  server->Stop();
+}
+
 // ---- two-client soak (run under TSan in CI) ---------------------------------
 
 TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
