@@ -539,21 +539,13 @@ Status CachedBackend::Delete(const std::string& name) {
   if (IsWriteThroughName(name)) {
     NEXUS_RETURN_IF_ERROR(DrainDirty());
   }
-  bool was_dirty = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    was_dirty = it != entries_.end() && it->second.state == Entry::State::kDirty;
     RemoveEntryLocked(name, /*demote=*/false);
     DiskRemoveLocked(name);
     ++inval_seq_[name];
   }
-  const Status st = inner_->Delete(name);
-  if (!st.ok() && st.code() == ErrorCode::kNotFound && was_dirty) {
-    // The object only ever existed in our writeback queue.
-    return Status::Ok();
-  }
-  return st;
+  return inner_->Delete(name);
 }
 
 class CachedPutStream final : public storage::StorageBackend::PutStream {

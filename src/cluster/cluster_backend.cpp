@@ -968,47 +968,33 @@ Status ClusterBackend::Put(const std::string& name, ByteSpan data) {
 Status ClusterBackend::PutAt(const std::string& name, std::uint64_t point,
                              ByteSpan data) {
   const trace::Span span("cluster.put", "cluster");
-  Bump(&ClusterCounters::quorum_writes);
   Envelope env;
+  env.payload = ToBytes(data);
+  return WriteNewEnvelope(name, point, std::move(env));
+}
+
+Status ClusterBackend::Delete(const std::string& name) {
+  const trace::Span span("cluster.delete", "cluster");
+  // A blind tombstone, ordered like a Put by this client's clock: no head
+  // read first, and a missing name is Ok (the StorageBackend contract).
+  Envelope tomb;
+  tomb.tombstone = true;
+  NEXUS_RETURN_IF_ERROR(
+      WriteNewEnvelope(name, HashRing::HashPoint(name), std::move(tomb)));
+  Bump(&ClusterCounters::tombstones_written);
+  return Status::Ok();
+}
+
+Status ClusterBackend::WriteNewEnvelope(const std::string& name,
+                                        std::uint64_t point, Envelope env) {
+  Bump(&ClusterCounters::quorum_writes);
   env.version = DrawVersion();
   env.writer = writer_id_;
-  env.payload = ToBytes(data);
   const Bytes encoded = EncodeEnvelope(env);
   const std::lock_guard<std::mutex> lock(StripeFor(point));
   const Status st = QuorumWriteLocked(name, point, encoded);
   if (!st.ok()) Bump(&ClusterCounters::quorum_failures);
   return st;
-}
-
-Status ClusterBackend::Delete(const std::string& name) {
-  const trace::Span span("cluster.delete", "cluster");
-  const std::uint64_t point = HashRing::HashPoint(name);
-  const std::lock_guard<std::mutex> lock(StripeFor(point));
-  // Quorum-read first so a delete of a missing object reports kNotFound
-  // (the StorageBackend contract) instead of silently planting a marker.
-  Bump(&ClusterCounters::quorum_reads);
-  const std::vector<ReadHit> hits = QuorumRead(
-      name, point, /*count_failover=*/true, /*first_whole=*/false);
-  if (hits.empty()) {
-    Bump(&ClusterCounters::quorum_failures);
-    return Error(ErrorCode::kIOError, "read quorum not reached: " + name);
-  }
-  const std::optional<Envelope> best = BestOf(hits);
-  if (!best || best->tombstone) {
-    return Error(ErrorCode::kNotFound, "object not found: " + name);
-  }
-  Envelope tomb;
-  tomb.tombstone = true;
-  tomb.version = DrawVersion();
-  tomb.writer = writer_id_;
-  Bump(&ClusterCounters::quorum_writes);
-  const Status st = QuorumWriteLocked(name, point, EncodeEnvelope(tomb));
-  if (!st.ok()) {
-    Bump(&ClusterCounters::quorum_failures);
-    return st;
-  }
-  Bump(&ClusterCounters::tombstones_written);
-  return Status::Ok();
 }
 
 bool ClusterBackend::Exists(const std::string& name) {

@@ -25,13 +25,13 @@
 //     atomic counter seeded with wall time, advanced past every version
 //     observed that is not too far ahead of wall time) plus a per-client
 //     writer id as tiebreak. Deletes are TOMBSTONE envelopes written
-//     through the same quorum path, so a resurrecting replica cannot undo
-//     a delete.
+//     blind (no read first) through the same quorum path and ordered like
+//     a Put, so a resurrecting replica cannot undo a delete.
 //   * Digest reads — the store holds ciphertext and the enclave's AEAD,
 //     not the envelope, guards integrity, so an envelope's 25-byte head
 //     tells a quorum read everything its full decode does. Paths that
-//     only compare versions (Delete, Exists, GetHead, List's tombstone
-//     filter, repair's re-check) read heads only; Get reads the payload
+//     only compare versions (Exists, GetHead, List's tombstone filter,
+//     repair's re-check) read heads only; Get reads the payload
 //     from the first replica that answers and heads from the rest,
 //     fetching a second payload only when a head is newer.
 //   * Repair — every shard answer, whole or head, goes through one
@@ -379,6 +379,11 @@ class ClusterBackend final : public storage::StorageBackend {
   /// Put for a name whose ring point the caller already holds (the put
   /// stream's one-segment commit).
   Status PutAt(const std::string& name, std::uint64_t point, ByteSpan data);
+  /// Stamps `env` with a fresh version from this client's clock and
+  /// quorum-writes it under the stripe lock: the one write rule Put and
+  /// Delete share, so a tombstone is ordered exactly like a Put.
+  Status WriteNewEnvelope(const std::string& name, std::uint64_t point,
+                          Envelope env);
   /// Envelope quorum-write used by Put / Delete / read-repair commit.
   Status QuorumWriteLocked(const std::string& name, std::uint64_t point,
                            const Bytes& encoded);

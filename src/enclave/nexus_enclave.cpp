@@ -356,13 +356,10 @@ Status NexusEnclave::CheckpointJournal() {
       NEXUS_RETURN_IF_ERROR(StoreMetaDirect(op.uuid, op.blob, &version));
       PatchCachedStorageVersion(op.uuid, version);
     } else {
-      const Status removed = RemoveMetaDirect(op.uuid);
-      // Tolerated: the object may never have been checkpointed (created
-      // and deleted within the journaled window) or a previous partial
-      // checkpoint already removed it.
-      if (!removed.ok() && removed.code() != ErrorCode::kNotFound) {
-        return removed;
-      }
+      // A missing object is Ok: it may never have been checkpointed
+      // (created and deleted within the journaled window) or a previous
+      // partial checkpoint already removed it.
+      NEXUS_RETURN_IF_ERROR(RemoveMetaDirect(op.uuid));
     }
   }
   journal_stats_.ops_checkpointed += j.committed.size();
@@ -412,10 +409,7 @@ Result<std::size_t> NexusEnclave::ReplayOps(const std::vector<journal::Op>& ops,
     }
     if (op.kind == journal::OpKind::kRemove) {
       if (!stored.ok()) continue;
-      const Status removed = RemoveMetaDirect(op.uuid);
-      if (!removed.ok() && removed.code() != ErrorCode::kNotFound) {
-        return removed;
-      }
+      NEXUS_RETURN_IF_ERROR(RemoveMetaDirect(op.uuid));
     } else {
       // Version guard: a put lands only on a missing object or one whose
       // authenticated version is lower — a later unjournaled session may

@@ -79,19 +79,15 @@ std::shared_ptr<MuxConnection::Slot> MuxConnection::Submit(ByteSpan request) {
   }
   if (!sent.ok()) {
     // The frame may be partially written: the stream is desynchronized,
-    // so the whole connection fails. This slot is NOT ambiguous (the
-    // server never saw a complete frame); siblings that were fully sent
-    // are, and each retries independently.
+    // so the whole connection fails and every sibling retries
+    // independently.
     {
       const std::lock_guard<std::mutex> lock(mu_);
       pending_.erase(slot->correlation);
     }
     Fail(sent);
     Complete(*slot, sent, {});
-    return slot;
   }
-
-  slot->sent.store(true, std::memory_order_release);
   return slot;
 }
 

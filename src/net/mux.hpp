@@ -20,12 +20,11 @@
 // Failure semantics are whole-connection: a transport error, a response
 // carrying an unknown correlation id, or a malformed frame means the byte
 // stream can no longer be trusted, so every in-flight request on the
-// connection fails at once (each marked ambiguous iff its frame hit the
-// wire). The requests are NOT orphaned — each caller holds its own slot,
-// observes the failure independently, and retries on a fresh connection
-// through RemoteBackend's per-request retry discipline. A reader whose
-// RecvFrame fails breaks the connection, which completes every slot,
-// parked waiters included.
+// connection fails at once. The requests are NOT orphaned — each caller
+// holds its own slot, observes the failure independently, and retries on
+// a fresh connection through RemoteBackend's per-request retry
+// discipline. A reader whose RecvFrame fails breaks the connection,
+// which completes every slot, parked waiters included.
 //
 // Nobody blocks in RecvFrame unless a sent request is owed to it: a
 // waiter reads only while its own slot is pending. This keeps idle pooled
@@ -34,7 +33,6 @@
 // injection.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -58,9 +56,6 @@ class MuxConnection {
     std::uint64_t correlation = 0;
     std::uint64_t start_ns = 0;
     std::size_t request_bytes = 0;
-    /// True once the request frame was fully written to the socket — a
-    /// later failure leaves the RPC's outcome unknown (ambiguous).
-    std::atomic<bool> sent{false};
 
     /// Blocks until the slot completes, reading the connection itself
     /// while nobody else does; returns the full response payload or the

@@ -13,8 +13,8 @@
 // handlers run inline on that loop, except mutations while any client
 // holds a lease channel (their lease breaks may wait). --rpc-workers
 // (at least 1) sizes the shared pool for handlers that may wait: every
-// --root handler and those --mem mutations. A malformed --port or
-// --rpc-workers prints the usage and exits 2.
+// --root handler and those --mem mutations. A malformed number (--port,
+// --rpc-workers, --cache-mem, --cache-disk) prints the usage and exits 2.
 //
 // The --cache-* flags front the backend with cache::CachedBackend — useful
 // when --root points at slow storage (NFS, a FUSE mount): the daemon then
@@ -25,15 +25,17 @@
 // ephemeral port; scripts parse this line), then runs until SIGINT or
 // SIGTERM, shutting down cleanly: in-flight connections are unblocked and
 // drained, uncommitted streams aborted.
-#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "cache/cached_backend.hpp"
+#include "common/env.hpp"
 #include "net/server.hpp"
 #include "storage/backend.hpp"
 
@@ -51,18 +53,6 @@ void Usage(const char* argv0) {
                "                   (default 4); --mem runs the others "
                "inline on the loop\n",
                argv0);
-}
-
-/// Parses all of `text` as a decimal number in [lo, hi].
-bool ParseBounded(const char* text, unsigned long long lo,
-                  unsigned long long hi, unsigned long long* out) {
-  if (*text < '0' || *text > '9') return false; // no sign, no blanks
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
-  *out = v;
-  return true;
 }
 
 } // namespace
@@ -86,13 +76,14 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    auto next_bounded = [&](unsigned long long lo, unsigned long long hi) {
-      unsigned long long v = 0;
-      if (!ParseBounded(next(), lo, hi, &v)) {
+    // All of the next argument as a decimal number in [lo, hi].
+    auto next_bounded = [&](std::uint64_t lo, std::uint64_t hi) {
+      const std::optional<std::uint64_t> v = nexus::ParseUnsigned(next());
+      if (!v || *v < lo || *v > hi) {
         Usage(argv[0]);
         std::exit(2);
       }
-      return v;
+      return *v;
     };
     if (arg == "--mem") {
       use_mem = true;
@@ -108,11 +99,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--cache-mem") {
       use_cache = true;
       cache_options.mem_budget_bytes =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+          static_cast<std::size_t>(next_bounded(0, SIZE_MAX));
     } else if (arg == "--cache-disk") {
       use_cache = true;
       cache_options.disk_budget_bytes =
-          static_cast<std::size_t>(std::strtoull(next(), nullptr, 10));
+          static_cast<std::size_t>(next_bounded(0, SIZE_MAX));
     } else if (arg == "--cache-dir") {
       use_cache = true;
       cache_options.disk_dir = next();

@@ -205,13 +205,12 @@ Result<std::shared_ptr<MuxConnection>> RemoteBackend::AcquireConnection(
 
 // ---- the RPC engine ---------------------------------------------------------
 
-Result<Bytes> RemoteBackend::Call(const Writer& request, bool* ambiguous) {
+Result<Bytes> RemoteBackend::Call(const Writer& request) {
   const std::uint64_t corr = RequestCorrelation(request.bytes());
   trace::Span span(RpcName(RequestRpc(request.bytes())), "net.client");
   span.SetCorrelation(corr);
 
   Status last = Error(ErrorCode::kIOError, "rpc never attempted");
-  bool ambig = false;
   for (int attempt = 0; attempt < options_.max_attempts; ++attempt) {
     if (attempt > 0) {
       CountRetry();
@@ -235,10 +234,7 @@ Result<Bytes> RemoteBackend::Call(const Writer& request, bool* ambiguous) {
     }
     auto response = slot->Wait();
     if (!response.ok()) {
-      // Whole-connection failure. Ambiguous only if OUR frame was fully
-      // sent — a sibling's failure mid-window does not put this request
-      // on the server.
-      ambig |= slot->sent.load(std::memory_order_acquire);
+      // Whole-connection failure: retry on a fresh connection.
       NoteFailure();
       last = response.status();
       continue;
@@ -251,7 +247,6 @@ Result<Bytes> RemoteBackend::Call(const Writer& request, bool* ambiguous) {
       // Delivered but untrustworthy: the mux routed it here by its
       // correlation bytes, yet the head does not hold up. Protocol
       // desync — poison the connection so the siblings re-home too.
-      ambig = true;
       NoteFailure();
       last = parsed.ok() ? Error(ErrorCode::kIOError,
                                  "correlation mismatch: sent " +
@@ -263,12 +258,10 @@ Result<Bytes> RemoteBackend::Call(const Writer& request, bool* ambiguous) {
     }
 
     NoteSuccess();
-    if (ambiguous != nullptr) *ambiguous = ambig;
     // The server's verdict — success or not — is authoritative.
     NEXUS_RETURN_IF_ERROR(verdict);
     return reader.Raw(reader.Remaining());
   }
-  if (ambiguous != nullptr) *ambiguous = ambig;
   return last;
 }
 
@@ -337,15 +330,7 @@ Status RemoteBackend::PutLeased(const std::string& name, ByteSpan data,
 Status RemoteBackend::Delete(const std::string& name) {
   Writer req = BeginRequest(Rpc::kDelete);
   req.Str(name);
-  bool ambiguous = false;
-  const Status verdict = Call(req, &ambiguous).status();
-  if (verdict.code() == ErrorCode::kNotFound && ambiguous) {
-    // An earlier attempt with unknown outcome plus "not found" now means
-    // OUR delete (or a concurrent one) already won; either way the
-    // object is gone, which is what the caller asked for.
-    return Status::Ok();
-  }
-  return verdict;
+  return Call(req).status();
 }
 
 bool RemoteBackend::Exists(const std::string& name) {

@@ -20,9 +20,8 @@
 //     every later retry. Server VERDICTS inside a well-formed response
 //     are authoritative and never retried,
 //   * ambiguity resolution — every retried RPC is idempotent (Put is
-//     last-writer-wins), so blind re-execution is safe. The
-//     one wrinkle is Delete: if an earlier attempt's outcome is unknown
-//     and the retry says kNotFound, the delete DID happen — report Ok,
+//     last-writer-wins, a Delete of a missing name is Ok), so blind
+//     re-execution of an attempt with unknown outcome is safe,
 //   * one wire version — every connection runs the full window from its
 //     first RPC and MultiGet/MultiExists coalesce name fan-outs into one
 //     frame each way. Nothing is negotiated: a response head carrying any
@@ -157,9 +156,8 @@ class RemoteBackend final : public storage::StorageBackend {
 
   /// One RPC through the mux with per-request retry/reconnect/backoff.
   /// On a well-formed response returns the payload after the verified
-  /// head; the server's verdict is authoritative. `ambiguous` (optional)
-  /// reports whether any FAILED attempt may have reached the server.
-  Result<Bytes> Call(const Writer& request, bool* ambiguous = nullptr);
+  /// head; the server's verdict is authoritative.
+  Result<Bytes> Call(const Writer& request);
 
   /// Returns a connection with window room, dialing a fresh one when the
   /// pool has none to give. Counts a reconnect when `is_retry` dials.

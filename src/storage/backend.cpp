@@ -28,9 +28,7 @@ Status MemBackend::Put(const std::string& name, ByteSpan data) {
 
 Status MemBackend::Delete(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (objects_.erase(name) == 0) {
-    return Error(ErrorCode::kNotFound, "object not found: " + name);
-  }
+  objects_.erase(name);
   return Status::Ok();
 }
 
@@ -368,9 +366,12 @@ Result<std::unique_ptr<StorageBackend::PutStream>> DiskBackend::OpenPutStream(
 }
 
 Status DiskBackend::Delete(const std::string& name) {
+  // remove() reports a missing file as false with no error: that is Ok.
   std::error_code ec;
-  if (!std::filesystem::remove(PathFor(name), ec) || ec) {
-    return Error(ErrorCode::kNotFound, "object not found: " + name);
+  std::filesystem::remove(PathFor(name), ec);
+  if (ec) {
+    return Error(ErrorCode::kIOError,
+                 "delete " + name + ": " + ec.message());
   }
   return Status::Ok();
 }

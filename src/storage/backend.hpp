@@ -36,6 +36,12 @@ class StorageBackend {
 
   virtual Result<Bytes> Get(const std::string& name) = 0;
   virtual Status Put(const std::string& name, ByteSpan data) = 0;
+  /// Removes `name`; a name that is already missing is Ok, so a retried
+  /// or repeated delete needs no special case. A delete is ordered like a
+  /// Put (last writer wins; ClusterBackend writes a tombstone under the
+  /// deleting client's version clock). Callers only delete objects that
+  /// no live metadata references, so a delete that loses that race
+  /// leaves an orphan for fsck, never wrong visible state.
   virtual Status Delete(const std::string& name) = 0;
   [[nodiscard]] virtual bool Exists(const std::string& name) = 0;
   /// All object names with the given prefix, sorted.

@@ -440,7 +440,7 @@ TEST(ClusterBackendTest, StorageContractOverThreeShards) {
   EXPECT_EQ(c.read_quorum(), 2u);
 
   EXPECT_EQ(c.Get("missing").status().code(), ErrorCode::kNotFound);
-  EXPECT_EQ(c.Delete("missing").code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(c.Delete("missing").ok());
   EXPECT_FALSE(c.Exists("missing"));
 
   const Bytes data{10, 20, 30};
@@ -474,7 +474,7 @@ TEST(ClusterBackendTest, StorageContractOverThreeShards) {
   EXPECT_EQ(c.Get("obj").status().code(), ErrorCode::kNotFound);
   EXPECT_FALSE(c.Exists("obj"));
   EXPECT_EQ(c.List("").size(), 1u);
-  EXPECT_EQ(c.Delete("obj").code(), ErrorCode::kNotFound); // idempotent-ish
+  EXPECT_TRUE(c.Delete("obj").ok()); // idempotent
   EXPECT_GE(fx.ReplicaCount("obj"), 2u); // tombstone is replicated
 
   const ClusterCounters counters = c.counters();
@@ -1102,6 +1102,40 @@ TEST(ClusterBackendTest, HandoffDropsAHintWhoseHolderCopyHasAForgedVersion) {
   EXPECT_FALSE(fx.shard(1).mem->Exists(name));
 }
 
+// A delete while an owner is down slides its tombstone past the dead
+// owner and leaves a hint. The owner returns still holding the live copy;
+// draining the hint replays the tombstone onto it, so every read surface
+// reports the name as gone and no stale replica can resurrect it.
+TEST(ClusterBackendTest, DeleteDuringAnOwnerOutageDrainsItsTombstone) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  const std::string name = NameOwnedBy("dd", "shard-1", true);
+  const Bytes data{4, 2};
+  ASSERT_TRUE(c.Put(name, ByteSpan(data.data(), data.size())).ok());
+  ASSERT_FALSE(fx.ReplicaEnvelope(1, name).tombstone);
+
+  fx.shard(1).down->store(true);
+  ASSERT_TRUE(c.Delete(name).ok());
+  EXPECT_GT(c.counters().failovers, 0u);
+  EXPECT_EQ(c.counters().handoff_hints_recorded, 1u);
+  EXPECT_FALSE(fx.ReplicaEnvelope(1, name).tombstone); // the old copy
+
+  fx.shard(1).down->store(false);
+  fx.AdvanceClock(60'000);
+  c.DrainHandoffNow();
+
+  EXPECT_EQ(c.counters().handoff_hints_replayed, 1u);
+  for (std::size_t s = 0; s < fx.size(); ++s) {
+    EXPECT_TRUE(fx.shard(s).mem->List(kHandoffHintPrefix).empty()) << s;
+  }
+  EXPECT_TRUE(fx.ReplicaEnvelope(1, name).tombstone);
+  EXPECT_EQ(c.Get(name).status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(c.GetHead(name, 4).status().code(), ErrorCode::kNotFound);
+  EXPECT_FALSE(c.Exists(name));
+  EXPECT_TRUE(c.List("").empty());
+  EXPECT_EQ(c.counters().read_repairs, 0u);
+}
+
 // ---- digest reads -----------------------------------------------------------
 
 // Shard indices of `name`'s two owners in preference order, on the ring
@@ -1116,8 +1150,9 @@ std::vector<std::size_t> OwnerOrder(const std::string& name) {
   return out;
 }
 
-// Delete, Exists and List only compare versions, so they read envelope
-// heads and never a payload — not even to report a missing object.
+// Exists and List only compare versions, so they read envelope heads and
+// never a payload — not even to report a missing object. Delete is a
+// blind tombstone write and reads nothing.
 TEST(ClusterDigestReadTest, DeleteExistsAndListReadNoPayload) {
   ClusterFixture fx(3);
   ClusterBackend& c = fx.cluster();
@@ -1128,15 +1163,55 @@ TEST(ClusterDigestReadTest, DeleteExistsAndListReadNoPayload) {
   EXPECT_TRUE(c.Exists("obj"));
   EXPECT_FALSE(c.Exists("missing"));
   EXPECT_EQ(c.List(""), std::vector<std::string>{"obj"});
-  EXPECT_EQ(c.Delete("missing").code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(c.Delete("missing").ok());
   ASSERT_TRUE(c.Delete("obj").ok());
   EXPECT_FALSE(c.Exists("obj"));
   EXPECT_TRUE(c.List("").empty());
-  EXPECT_EQ(c.Delete("obj").code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(c.Delete("obj").ok());
 
   EXPECT_EQ(fx.TotalCalls(&ShardCalls::data_gets), 0u);
-  // Every quorum read above asked two owners for a head.
-  EXPECT_EQ(fx.TotalCalls(&ShardCalls::heads) - heads0, 2u * 8);
+  // Every quorum read above asked two owners for a head: three Exists,
+  // one per name the Lists filter (`obj`; then `obj` and the tombstone
+  // that deleting `missing` planted), and none for the deletes.
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::heads) - heads0, 2u * 6);
+}
+
+// A Delete is one blind quorum write: exactly two shard Puts of a
+// tombstone and no shard read, whether or not the name exists. The
+// tombstone is drawn after the Put from the same clock, so it wins on
+// both replicas.
+TEST(ClusterDigestReadTest, DeleteIsOneBlindQuorumWrite) {
+  ClusterFixture fx(3);
+  ClusterBackend& c = fx.cluster();
+  const Bytes payload{1, 2, 3};
+  ASSERT_TRUE(c.Put("obj", ByteSpan(payload.data(), payload.size())).ok());
+  const std::vector<std::size_t> owners = OwnerOrder("obj");
+  const std::uint64_t put_version =
+      fx.ReplicaEnvelope(owners[0], "obj").version;
+
+  for (const std::string name : {"obj", "missing"}) {
+    const ClusterCounters before = c.counters();
+    const std::uint64_t all0 = fx.TotalCalls(&ShardCalls::all);
+    const std::uint64_t puts0 = fx.TotalCalls(&ShardCalls::puts);
+    const std::uint64_t gets0 = fx.TotalCalls(&ShardCalls::data_gets);
+    const std::uint64_t heads0 = fx.TotalCalls(&ShardCalls::heads);
+    EXPECT_TRUE(c.Delete(name).ok()) << name;
+    EXPECT_EQ(fx.TotalCalls(&ShardCalls::puts) - puts0, 2u) << name;
+    EXPECT_EQ(fx.TotalCalls(&ShardCalls::all) - all0, 2u) << name;
+    EXPECT_EQ(fx.TotalCalls(&ShardCalls::data_gets) - gets0, 0u) << name;
+    EXPECT_EQ(fx.TotalCalls(&ShardCalls::heads) - heads0, 0u) << name;
+    const ClusterCounters delta = c.counters() - before;
+    EXPECT_EQ(delta.shard_rpcs, 2u) << name;
+    EXPECT_EQ(delta.quorum_reads, 0u) << name;
+    EXPECT_EQ(delta.quorum_writes, 1u) << name;
+    EXPECT_EQ(delta.tombstones_written, 1u) << name;
+  }
+  for (const std::size_t owner : owners) {
+    const Envelope env = fx.ReplicaEnvelope(owner, "obj");
+    EXPECT_TRUE(env.tombstone) << owner;
+    EXPECT_GT(env.version, put_version) << owner;
+  }
+  EXPECT_EQ(c.Get("obj").status().code(), ErrorCode::kNotFound);
 }
 
 // A healthy Get reads one payload, from the first owner, and heads from
@@ -1284,9 +1359,9 @@ TEST(ClusterDigestReadTest, GetHeadReadsOnlyTheAskedPrefix) {
   EXPECT_EQ(c.GetHead("obj", 4).status().code(), ErrorCode::kNotFound);
 
   EXPECT_EQ(fx.TotalCalls(&ShardCalls::data_gets), 0u);
-  // 8 reads of an object, 1 of a missing one, the delete's and the last
-  // read: 11 quorum reads of two owner heads each.
-  EXPECT_EQ(fx.TotalCalls(&ShardCalls::heads) - heads0, 2u * 11);
+  // 8 reads of an object, 1 of a missing one and the last read (the
+  // delete reads nothing): 10 quorum reads of two owner heads each.
+  EXPECT_EQ(fx.TotalCalls(&ShardCalls::heads) - heads0, 2u * 10);
   EXPECT_EQ(c.counters().read_repairs, 0u);
 }
 

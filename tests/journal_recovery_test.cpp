@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "cache/cached_backend.hpp"
 #include "cluster/cluster_backend.hpp"
 #include "core/fsck.hpp"
 #include "test_env.hpp"
@@ -397,15 +398,14 @@ class SharedShard final : public storage::StorageBackend {
   std::shared_ptr<storage::MemBackend> mem_;
 };
 
-// On a cluster every delete is a quorum-written tombstone that is never
-// collected. Default-configuration commits delete no journal object, so a
-// run of operations leaves no tombstone under nxj/.
-TEST(JournalClusterTest, DefaultCommitsLeaveNoJournalTombstones) {
-  std::vector<std::shared_ptr<storage::MemBackend>> shards;
+// A 3-shard R=2 cluster over MemBackends; `shards` (optional) receives
+// the shard stores.
+std::unique_ptr<cluster::ClusterBackend> ThreeShardCluster(
+    std::vector<std::shared_ptr<storage::MemBackend>>* shards = nullptr) {
   std::vector<cluster::ShardSpec> specs;
   for (int i = 0; i < 3; ++i) {
     auto mem = std::make_shared<storage::MemBackend>();
-    shards.push_back(mem);
+    if (shards != nullptr) shards->push_back(mem);
     specs.push_back(cluster::ShardSpec{
         "shard-" + std::to_string(i),
         [mem]() -> Result<std::unique_ptr<storage::StorageBackend>> {
@@ -418,11 +418,18 @@ TEST(JournalClusterTest, DefaultCommitsLeaveNoJournalTombstones) {
   options.replication = 2;
   options.writer_id = 7;
   options.background_rebalance = false;
-  auto backend = cluster::ClusterBackend::Create(std::move(specs), options);
-  ASSERT_TRUE(backend.ok()) << backend.status().ToString();
-  cluster::ClusterBackend* cluster = backend->get();
+  return cluster::ClusterBackend::Create(std::move(specs), options).value();
+}
 
-  test::World world("cluster-journal", std::move(backend).value());
+// On a cluster every delete is a quorum-written tombstone that is never
+// collected. Default-configuration commits delete no journal object, so a
+// run of operations leaves no tombstone under nxj/.
+TEST(JournalClusterTest, DefaultCommitsLeaveNoJournalTombstones) {
+  std::vector<std::shared_ptr<storage::MemBackend>> shards;
+  std::unique_ptr<cluster::ClusterBackend> backend = ThreeShardCluster(&shards);
+  cluster::ClusterBackend* cluster = backend.get();
+
+  test::World world("cluster-journal", std::move(backend));
   test::Machine& machine = world.AddMachine("owen");
   auto handle = machine.nexus->CreateVolume(machine.user);
   ASSERT_TRUE(handle.ok());
@@ -453,6 +460,36 @@ TEST(JournalClusterTest, DefaultCommitsLeaveNoJournalTombstones) {
                           handle->sealed_rootkey)
                   .ok());
   EXPECT_EQ(nexus.ReadFile("d/f7").value(), Bytes(32, 2));
+}
+
+// The whole client stack (NexusClient -> CachedBackend -> ClusterBackend
+// over three shards, R=2), as the full-stack benchmark builds it. A
+// rewrite of an existing file is the data stream, the anchor, the
+// filenode and the superseded data object's tombstone, each on two
+// replicas: 8 shard RPCs and no quorum read.
+TEST(JournalClusterTest, RewriteCostsEightShardRpcsAndNoQuorumRead) {
+  std::unique_ptr<cluster::ClusterBackend> backend = ThreeShardCluster();
+  cluster::ClusterBackend* cluster = backend.get();
+  cache::CacheOptions cache_options;
+  cache_options.disk_budget_bytes = 1; // tier disabled: no disk_dir
+  cache_options.writeback = cache::CacheOptions::Writeback::kOff;
+  test::World world("cluster-budget", std::make_unique<cache::CachedBackend>(
+                                          std::move(backend), cache_options));
+  test::Machine& machine = world.AddMachine("owen");
+  ASSERT_TRUE(machine.nexus->CreateVolume(machine.user).ok());
+  auto& nexus = *machine.nexus;
+  ASSERT_TRUE(nexus.ConfigureJournal(true, 0).ok());
+  ASSERT_TRUE(nexus.WriteFile("f", Bytes(100, 1)).ok());
+
+  for (std::uint8_t fill = 2; fill < 5; ++fill) {
+    const cluster::ClusterCounters before = cluster->counters();
+    ASSERT_TRUE(nexus.WriteFile("f", Bytes(100, fill)).ok());
+    const cluster::ClusterCounters delta = cluster->counters() - before;
+    EXPECT_EQ(delta.shard_rpcs, 8u) << int{fill};
+    EXPECT_EQ(delta.quorum_reads, 0u) << int{fill};
+    EXPECT_EQ(delta.tombstones_written, 1u) << int{fill};
+  }
+  EXPECT_EQ(nexus.ReadFile("f").value(), Bytes(100, 4));
 }
 
 } // namespace

@@ -52,7 +52,7 @@ TEST_F(NetBackendTest, ServerVerdictsPropagate) {
   auto missing = remote_->Get("nope");
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), ErrorCode::kNotFound);
-  EXPECT_FALSE(remote_->Delete("nope").ok());
+  EXPECT_TRUE(remote_->Delete("nope").ok()); // a missing name is Ok
 }
 
 TEST_F(NetBackendTest, ExistsListDelete) {

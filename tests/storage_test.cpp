@@ -133,7 +133,7 @@ TEST_P(BackendContractTest, DeleteRemoves) {
   EXPECT_TRUE(backend_->Exists("obj"));
   ASSERT_TRUE(backend_->Delete("obj").ok());
   EXPECT_FALSE(backend_->Exists("obj"));
-  EXPECT_FALSE(backend_->Delete("obj").ok());
+  EXPECT_TRUE(backend_->Delete("obj").ok()); // a missing name is Ok
 }
 
 TEST_P(BackendContractTest, EmptyObjectAllowed) {
@@ -444,6 +444,17 @@ TEST_F(DiskBackendAtomicityTest, PutStreamAbortLeavesOldContent) {
   }
   EXPECT_EQ(TempFileCount(), 0u);
   EXPECT_EQ(backend_->Get("nx/s").value(), Bytes{7});
+}
+
+// Delete of a missing name is Ok, but a filesystem error is not "missing":
+// a non-empty directory sitting at an object's escaped path cannot be
+// removed (ENOTEMPTY, even for root), and Delete reports kIOError.
+TEST_F(DiskBackendAtomicityTest, DeleteReportsAFilesystemErrorAsIOError) {
+  EXPECT_TRUE(backend_->Delete("nx/absent").ok());
+  std::filesystem::create_directory(dir_ / "nx%2fdoomed");
+  std::ofstream(dir_ / "nx%2fdoomed" / "inner") << "junk";
+  EXPECT_EQ(backend_->Delete("nx/doomed").code(), ErrorCode::kIOError);
+  EXPECT_TRUE(std::filesystem::exists(dir_ / "nx%2fdoomed" / "inner"));
 }
 
 // ---- AFS semantics ------------------------------------------------------------
