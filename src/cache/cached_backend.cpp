@@ -307,81 +307,6 @@ Result<Bytes> CachedBackend::Get(const std::string& name) {
   return fetched;
 }
 
-std::vector<Result<Bytes>> CachedBackend::MultiGetLeased(
-    const std::vector<std::string>& names, std::vector<bool>* leased) {
-  // The cache is the lease tracker; callers above it get plain results.
-  if (leased != nullptr) leased->assign(names.size(), false);
-  return MultiGet(names);
-}
-
-std::vector<Result<Bytes>> CachedBackend::MultiGet(
-    const std::vector<std::string>& names) {
-  std::unordered_map<std::size_t, Bytes> served;
-  std::vector<std::size_t> miss_idx;
-  std::vector<std::uint64_t> miss_seq;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      const std::string& name = names[i];
-      const auto it = entries_.find(name);
-      if (it != entries_.end() && EntryValidLocked(it->second)) {
-        TouchLocked(name, it->second);
-        ++counters_.mem_hits;
-        served.emplace(i, it->second.data);
-        continue;
-      }
-      if (auto disk = TryDiskHitLocked(name)) {
-        served.emplace(i, std::move(*disk));
-        continue;
-      }
-      ++counters_.misses;
-      miss_idx.push_back(i);
-      miss_seq.push_back(inval_seq_[name]);
-    }
-  }
-  std::vector<Result<Bytes>> fetched;
-  if (!miss_idx.empty()) {
-    std::vector<std::string> missing;
-    missing.reserve(miss_idx.size());
-    for (const std::size_t i : miss_idx) missing.push_back(names[i]);
-    // One batched round for the whole miss set, asking for leases (a
-    // remote grants them per entry; a lease-less inner leaves every flag
-    // false).
-    std::vector<bool> lease_flags;
-    fetched = inner_->MultiGetLeased(missing, &lease_flags);
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t j = 0; j < miss_idx.size() && j < fetched.size(); ++j) {
-      if (!fetched[j].ok()) continue;
-      const std::string& name = names[miss_idx[j]];
-      const auto it = entries_.find(name);
-      const bool dirty_meanwhile =
-          it != entries_.end() && it->second.state == Entry::State::kDirty;
-      if (inval_seq_[name] != miss_seq[j] || dirty_meanwhile) continue;
-      if (it != entries_.end()) RemoveEntryLocked(name, /*demote=*/false);
-      const bool entry_leased =
-          j < lease_flags.size() && lease_flags[j] && channel_up_;
-      InsertCleanLocked(name, fetched[j].value(),
-                        entry_leased ? Entry::State::kLeased
-                                     : Entry::State::kClean,
-                        NowMs());
-    }
-  }
-  std::vector<Result<Bytes>> out;
-  out.reserve(names.size());
-  std::size_t next_miss = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    const auto hit = served.find(i);
-    if (hit != served.end()) {
-      out.push_back(std::move(hit->second));
-    } else if (next_miss < fetched.size()) {
-      out.push_back(std::move(fetched[next_miss++]));
-    } else {
-      out.push_back(Error(ErrorCode::kInternal, "multi-get result missing"));
-    }
-  }
-  return out;
-}
-
 bool CachedBackend::Exists(const std::string& name) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -408,34 +333,6 @@ Result<storage::StorageBackend::Head> CachedBackend::GetHead(
     }
   }
   return inner_->GetHead(name, max_bytes);
-}
-
-std::vector<bool> CachedBackend::MultiExists(
-    const std::vector<std::string>& names) {
-  std::vector<bool> out(names.size(), false);
-  std::vector<std::size_t> unknown_idx;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      const auto it = entries_.find(names[i]);
-      if (it != entries_.end() && EntryValidLocked(it->second)) {
-        out[i] = true;
-      } else {
-        unknown_idx.push_back(i);
-      }
-    }
-  }
-  if (!unknown_idx.empty()) {
-    std::vector<std::string> unknown;
-    unknown.reserve(unknown_idx.size());
-    for (const std::size_t i : unknown_idx) unknown.push_back(names[i]);
-    const std::vector<bool> inner_out = inner_->MultiExists(unknown);
-    for (std::size_t j = 0; j < unknown_idx.size() && j < inner_out.size();
-         ++j) {
-      out[unknown_idx[j]] = inner_out[j];
-    }
-  }
-  return out;
 }
 
 std::vector<std::string> CachedBackend::List(const std::string& prefix) {

@@ -21,8 +21,8 @@
 //   dirty  — locally written, not yet flushed; always valid (local truth).
 //   leased — served under a server read lease; valid until the server
 //            pushes an invalidation or the lease channel dies.
-//   clean  — TTL-stamped (MultiGet fills, disk-tier loads, lease-less
-//            mode); valid for ttl_ms after the stamp.
+//   clean  — TTL-stamped (fills without a lease, disk-tier loads);
+//            valid for ttl_ms after the stamp.
 //
 // The disk tier keeps one file per object (names percent-escaped like
 // DiskBackend) plus a MAC'd ".cache-index" base image updated crash-safely
@@ -104,12 +104,6 @@ class CachedBackend final : public storage::StorageBackend {
   Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
   Result<std::unique_ptr<PutStream>> OpenPutStream(
       const std::string& name) override;
-  std::vector<Result<Bytes>> MultiGet(
-      const std::vector<std::string>& names) override;
-  std::vector<Result<Bytes>> MultiGetLeased(
-      const std::vector<std::string>& names,
-      std::vector<bool>* leased) override;
-  std::vector<bool> MultiExists(const std::vector<std::string>& names) override;
   /// Write barrier: flushes every dirty object and persists the disk
   /// index. The cache's "close" in open-to-close consistency.
   Status Flush() override;

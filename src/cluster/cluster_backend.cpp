@@ -7,7 +7,6 @@
 #include <limits>
 #include <random>
 #include <set>
-#include <unordered_map>
 
 #include "common/env.hpp"
 #include "common/serial.hpp"
@@ -675,52 +674,6 @@ Status ClusterBackend::ShardDelete(const ShardPtr& shard,
   return st;
 }
 
-std::vector<Result<Bytes>> ClusterBackend::ShardMultiGet(
-    const ShardPtr& shard, const std::vector<std::string>& names) {
-  Bump(&ClusterCounters::shard_rpcs);
-  const std::uint64_t t0 = MonotonicNs();
-  std::vector<Result<Bytes>> res = shard->backend->MultiGet(names);
-  shard_rpc_latency_.Record(MonotonicNs() - t0);
-  // A transport failure fails the whole batch; a healthy server answers
-  // per name. Treat "every entry kIOError" as the transport case.
-  bool transport_ok = names.empty();
-  for (const auto& r : res) {
-    if (r.ok() || r.status().code() != ErrorCode::kIOError) {
-      transport_ok = true;
-      break;
-    }
-  }
-  if (!transport_ok) Bump(&ClusterCounters::shard_failures);
-  RecordShardOutcome(*shard, transport_ok);
-  return res;
-}
-
-Result<std::vector<std::string>> ClusterBackend::ShardList(
-    const ShardPtr& shard, const std::string& prefix) {
-  Bump(&ClusterCounters::shard_rpcs);
-  const std::uint64_t t0 = MonotonicNs();
-  // List has no error channel on the StorageBackend surface; RemoteBackend
-  // returns an empty vector on transport failure. Probe liveness with
-  // Exists on a name no store holds, so a dead shard is detected and an
-  // empty-but-healthy shard is not misdiagnosed.
-  std::vector<std::string> names = shard->backend->List(prefix);
-  bool transport_ok = true;
-  if (names.empty()) {
-    const Result<Bytes> probe =
-        shard->backend->Get("\x01nexus-cluster-liveness-probe");
-    transport_ok =
-        probe.ok() || probe.status().code() != ErrorCode::kIOError;
-  }
-  shard_rpc_latency_.Record(MonotonicNs() - t0);
-  if (!transport_ok) {
-    Bump(&ClusterCounters::shard_failures);
-    RecordShardOutcome(*shard, false);
-    return Error(ErrorCode::kIOError, "shard unreachable during List");
-  }
-  RecordShardOutcome(*shard, true);
-  return names;
-}
-
 Result<storage::StorageBackend::ListPage> ClusterBackend::ShardListPage(
     const ShardPtr& shard, const std::string& prefix,
     const std::string& start_after, std::size_t limit) {
@@ -728,8 +681,10 @@ Result<storage::StorageBackend::ListPage> ClusterBackend::ShardListPage(
   const std::uint64_t t0 = MonotonicNs();
   storage::StorageBackend::ListPage page =
       shard->backend->ListSome(prefix, start_after, limit);
-  // Same blind spot as ShardList: an empty final page and a dead shard
-  // look alike, so disambiguate with the liveness probe.
+  // ListSome has no error channel on the StorageBackend surface:
+  // RemoteBackend answers an empty page on transport failure, so an empty
+  // final page and a dead shard look alike. Disambiguate with a Get of a
+  // name no store holds.
   bool transport_ok = true;
   if (page.names.empty() && !page.more) {
     const Result<Bytes> probe =
@@ -998,17 +953,7 @@ Status ClusterBackend::WriteNewEnvelope(const std::string& name,
 }
 
 bool ClusterBackend::Exists(const std::string& name) {
-  const trace::Span span("cluster.exists", "cluster");
-  Bump(&ClusterCounters::quorum_reads);
-  const std::vector<ReadHit> hits =
-      QuorumRead(name, HashRing::HashPoint(name), /*count_failover=*/false,
-                 /*first_whole=*/false);
-  if (hits.empty()) {
-    Bump(&ClusterCounters::quorum_failures);
-    return false;
-  }
-  const std::optional<Envelope> best = BestOf(hits);
-  return best.has_value() && !best->tombstone;
+  return GetHead(name, 0).ok();
 }
 
 Result<storage::StorageBackend::Head> ClusterBackend::GetHead(
@@ -1048,12 +993,17 @@ std::vector<std::string> ClusterBackend::List(const std::string& prefix) {
   std::set<std::string> candidates;
   for (const ShardPtr& shard : all) {
     if (!ShardAvailable(*shard)) continue;
-    const Result<std::vector<std::string>> names = ShardList(shard, prefix);
-    if (!names.ok()) continue;
-    for (const std::string& name : names.value()) {
-      // Control-plane objects (handoff hints, probes) are not data.
-      if (IsControlName(name)) continue;
-      candidates.insert(name);
+    std::string cursor;
+    for (;;) {
+      const Result<storage::StorageBackend::ListPage> page =
+          ShardListPage(shard, prefix, cursor, kListBatch);
+      if (!page.ok() || page.value().names.empty()) break;
+      cursor = page.value().names.back();
+      for (const std::string& name : page.value().names) {
+        // Control-plane objects (handoff hints, probes) are not data.
+        if (!IsControlName(name)) candidates.insert(name);
+      }
+      if (!page.value().more) break;
     }
   }
   // Filter quorum-committed deletes: a name is listed only if its newest
@@ -1065,84 +1015,6 @@ std::vector<std::string> ClusterBackend::List(const std::string& prefix) {
                    /*first_whole=*/false);
     const std::optional<Envelope> best = BestOf(hits);
     if (best && !best->tombstone) out.push_back(name);
-  }
-  return out;
-}
-
-std::vector<Result<Bytes>> ClusterBackend::MultiGet(
-    const std::vector<std::string>& names) {
-  const trace::Span span("cluster.multiget", "cluster");
-  // Per name: walk its preference list round by round, but BATCH all
-  // names that target the same shard in one MultiGet RPC per round.
-  struct PerName {
-    std::uint64_t point = 0;
-    std::vector<ShardPtr> prefs;
-    std::vector<ReadHit> hits;
-    std::size_t next_pref = 0;
-    std::size_t needed = 0;
-    bool failover_seen = false;
-  };
-  std::vector<PerName> state(names.size());
-  std::size_t max_rounds = 0;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    Bump(&ClusterCounters::quorum_reads);
-    state[i].point = HashRing::HashPoint(names[i]);
-    state[i].prefs = PreferenceList(state[i].point);
-    state[i].needed = std::min(read_quorum_, state[i].prefs.size());
-    max_rounds = std::max(max_rounds, state[i].prefs.size());
-  }
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    // shard -> indices into `names` probing that shard this round.
-    std::unordered_map<Shard*, std::vector<std::size_t>> batches;
-    std::unordered_map<Shard*, ShardPtr> keep_alive;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-      PerName& s = state[i];
-      while (s.hits.size() < s.needed && s.next_pref < s.prefs.size()) {
-        const ShardPtr& shard = s.prefs[s.next_pref];
-        ++s.next_pref;
-        if (!ShardAvailable(*shard)) continue;
-        batches[shard.get()].push_back(i);
-        keep_alive.emplace(shard.get(), shard);
-        break; // one probe per name per round
-      }
-    }
-    if (batches.empty()) break;
-    for (auto& [shard_raw, indices] : batches) {
-      const ShardPtr shard = keep_alive[shard_raw];
-      std::vector<std::string> batch_names;
-      batch_names.reserve(indices.size());
-      for (const std::size_t i : indices) batch_names.push_back(names[i]);
-      const std::vector<Result<Bytes>> res = ShardMultiGet(shard, batch_names);
-      for (std::size_t j = 0; j < indices.size() && j < res.size(); ++j) {
-        PerName& s = state[indices[j]];
-        std::optional<ReadHit> hit = ToHit(shard, res[j]);
-        if (!hit) continue; // transport failure: nothing this round
-        if (s.next_pref > replication_ && !s.failover_seen) {
-          s.failover_seen = true;
-          Bump(&ClusterCounters::failovers);
-        }
-        s.hits.push_back(std::move(*hit));
-      }
-    }
-  }
-  std::vector<Result<Bytes>> out;
-  out.reserve(names.size());
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    PerName& s = state[i];
-    if (s.hits.size() < s.needed || s.needed == 0) {
-      Bump(&ClusterCounters::quorum_failures);
-      out.emplace_back(
-          Error(ErrorCode::kIOError, "read quorum not reached: " + names[i]));
-      continue;
-    }
-    const std::optional<Envelope> best = BestOf(s.hits);
-    if (!best || best->tombstone) {
-      out.emplace_back(
-          Error(ErrorCode::kNotFound, "object not found: " + names[i]));
-      continue;
-    }
-    ReadRepair(names[i], s.point, *best, s.hits);
-    out.emplace_back(best->payload);
   }
   return out;
 }

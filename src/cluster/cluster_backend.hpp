@@ -197,15 +197,14 @@ class ClusterBackend final : public storage::StorageBackend {
   Result<Bytes> Get(const std::string& name) override;
   Status Put(const std::string& name, ByteSpan data) override;
   Status Delete(const std::string& name) override;
+  /// GetHead(name, 0): a quorum of replica heads.
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;
   /// A quorum of replica heads, each asking for kEnvelopeHeadBytes +
   /// `max_bytes`: the newest answers with its own payload prefix and
-  /// size, so no payload moves past `max_bytes`. Like Exists, it does
-  /// not read-repair.
+  /// size, so no payload moves past `max_bytes`. It does not
+  /// read-repair.
   Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
-  std::vector<Result<Bytes>> MultiGet(
-      const std::vector<std::string>& names) override;
   /// Replicated streamed put. Zero or one segment commits as one quorum
   /// Put; the second segment opens one pipelined wire stream per replica
   /// and fans out from then on, so the client holds at most one segment.
@@ -316,12 +315,8 @@ class ClusterBackend final : public storage::StorageBackend {
   Status ShardPut(const ShardPtr& shard, const std::string& name,
                   ByteSpan data);
   Status ShardDelete(const ShardPtr& shard, const std::string& name);
-  std::vector<Result<Bytes>> ShardMultiGet(
-      const ShardPtr& shard, const std::vector<std::string>& names);
-  Result<std::vector<std::string>> ShardList(const ShardPtr& shard,
-                                             const std::string& prefix);
-  /// Bounded-batch listing (kListPage on a remote shard);
-  /// the rebalancer and handoff drainer page with this so a huge shard
+  /// Bounded-batch listing (kListPage on a remote shard); List, the
+  /// rebalancer and the handoff drainer page with this so a huge shard
   /// never materializes its whole listing in one frame.
   Result<storage::StorageBackend::ListPage> ShardListPage(
       const ShardPtr& shard, const std::string& prefix,

@@ -7,7 +7,7 @@
 // only while the working set is still growing, and the high-water gauge
 // makes the working set observable (Stats RPC -> nexus-stat).
 //
-// Frames larger than one slab (big Puts, MultiGet replies near the 64 MiB
+// Frames larger than one slab (big Puts, Get replies near the 64 MiB
 // object bound) deliberately bypass the arena — they are rare, their
 // buffers are short-lived, and pinning multi-megabyte slabs in a free
 // list would be worse than the allocation. The arena only counts them

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <iterator>
 #include <thread>
 #include <utility>
 
@@ -334,16 +335,10 @@ Status RemoteBackend::Delete(const std::string& name) {
 }
 
 bool RemoteBackend::Exists(const std::string& name) {
-  Writer req = BeginRequest(Rpc::kExists);
-  req.Str(name);
-  auto payload = Call(req);
   // The StorageBackend contract cannot express transport failure here;
   // an unreachable server reports "absent", matching a store that lost
   // the object — callers treat both as a re-fetch/recreate signal.
-  if (!payload.ok()) return false;
-  Reader reader(payload.value());
-  auto flag = reader.U8();
-  return flag.ok() && flag.value() != 0;
+  return GetHead(name, 0).ok();
 }
 
 Result<storage::StorageBackend::Head> RemoteBackend::GetHead(
@@ -366,171 +361,68 @@ Result<storage::StorageBackend::Head> RemoteBackend::GetHead(
 }
 
 std::vector<std::string> RemoteBackend::List(const std::string& prefix) {
-  Writer req = BeginRequest(Rpc::kList);
-  req.Str(prefix);
-  auto payload = Call(req);
+  // One kListPage per kMaxNamesPerFrame names. Every page is checked to
+  // move past its cursor, so the loop ends; a page that fails (or is
+  // malformed) fails the listing, which then reads as empty.
   std::vector<std::string> names;
-  if (!payload.ok()) return names;
-  Reader reader(payload.value());
-  auto count = reader.U32();
-  if (!count.ok()) return names;
-  names.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto name = reader.Str();
-    if (!name.ok()) {
-      names.clear();
-      return names;
-    }
-    names.push_back(std::move(name).value());
+  std::string cursor;
+  for (;;) {
+    auto page = CallListPage(prefix, cursor, kMaxNamesPerFrame);
+    if (!page.ok()) return {};
+    names.insert(names.end(),
+                 std::make_move_iterator(page.value().names.begin()),
+                 std::make_move_iterator(page.value().names.end()));
+    if (!page.value().more) return names;
+    cursor = names.back();
   }
-  return names;
 }
 
 storage::StorageBackend::ListPage RemoteBackend::ListSome(
     const std::string& prefix, const std::string& start_after,
     std::size_t limit) {
-  ListPage page;
-  if (limit == 0) return page;
-  // The server treats limits above kMaxMultiEntries as a protocol error;
+  if (limit == 0) return {};
+  // An unreachable server or a malformed page reads as an empty page
+  // with no continuation.
+  auto page = CallListPage(prefix, start_after, limit);
+  if (!page.ok()) return {};
+  return std::move(page).value();
+}
+
+Result<storage::StorageBackend::ListPage> RemoteBackend::CallListPage(
+    const std::string& prefix, const std::string& start_after,
+    std::size_t limit) {
+  // The server treats limits above kMaxNamesPerFrame as a protocol error;
   // clamp here so callers can pass any bound they like.
-  const std::uint32_t capped = static_cast<std::uint32_t>(
-      std::min<std::size_t>(limit, kMaxMultiEntries));
+  const auto capped =
+      static_cast<std::uint32_t>(std::min(limit, kMaxNamesPerFrame));
   Writer req = BeginRequest(Rpc::kListPage);
   req.Str(prefix);
   req.Str(start_after);
   req.U32(capped);
-  auto payload = Call(req);
-  // Same degradation as List(): an unreachable server reads as an empty
-  // page with no continuation.
-  if (!payload.ok()) return page;
-  Reader reader(payload.value());
-  auto count = reader.U32();
-  if (!count.ok() || count.value() > capped) return page;
-  page.names.reserve(count.value());
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto name = reader.Str();
-    if (!name.ok()) {
-      page.names.clear();
-      return page;
-    }
-    page.names.push_back(std::move(name).value());
+  NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
+  // The page comes from the untrusted store, and callers page by passing
+  // its last name back as the cursor while `more` is set: a page that
+  // does not move strictly past the cursor would spin them forever.
+  const auto malformed = [&prefix] {
+    return Error(ErrorCode::kIntegrityViolation,
+                 "malformed list page under: " + prefix);
+  };
+  Reader reader(payload);
+  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t count, reader.U32());
+  if (count > capped) return malformed();
+  ListPage page;
+  page.names.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    NEXUS_ASSIGN_OR_RETURN(std::string name, reader.Str());
+    const std::string& floor =
+        page.names.empty() ? start_after : page.names.back();
+    if (!name.starts_with(prefix) || name <= floor) return malformed();
+    page.names.push_back(std::move(name));
   }
-  auto more = reader.U8();
-  page.more = more.ok() && more.value() != 0;
+  NEXUS_ASSIGN_OR_RETURN(const std::uint8_t more, reader.U8());
+  page.more = more != 0;
+  if (!reader.AtEnd() || (page.more && page.names.empty())) return malformed();
   return page;
-}
-
-// ---- batch ops --------------------------------------------------------------
-
-std::vector<Result<Bytes>> RemoteBackend::MultiGet(
-    const std::vector<std::string>& names) {
-  return MultiGetLeased(names, nullptr);
-}
-
-std::vector<Result<Bytes>> RemoteBackend::MultiGetLeased(
-    const std::vector<std::string>& names, std::vector<bool>* leased) {
-  if (leased != nullptr) leased->assign(names.size(), false);
-  const bool want_lease = leased != nullptr;
-  // Every slot is assigned below; the placeholder is a short (unallocated)
-  // error so a slot that is not can never pass for an empty object.
-  std::vector<Result<Bytes>> results(names.size(),
-                                     Error(ErrorCode::kIOError, "unresolved"));
-  for (std::size_t base = 0; base < names.size(); base += kMaxMultiEntries) {
-    // Slots of this batch still unresolved. The server defers every entry
-    // past its response budget; they go out again as the next round's
-    // BATCH, not as singles, so a deferred tail of k objects costs
-    // ~(total bytes / budget) round trips instead of k.
-    std::vector<std::size_t> pending;
-    for (std::size_t slot = base;
-         slot < std::min(names.size(), base + kMaxMultiEntries); ++slot) {
-      pending.push_back(slot);
-    }
-    while (!pending.empty()) {
-      std::vector<std::string> batch;
-      batch.reserve(pending.size());
-      for (const std::size_t slot : pending) batch.push_back(names[slot]);
-      Writer req = BeginRequest(Rpc::kMultiGet);
-      EncodeNameList(req, batch);
-      req.U8(want_lease ? 1 : 0);
-      auto payload = Call(req);
-      Status failure = payload.status();
-      std::vector<MultiGetEntry> entries;
-      if (failure.ok()) {
-        Reader reader(payload.value());
-        auto decoded = DecodeMultiGetEntries(reader);
-        if (!decoded.ok()) {
-          failure = decoded.status();
-        } else if (!reader.AtEnd() || decoded.value().size() != batch.size()) {
-          failure =
-              Error(ErrorCode::kIOError, "malformed multi-get response shape");
-        } else {
-          entries = std::move(decoded).value();
-        }
-      }
-      if (!failure.ok()) {
-        for (const std::size_t slot : pending) results[slot] = failure;
-        break;
-      }
-      std::vector<std::size_t> deferred;
-      for (std::size_t i = 0; i < pending.size(); ++i) {
-        MultiGetEntry& entry = entries[i];
-        const std::size_t slot = pending[i];
-        switch (entry.state) {
-          case MultiGetEntry::State::kOk:
-            if (want_lease) (*leased)[slot] = entry.leased;
-            results[slot] = std::move(entry.data);
-            break;
-          case MultiGetEntry::State::kError:
-            results[slot] = entry.error;
-            break;
-          case MultiGetEntry::State::kDeferred:
-            deferred.push_back(slot);
-            break;
-        }
-      }
-      if (deferred.size() == pending.size()) {
-        // Zero progress (a first entry so large its encoding alone
-        // overflows the budget): single Gets have no response budget and
-        // always terminate.
-        for (const std::size_t slot : deferred) {
-          if (want_lease) {
-            bool granted = false;
-            results[slot] = GetLeased(names[slot], &granted);
-            (*leased)[slot] = granted;
-          } else {
-            results[slot] = Get(names[slot]);
-          }
-        }
-        break;
-      }
-      pending = std::move(deferred);
-    }
-  }
-  return results;
-}
-
-std::vector<bool> RemoteBackend::MultiExists(
-    const std::vector<std::string>& names) {
-  std::vector<bool> results;
-  results.reserve(names.size());
-  for (std::size_t base = 0; base < names.size(); base += kMaxMultiEntries) {
-    const std::size_t n = std::min(kMaxMultiEntries, names.size() - base);
-    const std::vector<std::string> batch(names.begin() + base,
-                                         names.begin() + base + n);
-    Writer req = BeginRequest(Rpc::kMultiExists);
-    EncodeNameList(req, batch);
-    auto payload = Call(req);
-    // One u8 flag per requested name, in request order. Transport failure
-    // or a malformed shape degrades to "absent", same as Exists.
-    if (!payload.ok() || payload.value().size() != n) {
-      for (std::size_t i = 0; i < n; ++i) results.push_back(false);
-      continue;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      results.push_back(payload.value()[i] != 0);
-    }
-  }
-  return results;
 }
 
 // ---- lease subscription -----------------------------------------------------

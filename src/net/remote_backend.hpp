@@ -23,8 +23,7 @@
 //     last-writer-wins, a Delete of a missing name is Ok), so blind
 //     re-execution of an attempt with unknown outcome is safe,
 //   * one wire version — every connection runs the full window from its
-//     first RPC and MultiGet/MultiExists coalesce name fan-outs into one
-//     frame each way. Nothing is negotiated: a response head carrying any
+//     first RPC. Nothing is negotiated: a response head carrying any
 //     other version drops the connection like any malformed head, and a
 //     reply missing a required field (a lease byte) fails its call —
 //     those bytes come from the untrusted store,
@@ -117,13 +116,18 @@ class RemoteBackend final : public storage::StorageBackend {
   Status PutLeased(const std::string& name, ByteSpan data,
                    bool* lease_granted) override;
   Status Delete(const std::string& name) override;
+  /// One zero-byte kGetHead round trip; a failed call reads as absent.
   bool Exists(const std::string& name) override;
+  /// kListPage pages of kMaxNamesPerFrame names until one is the last; a
+  /// page that fails or is malformed fails the listing, which reads as
+  /// empty.
   std::vector<std::string> List(const std::string& prefix) override;
   /// One kGetHead round trip. `max_bytes` is clamped to kMaxObjectBytes;
   /// a reply whose prefix is not exactly min(max, size) bytes fails the
   /// call, since those bytes come from the untrusted store.
   Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
-  /// One kListPage round trip.
+  /// One kListPage round trip; a page that fails or is malformed (see
+  /// CallListPage) reads as empty with no continuation.
   ListPage ListSome(const std::string& prefix, const std::string& start_after,
                     std::size_t limit) override;
   /// Pipelined multi-append stream on a dedicated mux connection: client
@@ -131,12 +135,6 @@ class RemoteBackend final : public storage::StorageBackend {
   /// the stream permanently (see the header comment).
   Result<std::unique_ptr<PutStream>> OpenPutStream(
       const std::string& name) override;
-  std::vector<Result<Bytes>> MultiGet(
-      const std::vector<std::string>& names) override;
-  std::vector<Result<Bytes>> MultiGetLeased(
-      const std::vector<std::string>& names,
-      std::vector<bool>* leased) override;
-  std::vector<bool> MultiExists(const std::vector<std::string>& names) override;
   bool SubscribeInvalidations(InvalidationListener on_invalidate,
                               ChannelDownHandler on_channel_down) override;
 
@@ -158,6 +156,13 @@ class RemoteBackend final : public storage::StorageBackend {
   /// On a well-formed response returns the payload after the verified
   /// head; the server's verdict is authoritative.
   Result<Bytes> Call(const Writer& request);
+  /// One kListPage round trip. The reply is malformed, and the call
+  /// fails, when it holds more names than asked for, a name without
+  /// `prefix`, names not strictly ascending from `start_after`, `more`
+  /// on an empty page, or bytes missing or trailing after `more`.
+  Result<ListPage> CallListPage(const std::string& prefix,
+                                const std::string& start_after,
+                                std::size_t limit);
 
   /// Returns a connection with window room, dialing a fresh one when the
   /// pool has none to give. Counts a reconnect when `is_retry` dials.

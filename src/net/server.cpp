@@ -28,9 +28,9 @@ Status Errno(const std::string& what) {
   return Error(ErrorCode::kIOError, what + ": " + std::strerror(errno));
 }
 
-/// Get/MultiGet bodies at or below this stay inline in the coalesced
-/// response segment; larger bodies ride as their own scatter/gather part,
-/// uncopied until the socket write.
+/// Get bodies at or below this stay inline in the coalesced response
+/// segment; larger bodies ride as their own scatter/gather part, uncopied
+/// until the socket write.
 constexpr std::size_t kInlineBodyBytes = 4096;
 
 } // namespace
@@ -625,17 +625,6 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       };
       break;
     }
-    case Rpc::kExists: {
-      auto name = reader.Str();
-      if (!name.ok()) break;
-      d.kind = Kind::kStateless;
-      d.execute = [this, corr, name = std::move(name).value()] {
-        Writer r = BeginResponse(Status::Ok(), corr);
-        r.U8(backend_.Exists(name) ? 1 : 0);
-        return WireReply(std::move(r));
-      };
-      break;
-    }
     case Rpc::kGetHead: {
       auto name = reader.Str();
       if (!name.ok()) break;
@@ -653,26 +642,6 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       };
       break;
     }
-    case Rpc::kList: {
-      auto prefix = reader.Str();
-      if (!prefix.ok()) break;
-      d.kind = Kind::kStateless;
-      d.execute = [this, corr, prefix = std::move(prefix).value()] {
-        const std::vector<std::string> names = backend_.List(prefix);
-        std::size_t payload = 0;
-        for (const auto& n : names) payload += n.size() + 4;
-        if (payload > kMaxObjectBytes) {
-          return WireReply(BeginResponse(
-              Error(ErrorCode::kOutOfRange, "listing exceeds frame bound"),
-              corr));
-        }
-        Writer r = BeginResponse(Status::Ok(), corr);
-        r.U32(static_cast<std::uint32_t>(names.size()));
-        for (const auto& n : names) r.Str(n);
-        return WireReply(std::move(r));
-      };
-      break;
-    }
     case Rpc::kListPage: {
       auto prefix = reader.Str();
       if (!prefix.ok()) break;
@@ -680,7 +649,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       if (!start_after.ok()) break;
       auto limit = reader.U32();
       if (!limit.ok()) break;
-      if (limit.value() == 0 || limit.value() > kMaxMultiEntries) break;
+      if (limit.value() == 0 || limit.value() > kMaxNamesPerFrame) break;
       d.kind = Kind::kStateless;
       d.execute = [this, corr, prefix = std::move(prefix).value(),
                    start_after = std::move(start_after).value(),
@@ -691,98 +660,6 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
         r.U32(static_cast<std::uint32_t>(page.names.size()));
         for (const auto& n : page.names) r.Str(n);
         r.U8(page.more ? 1 : 0);
-        return WireReply(std::move(r));
-      };
-      break;
-    }
-    case Rpc::kMultiGet: {
-      auto names = DecodeNameList(reader);
-      if (!names.ok()) break;
-      auto want_lease = reader.U8();
-      if (!want_lease.ok()) break;
-      const bool want = want_lease.value() != 0 && state.attached_session != 0;
-      const std::uint64_t sid = state.attached_session;
-      d.kind = Kind::kStateless;
-      d.execute = [this, corr, sid, want, names = std::move(names).value()] {
-        std::vector<std::uint64_t> v0(names.size(), 0);
-        std::vector<char> pre(names.size(), 0);
-        if (want) {
-          for (std::size_t i = 0; i < names.size(); ++i) {
-            pre[i] = PreGrantLease(names[i], sid, &v0[i]) ? 1 : 0;
-          }
-        }
-        std::vector<Result<Bytes>> fetched = backend_.MultiGet(names);
-        // Budget the ENCODED payload at kMaxObjectBytes; from the first
-        // entry that would overflow, everything becomes deferred (one
-        // byte each, well inside the frame cap's slack) and the client
-        // re-fetches those names in follow-up batches. The encoding below
-        // is EncodeMultiGetEntries byte for byte, except that large
-        // bodies become their own scatter/gather segments instead of
-        // being copied into one contiguous response.
-        WireReply reply;
-        Writer seg = BeginResponse(Status::Ok(), corr);
-        seg.U32(static_cast<std::uint32_t>(fetched.size()));
-        std::size_t used = 4; // the entry-count u32
-        bool overflowed = false;
-        for (std::size_t i = 0; i < fetched.size(); ++i) {
-          Result<Bytes>& result = fetched[i];
-          auto entry_state = MultiGetEntry::State::kDeferred;
-          if (!overflowed) {
-            const std::size_t cost =
-                result.ok() ? 1 + 4 + result.value().size() + 1 // lease byte
-                            : 1 + 1 + 4 + result.status().message().size();
-            if (used + cost > kMaxObjectBytes) {
-              overflowed = true;
-            } else {
-              used += cost;
-              entry_state = result.ok() ? MultiGetEntry::State::kOk
-                                        : MultiGetEntry::State::kError;
-            }
-          }
-          // Confirm the pre-granted lease only for entries the client
-          // actually receives as kOk; deferred/error entries withdraw it.
-          bool granted = false;
-          if (want && pre[i] != 0) {
-            granted = PostGrantLease(
-                names[i], sid, v0[i],
-                entry_state == MultiGetEntry::State::kOk);
-          }
-          seg.U8(static_cast<std::uint8_t>(entry_state));
-          switch (entry_state) {
-            case MultiGetEntry::State::kOk: {
-              Bytes body = std::move(result).value();
-              seg.U32(static_cast<std::uint32_t>(body.size()));
-              if (body.size() <= kInlineBodyBytes) {
-                seg.Raw(body);
-              } else {
-                reply.Add(std::move(seg)); // flush the coalesced segment
-                reply.Add(std::move(body)); // the body rides uncopied
-                seg = Writer();
-              }
-              seg.U8(granted ? 1 : 0);
-              break;
-            }
-            case MultiGetEntry::State::kError:
-              seg.U8(CodeToWire(result.status().code()));
-              seg.Str(result.status().message());
-              break;
-            case MultiGetEntry::State::kDeferred:
-              break;
-          }
-        }
-        if (!seg.bytes().empty()) reply.Add(std::move(seg));
-        return reply;
-      };
-      break;
-    }
-    case Rpc::kMultiExists: {
-      auto names = DecodeNameList(reader);
-      if (!names.ok()) break;
-      d.kind = Kind::kStateless;
-      d.execute = [this, corr, names = std::move(names).value()] {
-        const std::vector<bool> flags = backend_.MultiExists(names);
-        Writer r = BeginResponse(Status::Ok(), corr);
-        for (const bool flag : flags) r.U8(flag ? 1 : 0);
         return WireReply(std::move(r));
       };
       break;

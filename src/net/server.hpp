@@ -5,7 +5,7 @@
 // included. Request bytes land in pooled BufferArena slabs and frames are
 // parsed in place; handlers stage their responses into a per-connection
 // scatter/gather send queue (small replies coalesce into arena slabs,
-// large MultiGet bodies stay zero-copy), flushed with sendmsg and drained
+// large Get bodies stay zero-copy), flushed with sendmsg and drained
 // by EPOLLOUT when a socket pushes back. Idle connections cost one
 // registration, not a thread, so the daemon holds thousands of clients at
 // a flat resident thread count: the loop plus the rpc pool (the CI

@@ -74,9 +74,8 @@ class TcpTransport final : public Transport {
 
   /// Sends one frame whose payload is the concatenation of `parts`,
   /// scatter/gather (sendmsg) — the length prefix and every segment leave
-  /// in one syscall batch with no coalescing copy. Used for MultiGet
-  /// replies, whose object bodies would otherwise be memcpy'd into one
-  /// contiguous response buffer.
+  /// in one syscall batch with no coalescing copy. SendFrame is its
+  /// one-part case.
   Status SendFrameParts(std::span<const ByteSpan> parts);
 
   /// Fault-injection seam: writes the frame's length prefix but only the

@@ -10,15 +10,11 @@ const char* RpcName(Rpc rpc) noexcept {
     case Rpc::kGet: return "get";
     case Rpc::kPut: return "put";
     case Rpc::kDelete: return "delete";
-    case Rpc::kExists: return "exists";
-    case Rpc::kList: return "list";
     case Rpc::kStreamBegin: return "stream_begin";
     case Rpc::kStreamAppend: return "stream_append";
     case Rpc::kStreamCommit: return "stream_commit";
     case Rpc::kStreamAbort: return "stream_abort";
     case Rpc::kStats: return "stats";
-    case Rpc::kMultiGet: return "multi_get";
-    case Rpc::kMultiExists: return "multi_exists";
     case Rpc::kLeaseSubscribe: return "lease_subscribe";
     case Rpc::kLeaseAttach: return "lease_attach";
     case Rpc::kInvalidate: return "invalidate";
@@ -227,9 +223,9 @@ void EncodeNameList(Writer& writer, const std::vector<std::string>& names) {
 
 Result<std::vector<std::string>> DecodeNameList(Reader& reader) {
   NEXUS_ASSIGN_OR_RETURN(const std::uint32_t n, reader.U32());
-  if (n > kMaxMultiEntries) {
+  if (n > kMaxNamesPerFrame) {
     return Error(ErrorCode::kOutOfRange,
-                 "batch of " + std::to_string(n) + " names exceeds limit");
+                 "list of " + std::to_string(n) + " names exceeds limit");
   }
   std::vector<std::string> names;
   names.reserve(n);
@@ -238,70 +234,6 @@ Result<std::vector<std::string>> DecodeNameList(Reader& reader) {
     names.push_back(std::move(name));
   }
   return names;
-}
-
-void EncodeMultiGetEntries(Writer& writer,
-                           const std::vector<MultiGetEntry>& entries) {
-  writer.U32(static_cast<std::uint32_t>(entries.size()));
-  for (const MultiGetEntry& entry : entries) {
-    writer.U8(static_cast<std::uint8_t>(entry.state));
-    switch (entry.state) {
-      case MultiGetEntry::State::kOk:
-        writer.Var(entry.data);
-        writer.U8(entry.leased ? 1 : 0);
-        break;
-      case MultiGetEntry::State::kError:
-        writer.U8(CodeToWire(entry.error.code()));
-        writer.Str(entry.error.message());
-        break;
-      case MultiGetEntry::State::kDeferred:
-        break; // no body: the client re-fetches it as a single Get
-    }
-  }
-}
-
-Result<std::vector<MultiGetEntry>> DecodeMultiGetEntries(Reader& reader) {
-  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t n, reader.U32());
-  if (n > kMaxMultiEntries) {
-    return Error(ErrorCode::kOutOfRange,
-                 "batch of " + std::to_string(n) + " entries exceeds limit");
-  }
-  std::vector<MultiGetEntry> entries;
-  entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    MultiGetEntry entry;
-    NEXUS_ASSIGN_OR_RETURN(const std::uint8_t state, reader.U8());
-    switch (state) {
-      case static_cast<std::uint8_t>(MultiGetEntry::State::kOk): {
-        entry.state = MultiGetEntry::State::kOk;
-        NEXUS_ASSIGN_OR_RETURN(entry.data, reader.Var(kMaxObjectBytes));
-        NEXUS_ASSIGN_OR_RETURN(const std::uint8_t granted, reader.U8());
-        entry.leased = granted != 0;
-        break;
-      }
-      case static_cast<std::uint8_t>(MultiGetEntry::State::kError): {
-        entry.state = MultiGetEntry::State::kError;
-        NEXUS_ASSIGN_OR_RETURN(const std::uint8_t code, reader.U8());
-        NEXUS_ASSIGN_OR_RETURN(std::string message, reader.Str());
-        const ErrorCode decoded = CodeFromWire(code);
-        if (decoded == ErrorCode::kOk) {
-          return Error(ErrorCode::kInvalidArgument,
-                       "multi-get error entry with ok code");
-        }
-        entry.error = Status(decoded, std::move(message));
-        break;
-      }
-      case static_cast<std::uint8_t>(MultiGetEntry::State::kDeferred): {
-        entry.state = MultiGetEntry::State::kDeferred;
-        break;
-      }
-      default:
-        return Error(ErrorCode::kInvalidArgument,
-                     "unknown multi-get entry state " + std::to_string(state));
-    }
-    entries.push_back(std::move(entry));
-  }
-  return entries;
 }
 
 } // namespace nexus::net

@@ -30,18 +30,16 @@
 //   * header reads — kGetHead returns an object's size and its first
 //     bytes, so a caller that needs only a header (the cluster's replica
 //     envelope, a stat) never downloads the payload;
-//   * batches — kMultiGet / kMultiExists move a whole fan-out of names in
-//     one frame each way; kListPage enumerates a prefix one bounded,
-//     sorted page at a time (prefix, exclusive start-after cursor, limit)
-//     so listing a huge shard costs O(page) memory on both sides;
-//   * lease coherence — Get, Put and MultiGet requests carry a
-//     want-lease byte, and their OK replies a granted byte (per kOk entry
-//     for MultiGet). Both bytes are required fields. The server pushes
-//     invalidations when another client mutates a leased object: the
-//     client sends kLeaseSubscribe once on a dedicated connection (the
-//     response carries a u64 session id), after which the SERVER
-//     originates request-format kInvalidate frames there and the client
-//     answers each with an ordinary response frame (the ack). Data
+//   * paged listing — kListPage enumerates a prefix one bounded, sorted
+//     page at a time (prefix, exclusive start-after cursor, limit), so
+//     listing a huge shard costs O(page) memory on both sides;
+//   * lease coherence — Get and Put requests carry a want-lease byte, and
+//     their OK replies a granted byte. Both bytes are required fields.
+//     The server pushes invalidations when another client mutates a
+//     leased object: the client sends kLeaseSubscribe once on a dedicated
+//     connection (the response carries a u64 session id), after which the
+//     SERVER originates request-format kInvalidate frames there and the
+//     client answers each with an ordinary response frame (the ack). Data
 //     connections tie themselves to the session with kLeaseAttach so the
 //     server can skip invalidating the writer's own cache.
 //
@@ -65,7 +63,7 @@
 namespace nexus::net {
 
 /// The one wire version; heads carrying any other byte are rejected.
-inline constexpr std::uint8_t kProtocolVersion = 6;
+inline constexpr std::uint8_t kProtocolVersion = 7;
 
 /// Largest object the protocol moves (bulk data chunks are ≤1 MiB today;
 /// journal anchors and streamed segments stay far below this).
@@ -100,27 +98,22 @@ enum class Rpc : std::uint8_t {
   kGet = 2,
   kPut = 3,
   kDelete = 4,
-  kExists = 5,
-  kList = 6,
-  kStreamBegin = 7,   // name -> u64 stream handle
-  kStreamAppend = 8,  // handle, segment bytes
-  kStreamCommit = 9,  // handle; object becomes visible atomically
-  kStreamAbort = 10,  // handle; store untouched
-  kStats = 11,        // -> ServerStats (counters, per-op latency)
-  // Batch ops: one frame each way for a whole fan-out of names.
-  kMultiGet = 12,     // name list -> per-name ok/error/deferred entries
-  kMultiExists = 13,  // name list -> per-name presence flags
+  kStreamBegin = 5,   // name -> u64 stream handle
+  kStreamAppend = 6,  // handle, segment bytes
+  kStreamCommit = 7,  // handle; object becomes visible atomically
+  kStreamAbort = 8,   // handle; store untouched
+  kStats = 9,         // -> ServerStats (counters, per-op latency)
   // Cache-coherence ops.
-  kLeaseSubscribe = 14, // -> u64 session id; connection becomes the
+  kLeaseSubscribe = 10, // -> u64 session id; connection becomes the
                         //    server-push invalidation channel
-  kLeaseAttach = 15,    // u64 session id; ties a data connection to it
-  kInvalidate = 16,     // SERVER-sent on the subscription channel: name
+  kLeaseAttach = 11,    // u64 session id; ties a data connection to it
+  kInvalidate = 12,     // SERVER-sent on the subscription channel: name
                         //    list whose leases are revoked; client acks
   // Bounded-batch listing.
-  kListPage = 17,       // prefix, start-after cursor, u32 limit -> one
+  kListPage = 13,       // prefix, start-after cursor, u32 limit -> one
                         //    sorted page of names + u8 truncated flag
   // Header read.
-  kGetHead = 18,        // name, u32 max -> u64 size + Var prefix of the
+  kGetHead = 14,        // name, u32 max -> u64 size + Var prefix of the
                         //    first min(max, size) bytes
 };
 
@@ -240,33 +233,15 @@ inline constexpr std::size_t kMaxStatsEntries =
 void EncodeServerStats(Writer& writer, const ServerStats& stats);
 Result<ServerStats> DecodeServerStats(Reader& reader);
 
-// ---- Batch RPC payloads -----------------------------------------------------
+// ---- Name lists -------------------------------------------------------------
 
-/// Most names one MultiGet/MultiExists frame carries. Far above any real
-/// fan-out (a chunk table tops out in the hundreds) but small enough that
-/// a hostile count cannot force a large allocation.
-inline constexpr std::size_t kMaxMultiEntries = 4096;
+/// Most names one frame carries: one kListPage reply or one kInvalidate
+/// push. Small enough that a hostile count cannot force a large
+/// allocation.
+inline constexpr std::size_t kMaxNamesPerFrame = 4096;
 
-/// Request body shared by kMultiGet and kMultiExists: u32 count + names.
+/// kInvalidate's body: u32 count + names.
 void EncodeNameList(Writer& writer, const std::vector<std::string>& names);
 Result<std::vector<std::string>> DecodeNameList(Reader& reader);
-
-/// One per-name result inside a MultiGet response. The server fills data
-/// until the response would exceed the frame bound, then defers the rest;
-/// the client re-fetches deferred entries as single Gets.
-struct MultiGetEntry {
-  enum class State : std::uint8_t { kOk = 0, kError = 1, kDeferred = 2 };
-  State state = State::kDeferred;
-  Bytes data;                  // kOk only
-  Status error = Status::Ok(); // kError only (the per-name verdict)
-  bool leased = false;         // kOk only: lease granted
-};
-
-/// u32 count, then per entry a state byte and its body: kOk carries the
-/// data and a lease granted byte, kError a code byte and message,
-/// kDeferred nothing.
-void EncodeMultiGetEntries(Writer& writer,
-                           const std::vector<MultiGetEntry>& entries);
-Result<std::vector<MultiGetEntry>> DecodeMultiGetEntries(Reader& reader);
 
 } // namespace nexus::net

@@ -108,20 +108,19 @@ class StorageBackend {
   virtual ListPage ListSome(const std::string& prefix,
                             const std::string& start_after, std::size_t limit);
 
-  /// Batched Get: one result per name, same order. The default loops over
-  /// Get(); RemoteBackend overrides it with a single MultiGet round trip.
+  /// Inert: only nexus_bench's probe overrides it (ROADMAP item 2). One
+  /// Get per name, same order.
   virtual std::vector<Result<Bytes>> MultiGet(
       const std::vector<std::string>& names);
-  /// Batched Get that also reports, per name, whether a read lease was
-  /// granted. `leased` may be null; when non-null it is resized
-  /// to match `names` and filled alongside the results. The default
-  /// delegates to MultiGet with every flag false.
+  /// Inert: only nexus_bench's probe overrides it (ROADMAP item 2).
+  /// MultiGet with every lease flag false.
   virtual std::vector<Result<Bytes>> MultiGetLeased(
       const std::vector<std::string>& names, std::vector<bool>* leased) {
     if (leased != nullptr) leased->assign(names.size(), false);
     return MultiGet(names);
   }
-  /// Batched Exists, same shape.
+  /// Inert: only nexus_bench's probe overrides it (ROADMAP item 2). One
+  /// Exists per name, same order.
   virtual std::vector<bool> MultiExists(const std::vector<std::string>& names);
 
   /// Inert no-op: only nexus_bench's probe overrides it (ROADMAP item 2).

@@ -491,37 +491,6 @@ TEST(CacheCoherence, PutLeasedGrantsOnlyWithLeaseSession) {
   server->Stop();
 }
 
-// MultiGetLeased reports a per-entry grant flag: hits from a subscribed
-// client come back leased, misses and unsubscribed clients do not.
-TEST(CacheCoherence, MultiGetLeasedReportsPerEntryGrants) {
-  storage::MemBackend backend;
-  ASSERT_TRUE(backend.Put("a", Blob('a', 16)).ok());
-  ASSERT_TRUE(backend.Put("b", Blob('b', 16)).ok());
-  auto server = NexusdServer::Start(backend).value();
-
-  auto client = RemoteBackend::Connect("127.0.0.1", server->port()).value();
-  std::vector<bool> leased;
-  auto results = client->MultiGetLeased({"a", "b", "missing"}, &leased);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_EQ(leased, (std::vector<bool>{false, false, false})); // no session
-
-  ASSERT_TRUE(client->SubscribeInvalidations(
-      [](const std::vector<std::string>&) {}, [] {}));
-  results = client->MultiGetLeased({"a", "b", "missing"}, &leased);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].value(), Blob('a', 16));
-  EXPECT_EQ(results[1].value(), Blob('b', 16));
-  EXPECT_EQ(results[2].status().code(), ErrorCode::kNotFound);
-  ASSERT_EQ(leased.size(), 3u);
-  EXPECT_TRUE(leased[0]);
-  EXPECT_TRUE(leased[1]);
-  EXPECT_FALSE(leased[2]); // misses never grant
-
-  client.reset();
-  server->Stop();
-}
-
 // The cache-level payoff: after a write-through Put (or a flush), the
 // writer HOLDS a write lease, so its own copy stays resident and
 // re-reads are memory hits — no refetch, no TTL dependence.
@@ -551,53 +520,6 @@ TEST(CacheCoherence, WriteLeaseKeepsWriterCopyWarm) {
 
   writer.cache.reset();
   other.cache.reset();
-  server->Stop();
-}
-
-// Satellite: CachedBackend::MultiGet fills its miss set with ONE batched
-// leased round — and the batch-granted leases are real: a later write by
-// another client pushes an invalidation for a batch-fetched name.
-TEST(CacheCoherence, MultiGetMissesFillInOneBatchedLeasedRound) {
-  storage::MemBackend backend;
-  std::vector<std::string> names;
-  for (int i = 0; i < 6; ++i) {
-    names.push_back("batch" + std::to_string(i));
-    ASSERT_TRUE(backend.Put(names.back(), Blob('a' + i, 32)).ok());
-  }
-  auto server = NexusdServer::Start(backend).value();
-  Client reader = MakeClient(server->port());
-  Client writer = MakeClient(server->port());
-  ASSERT_TRUE(reader.cache->lease_mode());
-
-  const auto net_before = reader.remote->counters();
-  const auto results = reader.cache->MultiGet(names);
-  ASSERT_EQ(results.size(), names.size());
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_EQ(results[i].value(), Blob('a' + i, 32)) << i;
-  }
-  // The whole miss set travelled as one kMultiGet exchange.
-  EXPECT_EQ(reader.remote->counters().rpcs, net_before.rpcs + 1);
-
-  // Batch-installed entries are leased, so re-reads stay local...
-  const auto cache_before = reader.cache->counters();
-  for (const std::string& name : names) {
-    EXPECT_EQ(reader.cache->Get(name).value(),
-              Blob('a' + (name.back() - '0'), 32));
-  }
-  EXPECT_EQ(reader.cache->counters().mem_hits,
-            cache_before.mem_hits + names.size());
-
-  // ...and the server really registered the leases: a foreign write to a
-  // batch-fetched name pushes an invalidation.
-  ASSERT_TRUE(writer.cache->Put("batch3", Blob('Z', 32)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
-  ASSERT_TRUE(WaitFor([&] {
-    return reader.cache->counters().invalidations_received >= 1;
-  }));
-  EXPECT_EQ(reader.cache->Get("batch3").value(), Blob('Z', 32));
-
-  reader.cache.reset();
-  writer.cache.reset();
   server->Stop();
 }
 

@@ -164,28 +164,6 @@ TEST(CacheTest, TtlExpiryRefetchesFromInner) {
   EXPECT_EQ(cache->counters().misses, 1u);
 }
 
-TEST(CacheTest, MultiGetServesHitsAndFillsMisses) {
-  Harness h;
-  auto cache = h.MakeCache();
-  ASSERT_TRUE(h.store->Put("x", Blob('x', 10)).ok());
-  ASSERT_TRUE(h.store->Put("y", Blob('y', 20)).ok());
-  ASSERT_TRUE(cache->Put("z", Blob('z', 30)).ok());
-
-  const auto results = cache->MultiGet({"x", "y", "z", "missing"});
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].value(), Blob('x', 10));
-  EXPECT_EQ(results[1].value(), Blob('y', 20));
-  EXPECT_EQ(results[2].value(), Blob('z', 30));
-  EXPECT_EQ(results[3].status().code(), ErrorCode::kNotFound);
-
-  // x and y are installed now: a second batch touches the inner store only
-  // for the name that does not exist anywhere.
-  const int gets_before = h.inner->gets_.load();
-  const auto again = cache->MultiGet({"x", "y", "z", "missing"});
-  EXPECT_EQ(again[0].value(), Blob('x', 10));
-  EXPECT_EQ(h.inner->gets_.load(), gets_before + 1);
-}
-
 // ---- writeback --------------------------------------------------------------
 
 TEST(CacheTest, WritebackCoalescesRepeatedPuts) {

@@ -414,6 +414,73 @@ TEST(ClusterFault, SwallowedStreamVerdictsStayExactAndDrainClean) {
   EXPECT_EQ(c.counters().quorum_failures, 0u);
 }
 
+// A shard store that ignores the listing cursor: every page is the same
+// handoff hint (for an owner outside the ring) with more to come. The
+// drainer, the rebalancer and List each pass the hint back as the cursor,
+// and only the client's page check ends their loops.
+class CursorBlindStore final : public storage::StorageBackend {
+ public:
+  Result<Bytes> Get(const std::string& name) override {
+    return inner_.Get(name);
+  }
+  Status Put(const std::string& name, ByteSpan data) override {
+    return inner_.Put(name, data);
+  }
+  Status Delete(const std::string& name) override {
+    return inner_.Delete(name);
+  }
+  bool Exists(const std::string& name) override { return inner_.Exists(name); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return inner_.List(prefix);
+  }
+  ListPage ListSome(const std::string&, const std::string&,
+                    std::size_t) override {
+    return ListPage{{std::string(kHandoffHintPrefix) + "gone\x1fobj"}, true};
+  }
+
+ private:
+  storage::MemBackend inner_;
+};
+
+TEST(ClusterFault, CursorBlindShardCannotHangListingsOrDrain) {
+  storage::MemBackend a;
+  storage::MemBackend b;
+  CursorBlindStore blind;
+  std::vector<std::unique_ptr<NexusdServer>> servers;
+  std::vector<ShardSpec> specs;
+  for (storage::StorageBackend* store :
+       std::initializer_list<storage::StorageBackend*>{&a, &b, &blind}) {
+    servers.push_back(NexusdServer::Start(*store).value());
+    const std::uint16_t port = servers.back()->port();
+    specs.push_back(ShardSpec{
+        "127.0.0.1:" + std::to_string(port),
+        [port]() -> Result<std::unique_ptr<storage::StorageBackend>> {
+          return std::unique_ptr<storage::StorageBackend>(
+              std::make_unique<RemoteBackend>(
+                  [port]() -> Result<std::unique_ptr<Transport>> {
+                    NEXUS_ASSIGN_OR_RETURN(
+                        std::unique_ptr<TcpTransport> tcp,
+                        TcpTransport::Dial("127.0.0.1", port, 2000, 2000));
+                    return std::unique_ptr<Transport>(std::move(tcp));
+                  },
+                  FastClientOptions()));
+        },
+        /*revive=*/{}});
+  }
+  auto cluster =
+      ClusterBackend::Create(std::move(specs), FastClusterOptions()).value();
+  const Bytes data{1, 2, 3};
+  ASSERT_TRUE(cluster->Put("obj", ByteSpan(data.data(), data.size())).ok());
+  cluster->DrainHandoffNow();
+  cluster->RebalanceNow();
+  EXPECT_EQ(cluster->List(""), std::vector<std::string>{"obj"});
+  const ClusterCounters counters = cluster->counters();
+  // The hint's first sighting is a well-formed page, so it is dropped once.
+  EXPECT_EQ(counters.handoff_hints_dropped, 1u);
+  EXPECT_EQ(counters.quorum_failures, 0u);
+  EXPECT_EQ(cluster->Get("obj").value(), data);
+}
+
 // ---- CI loopback smoke (env-gated) ------------------------------------------
 //
 // Driven by the CI "cluster smoke" step against REAL nexusd binaries:

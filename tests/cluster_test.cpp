@@ -484,31 +484,6 @@ TEST(ClusterBackendTest, StorageContractOverThreeShards) {
   EXPECT_EQ(counters.quorum_failures, 0u);
 }
 
-TEST(ClusterBackendTest, MultiGetMatchesGet) {
-  ClusterFixture fx(3);
-  ClusterBackend& c = fx.cluster();
-  for (int i = 0; i < 8; ++i) {
-    const Bytes data{static_cast<std::uint8_t>(i)};
-    ASSERT_TRUE(
-        c.Put("k" + std::to_string(i), ByteSpan(data.data(), data.size()))
-            .ok());
-  }
-  ASSERT_TRUE(c.Delete("k3").ok());
-  std::vector<std::string> names;
-  for (int i = 0; i < 8; ++i) names.push_back("k" + std::to_string(i));
-  names.push_back("never-existed");
-  const auto results = c.MultiGet(names);
-  ASSERT_EQ(results.size(), names.size());
-  for (int i = 0; i < 8; ++i) {
-    if (i == 3) {
-      EXPECT_EQ(results[i].status().code(), ErrorCode::kNotFound);
-    } else {
-      EXPECT_EQ(results[i].value(), Bytes{static_cast<std::uint8_t>(i)}) << i;
-    }
-  }
-  EXPECT_EQ(results.back().status().code(), ErrorCode::kNotFound);
-}
-
 // ---- sloppy quorum / failover ----------------------------------------------
 
 TEST(ClusterBackendTest, WritesSurviveOneDeadShard) {

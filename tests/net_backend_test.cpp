@@ -3,8 +3,12 @@
 // frames, and clean shutdown semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <functional>
+#include <mutex>
+#include <set>
 #include <thread>
 
 #include "net/remote_backend.hpp"
@@ -23,6 +27,15 @@ RemoteBackendOptions FastOptions() {
   options.backoff_cap_ms = 2;
   options.rpc_deadline_ms = 10000;
   return options;
+}
+
+// How many `rpc` requests the daemon has served, from its Stats per-op
+// table.
+std::uint64_t Served(const NexusdServer& server, Rpc rpc) {
+  for (const RpcOpStats& op : server.WireStats().per_op) {
+    if (op.rpc == static_cast<std::uint8_t>(rpc)) return op.count;
+  }
+  return 0;
 }
 
 class NetBackendTest : public ::testing::Test {
@@ -67,6 +80,28 @@ TEST_F(NetBackendTest, ExistsListDelete) {
   EXPECT_EQ(names[1], "nx/b");
   ASSERT_TRUE(remote_->Delete("nx/a").ok());
   EXPECT_FALSE(remote_->Exists("nx/a"));
+
+  // Exists is one zero-byte head read, and nothing else.
+  const std::uint64_t rpcs0 = server_->stats().rpcs_served;
+  const std::uint64_t heads0 = Served(*server_, Rpc::kGetHead);
+  EXPECT_TRUE(remote_->Exists("nx/b"));
+  EXPECT_EQ(Served(*server_, Rpc::kGetHead) - heads0, 1u);
+  EXPECT_EQ(server_->stats().rpcs_served - rpcs0, 1u);
+}
+
+// List pages through kListPage, kMaxNamesPerFrame names a page: one name
+// past a full page costs exactly a second page.
+TEST_F(NetBackendTest, ListPagesAFullFrameAndOneMore) {
+  std::vector<std::string> want;
+  for (std::size_t i = 0; i <= kMaxNamesPerFrame; ++i) {
+    want.push_back("many/" + std::to_string(i));
+    ASSERT_TRUE(store_.Put(want.back(), Bytes{1}).ok());
+  }
+  std::sort(want.begin(), want.end());
+
+  const std::uint64_t pages0 = Served(*server_, Rpc::kListPage);
+  EXPECT_EQ(remote_->List(""), want);
+  EXPECT_EQ(Served(*server_, Rpc::kListPage) - pages0, 2u);
 }
 
 TEST_F(NetBackendTest, AwkwardNamesSurviveTheWire) {
@@ -219,6 +254,9 @@ TEST_F(NetBackendTest, StopUnblocksConnectedClientsAndIsIdempotent) {
   EXPECT_FALSE(remote_->Put("post", Bytes{2}).ok());
   EXPECT_TRUE(store_.Exists("pre"));
   EXPECT_FALSE(store_.Exists("post"));
+  // Reads of a stopped daemon fail the same bounded way: absent, empty.
+  EXPECT_FALSE(remote_->Exists("pre"));
+  EXPECT_TRUE(remote_->List("").empty());
 }
 
 TEST_F(NetBackendTest, ConnectFailsFastAgainstDeadServer) {
@@ -228,6 +266,146 @@ TEST_F(NetBackendTest, ConnectFailsFastAgainstDeadServer) {
   options.connect_deadline_ms = 500;
   auto client = RemoteBackend::Connect("127.0.0.1", port, options);
   EXPECT_FALSE(client.ok());
+}
+
+// A store whose listing pages come from a script, not from its objects:
+// the untrusted pager that the client checks every page against.
+class ScriptedPager final : public storage::StorageBackend {
+ public:
+  Result<Bytes> Get(const std::string& name) override {
+    return inner_.Get(name);
+  }
+  Status Put(const std::string& name, ByteSpan data) override {
+    return inner_.Put(name, data);
+  }
+  Status Delete(const std::string& name) override {
+    return inner_.Delete(name);
+  }
+  bool Exists(const std::string& name) override { return inner_.Exists(name); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return inner_.List(prefix);
+  }
+  ListPage ListSome(const std::string&, const std::string&,
+                    std::size_t) override {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return page_;
+  }
+  void Answer(ListPage page) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    page_ = std::move(page);
+  }
+
+ private:
+  storage::MemBackend inner_;
+  std::mutex mu_;
+  ListPage page_;
+};
+
+// A page that does not move strictly past its cursor within its prefix
+// and limit fails like a failed call: an empty page with no continuation.
+// A pager that ignores the cursor therefore cannot spin List.
+TEST(NetListPage, MalformedPagesFailLikeFailedCalls) {
+  ScriptedPager pager;
+  auto server = NexusdServer::Start(pager).value();
+  auto remote =
+      RemoteBackend::Connect("127.0.0.1", server->port(), FastOptions())
+          .value();
+
+  // The same non-empty page, always with more to come: the first answer
+  // is well-formed, continuing from it is not.
+  pager.Answer({{"nx/a", "nx/b"}, true});
+  auto page = remote->ListSome("nx/", "", 8);
+  EXPECT_EQ(page.names, (std::vector<std::string>{"nx/a", "nx/b"}));
+  EXPECT_TRUE(page.more);
+  page = remote->ListSome("nx/", "nx/b", 8);
+  EXPECT_TRUE(page.names.empty());
+  EXPECT_FALSE(page.more);
+  EXPECT_TRUE(remote->List("nx/").empty());
+
+  struct Case {
+    const char* what;
+    storage::StorageBackend::ListPage page;
+    std::string start_after;
+    std::size_t limit;
+  };
+  const Case cases[] = {
+      {"more names than asked for", {{"nx/a", "nx/b", "nx/c"}, false}, "", 2},
+      {"a name without the prefix", {{"nx/a", "other"}, false}, "", 8},
+      {"a name not past the cursor", {{"nx/a", "nx/b"}, false}, "nx/a", 8},
+      {"names out of order", {{"nx/b", "nx/a"}, false}, "", 8},
+      {"a repeated name", {{"nx/a", "nx/a"}, false}, "", 8},
+      {"more on an empty page", {{}, true}, "", 8},
+  };
+  for (const Case& c : cases) {
+    pager.Answer(c.page);
+    page = remote->ListSome("nx/", c.start_after, c.limit);
+    EXPECT_TRUE(page.names.empty()) << c.what;
+    EXPECT_FALSE(page.more) << c.what;
+  }
+  EXPECT_EQ(remote->counters().retries, 0u);
+  server->Stop();
+}
+
+// Rewrites every kListPage reply on its way to the client.
+class TamperListPages final : public Transport {
+ public:
+  TamperListPages(std::unique_ptr<Transport> inner,
+                  std::function<void(Bytes&)> tamper)
+      : inner_(std::move(inner)), tamper_(std::move(tamper)) {}
+
+  Status SendFrame(ByteSpan payload) override {
+    if (RequestRpc(payload) == Rpc::kListPage) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      targets_.insert(RequestCorrelation(payload));
+    }
+    return inner_->SendFrame(payload);
+  }
+  Result<Bytes> RecvFrame() override {
+    auto frame = inner_->RecvFrame();
+    if (!frame.ok()) return frame;
+    Bytes bytes = std::move(frame).value();
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (targets_.erase(ResponseCorrelation(bytes)) > 0) tamper_(bytes);
+    return bytes;
+  }
+  void Close() override { inner_->Close(); }
+  void Shutdown() override { inner_->Shutdown(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::function<void(Bytes&)> tamper_;
+  std::mutex mu_;
+  std::set<std::uint64_t> targets_;
+};
+
+// The `more` byte ends a page: a reply without it, or with bytes after
+// it, is malformed too.
+TEST(NetListPage, MissingOrTrailingBytesAfterMoreAreMalformed) {
+  storage::MemBackend store;
+  ASSERT_TRUE(store.Put("nx/a", Bytes{1}).ok());
+  auto server = NexusdServer::Start(store).value();
+  const std::uint16_t port = server->port();
+  const std::function<void(Bytes&)> tampers[] = {
+      [](Bytes&) {},
+      [](Bytes& reply) { reply.pop_back(); },
+      [](Bytes& reply) { reply.push_back(0); },
+  };
+  for (std::size_t i = 0; i < std::size(tampers); ++i) {
+    RemoteBackend client(
+        [port, tamper = tampers[i]]() -> Result<std::unique_ptr<Transport>> {
+          auto tcp = TcpTransport::Dial("127.0.0.1", port, 2000, 2000);
+          if (!tcp.ok()) return tcp.status();
+          return std::unique_ptr<Transport>(
+              std::make_unique<TamperListPages>(std::move(tcp).value(),
+                                                tamper));
+        },
+        FastOptions());
+    const auto page = client.ListSome("nx/", "", 8);
+    EXPECT_EQ(page.names.size(), i == 0 ? 1u : 0u) << i;
+    EXPECT_EQ(client.List("nx/").size(), i == 0 ? 1u : 0u) << i;
+    EXPECT_EQ(client.counters().retries, 0u) << i;
+  }
+  server->Stop();
 }
 
 // The daemon serves a DiskBackend identically — the wire protocol composes

@@ -9,7 +9,7 @@
 // requests that were actually robbed of their response; a desynchronized
 // response kills the connection without orphaning its siblings; and a
 // frame in any dialect other than kProtocolVersion — a foreign head
-// version, or a Get/Put/MultiGet missing its lease byte — is a protocol
+// version, or a Get/Put missing its lease byte — is a protocol
 // error on whichever side receives it.
 #include <gtest/gtest.h>
 
@@ -380,27 +380,9 @@ TEST(NetMux, ConcurrentWindowSoak) {
             }
             break;
           }
-          case 2:
+          default:
             EXPECT_EQ(client.Exists(name), model.count(name) == 1);
             break;
-          default: {
-            std::vector<std::string> batch;
-            for (int j = 0; j < 3; ++j) {
-              batch.push_back("t" + std::to_string(id) + "-" +
-                              std::to_string((k + j) % 6));
-            }
-            const auto results = client.MultiGet(batch);
-            ASSERT_EQ(results.size(), batch.size());
-            for (std::size_t j = 0; j < batch.size(); ++j) {
-              const auto it = model.find(batch[j]);
-              if (it == model.end()) {
-                EXPECT_EQ(results[j].status().code(), ErrorCode::kNotFound);
-              } else {
-                EXPECT_EQ(results[j].value(), it->second);
-              }
-            }
-            break;
-          }
         }
       }
     });
@@ -653,59 +635,6 @@ TEST(NetMux, KilledTransportReleasesReaderAndFollowers) {
   server->Stop();
 }
 
-TEST(NetMux, BatchOpsAppearInServerStats) {
-  storage::MemBackend backend;
-  ASSERT_TRUE(backend.Put("one", Blob('1', 32)).ok());
-  ASSERT_TRUE(backend.Put("two", Blob('2', 33)).ok());
-  auto server = NexusdServer::Start(backend).value();
-
-  auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  RemoteBackend& client = *remote.value();
-  // A second backend in the same process whose traffic must not show up
-  // in the first one's counters.
-  auto bystander = RemoteBackend::Connect("127.0.0.1", server->port());
-  ASSERT_TRUE(bystander.ok()) << bystander.status().ToString();
-  const net::NetCounters before = client.counters();
-
-  const auto results = client.MultiGet({"one", "two", "absent"});
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].value(), Blob('1', 32));
-  EXPECT_EQ(results[1].value(), Blob('2', 33));
-  EXPECT_EQ(results[2].status().code(), ErrorCode::kNotFound);
-  const auto exists = client.MultiExists({"one", "absent"});
-  ASSERT_EQ(exists.size(), 2u);
-  EXPECT_TRUE(exists[0]);
-  EXPECT_FALSE(exists[1]);
-
-  const net::NetCounters counters = client.counters();
-  EXPECT_GT(counters.rpc_p50_ms, 0.0);
-  EXPECT_GE(counters.rpc_p99_ms, counters.rpc_p50_ms);
-  // Delta semantics: counters subtract, latency gauges keep the later
-  // snapshot.
-  const net::NetCounters delta = counters - before;
-  EXPECT_EQ(delta.rpcs, 2u);
-  EXPECT_EQ(delta.rpc_p50_ms, counters.rpc_p50_ms);
-  EXPECT_EQ(delta.rpc_p99_ms, counters.rpc_p99_ms);
-  EXPECT_EQ(bystander.value()->counters().rpcs, 1u); // its connect-time Ping
-
-  const auto stats = client.Stats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  std::uint64_t multiget_count = 0;
-  std::uint64_t multiexists_count = 0;
-  for (const auto& row : stats.value().per_op) {
-    if (row.rpc == static_cast<std::uint8_t>(net::Rpc::kMultiGet)) {
-      multiget_count = row.count;
-    }
-    if (row.rpc == static_cast<std::uint8_t>(net::Rpc::kMultiExists)) {
-      multiexists_count = row.count;
-    }
-  }
-  EXPECT_EQ(multiget_count, 1u);   // the whole fan-out was ONE frame
-  EXPECT_EQ(multiexists_count, 1u);
-  server->Stop();
-}
-
 // ---- the one-version rule --------------------------------------------------
 
 // Sends one raw request frame on a fresh connection and reports whether
@@ -754,7 +683,7 @@ TEST(NetMux, ForeignHeadVersionsCloseOnlyTheirConnection) {
   server->Stop();
 }
 
-// The want-lease byte on Get, Put and MultiGet requests is a required
+// The want-lease byte on Get and Put requests is a required
 // field: a request that ends before it is malformed.
 TEST(NetMux, RequestsMissingLeaseByteAreProtocolErrors) {
   storage::MemBackend backend;
@@ -765,11 +694,9 @@ TEST(NetMux, RequestsMissingLeaseByteAreProtocolErrors) {
   Writer put = net::BeginRequest(net::Rpc::kPut);
   put.Str("obj");
   put.Var(Blob('p', 8));
-  Writer multi_get = net::BeginRequest(net::Rpc::kMultiGet);
-  net::EncodeNameList(multi_get, {"obj"});
 
   std::uint64_t errors = server->stats().protocol_errors;
-  for (const Writer* request : {&get, &put, &multi_get}) {
+  for (const Writer* request : {&get, &put}) {
     EXPECT_FALSE(RawRequestAnswered(server->port(), request->bytes()))
         << net::RpcName(net::RequestRpc(request->bytes()));
     EXPECT_EQ(server->stats().protocol_errors, ++errors);
@@ -875,8 +802,8 @@ TEST(NetMux, HeadReplyLongerThanItsSizeFailsOnTheClient) {
   server->Stop();
 }
 
-// Client side of the same rule: the lease byte on a Get reply, a Put
-// reply and every kOk MultiGet entry comes from the untrusted store, and
+// Client side of the same rule: the lease byte on a Get reply and a Put
+// reply comes from the untrusted store, and
 // a reply without it fails the call instead of decoding as a lease-less
 // dialect.
 class StripReplyLeaseByte final : public net::Transport {
@@ -886,8 +813,7 @@ class StripReplyLeaseByte final : public net::Transport {
 
   Status SendFrame(ByteSpan payload) override {
     const net::Rpc rpc = net::RequestRpc(payload);
-    if (rpc == net::Rpc::kGet || rpc == net::Rpc::kPut ||
-        rpc == net::Rpc::kMultiGet) {
+    if (rpc == net::Rpc::kGet || rpc == net::Rpc::kPut) {
       const std::lock_guard<std::mutex> lock(mu_);
       targets_.insert(net::RequestCorrelation(payload));
     }
@@ -932,9 +858,6 @@ TEST(NetMux, RepliesMissingLeaseByteFailOnTheClient) {
 
   EXPECT_FALSE(client.Get("obj").ok());
   EXPECT_FALSE(client.Put("other", Blob('x', 4)).ok());
-  const auto results = client.MultiGet({"obj"});
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_FALSE(results[0].ok());
   // Nothing above is a transport failure: the replies arrived whole and
   // were rejected by the decoder.
   EXPECT_EQ(client.counters().retries, 0u);

@@ -369,13 +369,6 @@ TEST_F(NetReactorTest, ManyConnectionsSoak) {
           failures[c] = Error(ErrorCode::kInternal, "bad readback " + name);
           return;
         }
-        if (i % 8 == 0) {
-          const auto multi = client.value()->MultiGet({name, "absent"});
-          if (multi.size() != 2 || !multi[0].ok() || multi[1].ok()) {
-            failures[c] = Error(ErrorCode::kInternal, "bad multiget " + name);
-            return;
-          }
-        }
       }
     });
   }
@@ -421,48 +414,6 @@ TEST_F(NetReactorTest, HighConnectionCountSmoke) {
   ASSERT_TRUE(remote_->Put("under-load", Bytes{3}).ok());
   EXPECT_EQ(remote_->Get("under-load").value(), Bytes{3});
   for (const int fd : idle) ::close(fd);
-}
-
-// ---- client-side batching ---------------------------------------------------
-
-// MultiGet whose bodies overflow the server's response budget: the
-// deferred tail is re-fetched in follow-up BATCHES, not one Get per name.
-TEST(NetReactorBatch, DeferredMultiGetEntriesRefetchInBatches) {
-  storage::MemBackend store;
-  auto server = NexusdServer::Start(store).value();
-  auto remote =
-      RemoteBackend::Connect("127.0.0.1", server->port(), FastOptions())
-          .value();
-
-  // Five 14 MiB objects: the first response packs four (56 MiB < 64 MiB
-  // budget) and defers the fifth, which one follow-up batch resolves.
-  constexpr std::size_t kBody = 14u << 20;
-  std::vector<std::string> names;
-  for (int i = 0; i < 5; ++i) {
-    const std::string name = "big/" + std::to_string(i);
-    ASSERT_TRUE(
-        remote->Put(name, Bytes(kBody, static_cast<std::uint8_t>(i + 1))).ok());
-    names.push_back(name);
-  }
-
-  const auto results = remote->MultiGet(names);
-  ASSERT_EQ(results.size(), names.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << names[i];
-    EXPECT_EQ(results[i].value().size(), kBody);
-    EXPECT_EQ(results[i].value()[0], static_cast<std::uint8_t>(i + 1));
-  }
-
-  std::uint64_t multigets = 0, singles = 0;
-  const ServerStats stats = remote->Stats().value();
-  for (const RpcOpStats& op : stats.per_op) {
-    if (op.rpc == static_cast<std::uint8_t>(Rpc::kMultiGet)) {
-      multigets = op.count;
-    }
-    if (op.rpc == static_cast<std::uint8_t>(Rpc::kGet)) singles = op.count;
-  }
-  EXPECT_EQ(multigets, 2u) << "deferred tail did not batch";
-  EXPECT_EQ(singles, 0u) << "deferred tail fell back to single Gets";
 }
 
 } // namespace

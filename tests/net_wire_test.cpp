@@ -10,9 +10,8 @@ namespace {
 
 constexpr Rpc kAllRpcs[] = {
     Rpc::kPing,         Rpc::kGet,          Rpc::kPut,
-    Rpc::kDelete,       Rpc::kExists,       Rpc::kList,
-    Rpc::kStreamBegin,  Rpc::kStreamAppend, Rpc::kStreamCommit,
-    Rpc::kStreamAbort,  Rpc::kStats,
+    Rpc::kDelete,       Rpc::kStreamBegin,  Rpc::kStreamAppend,
+    Rpc::kStreamCommit, Rpc::kStreamAbort,  Rpc::kStats,
 };
 
 TEST(WireRequest, HeadRoundTripsEveryRpc) {
@@ -102,7 +101,7 @@ constexpr std::uint8_t kForeignVersions[] = {
 
 TEST(WireRequest, RejectsEveryOtherVersion) {
   for (const std::uint8_t version : kForeignVersions) {
-    for (const Rpc rpc : {Rpc::kPing, Rpc::kGet, Rpc::kMultiGet}) {
+    for (const Rpc rpc : {Rpc::kPing, Rpc::kGet, Rpc::kListPage}) {
       Writer w;
       w.U8(version);
       w.U8(static_cast<std::uint8_t>(rpc));
@@ -208,33 +207,21 @@ TEST(WireResponse, WrongVersionIsProtocolViolation) {
   EXPECT_FALSE(ParseResponseHead(r, &verdict).ok());
 }
 
-// Each kOk MultiGet entry carries a required lease byte; an entry that
-// ends right after its data is malformed, not a lease-less dialect.
-TEST(WireMultiGet, OkEntryRoundTripsItsLeaseByte) {
-  MultiGetEntry ok;
-  ok.state = MultiGetEntry::State::kOk;
-  ok.data = Bytes{1, 2, 3};
-  ok.leased = true;
-  MultiGetEntry deferred;
+// kInvalidate's name list round-trips; a count above kMaxNamesPerFrame is
+// rejected before anything is allocated for it.
+TEST(WireNames, ListRoundTripsAndHostileCountIsRejected) {
   Writer w;
-  EncodeMultiGetEntries(w, {ok, deferred});
+  EncodeNameList(w, {"a", "", "nx/b"});
   Reader r(w.bytes());
-  auto decoded = DecodeMultiGetEntries(r);
+  auto decoded = DecodeNameList(r);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_TRUE(r.AtEnd());
-  ASSERT_EQ(decoded.value().size(), 2u);
-  EXPECT_EQ(decoded.value()[0].data, (Bytes{1, 2, 3}));
-  EXPECT_TRUE(decoded.value()[0].leased);
-  EXPECT_EQ(decoded.value()[1].state, MultiGetEntry::State::kDeferred);
-}
+  EXPECT_EQ(decoded.value(), (std::vector<std::string>{"a", "", "nx/b"}));
 
-TEST(WireMultiGet, OkEntryWithoutLeaseByteIsRejected) {
-  Writer w;
-  w.U32(1);
-  w.U8(static_cast<std::uint8_t>(MultiGetEntry::State::kOk));
-  w.Var(Bytes{4, 5});
-  Reader r(w.bytes());
-  EXPECT_FALSE(DecodeMultiGetEntries(r).ok());
+  Writer hostile;
+  hostile.U32(static_cast<std::uint32_t>(kMaxNamesPerFrame + 1));
+  Reader hr(hostile.bytes());
+  EXPECT_FALSE(DecodeNameList(hr).ok());
 }
 
 // A rogue server cannot smuggle an out-of-range enum value into client
