@@ -195,16 +195,16 @@ void CachedBackend::RemoveEntryLocked(const std::string& name, bool demote) {
   Entry& entry = it->second;
   if (entry.state == Entry::State::kDirty) {
     dirty_queue_.erase(entry.dirty_it);
-    dirty_bytes_ -= entry.data.size();
+    dirty_bytes_ -= entry.data->size();
   }
-  mem_bytes_ -= entry.data.size();
+  mem_bytes_ -= entry.data->size();
   lru_.erase(entry.lru_it);
   if (demote && disk_enabled_ && entry.state != Entry::State::kDirty) {
     // A leased entry was valid this very moment, so its TTL restarts now;
     // a clean entry keeps its original stamp.
     const std::uint64_t stamp =
         entry.state == Entry::State::kLeased ? NowMs() : entry.stamp_ms;
-    DiskInsertLocked(name, entry.data, stamp);
+    DiskInsertLocked(name, *entry.data, stamp);
   }
   entries_.erase(it);
 }
@@ -229,7 +229,8 @@ void CachedBackend::EvictOverMemBudgetLocked() {
   }
 }
 
-void CachedBackend::InsertCleanLocked(const std::string& name, Bytes data,
+void CachedBackend::InsertCleanLocked(const std::string& name,
+                                      SharedBytes data,
                                       Entry::State state,
                                       std::uint64_t stamp_ms) {
   lru_.push_front(name);
@@ -238,7 +239,7 @@ void CachedBackend::InsertCleanLocked(const std::string& name, Bytes data,
   entry.stamp_ms = stamp_ms;
   entry.lru_it = lru_.begin();
   entry.dirty_it = dirty_queue_.end();
-  mem_bytes_ += data.size();
+  mem_bytes_ += data->size();
   entry.data = std::move(data);
   entries_.emplace(name, std::move(entry));
   EvictOverMemBudgetLocked();
@@ -246,28 +247,33 @@ void CachedBackend::InsertCleanLocked(const std::string& name, Bytes data,
 
 // ---- read path --------------------------------------------------------------
 
-std::optional<Bytes> CachedBackend::TryDiskHitLocked(const std::string& name) {
-  if (!disk_enabled_) return std::nullopt;
+SharedBytes CachedBackend::TryDiskHitLocked(const std::string& name) {
+  if (!disk_enabled_) return nullptr;
   const auto it = disk_entries_.find(name);
-  if (it == disk_entries_.end()) return std::nullopt;
+  if (it == disk_entries_.end()) return nullptr;
   if (NowMs() >= it->second.stamp_ms + options_.ttl_ms) {
     DiskRemoveLocked(name);
-    return std::nullopt;
+    return nullptr;
   }
   auto data = DiskReadLocked(name);
   if (!data.ok()) {
     DiskRemoveLocked(name);
-    return std::nullopt;
+    return nullptr;
   }
   trace::Span span("cache.hit_disk", "cache");
   ++counters_.disk_hits;
   // Promote to the memory tier, TTL continuing from the disk stamp.
-  InsertCleanLocked(name, data.value(), Entry::State::kClean,
-                    it->second.stamp_ms);
-  return std::move(data.value());
+  SharedBytes shared = Share(std::move(data).value());
+  InsertCleanLocked(name, shared, Entry::State::kClean, it->second.stamp_ms);
+  return shared;
 }
 
 Result<Bytes> CachedBackend::Get(const std::string& name) {
+  NEXUS_ASSIGN_OR_RETURN(const SharedBytes data, GetShared(name));
+  return *data;
+}
+
+Result<SharedBytes> CachedBackend::GetShared(const std::string& name) {
   std::uint64_t seq_before = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -281,14 +287,15 @@ Result<Bytes> CachedBackend::Get(const std::string& name) {
       }
       RemoveEntryLocked(name, /*demote=*/false); // expired
     }
-    if (auto disk = TryDiskHitLocked(name)) return std::move(*disk);
+    if (SharedBytes disk = TryDiskHitLocked(name)) return disk;
     ++counters_.misses;
     seq_before = inval_seq_[name];
   }
   trace::Span span("cache.miss", "cache");
   bool leased = false;
   Result<Bytes> fetched = inner_->GetLeased(name, &leased);
-  if (!fetched.ok()) return fetched;
+  if (!fetched.ok()) return fetched.status();
+  SharedBytes shared = Share(std::move(fetched).value());
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(name);
@@ -298,13 +305,13 @@ Result<Bytes> CachedBackend::Get(const std::string& name) {
     // while the fetch was in flight — otherwise the bytes are already stale.
     if (inval_seq_[name] == seq_before && !dirty_meanwhile) {
       if (it != entries_.end()) RemoveEntryLocked(name, /*demote=*/false);
-      InsertCleanLocked(name, fetched.value(),
+      InsertCleanLocked(name, shared,
                         leased && channel_up_ ? Entry::State::kLeased
                                               : Entry::State::kClean,
                         NowMs());
     }
   }
-  return fetched;
+  return shared;
 }
 
 bool CachedBackend::Exists(const std::string& name) {
@@ -329,7 +336,7 @@ Result<storage::StorageBackend::Head> CachedBackend::GetHead(
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(name);
     if (it != entries_.end() && EntryValidLocked(it->second)) {
-      return HeadOf(it->second.data, max_bytes);
+      return HeadOf(*it->second.data, max_bytes);
     }
   }
   return inner_->GetHead(name, max_bytes);
@@ -358,22 +365,22 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
         entry.lru_it = lru_.begin();
         dirty_queue_.push_back(name);
         entry.dirty_it = std::prev(dirty_queue_.end());
-        entry.data = ToBytes(data);
-        mem_bytes_ += entry.data.size();
-        dirty_bytes_ += entry.data.size();
+        entry.data = Share(ToBytes(data));
+        mem_bytes_ += entry.data->size();
+        dirty_bytes_ += entry.data->size();
         entries_.emplace(name, std::move(entry));
       } else {
         Entry& entry = it->second;
         if (entry.state == Entry::State::kDirty) {
-          dirty_bytes_ -= entry.data.size();
+          dirty_bytes_ -= entry.data->size();
         } else {
           dirty_queue_.push_back(name);
           entry.dirty_it = std::prev(dirty_queue_.end());
         }
-        mem_bytes_ -= entry.data.size();
-        entry.data = ToBytes(data);
-        mem_bytes_ += entry.data.size();
-        dirty_bytes_ += entry.data.size();
+        mem_bytes_ -= entry.data->size();
+        entry.data = Share(ToBytes(data));
+        mem_bytes_ += entry.data->size();
+        dirty_bytes_ += entry.data->size();
         entry.state = Entry::State::kDirty;
         ++entry.dirty_gen;
         TouchLocked(name, entry);
@@ -420,14 +427,16 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
   if (!lease_mode_) {
     // TTL mode: our own write is the freshest value we can know; cache it
     // for the staleness window.
-    InsertCleanLocked(name, ToBytes(data), Entry::State::kClean, NowMs());
+    InsertCleanLocked(name, Share(ToBytes(data)), Entry::State::kClean,
+                      NowMs());
   } else if (write_lease && channel_up_ && fresh) {
     // The server granted a WRITE lease: we keep our own bytes
     // and will be invalidated only when ANOTHER client mutates the name —
     // not by our own write. `fresh` guards the race where a concurrent
     // writer's invalidation arrived between our Put and this insert: the
     // grant was already broken, so installing would retain stale bytes.
-    InsertCleanLocked(name, ToBytes(data), Entry::State::kLeased, NowMs());
+    InsertCleanLocked(name, Share(ToBytes(data)), Entry::State::kLeased,
+                      NowMs());
   }
   return Status::Ok();
 }
@@ -496,7 +505,7 @@ void CachedBackend::OnStreamCommitted(const std::string& name) {
 Status CachedBackend::FlushOneBatch() {
   struct Item {
     std::string name;
-    Bytes data;
+    SharedBytes data;
     std::uint64_t gen = 0;
     std::uint64_t seq = 0;
     bool flushed = false;
@@ -522,9 +531,9 @@ Status CachedBackend::FlushOneBatch() {
   Status first_error = Status::Ok();
   for (Item& item : batch) {
     const Status st = lease_mode_
-                          ? inner_->PutLeased(item.name, item.data,
+                          ? inner_->PutLeased(item.name, *item.data,
                                               &item.leased)
-                          : inner_->Put(item.name, item.data);
+                          : inner_->Put(item.name, *item.data);
     if (st.ok()) {
       item.flushed = true;
     } else if (first_error.ok()) {
@@ -547,7 +556,7 @@ Status CachedBackend::FlushOneBatch() {
       }
       ++counters_.writeback_objects;
       dirty_queue_.erase(entry.dirty_it);
-      dirty_bytes_ -= entry.data.size();
+      dirty_bytes_ -= entry.data->size();
       if (!lease_mode_) {
         entry.state = Entry::State::kClean;
         entry.stamp_ms = NowMs();
@@ -565,7 +574,7 @@ Status CachedBackend::FlushOneBatch() {
         // No write lease (channel down, or broken mid-flush): a retained
         // copy could go stale silently. Drop it; the next read re-fetches
         // under a lease.
-        mem_bytes_ -= entry.data.size();
+        mem_bytes_ -= entry.data->size();
         lru_.erase(entry.lru_it);
         entries_.erase(it);
       }

@@ -45,7 +45,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -94,7 +93,11 @@ class CachedBackend final : public storage::StorageBackend {
   /// Drains the writeback queue and persists the disk index.
   ~CachedBackend() override;
 
+  /// A copy of GetShared's buffer.
   Result<Bytes> Get(const std::string& name) override;
+  /// A hit returns the buffer the memory entry holds; a miss installs the
+  /// fetched bytes by move and returns that same buffer.
+  Result<SharedBytes> GetShared(const std::string& name) override;
   Status Put(const std::string& name, ByteSpan data) override;
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
@@ -122,7 +125,7 @@ class CachedBackend final : public storage::StorageBackend {
 
  private:
   struct Entry {
-    Bytes data;
+    SharedBytes data; // never null; replaced, never mutated
     enum class State : std::uint8_t { kClean, kLeased, kDirty } state =
         State::kClean;
     std::uint64_t stamp_ms = 0; // TTL base for kClean
@@ -146,7 +149,7 @@ class CachedBackend final : public storage::StorageBackend {
   /// Removes a memory entry; `demote` spills clean bytes to the disk tier.
   void RemoveEntryLocked(const std::string& name, bool demote);
   void EvictOverMemBudgetLocked();
-  void InsertCleanLocked(const std::string& name, Bytes data,
+  void InsertCleanLocked(const std::string& name, SharedBytes data,
                          Entry::State state, std::uint64_t stamp_ms);
 
   // Disk tier.
@@ -174,7 +177,7 @@ class CachedBackend final : public storage::StorageBackend {
   void OnChannelDown();
   /// Stream commit published bytes the cache never saw: drop the entry.
   void OnStreamCommitted(const std::string& name);
-  [[nodiscard]] std::optional<Bytes> TryDiskHitLocked(const std::string& name);
+  [[nodiscard]] SharedBytes TryDiskHitLocked(const std::string& name);
 
   friend class CachedPutStream;
 

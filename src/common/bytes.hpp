@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -14,6 +15,16 @@ namespace nexus {
 using Bytes = std::vector<std::uint8_t>;
 using ByteSpan = std::span<const std::uint8_t>;
 using MutableByteSpan = std::span<std::uint8_t>;
+
+/// An immutable, reference-counted payload. Whoever publishes one never
+/// mutates it again, so any number of holders on any thread may read it
+/// without a lock; a new value is a new buffer.
+using SharedBytes = std::shared_ptr<const Bytes>;
+
+/// Publishes `bytes` as a shared payload by move (no copy of the bytes).
+inline SharedBytes Share(Bytes bytes) {
+  return std::make_shared<const Bytes>(std::move(bytes));
+}
 
 /// View a string's contents as bytes (no copy).
 inline ByteSpan AsBytes(std::string_view s) noexcept {

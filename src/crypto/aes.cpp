@@ -90,14 +90,22 @@ std::uint32_t SubWord(const std::uint8_t (&s)[256], std::uint32_t w) noexcept {
 
 } // namespace
 
-Result<Aes> Aes::Create(ByteSpan key) {
+Result<Aes> Aes::Create(ByteSpan key) { return Make(key, HasAesHardware()); }
+
+Result<Aes> Aes::CreatePortable(ByteSpan key) { return Make(key, false); }
+
+Result<Aes> Aes::Make(ByteSpan key, bool hardware) {
   if (key.size() != 16 && key.size() != 32) {
     return Error(ErrorCode::kCryptoFailure, "AES key must be 16 or 32 bytes");
   }
   Aes aes;
   aes.key_size_ = key.size();
   aes.rounds_ = key.size() == 16 ? 10 : 14;
-  aes.ExpandKey(key);
+  if (hardware) {
+    AesNiExpandKey(key, aes.round_keys_);
+  } else {
+    aes.ExpandKey(key);
+  }
   return aes;
 }
 
@@ -210,6 +218,17 @@ void AesCtrXor(const Aes& aes, const std::uint8_t counter_block[16],
     for (int i = 15; i >= 12; --i) {
       if (++ctr[i] != 0) break;
     }
+  }
+}
+
+void AesEncryptBlocks(const Aes& aes, const std::uint8_t* in,
+                      std::uint8_t* out, std::size_t n) noexcept {
+  if (HasAesHardware()) {
+    AesNiEncryptBlocks(aes, in, out, n);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    aes.EncryptBlock(in + 16 * i, out + 16 * i);
   }
 }
 

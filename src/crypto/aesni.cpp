@@ -43,14 +43,29 @@ bool AesniSelfTest() noexcept {
   if (!CpuidSupportsAesni()) return false;
 
   // Every reference below is built from the portable pieces directly:
-  // Aes::EncryptBlock and a forced-portable Ghash, NOT AesCtrXor or
-  // GcmSeal, whose dispatch consults the HasAesHardware() static this
-  // self-test initializes (force_portable short-circuits Ghash's check).
-  static constexpr std::uint8_t kKey[16] = {
+  // Aes::CreatePortable, Aes::EncryptBlock and a forced-portable Ghash,
+  // NOT Aes::Create, AesCtrXor or GcmSeal, whose dispatch consults the
+  // HasAesHardware() static this self-test initializes (force_portable
+  // short-circuits Ghash's check).
+  static constexpr std::uint8_t kKey[32] = {
       0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6,
-      0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c};
-  auto aes = Aes::Create(ByteSpan(kKey, 16));
+      0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f, 0x3c,
+      0x60, 0x3d, 0xeb, 0x10, 0x15, 0xca, 0x71, 0xbe,
+      0x2b, 0x73, 0xae, 0xf0, 0x85, 0x7d, 0x77, 0x81};
+  auto aes = Aes::CreatePortable(ByteSpan(kKey, 16));
   if (!aes.ok()) return false;
+
+  // AESKEYGENASSIST schedule, AES-128 and AES-256, byte for byte.
+  for (const std::size_t key_size : {std::size_t{16}, std::size_t{32}}) {
+    auto portable = Aes::CreatePortable(ByteSpan(kKey, key_size));
+    if (!portable.ok()) return false;
+    std::uint8_t round_keys[240] = {};
+    AesNiExpandKey(ByteSpan(kKey, key_size), round_keys);
+    if (std::memcmp(round_keys, portable->round_key_bytes(),
+                    16 * (portable->rounds() + 1)) != 0) {
+      return false;
+    }
+  }
 
   // T-table CTR: the keystream reference.
   auto portable_ctr = [&aes](const std::uint8_t counter[16], ByteSpan in,
@@ -85,6 +100,13 @@ bool AesniSelfTest() noexcept {
   AesNiCtrXor(*aes, counter, ByteSpan(input, kLen), MutableByteSpan(got, kLen));
   portable_ctr(counter, ByteSpan(input, kLen), want);
   if (std::memcmp(got, want, kLen) != 0) return false;
+
+  // ECB blocks: a 4-block batch and a single-block tail.
+  AesNiEncryptBlocks(*aes, input, got, 5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    aes->EncryptBlock(input + 16 * i, want + 16 * i);
+  }
+  if (std::memcmp(got, want, 5 * 16) != 0) return false;
 
   // GHASH over 9 blocks: two aggregated groups and a single-block tail.
   std::uint8_t h[16];
@@ -176,6 +198,37 @@ struct RoundKeys {
   __m128i k[15];
   int rounds;
 };
+
+// One schedule step (Intel AES-NI white paper): each word of the new
+// round key is the XOR of the previous key's words up to it and the
+// schedule word `assist`, which AESKEYGENASSIST computed and a shuffle
+// broadcast to every lane.
+inline __m128i FoldRoundKey(__m128i key, __m128i assist) noexcept {
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  key = _mm_xor_si128(key, _mm_slli_si128(key, 4));
+  return _mm_xor_si128(key, assist);
+}
+
+// AESKEYGENASSIST takes its round constant as an immediate.
+template <int kRcon>
+inline __m128i Aes128Step(__m128i key) noexcept {
+  return FoldRoundKey(
+      key, _mm_shuffle_epi32(_mm_aeskeygenassist_si128(key, kRcon), 0xff));
+}
+
+// AES-256 produces two round keys per constant: the even one from the
+// RotWord/SubWord/Rcon word of `odd` (shuffle 0xff), the odd one from the
+// plain SubWord of the new even key (shuffle 0xaa).
+template <int kRcon>
+inline void Aes256Step(__m128i& even, __m128i& odd, __m128i* out) noexcept {
+  even = FoldRoundKey(
+      even, _mm_shuffle_epi32(_mm_aeskeygenassist_si128(odd, kRcon), 0xff));
+  out[0] = even;
+  odd = FoldRoundKey(
+      odd, _mm_shuffle_epi32(_mm_aeskeygenassist_si128(even, 0x00), 0xaa));
+  out[1] = odd;
+}
 
 // Encrypts N independent blocks, round by round, so the AES unit
 // pipelines them.
@@ -345,6 +398,56 @@ __m128i CtrPass(const RoundKeys& rk, __m128i ctr, ByteSpan in,
 
 } // namespace
 
+void AesNiExpandKey(ByteSpan key, std::uint8_t round_keys[240]) noexcept {
+  __m128i k[15];
+  k[0] = Load(key.data());
+  int rounds = 10;
+  if (key.size() == 16) {
+    k[1] = Aes128Step<0x01>(k[0]);
+    k[2] = Aes128Step<0x02>(k[1]);
+    k[3] = Aes128Step<0x04>(k[2]);
+    k[4] = Aes128Step<0x08>(k[3]);
+    k[5] = Aes128Step<0x10>(k[4]);
+    k[6] = Aes128Step<0x20>(k[5]);
+    k[7] = Aes128Step<0x40>(k[6]);
+    k[8] = Aes128Step<0x80>(k[7]);
+    k[9] = Aes128Step<0x1b>(k[8]);
+    k[10] = Aes128Step<0x36>(k[9]);
+  } else {
+    rounds = 14;
+    __m128i even = k[0];
+    __m128i odd = Load(key.data() + 16);
+    k[1] = odd;
+    Aes256Step<0x01>(even, odd, k + 2);
+    Aes256Step<0x02>(even, odd, k + 4);
+    Aes256Step<0x04>(even, odd, k + 6);
+    Aes256Step<0x08>(even, odd, k + 8);
+    Aes256Step<0x10>(even, odd, k + 10);
+    Aes256Step<0x20>(even, odd, k + 12);
+    // The last constant yields only the even key (15 round keys).
+    k[14] = FoldRoundKey(
+        even, _mm_shuffle_epi32(_mm_aeskeygenassist_si128(odd, 0x40), 0xff));
+  }
+  for (int i = 0; i <= rounds; ++i) Store(round_keys + 16 * i, k[i]);
+}
+
+void AesNiEncryptBlocks(const Aes& aes, const std::uint8_t* in,
+                        std::uint8_t* out, std::size_t n) noexcept {
+  const RoundKeys rk(aes);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    __m128i b[4];
+    for (std::size_t j = 0; j < 4; ++j) b[j] = Load(in + 16 * (i + j));
+    EncryptBlocks(b, rk);
+    for (std::size_t j = 0; j < 4; ++j) Store(out + 16 * (i + j), b[j]);
+  }
+  for (; i < n; ++i) {
+    __m128i b[1] = {Load(in + 16 * i)};
+    EncryptBlocks(b, rk);
+    Store(out + 16 * i, b[0]);
+  }
+}
+
 void AesNiCtrXor(const Aes& aes, const std::uint8_t counter[16], ByteSpan in,
                  MutableByteSpan out) noexcept {
   CtrPass(RoundKeys(aes), Reverse(Load(counter)), in, out, nullptr, false,
@@ -392,6 +495,9 @@ void PclmulGhashBlocks(std::uint8_t y[16], const std::uint8_t powers[64],
 
 #else // !__x86_64__
 
+void AesNiExpandKey(ByteSpan, std::uint8_t*) noexcept {}
+void AesNiEncryptBlocks(const Aes&, const std::uint8_t*, std::uint8_t*,
+                        std::size_t) noexcept {}
 void AesNiCtrXor(const Aes&, const std::uint8_t*, ByteSpan,
                  MutableByteSpan) noexcept {}
 void AesNiGcm(const Aes&, const std::uint8_t*, ByteSpan, ByteSpan,

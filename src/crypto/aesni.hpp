@@ -24,11 +24,12 @@ class Aes;
 ///  1. CPUID must report aes + pclmul + ssse3,
 ///  2. NEXUS_NO_AESNI must not be set (non-empty, != "0") in the
 ///     environment — the CI knob that keeps the scalar path tested,
-///  3. a known-answer self-test must pass: the hardware CTR keystream, a
-///     multi-group PCLMUL GHASH and one seal through the bulk GCM kernel
-///     are checked against the portable reference, so a mis-dispatched or
-///     miscompiled fast path degrades to the (correct) scalar code instead
-///     of producing wrong ciphertext.
+///  3. a known-answer self-test must pass: the AESKEYGENASSIST schedule
+///     (AES-128 and AES-256), the ECB blocks helper, the hardware CTR
+///     keystream, a multi-group PCLMUL GHASH and one seal through the bulk
+///     GCM kernel are checked against the portable reference, so a
+///     mis-dispatched or miscompiled fast path degrades to the (correct)
+///     scalar code instead of producing wrong ciphertext.
 /// The result is cached; ForceAesFallbackForTesting overrides it at runtime.
 bool HasAesHardware() noexcept;
 
@@ -39,10 +40,11 @@ bool HasAesHardware() noexcept;
 bool HasShaHardware() noexcept;
 
 /// Runtime override for equivalence tests: while `disabled` is true,
-/// HasAesHardware() and HasShaHardware() report false and every GCM/CTR
-/// call and SHA-256 compression takes the portable path. Thread-safe;
-/// affects only subsequently-created Ghash instances, future GCM and
-/// AesCtrXor calls and future Sha256 compressions.
+/// HasAesHardware() and HasShaHardware() report false and every key
+/// schedule, GCM/CTR call and SHA-256 compression takes the portable path.
+/// Thread-safe; affects only subsequently-created Aes and Ghash instances,
+/// future GCM, AesCtrXor and AesEncryptBlocks calls and future Sha256
+/// compressions.
 void ForceAesFallbackForTesting(bool disabled) noexcept;
 
 /// Re-runs the dispatch-verification KAT (the check HasAesHardware caches).
@@ -53,6 +55,16 @@ bool AesniSelfTest() noexcept;
 /// through ShaNiCompress must leave the same state as the portable rounds.
 /// False on non-x86 builds or when the CPU lacks the instructions.
 bool ShaNiSelfTest() noexcept;
+
+/// The FIPS 197 key schedule with AESKEYGENASSIST: writes the
+/// (rounds + 1) * 16 round-key bytes of a 16- or 32-byte `key` in
+/// Aes::round_key_bytes() layout.
+void AesNiExpandKey(ByteSpan key, std::uint8_t round_keys[240]) noexcept;
+
+/// Encrypts `n` independent 16-byte blocks (ECB) with AES-NI, four per
+/// batch; `in` and `out` may alias.
+void AesNiEncryptBlocks(const Aes& aes, const std::uint8_t* in,
+                        std::uint8_t* out, std::size_t n) noexcept;
 
 /// CTR keystream XOR using AES-NI, any length. `counter` uses the GCM
 /// convention (big-endian increment of the final 32 bits, wrapping

@@ -38,27 +38,23 @@ struct DerivedKeys {
 
 Result<DerivedKeys> DeriveKeys(ByteSpan key, ByteSpan nonce) {
   NEXUS_ASSIGN_OR_RETURN(Aes aes, Aes::Create(key));
-  auto derive_half = [&](std::uint32_t counter, std::uint8_t* out8) {
-    std::uint8_t block[16] = {};
-    block[0] = static_cast<std::uint8_t>(counter);
-    block[1] = static_cast<std::uint8_t>(counter >> 8);
-    block[2] = static_cast<std::uint8_t>(counter >> 16);
-    block[3] = static_cast<std::uint8_t>(counter >> 24);
-    std::memcpy(block + 4, nonce.data(), kGcmSivNonceSize);
-    std::uint8_t enc[16];
-    aes.EncryptBlock(block, enc);
-    std::memcpy(out8, enc, 8);
-  };
+  // Block i is LE32(i) || nonce; the first 8 bytes of each encryption
+  // are the next 8 key bytes. All 4 (AES-128) or 6 (AES-256) blocks go
+  // through the cipher in one batch.
+  const std::size_t count = key.size() == 32 ? 6 : 4;
+  std::uint8_t blocks[6 * 16] = {};
+  for (std::size_t i = 0; i < count; ++i) {
+    blocks[16 * i] = static_cast<std::uint8_t>(i);
+    std::memcpy(blocks + 16 * i + 4, nonce.data(), kGcmSivNonceSize);
+  }
+  AesEncryptBlocks(aes, blocks, blocks, count);
 
   DerivedKeys keys;
-  derive_half(0, keys.auth_key.data());
-  derive_half(1, keys.auth_key.data() + 8);
+  std::memcpy(keys.auth_key.data(), blocks, 8);
+  std::memcpy(keys.auth_key.data() + 8, blocks + 16, 8);
   keys.enc_key.resize(key.size());
-  derive_half(2, keys.enc_key.data());
-  derive_half(3, keys.enc_key.data() + 8);
-  if (key.size() == 32) {
-    derive_half(4, keys.enc_key.data() + 16);
-    derive_half(5, keys.enc_key.data() + 24);
+  for (std::size_t i = 2; i < count; ++i) {
+    std::memcpy(keys.enc_key.data() + 8 * (i - 2), blocks + 16 * i, 8);
   }
   return keys;
 }
@@ -89,7 +85,7 @@ ByteArray<16> ComputeTag(const Aes& enc, const ByteArray<16>& auth_key,
   s[15] &= 0x7f;
 
   ByteArray<16> tag;
-  enc.EncryptBlock(s.data(), tag.data());
+  AesEncryptBlocks(enc, s.data(), tag.data(), 1);
   return tag;
 }
 
@@ -97,18 +93,23 @@ ByteArray<16> ComputeTag(const Aes& enc, const ByteArray<16>& auth_key,
 // initial block = tag with the top bit of the last byte forced on.
 void SivCtrXor(const Aes& enc, const ByteArray<16>& tag, ByteSpan in,
                MutableByteSpan out) noexcept {
+  constexpr std::size_t kBatch = 8; // counter blocks per AES call
   ByteArray<16> ctr = tag;
   ctr[15] |= 0x80;
-  std::uint8_t keystream[16];
+  std::uint8_t keystream[kBatch * 16];
   std::size_t pos = 0;
   while (pos < in.size()) {
-    enc.EncryptBlock(ctr.data(), keystream);
-    const std::size_t n = std::min<std::size_t>(16, in.size() - pos);
+    const std::size_t n = std::min<std::size_t>(kBatch * 16, in.size() - pos);
+    const std::size_t blocks = (n + 15) / 16;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      std::memcpy(keystream + 16 * b, ctr.data(), 16);
+      for (int i = 0; i < 4; ++i) {
+        if (++ctr[i] != 0) break;
+      }
+    }
+    AesEncryptBlocks(enc, keystream, keystream, blocks);
     for (std::size_t i = 0; i < n; ++i) out[pos + i] = in[pos + i] ^ keystream[i];
     pos += n;
-    for (int i = 0; i < 4; ++i) {
-      if (++ctr[i] != 0) break;
-    }
   }
 }
 

@@ -145,7 +145,7 @@ Result<ObjectBlob> NexusEnclave::FetchMetaO(const Uuid& uuid) {
     if (op->kind == journal::OpKind::kRemove) {
       return Error(ErrorCode::kNotFound, "object removed in pending transaction");
     }
-    return ObjectBlob{op->blob, kJournaledStorageVersion};
+    return ObjectBlob{Share(op->blob), kJournaledStorageVersion};
   }
   trace::Span ocall_span("ocall:fetch_meta", "ocall");
   sgx::EnclaveRuntime::OcallScope scope(runtime_);
@@ -420,7 +420,7 @@ Result<std::size_t> NexusEnclave::ReplayOps(const std::vector<journal::Op>& ops,
       if (stored.ok()) {
         NEXUS_ASSIGN_OR_RETURN(const Preamble mine, PeekPreamble(op.blob));
         const auto theirs =
-            DecodeMetadata(stored->data, rootkey, mine.type, op.uuid);
+            DecodeMetadata(*stored->data, rootkey, mine.type, op.uuid);
         if (!theirs.ok() || theirs->preamble.version >= mine.version) continue;
       }
       NEXUS_RETURN_IF_ERROR(StoreMetaDirect(op.uuid, op.blob, nullptr));
@@ -606,7 +606,7 @@ Result<NexusEnclave::DirnodeState*> NexusEnclave::LoadDirnode(
   NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchMetaO(uuid));
   NEXUS_ASSIGN_OR_RETURN(
       DecodedMeta meta,
-      DecodeMetadata(blob.data, session_->rootkey, MetaType::kDirnodeMain, uuid));
+      DecodeMetadata(*blob.data, session_->rootkey, MetaType::kDirnodeMain, uuid));
   NEXUS_RETURN_IF_ERROR(CheckAndRecordVersion(uuid, meta.preamble.version));
 
   DirnodeState state;
@@ -629,13 +629,13 @@ Result<NexusEnclave::DirnodeState*> NexusEnclave::LoadDirnode(
   state.buckets.reserve(state.main.buckets.size());
   for (const BucketRef& ref : state.main.buckets) {
     NEXUS_ASSIGN_OR_RETURN(ObjectBlob bucket_blob, FetchMetaO(ref.uuid));
-    if (crypto::Sha256::Hash(bucket_blob.data) != ref.mac) {
+    if (crypto::Sha256::Hash(*bucket_blob.data) != ref.mac) {
       return Error(ErrorCode::kIntegrityViolation,
                    "dirnode bucket MAC mismatch (bucket rollback?)");
     }
     NEXUS_ASSIGN_OR_RETURN(
         DecodedMeta bucket_meta,
-        DecodeMetadata(bucket_blob.data, session_->rootkey,
+        DecodeMetadata(*bucket_blob.data, session_->rootkey,
                        MetaType::kDirnodeBucket, ref.uuid));
     NEXUS_ASSIGN_OR_RETURN(DirBucket bucket,
                            DirBucket::Deserialize(bucket_meta.body, uuid));
@@ -666,7 +666,7 @@ Result<NexusEnclave::FilenodeState*> NexusEnclave::LoadFilenode(
   NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchMetaO(uuid));
   NEXUS_ASSIGN_OR_RETURN(
       DecodedMeta meta,
-      DecodeMetadata(blob.data, session_->rootkey, MetaType::kFilenode, uuid));
+      DecodeMetadata(*blob.data, session_->rootkey, MetaType::kFilenode, uuid));
   NEXUS_RETURN_IF_ERROR(CheckAndRecordVersion(uuid, meta.preamble.version));
 
   FilenodeState state;
@@ -697,7 +697,7 @@ Status NexusEnclave::ReloadSupernode() {
   NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchMetaO(session_->volume_uuid));
   NEXUS_ASSIGN_OR_RETURN(
       DecodedMeta meta,
-      DecodeMetadata(blob.data, session_->rootkey, MetaType::kSupernode,
+      DecodeMetadata(*blob.data, session_->rootkey, MetaType::kSupernode,
                      session_->volume_uuid));
   NEXUS_RETURN_IF_ERROR(
       CheckAndRecordVersion(session_->volume_uuid, meta.preamble.version));
@@ -1423,12 +1423,10 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
     for (std::size_t i = 0; i < chunk_count; ++i) {
       if (!needs_reencrypt(i)) ++surviving;
     }
-    Bytes old_ciphertext;
-    bool have_old = false;
+    SharedBytes old_ciphertext; // null unless a chunk survives
     if (surviving > 0) {
       NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchDataO(old_data_uuid));
       old_ciphertext = std::move(blob.data);
-      have_old = true;
     }
 
     node.chunks.resize(chunk_count);
@@ -1450,15 +1448,15 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
           std::min<std::size_t>(cs, plaintext.size() - i * cs);
       const std::size_t ct_len = pt_len + crypto::kGcmTagSize;
 
-      if (!needs_reencrypt(i) && have_old) {
+      if (!needs_reencrypt(i) && old_ciphertext != nullptr) {
         // Untouched chunk: identical plaintext extent, identical layout
         // offset (every preceding chunk is full-sized).
         const std::size_t old_off = i * ct_stride;
-        if (old_off + ct_len > old_ciphertext.size()) {
+        if (old_off + ct_len > old_ciphertext->size()) {
           return Error(ErrorCode::kIntegrityViolation,
                        "data object shorter than filenode describes");
         }
-        std::copy_n(old_ciphertext.data() + old_off, ct_len,
+        std::copy_n(old_ciphertext->data() + old_off, ct_len,
                     ciphertext.data() + i * ct_stride);
         continue;
       }
@@ -1569,7 +1567,7 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
     }
     NEXUS_RETURN_IF_ERROR(store_result);
     NEXUS_RETURN_IF_ERROR(FlushFilenode(*file));
-    if (full_rewrite && (have_old || old_size > 0)) {
+    if (full_rewrite && (old_ciphertext != nullptr || old_size > 0)) {
       (void)RemoveDataO(old_data_uuid); // deferred until commit when journaled
     }
     return Status::Ok();
@@ -1594,8 +1592,11 @@ Result<Bytes> NexusEnclave::EcallDecrypt(const std::string& path) {
   NEXUS_ASSIGN_OR_RETURN(DirnodeState* dir, LoadDirnode(dir_uuid, parent));
   NEXUS_RETURN_IF_ERROR(CheckDirAccess(dir->main, kPermRead));
   const DirEntry* entry = FindEntry(*dir, name);
-  if (entry == nullptr || entry->type != EntryType::kFile) {
+  if (entry == nullptr) {
     return Error(ErrorCode::kNotFound, "no such file: " + name);
+  }
+  if (entry->type != EntryType::kFile) {
+    return Error(ErrorCode::kInvalidArgument, "not a file: " + name);
   }
 
   NEXUS_ASSIGN_OR_RETURN(FilenodeState* file, LoadFilenode(entry->uuid, dir_uuid));
@@ -1630,9 +1631,9 @@ Result<Bytes> NexusEnclave::EcallDecrypt(const std::string& path) {
   // AFS transfers whole files, so the read is one fetch, checked against
   // the size the chunk table pins before any chunk opens.
   NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchDataO(node.data_uuid));
-  if (blob.data.size() != expected_ct) {
+  if (blob.data->size() != expected_ct) {
     return Error(ErrorCode::kIntegrityViolation,
-                 blob.data.size() < expected_ct
+                 blob.data->size() < expected_ct
                      ? "data object truncated"
                      : "data object has trailing bytes");
   }
@@ -1646,7 +1647,7 @@ Result<Bytes> NexusEnclave::EcallDecrypt(const std::string& path) {
     parallel::TaskGroup group(chunk_count > 1 ? pool : nullptr);
     for (std::size_t i = 0; i < chunk_count; ++i) {
       const std::size_t pt_len = std::min<std::size_t>(cs, node.size - i * cs);
-      const std::uint8_t* ct = blob.data.data() + i * ct_stride;
+      const std::uint8_t* ct = blob.data->data() + i * ct_stride;
       group.Submit([&open_chunk, &open_status, i, ct,
                     pt_len](parallel::WorkerContext&) {
         open_status[i] =
@@ -1710,7 +1711,7 @@ Status NexusEnclave::AuditDirectory(const Uuid& dir_uuid, const Uuid& parent,
             const std::size_t pt_len = std::min<std::size_t>(
                 node.chunk_size, node.size - i * node.chunk_size);
             const std::size_t ct_len = pt_len + crypto::kGcmTagSize;
-            if (pos + ct_len > blob.data.size()) {
+            if (pos + ct_len > blob.data->size()) {
               return Error(ErrorCode::kIntegrityViolation,
                            "audit: data object truncated");
             }
@@ -1719,14 +1720,14 @@ Status NexusEnclave::AuditDirectory(const Uuid& dir_uuid, const Uuid& parent,
             auto chunk = crypto::GcmOpen(
                 aes, node.chunks[i].iv,
                 ChunkAad(node.uuid, static_cast<std::uint32_t>(i)),
-                ByteSpan(blob.data.data() + pos, ct_len));
+                ByteSpan(blob.data->data() + pos, ct_len));
             if (!chunk.ok()) {
               return Error(ErrorCode::kIntegrityViolation,
                            "audit: file chunk verification failed");
             }
             pos += ct_len;
           }
-          if (pos != blob.data.size()) {
+          if (pos != blob.data->size()) {
             return Error(ErrorCode::kIntegrityViolation,
                          "audit: data object has trailing bytes");
           }

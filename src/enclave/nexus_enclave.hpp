@@ -92,7 +92,9 @@ class NexusEnclave {
   Status EcallEncrypt(const std::string& path, ByteSpan plaintext);
   Status EcallEncryptRange(const std::string& path, ByteSpan plaintext,
                            std::uint64_t dirty_offset, std::uint64_t dirty_len);
-  /// Whole-file content load: fetches, verifies and decrypts.
+  /// Whole-file content load: fetches, verifies and decrypts. A missing
+  /// name is kNotFound; a directory or symlink is kInvalidArgument, so
+  /// an open-for-read needs no Lookup ecall first.
   Result<Bytes> EcallDecrypt(const std::string& path);
 
   // ---- access-control administration (§IV-C, owner only) ------------------

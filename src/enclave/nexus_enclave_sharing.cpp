@@ -67,14 +67,14 @@ Status NexusEnclave::EcallAuthResponse(const ByteArray<64>& signature) {
   // Fetch the encrypted supernode; the user signed over exactly these bytes
   // (nonce || encrypted-supernode), binding the response to volume state.
   NEXUS_ASSIGN_OR_RETURN(ObjectBlob blob, FetchMetaO(pending.volume_uuid));
-  const Bytes signed_payload = Concat(pending.nonce, blob.data);
+  const Bytes signed_payload = Concat(pending.nonce, *blob.data);
   if (!crypto::Ed25519Verify(pending.user_public_key, signed_payload, signature)) {
     return Error(ErrorCode::kPermissionDenied, "authentication signature invalid");
   }
 
   NEXUS_ASSIGN_OR_RETURN(
       DecodedMeta meta,
-      DecodeMetadata(blob.data, pending.rootkey, MetaType::kSupernode,
+      DecodeMetadata(*blob.data, pending.rootkey, MetaType::kSupernode,
                      pending.volume_uuid));
   NEXUS_RETURN_IF_ERROR(
       CheckAndRecordVersion(pending.volume_uuid, meta.preamble.version));

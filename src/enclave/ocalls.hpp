@@ -17,9 +17,12 @@
 namespace nexus::enclave {
 
 /// An opaque stored object plus the storage service's version stamp (used
-/// only as a cache-freshness hint; it is untrusted).
+/// only as a cache-freshness hint; it is untrusted). `data` is the
+/// transport's shared ciphertext buffer, never null on success and never
+/// mutated (StorageBackend::GetShared): the enclave opens it in place, and
+/// holding the blob keeps the ciphertext alive while pool workers read it.
 struct ObjectBlob {
-  Bytes data;
+  SharedBytes data;
   std::uint64_t storage_version = 0;
 };
 

@@ -27,25 +27,28 @@ void AfsServer::ChargeRpc(std::uint64_t payload_bytes) {
   clock_.Advance(cost_.RpcSeconds(payload_bytes));
 }
 
-void AfsServer::BreakCallbacksExcept(const std::string& path,
-                                     const std::string& keep) {
-  auto it = callbacks_.find(path);
-  if (it == callbacks_.end()) return;
-  std::unordered_set<std::string> kept;
-  if (it->second.contains(keep)) kept.insert(keep);
-  it->second = std::move(kept);
+std::uint64_t AfsServer::PublishStore(const std::string& client,
+                                      const std::string& path) {
+  PathState& state = paths_[path];
+  // Every other client's callback breaks; the writer holds one.
+  if (state.callbacks.size() != 1 || !state.callbacks.contains(client)) {
+    state.callbacks.clear();
+    state.callbacks.insert(client);
+  }
+  return ++state.version;
 }
 
 Result<AfsServer::FetchResult> AfsServer::RpcFetch(const std::string& client,
                                                    const std::string& path) {
-  auto data = backend_->Get(path);
+  auto data = backend_->GetShared(path);
   if (!data.ok()) {
     ChargeRpc(0);
     return data.status();
   }
-  ChargeRpc(data->size());
-  callbacks_[path].insert(client);
-  return FetchResult{std::move(data).value(), versions_[path]};
+  ChargeRpc(data.value()->size());
+  PathState& state = paths_[path];
+  state.callbacks.insert(client);
+  return FetchResult{std::move(data).value(), state.version};
 }
 
 Result<std::uint64_t> AfsServer::RpcStore(const std::string& client,
@@ -53,10 +56,7 @@ Result<std::uint64_t> AfsServer::RpcStore(const std::string& client,
                                           ByteSpan data) {
   ChargeRpc(data.size());
   NEXUS_RETURN_IF_ERROR(backend_->Put(path, data));
-  const std::uint64_t version = ++versions_[path];
-  BreakCallbacksExcept(path, client);
-  callbacks_[path].insert(client);
-  return version;
+  return PublishStore(client, path);
 }
 
 Result<std::uint64_t> AfsServer::RpcStorePartial(const std::string& client,
@@ -65,10 +65,7 @@ Result<std::uint64_t> AfsServer::RpcStorePartial(const std::string& client,
                                                  std::uint64_t changed_bytes) {
   ChargeRpc(std::min<std::uint64_t>(changed_bytes, data.size()));
   NEXUS_RETURN_IF_ERROR(backend_->Put(path, data));
-  const std::uint64_t version = ++versions_[path];
-  BreakCallbacksExcept(path, client);
-  callbacks_[path].insert(client);
-  return version;
+  return PublishStore(client, path);
 }
 
 Result<std::uint64_t> AfsServer::RpcStoreBegin(const std::string& client,
@@ -108,10 +105,7 @@ Result<std::uint64_t> AfsServer::RpcStoreCommit(std::uint64_t handle) {
   PendingStore store = std::move(it->second);
   pending_stores_.erase(it);
   NEXUS_RETURN_IF_ERROR(store.sink->Commit());
-  const std::uint64_t version = ++versions_[store.path];
-  BreakCallbacksExcept(store.path, store.client);
-  callbacks_[store.path].insert(store.client);
-  return version;
+  return PublishStore(store.client, store.path);
 }
 
 Status AfsServer::RpcStoreAbort(std::uint64_t handle) {
@@ -145,8 +139,9 @@ Result<std::uint64_t> AfsServer::RpcGetVersion(const std::string& client,
   if (!backend_->Exists(path)) {
     return Error(ErrorCode::kNotFound, "object not found: " + path);
   }
-  callbacks_[path].insert(client);
-  return versions_[path];
+  PathState& state = paths_[path];
+  state.callbacks.insert(client);
+  return state.version;
 }
 
 Result<std::vector<AfsServer::ChildEntry>> AfsServer::RpcListDir(
@@ -176,16 +171,24 @@ Result<std::vector<AfsServer::ChildEntry>> AfsServer::RpcListDir(
 Status AfsServer::RpcRename(const std::string& client, const std::string& from,
                             const std::string& to) {
   ChargeRpc(0);
+  // The moved object's version goes up by one under its new name, and
+  // every callback on either name breaks.
+  auto move_state = [this](const std::string& src, const std::string& dst) {
+    const auto it = paths_.find(src);
+    const std::uint64_t version =
+        (it == paths_.end() ? 0 : it->second.version) + 1;
+    if (it != paths_.end()) paths_.erase(it);
+    PathState& target = paths_[dst];
+    target.version = version;
+    target.callbacks.clear();
+  };
   bool moved_any = false;
   // Exact object.
   if (backend_->Exists(from)) {
     NEXUS_ASSIGN_OR_RETURN(Bytes data, backend_->Get(from));
     NEXUS_RETURN_IF_ERROR(backend_->Put(to, data));
     NEXUS_RETURN_IF_ERROR(backend_->Delete(from));
-    versions_[to] = ++versions_[from];
-    versions_.erase(from);
-    BreakCallbacksExcept(from, "");
-    BreakCallbacksExcept(to, "");
+    move_state(from, to);
     moved_any = true;
   }
   // Subtree (directory rename): server-side, no extra transfer cost.
@@ -194,10 +197,7 @@ Status AfsServer::RpcRename(const std::string& client, const std::string& from,
     NEXUS_ASSIGN_OR_RETURN(Bytes data, backend_->Get(name));
     NEXUS_RETURN_IF_ERROR(backend_->Put(target, data));
     NEXUS_RETURN_IF_ERROR(backend_->Delete(name));
-    versions_[target] = ++versions_[name];
-    versions_.erase(name);
-    BreakCallbacksExcept(name, "");
-    BreakCallbacksExcept(target, "");
+    move_state(name, target);
     moved_any = true;
   }
   (void)client;
@@ -210,8 +210,7 @@ Status AfsServer::RpcRename(const std::string& client, const std::string& from,
 Status AfsServer::RpcRemove(const std::string& client, const std::string& path) {
   ChargeRpc(0);
   NEXUS_RETURN_IF_ERROR(backend_->Delete(path));
-  versions_.erase(path);
-  BreakCallbacksExcept(path, /*keep=*/"");
+  paths_.erase(path); // the version and every callback
   (void)client;
   return Status::Ok();
 }
@@ -243,8 +242,8 @@ Status AfsServer::RpcLock(const std::string& client, const std::string& path) {
   it->second = client;
   // Acquiring the lock revalidates the file: the client must re-fetch
   // before mutating (OpenAFS semantics — a lock implies fresh status).
-  const auto cb = callbacks_.find(path);
-  if (cb != callbacks_.end()) cb->second.erase(client);
+  const auto state = paths_.find(path);
+  if (state != paths_.end()) state->second.callbacks.erase(client);
   return Status::Ok();
 }
 
@@ -260,8 +259,8 @@ Status AfsServer::RpcUnlock(const std::string& client, const std::string& path) 
 
 bool AfsServer::CallbackValid(const std::string& client,
                               const std::string& path) const {
-  const auto it = callbacks_.find(path);
-  return it != callbacks_.end() && it->second.contains(client);
+  const auto it = paths_.find(path);
+  return it != paths_.end() && it->second.callbacks.contains(client);
 }
 
 Result<Bytes> AfsServer::AdversaryRead(const std::string& path) {
@@ -288,7 +287,8 @@ Status AfsServer::AdversaryRollback(const std::string& path, ByteSpan snapshot) 
 }
 
 void AfsServer::AdversaryInvalidateCallbacks(const std::string& path) {
-  callbacks_.erase(path);
+  const auto it = paths_.find(path);
+  if (it != paths_.end()) it->second.callbacks.clear();
 }
 
 // ---- AfsClient --------------------------------------------------------------
@@ -306,7 +306,7 @@ Result<const AfsClient::CacheEntry*> AfsClient::FetchCached(
   NEXUS_ASSIGN_OR_RETURN(AfsServer::FetchResult result,
                          server_.RpcFetch(id_, path));
   ++stats_.fetches;
-  stats_.bytes_fetched += result.data.size();
+  stats_.bytes_fetched += result.data->size();
   CacheEntry& entry = cache_[path];
   entry = CacheEntry{std::move(result.data), result.version};
   return &entry;
@@ -318,8 +318,8 @@ Result<AfsServer::FetchResult> AfsClient::FetchVersioned(const std::string& path
 }
 
 Result<Bytes> AfsClient::Fetch(const std::string& path) {
-  NEXUS_ASSIGN_OR_RETURN(AfsServer::FetchResult result, FetchVersioned(path));
-  return std::move(result.data);
+  NEXUS_ASSIGN_OR_RETURN(const CacheEntry* entry, FetchCached(path));
+  return *entry->data;
 }
 
 Result<std::uint64_t> AfsClient::StoreVersioned(const std::string& path,
@@ -327,7 +327,7 @@ Result<std::uint64_t> AfsClient::StoreVersioned(const std::string& path,
   NEXUS_ASSIGN_OR_RETURN(std::uint64_t version, server_.RpcStore(id_, path, data));
   ++stats_.stores;
   stats_.bytes_stored += data.size();
-  cache_[path] = CacheEntry{ToBytes(data), version};
+  cache_[path] = CacheEntry{Share(ToBytes(data)), version};
   return version;
 }
 
@@ -344,7 +344,7 @@ Status AfsClient::StorePartial(const std::string& path, ByteSpan data,
       server_.RpcStorePartial(id_, path, data, changed_bytes));
   ++stats_.stores;
   stats_.bytes_stored += changed_bytes;
-  cache_[path] = CacheEntry{ToBytes(data), version};
+  cache_[path] = CacheEntry{Share(ToBytes(data)), version};
   return Status::Ok();
 }
 
@@ -384,7 +384,8 @@ Status AfsClient::StoreStreamCommit(std::uint64_t handle,
                          server_.RpcStoreCommit(handle));
   ++stats_.stores;
   stats_.bytes_stored += changed_bytes;
-  cache_[pending.path] = CacheEntry{std::move(pending.buffered), version};
+  cache_[pending.path] =
+      CacheEntry{Share(std::move(pending.buffered)), version};
   return Status::Ok();
 }
 
@@ -397,7 +398,7 @@ Result<AfsServer::StatResult> AfsClient::Stat(const std::string& path) {
   const auto cached = cache_.find(path);
   if (cached != cache_.end() && server_.CallbackValid(id_, path)) {
     ++stats_.cache_hits;
-    return AfsServer::StatResult{true, cached->second.data.size()};
+    return AfsServer::StatResult{true, cached->second.data->size()};
   }
   return server_.RpcStat(id_, path);
 }

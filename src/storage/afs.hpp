@@ -36,8 +36,11 @@ class AfsServer {
 
   // ---- RPCs (cost charged on the virtual clock) -------------------------
 
+  /// A fetched object. `data` is the backend's shared buffer (see
+  /// StorageBackend::GetShared): a cache hit below hands up the very
+  /// bytes the cache holds, and nobody mutates them.
   struct FetchResult {
-    Bytes data;
+    SharedBytes data;
     std::uint64_t version = 0;
   };
 
@@ -125,16 +128,24 @@ class AfsServer {
   void AdversaryInvalidateCallbacks(const std::string& path);
 
  private:
+  // Per-path server state: the version stamp and the clients holding a
+  // callback promise, so each RPC resolves its path once.
+  struct PathState {
+    std::uint64_t version = 0;
+    std::unordered_set<std::string> callbacks;
+  };
+
   void ChargeRpc(std::uint64_t payload_bytes);
-  void BreakCallbacksExcept(const std::string& path, const std::string& keep);
+  /// A store of `path` by `client` became visible: bumps the version,
+  /// breaks every other client's callback and promises one to `client`.
+  std::uint64_t PublishStore(const std::string& client,
+                             const std::string& path);
 
   std::unique_ptr<StorageBackend> backend_;
   SimClock& clock_;
   CostModel cost_;
-  std::unordered_map<std::string, std::uint64_t> versions_;
+  std::unordered_map<std::string, PathState> paths_;
   std::unordered_map<std::string, std::string> locks_; // path -> holder
-  // path -> clients holding a callback promise
-  std::unordered_map<std::string, std::unordered_set<std::string>> callbacks_;
   // In-flight segmented stores (handle -> stream state).
   struct PendingStore {
     std::string client;
@@ -217,7 +228,7 @@ class AfsClient {
 
  private:
   struct CacheEntry {
-    Bytes data;
+    SharedBytes data; // a fetched entry shares the backend cache's buffer
     std::uint64_t version = 0;
   };
 

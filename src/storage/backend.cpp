@@ -149,6 +149,11 @@ std::vector<bool> StorageBackend::MultiExists(
   return results;
 }
 
+Result<SharedBytes> StorageBackend::GetShared(const std::string& name) {
+  NEXUS_ASSIGN_OR_RETURN(Bytes data, Get(name));
+  return Share(std::move(data));
+}
+
 Result<StorageBackend::Head> StorageBackend::GetHead(const std::string& name,
                                                     std::size_t max_bytes) {
   NEXUS_ASSIGN_OR_RETURN(const Bytes data, Get(name));

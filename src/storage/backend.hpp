@@ -36,6 +36,17 @@ class StorageBackend {
 
   virtual Result<Bytes> Get(const std::string& name) = 0;
   virtual Status Put(const std::string& name, ByteSpan data) = 0;
+
+  /// Get without the copy: the object as a SharedBytes, one immutable
+  /// buffer that every holder reads and nobody writes. A backend that
+  /// keeps payloads this way (CachedBackend's memory entries) replaces an
+  /// entry's buffer on every mutation and never changes the bytes of one
+  /// it has handed out, so a reader's buffer keeps its bytes even while
+  /// another thread overwrites, deletes, invalidates or evicts the name.
+  /// A holder may keep the buffer as long as it likes; the last holder
+  /// frees it. The default wraps Get's bytes by move; CachedBackend
+  /// returns the buffer its entry holds.
+  virtual Result<SharedBytes> GetShared(const std::string& name);
   /// Removes `name`; a name that is already missing is Ok, so a retried
   /// or repeated delete needs no special case. A delete is ordered like a
   /// Put (last writer wins; ClusterBackend writes a tombstone under the

@@ -20,13 +20,15 @@ Result<std::unique_ptr<OpenFile>> NexusFs::Open(const std::string& path,
                                                 OpenMode mode) {
   Bytes content;
   bool created = false;
-  auto attrs = client_.Lookup(path);
-  if (attrs.ok() && attrs->type != enclave::EntryType::kFile) {
-    return Error(ErrorCode::kInvalidArgument, "not a file: " + path);
-  }
   if (mode == OpenMode::kRead) {
+    // One ecall: the read resolves the path itself and answers
+    // kInvalidArgument for a directory or symlink, kNotFound for nothing.
     NEXUS_ASSIGN_OR_RETURN(content, client_.ReadFile(path));
   } else {
+    auto attrs = client_.Lookup(path);
+    if (attrs.ok() && attrs->type != enclave::EntryType::kFile) {
+      return Error(ErrorCode::kInvalidArgument, "not a file: " + path);
+    }
     if (!attrs.ok()) {
       if (attrs.status().code() != ErrorCode::kNotFound) return attrs.status();
       NEXUS_RETURN_IF_ERROR(client_.Touch(path));

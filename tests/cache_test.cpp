@@ -2,7 +2,9 @@
 // serving without inner contact, TTL expiry, writeback coalescing and
 // batching, the journal write barrier, disk-tier persistence across
 // restart (including crash recovery and MAC tampering), and budget-driven
-// eviction. Lease-path behavior against a real nexusd lives in
+// eviction, and shared payloads (GetShared buffers outlive every mutation
+// of their name, and the AFS layer hands up the cache's own buffer).
+// Lease-path behavior against a real nexusd lives in
 // cache_coherence_test.cpp.
 #include <gtest/gtest.h>
 
@@ -13,10 +15,12 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/cached_backend.hpp"
 #include "common/bytes.hpp"
+#include "storage/afs.hpp"
 #include "storage/backend.hpp"
 
 namespace nexus {
@@ -529,6 +533,176 @@ TEST(CacheTest, DropCleanEntriesKeepsDirtyData) {
   EXPECT_EQ(cache->Get("dirty").value(), Blob('d', 64)); // still local truth
   ASSERT_TRUE(cache->Flush().ok());
   EXPECT_TRUE(h.store->Exists("dirty"));
+}
+
+// ---- shared payloads ----------------------------------------------------------
+
+// A MemBackend that grants read leases and lets the test push
+// invalidations, so a cache over it runs in lease mode.
+class PushingBackend final : public storage::StorageBackend {
+ public:
+  Result<Bytes> Get(const std::string& name) override {
+    return store_.Get(name);
+  }
+  Result<Bytes> GetLeased(const std::string& name, bool* granted) override {
+    if (granted != nullptr) *granted = true;
+    return store_.Get(name);
+  }
+  Status Put(const std::string& name, ByteSpan data) override {
+    return store_.Put(name, data);
+  }
+  Status Delete(const std::string& name) override {
+    return store_.Delete(name);
+  }
+  bool Exists(const std::string& name) override {
+    return store_.Exists(name);
+  }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return store_.List(prefix);
+  }
+  bool SubscribeInvalidations(InvalidationListener on_invalidate,
+                              ChannelDownHandler /*on_channel_down*/) override {
+    listener_ = std::move(on_invalidate);
+    return true;
+  }
+
+  /// Another client's mutation: stores `data` and pushes the invalidation.
+  void RemoteWrite(const std::string& name, ByteSpan data) {
+    ASSERT_TRUE(store_.Put(name, data).ok());
+    listener_({name});
+  }
+
+ private:
+  storage::MemBackend store_;
+  InvalidationListener listener_;
+};
+
+// A payload returned by GetShared keeps its bytes through every way the
+// cache can drop or replace its entry for that name: a Put, a Delete, a
+// pushed invalidation and an eviction.
+TEST(CacheTest, SharedPayloadOutlivesEveryMutationOfItsName) {
+  auto pushing = std::make_unique<PushingBackend>();
+  PushingBackend* inner = pushing.get();
+  CacheOptions options;
+  options.mem_budget_bytes = 4096;
+  options.writeback = CacheOptions::Writeback::kOff;
+  CachedBackend cache(std::move(pushing), options);
+  ASSERT_TRUE(cache.lease_mode());
+
+  const Bytes original = Blob('a', 1000);
+  ASSERT_TRUE(cache.Put("a", original).ok());
+  const SharedBytes held = cache.GetShared("a").value();
+  ASSERT_NE(held, nullptr);
+  // A hit hands out the very buffer the entry holds.
+  EXPECT_EQ(cache.GetShared("a").value().get(), held.get());
+
+  ASSERT_TRUE(cache.Put("a", Blob('b', 1000)).ok());
+  EXPECT_EQ(cache.Get("a").value(), Blob('b', 1000));
+  EXPECT_EQ(*held, original);
+
+  const SharedBytes second = cache.GetShared("a").value();
+  inner->RemoteWrite("a", Blob('c', 1000));
+  EXPECT_EQ(cache.Get("a").value(), Blob('c', 1000));
+  EXPECT_EQ(*second, Blob('b', 1000));
+
+  const SharedBytes third = cache.GetShared("a").value();
+  for (char fill = 'd'; fill < 'k'; ++fill) { // 7 KB through a 4 KB budget
+    ASSERT_TRUE(cache.Put(std::string(1, fill), Blob(fill, 1000)).ok());
+    ASSERT_TRUE(cache.GetShared(std::string(1, fill)).ok());
+  }
+  EXPECT_GT(cache.counters().evictions_mem, 0u);
+  EXPECT_EQ(*third, Blob('c', 1000));
+
+  ASSERT_TRUE(cache.Delete("a").ok());
+  EXPECT_EQ(cache.Get("a").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(*held, original);
+  EXPECT_EQ(*second, Blob('b', 1000));
+  EXPECT_EQ(*third, Blob('c', 1000));
+}
+
+// The same under concurrency: readers hold and check payloads while
+// another thread puts, deletes, invalidates and evicts the same name.
+// Every buffer a reader sees is one whole value, and TSan sees no write
+// to a buffer after it was handed out.
+TEST(CacheTest, SharedPayloadsStayIntactUnderConcurrentMutation) {
+  auto pushing = std::make_unique<PushingBackend>();
+  PushingBackend* inner = pushing.get();
+  CacheOptions options;
+  options.mem_budget_bytes = 8192;
+  options.writeback = CacheOptions::Writeback::kOff;
+  CachedBackend cache(std::move(pushing), options);
+  ASSERT_TRUE(cache.Put("x", Blob('0', 512)).ok());
+
+  constexpr int kRounds = 300;
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0};
+  auto whole = [](const Bytes& data) {
+    if (data.size() != 512) return false;
+    for (const std::uint8_t b : data) {
+      if (b != data[0]) return false;
+    }
+    return true;
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      std::vector<SharedBytes> held;
+      while (!done.load()) {
+        auto got = cache.GetShared("x");
+        if (!got.ok()) continue; // between a Delete and the next Put
+        if (!whole(*got.value())) ++torn;
+        held.push_back(std::move(got).value());
+        if (held.size() == 16) {
+          for (const SharedBytes& h : held) {
+            if (!whole(*h)) ++torn;
+          }
+          held.clear();
+        }
+      }
+    });
+  }
+  for (int i = 0; i < kRounds; ++i) {
+    const char fill = static_cast<char>('a' + i % 26);
+    switch (i % 4) {
+      case 0: ASSERT_TRUE(cache.Put("x", Blob(fill, 512)).ok()); break;
+      case 1: inner->RemoteWrite("x", Blob(fill, 512)); break;
+      case 2: ASSERT_TRUE(cache.Delete("x").ok()); break;
+      case 3: // evict: read 10 KB of new names through the 8 KB budget
+        for (int j = 0; j < 20; ++j) {
+          const std::string name = "y" + std::to_string(i * 20 + j);
+          ASSERT_TRUE(cache.Put(name, Blob(fill, 512)).ok());
+          ASSERT_TRUE(cache.GetShared(name).ok());
+        }
+        ASSERT_TRUE(cache.Put("x", Blob(fill, 512)).ok());
+        break;
+    }
+  }
+  done.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(cache.counters().evictions_mem, 0u);
+}
+
+// Over AFS, a callback-fresh fetch hands up the cache's own buffer: two
+// FetchVersioned calls return one buffer, and it is the one CachedBackend
+// holds. Pointer identity, so a copy anywhere on the path fails the test.
+TEST(CacheTest, AfsFetchesShareTheCachedBuffer) {
+  auto store = std::make_shared<storage::MemBackend>();
+  ASSERT_TRUE(store->Put("f", Blob('f', 2048)).ok());
+  auto cached = std::make_unique<CachedBackend>(
+      std::make_unique<CountingBackend>(store));
+  CachedBackend* cache = cached.get();
+  storage::SimClock clock;
+  storage::AfsServer server(std::move(cached), clock);
+  storage::AfsClient client(server, "alice");
+
+  const auto first = client.FetchVersioned("f").value();
+  const auto second = client.FetchVersioned("f").value();
+  EXPECT_EQ(client.stats().fetches, 1u);
+  EXPECT_EQ(client.stats().cache_hits, 1u);
+  EXPECT_EQ(first.data.get(), second.data.get());
+  EXPECT_EQ(first.data.get(), cache->GetShared("f").value().get());
+  EXPECT_EQ(*first.data, Blob('f', 2048));
 }
 
 } // namespace

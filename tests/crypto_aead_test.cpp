@@ -214,6 +214,72 @@ TEST(GcmDispatch, CtrCounterWrapMatchesScalar) {
   }
 }
 
+// The AESKEYGENASSIST schedule gives the portable schedule's round keys,
+// and a forced fallback makes Create use the portable one.
+TEST(AesDispatch, KeyScheduleMatchesPortable) {
+  HmacDrbg rng(AsBytes("schedule"));
+  for (int i = 0; i < 200; ++i) {
+    const Bytes key = rng.Generate(i % 2 == 0 ? 16 : 32);
+    const Aes portable = Aes::CreatePortable(key).value();
+    const std::size_t n = 16 * static_cast<std::size_t>(portable.rounds() + 1);
+    const ByteSpan want(portable.round_key_bytes(), n);
+    const Aes dispatched = Aes::Create(key).value();
+    ASSERT_TRUE(std::ranges::equal(
+        ByteSpan(dispatched.round_key_bytes(), n), want)) << i;
+    ForceAesFallbackForTesting(true);
+    const Aes scalar = Aes::Create(key).value();
+    ForceAesFallbackForTesting(false);
+    ASSERT_TRUE(std::ranges::equal(ByteSpan(scalar.round_key_bytes(), n),
+                                   want)) << i;
+  }
+}
+
+// AesEncryptBlocks is EncryptBlock per block on both paths, for batch
+// remainders 0-3 and in place.
+TEST(AesDispatch, EncryptBlocksMatchesEncryptBlock) {
+  for (const std::size_t key_size : {std::size_t{16}, std::size_t{32}}) {
+    const auto aes = Aes::Create(Pattern(key_size, 11)).value();
+    for (std::size_t n = 0; n <= 9; ++n) {
+      const Bytes in = Pattern(16 * n, static_cast<std::uint8_t>(n));
+      Bytes want(in.size());
+      for (std::size_t i = 0; i < n; ++i) {
+        aes.EncryptBlock(in.data() + 16 * i, want.data() + 16 * i);
+      }
+      Bytes hw = in;
+      AesEncryptBlocks(aes, hw.data(), hw.data(), n);
+      ForceAesFallbackForTesting(true);
+      Bytes scalar(in.size());
+      AesEncryptBlocks(aes, in.data(), scalar.data(), n);
+      ForceAesFallbackForTesting(false);
+      ASSERT_EQ(hw, want) << key_size << " " << n;
+      ASSERT_EQ(scalar, want) << key_size << " " << n;
+    }
+  }
+}
+
+// GCM-SIV seals identically on both paths, across the keystream's
+// 8-block batches, and each path opens the other's output.
+TEST(GcmSivDispatch, HardwareMatchesScalar) {
+  for (const std::size_t key_size : {std::size_t{16}, std::size_t{32}}) {
+    const Bytes key = Pattern(key_size, 13);
+    const Bytes nonce = Pattern(12, 19);
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const Bytes pt = Pattern(len, static_cast<std::uint8_t>(len));
+      const Bytes aad = Pattern(len % 37, 43);
+      const Bytes hw = GcmSivSeal(key, nonce, aad, pt).value();
+      ForceAesFallbackForTesting(true);
+      const Bytes scalar = GcmSivSeal(key, nonce, aad, pt).value();
+      const auto scalar_open = GcmSivOpen(key, nonce, aad, hw);
+      ForceAesFallbackForTesting(false);
+      ASSERT_EQ(hw, scalar) << key_size << " " << len;
+      ASSERT_TRUE(scalar_open.ok()) << key_size << " " << len;
+      ASSERT_EQ(*scalar_open, pt) << key_size << " " << len;
+      ASSERT_EQ(GcmSivOpen(key, nonce, aad, scalar).value(), pt)
+          << key_size << " " << len;
+    }
+  }
+}
+
 // Every single-bit flip of a 200-byte message's ciphertext and tag fails
 // the open with kIntegrityViolation and leaves no plaintext in `out`.
 TEST(GcmDispatch, EveryBitFlipIsRejected) {
@@ -258,6 +324,19 @@ TEST(GcmSiv, Rfc8452EightBytePlaintext) {
   ASSERT_TRUE(sealed.ok());
   EXPECT_EQ(HexOf(*sealed),
             "b5d839330ac7b786578782fff6013b815b287c22493a364c");
+}
+
+// RFC 8452 Appendix C.2 AES-256-GCM-SIV vectors: six derivation blocks
+// instead of four.
+TEST(GcmSiv, Rfc8452Aes256Vectors) {
+  const Bytes key = FromHex(
+      "0100000000000000000000000000000000000000000000000000000000000000");
+  const Bytes nonce = FromHex("030000000000000000000000");
+  EXPECT_EQ(HexOf(GcmSivSeal(key, nonce, {}, {}).value()),
+            "07f5f4169bbf55a8400cd47ea6fd400f");
+  EXPECT_EQ(HexOf(GcmSivSeal(key, nonce, {}, FromHex("0100000000000000"))
+                      .value()),
+            "c2ef328e5c71c83b843122130f7364b761e0b97427e3df28");
 }
 
 TEST(GcmSiv, AadIsBoundIntoTheTag) {

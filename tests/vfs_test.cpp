@@ -231,6 +231,58 @@ TEST_P(VfsConformanceTest, PartialSyncChargesLessThanFullStore) {
   EXPECT_EQ(fs().ReadWholeFile("big").value()[100], 0x55);
 }
 
+// NexusFs-specific: an open for read is one ecall, and it still reports
+// the errors the old Lookup-then-read pair did.
+class NexusOpenTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    machine_ = &world_.AddMachine("user");
+    ASSERT_TRUE(machine_->nexus->CreateVolume(machine_->user).ok());
+    fs_ = std::make_unique<NexusFs>(*machine_->nexus);
+  }
+
+  /// Timed ecalls since `before`.
+  std::uint64_t EcallsSince(const core::ProfileSnapshot& before) const {
+    return (machine_->nexus->Profile() - before).ecall_latency.count;
+  }
+
+  test::World world_;
+  test::Machine* machine_ = nullptr;
+  std::unique_ptr<NexusFs> fs_;
+};
+
+TEST_F(NexusOpenTest, WholeFileReadOfACachedFileIsOneEcall) {
+  const Bytes data(3000, 0x5a);
+  ASSERT_TRUE(fs_->Mkdir("d").ok());
+  ASSERT_TRUE(fs_->WriteWholeFile("d/f", data).ok());
+  ASSERT_EQ(fs_->ReadWholeFile("d/f").value(), data); // warm every cache
+
+  const auto fetches = machine_->afs->stats().fetches;
+  const auto before = machine_->nexus->Profile();
+  EXPECT_EQ(fs_->ReadWholeFile("d/f").value(), data);
+  EXPECT_EQ(EcallsSince(before), 1u);
+  EXPECT_EQ(machine_->afs->stats().fetches, fetches); // served from cache
+}
+
+TEST_F(NexusOpenTest, OpenForReadKeepsItsErrorsInOneEcall) {
+  ASSERT_TRUE(fs_->Mkdir("d").ok());
+  ASSERT_TRUE(fs_->WriteWholeFile("d/f", Bytes{1, 2, 3}).ok());
+  ASSERT_TRUE(fs_->Symlink("d/f", "link").ok());
+
+  const std::pair<const char*, ErrorCode> cases[] = {
+      {"d", ErrorCode::kInvalidArgument},
+      {"link", ErrorCode::kInvalidArgument},
+      {"/", ErrorCode::kInvalidArgument},
+      {"nope", ErrorCode::kNotFound},
+      {"d/nope", ErrorCode::kNotFound},
+  };
+  for (const auto& [path, code] : cases) {
+    const auto before = machine_->nexus->Profile();
+    EXPECT_EQ(fs_->Open(path, OpenMode::kRead).status().code(), code) << path;
+    EXPECT_EQ(EcallsSince(before), 1u) << path;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(BothMounts, VfsConformanceTest,
                          ::testing::Values(MountKind::kPassthrough,
                                            MountKind::kNexus),
