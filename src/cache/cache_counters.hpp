@@ -1,5 +1,5 @@
 // Client object-cache counters of one CachedBackend (counters()). A delta
-// between two snapshots subtracts counters; gauges keep the later value.
+// between two snapshots subtracts every counter.
 #pragma once
 
 #include <cstdint>
@@ -16,11 +16,6 @@ struct CacheCounters {
   std::uint64_t evictions_mem = 0;
   std::uint64_t evictions_disk = 0;
 
-  // Write path.
-  std::uint64_t writeback_batches = 0;
-  std::uint64_t writeback_objects = 0;
-  std::uint64_t dirty_bytes_high_water = 0; // gauge
-
   // Coherence.
   std::uint64_t invalidations_received = 0;
 
@@ -28,8 +23,7 @@ struct CacheCounters {
   std::uint64_t prefetch_issued = 0;
   std::uint64_t prefetch_hits = 0;
 
-  /// Delta between two snapshots: counters subtract; the high-water gauge
-  /// keeps the later snapshot's value.
+  /// Delta between two snapshots.
   friend CacheCounters operator-(const CacheCounters& a,
                                  const CacheCounters& b) {
     CacheCounters out;
@@ -38,9 +32,6 @@ struct CacheCounters {
     out.misses = a.misses - b.misses;
     out.evictions_mem = a.evictions_mem - b.evictions_mem;
     out.evictions_disk = a.evictions_disk - b.evictions_disk;
-    out.writeback_batches = a.writeback_batches - b.writeback_batches;
-    out.writeback_objects = a.writeback_objects - b.writeback_objects;
-    out.dirty_bytes_high_water = a.dirty_bytes_high_water;
     out.invalidations_received =
         a.invalidations_received - b.invalidations_received;
     return out;

@@ -146,9 +146,9 @@ CachedBackend::CachedBackend(std::unique_ptr<storage::StorageBackend> inner,
 }
 
 CachedBackend::~CachedBackend() {
-  // Drain pending writes and persist the index; inner_ is declared last so
-  // it is destroyed first afterwards, joining its callback threads while
-  // the rest of the cache is still alive.
+  // Persist the index; inner_ is declared last so it is destroyed first
+  // afterwards, joining its callback threads while the rest of the cache
+  // is still alive.
   (void)Flush();
 }
 
@@ -159,25 +159,8 @@ std::uint64_t CachedBackend::NowMs() const {
   return MonotonicNanos() / 1000000u;
 }
 
-bool CachedBackend::WritebackEnabled() const noexcept {
-  switch (options_.writeback) {
-    case CacheOptions::Writeback::kOn: return true;
-    case CacheOptions::Writeback::kOff: return false;
-    case CacheOptions::Writeback::kAuto: return lease_mode_;
-  }
-  return false;
-}
-
-bool CachedBackend::IsWriteThroughName(const std::string& name) const {
-  for (const std::string& prefix : options_.write_through_prefixes) {
-    if (name.starts_with(prefix)) return true;
-  }
-  return false;
-}
-
 bool CachedBackend::EntryValidLocked(const Entry& entry) const {
   switch (entry.state) {
-    case Entry::State::kDirty: return true; // local truth until flushed
     case Entry::State::kLeased: return channel_up_;
     case Entry::State::kClean:
       return NowMs() < entry.stamp_ms + options_.ttl_ms;
@@ -193,13 +176,9 @@ void CachedBackend::RemoveEntryLocked(const std::string& name, bool demote) {
   const auto it = entries_.find(name);
   if (it == entries_.end()) return;
   Entry& entry = it->second;
-  if (entry.state == Entry::State::kDirty) {
-    dirty_queue_.erase(entry.dirty_it);
-    dirty_bytes_ -= entry.data->size();
-  }
   mem_bytes_ -= entry.data->size();
   lru_.erase(entry.lru_it);
-  if (demote && disk_enabled_ && entry.state != Entry::State::kDirty) {
+  if (demote && disk_enabled_) {
     // A leased entry was valid this very moment, so its TTL restarts now;
     // a clean entry keeps its original stamp.
     const std::uint64_t stamp =
@@ -211,18 +190,7 @@ void CachedBackend::RemoveEntryLocked(const std::string& name, bool demote) {
 
 void CachedBackend::EvictOverMemBudgetLocked() {
   while (mem_bytes_ > options_.mem_budget_bytes && !lru_.empty()) {
-    // Oldest evictable entry: dirty (and in-flight writeback) objects are
-    // pinned until their bytes reach the inner store.
-    std::string victim;
-    for (auto it = std::prev(lru_.end());; --it) {
-      const Entry& entry = entries_.at(*it);
-      if (entry.state != Entry::State::kDirty && !entry.flushing) {
-        victim = *it;
-        break;
-      }
-      if (it == lru_.begin()) break;
-    }
-    if (victim.empty()) return; // everything left is pinned
+    const std::string victim = lru_.back(); // a copy: removal frees it
     trace::Span span("cache.evict", "cache");
     ++counters_.evictions_mem;
     RemoveEntryLocked(victim, /*demote=*/true);
@@ -238,7 +206,6 @@ void CachedBackend::InsertCleanLocked(const std::string& name,
   entry.state = state;
   entry.stamp_ms = stamp_ms;
   entry.lru_it = lru_.begin();
-  entry.dirty_it = dirty_queue_.end();
   mem_bytes_ += data->size();
   entry.data = std::move(data);
   entries_.emplace(name, std::move(entry));
@@ -298,13 +265,10 @@ Result<SharedBytes> CachedBackend::GetShared(const std::string& name) {
   SharedBytes shared = Share(std::move(fetched).value());
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = entries_.find(name);
-    const bool dirty_meanwhile =
-        it != entries_.end() && it->second.state == Entry::State::kDirty;
     // Only install what we read if no invalidation (or local write) arrived
     // while the fetch was in flight — otherwise the bytes are already stale.
-    if (inval_seq_[name] == seq_before && !dirty_meanwhile) {
-      if (it != entries_.end()) RemoveEntryLocked(name, /*demote=*/false);
+    if (inval_seq_[name] == seq_before) {
+      RemoveEntryLocked(name, /*demote=*/false);
       InsertCleanLocked(name, shared,
                         leased && channel_up_ ? Entry::State::kLeased
                                               : Entry::State::kClean,
@@ -343,73 +307,14 @@ Result<storage::StorageBackend::Head> CachedBackend::GetHead(
 }
 
 std::vector<std::string> CachedBackend::List(const std::string& prefix) {
-  // Dirty objects must be visible to a listing, so drain first.
-  (void)DrainDirty();
   return inner_->List(prefix);
 }
 
 // ---- write path -------------------------------------------------------------
 
 Status CachedBackend::Put(const std::string& name, ByteSpan data) {
-  if (WritebackEnabled() && !IsWriteThroughName(name)) {
-    bool over_high_water = false;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      DiskRemoveLocked(name); // any demoted copy is stale now
-      const auto it = entries_.find(name);
-      if (it == entries_.end()) {
-        lru_.push_front(name);
-        Entry entry;
-        entry.state = Entry::State::kDirty;
-        entry.stamp_ms = NowMs();
-        entry.lru_it = lru_.begin();
-        dirty_queue_.push_back(name);
-        entry.dirty_it = std::prev(dirty_queue_.end());
-        entry.data = Share(ToBytes(data));
-        mem_bytes_ += entry.data->size();
-        dirty_bytes_ += entry.data->size();
-        entries_.emplace(name, std::move(entry));
-      } else {
-        Entry& entry = it->second;
-        if (entry.state == Entry::State::kDirty) {
-          dirty_bytes_ -= entry.data->size();
-        } else {
-          dirty_queue_.push_back(name);
-          entry.dirty_it = std::prev(dirty_queue_.end());
-        }
-        mem_bytes_ -= entry.data->size();
-        entry.data = Share(ToBytes(data));
-        mem_bytes_ += entry.data->size();
-        dirty_bytes_ += entry.data->size();
-        entry.state = Entry::State::kDirty;
-        ++entry.dirty_gen;
-        TouchLocked(name, entry);
-      }
-      counters_.dirty_bytes_high_water = std::max<std::uint64_t>(
-          counters_.dirty_bytes_high_water, dirty_bytes_);
-      EvictOverMemBudgetLocked();
-      over_high_water = dirty_bytes_ > options_.writeback_high_water_bytes;
-    }
-    while (over_high_water) {
-      const Status st = FlushOneBatch();
-      if (!st.ok()) {
-        // kNotFound is the "nothing left to flush" sentinel; anything else
-        // is a real inner-store failure the next barrier will surface too.
-        if (st.code() == ErrorCode::kNotFound) break;
-        return st;
-      }
-      const std::lock_guard<std::mutex> lock(mu_);
-      over_high_water = dirty_bytes_ > options_.writeback_high_water_bytes;
-    }
-    return Status::Ok();
-  }
-
-  // Write-through (journal namespace, or no-lease fallback). Barrier
-  // first: a journal anchor must never reach the inner store ahead of data
-  // writes it assumes are durable.
-  if (IsWriteThroughName(name)) {
-    NEXUS_RETURN_IF_ERROR(DrainDirty());
-  }
+  // Write-through: the bytes reach the inner store before Put returns, so
+  // stores land in the order the client issued them.
   std::uint64_t seq_before = 0;
   if (lease_mode_) {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -442,9 +347,6 @@ Status CachedBackend::Put(const std::string& name, ByteSpan data) {
 }
 
 Status CachedBackend::Delete(const std::string& name) {
-  if (IsWriteThroughName(name)) {
-    NEXUS_RETURN_IF_ERROR(DrainDirty());
-  }
   {
     const std::lock_guard<std::mutex> lock(mu_);
     RemoveEntryLocked(name, /*demote=*/false);
@@ -463,13 +365,6 @@ class CachedPutStream final : public storage::StorageBackend::PutStream {
   Status Append(ByteSpan data) override { return inner_->Append(data); }
 
   Status Commit() override {
-    if (cache_.IsWriteThroughName(name_)) {
-      const Status barrier = cache_.DrainDirty();
-      if (!barrier.ok()) {
-        inner_->Abort();
-        return barrier;
-      }
-    }
     const Status st = inner_->Commit();
     if (st.ok()) cache_.OnStreamCommitted(name_);
     return st;
@@ -500,102 +395,10 @@ void CachedBackend::OnStreamCommitted(const std::string& name) {
   DiskRemoveLocked(name);
 }
 
-// ---- writeback --------------------------------------------------------------
-
-Status CachedBackend::FlushOneBatch() {
-  struct Item {
-    std::string name;
-    SharedBytes data;
-    std::uint64_t gen = 0;
-    std::uint64_t seq = 0;
-    bool flushed = false;
-    bool leased = false;
-  };
-  std::vector<Item> batch;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (const std::string& name : dirty_queue_) {
-      if (batch.size() >= options_.writeback_batch_objects) break;
-      Entry& entry = entries_.at(name);
-      if (entry.flushing) continue; // another flusher owns it
-      entry.flushing = true;
-      batch.push_back(
-          Item{name, entry.data, entry.dirty_gen, inval_seq_[name], false,
-               false});
-    }
-  }
-  if (batch.empty()) {
-    return Error(ErrorCode::kNotFound, "writeback queue drained");
-  }
-  trace::Span span("cache.writeback_flush", "cache");
-  Status first_error = Status::Ok();
-  for (Item& item : batch) {
-    const Status st = lease_mode_
-                          ? inner_->PutLeased(item.name, *item.data,
-                                              &item.leased)
-                          : inner_->Put(item.name, *item.data);
-    if (st.ok()) {
-      item.flushed = true;
-    } else if (first_error.ok()) {
-      first_error = st;
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.writeback_batches;
-    for (Item& item : batch) {
-      const auto it = entries_.find(item.name);
-      if (it == entries_.end()) continue;
-      Entry& entry = it->second;
-      entry.flushing = false;
-      // A re-dirty during the flush (gen mismatch) keeps the entry queued;
-      // a failed Put leaves it dirty for the next barrier to retry.
-      if (!item.flushed || entry.state != Entry::State::kDirty ||
-          entry.dirty_gen != item.gen) {
-        continue;
-      }
-      ++counters_.writeback_objects;
-      dirty_queue_.erase(entry.dirty_it);
-      dirty_bytes_ -= entry.data->size();
-      if (!lease_mode_) {
-        entry.state = Entry::State::kClean;
-        entry.stamp_ms = NowMs();
-        entry.dirty_it = dirty_queue_.end();
-      } else if (item.leased && channel_up_ &&
-                 inval_seq_[item.name] == item.seq) {
-        // The flush earned a WRITE lease: the entry stays
-        // resident under it. The seq check rejects the race where another
-        // writer's invalidation landed mid-flush — the grant is already
-        // broken then, and keeping the copy would retain stale bytes.
-        entry.state = Entry::State::kLeased;
-        entry.stamp_ms = NowMs();
-        entry.dirty_it = dirty_queue_.end();
-      } else {
-        // No write lease (channel down, or broken mid-flush): a retained
-        // copy could go stale silently. Drop it; the next read re-fetches
-        // under a lease.
-        mem_bytes_ -= entry.data->size();
-        lru_.erase(entry.lru_it);
-        entries_.erase(it);
-      }
-    }
-  }
-  return first_error;
-}
-
-Status CachedBackend::DrainDirty() {
-  while (true) {
-    const Status st = FlushOneBatch();
-    if (st.code() == ErrorCode::kNotFound) return Status::Ok(); // drained
-    if (!st.ok()) return st;
-  }
-}
-
 Status CachedBackend::Flush() {
-  const Status st = DrainDirty();
   const std::lock_guard<std::mutex> lock(mu_);
   PersistDiskIndexLocked();
-  return st;
+  return Status::Ok();
 }
 
 // ---- coherence callbacks ----------------------------------------------------
@@ -606,12 +409,7 @@ void CachedBackend::OnInvalidate(const std::vector<std::string>& names) {
   for (const std::string& name : names) {
     ++inval_seq_[name];
     ++counters_.invalidations_received;
-    const auto it = entries_.find(name);
-    // Dirty entries survive: our pending write supersedes the remote one
-    // under last-writer-wins, and dropping it would lose data.
-    if (it != entries_.end() && it->second.state != Entry::State::kDirty) {
-      RemoveEntryLocked(name, /*demote=*/false);
-    }
+    RemoveEntryLocked(name, /*demote=*/false);
     DiskRemoveLocked(name);
   }
 }
@@ -643,22 +441,11 @@ std::size_t CachedBackend::mem_bytes() const {
   return mem_bytes_;
 }
 
-std::size_t CachedBackend::dirty_bytes() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return dirty_bytes_;
-}
-
 void CachedBackend::DropCleanEntries() {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> victims;
-  for (const auto& [name, entry] : entries_) {
-    if (entry.state != Entry::State::kDirty && !entry.flushing) {
-      victims.push_back(name);
-    }
-  }
-  for (const std::string& name : victims) {
-    RemoveEntryLocked(name, /*demote=*/false);
-  }
+  entries_.clear();
+  lru_.clear();
+  mem_bytes_ = 0;
   std::vector<std::string> disk_victims;
   for (const auto& [name, entry] : disk_entries_) disk_victims.push_back(name);
   for (const std::string& name : disk_victims) DiskRemoveLocked(name);

@@ -9,20 +9,20 @@
 // cache file is caught by the enclave's MACs exactly like a corrupted
 // server reply, never trusted.
 //
-// Writes go through a writeback queue when the inner backend can push
-// invalidations (wire leases): dirty objects coalesce in memory and
-// flush in oldest-first batches, with a write barrier ahead of any
-// journal-namespace mutation ("nxj/" by default) so the write-ahead
-// ordering — data durable before the anchor that references it — still
-// holds through the cache. Over an inner that grants no leases (the cluster, a
-// local store) the cache writes through and bounds staleness by a TTL.
+// Writes go through to the inner store before Put returns, in both
+// modes. Files are kept locally until close one layer up (AfsClient), so
+// the cache adds no buffering of its own, and each write reaches the
+// store in the order the client issued it: data before the journal
+// anchor that references it. Over an inner that pushes invalidations
+// (wire leases) a Put keeps its bytes only under a fresh write lease;
+// over one that grants none (the cluster, a local store) it keeps them
+// as clean and bounds staleness by a TTL.
 //
 // Freshness model per entry:
-//   dirty  — locally written, not yet flushed; always valid (local truth).
-//   leased — served under a server read lease; valid until the server
-//            pushes an invalidation or the lease channel dies.
-//   clean  — TTL-stamped (fills without a lease, disk-tier loads);
-//            valid for ttl_ms after the stamp.
+//   leased — served under a server read or write lease; valid until the
+//            server pushes an invalidation or the lease channel dies.
+//   clean  — TTL-stamped (fills without a lease, TTL-mode writes,
+//            disk-tier loads); valid for ttl_ms after the stamp.
 //
 // The disk tier keeps one file per object (names percent-escaped like
 // DiskBackend) plus a MAC'd ".cache-index" base image updated crash-safely
@@ -66,19 +66,9 @@ struct CacheOptions {
   /// Clean-entry validity window; 0 means NEXUS_CACHE_TTL_MS or 5000.
   std::uint64_t ttl_ms = 0;
 
-  /// kAuto enables writeback exactly when the inner backend can push
-  /// invalidations (leases); kOn/kOff force it either way.
-  enum class Writeback { kAuto, kOn, kOff };
-  Writeback writeback = Writeback::kAuto;
-  /// Dirty bytes above which Put flushes oldest-first batches inline.
-  std::size_t writeback_high_water_bytes = 8u << 20;
-  /// Objects per writeback flush batch.
-  std::size_t writeback_batch_objects = 16;
-
-  /// Names with these prefixes are write barriers: all dirty objects drain
-  /// to the inner store BEFORE the mutation goes through (write-through).
-  /// Defaults to the journal namespace so the write-ahead ordering holds.
-  std::vector<std::string> write_through_prefixes = {"nxj/"};
+  /// Inert: the cache always writes through. Kept only because
+  /// nexus_bench assigns it (ROADMAP item 2).
+  enum class Writeback { kOff } writeback = Writeback::kOff;
 
   /// Test clock (milliseconds); null uses monotonic time.
   std::function<std::uint64_t()> now_ms;
@@ -90,7 +80,7 @@ class CachedBackend final : public storage::StorageBackend {
   /// (falling back to TTL mode if the inner backend cannot push them).
   explicit CachedBackend(std::unique_ptr<storage::StorageBackend> inner,
                          CacheOptions options = {});
-  /// Drains the writeback queue and persists the disk index.
+  /// Persists the disk index.
   ~CachedBackend() override;
 
   /// A copy of GetShared's buffer.
@@ -107,8 +97,8 @@ class CachedBackend final : public storage::StorageBackend {
   Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
   Result<std::unique_ptr<PutStream>> OpenPutStream(
       const std::string& name) override;
-  /// Write barrier: flushes every dirty object and persists the disk
-  /// index. The cache's "close" in open-to-close consistency.
+  /// Persists the disk index. Every Put has already reached the inner
+  /// store, so there is nothing else to flush.
   Status Flush() override;
 
   [[nodiscard]] CacheCounters counters() const;
@@ -117,22 +107,18 @@ class CachedBackend final : public storage::StorageBackend {
   /// does not flip this back).
   [[nodiscard]] bool lease_mode() const noexcept { return lease_mode_; }
   [[nodiscard]] std::size_t mem_bytes() const;
-  [[nodiscard]] std::size_t dirty_bytes() const;
 
-  /// Test/bench hook: drops every non-dirty entry from both tiers so the
-  /// next read round is cold without losing pending writes.
+  /// Test/bench hook: drops every entry from both tiers so the next read
+  /// round is cold.
   void DropCleanEntries();
 
  private:
   struct Entry {
     SharedBytes data; // never null; replaced, never mutated
-    enum class State : std::uint8_t { kClean, kLeased, kDirty } state =
+    enum class State : std::uint8_t { kClean, kLeased } state =
         State::kClean;
     std::uint64_t stamp_ms = 0; // TTL base for kClean
-    std::uint64_t dirty_gen = 0;
-    bool flushing = false; // in an in-flight writeback batch
     std::list<std::string>::iterator lru_it;
-    std::list<std::string>::iterator dirty_it; // valid iff state == kDirty
   };
   struct DiskEntry {
     std::uint64_t size = 0;
@@ -141,8 +127,6 @@ class CachedBackend final : public storage::StorageBackend {
   };
 
   [[nodiscard]] std::uint64_t NowMs() const;
-  [[nodiscard]] bool WritebackEnabled() const noexcept;
-  [[nodiscard]] bool IsWriteThroughName(const std::string& name) const;
   [[nodiscard]] bool EntryValidLocked(const Entry& entry) const;
 
   void TouchLocked(const std::string& name, Entry& entry);
@@ -165,13 +149,6 @@ class CachedBackend final : public storage::StorageBackend {
   [[nodiscard]] Result<Bytes> DiskReadLocked(const std::string& name);
   [[nodiscard]] std::string DiskPathFor(const std::string& name) const;
 
-  // Writeback. FlushOneBatch releases mu_ around the inner Puts; callers
-  // must NOT hold mu_. Returns kNotFound (sentinel) when nothing is dirty.
-  Status FlushOneBatch();
-  Status DrainDirty();
-  /// Barrier for mutations of write-through names; no-op otherwise.
-  Status BarrierFor(const std::string& name);
-
   // Coherence callbacks (inner backend threads).
   void OnInvalidate(const std::vector<std::string>& names);
   void OnChannelDown();
@@ -187,10 +164,8 @@ class CachedBackend final : public storage::StorageBackend {
   mutable std::mutex mu_;
   bool channel_up_ = false; // guarded by mu_
   std::unordered_map<std::string, Entry> entries_;
-  std::list<std::string> lru_;         // MRU at front
-  std::list<std::string> dirty_queue_; // oldest first
+  std::list<std::string> lru_; // MRU at front
   std::size_t mem_bytes_ = 0;
-  std::size_t dirty_bytes_ = 0;
   /// Per-name invalidation sequence: bumped on every invalidation (and on
   /// local Delete/stream commit) so a demand fetch that raced a concurrent
   /// mutation never installs the stale bytes it read.

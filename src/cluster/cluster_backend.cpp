@@ -468,7 +468,6 @@ Result<std::unique_ptr<ClusterBackend>> ClusterBackend::Create(
     auto shard = std::make_shared<Shard>();
     shard->id = spec.id;
     shard->backend = std::move(backend);
-    shard->revive = std::move(spec.revive);
     cluster->ring_.AddNode(spec.id);
     cluster->shards_.emplace(spec.id, std::move(shard));
   }
@@ -584,7 +583,6 @@ void ClusterBackend::RecordShardOutcome(Shard& shard, bool transport_ok) {
       if (shard.ejected) {
         shard.ejected = false;
         shard.probing = false;
-        shard.needs_revive = shard.revive != nullptr;
         reinstated_now = true;
       }
     } else if (shard.ejected) {
@@ -614,8 +612,8 @@ void ClusterBackend::RecordShardOutcome(Shard& shard, bool transport_ok) {
   if (ejected_now) Bump(&ClusterCounters::shards_ejected);
   if (reinstated_now) {
     Bump(&ClusterCounters::shards_reinstated);
-    // Hand the follow-up work (revive hook, handoff drain) to the
-    // maintenance thread — this path runs inside hot RPC wrappers.
+    // Hand the handoff drain to the maintenance thread — this path
+    // runs inside hot RPC wrappers.
     {
       const std::lock_guard<std::mutex> lock(rebalance_mu_);
       maintenance_pending_ = true;
@@ -1036,7 +1034,6 @@ Status ClusterBackend::AddShard(ShardSpec spec) {
   auto shard = std::make_shared<Shard>();
   shard->id = spec.id;
   shard->backend = std::move(built).value();
-  shard->revive = std::move(spec.revive);
   std::vector<MovedArc> delta;
   {
     const std::lock_guard<std::mutex> lock(membership_mu_);
@@ -1096,16 +1093,12 @@ void ClusterBackend::RebalanceLoop() {
       maintenance_pending_ = false;
       deltas.swap(pending_deltas_);
     }
-    if (maintenance) {
-      ReviveShards();
-      DrainHandoffPass();
-    }
+    if (maintenance) DrainHandoffPass();
     for (const std::vector<MovedArc>& delta : deltas) RebalancePass(delta);
   }
 }
 
 void ClusterBackend::RebalanceNow() {
-  ReviveShards();
   std::vector<std::vector<MovedArc>> deltas;
   {
     const std::lock_guard<std::mutex> lock(rebalance_mu_);
@@ -1116,10 +1109,7 @@ void ClusterBackend::RebalanceNow() {
   for (const std::vector<MovedArc>& delta : deltas) RebalancePass(delta);
 }
 
-void ClusterBackend::DrainHandoffNow() {
-  ReviveShards();
-  DrainHandoffPass();
-}
+void ClusterBackend::DrainHandoffNow() { DrainHandoffPass(); }
 
 std::vector<ClusterBackend::ShardPtr> ClusterBackend::SnapshotShards() const {
   const std::lock_guard<std::mutex> lock(membership_mu_);
@@ -1339,24 +1329,6 @@ void ClusterBackend::DrainHandoffPass() {
       }
       if (!page.value().more) break;
     }
-  }
-}
-
-// ---- reinstatement revive ---------------------------------------------------
-
-void ClusterBackend::ReviveShards() {
-  for (const ShardPtr& shard : SnapshotShards()) {
-    bool need = false;
-    {
-      const std::lock_guard<std::mutex> lock(shard->mu);
-      need = shard->needs_revive && shard->revive != nullptr;
-      shard->needs_revive = false;
-    }
-    if (!need) continue;
-    const Status st = shard->revive(*shard->backend);
-    // Feed the health tracker: a revive hook that fails on I/O means the
-    // reinstatement was premature.
-    RecordShardOutcome(*shard, st.ok() || st.code() != ErrorCode::kIOError);
   }
 }
 

@@ -141,9 +141,8 @@ inline constexpr std::uint64_t kMaxClockSkewMs = 5 * 60 * 1000;
 struct ShardSpec {
   std::string id;
   std::function<Result<std::unique_ptr<storage::StorageBackend>>()> factory;
-  /// Optional health-restore hook, run on the maintenance thread after
-  /// the shard's first successful RPC ends an eject episode. A hook that
-  /// fails with kIOError counts as a failed RPC against the shard.
+  /// Inert: nothing runs it. Kept only because nexus_bench brace-inits
+  /// it (ROADMAP item 2).
   std::function<Status(storage::StorageBackend&)> revive;
 };
 
@@ -260,13 +259,11 @@ class ClusterBackend final : public storage::StorageBackend {
   struct Shard {
     std::string id;
     std::shared_ptr<storage::StorageBackend> backend;
-    std::function<Status(storage::StorageBackend&)> revive;
     mutable std::mutex mu; // guards the health fields below
     int consecutive_failures = 0;
     bool ejected = false;
     bool probing = false;  // a half-open probe is in flight
     int backoff_level = 0; // consecutive failed probes this episode
-    bool needs_revive = false; // reinstated; revive hook not yet run
     std::uint64_t eject_until_ms = 0;
     std::uint64_t eject_episodes = 0;
   };
@@ -406,8 +403,6 @@ class ClusterBackend final : public storage::StorageBackend {
   /// purge from non-owners once the owners provably hold it.
   void ConvergeName(const std::string& name, std::uint64_t point,
                     const std::vector<ShardPtr>& all);
-  /// Runs pending revive hooks for shards reinstated since the last pass.
-  void ReviveShards();
   void DrainHandoffPass();
 
   ClusterOptions options_;
@@ -428,10 +423,10 @@ class ClusterBackend final : public storage::StorageBackend {
   trace::Histogram shard_rpc_latency_; // records lock-free
 
   // Rebalance/maintenance thread: woken by membership changes (queued
-  // ring deltas) and shard reinstatements (revive + handoff drain).
+  // ring deltas) and shard reinstatements (handoff drain).
   std::mutex rebalance_mu_;
   std::condition_variable rebalance_cv_;
-  bool maintenance_pending_ = false; // revive hooks + handoff drain
+  bool maintenance_pending_ = false; // handoff drain
   std::vector<std::vector<MovedArc>> pending_deltas_;
   bool shutdown_ = false;
   std::thread rebalance_thread_;

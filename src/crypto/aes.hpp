@@ -21,8 +21,8 @@ class Aes {
   static constexpr std::size_t kBlockSize = 16;
 
   /// Key must be 16 (AES-128) or 32 (AES-256) bytes. Expands the key
-  /// with AESKEYGENASSIST when HasAesHardware(), else with the portable
-  /// schedule; both produce the same round keys.
+  /// with AES-NI (AesNiExpandKey) when HasAesHardware(), else with the
+  /// portable schedule; both produce the same round keys.
   static Result<Aes> Create(ByteSpan key);
   /// Create with the portable schedule only. The AES-NI self-test builds
   /// its reference with it, because it runs while HasAesHardware() is

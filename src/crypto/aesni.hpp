@@ -24,7 +24,7 @@ class Aes;
 ///  1. CPUID must report aes + pclmul + ssse3,
 ///  2. NEXUS_NO_AESNI must not be set (non-empty, != "0") in the
 ///     environment — the CI knob that keeps the scalar path tested,
-///  3. a known-answer self-test must pass: the AESKEYGENASSIST schedule
+///  3. a known-answer self-test must pass: the AES-NI key schedule
 ///     (AES-128 and AES-256), the ECB blocks helper, the hardware CTR
 ///     keystream, a multi-group PCLMUL GHASH and one seal through the bulk
 ///     GCM kernel are checked against the portable reference, so a
@@ -56,7 +56,7 @@ bool AesniSelfTest() noexcept;
 /// False on non-x86 builds or when the CPU lacks the instructions.
 bool ShaNiSelfTest() noexcept;
 
-/// The FIPS 197 key schedule with AESKEYGENASSIST: writes the
+/// The FIPS 197 key schedule with PSHUFB + AESENCLAST: writes the
 /// (rounds + 1) * 16 round-key bytes of a 16- or 32-byte `key` in
 /// Aes::round_key_bytes() layout.
 void AesNiExpandKey(ByteSpan key, std::uint8_t round_keys[240]) noexcept;

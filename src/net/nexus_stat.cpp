@@ -192,12 +192,9 @@ int main(int argc, char** argv) {
     std::printf("  cache         %-10s %12llu %7.1f%%\n", "miss", misses,
                 100.0 * static_cast<double>(misses) /
                     static_cast<double>(lookups));
-    std::printf("  cache         %llu evictions, %llu writeback batches, "
-                "%llu invalidations, dirty high-water %llu bytes\n",
+    std::printf("  cache         %llu evictions, %llu invalidations\n",
                 static_cast<unsigned long long>(s.cache_evictions),
-                static_cast<unsigned long long>(s.cache_writeback_batches),
-                static_cast<unsigned long long>(s.cache_invalidations),
-                static_cast<unsigned long long>(s.cache_dirty_high_water));
+                static_cast<unsigned long long>(s.cache_invalidations));
   }
   // Event-loop health.
   if (s.epoll_wakeups > 0 || s.arena_slabs_high_water > 0) {

@@ -324,9 +324,7 @@ ServerStats NexusdServer::WireStats() const {
     out.cache_disk_hits = cc.disk_hits;
     out.cache_misses = cc.misses;
     out.cache_evictions = cc.evictions_mem + cc.evictions_disk;
-    out.cache_writeback_batches = cc.writeback_batches;
     out.cache_invalidations = cc.invalidations_received;
-    out.cache_dirty_high_water = cc.dirty_bytes_high_water;
   }
   // Histograms are internally synchronized; read them outside mu_.
   for (RpcOpStats& row : out.per_op) {

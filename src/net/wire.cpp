@@ -143,9 +143,7 @@ void EncodeServerStats(Writer& writer, const ServerStats& stats) {
   writer.U64(stats.cache_disk_hits);
   writer.U64(stats.cache_misses);
   writer.U64(stats.cache_evictions);
-  writer.U64(stats.cache_writeback_batches);
   writer.U64(stats.cache_invalidations);
-  writer.U64(stats.cache_dirty_high_water);
   writer.U64(stats.epoll_wakeups);
   writer.U64(stats.arena_slabs_in_use);
   writer.U64(stats.arena_slabs_high_water);
@@ -183,9 +181,7 @@ Result<ServerStats> DecodeServerStats(Reader& reader) {
   NEXUS_ASSIGN_OR_RETURN(stats.cache_disk_hits, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.cache_misses, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.cache_evictions, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.cache_writeback_batches, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.cache_invalidations, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.cache_dirty_high_water, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.epoll_wakeups, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.arena_slabs_in_use, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.arena_slabs_high_water, reader.U64());

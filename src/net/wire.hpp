@@ -63,7 +63,7 @@
 namespace nexus::net {
 
 /// The one wire version; heads carrying any other byte are rejected.
-inline constexpr std::uint8_t kProtocolVersion = 7;
+inline constexpr std::uint8_t kProtocolVersion = 8;
 
 /// Largest object the protocol moves (bulk data chunks are ≤1 MiB today;
 /// journal anchors and streamed segments stay far below this).
@@ -209,9 +209,7 @@ struct ServerStats {
   std::uint64_t cache_disk_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_writeback_batches = 0;
   std::uint64_t cache_invalidations = 0;
-  std::uint64_t cache_dirty_high_water = 0; // gauge
   // Event-loop / buffer-arena health.
   std::uint64_t epoll_wakeups = 0;
   std::uint64_t arena_slabs_in_use = 0;    // gauge

@@ -163,9 +163,10 @@ class StorageBackend {
     return Put(name, data);
   }
 
-  /// Durability/ordering barrier: drains any buffered writes into stable
-  /// storage. Plain stores are synchronous already, so the default is a
-  /// no-op; the client cache overrides it to flush its writeback queue.
+  /// Persists local state a backend keeps beside the store's objects.
+  /// Every Put has reached the store when it returns, so this is no
+  /// write barrier: the default is a no-op, and the client cache
+  /// overrides it only to persist its disk-tier index.
   virtual Status Flush() { return Status::Ok(); }
 
   /// Multi-client coherence hooks. `on_invalidate` is called (from a

@@ -1,7 +1,7 @@
 // Multi-client cache coherence over wire leases, against a live loopback
 // nexusd: invalidation pushes give open-to-close consistency between two
-// CachedBackend clients, an inner backend that grants no leases runs
-// write-through + TTL, a dropped invalidation stays TTL-bounded because
+// CachedBackend clients, an inner backend that grants no leases bounds
+// staleness by a TTL, a dropped invalidation stays TTL-bounded because
 // the server kills unresponsive sessions, and a two-client soak holds
 // under TSan. Set NEXUS_REMOTE_ADDR=host:port to aim the soak at an
 // external daemon instead of the in-process one (CI's two-client smoke).
@@ -80,9 +80,8 @@ TEST(CacheCoherence, TwoClientInvalidationGivesOpenToCloseConsistency) {
   ASSERT_TRUE(writer.cache->lease_mode());
   ASSERT_TRUE(reader.cache->lease_mode());
 
-  // Writer publishes v1 ("close": Flush drains the writeback queue).
+  // Writer publishes v1: the Put reaches the daemon before it returns.
   ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 128)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
 
   // Reader "opens" the object: the Get takes a server lease.
   ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 128));
@@ -92,10 +91,9 @@ TEST(CacheCoherence, TwoClientInvalidationGivesOpenToCloseConsistency) {
   EXPECT_EQ(reader.cache->counters().mem_hits, before.mem_hits + 1);
 
   // Writer publishes v2. The server must break the reader's lease before
-  // the flush completes, so after the push lands the reader's next open
+  // the Put completes, so after the push lands the reader's next open
   // sees v2 — without ever waiting out a TTL.
   ASSERT_TRUE(writer.cache->Put("obj", Blob('2', 128)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
   ASSERT_TRUE(WaitFor([&] {
     return reader.cache->counters().invalidations_received >= 1;
   }));
@@ -110,7 +108,7 @@ TEST(CacheCoherence, TwoClientInvalidationGivesOpenToCloseConsistency) {
   EXPECT_GE(stats.invalidations_sent, 1u);
   EXPECT_EQ(stats.lease_break_timeouts, 0u);
 
-  writer.cache.reset(); // flush + drop lease channels before Stop
+  writer.cache.reset(); // drop lease channels before Stop
   reader.cache.reset();
   server->Stop();
 }
@@ -122,7 +120,6 @@ TEST(CacheCoherence, DeleteInvalidatesRemoteHolders) {
   Client reader = MakeClient(server->port());
 
   ASSERT_TRUE(writer.cache->Put("doomed", Blob('d', 64)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
   ASSERT_EQ(reader.cache->Get("doomed").value(), Blob('d', 64));
 
   ASSERT_TRUE(writer.cache->Delete("doomed").ok());
@@ -143,7 +140,6 @@ TEST(CacheCoherence, StreamCommitInvalidatesRemoteHolders) {
   Client reader = MakeClient(server->port());
 
   ASSERT_TRUE(writer.cache->Put("s", Blob('1', 64)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
   ASSERT_EQ(reader.cache->Get("s").value(), Blob('1', 64));
 
   // Streamed replacement publishes atomically at Commit; the commit runs
@@ -180,7 +176,6 @@ TEST(CacheCoherence, LeaselessInnerRunsWriteThroughAndTtl) {
   // Write-through: the object reaches the store before Put returns.
   ASSERT_TRUE(cache.Put("obj", Blob('a', 64)).ok());
   EXPECT_EQ(store.Get("obj").value(), Blob('a', 64));
-  EXPECT_EQ(cache.dirty_bytes(), 0u);
 
   // Another writer mutates behind our back (no push can warn us).
   ASSERT_TRUE(store.Put("obj", Blob('b', 64)).ok());
@@ -242,19 +237,17 @@ TEST(CacheCoherence, DroppedInvalidationIsBoundedByTtlAfterSessionKill) {
   ASSERT_TRUE(reader.cache->lease_mode());
 
   ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 64)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
   ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 64)); // leased
 
-  // The push vanishes into the blackhole; the writer's flush still
+  // The push vanishes into the blackhole; the writer's Put still
   // completes within lease_break_ms because the server kills the
   // unresponsive session rather than wait forever.
+  const auto put_start = std::chrono::steady_clock::now();
   ASSERT_TRUE(writer.cache->Put("obj", Blob('2', 64)).ok());
-  const auto flush_start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(writer.cache->Flush().ok());
-  const auto flush_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            std::chrono::steady_clock::now() - flush_start)
-                            .count();
-  EXPECT_LT(flush_ms, 5000); // bounded, not a hang
+  const auto put_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          std::chrono::steady_clock::now() - put_start)
+                          .count();
+  EXPECT_LT(put_ms, 5000); // bounded, not a hang
 
   ASSERT_TRUE(WaitFor([&] { return server->stats().lease_break_timeouts >= 1; }));
   // Session death demotes the reader's leased entries to TTL-clean, so the
@@ -292,12 +285,10 @@ TEST(CacheCoherence, LeaseBreakWaitStaysOffTheServeLoop) {
   Client writer = MakeClient(port);
   ASSERT_TRUE(reader.cache->lease_mode());
   ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 64)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
   ASSERT_EQ(reader.cache->Get("obj").value(), Blob('1', 64)); // leased
 
   std::thread blocked_writer([&] {
     ASSERT_TRUE(writer.cache->Put("obj", Blob('2', 64)).ok());
-    ASSERT_TRUE(writer.cache->Flush().ok());
   });
   // The push went out: the writer's Put now waits for an ack that the
   // blackhole swallowed.
@@ -338,13 +329,11 @@ TEST(CacheCoherence, SubscribedClientsHoldNoServerThread) {
   }
   EXPECT_EQ(server->stats().lease_sessions, 8u);
   ASSERT_TRUE(clients[0].cache->Put("obj", Blob('1', 64)).ok());
-  ASSERT_TRUE(clients[0].cache->Flush().ok());
   for (std::size_t i = 1; i < clients.size(); ++i) {
     ASSERT_EQ(clients[i].cache->Get("obj").value(), Blob('1', 64));
   }
   // One push per other client, each acked over its channel.
   ASSERT_TRUE(clients[0].cache->Put("obj", Blob('2', 64)).ok());
-  ASSERT_TRUE(clients[0].cache->Flush().ok());
   for (std::size_t i = 1; i < clients.size(); ++i) {
     EXPECT_GE(clients[i].cache->counters().invalidations_received, 1u);
   }
@@ -394,7 +383,7 @@ TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
   ASSERT_TRUE(b->lease_mode());
 
   // Each client alternates open-to-close sessions on a shared name set:
-  // open = Get, mutate = Put, close = Flush. Values are self-describing
+  // open = Get, then a written-through Put. Values are self-describing
   // (fill byte = client id, length encodes the round) so any read must
   // observe SOME complete committed value — torn or fabricated bytes fail.
   constexpr int kRounds = 60;
@@ -413,11 +402,7 @@ TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
         ASSERT_EQ(got.status().code(), ErrorCode::kNotFound);
       }
       ASSERT_TRUE(mine.Put(name, Blob(id, 64 + (r % 16))).ok());
-      if (r % 8 == 7) {
-        ASSERT_TRUE(mine.Flush().ok());
-      }
     }
-    ASSERT_TRUE(mine.Flush().ok());
   };
   std::thread ta([&] { run(*a, 'A'); });
   std::thread tb([&] { run(*b, 'B'); });
@@ -491,8 +476,8 @@ TEST(CacheCoherence, PutLeasedGrantsOnlyWithLeaseSession) {
   server->Stop();
 }
 
-// The cache-level payoff: after a write-through Put (or a flush), the
-// writer HOLDS a write lease, so its own copy stays resident and
+// The cache-level payoff: after a write-through Put, the writer HOLDS a
+// write lease, so its own copy stays resident and
 // re-reads are memory hits — no refetch, no TTL dependence.
 TEST(CacheCoherence, WriteLeaseKeepsWriterCopyWarm) {
   storage::MemBackend backend;
@@ -502,7 +487,6 @@ TEST(CacheCoherence, WriteLeaseKeepsWriterCopyWarm) {
   ASSERT_TRUE(writer.cache->lease_mode());
 
   ASSERT_TRUE(writer.cache->Put("warm", Blob('1', 64)).ok());
-  ASSERT_TRUE(writer.cache->Flush().ok());
 
   const auto before = writer.cache->counters();
   EXPECT_EQ(writer.cache->Get("warm").value(), Blob('1', 64));
@@ -512,7 +496,6 @@ TEST(CacheCoherence, WriteLeaseKeepsWriterCopyWarm) {
 
   // Another client's write still invalidates the writer's copy.
   ASSERT_TRUE(other.cache->Put("warm", Blob('2', 64)).ok());
-  ASSERT_TRUE(other.cache->Flush().ok());
   ASSERT_TRUE(WaitFor([&] {
     return writer.cache->counters().invalidations_received >= 1;
   }));

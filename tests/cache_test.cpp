@@ -1,8 +1,8 @@
 // CachedBackend unit tests against a local counting inner store: hit
-// serving without inner contact, TTL expiry, writeback coalescing and
-// batching, the journal write barrier, disk-tier persistence across
-// restart (including crash recovery and MAC tampering), and budget-driven
-// eviction, and shared payloads (GetShared buffers outlive every mutation
+// serving without inner contact, TTL expiry, write-through order ahead of
+// the journal anchor, disk-tier persistence across restart (including
+// crash recovery and MAC tampering), and budget-driven eviction, and
+// shared payloads (GetShared buffers outlive every mutation
 // of their name, and the AFS layer hands up the cache's own buffer).
 // Lease-path behavior against a real nexusd lives in
 // cache_coherence_test.cpp.
@@ -69,7 +69,14 @@ class CountingBackend final : public storage::StorageBackend {
   std::vector<std::string> List(const std::string& prefix) override {
     return store_->List(prefix);
   }
+  /// With `grant_leases` set the cache above runs in lease mode (no
+  /// invalidation is ever pushed).
+  bool SubscribeInvalidations(InvalidationListener /*on_invalidate*/,
+                              ChannelDownHandler /*on_channel_down*/) override {
+    return grant_leases;
+  }
 
+  bool grant_leases = false;
   std::atomic<int> gets_{0};
   std::atomic<int> heads_{0};
   std::atomic<int> puts_{0};
@@ -90,11 +97,13 @@ struct Harness {
   std::shared_ptr<storage::MemBackend> store =
       std::make_shared<storage::MemBackend>();
   CountingBackend* inner = nullptr; // owned by the cache
+  bool grant_leases = false;        // run the next cache in lease mode
   std::shared_ptr<std::atomic<std::uint64_t>> clock_ms =
       std::make_shared<std::atomic<std::uint64_t>>(1);
 
   std::unique_ptr<CachedBackend> MakeCache(CacheOptions options = {}) {
     auto counting = std::make_unique<CountingBackend>(store);
+    counting->grant_leases = grant_leases;
     inner = counting.get();
     options.now_ms = [clock = clock_ms] { return clock->load(); };
     return std::make_unique<CachedBackend>(std::move(counting), options);
@@ -168,99 +177,26 @@ TEST(CacheTest, TtlExpiryRefetchesFromInner) {
   EXPECT_EQ(cache->counters().misses, 1u);
 }
 
-// ---- writeback --------------------------------------------------------------
-
-TEST(CacheTest, WritebackCoalescesRepeatedPuts) {
-  Harness h;
-  CacheOptions options;
-  options.writeback = CacheOptions::Writeback::kOn;
-  auto cache = h.MakeCache(options);
-
-  // Ten writes to one name coalesce to ONE inner Put at flush time.
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(cache->Put("hot", Blob('h', 100 + i)).ok());
-  }
-  EXPECT_EQ(h.inner->puts_.load(), 0);
-  EXPECT_GT(cache->dirty_bytes(), 0u);
-
-  ASSERT_TRUE(cache->Flush().ok());
-  EXPECT_EQ(h.inner->puts_.load(), 1);
-  EXPECT_EQ(cache->dirty_bytes(), 0u);
-  EXPECT_EQ(h.store->Get("hot").value(), Blob('h', 109)); // last write won
-
-  const auto counters = cache->counters();
-  EXPECT_EQ(counters.writeback_objects, 1u);
-  EXPECT_GE(counters.writeback_batches, 1u);
-  EXPECT_GT(counters.dirty_bytes_high_water, 0u);
-}
-
-TEST(CacheTest, WritebackFlushesInBatches) {
-  Harness h;
-  CacheOptions options;
-  options.writeback = CacheOptions::Writeback::kOn;
-  options.writeback_batch_objects = 4;
-  auto cache = h.MakeCache(options);
-
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(cache->Put("obj" + std::to_string(i), Blob('o', 64)).ok());
-  }
-  ASSERT_TRUE(cache->Flush().ok());
-  EXPECT_EQ(h.inner->puts_.load(), 10);
-  const auto counters = cache->counters();
-  EXPECT_EQ(counters.writeback_objects, 10u);
-  EXPECT_EQ(counters.writeback_batches, 3u); // 4 + 4 + 2
-}
+// ---- write order --------------------------------------------------------------
 
 TEST(CacheTest, JournalBarrierDrainsDirtyDataFirst) {
   Harness h;
-  CacheOptions options;
-  options.writeback = CacheOptions::Writeback::kOn;
-  auto cache = h.MakeCache(options);
+  h.grant_leases = true;
+  auto cache = h.MakeCache();
+  ASSERT_TRUE(cache->lease_mode());
 
-  // PR 1 ordering: a journal record must never reach the store ahead of
-  // the data writes it assumes are durable. The nxj/ Put is a barrier.
+  // Journal ordering: a journal record must never reach the store ahead
+  // of the data writes it assumes are durable. Every Put goes through
+  // before it returns, so the store sees them in the client's order.
   ASSERT_TRUE(cache->Put("data/1", Blob('d', 64)).ok());
   ASSERT_TRUE(cache->Put("data/2", Blob('e', 64)).ok());
-  EXPECT_EQ(h.inner->puts_.load(), 0); // both parked in the queue
   ASSERT_TRUE(cache->Put("nxj/record-1", Blob('j', 32)).ok());
 
   const auto order = h.inner->put_order();
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], "data/1");
   EXPECT_EQ(order[1], "data/2");
-  EXPECT_EQ(order[2], "nxj/record-1"); // barrier last, after the drain
-}
-
-TEST(CacheTest, StreamCommitToBarrierNameDrainsFirst) {
-  Harness h;
-  CacheOptions options;
-  options.writeback = CacheOptions::Writeback::kOn;
-  auto cache = h.MakeCache(options);
-
-  ASSERT_TRUE(cache->Put("data/1", Blob('d', 64)).ok());
-  auto stream = cache->OpenPutStream("nxj/record-2");
-  ASSERT_TRUE(stream.ok());
-  ASSERT_TRUE(stream.value()->Append(Blob('j', 16)).ok());
-  ASSERT_TRUE(stream.value()->Commit().ok());
-
-  const auto order = h.inner->put_order();
-  ASSERT_GE(order.size(), 1u);
-  EXPECT_EQ(order[0], "data/1"); // drained before the stream published
-  EXPECT_TRUE(h.store->Exists("nxj/record-2"));
-}
-
-TEST(CacheTest, DeleteOfUnflushedObjectNeverReachesInner) {
-  Harness h;
-  CacheOptions options;
-  options.writeback = CacheOptions::Writeback::kOn;
-  auto cache = h.MakeCache(options);
-
-  ASSERT_TRUE(cache->Put("ephemeral", Blob('e', 64)).ok());
-  // The object only ever existed in the writeback queue: Delete is Ok even
-  // though the inner store reports kNotFound.
-  EXPECT_TRUE(cache->Delete("ephemeral").ok());
-  ASSERT_TRUE(cache->Flush().ok());
-  EXPECT_FALSE(h.store->Exists("ephemeral"));
+  EXPECT_EQ(order[2], "nxj/record-1"); // the anchor last
 }
 
 // ---- eviction ---------------------------------------------------------------
@@ -281,25 +217,6 @@ TEST(CacheTest, EvictionKeepsMemoryUnderBudget) {
   EXPECT_GE(cache->counters().evictions_mem, 12u);
 }
 
-TEST(CacheTest, DirtyEntriesArePinnedAgainstEviction) {
-  Harness h;
-  CacheOptions options;
-  options.writeback = CacheOptions::Writeback::kOn;
-  options.mem_budget_bytes = 2048;
-  auto cache = h.MakeCache(options);
-
-  // Four dirty KiBs exceed the budget, but unflushed bytes must never be
-  // dropped — the budget yields instead.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(cache->Put("d" + std::to_string(i), Blob('d', 1024)).ok());
-  }
-  EXPECT_EQ(cache->dirty_bytes(), 4096u);
-  ASSERT_TRUE(cache->Flush().ok());
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(h.store->Exists("d" + std::to_string(i)));
-  }
-}
-
 // ---- disk tier --------------------------------------------------------------
 
 TEST(CacheTest, DiskTierSurvivesRestartAndServesHitsWithoutInner) {
@@ -314,7 +231,7 @@ TEST(CacheTest, DiskTierSurvivesRestartAndServesHitsWithoutInner) {
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(cache->Put("r" + std::to_string(i), Blob('r', 1024)).ok());
     }
-    // Destructor flushes and persists the MAC'd index.
+    // The destructor persists the MAC'd index.
   }
 
   auto cache = h.MakeCache(options);
@@ -518,21 +435,15 @@ TEST(CacheTest, CorruptLogRecordEndsReplayAtBase) {
 
 TEST(CacheTest, DropCleanEntriesKeepsDirtyData) {
   Harness h;
-  CacheOptions options;
-  options.writeback = CacheOptions::Writeback::kOn;
-  auto cache = h.MakeCache(options);
+  auto cache = h.MakeCache();
 
   ASSERT_TRUE(h.store->Put("clean", Blob('c', 64)).ok());
   EXPECT_EQ(cache->Get("clean").value(), Blob('c', 64));
-  ASSERT_TRUE(cache->Put("dirty", Blob('d', 64)).ok());
 
   cache->DropCleanEntries();
   const int gets_before = h.inner->gets_.load();
   EXPECT_EQ(cache->Get("clean").value(), Blob('c', 64)); // refetched
   EXPECT_EQ(h.inner->gets_.load(), gets_before + 1);
-  EXPECT_EQ(cache->Get("dirty").value(), Blob('d', 64)); // still local truth
-  ASSERT_TRUE(cache->Flush().ok());
-  EXPECT_TRUE(h.store->Exists("dirty"));
 }
 
 // ---- shared payloads ----------------------------------------------------------
@@ -585,7 +496,6 @@ TEST(CacheTest, SharedPayloadOutlivesEveryMutationOfItsName) {
   PushingBackend* inner = pushing.get();
   CacheOptions options;
   options.mem_budget_bytes = 4096;
-  options.writeback = CacheOptions::Writeback::kOff;
   CachedBackend cache(std::move(pushing), options);
   ASSERT_TRUE(cache.lease_mode());
 
@@ -629,7 +539,6 @@ TEST(CacheTest, SharedPayloadsStayIntactUnderConcurrentMutation) {
   PushingBackend* inner = pushing.get();
   CacheOptions options;
   options.mem_budget_bytes = 8192;
-  options.writeback = CacheOptions::Writeback::kOff;
   CachedBackend cache(std::move(pushing), options);
   ASSERT_TRUE(cache.Put("x", Blob('0', 512)).ok());
 

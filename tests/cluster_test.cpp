@@ -1425,50 +1425,6 @@ TEST(ClusterBackendTest, DeltaRebalanceTouchesOnlyMovedArcs) {
   }
 }
 
-// ---- reinstatement revive ---------------------------------------------------
-
-TEST(ClusterBackendTest, ReinstatementSchedulesTheReviveHook) {
-  TestShard s;
-  s.id = "only";
-  ShardSpec spec = s.spec();
-  auto revived = std::make_shared<std::atomic<int>>(0);
-  spec.revive = [revived](storage::StorageBackend&) {
-    revived->fetch_add(1);
-    return Status::Ok();
-  };
-  ClusterOptions options;
-  options.replication = 1;
-  options.writer_id = 7;
-  options.eject_after = 2;
-  options.reinstate_backoff_base_ms = 10;
-  options.background_rebalance = false;
-  std::atomic<std::uint64_t> clock{1'000'000};
-  options.now_ms = [&clock] { return clock.load(); };
-  auto cluster = ClusterBackend::Create({spec}, options);
-  ASSERT_TRUE(cluster.ok());
-  ClusterBackend& c = **cluster;
-
-  const Bytes data{5};
-  ASSERT_TRUE(c.Put("k", ByteSpan(data.data(), data.size())).ok());
-  s.down->store(true);
-  EXPECT_FALSE(c.Put("k", ByteSpan(data.data(), data.size())).ok());
-  EXPECT_FALSE(c.Put("k", ByteSpan(data.data(), data.size())).ok());
-  EXPECT_EQ(c.counters().shards_ejected, 1u);
-
-  s.down->store(false);
-  clock.fetch_add(60'000);
-  ASSERT_TRUE(c.Put("k", ByteSpan(data.data(), data.size())).ok());
-  EXPECT_EQ(c.counters().shards_reinstated, 1u);
-  // The hook is queued for the maintenance pass, not run inline on the
-  // reinstating op's thread.
-  EXPECT_EQ(revived->load(), 0);
-  c.RebalanceNow();
-  EXPECT_EQ(revived->load(), 1);
-  // One-shot: the next pass does not re-run it.
-  c.RebalanceNow();
-  EXPECT_EQ(revived->load(), 1);
-}
-
 // Writers keep mutating while the migrator runs and membership changes:
 // nothing is lost, and the newest value always wins. (TSan-friendly: the
 // interesting races are real thread interleavings.)

@@ -214,7 +214,7 @@ TEST(GcmDispatch, CtrCounterWrapMatchesScalar) {
   }
 }
 
-// The AESKEYGENASSIST schedule gives the portable schedule's round keys,
+// The AES-NI key schedule gives the portable schedule's round keys,
 // and a forced fallback makes Create use the portable one.
 TEST(AesDispatch, KeyScheduleMatchesPortable) {
   HmacDrbg rng(AsBytes("schedule"));

@@ -3,16 +3,20 @@
 // trips are pinned, group commit makes a whole batch one anchor store, a
 // second session replays a commit whose checkpoint never ran, a commit
 // after a failed checkpoint carries both transactions, recovery never
-// rolls a newer object back to the anchor's tail, and a reconfiguration
-// that fails leaves journaling as it was.
+// rolls a newer object back to the anchor's tail, a reconfiguration
+// that fails leaves journaling as it was, and through a lease-mode cache
+// every operation is on the daemon's store when it returns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 
 #include "cache/cached_backend.hpp"
 #include "cluster/cluster_backend.hpp"
 #include "core/fsck.hpp"
+#include "net/remote_backend.hpp"
+#include "net/server.hpp"
 #include "test_env.hpp"
 
 namespace nexus {
@@ -472,7 +476,6 @@ TEST(JournalClusterTest, RewriteCostsEightShardRpcsAndNoQuorumRead) {
   cluster::ClusterBackend* cluster = backend.get();
   cache::CacheOptions cache_options;
   cache_options.disk_budget_bytes = 1; // tier disabled: no disk_dir
-  cache_options.writeback = cache::CacheOptions::Writeback::kOff;
   test::World world("cluster-budget", std::make_unique<cache::CachedBackend>(
                                           std::move(backend), cache_options));
   test::Machine& machine = world.AddMachine("owen");
@@ -490,6 +493,74 @@ TEST(JournalClusterTest, RewriteCostsEightShardRpcsAndNoQuorumRead) {
     EXPECT_EQ(delta.tombstones_written, 1u) << int{fill};
   }
   EXPECT_EQ(nexus.ReadFile("f").value(), Bytes(100, 4));
+}
+
+// Every object on `store` with its bytes.
+std::map<std::string, Bytes> StoreContents(storage::MemBackend& store) {
+  std::map<std::string, Bytes> contents;
+  for (const std::string& name : store.List("")) {
+    contents[name] = store.Get(name).value();
+  }
+  return contents;
+}
+
+// Names whose presence or bytes differ between two store snapshots, as
+// "a,b,c" so assertion failures name them.
+std::string ChangedNames(const std::map<std::string, Bytes>& a,
+                         const std::map<std::string, Bytes>& b) {
+  std::string joined;
+  auto note = [&joined](const std::string& name) {
+    if (!joined.empty()) joined += ",";
+    joined += name;
+  };
+  for (const auto& [name, bytes] : a) {
+    const auto it = b.find(name);
+    if (it == b.end() || it->second != bytes) note(name);
+  }
+  for (const auto& [name, bytes] : b) {
+    if (!a.contains(name)) note(name);
+  }
+  return joined;
+}
+
+// The client stack over a live loopback nexusd: NexusClient (journaled)
+// -> CachedBackend in lease mode -> RemoteBackend. Each operation's
+// writes, the anchor and the checkpointed metadata after it included,
+// are on the daemon's store when the operation returns: a Flush finds
+// nothing left to write.
+TEST(JournalLeaseCacheTest, EveryOpIsOnTheStoreWhenItReturns) {
+  storage::MemBackend store;
+  auto server = net::NexusdServer::Start(store).value();
+  auto remote = net::RemoteBackend::Connect("127.0.0.1", server->port());
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  auto owned = std::make_unique<cache::CachedBackend>(std::move(remote).value());
+  cache::CachedBackend* cache = owned.get();
+  ASSERT_TRUE(cache->lease_mode());
+  {
+    test::World world("lease-cache", std::move(owned));
+    test::Machine& machine = world.AddMachine("owen");
+    ASSERT_TRUE(machine.nexus->CreateVolume(machine.user).ok());
+    auto& nexus = *machine.nexus;
+    ASSERT_TRUE(nexus.ConfigureJournal(true, 0).ok());
+
+    auto expect_on_store = [&](const std::string& op) {
+      const std::map<std::string, Bytes> returned = StoreContents(store);
+      ASSERT_TRUE(cache->Flush().ok());
+      EXPECT_EQ(ChangedNames(returned, StoreContents(store)), "") << op;
+    };
+    ASSERT_TRUE(nexus.Mkdir("d").ok());
+    expect_on_store("mkdir d");
+    ASSERT_TRUE(nexus.WriteFile("d/f", Bytes(100, 1)).ok());
+    expect_on_store("create d/f");
+    ASSERT_TRUE(nexus.WriteFile("d/f", Bytes(300, 2)).ok());
+    expect_on_store("rewrite d/f");
+    ASSERT_TRUE(nexus.WriteFile("d/g", Bytes(10, 3)).ok());
+    expect_on_store("create d/g");
+    ASSERT_TRUE(nexus.Remove("d/f").ok());
+    expect_on_store("remove d/f");
+    EXPECT_EQ(nexus.ReadFile("d/g").value(), Bytes(10, 3));
+  }
+  server->Stop();
 }
 
 } // namespace

@@ -393,7 +393,6 @@ TEST(NetMux, ConcurrentWindowSoak) {
   EXPECT_EQ(counters.retries, 0u); // loopback is clean
   EXPECT_GT(counters.rpcs, 0u);
   EXPECT_LE(client.mem_bytes(), kBudget);
-  ASSERT_TRUE(client.Flush().ok()); // drain writeback before Stop
   server->Stop();
 }
 
