@@ -187,7 +187,7 @@ void ParallelCryptoSweep() {
     std::size_t workers;
     double write_total, write_enclave, read_enclave;
     double busy, critical, saved;
-    std::uint64_t chunks, segments;
+    std::uint64_t chunks;
   };
   std::vector<Row> rows;
 
@@ -216,8 +216,7 @@ void ParallelCryptoSweep() {
                     delta.parallel.worker_busy_seconds,
                     delta.parallel.critical_path_seconds,
                     delta.parallel.saved_seconds,
-                    delta.parallel.chunks_encrypted + delta.parallel.chunks_decrypted,
-                    delta.parallel.segments_streamed});
+                    delta.parallel.chunks_encrypted + delta.parallel.chunks_decrypted});
     std::printf("%-8s %9.3fs %9.3fs %9.3fs %8.3fs %8.3fs %8.3fs %10.1f\n",
                 workers == 0 ? "serial" : std::to_string(workers).c_str(),
                 ws.total, ws.enclave, rs.enclave,
@@ -248,11 +247,10 @@ void ParallelCryptoSweep() {
           "    {\"workers\": %zu, \"write_total_s\": %.6f, "
           "\"write_enclave_s\": %.6f, \"read_enclave_s\": %.6f, "
           "\"worker_busy_s\": %.6f, \"critical_path_s\": %.6f, "
-          "\"saved_s\": %.6f, \"chunks\": %llu, \"segments_streamed\": %llu, "
+          "\"saved_s\": %.6f, \"chunks\": %llu, "
           "\"write_mib_per_enclave_s\": %.2f}%s\n",
           r.workers, r.write_total, r.write_enclave, r.read_enclave, r.busy,
           r.critical, r.saved, static_cast<unsigned long long>(r.chunks),
-          static_cast<unsigned long long>(r.segments),
           file_mb / (r.write_enclave > 0 ? r.write_enclave : 1e-9),
           i + 1 < rows.size() ? "," : "");
     }

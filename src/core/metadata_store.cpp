@@ -67,37 +67,7 @@ Status AfsMetadataStore::StoreData(const Uuid& uuid, ByteSpan data,
                                    std::uint64_t changed_bytes) {
   trace::Span io_span("io:store_data", kDataIoAccount);
   storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
-  if (changed_bytes >= data.size()) {
-    return afs_.Store(DataPath(uuid), data);
-  }
-  return afs_.StorePartial(DataPath(uuid), data, changed_bytes);
-}
-
-Result<std::uint64_t> AfsMetadataStore::BeginDataStream(
-    const Uuid& uuid, std::uint64_t total_bytes) {
-  trace::Span io_span("io:begin_data_stream", kDataIoAccount);
-  storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
-  return afs_.StoreStreamBegin(DataPath(uuid), total_bytes);
-}
-
-Status AfsMetadataStore::StoreDataSegment(std::uint64_t handle,
-                                          ByteSpan segment) {
-  trace::Span io_span("io:store_data_segment", kDataIoAccount);
-  storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
-  return afs_.StoreStreamSegment(handle, segment);
-}
-
-Status AfsMetadataStore::CommitDataStream(std::uint64_t handle,
-                                          std::uint64_t changed_bytes) {
-  trace::Span io_span("io:commit_data_stream", kDataIoAccount);
-  storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
-  return afs_.StoreStreamCommit(handle, changed_bytes);
-}
-
-Status AfsMetadataStore::AbortDataStream(std::uint64_t handle) {
-  trace::Span io_span("io:abort_data_stream", kDataIoAccount);
-  storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
-  return afs_.StoreStreamAbort(handle);
+  return afs_.StoreData(DataPath(uuid), data, changed_bytes);
 }
 
 Status AfsMetadataStore::RemoveData(const Uuid& uuid) {

@@ -31,14 +31,6 @@ class AfsMetadataStore final : public enclave::StorageOcalls {
   Status StoreData(const Uuid& uuid, ByteSpan data,
                    std::uint64_t changed_bytes) override;
   Status RemoveData(const Uuid& uuid) override;
-  // Pipelined data-store ocalls, mapped onto the AFS segmented-store RPCs;
-  // all charged as data I/O.
-  Result<std::uint64_t> BeginDataStream(const Uuid& uuid,
-                                        std::uint64_t total_bytes) override;
-  Status StoreDataSegment(std::uint64_t handle, ByteSpan segment) override;
-  Status CommitDataStream(std::uint64_t handle,
-                          std::uint64_t changed_bytes) override;
-  Status AbortDataStream(std::uint64_t handle) override;
   Status LockMeta(const Uuid& uuid) override;
   Status UnlockMeta(const Uuid& uuid) override;
   bool CacheFresh(const Uuid& uuid, std::uint64_t storage_version) override;

@@ -89,8 +89,7 @@ parallel::ThreadPool* NexusEnclave::EnsurePool() {
 }
 
 void NexusEnclave::RecordParallelBatch(const parallel::TaskGroup& group,
-                                       double batch_wall_seconds,
-                                       double ocall_seconds) {
+                                       double batch_wall_seconds) {
   // The batch already ran; record it as a completed span ending now.
   if (trace::Enabled() && batch_wall_seconds > 0) {
     const auto wall_ns =
@@ -109,14 +108,13 @@ void NexusEnclave::RecordParallelBatch(const parallel::TaskGroup& group,
     // N-core machine would measure. The surplus is drained by the client
     // profiler from the measured ecall wall time. On a real N-core host
     // wall ≈ critical path and the surplus is ~0 — no double counting.
-    // Ocall time inside the window is the transport's, not the pool's,
-    // and a batch that ran inline had no pool to save anything. Nor can
-    // the credit exceed busy − critical path, the most that running the
-    // tasks side by side can save: the rest of the window is queueing
-    // and wake-up latency (a 1-worker pool saves nothing).
-    const double saved = std::min(
-        batch_wall_seconds - ocall_seconds - group.critical_path_seconds(),
-        group.busy_seconds() - group.critical_path_seconds());
+    // A batch that ran inline had no pool to save anything. Nor can the
+    // credit exceed busy − critical path, the most that running the tasks
+    // side by side can save: the rest of the window is queueing and
+    // wake-up latency (a 1-worker pool saves nothing).
+    const double saved =
+        std::min(batch_wall_seconds - group.critical_path_seconds(),
+                 group.busy_seconds() - group.critical_path_seconds());
     if (saved > 0) {
       parallel_stats_.saved_seconds += saved;
       pending_saved_seconds_ += saved;
@@ -196,37 +194,6 @@ Status NexusEnclave::StoreDataO(const Uuid& uuid, ByteSpan data,
   trace::Span ocall_span("ocall:store_data", "ocall");
   sgx::EnclaveRuntime::OcallScope scope(runtime_);
   return storage_.StoreData(uuid, data, changed_bytes);
-}
-
-// Pipelined data-path ocalls. Only ever issued from the ecall thread —
-// worker threads hand finished ciphertext back via the task group and the
-// ecall thread crosses the boundary, preserving the single-threaded
-// enclave transition model.
-
-Result<std::uint64_t> NexusEnclave::BeginDataStreamO(const Uuid& uuid,
-                                                     std::uint64_t total_bytes) {
-  trace::Span ocall_span("ocall:begin_data_stream", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.BeginDataStream(uuid, total_bytes);
-}
-
-Status NexusEnclave::StoreDataSegmentO(std::uint64_t handle, ByteSpan segment) {
-  trace::Span ocall_span("ocall:store_data_segment", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.StoreDataSegment(handle, segment);
-}
-
-Status NexusEnclave::CommitDataStreamO(std::uint64_t handle,
-                                       std::uint64_t changed_bytes) {
-  trace::Span ocall_span("ocall:commit_data_stream", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.CommitDataStream(handle, changed_bytes);
-}
-
-Status NexusEnclave::AbortDataStreamO(std::uint64_t handle) {
-  trace::Span ocall_span("ocall:abort_data_stream", "ocall");
-  sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.AbortDataStream(handle);
 }
 
 Status NexusEnclave::RemoveDataO(const Uuid& uuid) {
@@ -1389,7 +1356,10 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
   auto result = [&]() -> Status {
     NEXUS_ASSIGN_OR_RETURN(FilenodeState* file,
                            LoadFilenode(file_uuid, dir_uuid));
-    Filenode& node = file->node;
+    // Work on a copy: the cached filenode takes the new size, keys and
+    // data object only once the store has them, so a failed write leaves
+    // the session reading the previous content.
+    Filenode node = file->node;
     const Uuid old_data_uuid = node.data_uuid;
     const std::uint64_t old_size = node.size;
     const std::size_t old_chunk_count = node.chunks.size();
@@ -1483,89 +1453,46 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
     }
 
     // Seal the re-keyed chunks: one task per chunk, each writing a
-    // disjoint ciphertext slice. Workers are pure compute — every ocall
+    // disjoint ciphertext slice. Workers are pure compute — the store
     // below stays on this thread. A batch of one task has nothing to run
     // in parallel, so it runs inline on this thread.
     parallel::ThreadPool* pool = EnsurePool();
     std::vector<Status> seal_status(rekey.size(), Status::Ok());
     const std::uint64_t batch_t0 = MonotonicNanos();
-    parallel::TaskGroup group(rekey.size() > 1 ? pool : nullptr);
-    for (std::size_t r = 0; r < rekey.size(); ++r) {
-      const std::size_t i = rekey[r];
-      const std::size_t pt_len =
-          std::min<std::size_t>(cs, plaintext.size() - i * cs);
-      const ChunkContext ctx = node.chunks[i];
-      Bytes aad = ChunkAad(node.uuid, static_cast<std::uint32_t>(i));
-      const ByteSpan pt = plaintext.subspan(i * cs, pt_len);
-      const MutableByteSpan out(ciphertext.data() + i * ct_stride,
-                                pt_len + crypto::kGcmTagSize);
-      group.Submit([r, ctx, aad = std::move(aad), pt, out,
-                    &seal_status](parallel::WorkerContext&) {
-        auto aes = crypto::Aes::Create(ctx.key);
-        if (!aes.ok()) {
-          seal_status[r] = aes.status();
-          return;
-        }
-        seal_status[r] = crypto::GcmSealInto(*aes, ctx.iv, aad, pt, out);
-      });
-    }
-    parallel_stats_.chunks_encrypted += rekey.size();
-
-    // Ship the ciphertext. A full rewrite streams: chunks are consumed in
-    // submission order as they finish and streamed to the backend while
-    // later chunks still encrypt; the object becomes visible atomically at
-    // commit. A partial update keeps the whole-object store so only the
-    // dirty chunks ship. The stream's ocalls run inside the batch window,
-    // so their time is measured and kept out of the pool's credit.
-    const bool stream = full_rewrite && !rekey.empty();
-    std::uint64_t ocall_ns = 0;
-    auto timed = [&ocall_ns](auto&& ocall) {
-      const std::uint64_t t0 = MonotonicNanos();
-      auto result = ocall();
-      ocall_ns += MonotonicNanos() - t0;
-      return result;
-    };
-    Status store_result = Status::Ok();
-    if (stream) {
-      store_result = [&]() -> Status {
-        NEXUS_ASSIGN_OR_RETURN(std::uint64_t handle, timed([&] {
-                                 return BeginDataStreamO(node.data_uuid,
-                                                         ciphertext.size());
-                               }));
-        for (std::size_t r = 0; r < rekey.size(); ++r) {
-          group.Wait(r);
-          if (!seal_status[r].ok()) {
-            (void)timed([&] { return AbortDataStreamO(handle); });
-            return seal_status[r];
+    {
+      parallel::TaskGroup group(rekey.size() > 1 ? pool : nullptr);
+      for (std::size_t r = 0; r < rekey.size(); ++r) {
+        const std::size_t i = rekey[r];
+        const std::size_t pt_len =
+            std::min<std::size_t>(cs, plaintext.size() - i * cs);
+        const ChunkContext ctx = node.chunks[i];
+        Bytes aad = ChunkAad(node.uuid, static_cast<std::uint32_t>(i));
+        const ByteSpan pt = plaintext.subspan(i * cs, pt_len);
+        const MutableByteSpan out(ciphertext.data() + i * ct_stride,
+                                  pt_len + crypto::kGcmTagSize);
+        group.Submit([r, ctx, aad = std::move(aad), pt, out,
+                      &seal_status](parallel::WorkerContext&) {
+          auto aes = crypto::Aes::Create(ctx.key);
+          if (!aes.ok()) {
+            seal_status[r] = aes.status();
+            return;
           }
-          const std::size_t i = rekey[r];
-          const std::size_t seg_len = std::min<std::size_t>(
-              ct_stride, ciphertext.size() - i * ct_stride);
-          const Status seg = timed([&] {
-            return StoreDataSegmentO(
-                handle, ByteSpan(ciphertext.data() + i * ct_stride, seg_len));
-          });
-          if (!seg.ok()) {
-            group.WaitAll();
-            (void)timed([&] { return AbortDataStreamO(handle); });
-            return seg;
-          }
-          ++parallel_stats_.segments_streamed;
-        }
-        return timed([&] { return CommitDataStreamO(handle, changed_bytes); });
-      }();
-    }
-    group.WaitAll(); // error paths may leave tasks in flight
-    RecordParallelBatch(group,
-                        static_cast<double>(MonotonicNanos() - batch_t0) * 1e-9,
-                        static_cast<double>(ocall_ns) * 1e-9);
-    if (!stream) {
-      for (const Status& s : seal_status) {
-        if (!s.ok()) return s;
+          seal_status[r] = crypto::GcmSealInto(*aes, ctx.iv, aad, pt, out);
+        });
       }
-      store_result = StoreDataO(node.data_uuid, ciphertext, changed_bytes);
+      group.WaitAll();
+      parallel_stats_.chunks_encrypted += rekey.size();
+      RecordParallelBatch(
+          group, static_cast<double>(MonotonicNanos() - batch_t0) * 1e-9);
     }
-    NEXUS_RETURN_IF_ERROR(store_result);
+    for (const Status& s : seal_status) {
+      if (!s.ok()) return s;
+    }
+
+    // One store per written file, full rewrite or partial update: the
+    // transport makes it one StoreData RPC, atomic at the store.
+    NEXUS_RETURN_IF_ERROR(StoreDataO(node.data_uuid, ciphertext, changed_bytes));
+    file->node = std::move(node);
     NEXUS_RETURN_IF_ERROR(FlushFilenode(*file));
     if (full_rewrite && (old_ciphertext != nullptr || old_size > 0)) {
       (void)RemoveDataO(old_data_uuid); // deferred until commit when journaled

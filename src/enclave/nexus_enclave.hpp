@@ -251,13 +251,14 @@ class NexusEnclave {
   // ---- parallel chunk-crypto engine ----------------------------------------
   // Per-chunk AES-GCM with independent keys (§IV-A1) makes the data path
   // embarrassingly parallel: EcallEncrypt/EcallDecrypt dispatch one task
-  // per chunk onto a work-stealing pool and the ecall thread pipelines
-  // completed ciphertext to the storage ocalls while later chunks are
-  // still in flight. Worker threads run pure compute only — they never
-  // cross the (single-threaded) enclave boundary and never touch enclave
-  // state beyond their disjoint ciphertext slices. For a fixed RNG seed
-  // the output is byte-identical to the serial path: key/IV draws happen
-  // serially in ascending chunk order before any task is dispatched.
+  // per chunk onto a work-stealing pool and join the batch. The ecall
+  // thread makes the one data ocall: a read's FetchData before the batch,
+  // a write's StoreData after it. Worker threads run pure compute only —
+  // they never cross the (single-threaded) enclave boundary and never
+  // touch enclave state beyond their disjoint ciphertext slices. For a
+  // fixed RNG seed the output is byte-identical to the serial path:
+  // key/IV draws happen serially in ascending chunk order before any task
+  // is dispatched.
 
   /// Sets the crypto worker count. 0 = serial: no pool, every chunk task
   /// runs inline. The count picks where chunk tasks run, never which
@@ -273,14 +274,13 @@ class NexusEnclave {
   /// `critical_path_seconds` sums each batch's slowest worker — the batch
   /// wall time an unloaded machine with as many cores as workers would
   /// observe. `saved_seconds` is the surplus of pool batches (measured
-  /// wall − ocall time − critical path, at most busy − critical path)
+  /// wall − critical path, at most busy − critical path)
   /// already subtracted from NexusClient's enclave seconds, i.e. how much
   /// the worker pool shortened the modeled enclave runtime.
   struct ParallelStats {
     std::uint64_t chunks_encrypted = 0;
     std::uint64_t chunks_decrypted = 0;
-    std::uint64_t parallel_batches = 0;  // dispatched chunk batches
-    std::uint64_t segments_streamed = 0; // pipelined store segments
+    std::uint64_t parallel_batches = 0; // dispatched chunk batches
     std::uint64_t tasks_stolen = 0;
     std::uint64_t peak_queue_depth = 0; // gauge
     double worker_busy_seconds = 0;
@@ -293,7 +293,6 @@ class NexusEnclave {
           a.chunks_encrypted - b.chunks_encrypted,
           a.chunks_decrypted - b.chunks_decrypted,
           a.parallel_batches - b.parallel_batches,
-          a.segments_streamed - b.segments_streamed,
           a.tasks_stolen - b.tasks_stolen,
           a.peak_queue_depth, // a gauge keeps the later sample's peak
           a.worker_busy_seconds - b.worker_busy_seconds,
@@ -374,11 +373,6 @@ class NexusEnclave {
   Result<ObjectBlob> FetchDataO(const Uuid& uuid);
   Status StoreDataO(const Uuid& uuid, ByteSpan data,
                     std::uint64_t changed_bytes);
-  Result<std::uint64_t> BeginDataStreamO(const Uuid& uuid,
-                                         std::uint64_t total_bytes);
-  Status StoreDataSegmentO(std::uint64_t handle, ByteSpan segment);
-  Status CommitDataStreamO(std::uint64_t handle, std::uint64_t changed_bytes);
-  Status AbortDataStreamO(std::uint64_t handle);
   Status RemoveDataO(const Uuid& uuid);
   Status LockMetaO(const Uuid& uuid);
   Status UnlockMetaO(const Uuid& uuid);
@@ -515,11 +509,10 @@ class NexusEnclave {
 
   /// Folds one finished TaskGroup batch into parallel_stats_ and the
   /// modeled-savings accumulator. `batch_wall_seconds` is the measured wall
-  /// time of dispatch+join on this host, `ocall_seconds` the part of it
-  /// spent in ocalls. Only a batch that ran on the pool is credited.
+  /// time of dispatch+join on this host; no ocall runs inside it. Only a
+  /// batch that ran on the pool is credited.
   void RecordParallelBatch(const parallel::TaskGroup& group,
-                           double batch_wall_seconds,
-                           double ocall_seconds = 0);
+                           double batch_wall_seconds);
 
   /// Pre-checks removability (directory emptiness) without mutating state.
   Status CheckRemovable(const DirEntry& entry, const Uuid& parent_uuid);

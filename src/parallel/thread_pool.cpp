@@ -48,7 +48,7 @@ PoolStats ThreadPool::stats() const {
 }
 
 void ThreadPool::Post(Task fn) {
-  Enqueue(Submission{std::move(fn), nullptr, 0});
+  Enqueue(Submission{std::move(fn), nullptr});
 }
 
 void ThreadPool::Enqueue(Submission s) {
@@ -98,7 +98,7 @@ void ThreadPool::WorkerMain(std::size_t index) {
       }
       const double cpu = ThreadCpuSeconds() - cpu0;
       if (task.group != nullptr) {
-        task.group->OnComplete(task.slot, index, cpu);
+        task.group->OnComplete(index, cpu);
       }
       lock.lock();
       continue;
@@ -116,12 +116,10 @@ TaskGroup::TaskGroup(ThreadPool* pool) : pool_(pool) {
   inline_context_.worker_index = workers;
 }
 
-std::size_t TaskGroup::Submit(ThreadPool::Task fn) {
-  std::size_t slot;
+void TaskGroup::Submit(ThreadPool::Task fn) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    slot = submitted_++;
-    done_.push_back(0);
+    ++submitted_;
   }
   if (pool_ == nullptr) {
     // Inline: the serial configuration runs the identical code path, minus
@@ -132,32 +130,24 @@ std::size_t TaskGroup::Submit(ThreadPool::Task fn) {
       trace::Span task_span("parallel:task", "parallel");
       fn(inline_context_);
     }
-    OnComplete(slot, inline_context_.worker_index, ThreadCpuSeconds() - cpu0);
-    return slot;
+    OnComplete(inline_context_.worker_index, ThreadCpuSeconds() - cpu0);
+    return;
   }
-  pool_->Enqueue(ThreadPool::Submission{std::move(fn), this, slot});
-  return slot;
+  pool_->Enqueue(ThreadPool::Submission{std::move(fn), this});
 }
 
-void TaskGroup::OnComplete(std::size_t slot, std::size_t worker,
-                           double cpu_seconds) {
+void TaskGroup::OnComplete(std::size_t worker, double cpu_seconds) {
   // Notify while holding the lock: the moment the final completion is
   // observable a waiter may return from WaitAll and destroy this group, so
   // no member (the condition variable included) may be touched after the
   // mutex is released.
   std::lock_guard<std::mutex> lock(mu_);
-  done_[slot] = 1;
   ++completed_;
   worker_busy_[worker] += cpu_seconds;
   busy_seconds_ += cpu_seconds;
   critical_path_seconds_ =
       std::max(critical_path_seconds_, worker_busy_[worker]);
   cv_.notify_all();
-}
-
-void TaskGroup::Wait(std::size_t slot) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return done_[slot] != 0; });
 }
 
 void TaskGroup::WaitAll() {

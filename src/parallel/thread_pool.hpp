@@ -4,9 +4,7 @@
 // its own AES-GCM key and an independent tag (§IV-A1), so chunks can be
 // sealed/opened concurrently with no shared cryptographic state. This pool
 // provides the fixed worker set that EcallEncrypt/EcallDecrypt dispatch
-// per-chunk tasks onto, plus the ordered join primitive the pipelined
-// store path needs (consume chunk i's ciphertext while chunk j > i is
-// still encrypting).
+// per-chunk tasks onto, and the join group that waits for a whole batch.
 //
 // Threading model (matters for the simulated SGX boundary): worker threads
 // execute pure compute closures only. They never issue ecalls or ocalls —
@@ -79,9 +77,8 @@ class ThreadPool {
 
   /// Fire-and-forget: schedules `fn` with no join group. The caller owns
   /// completion tracking (the event-driven nexusd keeps its own in-flight
-  /// counters — a per-connection TaskGroup would grow its done-bitmap
-  /// without bound over a long-lived connection and force a blocking
-  /// WaitAll on the event loop).
+  /// counters — a per-connection TaskGroup would force a blocking WaitAll
+  /// on the event loop).
   void Post(Task fn);
 
  private:
@@ -90,7 +87,6 @@ class ThreadPool {
   struct Submission {
     Task fn;
     TaskGroup* group;
-    std::size_t slot;
   };
 
   void Enqueue(Submission s);
@@ -107,12 +103,9 @@ class ThreadPool {
   std::vector<std::thread> threads_; // last member: joins before the rest dies
 };
 
-/// A join group of tasks with in-order completion tracking — the pipelining
-/// primitive. Submit() returns a slot index; Wait(slot) blocks until that
-/// task (and only that task) finished, so the submitting thread can consume
-/// results in submission order while later tasks still run. With a null
-/// pool every Submit executes inline on the calling thread: the serial and
-/// parallel data paths share one code shape.
+/// A join group of tasks: Submit() schedules them and WaitAll() blocks until
+/// every one finished. With a null pool every Submit executes inline on the
+/// calling thread: the serial and parallel data paths share one code shape.
 ///
 /// The group measures each task's thread-CPU time and attributes it to the
 /// executing worker. After WaitAll():
@@ -130,14 +123,11 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// Schedules `fn`; returns its slot for Wait().
-  std::size_t Submit(ThreadPool::Task fn);
-  /// Blocks until the task in `slot` completed.
-  void Wait(std::size_t slot);
+  /// Schedules `fn`.
+  void Submit(ThreadPool::Task fn);
   /// Blocks until every submitted task completed.
   void WaitAll();
 
-  [[nodiscard]] std::size_t size() const noexcept { return submitted_; }
   /// The pool tasks run on; null when they run inline.
   [[nodiscard]] ThreadPool* pool() const noexcept { return pool_; }
   /// Valid after WaitAll().
@@ -148,14 +138,13 @@ class TaskGroup {
 
  private:
   friend class ThreadPool;
-  void OnComplete(std::size_t slot, std::size_t worker, double cpu_seconds);
+  void OnComplete(std::size_t worker, double cpu_seconds);
 
   ThreadPool* pool_; // null => inline execution
   WorkerContext inline_context_;
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<std::uint8_t> done_;
   std::size_t submitted_ = 0;
   std::size_t completed_ = 0;
   std::vector<double> worker_busy_; // [workers] + one slot for inline

@@ -59,63 +59,21 @@ Result<std::uint64_t> AfsServer::RpcStore(const std::string& client,
   return PublishStore(client, path);
 }
 
-Result<std::uint64_t> AfsServer::RpcStorePartial(const std::string& client,
-                                                 const std::string& path,
-                                                 ByteSpan data,
-                                                 std::uint64_t changed_bytes) {
+Result<std::uint64_t> AfsServer::RpcStoreData(const std::string& client,
+                                              const std::string& path,
+                                              ByteSpan data,
+                                              std::uint64_t changed_bytes) {
   ChargeRpc(std::min<std::uint64_t>(changed_bytes, data.size()));
-  NEXUS_RETURN_IF_ERROR(backend_->Put(path, data));
-  return PublishStore(client, path);
-}
-
-Result<std::uint64_t> AfsServer::RpcStoreBegin(const std::string& client,
-                                               const std::string& path,
-                                               std::uint64_t total_bytes) {
-  (void)total_bytes; // advisory; the backend stream sizes itself
-  ChargeRpc(0); // control round-trip
   NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<StorageBackend::PutStream> sink,
                          backend_->OpenPutStream(path));
-  const std::uint64_t handle = next_store_handle_++;
-  pending_stores_.emplace(handle, PendingStore{client, path, std::move(sink)});
-  return handle;
-}
-
-Status AfsServer::RpcStoreSegment(std::uint64_t handle, ByteSpan segment) {
-  const auto it = pending_stores_.find(handle);
-  if (it == pending_stores_.end()) {
-    return Error(ErrorCode::kInvalidArgument, "unknown store stream");
+  sink->Reserve(data.size());
+  // Dropping the stream on a failure leaves the stored object untouched.
+  for (std::size_t off = 0; off < data.size(); off += kStoreSegmentBytes) {
+    NEXUS_RETURN_IF_ERROR(sink->Append(data.subspan(
+        off, std::min(kStoreSegmentBytes, data.size() - off))));
   }
-  // A frame of the open store RPC: transfer time only, no extra round trip.
-  clock_.Advance(static_cast<double>(segment.size()) /
-                 cost_.bandwidth_bytes_per_sec);
-  const Status result = it->second.sink->Append(segment);
-  if (!result.ok()) {
-    it->second.sink->Abort();
-    pending_stores_.erase(it);
-  }
-  return result;
-}
-
-Result<std::uint64_t> AfsServer::RpcStoreCommit(std::uint64_t handle) {
-  const auto it = pending_stores_.find(handle);
-  if (it == pending_stores_.end()) {
-    return Error(ErrorCode::kInvalidArgument, "unknown store stream");
-  }
-  ChargeRpc(0); // closing acknowledgement
-  PendingStore store = std::move(it->second);
-  pending_stores_.erase(it);
-  NEXUS_RETURN_IF_ERROR(store.sink->Commit());
-  return PublishStore(store.client, store.path);
-}
-
-Status AfsServer::RpcStoreAbort(std::uint64_t handle) {
-  const auto it = pending_stores_.find(handle);
-  if (it == pending_stores_.end()) {
-    return Error(ErrorCode::kInvalidArgument, "unknown store stream");
-  }
-  it->second.sink->Abort();
-  pending_stores_.erase(it);
-  return Status::Ok();
+  NEXUS_RETURN_IF_ERROR(sink->Commit());
+  return PublishStore(client, path);
 }
 
 Result<AfsServer::StatResult> AfsServer::RpcStat(const std::string& client,
@@ -337,61 +295,15 @@ Status AfsClient::Store(const std::string& path, ByteSpan data) {
   return Status::Ok();
 }
 
-Status AfsClient::StorePartial(const std::string& path, ByteSpan data,
-                               std::uint64_t changed_bytes) {
+Status AfsClient::StoreData(const std::string& path, ByteSpan data,
+                            std::uint64_t changed_bytes) {
   NEXUS_ASSIGN_OR_RETURN(
       std::uint64_t version,
-      server_.RpcStorePartial(id_, path, data, changed_bytes));
+      server_.RpcStoreData(id_, path, data, changed_bytes));
   ++stats_.stores;
-  stats_.bytes_stored += changed_bytes;
+  stats_.bytes_stored += std::min<std::uint64_t>(changed_bytes, data.size());
   cache_[path] = CacheEntry{Share(ToBytes(data)), version};
   return Status::Ok();
-}
-
-Result<std::uint64_t> AfsClient::StoreStreamBegin(const std::string& path,
-                                                  std::uint64_t total_bytes) {
-  NEXUS_ASSIGN_OR_RETURN(std::uint64_t handle,
-                         server_.RpcStoreBegin(id_, path, total_bytes));
-  PendingStream& pending = pending_streams_[handle];
-  pending.path = path;
-  pending.buffered.reserve(total_bytes);
-  return handle;
-}
-
-Status AfsClient::StoreStreamSegment(std::uint64_t handle, ByteSpan segment) {
-  const auto it = pending_streams_.find(handle);
-  if (it == pending_streams_.end()) {
-    return Error(ErrorCode::kInvalidArgument, "unknown store stream");
-  }
-  const Status result = server_.RpcStoreSegment(handle, segment);
-  if (!result.ok()) {
-    pending_streams_.erase(it);
-    return result;
-  }
-  Append(it->second.buffered, segment);
-  return Status::Ok();
-}
-
-Status AfsClient::StoreStreamCommit(std::uint64_t handle,
-                                    std::uint64_t changed_bytes) {
-  const auto it = pending_streams_.find(handle);
-  if (it == pending_streams_.end()) {
-    return Error(ErrorCode::kInvalidArgument, "unknown store stream");
-  }
-  PendingStream pending = std::move(it->second);
-  pending_streams_.erase(it);
-  NEXUS_ASSIGN_OR_RETURN(std::uint64_t version,
-                         server_.RpcStoreCommit(handle));
-  ++stats_.stores;
-  stats_.bytes_stored += changed_bytes;
-  cache_[pending.path] =
-      CacheEntry{Share(std::move(pending.buffered)), version};
-  return Status::Ok();
-}
-
-Status AfsClient::StoreStreamAbort(std::uint64_t handle) {
-  pending_streams_.erase(handle);
-  return server_.RpcStoreAbort(handle);
 }
 
 Result<AfsServer::StatResult> AfsClient::Stat(const std::string& path) {

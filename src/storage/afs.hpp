@@ -27,6 +27,11 @@
 
 namespace nexus::storage {
 
+/// Segment size of the PutStream a file-content store hands the backend:
+/// one sealed chunk (1 MiB of content plus its 16-byte GCM tag) at the
+/// default chunk size.
+inline constexpr std::size_t kStoreSegmentBytes = (std::size_t{1} << 20) + 16;
+
 class AfsServer {
  public:
   AfsServer(std::unique_ptr<StorageBackend> backend, SimClock& clock,
@@ -45,28 +50,21 @@ class AfsServer {
   };
 
   Result<FetchResult> RpcFetch(const std::string& client, const std::string& path);
+  /// Whole-object store through the backend's Put: metadata objects and
+  /// the journal anchor, which the client cache below keeps.
   Result<std::uint64_t> RpcStore(const std::string& client,
                                  const std::string& path, ByteSpan data);
-  /// Store that only transfers `changed_bytes` over the wire (AFS fsync
-  /// ships dirty chunks, not the whole file). Content still replaced whole.
-  Result<std::uint64_t> RpcStorePartial(const std::string& client,
-                                        const std::string& path, ByteSpan data,
-                                        std::uint64_t changed_bytes);
-  // ---- segmented store (pipelined writes) -------------------------------
-  // One logical store RPC split into frames so the client can ship chunk
-  // ciphertext while later chunks are still being produced. Begin charges
-  // the control round-trip, each segment charges its transfer time, and
-  // Commit charges the closing acknowledgement. Content, version bump and
-  // callback breaks apply atomically at Commit via the backend's
-  // PutStream (temp+rename on disk stores) — a crash or Abort mid-stream
-  // leaves the stored object untouched.
-
-  Result<std::uint64_t> RpcStoreBegin(const std::string& client,
-                                      const std::string& path,
-                                      std::uint64_t total_bytes);
-  Status RpcStoreSegment(std::uint64_t handle, ByteSpan segment);
-  Result<std::uint64_t> RpcStoreCommit(std::uint64_t handle);
-  Status RpcStoreAbort(std::uint64_t handle);
+  /// StoreData: one RPC that replaces a file's content (OpenAFS's
+  /// StoreData, whose body streams). It charges the transfer of
+  /// `changed_bytes`, at most data.size(): an fsync ships dirty chunks,
+  /// yet the content is still replaced whole. The backend receives the
+  /// object as one PutStream in kStoreSegmentBytes segments, so content,
+  /// version bump and callback breaks apply together at its Commit; a
+  /// failed append or commit leaves the stored object, its version and
+  /// every callback untouched.
+  Result<std::uint64_t> RpcStoreData(const std::string& client,
+                                     const std::string& path, ByteSpan data,
+                                     std::uint64_t changed_bytes);
 
   Status RpcRemove(const std::string& client, const std::string& path);
   /// Cheap existence probe (a FetchStatus RPC in AFS).
@@ -146,14 +144,6 @@ class AfsServer {
   CostModel cost_;
   std::unordered_map<std::string, PathState> paths_;
   std::unordered_map<std::string, std::string> locks_; // path -> holder
-  // In-flight segmented stores (handle -> stream state).
-  struct PendingStore {
-    std::string client;
-    std::string path;
-    std::unique_ptr<StorageBackend::PutStream> sink;
-  };
-  std::unordered_map<std::uint64_t, PendingStore> pending_stores_;
-  std::uint64_t next_store_handle_ = 1;
   std::uint64_t rpc_count_ = 0;
 };
 
@@ -167,7 +157,7 @@ class AfsClient {
   Result<Bytes> Fetch(const std::string& path);
   /// Fetch that also reports the server version stamp of the bytes.
   Result<AfsServer::FetchResult> FetchVersioned(const std::string& path);
-  /// Whole-file store (the close() flush in open-to-close semantics).
+  /// Whole-object store (RpcStore): metadata and journal objects.
   Status Store(const std::string& path, ByteSpan data);
   /// Store that reports the new server version stamp.
   Result<std::uint64_t> StoreVersioned(const std::string& path, ByteSpan data);
@@ -178,22 +168,11 @@ class AfsClient {
   /// FetchStatus RPC (re-establishing the callback if the version still
   /// matches) instead of giving up.
   Result<bool> Revalidate(const std::string& path, std::uint64_t version);
-  /// Partial flush: replaces content but only charges `changed_bytes` of
-  /// transfer (fsync of dirty chunks).
-  Status StorePartial(const std::string& path, ByteSpan data,
-                      std::uint64_t changed_bytes);
-
-  // ---- segmented store (pipelined writes) --------------------------------
-  // The client mirrors the streamed bytes into a pending buffer and
-  // installs them in its cache at commit, exactly as a whole-file Store
-  // would (AFS writeback semantics). `changed_bytes` at commit is the
-  // transfer-accounting figure recorded in stats (segments already paid
-  // their wire time on the virtual clock).
-  Result<std::uint64_t> StoreStreamBegin(const std::string& path,
-                                         std::uint64_t total_bytes);
-  Status StoreStreamSegment(std::uint64_t handle, ByteSpan segment);
-  Status StoreStreamCommit(std::uint64_t handle, std::uint64_t changed_bytes);
-  Status StoreStreamAbort(std::uint64_t handle);
+  /// File-content store (RpcStoreData): replaces the content whole but
+  /// charges only `changed_bytes` of transfer (pass data.size() for a
+  /// full rewrite, fewer for an fsync of dirty chunks).
+  Status StoreData(const std::string& path, ByteSpan data,
+                   std::uint64_t changed_bytes);
 
   Status Remove(const std::string& path);
   Result<bool> Exists(const std::string& path);
@@ -235,16 +214,10 @@ class AfsClient {
   /// Cached entry when fresh, else fetches (and caches) from the server.
   Result<const CacheEntry*> FetchCached(const std::string& path);
 
-  struct PendingStream {
-    std::string path;
-    Bytes buffered;
-  };
-
   AfsServer& server_;
   std::string id_;
   bool revalidation_enabled_ = true;
   std::unordered_map<std::string, CacheEntry> cache_;
-  std::unordered_map<std::uint64_t, PendingStream> pending_streams_;
   Stats stats_;
 };
 

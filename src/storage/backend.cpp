@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 
 #include "common/hex.hpp"
 
@@ -75,15 +76,20 @@ std::uint64_t MemBackend::total_bytes() const noexcept {
 
 namespace {
 
-// Accumulates segments in memory and forwards one whole-object Put at
-// commit; inherits Put's atomicity. Abort (or a completed Commit) kills
-// the stream: any later Append/Commit fails instead of silently
-// committing an empty or partial object.
+// Accumulates segments in memory and hands the whole object to `commit`
+// at Commit; inherits the commit's atomicity. Abort (or a completed
+// Commit) kills the stream: any later Append/Commit fails instead of
+// silently committing an empty or partial object.
 class BufferedPutStream final : public StorageBackend::PutStream {
  public:
-  BufferedPutStream(StorageBackend& backend, std::string name)
-      : backend_(backend), name_(std::move(name)) {}
+  using CommitFn = std::function<Status(Bytes&&)>;
 
+  BufferedPutStream(std::string name, CommitFn commit)
+      : name_(std::move(name)), commit_(std::move(commit)) {}
+
+  void Reserve(std::size_t total_bytes) override {
+    buffered_.reserve(total_bytes);
+  }
   Status Append(ByteSpan data) override {
     if (finished_) {
       return Error(ErrorCode::kInvalidArgument,
@@ -98,7 +104,7 @@ class BufferedPutStream final : public StorageBackend::PutStream {
                    "commit on finished stream: " + name_);
     }
     finished_ = true;
-    return backend_.Put(name_, buffered_);
+    return commit_(std::move(buffered_));
   }
   void Abort() override {
     finished_ = true;
@@ -106,8 +112,8 @@ class BufferedPutStream final : public StorageBackend::PutStream {
   }
 
  private:
-  StorageBackend& backend_;
   std::string name_;
+  CommitFn commit_;
   Bytes buffered_;
   bool finished_ = false;
 };
@@ -116,7 +122,19 @@ class BufferedPutStream final : public StorageBackend::PutStream {
 
 Result<std::unique_ptr<StorageBackend::PutStream>> StorageBackend::OpenPutStream(
     const std::string& name) {
-  return std::unique_ptr<PutStream>(new BufferedPutStream(*this, name));
+  return std::unique_ptr<PutStream>(new BufferedPutStream(
+      name, [this, name](Bytes&& data) { return Put(name, data); }));
+}
+
+Result<std::unique_ptr<StorageBackend::PutStream>> MemBackend::OpenPutStream(
+    const std::string& name) {
+  // The committed buffer moves in: no second copy of the object.
+  return std::unique_ptr<PutStream>(
+      new BufferedPutStream(name, [this, name](Bytes&& data) {
+        const std::lock_guard<std::mutex> lock(mu_);
+        objects_[name] = std::move(data);
+        return Status::Ok();
+      }));
 }
 
 StorageBackend::ListPage StorageBackend::ListSome(

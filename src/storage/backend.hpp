@@ -80,6 +80,10 @@ class StorageBackend {
   class PutStream {
    public:
     virtual ~PutStream() = default;
+    /// Hint that the object will be `total_bytes` long, given before the
+    /// first Append: a stream that buffers the whole object sizes its
+    /// buffer once. Others ignore it.
+    virtual void Reserve(std::size_t total_bytes) { (void)total_bytes; }
     virtual Status Append(ByteSpan data) = 0;
     virtual Status Commit() = 0;
     virtual void Abort() = 0;
@@ -198,6 +202,9 @@ class MemBackend final : public StorageBackend {
  public:
   Result<Bytes> Get(const std::string& name) override;
   Status Put(const std::string& name, ByteSpan data) override;
+  /// Buffers like the default stream, then moves the object in at Commit.
+  Result<std::unique_ptr<PutStream>> OpenPutStream(
+      const std::string& name) override;
   Status Delete(const std::string& name) override;
   bool Exists(const std::string& name) override;
   std::vector<std::string> List(const std::string& prefix) override;

@@ -37,10 +37,8 @@ Result<std::unique_ptr<OpenFile>> AfsPassthroughFs::Open(const std::string& path
 
   auto flush = [this, obj](ByteSpan full, std::uint64_t dirty_offset,
                            std::uint64_t dirty_len) -> Status {
-    const std::uint64_t changed =
-        RoundToChunks(dirty_offset, dirty_len, full.size());
-    if (changed >= full.size()) return afs_.Store(obj, full);
-    return afs_.StorePartial(obj, full, changed);
+    return afs_.StoreData(
+        obj, full, RoundToChunks(dirty_offset, dirty_len, full.size()));
   };
   return std::unique_ptr<OpenFile>(
       std::make_unique<BufferedFile>(std::move(content), flush, created));

@@ -1,11 +1,12 @@
 // Journal integration tests at the client level: a commit is one anchor
 // store and the journal never holds anything but the anchor, per-op round
-// trips are pinned, group commit makes a whole batch one anchor store, a
-// second session replays a commit whose checkpoint never ran, a commit
-// after a failed checkpoint carries both transactions, recovery never
-// rolls a newer object back to the anchor's tail, a reconfiguration
-// that fails leaves journaling as it was, and through a lease-mode cache
-// every operation is on the daemon's store when it returns.
+// trips are pinned, a data store that fails mid-stream publishes nothing,
+// group commit makes a whole batch one anchor store, a second session
+// replays a commit whose checkpoint never ran, a commit after a failed
+// checkpoint carries both transactions, recovery never rolls a newer
+// object back to the anchor's tail, a reconfiguration that fails leaves
+// journaling as it was, and through a lease-mode cache every operation
+// is on the daemon's store when it returns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -113,12 +114,15 @@ TEST_F(JournalRecoveryTest, PerOpRoundTripBudgets) {
   EXPECT_EQ(rpcs([&] { return nexus.Touch("first"); }), 7u);
   // The same plus the remove of the bucket it rewrote.
   EXPECT_EQ(rpcs([&] { return nexus.Touch("f"); }), 8u);
-  // First small write: lock, revalidate the cached filenode, data stream
-  // open and commit, anchor, filenode, unlock.
-  EXPECT_EQ(rpcs([&] { return nexus.WriteFile("f", Bytes(100, 1)); }), 7u);
+  // First small write: lock, revalidate the cached filenode, one data
+  // store, anchor, filenode, unlock.
+  EXPECT_EQ(rpcs([&] { return nexus.WriteFile("f", Bytes(100, 1)); }), 6u);
   // A rewrite also deletes the superseded data object after the commit.
-  EXPECT_EQ(rpcs([&] { return nexus.WriteFile("f", Bytes(100, 2)); }), 8u);
+  EXPECT_EQ(rpcs([&] { return nexus.WriteFile("f", Bytes(100, 2)); }), 7u);
   EXPECT_EQ(nexus.ReadFile("f").value(), Bytes(100, 2));
+  // A three-chunk first write is still one data store.
+  ASSERT_TRUE(nexus.Touch("h").ok());
+  EXPECT_EQ(rpcs([&] { return nexus.WriteFile("h", Bytes(3 << 20, 4)); }), 6u);
 
   // No record object was ever written: only the anchor lives in nxj/.
   for (int i = 0; i < 6; ++i) {
@@ -128,6 +132,29 @@ TEST_F(JournalRecoveryTest, PerOpRoundTripBudgets) {
   ASSERT_TRUE(nexus.Remove("g0").ok());
   EXPECT_EQ(machine_->afs->List("nxj/").value(),
             std::vector<std::string>{"nxj/anchor"});
+}
+
+// A data store whose backend stream fails mid-way fails the write and
+// publishes nothing: the file still reads its previous content, in this
+// session and in a fresh one, and the next write succeeds.
+TEST_F(JournalRecoveryTest, DataStreamFailingMidWayKeepsPreviousContent) {
+  auto& nexus = *machine_->nexus;
+  const Bytes before(2 << 20, 1); // two chunks: two stream segments
+  ASSERT_TRUE(nexus.WriteFile("f", before).ok());
+
+  store_->FailStreamAppend("nxd/", 2);
+  EXPECT_FALSE(nexus.WriteFile("f", Bytes(2 << 20, 2)).ok());
+  store_->Heal();
+  auto same_session = nexus.ReadFile("f");
+  ASSERT_TRUE(same_session.ok()) << same_session.status().ToString();
+  EXPECT_EQ(same_session.value(), before);
+  auto fresh = MountFresh()->ReadFile("f");
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh.value(), before);
+
+  const Bytes after(2 << 20, 3);
+  ASSERT_TRUE(nexus.WriteFile("f", after).ok());
+  EXPECT_EQ(nexus.ReadFile("f").value(), after);
 }
 
 // A journaled session dies without unmounting, so the anchor keeps its

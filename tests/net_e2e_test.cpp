@@ -1,6 +1,7 @@
 // End-to-end NEXUS over a real socket: the full client stack (enclave,
-// journal, streaming data path) runs unmodified against an AFS deployment
-// whose object store is a RemoteBackend talking to a live loopback nexusd.
+// journal, data stores streamed to the daemon) runs unmodified against an
+// AFS deployment whose object store is a RemoteBackend talking to a live
+// loopback nexusd.
 #include <gtest/gtest.h>
 
 #include "net/remote_backend.hpp"
@@ -76,7 +77,20 @@ TEST_F(NetE2eTest, SixteenMegabyteFileStreamsThroughTheDaemon) {
   ASSERT_TRUE(fs().WriteFile("big.bin", content).ok());
   EXPECT_EQ(fs().ReadFile("big.bin").value(), content);
 
-  EXPECT_GT(fs().Profile().parallel.segments_streamed, 0u); // pipelined
+  // The file reached the daemon as one stream of sixteen sealed-chunk
+  // segments (16 x (1 MiB + 16 B)).
+  std::uint64_t appends = 0;
+  std::uint64_t commits = 0;
+  for (const net::RpcOpStats& op : server_->WireStats().per_op) {
+    if (op.rpc == static_cast<std::uint8_t>(net::Rpc::kStreamAppend)) {
+      appends = op.count;
+    }
+    if (op.rpc == static_cast<std::uint8_t>(net::Rpc::kStreamCommit)) {
+      commits = op.count;
+    }
+  }
+  EXPECT_EQ(commits, 1u);
+  EXPECT_EQ(appends, 16u);
   const net::NetCounters wire = remote_->counters(); // ... over real RPCs
   EXPECT_GT(wire.rpcs, 0u);
   EXPECT_GT(wire.bytes_sent, content.size()); // payload + overhead

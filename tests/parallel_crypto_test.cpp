@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -55,14 +56,14 @@ struct Deployment {
 };
 
 /// The real AFS ocall bridge, counting whole-object data fetches and
-/// sleeping `stream_sleep_ms` in each streamed-store ocall.
+/// data stores, and sleeping `store_sleep_ms` in each data store.
 class ProbeStore final : public enclave::StorageOcalls {
  public:
   explicit ProbeStore(storage::AfsClient& afs) : inner_(afs) {}
 
-  int stream_sleep_ms = 0;
+  int store_sleep_ms = 0;
   int data_fetches = 0;
-  int stream_ocalls = 0;
+  int data_stores = 0;
 
   Result<enclave::ObjectBlob> FetchMeta(const Uuid& uuid) override {
     return inner_.FetchMeta(uuid);
@@ -79,27 +80,12 @@ class ProbeStore final : public enclave::StorageOcalls {
   }
   Status StoreData(const Uuid& uuid, ByteSpan data,
                    std::uint64_t changed_bytes) override {
+    ++data_stores;
+    std::this_thread::sleep_for(std::chrono::milliseconds(store_sleep_ms));
     return inner_.StoreData(uuid, data, changed_bytes);
   }
   Status RemoveData(const Uuid& uuid) override {
     return inner_.RemoveData(uuid);
-  }
-  Result<std::uint64_t> BeginDataStream(const Uuid& uuid,
-                                        std::uint64_t total_bytes) override {
-    Sleep();
-    return inner_.BeginDataStream(uuid, total_bytes);
-  }
-  Status StoreDataSegment(std::uint64_t handle, ByteSpan segment) override {
-    Sleep();
-    return inner_.StoreDataSegment(handle, segment);
-  }
-  Status CommitDataStream(std::uint64_t handle,
-                          std::uint64_t changed_bytes) override {
-    Sleep();
-    return inner_.CommitDataStream(handle, changed_bytes);
-  }
-  Status AbortDataStream(std::uint64_t handle) override {
-    return inner_.AbortDataStream(handle);
   }
   Status LockMeta(const Uuid& uuid) override { return inner_.LockMeta(uuid); }
   Status UnlockMeta(const Uuid& uuid) override {
@@ -116,11 +102,6 @@ class ProbeStore final : public enclave::StorageOcalls {
   }
 
  private:
-  void Sleep() {
-    ++stream_ocalls;
-    std::this_thread::sleep_for(std::chrono::milliseconds(stream_sleep_ms));
-  }
-
   core::AfsMetadataStore inner_;
 };
 
@@ -174,7 +155,18 @@ TEST(ParallelCryptoTest, SerialAndParallelProduceIdenticalServerState) {
   const auto profile = parallel.machine->nexus->Profile();
   EXPECT_GT(profile.parallel.chunks_encrypted, 0u);
   EXPECT_GT(profile.parallel.parallel_batches, 0u);
-  EXPECT_GT(profile.parallel.segments_streamed, 0u);
+
+  // Each file reached the store as one whole data object: its chunks'
+  // ciphertext, tag after tag.
+  std::multiset<std::size_t> want;
+  for (std::size_t size : kSizes) {
+    want.insert(size + (size + kChunk - 1) / kChunk * crypto::kGcmTagSize);
+  }
+  std::multiset<std::size_t> stored;
+  for (const auto& [name, bytes] : b) {
+    if (name.starts_with("nxd/")) stored.insert(bytes.size());
+  }
+  EXPECT_EQ(stored, want);
 }
 
 TEST(ParallelCryptoTest, PartialRangeUpdatesStayByteIdentical) {
@@ -311,21 +303,20 @@ TEST(ParallelCryptoTest, OneWorkerPoolCreditsNoParallelSaving) {
   EXPECT_EQ(profile.parallel.saved_seconds, 0.0);
 }
 
-// A streamed write runs its Begin, Segment and Commit ocalls inside the
-// batch window; that time is the store's, never credited to the pool.
-TEST(ParallelCryptoTest, StreamOcallTimeIsNotCreditedAsParallelSaving) {
+// A write's one StoreData ocall is the store's time, never credited to
+// the pool.
+TEST(ParallelCryptoTest, StoreOcallTimeIsNotCreditedAsParallelSaving) {
   Deployment d(2);
   ASSERT_TRUE(d.machine->nexus->WriteFile("f", Pattern(10, 1)).ok());
   ProbeStore store(*d.machine->afs);
   ProbedEnclave probed(d, store, 2);
-  store.stream_sleep_ms = 5;
+  store.store_sleep_ms = 50;
   const Bytes content = Pattern(8 * kChunk, 4);
   ASSERT_TRUE(probed.enclave.EcallEncrypt("f", content).ok());
   EXPECT_EQ(probed.enclave.EcallDecrypt("f").value(), content);
-  ASSERT_EQ(store.stream_ocalls, 10); // Begin, 8 segments, Commit
-  // Crediting the sleeps would put the credit above 50 ms.
-  EXPECT_LT(probed.enclave.parallel_stats().saved_seconds,
-            store.stream_ocalls * 5e-3 / 2);
+  ASSERT_EQ(store.data_stores, 1); // 8 chunks, one store
+  // Crediting the sleep would put the credit above 50 ms.
+  EXPECT_LT(probed.enclave.parallel_stats().saved_seconds, 25e-3);
 }
 
 TEST(ParallelCryptoTest, WorkerCountIsReconfigurableMidVolume) {
@@ -342,7 +333,7 @@ TEST(ParallelCryptoTest, WorkerCountIsReconfigurableMidVolume) {
 }
 
 // Two full deployments hammering encrypt/decrypt concurrently: exercises
-// the pool, the pipelined ocall path and the AES-NI dispatch under TSan.
+// the pool, the data store path and the AES-NI dispatch under TSan.
 TEST(ParallelCryptoStressTest, ConcurrentWorldsStayConsistent) {
   auto run = [](const char* user, std::uint8_t salt) {
     test::World world(std::string("stress-") + user);

@@ -492,6 +492,67 @@ class ByteCountingBackend final : public StorageBackend {
   std::uint64_t* bytes_out_;
 };
 
+// Counts the Puts, PutStreams, appends and commits a backend receives.
+// With `fail_append` set, every stream fails its fail_append-th Append
+// (1-based) with kIOError.
+class StreamCountingBackend final : public StorageBackend {
+ public:
+  int puts = 0;
+  int streams = 0;
+  int appends = 0;
+  int commits = 0;
+  int fail_append = 0;
+
+  Result<Bytes> Get(const std::string& name) override {
+    return inner_.Get(name);
+  }
+  Status Put(const std::string& name, ByteSpan data) override {
+    ++puts;
+    return inner_.Put(name, data);
+  }
+  Status Delete(const std::string& name) override {
+    return inner_.Delete(name);
+  }
+  bool Exists(const std::string& name) override { return inner_.Exists(name); }
+  std::vector<std::string> List(const std::string& prefix) override {
+    return inner_.List(prefix);
+  }
+  Result<std::unique_ptr<PutStream>> OpenPutStream(
+      const std::string& name) override {
+    NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<PutStream> inner,
+                           inner_.OpenPutStream(name));
+    ++streams;
+    return std::unique_ptr<PutStream>(
+        std::make_unique<Stream>(*this, std::move(inner)));
+  }
+
+ private:
+  class Stream final : public PutStream {
+   public:
+    Stream(StreamCountingBackend& owner, std::unique_ptr<PutStream> inner)
+        : owner_(owner), inner_(std::move(inner)) {}
+    Status Append(ByteSpan data) override {
+      if (++appended_ == owner_.fail_append) {
+        return Error(ErrorCode::kIOError, "injected append failure");
+      }
+      ++owner_.appends;
+      return inner_->Append(data);
+    }
+    Status Commit() override {
+      ++owner_.commits;
+      return inner_->Commit();
+    }
+    void Abort() override { inner_->Abort(); }
+
+   private:
+    StreamCountingBackend& owner_;
+    std::unique_ptr<PutStream> inner_;
+    int appended_ = 0;
+  };
+
+  MemBackend inner_;
+};
+
 class AfsTest : public ::testing::Test {
  protected:
   SimClock clock_;
@@ -633,69 +694,87 @@ TEST_F(AfsTest, RpcCountsAccumulate) {
 
 TEST_F(AfsTest, PartialStoreChargesOnlyChangedBytes) {
   const Bytes big(10 << 20, 1);
-  ASSERT_TRUE(alice_.Store("f", big).ok());
+  ASSERT_TRUE(alice_.StoreData("f", big, big.size()).ok());
   const double t0 = clock_.Now();
-  ASSERT_TRUE(alice_.StorePartial("f", big, 4096).ok());
+  ASSERT_TRUE(alice_.StoreData("f", big, 4096).ok());
   const double partial = clock_.Now() - t0;
   EXPECT_NEAR(partial, server_.cost().RpcSeconds(4096), 1e-9);
   // Content is still fully replaced.
   EXPECT_EQ(bob_.Fetch("f").value().size(), big.size());
 }
 
-// ---- segmented (pipelined) stores -------------------------------------------
+// ---- file-content stores (StoreData) -----------------------------------------
 
-TEST_F(AfsTest, StreamedStoreAppliesAtomicallyAtCommit) {
-  ASSERT_TRUE(alice_.Store("f", Bytes{1}).ok());
-  ASSERT_TRUE(bob_.Fetch("f").ok()); // bob holds a callback
-
-  const auto handle = alice_.StoreStreamBegin("f", 300).value();
-  ASSERT_TRUE(alice_.StoreStreamSegment(handle, Bytes(200, 0xAA)).ok());
-  // Mid-stream: nothing visible, bob's callback intact.
-  EXPECT_EQ(bob_.Fetch("f").value(), Bytes{1});
-  EXPECT_TRUE(server_.CallbackValid("bob", "f"));
-
-  ASSERT_TRUE(alice_.StoreStreamSegment(handle, Bytes(100, 0xBB)).ok());
-  ASSERT_TRUE(alice_.StoreStreamCommit(handle, 300).ok());
-
-  // Commit: version bumped, bob's callback broken, content whole.
-  EXPECT_FALSE(server_.CallbackValid("bob", "f"));
-  Bytes want(200, 0xAA);
-  want.insert(want.end(), 100, 0xBB);
-  EXPECT_EQ(bob_.Fetch("f").value(), want);
-  // Alice's own cache was updated at commit (writeback semantics).
-  const double t0 = clock_.Now();
-  EXPECT_EQ(alice_.Fetch("f").value(), want);
-  EXPECT_EQ(clock_.Now(), t0); // served locally, no RPC cost
-}
-
-TEST_F(AfsTest, StreamedStoreAbortLeavesObjectUntouched) {
-  ASSERT_TRUE(alice_.Store("f", Bytes{7, 7}).ok());
-  const auto handle = alice_.StoreStreamBegin("f", 100).value();
-  ASSERT_TRUE(alice_.StoreStreamSegment(handle, Bytes(100, 0xEE)).ok());
-  ASSERT_TRUE(alice_.StoreStreamAbort(handle).ok());
-  EXPECT_EQ(bob_.Fetch("f").value(), (Bytes{7, 7}));
-  // The handle is dead after abort.
-  EXPECT_FALSE(alice_.StoreStreamSegment(handle, Bytes{1}).ok());
-}
-
-TEST_F(AfsTest, StreamedStoreCostMatchesWholeStorePlusOneRtt) {
+// A whole and a partial store are each one RPC charged for the changed
+// bytes only: there is no separate control round trip.
+TEST_F(AfsTest, StoreDataCostsOneRpcOfChangedBytes) {
   const std::size_t total = 4 << 20;
+  const CostModel& cost = server_.cost();
+  const auto rpcs0 = server_.rpc_count();
   const double t0 = clock_.Now();
-  ASSERT_TRUE(alice_.Store("w", Bytes(total, 1)).ok());
-  const double whole = clock_.Now() - t0;
+  ASSERT_TRUE(alice_.StoreData("s", Bytes(total, 2), total).ok());
+  EXPECT_EQ(server_.rpc_count(), rpcs0 + 1);
+  EXPECT_NEAR(clock_.Now() - t0, cost.RpcSeconds(total), 1e-9);
 
   const double t1 = clock_.Now();
-  const auto handle = alice_.StoreStreamBegin("s", total).value();
-  for (std::size_t off = 0; off < total; off += 1 << 20) {
-    ASSERT_TRUE(alice_.StoreStreamSegment(handle, Bytes(1 << 20, 2)).ok());
-  }
-  ASSERT_TRUE(alice_.StoreStreamCommit(handle, total).ok());
-  const double streamed = clock_.Now() - t1;
+  ASSERT_TRUE(alice_.StoreData("s", Bytes(total, 3), 1 << 20).ok());
+  EXPECT_EQ(server_.rpc_count(), rpcs0 + 2);
+  EXPECT_NEAR(clock_.Now() - t1, cost.RpcSeconds(1 << 20), 1e-9);
+}
 
-  // Segments ride one logical RPC: only the closing acknowledgement adds
-  // a control round-trip over the whole-object store.
-  EXPECT_NEAR(streamed - whole,
-              server_.cost().rtt_seconds + server_.cost().per_op_seconds, 1e-9);
+// The object reaches the backend as one PutStream in kStoreSegmentBytes
+// segments and applies at its commit: version bump, callback breaks and
+// the writer's cache entry together.
+TEST_F(AfsTest, StreamedStoreAppliesAtomicallyAtCommit) {
+  auto* backend = new StreamCountingBackend;
+  SimClock clock;
+  AfsServer server{std::unique_ptr<StorageBackend>(backend), clock};
+  AfsClient alice(server, "alice");
+  AfsClient bob(server, "bob");
+  ASSERT_TRUE(alice.StoreData("f", Bytes{1}, 1).ok());
+  ASSERT_TRUE(bob.Fetch("f").ok()); // bob holds a callback
+
+  Bytes want(3 * kStoreSegmentBytes, 0xAA); // 3 MiB + 48 B
+  want.back() = 0xBB;
+  const int streams0 = backend->streams;
+  const int appends0 = backend->appends;
+  const int commits0 = backend->commits;
+  ASSERT_TRUE(alice.StoreData("f", want, want.size()).ok());
+  EXPECT_EQ(backend->streams - streams0, 1);
+  EXPECT_EQ(backend->appends - appends0, 3);
+  EXPECT_EQ(backend->commits - commits0, 1);
+  EXPECT_EQ(backend->puts, 0); // file content never goes through Put
+
+  EXPECT_FALSE(server.CallbackValid("bob", "f"));
+  EXPECT_EQ(bob.Fetch("f").value(), want);
+  // Alice's own cache holds what she stored.
+  const double t0 = clock.Now();
+  EXPECT_EQ(alice.Fetch("f").value(), want);
+  EXPECT_EQ(clock.Now(), t0); // served locally, no RPC cost
+}
+
+// A backend stream that fails mid-way fails the store and publishes
+// nothing: the old bytes, the version and bob's callback all stay.
+TEST_F(AfsTest, StreamedStoreAbortLeavesObjectUntouched) {
+  auto* backend = new StreamCountingBackend;
+  SimClock clock;
+  AfsServer server{std::unique_ptr<StorageBackend>(backend), clock};
+  AfsClient alice(server, "alice");
+  AfsClient bob(server, "bob");
+  ASSERT_TRUE(alice.StoreData("f", Bytes{7, 7}, 2).ok());
+  ASSERT_TRUE(bob.Fetch("f").ok());
+  const std::uint64_t version = server.RpcGetVersion("carol", "f").value();
+
+  backend->fail_append = 2;
+  const Bytes big(3 * kStoreSegmentBytes, 0xEE);
+  EXPECT_EQ(alice.StoreData("f", big, big.size()).code(), ErrorCode::kIOError);
+  EXPECT_EQ(backend->commits, 1); // only the first store's
+
+  EXPECT_EQ(server.AdversaryRead("f").value(), (Bytes{7, 7}));
+  EXPECT_EQ(server.RpcGetVersion("carol", "f").value(), version);
+  EXPECT_TRUE(server.CallbackValid("bob", "f"));
+  EXPECT_EQ(bob.Fetch("f").value(), (Bytes{7, 7}));
+  EXPECT_EQ(alice.Fetch("f").value(), (Bytes{7, 7}));
 }
 
 TEST_F(AfsTest, GetVersionReestablishesCallback) {

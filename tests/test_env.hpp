@@ -6,6 +6,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/nexus_client.hpp"
@@ -23,7 +24,8 @@ namespace nexus::test {
 /// until Heal(). Arming "nx/" lets a journaled commit land its anchor
 /// ("nxj/anchor") while the checkpoint stores after it fail, so the
 /// session holds a commit the main objects lack — as if it had died right
-/// after the anchor. Also counts the Puts that went through.
+/// after the anchor. Also counts the Puts that went through. Streams can be
+/// armed apart to fail mid-way (FailStreamAppend).
 class FaultyBackend final : public storage::StorageBackend {
  public:
   explicit FaultyBackend(std::unique_ptr<storage::StorageBackend> inner)
@@ -33,9 +35,16 @@ class FaultyBackend final : public storage::StorageBackend {
     const std::lock_guard<std::mutex> lock(mu_);
     failing_ = std::move(prefix);
   }
+  /// Every PutStream of a name starting with `prefix` fails its
+  /// `at_append`-th Append (1-based) with kIOError until Heal().
+  void FailStreamAppend(std::string prefix, std::size_t at_append) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    failing_stream_.emplace(std::move(prefix), at_append);
+  }
   void Heal() {
     const std::lock_guard<std::mutex> lock(mu_);
     failing_.reset();
+    failing_stream_.reset();
   }
   /// Successful Puts of names starting with `prefix` so far.
   std::size_t PutCount(const std::string& prefix) {
@@ -67,11 +76,48 @@ class FaultyBackend final : public storage::StorageBackend {
   std::vector<std::string> List(const std::string& prefix) override {
     return inner_->List(prefix);
   }
+  /// The base stream buffers and commits through Put above, so armed Put
+  /// failures reach streamed objects too.
+  Result<std::unique_ptr<PutStream>> OpenPutStream(
+      const std::string& name) override {
+    NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<PutStream> stream,
+                           StorageBackend::OpenPutStream(name));
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!failing_stream_.has_value() ||
+        !name.starts_with(failing_stream_->first)) {
+      return stream;
+    }
+    return std::unique_ptr<PutStream>(std::make_unique<FailingStream>(
+        std::move(stream), failing_stream_->second));
+  }
 
  private:
+  class FailingStream final : public PutStream {
+   public:
+    FailingStream(std::unique_ptr<PutStream> inner, std::size_t fail_at)
+        : inner_(std::move(inner)), fail_at_(fail_at) {}
+    void Reserve(std::size_t total_bytes) override {
+      inner_->Reserve(total_bytes);
+    }
+    Status Append(ByteSpan data) override {
+      if (++appended_ == fail_at_) {
+        return Error(ErrorCode::kIOError, "injected stream failure");
+      }
+      return inner_->Append(data);
+    }
+    Status Commit() override { return inner_->Commit(); }
+    void Abort() override { inner_->Abort(); }
+
+   private:
+    std::unique_ptr<PutStream> inner_;
+    std::size_t fail_at_;
+    std::size_t appended_ = 0;
+  };
+
   std::unique_ptr<storage::StorageBackend> inner_;
   std::mutex mu_;
   std::optional<std::string> failing_;
+  std::optional<std::pair<std::string, std::size_t>> failing_stream_;
   std::vector<std::string> puts_;
 };
 

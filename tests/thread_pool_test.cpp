@@ -1,11 +1,10 @@
-// Semantics of the work-stealing pool and its ordered-join TaskGroup: the
+// Semantics of the work-stealing pool and its join TaskGroup: the
 // primitives the enclave's parallel chunk-crypto engine is built on.
 #include "parallel/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -25,27 +24,6 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   const PoolStats stats = pool.stats();
   EXPECT_EQ(stats.workers, 4u);
   EXPECT_EQ(stats.tasks_executed, hits.size());
-}
-
-TEST(ThreadPoolTest, WaitUnblocksPerSlotInSubmissionOrder) {
-  ThreadPool pool(2);
-  TaskGroup group(&pool);
-  std::atomic<int> done{0};
-  std::vector<std::size_t> slots;
-  for (int i = 0; i < 16; ++i) {
-    slots.push_back(group.Submit([&done](WorkerContext&) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      done.fetch_add(1);
-    }));
-  }
-  // Consuming in submission order must observe each task complete.
-  int consumed = 0;
-  for (std::size_t slot : slots) {
-    group.Wait(slot);
-    ++consumed;
-    EXPECT_GE(done.load(), consumed);
-  }
-  EXPECT_EQ(consumed, 16);
 }
 
 TEST(ThreadPoolTest, ScratchBufferPersistsPerWorker) {
@@ -72,10 +50,9 @@ TEST(ThreadPoolTest, NullPoolExecutesInline) {
   TaskGroup group(nullptr);
   std::thread::id caller = std::this_thread::get_id();
   std::thread::id ran_on;
-  const std::size_t slot = group.Submit(
+  group.Submit(
       [&ran_on, caller](WorkerContext&) { ran_on = std::this_thread::get_id(); });
   // Inline execution completes during Submit — no pool, no blocking.
-  group.Wait(slot);
   EXPECT_EQ(ran_on, caller);
   group.WaitAll();
   EXPECT_GT(group.busy_seconds(), -1.0); // accounted, possibly ~0
