@@ -9,17 +9,16 @@ namespace nexus::cache {
 struct CacheCounters {
   // Read path.
   std::uint64_t mem_hits = 0;
-  std::uint64_t disk_hits = 0;
   std::uint64_t misses = 0;
 
   // Capacity management.
   std::uint64_t evictions_mem = 0;
-  std::uint64_t evictions_disk = 0;
 
   // Coherence.
   std::uint64_t invalidations_received = 0;
 
   // Inert, always 0: nexus_bench reads them (ROADMAP item 2).
+  std::uint64_t disk_hits = 0;
   std::uint64_t prefetch_issued = 0;
   std::uint64_t prefetch_hits = 0;
 
@@ -28,10 +27,8 @@ struct CacheCounters {
                                  const CacheCounters& b) {
     CacheCounters out;
     out.mem_hits = a.mem_hits - b.mem_hits;
-    out.disk_hits = a.disk_hits - b.disk_hits;
     out.misses = a.misses - b.misses;
     out.evictions_mem = a.evictions_mem - b.evictions_mem;
-    out.evictions_disk = a.evictions_disk - b.evictions_disk;
     out.invalidations_received =
         a.invalidations_received - b.invalidations_received;
     return out;

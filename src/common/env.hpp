@@ -1,5 +1,5 @@
-// Numeric environment overrides (NEXUS_RPC_WINDOW, NEXUS_CACHE_MEM_BUDGET,
-// NEXUS_REPLICATION, ...). One parser for all of them, so "64MiB", "2x",
+// Numeric environment overrides (NEXUS_RPC_WINDOW, NEXUS_REPLICATION,
+// NEXUS_CRYPTO_WORKERS). One parser for all of them, so "64MiB", "2x",
 // "-1" and "" fall back to the caller's default instead of being read as
 // 64, 2, 2^64-1 or 0. Range checks stay with the callers.
 #pragma once

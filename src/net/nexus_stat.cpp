@@ -176,26 +176,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.leases_broken),
               static_cast<unsigned long long>(s.invalidations_sent),
               static_cast<unsigned long long>(s.lease_break_timeouts));
-  // Object-cache effectiveness (non-zero when the daemon runs --cache-*).
-  const unsigned long long mem_hits = s.cache_mem_hits;
-  const unsigned long long disk_hits = s.cache_disk_hits;
-  const unsigned long long misses = s.cache_misses;
-  const unsigned long long lookups = mem_hits + disk_hits + misses;
-  if (lookups > 0) {
-    std::printf("  cache         %-10s %12s %8s\n", "tier", "hits", "rate");
-    std::printf("  cache         %-10s %12llu %7.1f%%\n", "mem", mem_hits,
-                100.0 * static_cast<double>(mem_hits) /
-                    static_cast<double>(lookups));
-    std::printf("  cache         %-10s %12llu %7.1f%%\n", "disk", disk_hits,
-                100.0 * static_cast<double>(disk_hits) /
-                    static_cast<double>(lookups));
-    std::printf("  cache         %-10s %12llu %7.1f%%\n", "miss", misses,
-                100.0 * static_cast<double>(misses) /
-                    static_cast<double>(lookups));
-    std::printf("  cache         %llu evictions, %llu invalidations\n",
-                static_cast<unsigned long long>(s.cache_evictions),
-                static_cast<unsigned long long>(s.cache_invalidations));
-  }
   // Event-loop health.
   if (s.epoll_wakeups > 0 || s.arena_slabs_high_water > 0) {
     // Wakeups per served RPC: about 1 when every request frame arrives

@@ -6,7 +6,6 @@
 // authentication and no SGX — all security machinery lives in the clients.
 //
 //   nexusd [--mem | --root DIR] [--bind ADDR] [--port N] [--rpc-workers N]
-//          [--cache-mem BYTES] [--cache-disk BYTES] [--cache-dir DIR]
 //
 // Connections are served by one epoll loop, lease channels included:
 // thousands of idle connections and subscribers cost no threads. --mem
@@ -14,12 +13,7 @@
 // holds a lease channel (their lease breaks may wait). --rpc-workers
 // (at least 1) sizes the shared pool for handlers that may wait: every
 // --root handler and those --mem mutations. A malformed number (--port,
-// --rpc-workers, --cache-mem, --cache-disk) prints the usage and exits 2.
-//
-// The --cache-* flags front the backend with cache::CachedBackend — useful
-// when --root points at slow storage (NFS, a FUSE mount): the daemon then
-// serves repeat reads from local memory/disk. The cache holds the same
-// opaque ciphertext as the backend, so the security posture is unchanged.
+// --rpc-workers) or an unknown flag prints the usage and exits 2.
 //
 // Prints "nexusd listening on ADDR:PORT" once serving (port 0 picks an
 // ephemeral port; scripts parse this line), then runs until SIGINT or
@@ -34,7 +28,6 @@
 #include <optional>
 #include <string>
 
-#include "cache/cached_backend.hpp"
 #include "common/env.hpp"
 #include "net/server.hpp"
 #include "storage/backend.hpp"
@@ -44,8 +37,7 @@ namespace {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--mem | --root DIR] [--bind ADDR] [--port N] "
-               "[--rpc-workers N] [--cache-mem BYTES] [--cache-disk BYTES] "
-               "[--cache-dir DIR]\n"
+               "[--rpc-workers N]\n"
                "  --port N         0..65535; 0 picks an ephemeral port "
                "(default 0)\n"
                "  --rpc-workers N  1..1024 pool threads for handlers that "
@@ -64,8 +56,6 @@ int main(int argc, char** argv) {
   NexusdOptions options;
   bool use_mem = true;
   std::string root;
-  bool use_cache = false;
-  nexus::cache::CacheOptions cache_options;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -96,17 +86,6 @@ int main(int argc, char** argv) {
       options.port = static_cast<std::uint16_t>(next_bounded(0, 65535));
     } else if (arg == "--rpc-workers") {
       options.rpc_workers = static_cast<std::size_t>(next_bounded(1, 1024));
-    } else if (arg == "--cache-mem") {
-      use_cache = true;
-      cache_options.mem_budget_bytes =
-          static_cast<std::size_t>(next_bounded(0, SIZE_MAX));
-    } else if (arg == "--cache-disk") {
-      use_cache = true;
-      cache_options.disk_budget_bytes =
-          static_cast<std::size_t>(next_bounded(0, SIZE_MAX));
-    } else if (arg == "--cache-dir") {
-      use_cache = true;
-      cache_options.disk_dir = next();
     } else {
       Usage(argv[0]);
       return 2;
@@ -125,10 +104,6 @@ int main(int argc, char** argv) {
     }
     backend = std::make_unique<nexus::storage::DiskBackend>(
         std::move(disk).value());
-  }
-  if (use_cache) {
-    backend = std::make_unique<nexus::cache::CachedBackend>(std::move(backend),
-                                                            cache_options);
   }
 
   // Block the shutdown signals in every thread (workers inherit the mask),

@@ -14,7 +14,6 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
-#include "cache/cached_backend.hpp"
 #include "common/clock.hpp"
 #include "net/reactor.hpp"
 #include "net/wire.hpp"
@@ -315,17 +314,6 @@ ServerStats NexusdServer::WireStats() const {
   out.arena_oversize_frames = as.oversize_frames;
   out.loop_dispatch_p50_ms = reactor_->dispatch_latency().PercentileMs(0.50);
   out.loop_dispatch_p99_ms = reactor_->dispatch_latency().PercentileMs(0.99);
-  // The cache rows: this daemon fronts its store with a CachedBackend
-  // under nexusd --cache-mem, and they stay zero otherwise.
-  if (const auto* cached =
-          dynamic_cast<const cache::CachedBackend*>(&backend_)) {
-    const cache::CacheCounters cc = cached->counters();
-    out.cache_mem_hits = cc.mem_hits;
-    out.cache_disk_hits = cc.disk_hits;
-    out.cache_misses = cc.misses;
-    out.cache_evictions = cc.evictions_mem + cc.evictions_disk;
-    out.cache_invalidations = cc.invalidations_received;
-  }
   // Histograms are internally synchronized; read them outside mu_.
   for (RpcOpStats& row : out.per_op) {
     const trace::Histogram& h = op_latency_ns_[row.rpc];

@@ -132,8 +132,7 @@ class NexusdServer {
 
   /// Snapshot served over Rpc::kStats: stats() plus one row per RPC id
   /// actually served, with p50/p99 service latency from the per-op
-  /// histograms, plus the object-cache counters of the served backend
-  /// when it is a cache::CachedBackend (nexusd --cache-mem).
+  /// histograms.
   [[nodiscard]] ServerStats WireStats() const;
 
  private:

@@ -139,11 +139,6 @@ void EncodeServerStats(Writer& writer, const ServerStats& stats) {
   writer.U64(stats.leases_broken);
   writer.U64(stats.invalidations_sent);
   writer.U64(stats.lease_break_timeouts);
-  writer.U64(stats.cache_mem_hits);
-  writer.U64(stats.cache_disk_hits);
-  writer.U64(stats.cache_misses);
-  writer.U64(stats.cache_evictions);
-  writer.U64(stats.cache_invalidations);
   writer.U64(stats.epoll_wakeups);
   writer.U64(stats.arena_slabs_in_use);
   writer.U64(stats.arena_slabs_high_water);
@@ -177,11 +172,6 @@ Result<ServerStats> DecodeServerStats(Reader& reader) {
   NEXUS_ASSIGN_OR_RETURN(stats.leases_broken, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.invalidations_sent, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.lease_break_timeouts, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.cache_mem_hits, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.cache_disk_hits, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.cache_misses, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.cache_evictions, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.cache_invalidations, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.epoll_wakeups, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.arena_slabs_in_use, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.arena_slabs_high_water, reader.U64());

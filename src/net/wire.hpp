@@ -63,7 +63,7 @@
 namespace nexus::net {
 
 /// The one wire version; heads carrying any other byte are rejected.
-inline constexpr std::uint8_t kProtocolVersion = 8;
+inline constexpr std::uint8_t kProtocolVersion = 9;
 
 /// Largest object the protocol moves (bulk data chunks are ≤1 MiB today;
 /// journal anchors and streamed segments stay far below this).
@@ -203,13 +203,6 @@ struct ServerStats {
   std::uint64_t leases_broken = 0;
   std::uint64_t invalidations_sent = 0;
   std::uint64_t lease_break_timeouts = 0;
-  // Counters of the cache::CachedBackend a cache-enabled nexusd serves
-  // (zero when the daemon runs without --cache-mem).
-  std::uint64_t cache_mem_hits = 0;
-  std::uint64_t cache_disk_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_invalidations = 0;
   // Event-loop / buffer-arena health.
   std::uint64_t epoll_wakeups = 0;
   std::uint64_t arena_slabs_in_use = 0;    // gauge

@@ -406,9 +406,9 @@ bool DiskBackend::Exists(const std::string& name) {
 
 std::vector<std::string> DiskBackend::List(const std::string& prefix) {
   // The store directory is not exclusively ours: crashed Puts leave
-  // ".%tmp-" files, the client cache's disk tier keeps dot-prefixed
-  // metadata beside a DiskBackend-backed store, and operators drop stray
-  // files and directories in by hand. Anything that is not a regular file
+  // ".%tmp-" files, other tools keep dot-prefixed metadata beside a
+  // DiskBackend-backed store, and operators drop stray files and
+  // directories in by hand. Anything that is not a regular file
   // holding a canonically escaped object name is skipped, never an error.
   std::vector<std::string> out;
   std::error_code ec;

@@ -167,10 +167,9 @@ class StorageBackend {
     return Put(name, data);
   }
 
-  /// Persists local state a backend keeps beside the store's objects.
-  /// Every Put has reached the store when it returns, so this is no
-  /// write barrier: the default is a no-op, and the client cache
-  /// overrides it only to persist its disk-tier index.
+  /// Inert: every Put has reached the store when it returns, and no
+  /// backend keeps local state to persist. Kept only because
+  /// nexus_bench's probe overrides it (ROADMAP item 2).
   virtual Status Flush() { return Status::Ok(); }
 
   /// Multi-client coherence hooks. `on_invalidate` is called (from a

@@ -39,6 +39,14 @@ Bytes Blob(char fill, std::size_t n) {
   return Bytes(n, static_cast<std::uint8_t>(fill));
 }
 
+// Huge TTL: any freshness the tests observe is attributable to leases
+// and invalidations, never to TTL expiry.
+CacheOptions LongTtl() {
+  CacheOptions options;
+  options.ttl_ms = 600000;
+  return options;
+}
+
 // A cached client over a RemoteBackend, keeping a raw handle to the
 // backend for lease-session introspection.
 struct Client {
@@ -46,15 +54,12 @@ struct Client {
   std::unique_ptr<CachedBackend> cache;
 };
 
-Client MakeClient(std::uint16_t port, CacheOptions cache_options = {},
+Client MakeClient(std::uint16_t port, CacheOptions cache_options = LongTtl(),
                   RemoteBackendOptions options = {}) {
   auto remote = RemoteBackend::Connect("127.0.0.1", port, options);
   EXPECT_TRUE(remote.ok()) << remote.status().ToString();
   Client c;
   c.remote = remote.value().get();
-  // Huge TTL by default: any freshness the tests observe is attributable
-  // to leases and invalidations, never to TTL expiry.
-  if (cache_options.ttl_ms == 0) cache_options.ttl_ms = 600000;
   c.cache = std::make_unique<CachedBackend>(std::move(remote).value(),
                                             cache_options);
   return c;
@@ -281,7 +286,7 @@ TEST(CacheCoherence, LeaseBreakWaitStaysOffTheServeLoop) {
     return std::unique_ptr<net::Transport>(
         new BlackholeTransport(std::move(dialed).value()));
   };
-  Client reader = MakeClient(port, {}, reader_options);
+  Client reader = MakeClient(port, LongTtl(), reader_options);
   Client writer = MakeClient(port);
   ASSERT_TRUE(reader.cache->lease_mode());
   ASSERT_TRUE(writer.cache->Put("obj", Blob('1', 64)).ok());
@@ -370,15 +375,14 @@ TEST(CacheCoherence, TwoClientOpenToCloseSoak) {
     port = server->port();
   }
 
-  auto connect = [&](CacheOptions cache_options) {
+  auto connect = [&] {
     auto remote = RemoteBackend::Connect(host, port);
     EXPECT_TRUE(remote.ok()) << remote.status().ToString();
-    if (cache_options.ttl_ms == 0) cache_options.ttl_ms = 600000;
     return std::make_unique<CachedBackend>(std::move(remote).value(),
-                                           cache_options);
+                                           LongTtl());
   };
-  auto a = connect({});
-  auto b = connect({});
+  auto a = connect();
+  auto b = connect();
   ASSERT_TRUE(a->lease_mode());
   ASSERT_TRUE(b->lease_mode());
 
@@ -537,30 +541,6 @@ TEST(CacheCoherence, WarmReReadCostsFiveTimesFewerRpcs) {
   EXPECT_GE(cold, 5 * std::max<std::uint64_t>(1, warm));
   EXPECT_EQ(client.cache->counters().mem_hits, kObjects);
   client.cache.reset();
-  server->Stop();
-}
-
-// nexusd --cache-mem serves a CachedBackend: the Stats RPC reports that
-// cache's own hits and misses, not those of other caches in the process.
-TEST(CacheCoherence, NexusdStatsReportTheServedCache) {
-  auto inner = std::make_unique<storage::MemBackend>();
-  ASSERT_TRUE(inner->Put("a", Blob('a', 64)).ok());
-  CacheOptions options;
-  options.mem_budget_bytes = 1u << 20;
-  CachedBackend served(std::move(inner), options);
-  auto server = NexusdServer::Start(served).value();
-  CachedBackend bystander(std::make_unique<storage::MemBackend>(), options);
-  EXPECT_FALSE(bystander.Get("missing").ok());
-
-  auto remote = RemoteBackend::Connect("127.0.0.1", server->port());
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  EXPECT_EQ(remote.value()->Get("a").value(), Blob('a', 64)); // miss + fill
-  EXPECT_EQ(remote.value()->Get("a").value(), Blob('a', 64)); // memory hit
-  const net::ServerStats stats = remote.value()->Stats().value();
-  EXPECT_EQ(stats.cache_misses, 1u);
-  EXPECT_EQ(stats.cache_mem_hits, 1u);
-  EXPECT_EQ(stats.cache_disk_hits, 0u);
-  remote.value().reset();
   server->Stop();
 }
 

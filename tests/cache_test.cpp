@@ -1,8 +1,7 @@
 // CachedBackend unit tests against a local counting inner store: hit
 // serving without inner contact, TTL expiry, write-through order ahead of
-// the journal anchor, disk-tier persistence across restart (including
-// crash recovery and MAC tampering), and budget-driven eviction, and
-// shared payloads (GetShared buffers outlive every mutation
+// the journal anchor, budget-driven eviction, bounded per-name coherence
+// state, and shared payloads (GetShared buffers outlive every mutation
 // of their name, and the AFS layer hands up the cache's own buffer).
 // Lease-path behavior against a real nexusd lives in
 // cache_coherence_test.cpp.
@@ -10,8 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -109,13 +107,6 @@ struct Harness {
     return std::make_unique<CachedBackend>(std::move(counting), options);
   }
 };
-
-std::filesystem::path FreshDir(const std::string& tag) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("nexus-cache-" + tag + "-" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 // ---- read path --------------------------------------------------------------
 
@@ -217,220 +208,27 @@ TEST(CacheTest, EvictionKeepsMemoryUnderBudget) {
   EXPECT_GE(cache->counters().evictions_mem, 12u);
 }
 
-// ---- disk tier --------------------------------------------------------------
+// ---- coherence state ----------------------------------------------------------
 
-TEST(CacheTest, DiskTierSurvivesRestartAndServesHitsWithoutInner) {
+// A name holds an invalidation sequence only while a fetch or a
+// lease-mode Put of it is in flight, so a long-running client does not
+// keep a node for every name it ever missed or wrote.
+TEST(CacheTest, CoherenceStateTracksOnlyNamesInFlight) {
   Harness h;
-  const auto dir = FreshDir("restart");
-  CacheOptions options;
-  options.mem_budget_bytes = 2048; // force demotion of clean entries
-  options.disk_dir = dir.string();
+  h.grant_leases = true; // every Put and Get below reaches the inner store
+  auto cache = h.MakeCache();
+  ASSERT_TRUE(cache->lease_mode());
 
-  {
-    auto cache = h.MakeCache(options);
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(cache->Put("r" + std::to_string(i), Blob('r', 1024)).ok());
-    }
-    // The destructor persists the MAC'd index.
+  for (int i = 0; i < 10000; ++i) {
+    const std::string name = "n" + std::to_string(i);
+    ASSERT_TRUE(cache->Put(name, Blob('n', 16)).ok());
+    ASSERT_TRUE(cache->Get(name).ok());
   }
-
-  auto cache = h.MakeCache(options);
-  int disk_served = 0;
-  for (int i = 0; i < 8; ++i) {
-    const std::string name = "r" + std::to_string(i);
-    const int gets_before = h.inner->gets_.load();
-    auto got = cache->Get(name);
-    ASSERT_TRUE(got.ok()) << name;
-    EXPECT_EQ(got.value(), Blob('r', 1024));
-    if (h.inner->gets_.load() == gets_before) ++disk_served;
-  }
-  EXPECT_GT(disk_served, 0); // restart-surviving hits, no inner contact
-  EXPECT_GT(cache->counters().disk_hits, 0u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CacheTest, CrashOrphanedDataFilesAreDiscardedOnLoad) {
-  Harness h;
-  const auto dir = FreshDir("orphan");
-  CacheOptions options;
-  options.mem_budget_bytes = 1024;
-  options.disk_dir = dir.string();
-
-  {
-    auto cache = h.MakeCache(options);
-    ASSERT_TRUE(cache->Put("kept", Blob('k', 900)).ok());
-    ASSERT_TRUE(cache->Put("evictor", Blob('e', 900)).ok()); // demotes "kept"
-  }
-  // Simulate a crash between a data-file write and the index update: a
-  // file the (MAC-verified) index cannot account for appears in the dir.
-  const auto orphan = dir / storage::EscapeName("orphan-object");
-  std::ofstream(orphan, std::ios::binary) << "stale bytes from a dead write";
-  ASSERT_TRUE(std::filesystem::exists(orphan));
-
-  auto cache = h.MakeCache(options);
-  EXPECT_FALSE(std::filesystem::exists(orphan)); // recovery deleted it
-  // The inner store stays the source of truth for the orphan's name.
-  EXPECT_EQ(cache->Get("orphan-object").status().code(), ErrorCode::kNotFound);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CacheTest, TamperedIndexDiscardsDiskTier) {
-  Harness h;
-  const auto dir = FreshDir("tamper");
-  CacheOptions options;
-  options.mem_budget_bytes = 1024;
-  options.disk_dir = dir.string();
-
-  {
-    auto cache = h.MakeCache(options);
-    ASSERT_TRUE(cache->Put("a", Blob('a', 900)).ok());
-    ASSERT_TRUE(cache->Put("b", Blob('b', 900)).ok());
-  }
-  // Flip one payload byte; the MAC check must reject the whole index.
-  const auto index_path = dir / ".cache-index";
-  ASSERT_TRUE(std::filesystem::exists(index_path));
-  {
-    std::fstream f(index_path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(40); // inside the payload, past the 32-byte MAC
-    f.put('\x7f');
-  }
-
-  auto cache = h.MakeCache(options);
-  EXPECT_EQ(cache->counters().disk_hits, 0u);
-  // Reads still succeed — straight from the inner store.
-  const int gets_before = h.inner->gets_.load();
-  EXPECT_EQ(cache->Get("a").value(), Blob('a', 900));
-  EXPECT_EQ(h.inner->gets_.load(), gets_before + 1);
-  std::filesystem::remove_all(dir);
-}
-
-std::string FileBytes(const std::filesystem::path& path) {
-  std::ifstream f(path, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(f),
-                     std::istreambuf_iterator<char>());
-}
-
-// Mutations between compactions land in the ".cache-log" append-log; the
-// base ".cache-index" is NOT rewritten per mutation. A clean shutdown
-// compacts: base absorbs the log and the log is truncated to empty.
-TEST(CacheTest, AppendLogAbsorbsMutationsWithoutBaseRewrite) {
-  Harness h;
-  const auto dir = FreshDir("append-log");
-  CacheOptions options;
-  options.mem_budget_bytes = 1024; // every Put demotes its predecessor
-  options.disk_dir = dir.string();
-
-  {
-    auto cache = h.MakeCache(options);
-    ASSERT_TRUE(cache->Put("a", Blob('a', 900)).ok());
-    ASSERT_TRUE(cache->Put("b", Blob('b', 900)).ok()); // demotes "a"
-  }
-  const auto index_path = dir / ".cache-index";
-  const auto log_path = dir / ".cache-log";
-  ASSERT_TRUE(std::filesystem::exists(index_path));
-  // Clean shutdown compacted: the log holds nothing the base doesn't.
-  EXPECT_EQ(std::filesystem::file_size(log_path), 0u);
-
-  {
-    auto cache = h.MakeCache(options);
-    const std::string base_before = FileBytes(index_path);
-    for (int i = 0; i < 40; ++i) {
-      ASSERT_TRUE(cache->Put("m" + std::to_string(i), Blob('m', 900)).ok());
-    }
-    // 40 demotions appended records; the base image was left alone.
-    EXPECT_EQ(FileBytes(index_path), base_before);
-    EXPECT_GT(std::filesystem::file_size(log_path), 0u);
-  }
-  // Destructor flush = compaction: base rewritten, log reset.
-  EXPECT_EQ(std::filesystem::file_size(log_path), 0u);
-  std::filesystem::remove_all(dir);
-}
-
-// A crash before compaction loses nothing: load-time replay folds the
-// append-log's insert/remove records onto the base image, so entries
-// only the log knows about are still served from disk.
-TEST(CacheTest, CrashBeforeCompactionReplaysAppendLog) {
-  Harness h;
-  const auto dir = FreshDir("log-replay");
-  const auto crash_dir = FreshDir("log-replay-crash");
-  CacheOptions options;
-  options.mem_budget_bytes = 1024;
-  options.disk_dir = dir.string();
-
-  {
-    auto cache = h.MakeCache(options);
-    ASSERT_TRUE(cache->Put("a", Blob('a', 900)).ok());
-    ASSERT_TRUE(cache->Put("b", Blob('b', 900)).ok()); // base gets "a"
-  }
-  {
-    auto cache = h.MakeCache(options);
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(cache->Put("m" + std::to_string(i), Blob('m', 900)).ok());
-    }
-    // Snapshot the dir BEFORE the destructor compacts — this is the
-    // exact on-disk state a crash would leave: stale base + live log.
-    std::filesystem::copy(dir, crash_dir,
-                          std::filesystem::copy_options::recursive);
-  }
-
-  Harness fresh; // empty inner store: any successful read proves a disk hit
-  CacheOptions crash_options = options;
-  crash_options.disk_dir = crash_dir.string();
-  auto cache = fresh.MakeCache(crash_options);
-  EXPECT_EQ(cache->Get("a").value(), Blob('a', 900));    // from the base
-  EXPECT_EQ(cache->Get("m10").value(), Blob('m', 900));  // from the log
-  EXPECT_EQ(fresh.inner->gets_.load(), 0);
-  EXPECT_GE(cache->counters().disk_hits, 2u);
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(crash_dir);
-}
-
-// A corrupt log record ends the replay at that record: everything the
-// base image holds stands, log-only entries after the tear are dropped
-// and their data files swept as orphans — reads fall back to the inner
-// store instead of serving unverified bytes.
-TEST(CacheTest, CorruptLogRecordEndsReplayAtBase) {
-  Harness h;
-  const auto dir = FreshDir("log-tamper");
-  const auto crash_dir = FreshDir("log-tamper-crash");
-  CacheOptions options;
-  options.mem_budget_bytes = 1024;
-  options.disk_dir = dir.string();
-
-  {
-    auto cache = h.MakeCache(options);
-    ASSERT_TRUE(cache->Put("a", Blob('a', 900)).ok());
-    ASSERT_TRUE(cache->Put("b", Blob('b', 900)).ok());
-  }
-  {
-    auto cache = h.MakeCache(options);
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(cache->Put("t" + std::to_string(i), Blob('t', 900)).ok());
-    }
-    std::filesystem::copy(dir, crash_dir,
-                          std::filesystem::copy_options::recursive);
-  }
-  // Flip a byte inside the FIRST record's body: its per-record MAC fails,
-  // so the replay trusts nothing in the log.
-  {
-    std::fstream f(crash_dir / ".cache-log",
-                   std::ios::binary | std::ios::in | std::ios::out);
-    f.seekp(5); // past the u32 length prefix, inside the body
-    f.put('\x7f');
-  }
-
-  Harness fresh;
-  CacheOptions crash_options = options;
-  crash_options.disk_dir = crash_dir.string();
-  auto cache = fresh.MakeCache(crash_options);
-  EXPECT_EQ(cache->Get("a").value(), Blob('a', 900)); // base entry stands
-  EXPECT_EQ(fresh.inner->gets_.load(), 0);
-  // Log-only entries are gone — and so are their (orphaned) data files.
-  EXPECT_EQ(cache->Get("t5").status().code(), ErrorCode::kNotFound);
-  EXPECT_FALSE(
-      std::filesystem::exists(crash_dir / storage::EscapeName("t5")));
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(crash_dir);
+  EXPECT_EQ(h.inner->puts_.load(), 10000);
+  EXPECT_EQ(h.inner->gets_.load(), 10000);
+  EXPECT_FALSE(cache->Get("missing").ok());
+  ASSERT_TRUE(cache->Delete("n0").ok());
+  EXPECT_EQ(cache->inflight_names(), 0u);
 }
 
 TEST(CacheTest, DropCleanEntriesKeepsDirtyData) {
@@ -457,7 +255,9 @@ class PushingBackend final : public storage::StorageBackend {
   }
   Result<Bytes> GetLeased(const std::string& name, bool* granted) override {
     if (granted != nullptr) *granted = true;
-    return store_.Get(name);
+    Result<Bytes> got = store_.Get(name);
+    if (after_read) after_read();
+    return got;
   }
   Status Put(const std::string& name, ByteSpan data) override {
     return store_.Put(name, data);
@@ -482,6 +282,9 @@ class PushingBackend final : public storage::StorageBackend {
     ASSERT_TRUE(store_.Put(name, data).ok());
     listener_({name});
   }
+
+  /// Runs inside every leased read, after the store was read.
+  std::function<void()> after_read;
 
  private:
   storage::MemBackend store_;
@@ -590,6 +393,27 @@ TEST(CacheTest, SharedPayloadsStayIntactUnderConcurrentMutation) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(torn.load(), 0);
   EXPECT_GT(cache.counters().evictions_mem, 0u);
+}
+
+// A fetch that an invalidation of its name overtakes returns what it read
+// but installs nothing, so the next read goes back to the store.
+TEST(CacheTest, FetchOvertakenByAnInvalidationInstallsNothing) {
+  auto pushing = std::make_unique<PushingBackend>();
+  PushingBackend* inner = pushing.get();
+  CachedBackend cache(std::move(pushing));
+  inner->RemoteWrite("x", Blob('o', 64));
+  bool fired = false;
+  inner->after_read = [&] {
+    if (fired) return;
+    fired = true;
+    inner->RemoteWrite("x", Blob('n', 64));
+  };
+
+  EXPECT_EQ(cache.Get("x").value(), Blob('o', 64)); // what the fetch read
+  EXPECT_EQ(cache.Get("x").value(), Blob('n', 64)); // not the stale bytes
+  EXPECT_EQ(cache.Get("x").value(), Blob('n', 64)); // now a leased hit
+  EXPECT_EQ(cache.counters().misses, 2u);
+  EXPECT_EQ(cache.inflight_names(), 0u);
 }
 
 // Over AFS, a callback-fresh fetch hands up the cache's own buffer: two

@@ -328,8 +328,8 @@ TEST(DiskNameEscaping, ListPrefixMatchesLogicalNamesAcrossEscapedBoundaries) {
 
 TEST(DiskNameEscaping, ListSkipsForeignAndTemporaryFiles) {
   // The store directory is shared territory: crashed Puts leave temp
-  // files, the cache's disk tier keeps dot-prefixed metadata beside a
-  // disk-backed store, and operators drop stray files in by hand. List
+  // files, other tools keep dot-prefixed metadata beside a disk-backed
+  // store, and operators drop stray files in by hand. List
   // must report exactly the canonical objects and nothing else.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() /
@@ -345,7 +345,7 @@ TEST(DiskNameEscaping, ListSkipsForeignAndTemporaryFiles) {
     // characters a writer would have escaped (non-canonical spelling).
     std::filesystem::create_directory(dir / "subdir");
     for (const std::string foreign :
-         {".cache-index", ".%tmp-123", "bad%zq", "not%2Gescaped"}) {
+         {".hidden-index", ".%tmp-123", "bad%zq", "not%2Gescaped"}) {
       std::ofstream(dir / foreign) << "junk";
     }
     std::ofstream(dir / "subdir" / "nested") << "junk";
