@@ -80,6 +80,12 @@ Status NexusClient::Touch(const std::string& path) {
   });
 }
 
+Status NexusClient::CreateFile(const std::string& path, ByteSpan content) {
+  return TimedEcall("ecall:create_file", [&] {
+    return enclave_->EcallCreateFile(path, content);
+  });
+}
+
 Status NexusClient::Mkdir(const std::string& path) {
   return TimedEcall("ecall:mkdir", [&] {
     return enclave_->EcallTouch(path, enclave::EntryType::kDirectory);
@@ -121,8 +127,9 @@ Status NexusClient::WriteFile(const std::string& path, ByteSpan content) {
   auto attrs = TimedEcall("ecall:lookup", [&] { return enclave_->EcallLookup(path); });
   if (!attrs.ok()) {
     if (attrs.status().code() != ErrorCode::kNotFound) return attrs.status();
-    NEXUS_RETURN_IF_ERROR(Touch(path));
-  } else if (attrs->type != enclave::EntryType::kFile) {
+    return CreateFile(path, content);
+  }
+  if (attrs->type != enclave::EntryType::kFile) {
     return Error(ErrorCode::kInvalidArgument, "not a file: " + path);
   }
   return TimedEcall("ecall:encrypt", [&] { return enclave_->EcallEncrypt(path, content); });

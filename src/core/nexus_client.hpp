@@ -50,6 +50,10 @@ class NexusClient {
   // ---- filesystem operations (Table I) --------------------------------------
 
   Status Touch(const std::string& path);
+  /// Creates `path` with `content` as its first content: one transaction
+  /// that publishes the name and the content together. Fails
+  /// kAlreadyExists when the name exists.
+  Status CreateFile(const std::string& path, ByteSpan content);
   Status Mkdir(const std::string& path);
   Status Remove(const std::string& path);
   Result<enclave::Attributes> Lookup(const std::string& path);
@@ -59,7 +63,8 @@ class NexusClient {
   Result<std::string> Readlink(const std::string& path);
   Status Rename(const std::string& from, const std::string& to);
 
-  /// Whole-file write; creates the file if needed.
+  /// Whole-file write; a missing file is created with this content in
+  /// one transaction (CreateFile).
   Status WriteFile(const std::string& path, ByteSpan content);
   /// Write where only [dirty_offset, dirty_offset+dirty_len) changed:
   /// the enclave re-encrypts and ships only the affected chunks.

@@ -878,7 +878,8 @@ Result<NexusEnclave::CreateVolumeResult> NexusEnclave::EcallCreateVolume(
 // ---- Table I operations ----------------------------------------------------------
 
 Status NexusEnclave::CreateEntry(const std::string& path, EntryType type,
-                                 const std::string& symlink_target) {
+                                 const std::string& symlink_target,
+                                 ByteSpan content) {
   NEXUS_RETURN_IF_ERROR(RequireMounted());
   NEXUS_ASSIGN_OR_RETURN(std::vector<std::string> parts, SplitPath(path));
   if (parts.empty()) {
@@ -906,12 +907,26 @@ Status NexusEnclave::CreateEntry(const std::string& path, EntryType type,
     entry.symlink_target = symlink_target;
 
     if (type == EntryType::kFile) {
+      // The name, the filenode and the first content commit together:
+      // the data object goes first under its fresh UUID (a crash before
+      // the anchor leaves it an orphan, never a dangling reference), then
+      // the filenode and the dirnode ride the one journal commit.
       entry.uuid = runtime_.rng().NewUuid();
       Filenode node;
       node.uuid = entry.uuid;
       node.parent = dir_uuid;
       node.data_uuid = runtime_.rng().NewUuid();
       node.chunk_size = session_->supernode.config.chunk_size;
+      node.size = content.size();
+      if (!content.empty()) {
+        std::uint64_t changed_bytes = 0;
+        NEXUS_ASSIGN_OR_RETURN(
+            Bytes ciphertext,
+            SealChunks(node, content, [](std::size_t) { return true; },
+                       nullptr, changed_bytes));
+        NEXUS_RETURN_IF_ERROR(
+            StoreDataO(node.data_uuid, ciphertext, changed_bytes));
+      }
       NEXUS_ASSIGN_OR_RETURN(
           Bytes blob, EncodeAndStoreMeta(MetaType::kFilenode, node.uuid,
                                          /*version=*/1, node.Serialize(), nullptr));
@@ -950,13 +965,19 @@ Status NexusEnclave::EcallTouch(const std::string& path, EntryType type) {
   if (type == EntryType::kSymlink) {
     return Error(ErrorCode::kInvalidArgument, "use EcallSymlink for symlinks");
   }
-  return CreateEntry(path, type, "");
+  return CreateEntry(path, type, "", {});
+}
+
+Status NexusEnclave::EcallCreateFile(const std::string& path,
+                                     ByteSpan plaintext) {
+  sgx::EnclaveRuntime::EcallScope scope(runtime_);
+  return CreateEntry(path, EntryType::kFile, "", plaintext);
 }
 
 Status NexusEnclave::EcallSymlink(const std::string& target,
                                   const std::string& linkpath) {
   sgx::EnclaveRuntime::EcallScope scope(runtime_);
-  return CreateEntry(linkpath, EntryType::kSymlink, target);
+  return CreateEntry(linkpath, EntryType::kSymlink, target, {});
 }
 
 Status NexusEnclave::CheckRemovable(const DirEntry& entry,
@@ -1326,6 +1347,91 @@ Status NexusEnclave::EcallRename(const std::string& from, const std::string& to)
 
 // ---- file content (encrypt/decrypt) -----------------------------------------------
 
+Result<Bytes> NexusEnclave::SealChunks(
+    Filenode& node, ByteSpan plaintext,
+    const std::function<bool(std::size_t)>& reseal, const Bytes* old_ciphertext,
+    std::uint64_t& changed_bytes) {
+  const std::size_t cs = node.chunk_size;
+  const std::size_t chunk_count = node.ChunkCount();
+  node.chunks.resize(chunk_count);
+
+  // Ciphertext layout: chunk i at offset i*(cs+tag), so slices are
+  // disjoint and chunk tasks can write them concurrently.
+  const std::size_t ct_stride = cs + crypto::kGcmTagSize;
+  Bytes ciphertext(plaintext.size() + chunk_count * crypto::kGcmTagSize);
+
+  // Draw fresh key material serially, in ascending chunk order. RNG draw
+  // order is part of the deterministic contract: parallel and serial
+  // schedules must produce byte-identical filenodes and ciphertext for a
+  // fixed seed, so nothing key-related may depend on task timing.
+  std::vector<std::size_t> rekey;
+  rekey.reserve(chunk_count);
+  for (std::size_t i = 0; i < chunk_count; ++i) {
+    const std::size_t pt_len =
+        std::min<std::size_t>(cs, plaintext.size() - i * cs);
+    const std::size_t ct_len = pt_len + crypto::kGcmTagSize;
+
+    if (!reseal(i)) {
+      // Untouched chunk: identical plaintext extent, identical layout
+      // offset (every preceding chunk is full-sized).
+      const std::size_t old_off = i * ct_stride;
+      if (old_ciphertext == nullptr ||
+          old_off + ct_len > old_ciphertext->size()) {
+        return Error(ErrorCode::kIntegrityViolation,
+                     "data object shorter than filenode describes");
+      }
+      std::copy_n(old_ciphertext->data() + old_off, ct_len,
+                  ciphertext.data() + i * ct_stride);
+      continue;
+    }
+
+    ChunkContext ctx;
+    ctx.key = runtime_.rng().Array<16>();
+    ctx.iv = runtime_.rng().Array<12>();
+    node.chunks[i] = ctx;
+    rekey.push_back(i);
+    changed_bytes += ct_len;
+  }
+
+  // Seal the re-keyed chunks: one task per chunk, each writing a
+  // disjoint ciphertext slice. Workers are pure compute — the caller's
+  // store stays on the ecall thread. A batch of one task has nothing to
+  // run in parallel, so it runs inline on this thread.
+  parallel::ThreadPool* pool = EnsurePool();
+  std::vector<Status> seal_status(rekey.size(), Status::Ok());
+  const std::uint64_t batch_t0 = MonotonicNanos();
+  {
+    parallel::TaskGroup group(rekey.size() > 1 ? pool : nullptr);
+    for (std::size_t r = 0; r < rekey.size(); ++r) {
+      const std::size_t i = rekey[r];
+      const std::size_t pt_len =
+          std::min<std::size_t>(cs, plaintext.size() - i * cs);
+      const ChunkContext ctx = node.chunks[i];
+      Bytes aad = ChunkAad(node.uuid, static_cast<std::uint32_t>(i));
+      const ByteSpan pt = plaintext.subspan(i * cs, pt_len);
+      const MutableByteSpan out(ciphertext.data() + i * ct_stride,
+                                pt_len + crypto::kGcmTagSize);
+      group.Submit([r, ctx, aad = std::move(aad), pt, out,
+                    &seal_status](parallel::WorkerContext&) {
+        auto aes = crypto::Aes::Create(ctx.key);
+        if (!aes.ok()) {
+          seal_status[r] = aes.status();
+          return;
+        }
+        seal_status[r] = crypto::GcmSealInto(*aes, ctx.iv, aad, pt, out);
+      });
+    }
+    group.WaitAll();
+    parallel_stats_.chunks_encrypted += rekey.size();
+    RecordParallelBatch(
+        group, static_cast<double>(MonotonicNanos() - batch_t0) * 1e-9);
+  }
+  for (const Status& s : seal_status) {
+    if (!s.ok()) return s;
+  }
+  return ciphertext;
+}
+
 Status NexusEnclave::EcallEncrypt(const std::string& path, ByteSpan plaintext) {
   return EcallEncryptRange(path, plaintext, 0, plaintext.size());
 }
@@ -1399,45 +1505,11 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
       old_ciphertext = std::move(blob.data);
     }
 
-    node.chunks.resize(chunk_count);
-
-    // Ciphertext layout: chunk i at offset i*(cs+tag), so slices are
-    // disjoint and chunk tasks can write them concurrently.
-    const std::size_t ct_stride = cs + crypto::kGcmTagSize;
-    Bytes ciphertext(plaintext.size() + chunk_count * crypto::kGcmTagSize);
-
-    // Draw fresh key material serially, in ascending chunk order. RNG draw
-    // order is part of the deterministic contract: parallel and serial
-    // schedules must produce byte-identical filenodes and ciphertext for a
-    // fixed seed, so nothing key-related may depend on task timing.
-    std::vector<std::size_t> rekey;
-    rekey.reserve(chunk_count);
     std::uint64_t changed_bytes = 0;
-    for (std::size_t i = 0; i < chunk_count; ++i) {
-      const std::size_t pt_len =
-          std::min<std::size_t>(cs, plaintext.size() - i * cs);
-      const std::size_t ct_len = pt_len + crypto::kGcmTagSize;
-
-      if (!needs_reencrypt(i) && old_ciphertext != nullptr) {
-        // Untouched chunk: identical plaintext extent, identical layout
-        // offset (every preceding chunk is full-sized).
-        const std::size_t old_off = i * ct_stride;
-        if (old_off + ct_len > old_ciphertext->size()) {
-          return Error(ErrorCode::kIntegrityViolation,
-                       "data object shorter than filenode describes");
-        }
-        std::copy_n(old_ciphertext->data() + old_off, ct_len,
-                    ciphertext.data() + i * ct_stride);
-        continue;
-      }
-
-      ChunkContext ctx;
-      ctx.key = runtime_.rng().Array<16>();
-      ctx.iv = runtime_.rng().Array<12>();
-      node.chunks[i] = ctx;
-      rekey.push_back(i);
-      changed_bytes += ct_len;
-    }
+    NEXUS_ASSIGN_OR_RETURN(
+        Bytes ciphertext,
+        SealChunks(node, plaintext, needs_reencrypt, old_ciphertext.get(),
+                   changed_bytes));
 
     // Full rewrites are copy-on-write: the new ciphertext goes to a fresh
     // UUID, the filenode flips to it atomically (journaled with everything
@@ -1452,49 +1524,12 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
       node.data_uuid = runtime_.rng().NewUuid();
     }
 
-    // Seal the re-keyed chunks: one task per chunk, each writing a
-    // disjoint ciphertext slice. Workers are pure compute — the store
-    // below stays on this thread. A batch of one task has nothing to run
-    // in parallel, so it runs inline on this thread.
-    parallel::ThreadPool* pool = EnsurePool();
-    std::vector<Status> seal_status(rekey.size(), Status::Ok());
-    const std::uint64_t batch_t0 = MonotonicNanos();
-    {
-      parallel::TaskGroup group(rekey.size() > 1 ? pool : nullptr);
-      for (std::size_t r = 0; r < rekey.size(); ++r) {
-        const std::size_t i = rekey[r];
-        const std::size_t pt_len =
-            std::min<std::size_t>(cs, plaintext.size() - i * cs);
-        const ChunkContext ctx = node.chunks[i];
-        Bytes aad = ChunkAad(node.uuid, static_cast<std::uint32_t>(i));
-        const ByteSpan pt = plaintext.subspan(i * cs, pt_len);
-        const MutableByteSpan out(ciphertext.data() + i * ct_stride,
-                                  pt_len + crypto::kGcmTagSize);
-        group.Submit([r, ctx, aad = std::move(aad), pt, out,
-                      &seal_status](parallel::WorkerContext&) {
-          auto aes = crypto::Aes::Create(ctx.key);
-          if (!aes.ok()) {
-            seal_status[r] = aes.status();
-            return;
-          }
-          seal_status[r] = crypto::GcmSealInto(*aes, ctx.iv, aad, pt, out);
-        });
-      }
-      group.WaitAll();
-      parallel_stats_.chunks_encrypted += rekey.size();
-      RecordParallelBatch(
-          group, static_cast<double>(MonotonicNanos() - batch_t0) * 1e-9);
-    }
-    for (const Status& s : seal_status) {
-      if (!s.ok()) return s;
-    }
-
     // One store per written file, full rewrite or partial update: the
     // transport makes it one StoreData RPC, atomic at the store.
     NEXUS_RETURN_IF_ERROR(StoreDataO(node.data_uuid, ciphertext, changed_bytes));
     file->node = std::move(node);
     NEXUS_RETURN_IF_ERROR(FlushFilenode(*file));
-    if (full_rewrite && (old_ciphertext != nullptr || old_size > 0)) {
+    if (full_rewrite && old_size > 0) {
       (void)RemoveDataO(old_data_uuid); // deferred until commit when journaled
     }
     return Status::Ok();

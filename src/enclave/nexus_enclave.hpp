@@ -10,6 +10,7 @@
 // Paths are '/'-separated and relative to the volume root ("docs/a.txt").
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,6 +76,11 @@ class NexusEnclave {
   // ---- Table I filesystem API ---------------------------------------------
 
   Status EcallTouch(const std::string& path, EntryType type);
+  /// Creates the file `path` with `plaintext` as its first content in one
+  /// transaction: one directory lock, one data store (none when empty) and
+  /// one journal commit that publishes the name, the filenode and the
+  /// content together. EcallTouch of a file is this with no content.
+  Status EcallCreateFile(const std::string& path, ByteSpan plaintext);
   Status EcallRemove(const std::string& path);
   Result<Attributes> EcallLookup(const std::string& path);
   Result<std::vector<DirEntry>> EcallFilldir(const std::string& path);
@@ -489,9 +495,21 @@ class NexusEnclave {
   static const DirEntry* FindEntry(const DirnodeState& dir, const std::string& name,
                                    EntryLocation* loc = nullptr);
 
-  /// Shared implementation of touch/symlink.
+  /// The one create path: files (with their first content), directories
+  /// and symlinks.
   Status CreateEntry(const std::string& path, EntryType type,
-                     const std::string& symlink_target);
+                     const std::string& symlink_target, ByteSpan content);
+
+  /// Lays `plaintext` out in `node`'s chunks (its size already set): a
+  /// chunk `reseal` selects gets fresh key material, drawn serially in
+  /// ascending chunk order, and is sealed on the crypto pool; any other
+  /// keeps its key, and its ciphertext is copied from `old_ciphertext`.
+  /// Returns the whole ciphertext; adds the sealed chunks' bytes to
+  /// `changed_bytes`.
+  Result<Bytes> SealChunks(Filenode& node, ByteSpan plaintext,
+                           const std::function<bool(std::size_t)>& reseal,
+                           const Bytes* old_ciphertext,
+                           std::uint64_t& changed_bytes);
   Status AuditDirectory(const Uuid& dir_uuid, const Uuid& parent, bool deep,
                         VolumeAudit& audit);
 

@@ -6,6 +6,7 @@
 // dangling references and MAC mismatches are not).
 #include <gtest/gtest.h>
 
+#include "core/fsck.hpp"
 #include "test_env.hpp"
 
 namespace nexus {
@@ -362,6 +363,59 @@ TEST_F(CrashConsistencyTest, DefaultCreateIsAllOrNothing) {
     ++run;
     RunWithCrash(k, create);
     EXPECT_EQ(applied(), k >= 1);
+    VerifyVolumeReadable(6);
+  }
+}
+
+// Every crash point of a new two-chunk file's one create transaction. Its
+// data object goes first, under a UUID nothing references yet, then the
+// anchor publishes the name, the filenode and the content together. A
+// remount therefore sees no entry before that anchor and the whole
+// content from it on, and the audit finds at most the unpublished data
+// object as an orphan. Distinct names per run keep every run a create.
+TEST_F(CrashConsistencyTest, CreateWithContentIsAllOrNothing) {
+  const Bytes content((1 << 20) + 4000, 0x5c); // two chunks
+  int run = 0;
+  const auto name = [&run] { return "work/full-" + std::to_string(run); };
+  const auto create = [&](enclave::NexusEnclave& e) {
+    (void)e.EcallCreateFile(name(), content);
+  };
+  const auto published = [&] {
+    machine_->afs->FlushCache();
+    core::NexusClient fresh(*machine_->runtime, *machine_->afs,
+                            world_.intel().root_public_key());
+    EXPECT_TRUE(
+        fresh.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
+            .ok());
+    const auto read = fresh.ReadFile(name());
+    if (read.ok()) {
+      EXPECT_EQ(read.value(), content) << "partial content: " << name();
+    } else {
+      EXPECT_EQ(read.status().code(), ErrorCode::kNotFound)
+          << read.status().ToString();
+    }
+    const auto report = core::RunFsck(fresh, /*deep=*/true);
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
+    if (report.ok()) {
+      EXPECT_LE(report->orphaned_objects.size(), 1u);
+      for (const std::string& orphan : report->orphaned_objects) {
+        EXPECT_TRUE(orphan.starts_with("nxd/")) << orphan;
+      }
+      EXPECT_TRUE(core::ReclaimOrphans(fresh, *report).ok());
+    }
+    EXPECT_TRUE(fresh.Unmount().ok());
+    return read.ok();
+  };
+
+  const int total = RunWithCrash(-1, create);
+  ASSERT_GT(total, 2);
+  EXPECT_TRUE(published());
+  for (int k = 0; k < total; ++k) {
+    SCOPED_TRACE("crash after mutation " + std::to_string(k));
+    ++run;
+    RunWithCrash(k, create);
+    // Mutation 1 is the data store, mutation 2 the anchor.
+    EXPECT_EQ(published(), k >= 2);
     VerifyVolumeReadable(6);
   }
 }

@@ -19,6 +19,7 @@
 #include "net/remote_backend.hpp"
 #include "net/server.hpp"
 #include "test_env.hpp"
+#include "vfs/nexus_fs.hpp"
 
 namespace nexus {
 namespace {
@@ -123,6 +124,28 @@ TEST_F(JournalRecoveryTest, PerOpRoundTripBudgets) {
   // A three-chunk first write is still one data store.
   ASSERT_TRUE(nexus.Touch("h").ok());
   EXPECT_EQ(rpcs([&] { return nexus.WriteFile("h", Bytes(3 << 20, 4)); }), 6u);
+
+  // A new file is created with its first content in one transaction:
+  // lock, revalidate, one data store, anchor, filenode, bucket, dirnode
+  // main, the superseded bucket's remove, unlock.
+  EXPECT_EQ(rpcs([&] { return nexus.WriteFile("n", Bytes(100, 5)); }), 9u);
+  // One less when it opens the directory's first bucket.
+  ASSERT_TRUE(nexus.Mkdir("e").ok());
+  EXPECT_EQ(rpcs([&] { return nexus.WriteFile("e/n", Bytes(100, 5)); }), 8u);
+  // Three chunks are still one data store.
+  const std::uint64_t stores = machine_->afs->stats().stores;
+  EXPECT_EQ(rpcs([&] { return nexus.WriteFile("n3", Bytes(3 << 20, 6)); }), 9u);
+  EXPECT_EQ(machine_->afs->stats().stores - stores, 5u); // data + 4 metadata
+  EXPECT_EQ(nexus.ReadFile("n3").value(), Bytes(3 << 20, 6));
+  // Through the VFS an empty open-then-close is the same one create, 8
+  // round trips where a create and a separate empty write took 14.
+  vfs::NexusFs fs(nexus);
+  EXPECT_EQ(rpcs([&] {
+              auto file = fs.Open("o", vfs::OpenMode::kWrite);
+              return file.ok() ? (*file)->Close() : file.status();
+            }),
+            8u);
+  EXPECT_EQ(nexus.ReadFile("o").value(), Bytes{});
 
   // No record object was ever written: only the anchor lives in nxj/.
   for (int i = 0; i < 6; ++i) {

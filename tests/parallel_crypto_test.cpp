@@ -157,9 +157,10 @@ TEST(ParallelCryptoTest, SerialAndParallelProduceIdenticalServerState) {
   EXPECT_GT(profile.parallel.parallel_batches, 0u);
 
   // Each file reached the store as one whole data object: its chunks'
-  // ciphertext, tag after tag.
+  // ciphertext, tag after tag. A file created empty stores none.
   std::multiset<std::size_t> want;
   for (std::size_t size : kSizes) {
+    if (size == 0) continue;
     want.insert(size + (size + kChunk - 1) / kChunk * crypto::kGcmTagSize);
   }
   std::multiset<std::size_t> stored;

@@ -3,6 +3,8 @@
 // the same workload streams in the evaluation).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "test_env.hpp"
 #include "vfs/afs_passthrough_fs.hpp"
 #include "vfs/buffered_file.hpp"
@@ -232,12 +234,17 @@ TEST_P(VfsConformanceTest, PartialSyncChargesLessThanFullStore) {
 }
 
 // NexusFs-specific: an open for read is one ecall, and it still reports
-// the errors the old Lookup-then-read pair did.
+// the errors the old Lookup-then-read pair did. A file opened for write
+// that does not exist is created by its first flush, so until then only
+// this mount sees it (the baseline stores nothing before that flush
+// either, but has no second view to compare).
 class NexusOpenTest : public ::testing::Test {
  protected:
   void SetUp() override {
     machine_ = &world_.AddMachine("user");
-    ASSERT_TRUE(machine_->nexus->CreateVolume(machine_->user).ok());
+    auto handle = machine_->nexus->CreateVolume(machine_->user);
+    ASSERT_TRUE(handle.ok());
+    handle_ = std::move(handle).value();
     fs_ = std::make_unique<NexusFs>(*machine_->nexus);
   }
 
@@ -248,6 +255,7 @@ class NexusOpenTest : public ::testing::Test {
 
   test::World world_;
   test::Machine* machine_ = nullptr;
+  core::NexusClient::VolumeHandle handle_;
   std::unique_ptr<NexusFs> fs_;
 };
 
@@ -281,6 +289,112 @@ TEST_F(NexusOpenTest, OpenForReadKeepsItsErrorsInOneEcall) {
     EXPECT_EQ(fs_->Open(path, OpenMode::kRead).status().code(), code) << path;
     EXPECT_EQ(EcallsSince(before), 1u) << path;
   }
+}
+
+TEST_F(NexusOpenTest, OpeningANewFileStoresNothing) {
+  ASSERT_TRUE(fs_->Mkdir("d").ok());
+  const std::uint64_t rpcs = world_.server().rpc_count();
+  auto file = fs_->Open("d/new", OpenMode::kWrite);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(world_.server().rpc_count(), rpcs);
+  ASSERT_TRUE((*file)->Write(0, Bytes(10, 1)).ok());
+  ASSERT_TRUE((*file)->Close().ok());
+  EXPECT_EQ(fs_->ReadWholeFile("d/new").value(), Bytes(10, 1));
+}
+
+TEST_F(NexusOpenTest, StatAndReadDirSeeANewFileBeforeItsFirstFlush) {
+  ASSERT_TRUE(fs_->Mkdir("d").ok());
+  auto a = fs_->Open("d/a", OpenMode::kWrite).value();
+  ASSERT_TRUE(a->Write(0, Bytes(10, 1)).ok());
+  auto st = fs_->Stat("d/a");
+  ASSERT_TRUE(st.ok()) << st.status().ToString();
+  EXPECT_EQ(st->type, FileType::kFile);
+  EXPECT_EQ(st->size, 10u);
+
+  auto b = fs_->Open("d/b", OpenMode::kReadWrite).value();
+  auto listing = fs_->ReadDir("d");
+  ASSERT_TRUE(listing.ok());
+  std::vector<std::string> names;
+  for (const Dirent& e : *listing) names.push_back(e.name);
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "b"}));
+
+  // Writes after the create flush as updates of the existing file.
+  ASSERT_TRUE(a->Append(Bytes(5, 2)).ok());
+  ASSERT_TRUE(a->Close().ok());
+  ASSERT_TRUE(b->Close().ok());
+  Bytes want(10, 1);
+  want.insert(want.end(), 5, 2);
+  EXPECT_EQ(fs_->ReadWholeFile("d/a").value(), want);
+  EXPECT_EQ(fs_->ReadWholeFile("d/b").value(), Bytes{});
+}
+
+TEST_F(NexusOpenTest, RemoveAndRenameSeeANewFileBeforeItsFirstFlush) {
+  auto gone = fs_->Open("gone", OpenMode::kWrite).value();
+  ASSERT_TRUE(gone->Write(0, Bytes(10, 3)).ok());
+  ASSERT_TRUE(fs_->Remove("gone").ok());
+  EXPECT_EQ(fs_->Stat("gone").status().code(), ErrorCode::kNotFound);
+  ASSERT_TRUE(gone->Close().ok()); // its content was flushed by the remove
+  EXPECT_FALSE(fs_->Exists("gone"));
+
+  auto moved = fs_->Open("from", OpenMode::kWrite).value();
+  ASSERT_TRUE(moved->Write(0, Bytes(10, 4)).ok());
+  ASSERT_TRUE(fs_->Rename("from", "to").ok());
+  ASSERT_TRUE(moved->Close().ok());
+  EXPECT_FALSE(fs_->Exists("from"));
+  EXPECT_EQ(fs_->ReadWholeFile("to").value(), Bytes(10, 4));
+}
+
+TEST_F(NexusOpenTest, AnotherClientSeesANewFileOnlyAfterClose) {
+  core::NexusClient other(*machine_->runtime, *machine_->afs,
+                          world_.intel().root_public_key());
+  ASSERT_TRUE(
+      other.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
+          .ok());
+  auto file = fs_->Open("shared", OpenMode::kWrite).value();
+  ASSERT_TRUE(file->Write(0, Bytes(10, 5)).ok());
+  EXPECT_EQ(other.Lookup("shared").status().code(), ErrorCode::kNotFound);
+  EXPECT_TRUE(other.ListDir("").value().empty());
+
+  ASSERT_TRUE(file->Close().ok());
+  EXPECT_EQ(other.ReadFile("shared").value(), Bytes(10, 5));
+  ASSERT_TRUE(other.Unmount().ok());
+}
+
+TEST_F(NexusOpenTest, ANameAnotherClientCreatesFirstFailsTheFlush) {
+  core::NexusClient other(*machine_->runtime, *machine_->afs,
+                          world_.intel().root_public_key());
+  ASSERT_TRUE(
+      other.Mount(machine_->user, handle_.volume_uuid, handle_.sealed_rootkey)
+          .ok());
+  auto file = fs_->Open("raced", OpenMode::kWrite).value();
+  ASSERT_TRUE(file->Write(0, Bytes(10, 7)).ok());
+  ASSERT_TRUE(other.WriteFile("raced", Bytes(3, 8)).ok());
+  EXPECT_EQ(file->Close().code(), ErrorCode::kAlreadyExists);
+  EXPECT_EQ(fs_->ReadWholeFile("raced").value(), Bytes(3, 8));
+  ASSERT_TRUE(other.Unmount().ok());
+}
+
+TEST_F(NexusOpenTest, OpenForWriteFailsAtOnceUnderAMissingParent) {
+  ASSERT_TRUE(fs_->WriteWholeFile("file", Bytes{1}).ok());
+  EXPECT_EQ(fs_->Open("missing/f", OpenMode::kWrite).status().code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(fs_->Open("missing/f", OpenMode::kReadWrite).status().code(),
+            ErrorCode::kNotFound);
+  EXPECT_EQ(fs_->Open("file/f", OpenMode::kWrite).status().code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST_F(NexusOpenTest, HandleDestroyedWithoutCloseStillCreatesTheFile) {
+  {
+    auto file = fs_->Open("dropped", OpenMode::kWrite).value();
+    ASSERT_TRUE(file->Write(0, Bytes(10, 6)).ok());
+  }
+  {
+    auto empty = fs_->Open("dropped-empty", OpenMode::kWrite).value();
+  }
+  EXPECT_EQ(fs_->ReadWholeFile("dropped").value(), Bytes(10, 6));
+  EXPECT_EQ(fs_->ReadWholeFile("dropped-empty").value(), Bytes{});
 }
 
 INSTANTIATE_TEST_SUITE_P(BothMounts, VfsConformanceTest,
