@@ -59,15 +59,15 @@ Result<enclave::ObjectBlob> AfsMetadataStore::FetchData(const Uuid& uuid) {
   trace::Span io_span("io:fetch_data", kDataIoAccount);
   storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
   NEXUS_ASSIGN_OR_RETURN(storage::AfsServer::FetchResult result,
-                         afs_.FetchVersioned(DataPath(uuid)));
+                         afs_.FetchData(DataPath(uuid)));
   return enclave::ObjectBlob{std::move(result.data), result.version};
 }
 
-Status AfsMetadataStore::StoreData(const Uuid& uuid, ByteSpan data,
+Status AfsMetadataStore::StoreData(const Uuid& uuid, SharedBytes data,
                                    std::uint64_t changed_bytes) {
   trace::Span io_span("io:store_data", kDataIoAccount);
   storage::SimClock::Attribution account(afs_.server().clock(), kDataIoAccount);
-  return afs_.StoreData(DataPath(uuid), data, changed_bytes);
+  return afs_.StoreData(DataPath(uuid), std::move(data), changed_bytes);
 }
 
 Status AfsMetadataStore::RemoveData(const Uuid& uuid) {

@@ -28,7 +28,7 @@ class AfsMetadataStore final : public enclave::StorageOcalls {
   Result<std::uint64_t> StoreMeta(const Uuid& uuid, ByteSpan data) override;
   Status RemoveMeta(const Uuid& uuid) override;
   Result<enclave::ObjectBlob> FetchData(const Uuid& uuid) override;
-  Status StoreData(const Uuid& uuid, ByteSpan data,
+  Status StoreData(const Uuid& uuid, SharedBytes data,
                    std::uint64_t changed_bytes) override;
   Status RemoveData(const Uuid& uuid) override;
   Status LockMeta(const Uuid& uuid) override;

@@ -189,11 +189,11 @@ Result<ObjectBlob> NexusEnclave::FetchDataO(const Uuid& uuid) {
   return storage_.FetchData(uuid);
 }
 
-Status NexusEnclave::StoreDataO(const Uuid& uuid, ByteSpan data,
+Status NexusEnclave::StoreDataO(const Uuid& uuid, SharedBytes data,
                                 std::uint64_t changed_bytes) {
   trace::Span ocall_span("ocall:store_data", "ocall");
   sgx::EnclaveRuntime::OcallScope scope(runtime_);
-  return storage_.StoreData(uuid, data, changed_bytes);
+  return storage_.StoreData(uuid, std::move(data), changed_bytes);
 }
 
 Status NexusEnclave::RemoveDataO(const Uuid& uuid) {
@@ -924,8 +924,8 @@ Status NexusEnclave::CreateEntry(const std::string& path, EntryType type,
             Bytes ciphertext,
             SealChunks(node, content, [](std::size_t) { return true; },
                        nullptr, changed_bytes));
-        NEXUS_RETURN_IF_ERROR(
-            StoreDataO(node.data_uuid, ciphertext, changed_bytes));
+        NEXUS_RETURN_IF_ERROR(StoreDataO(
+            node.data_uuid, Share(std::move(ciphertext)), changed_bytes));
       }
       NEXUS_ASSIGN_OR_RETURN(
           Bytes blob, EncodeAndStoreMeta(MetaType::kFilenode, node.uuid,
@@ -1525,8 +1525,11 @@ Status NexusEnclave::EcallEncryptRange(const std::string& path,
     }
 
     // One store per written file, full rewrite or partial update: the
-    // transport makes it one StoreData RPC, atomic at the store.
-    NEXUS_RETURN_IF_ERROR(StoreDataO(node.data_uuid, ciphertext, changed_bytes));
+    // transport makes it one StoreData RPC, atomic at the store. The
+    // sealed buffer is handed over whole, never copied.
+    NEXUS_RETURN_IF_ERROR(StoreDataO(node.data_uuid,
+                                     Share(std::move(ciphertext)),
+                                     changed_bytes));
     file->node = std::move(node);
     NEXUS_RETURN_IF_ERROR(FlushFilenode(*file));
     if (full_rewrite && old_size > 0) {

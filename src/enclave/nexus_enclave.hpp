@@ -377,7 +377,7 @@ class NexusEnclave {
   Status StoreMetaO(const Uuid& uuid, ByteSpan data, std::uint64_t* version_out);
   Status RemoveMetaO(const Uuid& uuid);
   Result<ObjectBlob> FetchDataO(const Uuid& uuid);
-  Status StoreDataO(const Uuid& uuid, ByteSpan data,
+  Status StoreDataO(const Uuid& uuid, SharedBytes data,
                     std::uint64_t changed_bytes);
   Status RemoveDataO(const Uuid& uuid);
   Status LockMetaO(const Uuid& uuid);

@@ -40,9 +40,11 @@ class StorageOcalls {
   /// is one call per written file, like OpenAFS's StoreData RPC: the
   /// object is replaced whole and atomically, so a failed store leaves the
   /// previous bytes. `changed_bytes` lets the transport charge only dirty
-  /// chunks on partial updates (pass data.size() for a full rewrite).
+  /// chunks on partial updates (pass data->size() for a full rewrite).
+  /// The caller hands `data` over and never touches it again, so the
+  /// transport may keep the buffer itself instead of a copy.
   virtual Result<ObjectBlob> FetchData(const Uuid& uuid) = 0;
-  virtual Status StoreData(const Uuid& uuid, ByteSpan data,
+  virtual Status StoreData(const Uuid& uuid, SharedBytes data,
                            std::uint64_t changed_bytes) = 0;
   virtual Status RemoveData(const Uuid& uuid) = 0;
 

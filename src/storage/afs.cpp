@@ -251,32 +251,83 @@ void AfsServer::AdversaryInvalidateCallbacks(const std::string& path) {
 
 // ---- AfsClient --------------------------------------------------------------
 
-AfsClient::AfsClient(AfsServer& server, std::string client_id)
-    : server_(server), id_(std::move(client_id)) {}
+namespace {
+
+// `name` is `path` or lies under it.
+bool AtOrUnder(const std::string& name, const std::string& path) {
+  return name.starts_with(path) &&
+         (name.size() == path.size() || name[path.size()] == '/');
+}
+
+} // namespace
+
+AfsClient::AfsClient(AfsServer& server, std::string client_id,
+                     std::uint64_t content_budget)
+    : server_(server), id_(std::move(client_id)),
+      content_budget_(content_budget) {}
+
+const AfsClient::CacheEntry& AfsClient::Insert(const std::string& path,
+                                               SharedBytes data,
+                                               std::uint64_t version,
+                                               bool content) {
+  const auto existing = cache_.find(path);
+  if (existing != cache_.end()) Erase(existing);
+  CacheEntry& entry = cache_[path];
+  entry = CacheEntry{std::move(data), version, content, {}};
+  if (content) {
+    content_bytes_ += entry.data->size();
+    entry.lru = lru_.insert(lru_.begin(), path);
+    // The entry just installed is the front, so it always stays.
+    while (content_bytes_ > content_budget_ && lru_.size() > 1) {
+      Erase(cache_.find(lru_.back()));
+    }
+  }
+  return entry;
+}
+
+void AfsClient::Erase(Cache::iterator it) {
+  if (it->second.content) {
+    content_bytes_ -= it->second.data->size();
+    lru_.erase(it->second.lru);
+  }
+  cache_.erase(it);
+}
+
+void AfsClient::FlushCache() {
+  cache_.clear();
+  lru_.clear();
+  content_bytes_ = 0;
+}
 
 Result<const AfsClient::CacheEntry*> AfsClient::FetchCached(
-    const std::string& path) {
+    const std::string& path, bool content) {
   const auto cached = cache_.find(path);
   if (cached != cache_.end() && server_.CallbackValid(id_, path)) {
     ++stats_.cache_hits;
+    if (cached->second.content) {
+      lru_.splice(lru_.begin(), lru_, cached->second.lru);
+    }
     return &cached->second;
   }
   NEXUS_ASSIGN_OR_RETURN(AfsServer::FetchResult result,
                          server_.RpcFetch(id_, path));
   ++stats_.fetches;
   stats_.bytes_fetched += result.data->size();
-  CacheEntry& entry = cache_[path];
-  entry = CacheEntry{std::move(result.data), result.version};
-  return &entry;
+  return &Insert(path, std::move(result.data), result.version, content);
 }
 
 Result<AfsServer::FetchResult> AfsClient::FetchVersioned(const std::string& path) {
-  NEXUS_ASSIGN_OR_RETURN(const CacheEntry* entry, FetchCached(path));
+  NEXUS_ASSIGN_OR_RETURN(const CacheEntry* entry, FetchCached(path, false));
+  return AfsServer::FetchResult{entry->data, entry->version};
+}
+
+Result<AfsServer::FetchResult> AfsClient::FetchData(const std::string& path) {
+  NEXUS_ASSIGN_OR_RETURN(const CacheEntry* entry, FetchCached(path, true));
   return AfsServer::FetchResult{entry->data, entry->version};
 }
 
 Result<Bytes> AfsClient::Fetch(const std::string& path) {
-  NEXUS_ASSIGN_OR_RETURN(const CacheEntry* entry, FetchCached(path));
+  NEXUS_ASSIGN_OR_RETURN(const CacheEntry* entry, FetchCached(path, false));
   return *entry->data;
 }
 
@@ -285,7 +336,7 @@ Result<std::uint64_t> AfsClient::StoreVersioned(const std::string& path,
   NEXUS_ASSIGN_OR_RETURN(std::uint64_t version, server_.RpcStore(id_, path, data));
   ++stats_.stores;
   stats_.bytes_stored += data.size();
-  cache_[path] = CacheEntry{Share(ToBytes(data)), version};
+  Insert(path, Share(ToBytes(data)), version, false);
   return version;
 }
 
@@ -295,14 +346,14 @@ Status AfsClient::Store(const std::string& path, ByteSpan data) {
   return Status::Ok();
 }
 
-Status AfsClient::StoreData(const std::string& path, ByteSpan data,
+Status AfsClient::StoreData(const std::string& path, SharedBytes data,
                             std::uint64_t changed_bytes) {
   NEXUS_ASSIGN_OR_RETURN(
       std::uint64_t version,
-      server_.RpcStoreData(id_, path, data, changed_bytes));
+      server_.RpcStoreData(id_, path, *data, changed_bytes));
   ++stats_.stores;
-  stats_.bytes_stored += std::min<std::uint64_t>(changed_bytes, data.size());
-  cache_[path] = CacheEntry{Share(ToBytes(data)), version};
+  stats_.bytes_stored += std::min<std::uint64_t>(changed_bytes, data->size());
+  Insert(path, std::move(data), version, true);
   return Status::Ok();
 }
 
@@ -321,8 +372,13 @@ Result<std::vector<AfsServer::ChildEntry>> AfsClient::ListDir(
 }
 
 Status AfsClient::RenameObject(const std::string& from, const std::string& to) {
-  cache_.erase(from);
-  cache_.erase(to);
+  // The server moves the whole subtree under `from`, so every cached name
+  // at or under either path is dead or stale.
+  for (auto it = cache_.begin(); it != cache_.end();) {
+    const auto next = std::next(it);
+    if (AtOrUnder(it->first, from) || AtOrUnder(it->first, to)) Erase(it);
+    it = next;
+  }
   return server_.RpcRename(id_, from, to);
 }
 
@@ -345,14 +401,15 @@ Result<bool> AfsClient::Revalidate(const std::string& path,
     // Stale (or deleted): drop the local copy so the next Fetch really
     // goes to the server — RpcGetVersion re-promised a callback for the
     // *current* server version, not for our stale bytes.
-    cache_.erase(path);
+    Erase(cached);
     return false;
   }
   return true;
 }
 
 Status AfsClient::Remove(const std::string& path) {
-  cache_.erase(path);
+  const auto cached = cache_.find(path);
+  if (cached != cache_.end()) Erase(cached);
   return server_.RpcRemove(id_, path);
 }
 

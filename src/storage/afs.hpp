@@ -13,6 +13,7 @@
 // client involvement, modelling the paper's §III-A threat model.
 #pragma once
 
+#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -31,6 +32,10 @@ namespace nexus::storage {
 /// one sealed chunk (1 MiB of content plus its 16-byte GCM tag) at the
 /// default chunk size.
 inline constexpr std::size_t kStoreSegmentBytes = (std::size_t{1} << 20) + 16;
+
+/// Default byte budget of an AfsClient's file-content cache (the model of
+/// OpenAFS's fixed-size data cache, `afsd -blocks`).
+inline constexpr std::uint64_t kContentCacheBytes = std::uint64_t{32} << 20;
 
 class AfsServer {
  public:
@@ -148,15 +153,28 @@ class AfsServer {
 };
 
 /// A client machine's AFS cache manager.
+///
+/// Like OpenAFS's, its cache has two parts. File content (what StoreData
+/// stores and FetchData fetches) sits in a data cache bounded by
+/// `content_budget` bytes, evicted least recently used first; the most
+/// recently used content entry always stays, even when it alone is larger
+/// than the budget. Every other entry (metadata, journal and directory
+/// objects: the status cache) stays until FlushCache, Remove, a rename or
+/// a failed revalidation. Eviction drops only the local bytes; the
+/// callback promise stays, and the next fetch pays one RPC.
 class AfsClient {
  public:
-  AfsClient(AfsServer& server, std::string client_id);
+  AfsClient(AfsServer& server, std::string client_id,
+            std::uint64_t content_budget = kContentCacheBytes);
 
   /// Whole-file fetch. Served from the local cache when the callback is
   /// still valid (zero cost), otherwise fetched from the server.
   Result<Bytes> Fetch(const std::string& path);
   /// Fetch that also reports the server version stamp of the bytes.
   Result<AfsServer::FetchResult> FetchVersioned(const std::string& path);
+  /// FetchVersioned of file content: a fetched object is cached in the
+  /// content budget, like StoreData's.
+  Result<AfsServer::FetchResult> FetchData(const std::string& path);
   /// Whole-object store (RpcStore): metadata and journal objects.
   Status Store(const std::string& path, ByteSpan data);
   /// Store that reports the new server version stamp.
@@ -169,9 +187,11 @@ class AfsClient {
   /// matches) instead of giving up.
   Result<bool> Revalidate(const std::string& path, std::uint64_t version);
   /// File-content store (RpcStoreData): replaces the content whole but
-  /// charges only `changed_bytes` of transfer (pass data.size() for a
-  /// full rewrite, fewer for an fsync of dirty chunks).
-  Status StoreData(const std::string& path, ByteSpan data,
+  /// charges only `changed_bytes` of transfer (pass data->size() for a
+  /// full rewrite, fewer for an fsync of dirty chunks). The cache keeps
+  /// `data` itself, in the content budget; the caller hands the buffer
+  /// over and never mutates it again.
+  Status StoreData(const std::string& path, SharedBytes data,
                    std::uint64_t changed_bytes);
 
   Status Remove(const std::string& path);
@@ -179,12 +199,14 @@ class AfsClient {
   Result<AfsServer::StatResult> Stat(const std::string& path);
   Result<std::vector<std::string>> List(const std::string& prefix);
   Result<std::vector<AfsServer::ChildEntry>> ListDir(const std::string& prefix);
+  /// Server-side rename; drops the local entries of both names and of
+  /// everything under them.
   Status RenameObject(const std::string& from, const std::string& to);
   Status Lock(const std::string& path);
   Status Unlock(const std::string& path);
 
   /// Drops the local cache (the evaluation's "flush the AFS cache").
-  void FlushCache() { cache_.clear(); }
+  void FlushCache();
 
   /// Disables FetchStatus revalidation (ablation: every broken callback
   /// forces a full re-fetch, the naive pre-optimization behaviour).
@@ -194,6 +216,10 @@ class AfsClient {
 
   [[nodiscard]] const std::string& id() const noexcept { return id_; }
   [[nodiscard]] AfsServer& server() noexcept { return server_; }
+  /// Bytes of file content held in the cache.
+  [[nodiscard]] std::uint64_t content_bytes() const noexcept {
+    return content_bytes_;
+  }
 
   struct Stats {
     std::uint64_t fetches = 0;        // RPC fetches (cache misses)
@@ -209,15 +235,26 @@ class AfsClient {
   struct CacheEntry {
     SharedBytes data; // a fetched entry shares the backend cache's buffer
     std::uint64_t version = 0;
+    bool content = false; // counted in content_bytes_
+    std::list<std::string>::iterator lru; // content entries only
   };
+  using Cache = std::unordered_map<std::string, CacheEntry>;
 
   /// Cached entry when fresh, else fetches (and caches) from the server.
-  Result<const CacheEntry*> FetchCached(const std::string& path);
+  Result<const CacheEntry*> FetchCached(const std::string& path, bool content);
+  /// Installs `path`'s entry; a content entry becomes the most recent and
+  /// evicts the least recent ones beyond the budget.
+  const CacheEntry& Insert(const std::string& path, SharedBytes data,
+                           std::uint64_t version, bool content);
+  void Erase(Cache::iterator it);
 
   AfsServer& server_;
   std::string id_;
+  std::uint64_t content_budget_;
   bool revalidation_enabled_ = true;
-  std::unordered_map<std::string, CacheEntry> cache_;
+  Cache cache_;
+  std::list<std::string> lru_; // content paths, most recently used first
+  std::uint64_t content_bytes_ = 0;
   Stats stats_;
 };
 

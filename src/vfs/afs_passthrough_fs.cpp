@@ -17,6 +17,13 @@ std::uint64_t RoundToChunks(std::uint64_t begin, std::uint64_t len,
   return std::min(span, file_size);
 }
 
+// A file's content, through the AFS client's data cache.
+Result<Bytes> FetchContent(storage::AfsClient& afs, const std::string& obj) {
+  NEXUS_ASSIGN_OR_RETURN(storage::AfsServer::FetchResult fetched,
+                         afs.FetchData(obj));
+  return *fetched.data;
+}
+
 } // namespace
 
 Result<std::unique_ptr<OpenFile>> AfsPassthroughFs::Open(const std::string& path,
@@ -25,11 +32,11 @@ Result<std::unique_ptr<OpenFile>> AfsPassthroughFs::Open(const std::string& path
   Bytes content;
   bool created = false;
   if (mode == OpenMode::kRead) {
-    NEXUS_ASSIGN_OR_RETURN(content, afs_.Fetch(obj));
+    NEXUS_ASSIGN_OR_RETURN(content, FetchContent(afs_, obj));
   } else {
     NEXUS_ASSIGN_OR_RETURN(bool exists, afs_.Exists(obj));
     if (exists && mode == OpenMode::kReadWrite) {
-      NEXUS_ASSIGN_OR_RETURN(content, afs_.Fetch(obj));
+      NEXUS_ASSIGN_OR_RETURN(content, FetchContent(afs_, obj));
     } else {
       created = true; // new file, or truncation of an existing one
     }
@@ -37,8 +44,9 @@ Result<std::unique_ptr<OpenFile>> AfsPassthroughFs::Open(const std::string& path
 
   auto flush = [this, obj](ByteSpan full, std::uint64_t dirty_offset,
                            std::uint64_t dirty_len) -> Status {
-    return afs_.StoreData(
-        obj, full, RoundToChunks(dirty_offset, dirty_len, full.size()));
+    // The open file keeps its buffer, so the store gets a copy.
+    return afs_.StoreData(obj, Share(ToBytes(full)),
+                          RoundToChunks(dirty_offset, dirty_len, full.size()));
   };
   return std::unique_ptr<OpenFile>(
       std::make_unique<BufferedFile>(std::move(content), flush, created));

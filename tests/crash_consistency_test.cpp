@@ -38,10 +38,10 @@ class CrashingStore final : public enclave::StorageOcalls {
     if (crashed_) return Dead();
     return inner_.FetchData(uuid);
   }
-  Status StoreData(const Uuid& uuid, ByteSpan data,
+  Status StoreData(const Uuid& uuid, SharedBytes data,
                    std::uint64_t changed_bytes) override {
     if (Mutate()) return DeadStatus();
-    return inner_.StoreData(uuid, data, changed_bytes);
+    return inner_.StoreData(uuid, std::move(data), changed_bytes);
   }
   Status RemoveData(const Uuid& uuid) override {
     if (Mutate()) return DeadStatus();

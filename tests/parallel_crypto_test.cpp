@@ -78,11 +78,11 @@ class ProbeStore final : public enclave::StorageOcalls {
     ++data_fetches;
     return inner_.FetchData(uuid);
   }
-  Status StoreData(const Uuid& uuid, ByteSpan data,
+  Status StoreData(const Uuid& uuid, SharedBytes data,
                    std::uint64_t changed_bytes) override {
     ++data_stores;
     std::this_thread::sleep_for(std::chrono::milliseconds(store_sleep_ms));
-    return inner_.StoreData(uuid, data, changed_bytes);
+    return inner_.StoreData(uuid, std::move(data), changed_bytes);
   }
   Status RemoveData(const Uuid& uuid) override {
     return inner_.RemoveData(uuid);

@@ -694,9 +694,9 @@ TEST_F(AfsTest, RpcCountsAccumulate) {
 
 TEST_F(AfsTest, PartialStoreChargesOnlyChangedBytes) {
   const Bytes big(10 << 20, 1);
-  ASSERT_TRUE(alice_.StoreData("f", big, big.size()).ok());
+  ASSERT_TRUE(alice_.StoreData("f", Share(big), big.size()).ok());
   const double t0 = clock_.Now();
-  ASSERT_TRUE(alice_.StoreData("f", big, 4096).ok());
+  ASSERT_TRUE(alice_.StoreData("f", Share(big), 4096).ok());
   const double partial = clock_.Now() - t0;
   EXPECT_NEAR(partial, server_.cost().RpcSeconds(4096), 1e-9);
   // Content is still fully replaced.
@@ -712,12 +712,12 @@ TEST_F(AfsTest, StoreDataCostsOneRpcOfChangedBytes) {
   const CostModel& cost = server_.cost();
   const auto rpcs0 = server_.rpc_count();
   const double t0 = clock_.Now();
-  ASSERT_TRUE(alice_.StoreData("s", Bytes(total, 2), total).ok());
+  ASSERT_TRUE(alice_.StoreData("s", Share(Bytes(total, 2)), total).ok());
   EXPECT_EQ(server_.rpc_count(), rpcs0 + 1);
   EXPECT_NEAR(clock_.Now() - t0, cost.RpcSeconds(total), 1e-9);
 
   const double t1 = clock_.Now();
-  ASSERT_TRUE(alice_.StoreData("s", Bytes(total, 3), 1 << 20).ok());
+  ASSERT_TRUE(alice_.StoreData("s", Share(Bytes(total, 3)), 1 << 20).ok());
   EXPECT_EQ(server_.rpc_count(), rpcs0 + 2);
   EXPECT_NEAR(clock_.Now() - t1, cost.RpcSeconds(1 << 20), 1e-9);
 }
@@ -731,7 +731,7 @@ TEST_F(AfsTest, StreamedStoreAppliesAtomicallyAtCommit) {
   AfsServer server{std::unique_ptr<StorageBackend>(backend), clock};
   AfsClient alice(server, "alice");
   AfsClient bob(server, "bob");
-  ASSERT_TRUE(alice.StoreData("f", Bytes{1}, 1).ok());
+  ASSERT_TRUE(alice.StoreData("f", Share(Bytes{1}), 1).ok());
   ASSERT_TRUE(bob.Fetch("f").ok()); // bob holds a callback
 
   Bytes want(3 * kStoreSegmentBytes, 0xAA); // 3 MiB + 48 B
@@ -739,7 +739,7 @@ TEST_F(AfsTest, StreamedStoreAppliesAtomicallyAtCommit) {
   const int streams0 = backend->streams;
   const int appends0 = backend->appends;
   const int commits0 = backend->commits;
-  ASSERT_TRUE(alice.StoreData("f", want, want.size()).ok());
+  ASSERT_TRUE(alice.StoreData("f", Share(want), want.size()).ok());
   EXPECT_EQ(backend->streams - streams0, 1);
   EXPECT_EQ(backend->appends - appends0, 3);
   EXPECT_EQ(backend->commits - commits0, 1);
@@ -761,13 +761,13 @@ TEST_F(AfsTest, StreamedStoreAbortLeavesObjectUntouched) {
   AfsServer server{std::unique_ptr<StorageBackend>(backend), clock};
   AfsClient alice(server, "alice");
   AfsClient bob(server, "bob");
-  ASSERT_TRUE(alice.StoreData("f", Bytes{7, 7}, 2).ok());
+  ASSERT_TRUE(alice.StoreData("f", Share(Bytes{7, 7}), 2).ok());
   ASSERT_TRUE(bob.Fetch("f").ok());
   const std::uint64_t version = server.RpcGetVersion("carol", "f").value();
 
   backend->fail_append = 2;
   const Bytes big(3 * kStoreSegmentBytes, 0xEE);
-  EXPECT_EQ(alice.StoreData("f", big, big.size()).code(), ErrorCode::kIOError);
+  EXPECT_EQ(alice.StoreData("f", Share(big), big.size()).code(), ErrorCode::kIOError);
   EXPECT_EQ(backend->commits, 1); // only the first store's
 
   EXPECT_EQ(server.AdversaryRead("f").value(), (Bytes{7, 7}));
@@ -841,6 +841,128 @@ TEST_F(AfsTest, ServerSideRenameMovesSubtreeInOneRpc) {
   EXPECT_FALSE(bob_.Fetch("src/a").ok());
   // Renaming a missing path fails cleanly.
   EXPECT_FALSE(alice_.RenameObject("ghost", "x").ok());
+}
+
+// A rename drops the cached entries at and under both names: the server
+// moved the whole subtree, so none of them names live bytes any more. A
+// name that merely shares the prefix stays cached.
+TEST_F(AfsTest, RenameDropsCachedSubtreeEntries) {
+  ASSERT_TRUE(alice_.Store("src", Bytes{0}).ok());
+  ASSERT_TRUE(alice_.StoreData("src/a", Share(Bytes(1000, 1)), 1000).ok());
+  ASSERT_TRUE(alice_.StoreData("src/deep/b", Share(Bytes(500, 2)), 500).ok());
+  ASSERT_TRUE(alice_.StoreData("dst/old", Share(Bytes(300, 3)), 300).ok());
+  ASSERT_TRUE(alice_.StoreData("srcx", Share(Bytes(70, 4)), 70).ok());
+  ASSERT_EQ(alice_.content_bytes(), 1870u);
+
+  ASSERT_TRUE(alice_.RenameObject("src", "dst").ok());
+  EXPECT_EQ(alice_.content_bytes(), 70u); // only "srcx" is left
+
+  const auto rpcs0 = server_.rpc_count();
+  EXPECT_EQ(*alice_.FetchData("dst/a").value().data, Bytes(1000, 1));
+  EXPECT_EQ(server_.rpc_count(), rpcs0 + 1);
+  EXPECT_EQ(*alice_.FetchData("srcx").value().data, Bytes(70, 4));
+  EXPECT_EQ(server_.rpc_count(), rpcs0 + 1); // still a cache hit
+}
+
+// ---- the content budget ------------------------------------------------------
+
+constexpr std::uint64_t kSmallBudget = 256 << 10;
+
+// Fetching far more content than the budget never leaves more resident
+// than the budget plus the newest entry.
+TEST_F(AfsTest, ContentCacheStaysWithinBudget) {
+  AfsClient carol(server_, "carol", kSmallBudget);
+  std::uint64_t total = 0;
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t size = (20 + 37 * (i % 9)) << 10; // 20..316 KiB
+    ASSERT_TRUE(alice_.Store("c" + std::to_string(i),
+                             Bytes(size, static_cast<std::uint8_t>(i))).ok());
+    ASSERT_TRUE(carol.FetchData("c" + std::to_string(i)).ok());
+    total += size;
+    // Within the budget, or only the newest entry, which may exceed it.
+    EXPECT_TRUE(carol.content_bytes() <= kSmallBudget ||
+                carol.content_bytes() == size) << i;
+  }
+  EXPECT_GT(total, 16 * kSmallBudget);
+  EXPECT_LE(carol.content_bytes(), kSmallBudget);
+  EXPECT_EQ(carol.stats().fetches, 64u);
+}
+
+// Metadata entries are never evicted by the budget: after heavy content
+// churn a metadata object still revalidates locally, with no RPC.
+TEST_F(AfsTest, MetadataSurvivesContentChurn) {
+  AfsClient carol(server_, "carol", kSmallBudget);
+  const auto version = carol.StoreVersioned("meta", Bytes(4096, 9)).value();
+  for (int i = 0; i < 32; ++i) {
+    ASSERT_TRUE(carol.StoreData("d" + std::to_string(i),
+                                Share(Bytes(100 << 10, 1)), 100 << 10).ok());
+  }
+  const auto rpcs0 = server_.rpc_count();
+  EXPECT_TRUE(carol.Revalidate("meta", version).value());
+  EXPECT_EQ(server_.rpc_count(), rpcs0);
+}
+
+// The newest content entry stays even when it alone exceeds the budget,
+// so the next fetch of it is a free cache hit.
+TEST_F(AfsTest, ContentLargerThanBudgetStaysWhileNewest) {
+  AfsClient carol(server_, "carol", kSmallBudget);
+  const Bytes big(4 * kSmallBudget, 0x42);
+  ASSERT_TRUE(carol.StoreData("small", Share(Bytes(1000, 1)), 1000).ok());
+  ASSERT_TRUE(carol.StoreData("big", Share(big), big.size()).ok());
+  EXPECT_EQ(carol.content_bytes(), big.size()); // "small" was evicted
+  // A metadata store evicts nothing: a rewrite of "big" would splice its
+  // unchanged chunks from this entry.
+  ASSERT_TRUE(carol.Store("meta", Bytes(100, 7)).ok());
+
+  const auto rpcs0 = server_.rpc_count();
+  EXPECT_EQ(*carol.FetchData("big").value().data, big);
+  EXPECT_EQ(server_.rpc_count(), rpcs0);
+}
+
+// An evicted entry costs exactly one fetch RPC and returns the stored
+// bytes: eviction drops the local copy, nothing else.
+TEST_F(AfsTest, EvictedContentRefetchesInOneRpc) {
+  AfsClient carol(server_, "carol", kSmallBudget);
+  const Bytes a(kSmallBudget / 2 + 1, 0xA1);
+  const Bytes b(kSmallBudget / 2 + 1, 0xB2);
+  ASSERT_TRUE(carol.StoreData("a", Share(a), a.size()).ok());
+  ASSERT_TRUE(carol.StoreData("b", Share(b), b.size()).ok());
+  EXPECT_EQ(carol.content_bytes(), b.size()); // "a" went
+
+  const auto rpcs0 = server_.rpc_count();
+  const auto fetches0 = carol.stats().fetches;
+  EXPECT_EQ(*carol.FetchData("a").value().data, a);
+  EXPECT_EQ(server_.rpc_count(), rpcs0 + 1);
+  EXPECT_EQ(carol.stats().fetches, fetches0 + 1);
+  EXPECT_EQ(*carol.FetchData("a").value().data, a); // now cached again
+  EXPECT_EQ(server_.rpc_count(), rpcs0 + 1);
+}
+
+// A cache hit makes an entry the most recent: the budget then evicts the
+// entry that was used least recently, not the one stored first.
+TEST_F(AfsTest, ContentHitRefreshesRecency) {
+  AfsClient carol(server_, "carol", kSmallBudget);
+  const std::size_t size = kSmallBudget / 3;
+  for (const char* name : {"a", "b", "c"}) {
+    ASSERT_TRUE(carol.StoreData(name, Share(Bytes(size, 1)), size).ok());
+  }
+  ASSERT_TRUE(carol.FetchData("a").ok()); // a hit: "b" is now the oldest
+  ASSERT_TRUE(carol.StoreData("d", Share(Bytes(size, 2)), size).ok());
+
+  const auto rpcs0 = server_.rpc_count();
+  ASSERT_TRUE(carol.FetchData("a").ok());
+  EXPECT_EQ(server_.rpc_count(), rpcs0);
+  ASSERT_TRUE(carol.FetchData("b").ok());
+  EXPECT_EQ(server_.rpc_count(), rpcs0 + 1);
+}
+
+// StoreData keeps the caller's buffer itself: the next fetch hands back
+// the very same bytes, so a copy anywhere on the store path fails this.
+TEST_F(AfsTest, StoreDataKeepsTheHandedOverBuffer) {
+  const SharedBytes sealed = Share(Bytes(3 << 20, 0x5c));
+  ASSERT_TRUE(alice_.StoreData("f", sealed, sealed->size()).ok());
+  const auto fetched = alice_.FetchData("f").value();
+  EXPECT_EQ(fetched.data.get(), sealed.get());
 }
 
 TEST_F(AfsTest, RevalidationDisableForcesRefetch) {
