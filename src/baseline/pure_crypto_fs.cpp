@@ -46,6 +46,16 @@ Result<Key128> UnwrapKey(const WrappedKey& wrapped,
   return ToArray<16>(*key);
 }
 
+/// Opens a stored data object: its GCM IV, then ciphertext and tag.
+Result<Bytes> OpenBlob(const Key128& file_key, ByteSpan blob) {
+  if (blob.size() < crypto::kGcmIvSize + crypto::kGcmTagSize) {
+    return Error(ErrorCode::kIntegrityViolation, "ciphertext too short");
+  }
+  NEXUS_ASSIGN_OR_RETURN(crypto::Aes aes, crypto::Aes::Create(file_key));
+  return crypto::GcmOpen(aes, blob.first(crypto::kGcmIvSize), {},
+                         blob.subspan(crypto::kGcmIvSize));
+}
+
 } // namespace
 
 BoxKeyPair BoxKeyPair::Generate(std::string name, crypto::Rng& rng) {
@@ -73,7 +83,11 @@ Status PureCryptoFs::WriteEncrypted(const std::string& path, ByteSpan content,
     kb.Var(wrapped.box);
   }
 
-  NEXUS_RETURN_IF_ERROR(afs_.Store(DataPath(path), Concat(iv, sealed)));
+  // File content goes through the AFS content cache, which bounds what
+  // stays resident; the keyblock is a small status-cache object.
+  SharedBytes blob = Share(Concat(iv, sealed));
+  const std::uint64_t size = blob->size();
+  NEXUS_RETURN_IF_ERROR(afs_.StoreData(DataPath(path), std::move(blob), size));
   return afs_.Store(KeyPath(path), kb.bytes());
 }
 
@@ -114,13 +128,9 @@ Result<Bytes> PureCryptoFs::ReadFile(const std::string& path,
   NEXUS_ASSIGN_OR_RETURN(Key128 file_key,
                          UnwrapFileKey(keyblock, name, private_key, nullptr));
 
-  NEXUS_ASSIGN_OR_RETURN(Bytes blob, afs_.Fetch(DataPath(path)));
-  if (blob.size() < crypto::kGcmIvSize + crypto::kGcmTagSize) {
-    return Error(ErrorCode::kIntegrityViolation, "ciphertext too short");
-  }
-  NEXUS_ASSIGN_OR_RETURN(crypto::Aes aes, crypto::Aes::Create(file_key));
-  return crypto::GcmOpen(aes, ByteSpan(blob.data(), crypto::kGcmIvSize), {},
-                         ByteSpan(blob).subspan(crypto::kGcmIvSize));
+  NEXUS_ASSIGN_OR_RETURN(const storage::AfsServer::FetchResult blob,
+                         afs_.FetchData(DataPath(path)));
+  return OpenBlob(file_key, *blob.data);
 }
 
 Status PureCryptoFs::Revoke(const std::string& dir_prefix,
@@ -145,12 +155,9 @@ Status PureCryptoFs::Revoke(const std::string& dir_prefix,
 
     // The revoked reader may have cached the old file key: decrypt and
     // re-encrypt the whole file under a fresh key.
-    NEXUS_ASSIGN_OR_RETURN(Bytes blob, afs_.Fetch(DataPath(rel)));
-    NEXUS_ASSIGN_OR_RETURN(crypto::Aes aes, crypto::Aes::Create(old_key));
-    NEXUS_ASSIGN_OR_RETURN(
-        Bytes plaintext,
-        crypto::GcmOpen(aes, ByteSpan(blob.data(), crypto::kGcmIvSize), {},
-                        ByteSpan(blob).subspan(crypto::kGcmIvSize)));
+    NEXUS_ASSIGN_OR_RETURN(const storage::AfsServer::FetchResult blob,
+                           afs_.FetchData(DataPath(rel)));
+    NEXUS_ASSIGN_OR_RETURN(Bytes plaintext, OpenBlob(old_key, *blob.data));
 
     NEXUS_RETURN_IF_ERROR(WriteEncrypted(rel, plaintext, remaining));
     ++stats_.files_reencrypted;

@@ -9,15 +9,7 @@ namespace nexus::cache {
 
 CachedBackend::CachedBackend(std::unique_ptr<storage::StorageBackend> inner,
                              CacheOptions options)
-    : options_(std::move(options)), inner_(std::move(inner)) {
-  lease_mode_ = inner_->SubscribeInvalidations(
-      [this](const std::vector<std::string>& names) { OnInvalidate(names); },
-      [this] { OnChannelDown(); });
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    channel_up_ = lease_mode_;
-  }
-}
+    : options_(std::move(options)), inner_(std::move(inner)) {}
 
 // ---- small helpers ----------------------------------------------------------
 
@@ -27,12 +19,7 @@ std::uint64_t CachedBackend::NowMs() const {
 }
 
 bool CachedBackend::EntryValidLocked(const Entry& entry) const {
-  switch (entry.state) {
-    case Entry::State::kLeased: return channel_up_;
-    case Entry::State::kClean:
-      return NowMs() < entry.stamp_ms + options_.ttl_ms;
-  }
-  return false;
+  return NowMs() < entry.stamp_ms + options_.ttl_ms;
 }
 
 void CachedBackend::TouchLocked(const std::string& /*name*/, Entry& entry) {
@@ -56,14 +43,10 @@ void CachedBackend::EvictOverMemBudgetLocked() {
   }
 }
 
-void CachedBackend::InsertCleanLocked(const std::string& name,
-                                      SharedBytes data,
-                                      Entry::State state,
-                                      std::uint64_t stamp_ms) {
+void CachedBackend::InsertLocked(const std::string& name, SharedBytes data) {
   lru_.push_front(name);
   Entry entry;
-  entry.state = state;
-  entry.stamp_ms = stamp_ms;
+  entry.stamp_ms = NowMs();
   entry.lru_it = lru_.begin();
   mem_bytes_ += data->size();
   entry.data = std::move(data);
@@ -116,20 +99,16 @@ Result<SharedBytes> CachedBackend::GetShared(const std::string& name) {
     seq_before = BeginFlightLocked(name);
   }
   trace::Span span("cache.miss", "cache");
-  bool leased = false;
-  Result<Bytes> fetched = inner_->GetLeased(name, &leased);
+  Result<Bytes> fetched = inner_->Get(name);
   const std::lock_guard<std::mutex> lock(mu_);
-  // Only install what we read if no invalidation (or local write) arrived
-  // while the fetch was in flight — otherwise the bytes are already stale.
+  // Only install what we read if no local write arrived while the fetch
+  // was in flight — otherwise the bytes are already stale.
   const bool fresh = EndFlightLocked(name, seq_before);
   if (!fetched.ok()) return fetched.status();
   SharedBytes shared = Share(std::move(fetched).value());
   if (fresh) {
     RemoveEntryLocked(name);
-    InsertCleanLocked(name, shared,
-                      leased && channel_up_ ? Entry::State::kLeased
-                                            : Entry::State::kClean,
-                      NowMs());
+    InsertLocked(name, shared);
   }
   return shared;
 }
@@ -164,33 +143,12 @@ std::vector<std::string> CachedBackend::List(const std::string& prefix) {
 Status CachedBackend::Put(const std::string& name, ByteSpan data) {
   // Write-through: the bytes reach the inner store before Put returns, so
   // stores land in the order the client issued them.
-  std::uint64_t seq_before = 0;
-  if (lease_mode_) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    seq_before = BeginFlightLocked(name);
-  }
-  bool write_lease = false;
-  const Status st = lease_mode_ ? inner_->PutLeased(name, data, &write_lease)
-                                : inner_->Put(name, data);
+  NEXUS_RETURN_IF_ERROR(inner_->Put(name, data));
   const std::lock_guard<std::mutex> lock(mu_);
-  const bool fresh = !lease_mode_ || EndFlightLocked(name, seq_before);
-  if (!st.ok()) return st;
   RemoveEntryLocked(name);
   BumpFlightLocked(name);
-  if (!lease_mode_) {
-    // TTL mode: our own write is the freshest value we can know; cache it
-    // for the staleness window.
-    InsertCleanLocked(name, Share(ToBytes(data)), Entry::State::kClean,
-                      NowMs());
-  } else if (write_lease && channel_up_ && fresh) {
-    // The server granted a WRITE lease: we keep our own bytes
-    // and will be invalidated only when ANOTHER client mutates the name —
-    // not by our own write. `fresh` guards the race where a concurrent
-    // writer's invalidation arrived between our Put and this insert: the
-    // grant was already broken, so installing would retain stale bytes.
-    InsertCleanLocked(name, Share(ToBytes(data)), Entry::State::kLeased,
-                      NowMs());
-  }
+  // Our own write is the freshest value we can know; keep it for ttl_ms.
+  InsertLocked(name, Share(ToBytes(data)));
   return Status::Ok();
 }
 
@@ -239,33 +197,6 @@ void CachedBackend::OnStreamCommitted(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mu_);
   BumpFlightLocked(name);
   RemoveEntryLocked(name);
-}
-
-// ---- coherence callbacks ----------------------------------------------------
-
-void CachedBackend::OnInvalidate(const std::vector<std::string>& names) {
-  trace::Span span("cache.invalidate", "cache");
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& name : names) {
-    BumpFlightLocked(name);
-    ++counters_.invalidations_received;
-    RemoveEntryLocked(name);
-  }
-}
-
-void CachedBackend::OnChannelDown() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (!channel_up_) return;
-  channel_up_ = false;
-  // No more invalidations will arrive: every lease degrades to a TTL
-  // stamped now, bounding staleness at ttl_ms like lease-less mode.
-  const std::uint64_t now = NowMs();
-  for (auto& [name, entry] : entries_) {
-    if (entry.state == Entry::State::kLeased) {
-      entry.state = Entry::State::kClean;
-      entry.stamp_ms = now;
-    }
-  }
 }
 
 // ---- observability / test hooks ---------------------------------------------

@@ -8,20 +8,18 @@
 // corrupted entry is caught by the enclave's MACs exactly like a
 // corrupted server reply, never trusted.
 //
-// Writes go through to the inner store before Put returns, in both
-// modes. Files are kept locally until close one layer up (AfsClient), so
-// the cache adds no buffering of its own, and each write reaches the
-// store in the order the client issued it: data before the journal
-// anchor that references it. Over an inner that pushes invalidations
-// (wire leases) a Put keeps its bytes only under a fresh write lease;
-// over one that grants none (the cluster, a local store) it keeps them
-// as clean and bounds staleness by a TTL.
+// Writes go through to the inner store before Put returns. Files are
+// kept locally until close one layer up (AfsClient), so the cache adds
+// no buffering of its own, and each write reaches the store in the order
+// the client issued it: data before the journal anchor that references
+// it. A Put keeps its own bytes as the name's entry.
 //
-// Freshness model per entry:
-//   leased — served under a server read or write lease; valid until the
-//            server pushes an invalidation or the lease channel dies.
-//   clean  — TTL-stamped (fills without a lease, TTL-mode writes);
-//            valid for ttl_ms after the stamp.
+// One freshness rule: an entry is valid for ttl_ms after it was filled
+// or written. Nothing tells the cache that another client changed a
+// name, so another client's write becomes visible here at most ttl_ms
+// after this cache last filled or wrote that name (DESIGN.md §9).
+// Open-to-close sharing between NEXUS clients is the AFS layer's job
+// (AfsClient callbacks), above this cache.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +41,7 @@ namespace nexus::cache {
 struct CacheOptions {
   /// Memory budget: least recently used entries go past it.
   std::size_t mem_budget_bytes = 64u << 20;
-  /// Clean-entry validity window.
+  /// Entry validity window, from the fill or the write.
   std::uint64_t ttl_ms = 5000;
 
   /// Inert: the cache has one memory tier. Kept only because nexus_bench
@@ -60,8 +58,6 @@ struct CacheOptions {
 
 class CachedBackend final : public storage::StorageBackend {
  public:
-  /// Wraps `inner` and subscribes to invalidations (falling back to TTL
-  /// mode if the inner backend cannot push them).
   explicit CachedBackend(std::unique_ptr<storage::StorageBackend> inner,
                          CacheOptions options = {});
 
@@ -81,13 +77,9 @@ class CachedBackend final : public storage::StorageBackend {
       const std::string& name) override;
 
   [[nodiscard]] CacheCounters counters() const;
-  /// True when the inner backend pushes invalidations (leases active at
-  /// subscription time; a later channel loss demotes entries to TTL but
-  /// does not flip this back).
-  [[nodiscard]] bool lease_mode() const noexcept { return lease_mode_; }
   [[nodiscard]] std::size_t mem_bytes() const;
-  /// Test hook: names with a fetch or a lease-mode Put in flight, each
-  /// holding one invalidation sequence.
+  /// Test hook: names with a fetch in flight, each holding one mutation
+  /// sequence.
   [[nodiscard]] std::size_t inflight_names() const;
 
   /// Test/bench hook: drops every entry so the next read round is cold.
@@ -96,13 +88,11 @@ class CachedBackend final : public storage::StorageBackend {
  private:
   struct Entry {
     SharedBytes data; // never null; replaced, never mutated
-    enum class State : std::uint8_t { kClean, kLeased } state =
-        State::kClean;
-    std::uint64_t stamp_ms = 0; // TTL base for kClean
+    std::uint64_t stamp_ms = 0; // fill or write time; the TTL's base
     std::list<std::string>::iterator lru_it;
   };
-  /// Callers of one name whose inner call is in flight, and the name's
-  /// invalidation sequence while they are.
+  /// Callers of one name whose fetch is in flight, and the name's
+  /// mutation sequence while they are.
   struct Flight {
     std::uint64_t seq = 0;
     unsigned callers = 0;
@@ -114,10 +104,10 @@ class CachedBackend final : public storage::StorageBackend {
   void TouchLocked(const std::string& name, Entry& entry);
   void RemoveEntryLocked(const std::string& name);
   void EvictOverMemBudgetLocked();
-  void InsertCleanLocked(const std::string& name, SharedBytes data,
-                         Entry::State state, std::uint64_t stamp_ms);
+  /// Installs `data` as the name's entry, stamped now.
+  void InsertLocked(const std::string& name, SharedBytes data);
 
-  // In-flight invalidation sequences (see flights_).
+  // In-flight mutation sequences (see flights_).
   /// Joins the name's flight; returns its sequence before the inner call.
   std::uint64_t BeginFlightLocked(const std::string& name);
   /// Leaves the flight; true when no mutation of the name arrived since
@@ -126,33 +116,25 @@ class CachedBackend final : public storage::StorageBackend {
   /// A mutation of the name: any caller still in flight read stale bytes.
   void BumpFlightLocked(const std::string& name);
 
-  // Coherence callbacks (inner backend threads).
-  void OnInvalidate(const std::vector<std::string>& names);
-  void OnChannelDown();
   /// Stream commit published bytes the cache never saw: drop the entry.
   void OnStreamCommitted(const std::string& name);
 
   friend class CachedPutStream;
 
   CacheOptions options_;
-  bool lease_mode_ = false;
 
   mutable std::mutex mu_;
-  bool channel_up_ = false; // guarded by mu_
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_; // MRU at front
   std::size_t mem_bytes_ = 0;
-  /// Names with a fetch or a lease-mode Put in flight. Every mutation of
-  /// such a name (invalidation, Put, Delete, stream commit) bumps its
-  /// sequence, so a caller that raced it never installs the stale bytes
-  /// it read. A name nobody is fetching holds no node here.
+  /// Names with a fetch in flight. Every local mutation of such a name
+  /// (Put, Delete, stream commit) bumps its sequence, so a fetch that
+  /// raced it never installs the stale bytes it read. A name nobody is
+  /// fetching holds no node here.
   std::unordered_map<std::string, Flight> flights_;
 
   CacheCounters counters_;
 
-  // Declared last so it is destroyed FIRST: the inner backend joins its
-  // lease thread in its destructor, guaranteeing no invalidation callback
-  // runs against a partially-destroyed cache.
   std::unique_ptr<storage::StorageBackend> inner_;
 };
 

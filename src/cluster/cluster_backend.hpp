@@ -190,9 +190,7 @@ class ClusterBackend final : public storage::StorageBackend {
 
   ~ClusterBackend() override;
 
-  // StorageBackend surface. Leases and invalidation push are not offered
-  // at cluster level (every read already consults a quorum), so the cache
-  // tier above runs lease-less: write-through + TTL.
+  // StorageBackend surface.
   Result<Bytes> Get(const std::string& name) override;
   Status Put(const std::string& name, ByteSpan data) override;
   Status Delete(const std::string& name) override;

@@ -169,13 +169,6 @@ int main(int argc, char** argv) {
   std::printf("  bytes         %llu in, %llu out\n",
               static_cast<unsigned long long>(s.bytes_received),
               static_cast<unsigned long long>(s.bytes_sent));
-  std::printf("  leases        %llu sessions, %llu granted, %llu broken, "
-              "%llu invalidations, %llu break timeouts\n",
-              static_cast<unsigned long long>(s.lease_sessions),
-              static_cast<unsigned long long>(s.leases_granted),
-              static_cast<unsigned long long>(s.leases_broken),
-              static_cast<unsigned long long>(s.invalidations_sent),
-              static_cast<unsigned long long>(s.lease_break_timeouts));
   // Event-loop health.
   if (s.epoll_wakeups > 0 || s.arena_slabs_high_water > 0) {
     // Wakeups per served RPC: about 1 when every request frame arrives

@@ -7,13 +7,11 @@
 //
 //   nexusd [--mem | --root DIR] [--bind ADDR] [--port N] [--rpc-workers N]
 //
-// Connections are served by one epoll loop, lease channels included:
-// thousands of idle connections and subscribers cost no threads. --mem
-// handlers run inline on that loop, except mutations while any client
-// holds a lease channel (their lease breaks may wait). --rpc-workers
-// (at least 1) sizes the shared pool for handlers that may wait: every
-// --root handler and those --mem mutations. A malformed number (--port,
-// --rpc-workers) or an unknown flag prints the usage and exits 2.
+// Connections are served by one epoll loop: thousands of idle
+// connections cost no threads. --mem handlers run inline on that loop.
+// --rpc-workers (at least 1) sizes the shared pool for handlers that may
+// wait: every --root handler. A malformed number (--port, --rpc-workers)
+// or an unknown flag prints the usage and exits 2.
 //
 // Prints "nexusd listening on ADDR:PORT" once serving (port 0 picks an
 // ephemeral port; scripts parse this line), then runs until SIGINT or

@@ -15,6 +15,15 @@ namespace nexus::net {
 
 namespace {
 
+/// A reply ends at its last field. Extra bytes come from a store that
+/// speaks some other dialect, so the call fails rather than guess.
+Status ExpectEnd(const Reader& reader, const char* reply,
+                 const std::string& name) {
+  if (reader.AtEnd()) return Status::Ok();
+  return Error(ErrorCode::kIntegrityViolation,
+               std::string("trailing bytes in ") + reply + " reply: " + name);
+}
+
 std::uint64_t Mix(std::uint64_t& state) {
   state += 0x9e3779b97f4a7c15ull;
   std::uint64_t z = state;
@@ -38,17 +47,6 @@ RemoteBackend::RemoteBackend(TransportFactory factory,
                       : DefaultRpcWindow()),
       jitter_state_(options.jitter_seed) {}
 
-RemoteBackend::~RemoteBackend() {
-  // Silence the callback channel first: after this no invalidation or
-  // channel-down callback can fire against a half-dead backend.
-  lease_shutdown_.store(true, std::memory_order_release);
-  {
-    const std::lock_guard<std::mutex> lock(lease_mu_);
-    if (lease_transport_ != nullptr) lease_transport_->Shutdown();
-  }
-  if (lease_thread_.joinable()) lease_thread_.join();
-}
-
 Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
     const std::string& host, std::uint16_t port, RemoteBackendOptions options) {
   const int connect_ms = options.connect_deadline_ms;
@@ -59,17 +57,6 @@ Result<std::unique_ptr<RemoteBackend>> RemoteBackend::Connect(
                            TcpTransport::Dial(host, port, connect_ms, rpc_ms));
     return std::unique_ptr<Transport>(std::move(t));
   };
-  if (!options.lease_transport_factory) {
-    // The callback channel sits idle in RecvFrame between pushes, so it
-    // must dial WITHOUT an I/O deadline — the data-path deadline would
-    // kill a perfectly healthy subscription.
-    options.lease_transport_factory = [host, port, connect_ms]()
-        -> Result<std::unique_ptr<Transport>> {
-      NEXUS_ASSIGN_OR_RETURN(std::unique_ptr<TcpTransport> t,
-                             TcpTransport::Dial(host, port, connect_ms, -1));
-      return std::unique_ptr<Transport>(std::move(t));
-    };
-  }
   auto backend =
       std::make_unique<RemoteBackend>(std::move(factory), options);
   NEXUS_RETURN_IF_ERROR(backend->Ping());
@@ -122,10 +109,6 @@ void RemoteBackend::CountRetry() {
 
 // ---- connection pool --------------------------------------------------------
 
-std::uint64_t RemoteBackend::lease_session() const noexcept {
-  return lease_session_.load(std::memory_order_acquire);
-}
-
 std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
     std::unique_ptr<Transport> transport) {
   // Client rpcs/bytes/latency are counted at DELIVERY time, in the mux's
@@ -141,17 +124,6 @@ std::shared_ptr<MuxConnection> RemoteBackend::NewConnection(
   };
   return std::make_shared<MuxConnection>(std::move(transport), rpc_window_,
                                          std::move(hook));
-}
-
-void RemoteBackend::AttachLease(MuxConnection& conn) {
-  const std::uint64_t sid = lease_session();
-  if (sid == 0) return;
-  Writer req = BeginRequest(Rpc::kLeaseAttach);
-  req.U64(sid);
-  auto slot = conn.Submit(req.bytes());
-  // Best effort: an unattached connection still works, the server just
-  // cannot tell our own writes from a stranger's (we self-invalidate).
-  if (slot != nullptr) (void)slot->Wait();
 }
 
 Result<std::shared_ptr<MuxConnection>> RemoteBackend::AcquireConnection(
@@ -191,9 +163,6 @@ Result<std::shared_ptr<MuxConnection>> RemoteBackend::AcquireConnection(
     ++counters_.reconnects;
   }
   auto conn = NewConnection(std::move(fresh));
-  // Tie the data connection to the lease session BEFORE publishing it so
-  // RPCs racing onto it are already recognizable as ours.
-  AttachLease(*conn);
   {
     const std::lock_guard<std::mutex> lock(pool_mu_);
     if (pool_.size() < options_.max_pooled_connections) pool_.push_back(conn);
@@ -283,49 +252,28 @@ Result<ServerStats> RemoteBackend::Stats() {
 // ---- whole-object ops -------------------------------------------------------
 
 Result<Bytes> RemoteBackend::Get(const std::string& name) {
-  return GetLeased(name, nullptr);
-}
-
-Result<Bytes> RemoteBackend::GetLeased(const std::string& name,
-                                       bool* lease_granted) {
-  if (lease_granted != nullptr) *lease_granted = false;
   Writer req = BeginRequest(Rpc::kGet);
   req.Str(name);
-  // The want-lease byte: the server only registers a holder (and pays the
-  // break protocol later) when the caller will track the grant.
-  req.U8(lease_granted != nullptr ? 1 : 0);
   NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
   Reader reader(payload);
   NEXUS_ASSIGN_OR_RETURN(Bytes data, reader.Var(kMaxObjectBytes));
-  NEXUS_ASSIGN_OR_RETURN(const std::uint8_t granted, reader.U8());
-  if (lease_granted != nullptr) *lease_granted = granted != 0;
+  NEXUS_RETURN_IF_ERROR(ExpectEnd(reader, "get", name));
   return data;
 }
 
 Status RemoteBackend::Put(const std::string& name, ByteSpan data) {
-  return PutLeased(name, data, nullptr);
-}
-
-Status RemoteBackend::PutLeased(const std::string& name, ByteSpan data,
-                                bool* lease_granted) {
-  if (lease_granted != nullptr) *lease_granted = false;
   if (data.size() > kMaxObjectBytes) {
     return Error(ErrorCode::kInvalidArgument, "object too large: " + name);
   }
   Writer req = BeginRequest(Rpc::kPut);
-  // Sized once: two u32 length prefixes, the name, the payload and the
-  // lease byte, so a large payload is copied into the frame exactly once.
-  req.Reserve(req.bytes().size() + 4 + name.size() + 4 + data.size() + 1);
+  // Sized once: two u32 length prefixes, the name and the payload, so a
+  // large payload is copied into the frame exactly once.
+  req.Reserve(req.bytes().size() + 4 + name.size() + 4 + data.size());
   req.Str(name);
   req.Var(data);
-  // The want-write-lease byte; as with Get, the server only registers a
-  // holder when the caller will track the grant.
-  req.U8(lease_granted != nullptr ? 1 : 0);
   NEXUS_ASSIGN_OR_RETURN(Bytes payload, Call(req));
   Reader reader(payload);
-  NEXUS_ASSIGN_OR_RETURN(const std::uint8_t granted, reader.U8());
-  if (lease_granted != nullptr) *lease_granted = granted != 0;
-  return Status::Ok();
+  return ExpectEnd(reader, "put", name);
 }
 
 Status RemoteBackend::Delete(const std::string& name) {
@@ -357,6 +305,7 @@ Result<storage::StorageBackend::Head> RemoteBackend::GetHead(
     return Error(ErrorCode::kIntegrityViolation,
                  "head reply prefix does not match its size: " + name);
   }
+  NEXUS_RETURN_IF_ERROR(ExpectEnd(reader, "head", name));
   return head;
 }
 
@@ -423,82 +372,6 @@ Result<storage::StorageBackend::ListPage> RemoteBackend::CallListPage(
   page.more = more != 0;
   if (!reader.AtEnd() || (page.more && page.names.empty())) return malformed();
   return page;
-}
-
-// ---- lease subscription -----------------------------------------------------
-
-bool RemoteBackend::SubscribeInvalidations(InvalidationListener on_invalidate,
-                                           ChannelDownHandler on_channel_down) {
-  {
-    const std::lock_guard<std::mutex> lock(lease_mu_);
-    if (lease_thread_.joinable()) return false; // already subscribed
-    const TransportFactory& dial = options_.lease_transport_factory
-                                       ? options_.lease_transport_factory
-                                       : factory_;
-    auto dialed = dial();
-    if (!dialed.ok()) return false;
-    std::unique_ptr<Transport> transport = std::move(dialed).value();
-
-    // Lock-step subscription handshake on the dedicated connection.
-    Writer req = BeginRequest(Rpc::kLeaseSubscribe);
-    const std::uint64_t corr = RequestCorrelation(req.bytes());
-    if (!transport->SendFrame(req.bytes()).ok()) return false;
-    auto response = transport->RecvFrame();
-    if (!response.ok()) return false;
-    Reader reader(response.value());
-    Status verdict = Status::Ok();
-    std::uint64_t echoed = 0;
-    if (!ParseResponseHead(reader, &verdict, &echoed).ok() ||
-        echoed != corr || !verdict.ok()) {
-      return false;
-    }
-    auto sid = reader.U64();
-    if (!sid.ok() || sid.value() == 0) return false;
-
-    lease_session_.store(sid.value(), std::memory_order_release);
-    lease_transport_ = std::move(transport);
-    lease_listener_ = std::move(on_invalidate);
-    lease_on_down_ = std::move(on_channel_down);
-    lease_thread_ = std::thread([this] { LeaseCallbackLoop(); });
-  }
-  // Tie the connections dialed before the subscription (Connect's Ping
-  // connection at least) to the session so their writes are already
-  // recognizable as ours.
-  std::vector<std::shared_ptr<MuxConnection>> conns;
-  {
-    const std::lock_guard<std::mutex> lock(pool_mu_);
-    conns = pool_;
-  }
-  for (const auto& conn : conns) AttachLease(*conn);
-  return true;
-}
-
-void RemoteBackend::LeaseCallbackLoop() {
-  // The server originates request-format kInvalidate frames here; each is
-  // acked with an ordinary response frame AFTER the listener ran, so a
-  // server waiting on the ack knows the cache entry is already gone.
-  for (;;) {
-    auto frame = lease_transport_->RecvFrame();
-    if (!frame.ok()) break;
-    Reader reader(frame.value());
-    std::uint64_t corr = 0;
-    auto rpc = ParseRequestHead(reader, &corr);
-    if (!rpc.ok() || rpc.value() != Rpc::kInvalidate) break;
-    auto names = DecodeNameList(reader);
-    if (!names.ok()) break;
-    {
-      trace::Span span("cache.invalidate_push", "net.lease");
-      span.SetCorrelation(corr);
-      if (lease_listener_) lease_listener_(names.value());
-    }
-    Writer ack = BeginResponse(Status::Ok(), corr);
-    if (!lease_transport_->SendFrame(ack.bytes()).ok()) break;
-  }
-  lease_session_.store(0, std::memory_order_release);
-  if (!lease_shutdown_.load(std::memory_order_acquire)) {
-    // Real channel loss (not our own destructor): leases are void now.
-    if (lease_on_down_) lease_on_down_();
-  }
 }
 
 NetCounters RemoteBackend::counters() const {
@@ -628,7 +501,7 @@ class MuxPutStream final : public storage::StorageBackend::PutStream {
   }
 
  private:
-  /// Dial + lease attach + lock-step StreamBegin. Any failure marks the
+  /// Dial + lock-step StreamBegin. Any failure marks the
   /// stream broken — there is no retry budget, because a later retry
   /// could not replay segments already handed to a previous connection.
   Status Begin() {
@@ -639,9 +512,6 @@ class MuxPutStream final : public storage::StorageBackend::PutStream {
       return dialed.status();
     }
     conn_ = backend_.NewConnection(std::move(dialed).value());
-    // Same best-effort session tie as pooled connections: the commit
-    // must not invalidate the writer's own cache.
-    backend_.AttachLease(*conn_);
     Writer begin = BeginRequest(Rpc::kStreamBegin);
     begin.Str(name_);
     auto slot = conn_->Submit(begin.bytes());

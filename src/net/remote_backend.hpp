@@ -25,15 +25,8 @@
 //   * one wire version — every connection runs the full window from its
 //     first RPC. Nothing is negotiated: a response head carrying any
 //     other version drops the connection like any malformed head, and a
-//     reply missing a required field (a lease byte) fails its call —
-//     those bytes come from the untrusted store,
-//   * lease coherence — SubscribeInvalidations dials a dedicated
-//     callback connection, registers a lease session, and pumps
-//     server-pushed kInvalidate frames to the listener, acking each.
-//     GetLeased asks the server for a read lease on the fetched object;
-//     pooled data connections (and stream connections) attach themselves
-//     to the session so the server can skip invalidating the writer's own
-//     cache.
+//     reply missing a field or carrying trailing bytes fails its call —
+//     those bytes come from the untrusted store.
 //
 // Streamed puts are pipelined, not replayed: OpenPutStream opens a
 // dedicated mux connection, keeps up to a window of segments in flight
@@ -50,7 +43,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/mux.hpp"
@@ -90,18 +82,11 @@ struct RemoteBackendOptions {
   std::size_t rpc_window = 0;
   /// Inert: nothing reads it; nexus_bench sets it (ROADMAP item 2).
   std::size_t readahead_budget_bytes = 0;
-  /// Dials the dedicated lease-callback connection. Null uses the main
-  /// factory — fine for tests; Connect() installs a deadline-free dialer
-  /// here because the callback channel blocks in RecvFrame indefinitely
-  /// between pushes. Fault tests substitute a dropping transport to
-  /// exercise lost invalidations.
-  TransportFactory lease_transport_factory;
 };
 
 class RemoteBackend final : public storage::StorageBackend {
  public:
   RemoteBackend(TransportFactory factory, RemoteBackendOptions options = {});
-  ~RemoteBackend() override;
 
   /// TCP convenience: dials host:port eagerly once (a Ping) so a dead
   /// server fails fast at construction instead of on the first Get.
@@ -109,12 +94,12 @@ class RemoteBackend final : public storage::StorageBackend {
       const std::string& host, std::uint16_t port,
       RemoteBackendOptions options = {});
 
+  /// One kGet round trip; a reply with bytes after the object fails
+  /// the call.
   Result<Bytes> Get(const std::string& name) override;
-  Result<Bytes> GetLeased(const std::string& name,
-                          bool* lease_granted) override;
+  /// One kPut round trip; an OK reply carries nothing, so any result
+  /// bytes fail the call.
   Status Put(const std::string& name, ByteSpan data) override;
-  Status PutLeased(const std::string& name, ByteSpan data,
-                   bool* lease_granted) override;
   Status Delete(const std::string& name) override;
   /// One zero-byte kGetHead round trip; a failed call reads as absent.
   bool Exists(const std::string& name) override;
@@ -123,8 +108,9 @@ class RemoteBackend final : public storage::StorageBackend {
   /// empty.
   std::vector<std::string> List(const std::string& prefix) override;
   /// One kGetHead round trip. `max_bytes` is clamped to kMaxObjectBytes;
-  /// a reply whose prefix is not exactly min(max, size) bytes fails the
-  /// call, since those bytes come from the untrusted store.
+  /// a reply whose prefix is not exactly min(max, size) bytes, or that
+  /// carries bytes after the prefix, fails the call, since those bytes
+  /// come from the untrusted store.
   Result<Head> GetHead(const std::string& name, std::size_t max_bytes) override;
   /// One kListPage round trip; a page that fails or is malformed (see
   /// CallListPage) reads as empty with no continuation.
@@ -135,8 +121,6 @@ class RemoteBackend final : public storage::StorageBackend {
   /// the stream permanently (see the header comment).
   Result<std::unique_ptr<PutStream>> OpenPutStream(
       const std::string& name) override;
-  bool SubscribeInvalidations(InvalidationListener on_invalidate,
-                              ChannelDownHandler on_channel_down) override;
 
   /// Liveness probe through the full RPC machinery (retries included).
   Status Ping();
@@ -146,8 +130,6 @@ class RemoteBackend final : public storage::StorageBackend {
   Result<ServerStats> Stats();
 
   [[nodiscard]] NetCounters counters() const;
-  /// Lease session id on the server (0 = not subscribed / channel down).
-  [[nodiscard]] std::uint64_t lease_session() const noexcept;
 
  private:
   friend class MuxPutStream;
@@ -169,18 +151,12 @@ class RemoteBackend final : public storage::StorageBackend {
   Result<std::shared_ptr<MuxConnection>> AcquireConnection(bool is_retry);
   std::shared_ptr<MuxConnection> NewConnection(
       std::unique_ptr<Transport> transport);
-  /// Best-effort kLeaseAttach on a fresh data connection (no-op when no
-  /// session is live).
-  void AttachLease(MuxConnection& conn);
 
   /// Consecutive-failure streak driving the backoff delay.
   void NoteFailure();
   void NoteSuccess();
   void Backoff();
   void CountRetry();
-
-  /// Pumps server-pushed kInvalidate frames until the channel dies.
-  void LeaseCallbackLoop();
 
   TransportFactory factory_;
   RemoteBackendOptions options_;
@@ -192,16 +168,6 @@ class RemoteBackend final : public storage::StorageBackend {
   std::uint64_t jitter_state_;
   NetCounters counters_; // percentiles come from rpc_latency_
   trace::Histogram rpc_latency_; // successful RPCs; records lock-free
-
-  // Lease-callback channel. The listener/handler are written once under
-  // lease_mu_ before the thread starts and read by it without locking.
-  std::mutex lease_mu_;
-  std::unique_ptr<Transport> lease_transport_;
-  std::thread lease_thread_;
-  InvalidationListener lease_listener_;
-  ChannelDownHandler lease_on_down_;
-  std::atomic<std::uint64_t> lease_session_{0};
-  std::atomic<bool> lease_shutdown_{false};
 
   mutable std::mutex pool_mu_;
   std::vector<std::shared_ptr<MuxConnection>> pool_;

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -59,40 +58,25 @@ struct NexusdServer::Dispatch {
   enum class Kind {
     kStateless,     // runs on the rpc pool; replies may leave out of order
     kOrdered,       // per-connection FIFO, one at a time (stream ops)
-    kImmediate,     // decoded AND executed in arrival order; reply attached
     kProtocolError, // malformed frame: kill the connection
   };
   Kind kind = Kind::kProtocolError;
   std::size_t op = 0;
   std::uint64_t corr = 0;
   const char* name = "";
-  std::function<WireReply()> execute; // kStateless / kOrdered
-  WireReply response;                 // kImmediate
-  // Put, Delete or StreamCommit: while any lease session exists its
-  // handler may wait up to lease_break_ms for invalidation acks.
-  bool mutation = false;
+  std::function<WireReply()> execute;
 };
 
 /// Per-connection protocol state.
 struct NexusdServer::ConnState {
   /// In-flight put streams, scoped to the connection. Destruction aborts
   /// whatever the client never committed (DiskPutStream removes its temp
-  /// file), so a dropped connection leaves the store untouched. The name
-  /// rides along so Commit can run the lease-break protocol.
-  struct OpenStream {
-    std::unique_ptr<storage::StorageBackend::PutStream> stream;
-    std::string name;
-  };
+  /// file), so a dropped connection leaves the store untouched.
+  using OpenStream = std::unique_ptr<storage::StorageBackend::PutStream>;
 
   std::mutex stream_mu; // ordered handlers vs. connection teardown
   std::map<std::uint64_t, OpenStream> streams; // under stream_mu
   std::uint64_t next_stream_handle = 1;        // under stream_mu
-
-  // Lease state, loop thread only: the lease session this data
-  // connection belongs to (kLeaseAttach), and the session this connection
-  // BECAME the invalidation channel of (kLeaseSubscribe).
-  std::uint64_t attached_session = 0;
-  std::shared_ptr<LeaseSession> subscription;
 };
 
 /// One served connection.
@@ -154,9 +138,6 @@ Result<std::unique_ptr<NexusdServer>> NexusdServer::Start(
     storage::StorageBackend& backend, NexusdOptions options) {
   if (options.rpc_workers == 0) {
     return Error(ErrorCode::kInvalidArgument, "rpc_workers must be >= 1");
-  }
-  if (options.lease_break_ms <= 0) {
-    return Error(ErrorCode::kInvalidArgument, "lease_break_ms must be > 0");
   }
   auto server = std::unique_ptr<NexusdServer>(
       new NexusdServer(backend, std::move(options)));
@@ -237,8 +218,7 @@ void NexusdServer::Stop() {
       }
     });
     // Handler tasks never block on connection I/O (replies are
-    // nonblocking enqueues), and a lease break ends when its channel is
-    // torn down above, so the drain always completes.
+    // nonblocking enqueues), so the drain always completes.
     {
       std::unique_lock<std::mutex> lock(mu_);
       drain_cv_.wait(lock, [this] {
@@ -261,16 +241,8 @@ void NexusdServer::Stop() {
 // ---- stats ------------------------------------------------------------------
 
 NexusdServer::Stats NexusdServer::stats() const {
-  Stats out;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(lease_mu_);
-    out.lease_sessions = sessions_.size();
-  }
-  return out;
+  const std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 ServerStats NexusdServer::WireStats() const {
@@ -285,12 +257,8 @@ ServerStats NexusdServer::WireStats() const {
     out.streams_aborted_on_disconnect = stats_.streams_aborted_on_disconnect;
     out.bytes_received = stats_.bytes_received;
     out.bytes_sent = stats_.bytes_sent;
-    out.leases_granted = stats_.leases_granted;
-    out.leases_broken = stats_.leases_broken;
-    out.invalidations_sent = stats_.invalidations_sent;
-    out.lease_break_timeouts = stats_.lease_break_timeouts;
     // Gauge of threads this daemon is resident with: the loop and the rpc
-    // pool, whatever the number of connections and lease channels.
+    // pool, whatever the number of connections.
     out.resident_threads = 1 + options_.rpc_workers;
     for (std::size_t i = static_cast<std::size_t>(Rpc::kPing); i < kRpcSlots;
          ++i) {
@@ -302,10 +270,6 @@ ServerStats NexusdServer::WireStats() const {
       row.bytes_out = per_op_[i].bytes_out;
       out.per_op.push_back(row);
     }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(lease_mu_);
-    out.lease_sessions = sessions_.size();
   }
   out.epoll_wakeups = reactor_->stats().wakeups;
   const BufferArena::Stats as = arena_.stats();
@@ -334,186 +298,6 @@ void NexusdServer::CountOp(std::size_t op, std::uint64_t bytes_in,
   ++per_op_[op].count;
   per_op_[op].bytes_in += bytes_in;
   per_op_[op].bytes_out += bytes_out;
-}
-
-// ---- lease machinery --------------------------------------------------------
-
-std::shared_ptr<NexusdServer::LeaseSession> NexusdServer::FindSession(
-    std::uint64_t sid) {
-  const std::lock_guard<std::mutex> lock(lease_mu_);
-  const auto it = sessions_.find(sid);
-  return it == sessions_.end() ? nullptr : it->second;
-}
-
-bool NexusdServer::PreGrantLease(const std::string& name, std::uint64_t sid,
-                                 std::uint64_t* version_before) {
-  const std::lock_guard<std::mutex> lock(lease_mu_);
-  if (!sessions_.contains(sid)) return false;
-  // Register as a holder BEFORE the backend read: a mutation finishing
-  // after this point collects (and invalidates) this session, so even a
-  // read that returns just-overwritten bytes gets its invalidation.
-  *version_before = object_version_[name];
-  holders_[name].insert(sid);
-  return true;
-}
-
-bool NexusdServer::PostGrantLease(const std::string& name, std::uint64_t sid,
-                                  std::uint64_t version_before, bool read_ok) {
-  bool granted = false;
-  {
-    const std::lock_guard<std::mutex> lock(lease_mu_);
-    const auto h = holders_.find(name);
-    const bool still_held = h != holders_.end() && h->second.contains(sid);
-    if (read_ok && still_held && sessions_.contains(sid) &&
-        object_version_[name] == version_before) {
-      granted = true;
-    } else if (still_held) {
-      // Denied (version moved, read failed, or session died): withdraw
-      // the registration so the holder set stays exact.
-      h->second.erase(sid);
-      if (h->second.empty()) holders_.erase(h);
-    }
-  }
-  if (granted) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.leases_granted;
-  }
-  return granted;
-}
-
-std::uint64_t NexusdServer::BeginMutation(const std::string& name,
-                                          std::uint64_t writer_sid,
-                                          bool want_lease) {
-  const std::lock_guard<std::mutex> lock(lease_mu_);
-  const std::uint64_t version = ++object_version_[name];
-  if (want_lease && writer_sid != 0 && sessions_.contains(writer_sid)) {
-    // Register the writer as a holder BEFORE the backend write, exactly
-    // like PreGrantLease does for reads: any overlapping mutation either
-    // bumps the version (denying the grant) or erases this registration
-    // through its own FinishMutation — a stale write lease cannot survive.
-    holders_[name].insert(writer_sid);
-  }
-  return version;
-}
-
-bool NexusdServer::FinishMutation(const std::string& name,
-                                  std::uint64_t writer_sid,
-                                  std::uint64_t version_at_begin,
-                                  bool want_lease, bool write_ok) {
-  std::vector<std::shared_ptr<LeaseSession>> targets;
-  bool granted = false;
-  {
-    const std::lock_guard<std::mutex> lock(lease_mu_);
-    const auto h = holders_.find(name);
-    if (h == holders_.end()) return false;
-    const bool writer_registered =
-        writer_sid != 0 && h->second.contains(writer_sid);
-    granted = want_lease && write_ok && writer_registered &&
-              sessions_.contains(writer_sid) &&
-              object_version_[name] == version_at_begin;
-    for (const std::uint64_t sid : h->second) {
-      if (sid == writer_sid) continue; // the writer invalidates itself
-      const auto s = sessions_.find(sid);
-      if (s != sessions_.end()) targets.push_back(s->second);
-    }
-    if (granted) {
-      // The writer keeps its registration: it now holds a write lease
-      // and will be invalidated only by OTHER sessions' mutations.
-      h->second.clear();
-      h->second.insert(writer_sid);
-    } else {
-      holders_.erase(h);
-    }
-  }
-  if (granted) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.leases_granted;
-  }
-  if (targets.empty()) return granted;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stats_.leases_broken += targets.size();
-  }
-
-  trace::Span span("cache.lease_break", "net.server");
-  // Push to every holder first, then collect acks — the ack waits overlap
-  // instead of serializing full round trips.
-  struct Push {
-    std::shared_ptr<LeaseSession> session;
-    std::uint64_t corr = 0;
-  };
-  std::vector<Push> pushes;
-  pushes.reserve(targets.size());
-  for (const auto& session : targets) {
-    Push push{session, NextCorrelationId()};
-    Writer frame = BeginRequest(Rpc::kInvalidate, push.corr);
-    EncodeNameList(frame, {name});
-    bool delivered = false;
-    {
-      const std::lock_guard<std::mutex> lock(session->mu);
-      const std::shared_ptr<RConn> channel = session->channel.lock();
-      if (!session->dead && channel != nullptr) {
-        // Register the pending ack BEFORE sending: the client's ack can
-        // race back faster than this thread resumes.
-        session->pending_acks.insert(push.corr);
-        delivered = SendReply(channel, WireReply(std::move(frame)));
-        if (!delivered) session->pending_acks.erase(push.corr);
-      }
-    }
-    if (delivered) pushes.push_back(std::move(push));
-  }
-  if (!pushes.empty()) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    stats_.invalidations_sent += pushes.size();
-  }
-
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.lease_break_ms);
-  for (const Push& push : pushes) {
-    std::unique_lock<std::mutex> lock(push.session->mu);
-    const bool acked = push.session->cv.wait_until(lock, deadline, [&] {
-      return push.session->dead ||
-             !push.session->pending_acks.contains(push.corr);
-    });
-    if (acked) continue;
-    // The holder never answered: kill its session so the break completes
-    // in bounded time. The loop sees the shut-down socket, tears the
-    // connection down and cleans the session up, and the client's
-    // channel-down path demotes every leased entry to TTL — staleness
-    // stays bounded either way.
-    push.session->dead = true;
-    if (const auto channel = push.session->channel.lock()) {
-      ::shutdown(channel->fd, SHUT_RDWR);
-    }
-    lock.unlock();
-    push.session->cv.notify_all();
-    const std::lock_guard<std::mutex> stats_lock(mu_);
-    ++stats_.lease_break_timeouts;
-  }
-  return granted;
-}
-
-void NexusdServer::CleanupSession(
-    const std::shared_ptr<LeaseSession>& session) {
-  {
-    const std::lock_guard<std::mutex> lock(lease_mu_);
-    sessions_.erase(session->id);
-    for (auto it = holders_.begin(); it != holders_.end();) {
-      it->second.erase(session->id);
-      if (it->second.empty()) {
-        it = holders_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  {
-    const std::lock_guard<std::mutex> lock(session->mu);
-    session->dead = true;
-    session->channel.reset();
-    session->pending_acks.clear();
-  }
-  session->cv.notify_all(); // writers waiting on acks see `dead`
 }
 
 // ---- the protocol engine ----------------------------------------------------
@@ -546,30 +330,19 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
     case Rpc::kGet: {
       auto name = reader.Str();
       if (!name.ok()) break;
-      auto want_lease = reader.U8();
-      if (!want_lease.ok()) break;
-      const bool want = want_lease.value() != 0 && state.attached_session != 0;
-      const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.execute = [this, corr, sid, want, name = std::move(name).value()] {
-        std::uint64_t v0 = 0;
-        bool granted = want && PreGrantLease(name, sid, &v0);
+      d.execute = [this, corr, name = std::move(name).value()] {
         auto data = backend_.Get(name);
-        if (granted) granted = PostGrantLease(name, sid, v0, data.ok());
         if (!data.ok()) return WireReply(BeginResponse(data.status(), corr));
         Bytes body = std::move(data).value();
         Writer head = BeginResponse(Status::Ok(), corr);
         head.U32(static_cast<std::uint32_t>(body.size())); // Var(body)...
         if (body.size() <= kInlineBodyBytes) {
           head.Raw(body); // ...small: inline
-          head.U8(granted ? 1 : 0);
           return WireReply(std::move(head));
         }
         WireReply reply(std::move(head)); // ...large: own segment, no copy
         reply.Add(std::move(body));
-        Writer tail;
-        tail.U8(granted ? 1 : 0);
-        reply.Add(std::move(tail));
         return reply;
       };
       break;
@@ -579,35 +352,19 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       if (!name.ok()) break;
       auto data = reader.Var(kMaxObjectBytes);
       if (!data.ok()) break;
-      auto want_lease = reader.U8();
-      if (!want_lease.ok()) break;
-      const bool want = want_lease.value() != 0 && state.attached_session != 0;
-      const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.mutation = true;
-      d.execute = [this, corr, sid, want, name = std::move(name).value(),
+      d.execute = [this, corr, name = std::move(name).value(),
                    data = std::move(data).value()] {
-        const std::uint64_t v0 = BeginMutation(name, sid, want);
-        const Status verdict = backend_.Put(name, data);
-        const bool granted =
-            FinishMutation(name, sid, v0, want, verdict.ok());
-        Writer r = BeginResponse(verdict, corr);
-        if (verdict.ok()) r.U8(granted ? 1 : 0);
-        return WireReply(std::move(r));
+        return WireReply(BeginResponse(backend_.Put(name, data), corr));
       };
       break;
     }
     case Rpc::kDelete: {
       auto name = reader.Str();
       if (!name.ok()) break;
-      const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kStateless;
-      d.mutation = true;
-      d.execute = [this, corr, sid, name = std::move(name).value()] {
-        BeginMutation(name);
-        const Status verdict = backend_.Delete(name);
-        FinishMutation(name, sid);
-        return WireReply(BeginResponse(verdict, corr));
+      d.execute = [this, corr, name = std::move(name).value()] {
+        return WireReply(BeginResponse(backend_.Delete(name), corr));
       };
       break;
     }
@@ -659,47 +416,6 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       };
       break;
     }
-    case Rpc::kLeaseSubscribe: {
-      // This connection becomes the session's invalidation channel: the
-      // attached response is the LAST ordinary reply on it; afterwards
-      // the connection carries only server pushes and client acks.
-      trace::Span span(d.name, "net.server");
-      span.SetCorrelation(corr);
-      auto session = std::make_shared<LeaseSession>();
-      {
-        const std::lock_guard<std::mutex> lock(lease_mu_);
-        session->id = next_session_id_++;
-        sessions_[session->id] = session;
-      }
-      // The push channel binds once this reply is queued
-      // (ReactorHandleFrame), so no push can overtake it.
-      state.subscription = session;
-      Writer r = BeginResponse(Status::Ok(), corr);
-      r.U64(session->id);
-      d.response = WireReply(std::move(r));
-      d.kind = Kind::kImmediate;
-      break;
-    }
-    case Rpc::kLeaseAttach: {
-      trace::Span span(d.name, "net.server");
-      span.SetCorrelation(corr);
-      auto sid = reader.U64();
-      if (!sid.ok()) break;
-      // Immediate (not pooled): attachment must order before the Gets
-      // and Puts pipelined behind it on this connection.
-      const bool known = FindSession(sid.value()) != nullptr;
-      if (known) state.attached_session = sid.value();
-      d.response = WireReply(BeginResponse(
-          known ? Status::Ok()
-                : Error(ErrorCode::kNotFound, "unknown lease session"),
-          corr));
-      d.kind = Kind::kImmediate;
-      break;
-    }
-    case Rpc::kInvalidate: {
-      // Server-originated only; a client sending it is desynchronized.
-      break;
-    }
     case Rpc::kStreamBegin: {
       auto name = reader.Str();
       if (!name.ok()) break;
@@ -714,8 +430,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
         {
           const std::lock_guard<std::mutex> lock(st->stream_mu);
           handle = st->next_stream_handle++;
-          st->streams[handle] =
-              ConnState::OpenStream{std::move(stream).value(), name};
+          st->streams[handle] = std::move(stream).value();
         }
         {
           const std::lock_guard<std::mutex> lock(mu_);
@@ -743,8 +458,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
               Error(ErrorCode::kInvalidArgument, "unknown stream handle"),
               corr));
         }
-        return WireReply(
-            BeginResponse(it->second.stream->Append(segment), corr));
+        return WireReply(BeginResponse(it->second->Append(segment), corr));
       };
       break;
     }
@@ -752,10 +466,8 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       auto handle = reader.U64();
       if (!handle.ok()) break;
       ConnState* st = &state;
-      const std::uint64_t sid = state.attached_session;
       d.kind = Kind::kOrdered;
-      d.mutation = true;
-      d.execute = [this, st, corr, sid, handle = handle.value()] {
+      d.execute = [this, st, corr, handle = handle.value()] {
         std::unique_lock<std::mutex> lock(st->stream_mu);
         const auto it = st->streams.find(handle);
         if (it == st->streams.end()) {
@@ -763,15 +475,10 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
               Error(ErrorCode::kInvalidArgument, "unknown stream handle"),
               corr));
         }
-        const std::string name = it->second.name;
-        auto stream = std::move(it->second.stream);
+        auto stream = std::move(it->second);
         st->streams.erase(it);
         lock.unlock();
-        // Commit publishes a new object atomically: same lease-break
-        // protocol as Put, bracketing the backend call.
-        BeginMutation(name);
-        const Status verdict = stream->Commit();
-        FinishMutation(name, sid);
+        const Status verdict = stream->Commit(); // publishes atomically
         {
           const std::lock_guard<std::mutex> stats_lock(mu_);
           --stats_.open_streams;
@@ -793,7 +500,7 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
               Error(ErrorCode::kInvalidArgument, "unknown stream handle"),
               corr));
         }
-        auto stream = std::move(it->second.stream);
+        auto stream = std::move(it->second);
         st->streams.erase(it);
         lock.unlock();
         stream->Abort();
@@ -806,6 +513,9 @@ NexusdServer::Dispatch NexusdServer::DecodeFrame(ByteSpan frame,
       break;
     }
   }
+  // Every request ends at its last field: trailing bytes mean the peer
+  // speaks some other dialect.
+  if (!reader.AtEnd()) return Dispatch{};
   return d;
 }
 
@@ -1020,25 +730,7 @@ bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
   RConn& c = *conn;
   const std::uint64_t start_ns = MonotonicNanos();
   const std::size_t frame_bytes = frame.size();
-  Dispatch d; // kProtocolError unless decoded
-  if (c.proto.subscription == nullptr) {
-    d = DecodeFrame(frame, c.proto);
-  } else {
-    // A lease channel carries only the client's acks of kInvalidate
-    // pushes: bare responses echoing the push's correlation id.
-    Reader reader(frame);
-    Status verdict = Status::Ok();
-    std::uint64_t corr = 0;
-    if (ParseResponseHead(reader, &verdict, &corr).ok() && reader.AtEnd()) {
-      LeaseSession& session = *c.proto.subscription;
-      {
-        const std::lock_guard<std::mutex> lock(session.mu);
-        session.pending_acks.erase(corr);
-      }
-      session.cv.notify_all();
-      return true;
-    }
-  }
+  Dispatch d = DecodeFrame(frame, c.proto);
 
   if (d.kind == Dispatch::Kind::kProtocolError) {
     {
@@ -1048,18 +740,6 @@ bool NexusdServer::ReactorHandleFrame(const std::shared_ptr<RConn>& conn,
     // Soft teardown: in-flight handlers still get their replies out.
     ReactorTeardown(conn, /*drain=*/true);
     return false;
-  }
-
-  if (d.kind == Dispatch::Kind::kImmediate) {
-    CountOp(d.op, frame_bytes, d.response.payload_bytes);
-    SendReply(conn, std::move(d.response));
-    op_latency_ns_[d.op].Record(MonotonicNanos() - start_ns);
-    if (c.proto.subscription != nullptr) {
-      // That was the subscribe reply: pushes may follow it now.
-      const std::lock_guard<std::mutex> lock(c.proto.subscription->mu);
-      c.proto.subscription->channel = conn;
-    }
-    return true;
   }
 
   ReactorDispatch(conn, std::move(d), frame_bytes, start_ns);
@@ -1072,16 +752,9 @@ void NexusdServer::ReactorDispatch(const std::shared_ptr<RConn>& conn,
                                    std::uint64_t start_ns) {
   RConn& c = *conn;
   // A handler runs on the loop thread when nothing in it can wait: over a
-  // backend that never waits, except a mutation while any lease session
-  // exists — its lease break waits for acks that only this thread reads.
-  // Sessions are created and finalized on this thread, so none can appear
-  // while an inline mutation runs. An ordered op decides only when it
-  // starts a runner.
-  bool on_loop = backend_.NeverWaits();
-  if (on_loop && d.mutation) {
-    const std::lock_guard<std::mutex> lock(lease_mu_);
-    on_loop = sessions_.empty();
-  }
+  // backend that never waits. An ordered op decides only when it starts a
+  // runner.
+  const bool on_loop = backend_.NeverWaits();
   if (d.kind == Dispatch::Kind::kOrdered) {
     bool start_runner = false;
     {
@@ -1405,10 +1078,6 @@ void NexusdServer::ReactorFinalize(const std::shared_ptr<RConn>& conn) {
   }
   const std::size_t aborted = streams.size();
   streams.clear(); // destructors abort anything uncommitted
-  if (c.proto.subscription != nullptr) {
-    CleanupSession(c.proto.subscription); // the lease channel is gone
-    c.proto.subscription.reset();
-  }
   {
     const std::lock_guard<std::mutex> lock(mu_);
     stats_.streams_aborted_on_disconnect += aborted;

@@ -1,8 +1,7 @@
 // nexusd server library: serves any StorageBackend over the wire protocol.
 //
 // One event-driven serve loop. A single loop thread owns an epoll Reactor
-// over the nonblocking listener and every connection, lease channels
-// included. Request bytes land in pooled BufferArena slabs and frames are
+// over the nonblocking listener and every connection. Request bytes land in pooled BufferArena slabs and frames are
 // parsed in place; handlers stage their responses into a per-connection
 // scatter/gather send queue (small replies coalesce into arena slabs,
 // large Get bodies stay zero-copy), flushed with sendmsg and drained
@@ -13,14 +12,10 @@
 // fails Start().
 //
 // Where a handler runs. Over a backend whose calls never wait
-// (StorageBackend::NeverWaits: MemBackend), handlers run inline on the
-// loop thread that parsed the frame, so a lock-step RPC wakes one server
-// thread, not two. Everything that may wait runs on the shared rpc pool:
-// every handler of any other backend, and over a never-waiting one every
-// mutation (Put, Delete, StreamCommit) while any lease session exists —
-// it may wait up to lease_break_ms for acks that only the loop reads.
-// Sessions are created and finalized on the loop thread, so the rule is
-// exact at dispatch time.
+// (StorageBackend::NeverWaits: MemBackend), every handler runs inline on
+// the loop thread that parsed the frame, so a lock-step RPC wakes one
+// server thread, not two. Every handler of any other backend runs on the
+// shared rpc pool.
 //
 // Within one connection, requests are pipelined: frames are parsed in
 // arrival order (framing errors must kill the connection
@@ -30,40 +25,22 @@
 // Abort) are connection state that the in-order byte stream defines: they
 // funnel through a per-connection ordered queue (one in flight at a time,
 // FIFO); a runner started on the pool keeps that queue until it drains.
-// A frame whose head carries any version other than kProtocolVersion is a
-// protocol error like any malformed frame: the connection dies and
-// protocol_errors ticks.
-//
-// Lease-based cache coherence. A client turns one connection into its
-// invalidation channel with kLeaseSubscribe (the response names a session
-// id; from then on the SERVER originates kInvalidate frames on it and the
-// client acks each with a response frame), and ties its data connections
-// to the session with kLeaseAttach. The channel stays on the loop: pushes
-// go through its send queue like any reply, and the loop reads the acks;
-// any frame on it that is not a response ends the session. A Get asking
-// for a lease registers the session as a holder of that object BEFORE the
-// backend read and re-validates the object's version after it — a
-// concurrent mutation between the two denies the lease, so a granted
-// lease always covers the exact bytes returned. Mutations bump the
-// version first, apply, then break every holder except the writer's own
-// session: push the invalidation, wait for the ack up to lease_break_ms,
-// and shut the channel's socket down on timeout, which ends the session
-// through the ordinary teardown — an unresponsive client can delay a
-// writer only briefly and can never hold stale data past its TTL.
+// A frame whose head carries any version other than kProtocolVersion, or
+// whose arguments are malformed or followed by trailing bytes, is a
+// protocol error: the connection dies and protocol_errors ticks.
 //
 // The daemon is the paper's untrusted storage service: it sees only
 // ciphertext and opaque names, so it does no authentication and keeps no
-// per-client state beyond in-flight put streams and lease sessions. Those
-// streams are scoped to their connection and aborted when it dies — a
-// client crash or mid-stream reset can never leave a partially visible
-// object (the backend's PutStream publishes atomically at Commit).
+// per-client state beyond in-flight put streams. Those streams are scoped
+// to their connection and aborted when it dies — a client crash or
+// mid-stream reset can never leave a partially visible object (the
+// backend's PutStream publishes atomically at Commit).
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -89,9 +66,6 @@ struct NexusdOptions {
   /// Most handler tasks one connection may have outstanding before the
   /// loop stops reading its frames (per-connection backpressure).
   std::size_t max_inflight_per_connection = 64;
-  /// How long a mutation waits for a lease holder's invalidation ack
-  /// before killing the holder's session. Must be positive.
-  int lease_break_ms = 1000;
 };
 
 class NexusdServer {
@@ -121,12 +95,6 @@ class NexusdServer {
     std::uint64_t bytes_sent = 0;
     std::uint64_t active_connections = 0; // gauge
     std::uint64_t open_streams = 0;       // gauge
-    // Lease coherence.
-    std::uint64_t lease_sessions = 0; // gauge
-    std::uint64_t leases_granted = 0;
-    std::uint64_t leases_broken = 0;
-    std::uint64_t invalidations_sent = 0;
-    std::uint64_t lease_break_timeouts = 0;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -148,22 +116,10 @@ class NexusdServer {
 
   // Protocol-engine types; defined in server.cpp (they drag in
   // reactor internals).
-  struct ConnState; // per-connection protocol state (streams, session)
+  struct ConnState; // per-connection protocol state (put streams)
   struct WireReply; // response payload as scatter/gather segments
   struct Dispatch;  // one decoded request frame + its handler closure
   struct RConn;     // one served connection
-
-  /// One subscribed client. `channel` is the subscription connection;
-  /// pushes queue on its send queue under `mu`, and the loop erases acked
-  /// correlation ids from `pending_acks` as the acks arrive.
-  struct LeaseSession {
-    std::uint64_t id = 0;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::weak_ptr<RConn> channel;         // under mu
-    std::set<std::uint64_t> pending_acks; // under mu
-    bool dead = false;                    // under mu
-  };
 
   NexusdServer(storage::StorageBackend& backend, NexusdOptions options);
 
@@ -198,40 +154,6 @@ class NexusdServer {
   void ReactorTeardown(const std::shared_ptr<RConn>& conn, bool drain);
   void ReactorFinalize(const std::shared_ptr<RConn>& conn);
 
-  // Lease machinery (registry under lease_mu_; never hold lease_mu_
-  // while touching a session's channel).
-  [[nodiscard]] std::shared_ptr<LeaseSession> FindSession(std::uint64_t sid);
-  /// Registers `sid` as a holder of `name` before the backend read;
-  /// reports the object version the grant is conditioned on.
-  bool PreGrantLease(const std::string& name, std::uint64_t sid,
-                     std::uint64_t* version_before);
-  /// Confirms the grant after the read: the object version must be
-  /// unchanged and the holder still registered (a concurrent mutation
-  /// clears both). Deregisters on denial or failed reads.
-  bool PostGrantLease(const std::string& name, std::uint64_t sid,
-                      std::uint64_t version_before, bool read_ok);
-  /// Bumps the object's version BEFORE the backend mutation so any read
-  /// racing the mutation fails its PostGrant validation. When the writer
-  /// wants a WRITE lease (Put), it is registered as a holder here —
-  /// mirroring PreGrantLease — and the bumped version is returned so
-  /// FinishMutation can confirm the grant only if no other mutation
-  /// interleaved.
-  std::uint64_t BeginMutation(const std::string& name,
-                              std::uint64_t writer_sid = 0,
-                              bool want_lease = false);
-  /// Breaks every holder except the writer's own session: pushes the
-  /// invalidation, waits for acks up to lease_break_ms, and shuts down the
-  /// channel of every session that never answers. Returns whether the
-  /// writer's WRITE lease (asked for at BeginMutation) was confirmed: the
-  /// write must have succeeded and the object version must still equal
-  /// `version_at_begin` with the writer still registered — any
-  /// overlapping mutation denies the grant.
-  bool FinishMutation(const std::string& name, std::uint64_t writer_sid,
-                      std::uint64_t version_at_begin = 0,
-                      bool want_lease = false, bool write_ok = false);
-  /// Tears a session out of the registry and wakes any waiting writers.
-  void CleanupSession(const std::shared_ptr<LeaseSession>& session);
-
   storage::StorageBackend& backend_;
   NexusdOptions options_;
   std::uint16_t port_ = 0;
@@ -249,20 +171,9 @@ class NexusdServer {
 
   mutable std::mutex mu_;
   bool stopping_ = false;
-  Stats stats_; // lease_sessions derived, the rest maintained under mu_
+  Stats stats_; // under mu_
   PerOpCounters per_op_[kRpcSlots]; // under mu_
   trace::Histogram op_latency_ns_[kRpcSlots]; // internally synchronized
-
-  // Lease registry. Lock order: lease_mu_ before mu_ (counter updates),
-  // never after a session's mu; a session's mu before its channel's
-  // send_mu (pushes).
-  mutable std::mutex lease_mu_;
-  std::uint64_t next_session_id_ = 1;
-  std::map<std::uint64_t, std::shared_ptr<LeaseSession>> sessions_;
-  std::map<std::string, std::set<std::uint64_t>> holders_;
-  /// Monotonic per-object mutation counter; entries persist for the
-  /// server's lifetime (names are few and short at this repo's scale).
-  std::map<std::string, std::uint64_t> object_version_;
 };
 
 } // namespace nexus::net

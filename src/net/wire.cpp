@@ -15,9 +15,6 @@ const char* RpcName(Rpc rpc) noexcept {
     case Rpc::kStreamCommit: return "stream_commit";
     case Rpc::kStreamAbort: return "stream_abort";
     case Rpc::kStats: return "stats";
-    case Rpc::kLeaseSubscribe: return "lease_subscribe";
-    case Rpc::kLeaseAttach: return "lease_attach";
-    case Rpc::kInvalidate: return "invalidate";
     case Rpc::kListPage: return "list_page";
     case Rpc::kGetHead: return "get_head";
   }
@@ -134,11 +131,6 @@ void EncodeServerStats(Writer& writer, const ServerStats& stats) {
   writer.U64(stats.streams_aborted_on_disconnect);
   writer.U64(stats.bytes_received);
   writer.U64(stats.bytes_sent);
-  writer.U64(stats.lease_sessions);
-  writer.U64(stats.leases_granted);
-  writer.U64(stats.leases_broken);
-  writer.U64(stats.invalidations_sent);
-  writer.U64(stats.lease_break_timeouts);
   writer.U64(stats.epoll_wakeups);
   writer.U64(stats.arena_slabs_in_use);
   writer.U64(stats.arena_slabs_high_water);
@@ -167,11 +159,6 @@ Result<ServerStats> DecodeServerStats(Reader& reader) {
   NEXUS_ASSIGN_OR_RETURN(stats.streams_aborted_on_disconnect, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.bytes_received, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.bytes_sent, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.lease_sessions, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.leases_granted, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.leases_broken, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.invalidations_sent, reader.U64());
-  NEXUS_ASSIGN_OR_RETURN(stats.lease_break_timeouts, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.epoll_wakeups, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.arena_slabs_in_use, reader.U64());
   NEXUS_ASSIGN_OR_RETURN(stats.arena_slabs_high_water, reader.U64());
@@ -200,26 +187,6 @@ Result<ServerStats> DecodeServerStats(Reader& reader) {
     stats.per_op.push_back(op);
   }
   return stats;
-}
-
-void EncodeNameList(Writer& writer, const std::vector<std::string>& names) {
-  writer.U32(static_cast<std::uint32_t>(names.size()));
-  for (const std::string& name : names) writer.Str(name);
-}
-
-Result<std::vector<std::string>> DecodeNameList(Reader& reader) {
-  NEXUS_ASSIGN_OR_RETURN(const std::uint32_t n, reader.U32());
-  if (n > kMaxNamesPerFrame) {
-    return Error(ErrorCode::kOutOfRange,
-                 "list of " + std::to_string(n) + " names exceeds limit");
-  }
-  std::vector<std::string> names;
-  names.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    NEXUS_ASSIGN_OR_RETURN(std::string name, reader.Str());
-    names.push_back(std::move(name));
-  }
-  return names;
 }
 
 } // namespace nexus::net

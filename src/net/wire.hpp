@@ -32,16 +32,12 @@
 //     envelope, a stat) never downloads the payload;
 //   * paged listing — kListPage enumerates a prefix one bounded, sorted
 //     page at a time (prefix, exclusive start-after cursor, limit), so
-//     listing a huge shard costs O(page) memory on both sides;
-//   * lease coherence — Get and Put requests carry a want-lease byte, and
-//     their OK replies a granted byte. Both bytes are required fields.
-//     The server pushes invalidations when another client mutates a
-//     leased object: the client sends kLeaseSubscribe once on a dedicated
-//     connection (the response carries a u64 session id), after which the
-//     SERVER originates request-format kInvalidate frames there and the
-//     client answers each with an ordinary response frame (the ack). Data
-//     connections tie themselves to the session with kLeaseAttach so the
-//     server can skip invalidating the writer's own cache.
+//     listing a huge shard costs O(page) memory on both sides.
+//
+// Every message ends at its last field: a request or a reply with
+// trailing bytes is malformed. The server never pushes anything; every
+// frame it sends answers a request. Client caches bound their staleness
+// by a TTL (DESIGN.md §9), so the protocol carries no coherence traffic.
 //
 // The server is untrusted in the NEXUS threat model, so nothing here is
 // authenticated — the protocol only moves ciphertext and opaque object
@@ -63,7 +59,7 @@
 namespace nexus::net {
 
 /// The one wire version; heads carrying any other byte are rejected.
-inline constexpr std::uint8_t kProtocolVersion = 9;
+inline constexpr std::uint8_t kProtocolVersion = 10;
 
 /// Largest object the protocol moves (bulk data chunks are ≤1 MiB today;
 /// journal anchors and streamed segments stay far below this).
@@ -103,18 +99,10 @@ enum class Rpc : std::uint8_t {
   kStreamCommit = 7,  // handle; object becomes visible atomically
   kStreamAbort = 8,   // handle; store untouched
   kStats = 9,         // -> ServerStats (counters, per-op latency)
-  // Cache-coherence ops.
-  kLeaseSubscribe = 10, // -> u64 session id; connection becomes the
-                        //    server-push invalidation channel
-  kLeaseAttach = 11,    // u64 session id; ties a data connection to it
-  kInvalidate = 12,     // SERVER-sent on the subscription channel: name
-                        //    list whose leases are revoked; client acks
-  // Bounded-batch listing.
-  kListPage = 13,       // prefix, start-after cursor, u32 limit -> one
-                        //    sorted page of names + u8 truncated flag
-  // Header read.
-  kGetHead = 14,        // name, u32 max -> u64 size + Var prefix of the
-                        //    first min(max, size) bytes
+  kListPage = 10,     // prefix, start-after cursor, u32 limit -> one
+                      //    sorted page of names + u8 truncated flag
+  kGetHead = 11,      // name, u32 max -> u64 size + Var prefix of the
+                      //    first min(max, size) bytes
 };
 
 /// The highest RPC id: ids run densely from Rpc::kPing to here. Head
@@ -197,12 +185,6 @@ struct ServerStats {
   std::uint64_t streams_aborted_on_disconnect = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t bytes_sent = 0;
-  // Lease/coherence counters.
-  std::uint64_t lease_sessions = 0; // gauge
-  std::uint64_t leases_granted = 0;
-  std::uint64_t leases_broken = 0;
-  std::uint64_t invalidations_sent = 0;
-  std::uint64_t lease_break_timeouts = 0;
   // Event-loop / buffer-arena health.
   std::uint64_t epoll_wakeups = 0;
   std::uint64_t arena_slabs_in_use = 0;    // gauge
@@ -224,15 +206,8 @@ inline constexpr std::size_t kMaxStatsEntries =
 void EncodeServerStats(Writer& writer, const ServerStats& stats);
 Result<ServerStats> DecodeServerStats(Reader& reader);
 
-// ---- Name lists -------------------------------------------------------------
-
-/// Most names one frame carries: one kListPage reply or one kInvalidate
-/// push. Small enough that a hostile count cannot force a large
-/// allocation.
+/// Most names one kListPage reply carries. Small enough that a hostile
+/// count cannot force a large allocation.
 inline constexpr std::size_t kMaxNamesPerFrame = 4096;
-
-/// kInvalidate's body: u32 count + names.
-void EncodeNameList(Writer& writer, const std::vector<std::string>& names);
-Result<std::vector<std::string>> DecodeNameList(Reader& reader);
 
 } // namespace nexus::net

@@ -42,7 +42,7 @@ class StorageBackend {
   /// keeps payloads this way (CachedBackend's memory entries) replaces an
   /// entry's buffer on every mutation and never changes the bytes of one
   /// it has handed out, so a reader's buffer keeps its bytes even while
-  /// another thread overwrites, deletes, invalidates or evicts the name.
+  /// another thread overwrites, deletes, expires or evicts the name.
   /// A holder may keep the buffer as long as it likes; the last holder
   /// frees it. The default wraps Get's bytes by move; CachedBackend
   /// returns the buffer its entry holds.
@@ -147,20 +147,15 @@ class StorageBackend {
   /// Inert no-op: only nexus_bench's probe overrides it (ROADMAP item 2).
   virtual void SetPrefetchSink(PrefetchSink sink) { (void)sink; }
 
-  /// Get that also reports whether the backend granted a read lease on the
-  /// object (server-pushed invalidation will arrive through the
-  /// SubscribeInvalidations channel when another client mutates it). Plain
-  /// stores are local and never grant leases.
+  /// Inert: only nexus_bench's probe overrides it (ROADMAP item 2). Get
+  /// with the flag false.
   virtual Result<Bytes> GetLeased(const std::string& name,
                                   bool* lease_granted) {
     if (lease_granted != nullptr) *lease_granted = false;
     return Get(name);
   }
-
-  /// Put that also reports whether the backend granted the writer a WRITE
-  /// lease on the object: the writer keeps its own copy cached
-  /// and will NOT receive an invalidation for its own mutation, only for
-  /// later mutations by others. Plain stores never grant leases.
+  /// Inert: only nexus_bench's probe overrides it (ROADMAP item 2). Put
+  /// with the flag false.
   virtual Status PutLeased(const std::string& name, ByteSpan data,
                            bool* lease_granted) {
     if (lease_granted != nullptr) *lease_granted = false;
@@ -172,15 +167,12 @@ class StorageBackend {
   /// nexus_bench's probe overrides it (ROADMAP item 2).
   virtual Status Flush() { return Status::Ok(); }
 
-  /// Multi-client coherence hooks. `on_invalidate` is called (from a
-  /// backend-internal thread) with object names another client mutated;
-  /// `on_channel_down` fires once if the invalidation channel dies, after
-  /// which no further callbacks arrive and cached data must be aged out by
-  /// TTL instead. Returns false when the backend (or its peer) cannot push
-  /// invalidations — the caller falls back to write-through + TTL.
+  /// Inert: only nexus_bench's probe names them (ROADMAP item 2).
   using InvalidationListener =
       std::function<void(const std::vector<std::string>& names)>;
   using ChannelDownHandler = std::function<void()>;
+  /// Inert: only nexus_bench's probe overrides it (ROADMAP item 2). No
+  /// backend pushes anything; it returns false.
   virtual bool SubscribeInvalidations(InvalidationListener on_invalidate,
                                       ChannelDownHandler on_channel_down) {
     (void)on_invalidate;

@@ -142,5 +142,37 @@ TEST_F(PureCryptoTest, RevokerMustBeAReader) {
   EXPECT_FALSE(fs_.Revoke("d/", "alice", owner_).ok());
 }
 
+// File content rides the AFS client's content cache, so a client with a
+// small budget keeps at most that much ciphertext resident while it
+// writes, reads and revokes far more; keyblocks stay in the status cache.
+TEST_F(PureCryptoTest, FileContentStaysWithinTheContentBudget) {
+  constexpr std::uint64_t kBudget = 64 * 1024;
+  constexpr int kFiles = 16;
+  storage::AfsClient afs(server_, "small-cache", kBudget);
+  PureCryptoFs fs(afs, rng_);
+  auto path = [](int i) { return "d/f" + std::to_string(i); };
+  auto content = [](int i) {
+    return Bytes(16 * 1024, static_cast<std::uint8_t>(i));
+  };
+
+  for (int i = 0; i < kFiles; ++i) { // 256 KiB written
+    ASSERT_TRUE(fs.WriteFile(path(i), content(i), AllReaders()).ok());
+    EXPECT_LE(afs.content_bytes(), kBudget) << i;
+  }
+  for (int i = 0; i < kFiles; ++i) { // evicted files are fetched again
+    EXPECT_EQ(fs.ReadFile(path(i), "bob", bob_.private_key).value(),
+              content(i));
+    EXPECT_LE(afs.content_bytes(), kBudget) << i;
+  }
+  ASSERT_TRUE(fs.Revoke("d/", "alice", owner_).ok());
+  EXPECT_EQ(fs.stats().files_reencrypted, static_cast<std::uint64_t>(kFiles));
+  EXPECT_LE(afs.content_bytes(), kBudget);
+  EXPECT_GT(afs.content_bytes(), 0u);
+  for (int i = 0; i < kFiles; ++i) {
+    EXPECT_EQ(fs.ReadFile(path(i), "bob", bob_.private_key).value(),
+              content(i));
+  }
+}
+
 } // namespace
 } // namespace nexus::baseline

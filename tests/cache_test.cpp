@@ -1,9 +1,9 @@
 // CachedBackend unit tests against a local counting inner store: hit
 // serving without inner contact, TTL expiry, write-through order ahead of
 // the journal anchor, budget-driven eviction, bounded per-name coherence
-// state, and shared payloads (GetShared buffers outlive every mutation
-// of their name, and the AFS layer hands up the cache's own buffer).
-// Lease-path behavior against a real nexusd lives in
+// state, fetches raced by local writes, and shared payloads (GetShared
+// buffers outlive every mutation of their name, and the AFS layer hands
+// up the cache's own buffer). Two clients over a real nexusd live in
 // cache_coherence_test.cpp.
 #include <gtest/gtest.h>
 
@@ -41,7 +41,9 @@ class CountingBackend final : public storage::StorageBackend {
 
   Result<Bytes> Get(const std::string& name) override {
     ++gets_;
-    return store_->Get(name);
+    Result<Bytes> got = store_->Get(name);
+    if (after_read) after_read(name);
+    return got;
   }
   Status Put(const std::string& name, ByteSpan data) override {
     ++puts_;
@@ -67,14 +69,9 @@ class CountingBackend final : public storage::StorageBackend {
   std::vector<std::string> List(const std::string& prefix) override {
     return store_->List(prefix);
   }
-  /// With `grant_leases` set the cache above runs in lease mode (no
-  /// invalidation is ever pushed).
-  bool SubscribeInvalidations(InvalidationListener /*on_invalidate*/,
-                              ChannelDownHandler /*on_channel_down*/) override {
-    return grant_leases;
-  }
-
-  bool grant_leases = false;
+  /// Runs inside every Get, after the store was read: a test races the
+  /// cache's fetch with its own writes here.
+  std::function<void(const std::string& name)> after_read;
   std::atomic<int> gets_{0};
   std::atomic<int> heads_{0};
   std::atomic<int> puts_{0};
@@ -95,13 +92,11 @@ struct Harness {
   std::shared_ptr<storage::MemBackend> store =
       std::make_shared<storage::MemBackend>();
   CountingBackend* inner = nullptr; // owned by the cache
-  bool grant_leases = false;        // run the next cache in lease mode
   std::shared_ptr<std::atomic<std::uint64_t>> clock_ms =
       std::make_shared<std::atomic<std::uint64_t>>(1);
 
   std::unique_ptr<CachedBackend> MakeCache(CacheOptions options = {}) {
     auto counting = std::make_unique<CountingBackend>(store);
-    counting->grant_leases = grant_leases;
     inner = counting.get();
     options.now_ms = [clock = clock_ms] { return clock->load(); };
     return std::make_unique<CachedBackend>(std::move(counting), options);
@@ -113,10 +108,9 @@ struct Harness {
 TEST(CacheTest, RepeatReadServedWithoutInnerContact) {
   Harness h;
   auto cache = h.MakeCache();
-  EXPECT_FALSE(cache->lease_mode()); // local inner cannot push invalidations
 
   ASSERT_TRUE(cache->Put("a", Blob('a', 100)).ok());
-  // TTL mode caches our own write; both reads are memory hits.
+  // A Put keeps its own bytes; both reads are memory hits.
   EXPECT_EQ(cache->Get("a").value(), Blob('a', 100));
   EXPECT_EQ(cache->Get("a").value(), Blob('a', 100));
   EXPECT_EQ(h.inner->gets_.load(), 0);
@@ -172,14 +166,19 @@ TEST(CacheTest, TtlExpiryRefetchesFromInner) {
 
 TEST(CacheTest, JournalBarrierDrainsDirtyDataFirst) {
   Harness h;
-  h.grant_leases = true;
   auto cache = h.MakeCache();
-  ASSERT_TRUE(cache->lease_mode());
+  ASSERT_TRUE(h.store->Put("data/1", Blob('o', 64)).ok());
 
   // Journal ordering: a journal record must never reach the store ahead
   // of the data writes it assumes are durable. Every Put goes through
-  // before it returns, so the store sees them in the client's order.
-  ASSERT_TRUE(cache->Put("data/1", Blob('d', 64)).ok());
+  // before it returns, so the store sees them in the client's order —
+  // here while a fetch of the first name is still in flight.
+  h.inner->after_read = [&](const std::string& name) {
+    if (name == "data/1") {
+      ASSERT_TRUE(cache->Put(name, Blob('d', 64)).ok());
+    }
+  };
+  EXPECT_EQ(cache->Get("data/1").value(), Blob('o', 64)); // what it read
   ASSERT_TRUE(cache->Put("data/2", Blob('e', 64)).ok());
   ASSERT_TRUE(cache->Put("nxj/record-1", Blob('j', 32)).ok());
 
@@ -188,6 +187,9 @@ TEST(CacheTest, JournalBarrierDrainsDirtyDataFirst) {
   EXPECT_EQ(order[0], "data/1");
   EXPECT_EQ(order[1], "data/2");
   EXPECT_EQ(order[2], "nxj/record-1"); // the anchor last
+  // The overtaken fetch installed nothing: the cache serves the write.
+  EXPECT_EQ(cache->Get("data/1").value(), Blob('d', 64));
+  EXPECT_EQ(h.inner->gets_.load(), 1);
 }
 
 // ---- eviction ---------------------------------------------------------------
@@ -210,21 +212,29 @@ TEST(CacheTest, EvictionKeepsMemoryUnderBudget) {
 
 // ---- coherence state ----------------------------------------------------------
 
-// A name holds an invalidation sequence only while a fetch or a
-// lease-mode Put of it is in flight, so a long-running client does not
-// keep a node for every name it ever missed or wrote.
+// A name holds a mutation sequence only while a fetch of it is in
+// flight, so a long-running client does not keep a node for every name
+// it ever missed or wrote — not even for names whose fetch a local write
+// overtook.
 TEST(CacheTest, CoherenceStateTracksOnlyNamesInFlight) {
   Harness h;
-  h.grant_leases = true; // every Put and Get below reaches the inner store
-  auto cache = h.MakeCache();
-  ASSERT_TRUE(cache->lease_mode());
+  CacheOptions options;
+  options.ttl_ms = 0; // no entry is ever valid: every Get reaches the store
+  auto cache = h.MakeCache(options);
+  // Every tenth fetch is overtaken by a local Put of its name.
+  h.inner->after_read = [&](const std::string& name) {
+    if (name.ends_with('0')) {
+      ASSERT_TRUE(cache->Put(name, Blob('r', 16)).ok());
+      EXPECT_EQ(cache->inflight_names(), 1u);
+    }
+  };
 
   for (int i = 0; i < 10000; ++i) {
     const std::string name = "n" + std::to_string(i);
     ASSERT_TRUE(cache->Put(name, Blob('n', 16)).ok());
     ASSERT_TRUE(cache->Get(name).ok());
   }
-  EXPECT_EQ(h.inner->puts_.load(), 10000);
+  EXPECT_EQ(h.inner->puts_.load(), 11000);
   EXPECT_EQ(h.inner->gets_.load(), 10000);
   EXPECT_FALSE(cache->Get("missing").ok());
   ASSERT_TRUE(cache->Delete("n0").ok());
@@ -246,61 +256,17 @@ TEST(CacheTest, DropCleanEntriesKeepsDirtyData) {
 
 // ---- shared payloads ----------------------------------------------------------
 
-// A MemBackend that grants read leases and lets the test push
-// invalidations, so a cache over it runs in lease mode.
-class PushingBackend final : public storage::StorageBackend {
- public:
-  Result<Bytes> Get(const std::string& name) override {
-    return store_.Get(name);
-  }
-  Result<Bytes> GetLeased(const std::string& name, bool* granted) override {
-    if (granted != nullptr) *granted = true;
-    Result<Bytes> got = store_.Get(name);
-    if (after_read) after_read();
-    return got;
-  }
-  Status Put(const std::string& name, ByteSpan data) override {
-    return store_.Put(name, data);
-  }
-  Status Delete(const std::string& name) override {
-    return store_.Delete(name);
-  }
-  bool Exists(const std::string& name) override {
-    return store_.Exists(name);
-  }
-  std::vector<std::string> List(const std::string& prefix) override {
-    return store_.List(prefix);
-  }
-  bool SubscribeInvalidations(InvalidationListener on_invalidate,
-                              ChannelDownHandler /*on_channel_down*/) override {
-    listener_ = std::move(on_invalidate);
-    return true;
-  }
-
-  /// Another client's mutation: stores `data` and pushes the invalidation.
-  void RemoteWrite(const std::string& name, ByteSpan data) {
-    ASSERT_TRUE(store_.Put(name, data).ok());
-    listener_({name});
-  }
-
-  /// Runs inside every leased read, after the store was read.
-  std::function<void()> after_read;
-
- private:
-  storage::MemBackend store_;
-  InvalidationListener listener_;
-};
-
 // A payload returned by GetShared keeps its bytes through every way the
-// cache can drop or replace its entry for that name: a Put, a Delete, a
-// pushed invalidation and an eviction.
+// cache can drop or replace its entry for that name: a Put, a fetch that
+// a local write overtook, a TTL expiry, a stream commit, an eviction and
+// a Delete.
 TEST(CacheTest, SharedPayloadOutlivesEveryMutationOfItsName) {
-  auto pushing = std::make_unique<PushingBackend>();
-  PushingBackend* inner = pushing.get();
+  Harness h;
   CacheOptions options;
   options.mem_budget_bytes = 4096;
-  CachedBackend cache(std::move(pushing), options);
-  ASSERT_TRUE(cache.lease_mode());
+  options.ttl_ms = 50;
+  auto owned = h.MakeCache(options);
+  CachedBackend& cache = *owned;
 
   const Bytes original = Blob('a', 1000);
   ASSERT_TRUE(cache.Put("a", original).ok());
@@ -313,12 +279,28 @@ TEST(CacheTest, SharedPayloadOutlivesEveryMutationOfItsName) {
   EXPECT_EQ(cache.Get("a").value(), Blob('b', 1000));
   EXPECT_EQ(*held, original);
 
+  // Another client's write shows once the entry expires; the refetch is
+  // overtaken by a local Put, so it installs nothing.
   const SharedBytes second = cache.GetShared("a").value();
-  inner->RemoteWrite("a", Blob('c', 1000));
+  ASSERT_TRUE(h.store->Put("a", Blob('x', 1000)).ok());
+  h.clock_ms->fetch_add(51);
+  bool raced = false;
+  h.inner->after_read = [&](const std::string&) {
+    if (raced) return;
+    raced = true;
+    ASSERT_TRUE(cache.Put("a", Blob('c', 1000)).ok());
+  };
+  EXPECT_EQ(cache.Get("a").value(), Blob('x', 1000));
   EXPECT_EQ(cache.Get("a").value(), Blob('c', 1000));
   EXPECT_EQ(*second, Blob('b', 1000));
 
   const SharedBytes third = cache.GetShared("a").value();
+  auto stream = cache.OpenPutStream("a");
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(stream.value()->Append(Blob('s', 1000)).ok());
+  ASSERT_TRUE(stream.value()->Commit().ok());
+  EXPECT_EQ(cache.Get("a").value(), Blob('s', 1000));
+  EXPECT_EQ(*third, Blob('c', 1000));
   for (char fill = 'd'; fill < 'k'; ++fill) { // 7 KB through a 4 KB budget
     ASSERT_TRUE(cache.Put(std::string(1, fill), Blob(fill, 1000)).ok());
     ASSERT_TRUE(cache.GetShared(std::string(1, fill)).ok());
@@ -334,15 +316,13 @@ TEST(CacheTest, SharedPayloadOutlivesEveryMutationOfItsName) {
 }
 
 // The same under concurrency: readers hold and check payloads while
-// another thread puts, deletes, invalidates and evicts the same name.
+// another thread puts, stream-commits, deletes and evicts the same name.
 // Every buffer a reader sees is one whole value, and TSan sees no write
 // to a buffer after it was handed out.
 TEST(CacheTest, SharedPayloadsStayIntactUnderConcurrentMutation) {
-  auto pushing = std::make_unique<PushingBackend>();
-  PushingBackend* inner = pushing.get();
   CacheOptions options;
   options.mem_budget_bytes = 8192;
-  CachedBackend cache(std::move(pushing), options);
+  CachedBackend cache(std::make_unique<storage::MemBackend>(), options);
   ASSERT_TRUE(cache.Put("x", Blob('0', 512)).ok());
 
   constexpr int kRounds = 300;
@@ -377,7 +357,13 @@ TEST(CacheTest, SharedPayloadsStayIntactUnderConcurrentMutation) {
     const char fill = static_cast<char>('a' + i % 26);
     switch (i % 4) {
       case 0: ASSERT_TRUE(cache.Put("x", Blob(fill, 512)).ok()); break;
-      case 1: inner->RemoteWrite("x", Blob(fill, 512)); break;
+      case 1: {
+        auto stream = cache.OpenPutStream("x");
+        ASSERT_TRUE(stream.ok());
+        ASSERT_TRUE(stream.value()->Append(Blob(fill, 512)).ok());
+        ASSERT_TRUE(stream.value()->Commit().ok());
+        break;
+      }
       case 2: ASSERT_TRUE(cache.Delete("x").ok()); break;
       case 3: // evict: read 10 KB of new names through the 8 KB budget
         for (int j = 0; j < 20; ++j) {
@@ -395,25 +381,28 @@ TEST(CacheTest, SharedPayloadsStayIntactUnderConcurrentMutation) {
   EXPECT_GT(cache.counters().evictions_mem, 0u);
 }
 
-// A fetch that an invalidation of its name overtakes returns what it read
-// but installs nothing, so the next read goes back to the store.
+// A fetch that a local Delete of its name overtakes (the delete drops
+// the entry) returns what it read but installs nothing, so the next read
+// goes back to the store and finds the name gone.
 TEST(CacheTest, FetchOvertakenByAnInvalidationInstallsNothing) {
-  auto pushing = std::make_unique<PushingBackend>();
-  PushingBackend* inner = pushing.get();
-  CachedBackend cache(std::move(pushing));
-  inner->RemoteWrite("x", Blob('o', 64));
-  bool fired = false;
-  inner->after_read = [&] {
-    if (fired) return;
-    fired = true;
-    inner->RemoteWrite("x", Blob('n', 64));
+  Harness h;
+  auto cache = h.MakeCache();
+  ASSERT_TRUE(h.store->Put("x", Blob('o', 64)).ok());
+  bool raced = false;
+  h.inner->after_read = [&](const std::string&) {
+    if (raced) return;
+    raced = true;
+    ASSERT_TRUE(cache->Delete("x").ok());
   };
 
-  EXPECT_EQ(cache.Get("x").value(), Blob('o', 64)); // what the fetch read
-  EXPECT_EQ(cache.Get("x").value(), Blob('n', 64)); // not the stale bytes
-  EXPECT_EQ(cache.Get("x").value(), Blob('n', 64)); // now a leased hit
-  EXPECT_EQ(cache.counters().misses, 2u);
-  EXPECT_EQ(cache.inflight_names(), 0u);
+  EXPECT_EQ(cache->Get("x").value(), Blob('o', 64)); // what the fetch read
+  EXPECT_EQ(cache->Get("x").status().code(), ErrorCode::kNotFound);
+  ASSERT_TRUE(h.store->Put("x", Blob('n', 64)).ok());
+  EXPECT_EQ(cache->Get("x").value(), Blob('n', 64));
+  EXPECT_EQ(cache->Get("x").value(), Blob('n', 64)); // now a hit
+  EXPECT_EQ(cache->counters().misses, 3u);
+  EXPECT_EQ(h.inner->gets_.load(), 3);
+  EXPECT_EQ(cache->inflight_names(), 0u);
 }
 
 // Over AFS, a callback-fresh fetch hands up the cache's own buffer: two

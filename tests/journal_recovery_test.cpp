@@ -5,7 +5,7 @@
 // replays a commit whose checkpoint never ran, a commit after a failed
 // checkpoint carries both transactions, recovery never rolls a newer
 // object back to the anchor's tail, a reconfiguration that fails leaves
-// journaling as it was, and through a lease-mode cache every operation
+// journaling as it was, and through the client cache every operation
 // is on the daemon's store when it returns.
 #include <gtest/gtest.h>
 
@@ -572,7 +572,7 @@ std::string ChangedNames(const std::map<std::string, Bytes>& a,
 }
 
 // The client stack over a live loopback nexusd: NexusClient (journaled)
-// -> CachedBackend in lease mode -> RemoteBackend. Each operation's
+// -> CachedBackend (TTL-fresh entries) -> RemoteBackend. Each operation's
 // writes, the anchor and the checkpointed metadata after it included,
 // are on the daemon's store when the operation returns: tearing the
 // client down afterwards changes nothing on the store.
@@ -582,10 +582,9 @@ TEST(JournalLeaseCacheTest, EveryOpIsOnTheStoreWhenItReturns) {
   auto remote = net::RemoteBackend::Connect("127.0.0.1", server->port());
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
   auto owned = std::make_unique<cache::CachedBackend>(std::move(remote).value());
-  ASSERT_TRUE(owned->lease_mode());
   std::map<std::string, Bytes> last = StoreContents(store);
   {
-    test::World world("lease-cache", std::move(owned));
+    test::World world("ttl-cache", std::move(owned));
     test::Machine& machine = world.AddMachine("owen");
     ASSERT_TRUE(machine.nexus->CreateVolume(machine.user).ok());
     auto& nexus = *machine.nexus;

@@ -9,8 +9,8 @@
 // requests that were actually robbed of their response; a desynchronized
 // response kills the connection without orphaning its siblings; and a
 // frame in any dialect other than kProtocolVersion — a foreign head
-// version, or a Get/Put missing its lease byte — is a protocol
-// error on whichever side receives it.
+// version, or a request or reply with trailing bytes after its last
+// field — is a protocol error on whichever side receives it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -349,7 +349,6 @@ TEST(NetMux, ConcurrentWindowSoak) {
   cache::CacheOptions cache_options;
   cache_options.mem_budget_bytes = kBudget;
   cache::CachedBackend client(std::move(remote).value(), cache_options);
-  EXPECT_TRUE(client.lease_mode()); // loopback leases: the soak covers them
 
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 40;
@@ -664,7 +663,6 @@ TEST(NetMux, ForeignHeadVersionsCloseOnlyTheirConnection) {
         std::uint8_t{2}}) {
     Writer request = net::BeginRequest(net::Rpc::kGet, 7);
     request.Str("obj");
-    request.U8(0);
     Bytes frame = request.bytes();
     frame[0] = version;
     EXPECT_FALSE(RawRequestAnswered(server->port(), frame))
@@ -676,31 +674,66 @@ TEST(NetMux, ForeignHeadVersionsCloseOnlyTheirConnection) {
   // The same frame in the one version is served.
   Writer native = net::BeginRequest(net::Rpc::kGet, 8);
   native.Str("obj");
-  native.U8(0);
   EXPECT_TRUE(RawRequestAnswered(server->port(), native.bytes()));
   EXPECT_EQ(server->stats().protocol_errors, errors);
   server->Stop();
 }
 
-// The want-lease byte on Get and Put requests is a required
-// field: a request that ends before it is malformed.
-TEST(NetMux, RequestsMissingLeaseByteAreProtocolErrors) {
+// Every request ends at its last field. One well-formed request per RPC
+// is answered; the same request with one byte more closes its connection
+// as a protocol error, and a mutation in it never applies.
+TEST(NetMux, RequestsWithTrailingBytesAreProtocolErrors) {
   storage::MemBackend backend;
+  ASSERT_TRUE(backend.Put("obj", Blob('o', 8)).ok());
   auto server = NexusdServer::Start(backend).value();
 
-  Writer get = net::BeginRequest(net::Rpc::kGet);
-  get.Str("obj");
-  Writer put = net::BeginRequest(net::Rpc::kPut);
-  put.Str("obj");
+  std::vector<Writer> requests;
+  requests.reserve(static_cast<std::size_t>(net::kLastRpc));
+  const auto add = [&requests](net::Rpc rpc) -> Writer& {
+    return requests.emplace_back(net::BeginRequest(rpc));
+  };
+  add(net::Rpc::kPing);
+  add(net::Rpc::kGet).Str("obj");
+  Writer& put = add(net::Rpc::kPut);
+  put.Str("new");
   put.Var(Blob('p', 8));
+  add(net::Rpc::kDelete).Str("obj");
+  add(net::Rpc::kStreamBegin).Str("streamed");
+  Writer& append = add(net::Rpc::kStreamAppend);
+  append.U64(1);
+  append.Var(Blob('s', 8));
+  add(net::Rpc::kStreamCommit).U64(1);
+  add(net::Rpc::kStreamAbort).U64(1);
+  add(net::Rpc::kStats);
+  Writer& page = add(net::Rpc::kListPage);
+  page.Str("");
+  page.Str("");
+  page.U32(16);
+  Writer& head = add(net::Rpc::kGetHead);
+  head.Str("obj");
+  head.U32(4);
+  // One case per RPC id.
+  ASSERT_EQ(requests.size(), static_cast<std::size_t>(net::kLastRpc));
 
   std::uint64_t errors = server->stats().protocol_errors;
-  for (const Writer* request : {&get, &put}) {
-    EXPECT_FALSE(RawRequestAnswered(server->port(), request->bytes()))
-        << net::RpcName(net::RequestRpc(request->bytes()));
-    EXPECT_EQ(server->stats().protocol_errors, ++errors);
+  for (Writer& request : requests) {
+    const char* rpc = net::RpcName(net::RequestRpc(request.bytes()));
+    Bytes longer = request.bytes();
+    longer.push_back(0);
+    EXPECT_FALSE(RawRequestAnswered(server->port(), longer)) << rpc;
+    EXPECT_EQ(server->stats().protocol_errors, ++errors) << rpc;
   }
-  EXPECT_FALSE(backend.Exists("obj")); // the lease-less Put never applied
+  // None of the rejected mutations ran.
+  EXPECT_TRUE(backend.Exists("obj"));
+  EXPECT_FALSE(backend.Exists("new"));
+  EXPECT_EQ(server->stats().open_streams, 0u);
+
+  for (const Writer& request : requests) {
+    EXPECT_TRUE(RawRequestAnswered(server->port(), request.bytes()))
+        << net::RpcName(net::RequestRpc(request.bytes()));
+  }
+  EXPECT_EQ(server->stats().protocol_errors, errors);
+  EXPECT_TRUE(backend.Exists("new"));
   server->Stop();
 }
 
@@ -801,18 +834,16 @@ TEST(NetMux, HeadReplyLongerThanItsSizeFailsOnTheClient) {
   server->Stop();
 }
 
-// Client side of the same rule: the lease byte on a Get reply and a Put
-// reply comes from the untrusted store, and
-// a reply without it fails the call instead of decoding as a lease-less
-// dialect.
-class StripReplyLeaseByte final : public net::Transport {
+// Client side of the same rule: a Get, Put or GetHead reply comes from
+// the untrusted store, and one with a byte after its last field fails
+// the call instead of decoding as some other dialect.
+class AppendReplyByte final : public net::Transport {
  public:
-  explicit StripReplyLeaseByte(std::unique_ptr<net::Transport> inner)
-      : inner_(std::move(inner)) {}
+  AppendReplyByte(std::unique_ptr<net::Transport> inner, net::Rpc target)
+      : inner_(std::move(inner)), target_(target) {}
 
   Status SendFrame(ByteSpan payload) override {
-    const net::Rpc rpc = net::RequestRpc(payload);
-    if (rpc == net::Rpc::kGet || rpc == net::Rpc::kPut) {
+    if (net::RequestRpc(payload) == target_) {
       const std::lock_guard<std::mutex> lock(mu_);
       targets_.insert(net::RequestCorrelation(payload));
     }
@@ -824,8 +855,9 @@ class StripReplyLeaseByte final : public net::Transport {
     if (!frame.ok()) return frame;
     Bytes bytes = std::move(frame).value();
     const std::lock_guard<std::mutex> lock(mu_);
-    // Every targeted reply here is OK and ends in its lease byte.
-    if (targets_.erase(net::ResponseCorrelation(bytes)) > 0) bytes.pop_back();
+    if (targets_.erase(net::ResponseCorrelation(bytes)) > 0) {
+      bytes.push_back(0);
+    }
     return bytes;
   }
 
@@ -834,32 +866,49 @@ class StripReplyLeaseByte final : public net::Transport {
 
  private:
   std::unique_ptr<net::Transport> inner_;
+  const net::Rpc target_;
   std::mutex mu_;
   std::set<std::uint64_t> targets_;
 };
 
-TEST(NetMux, RepliesMissingLeaseByteFailOnTheClient) {
+TEST(NetMux, RepliesWithTrailingBytesFailOnTheClient) {
   storage::MemBackend backend;
   ASSERT_TRUE(backend.Put("obj", Blob('o', 16)).ok());
   auto server = NexusdServer::Start(backend).value();
+  const std::uint16_t port = server->port();
 
   RemoteBackendOptions options;
   options.max_attempts = 1;
-  const std::uint16_t port = server->port();
-  RemoteBackend client(
-      [port]() -> Result<std::unique_ptr<net::Transport>> {
-        auto tcp = net::TcpTransport::Dial("127.0.0.1", port, 2000, 2000);
-        if (!tcp.ok()) return tcp.status();
-        return Result<std::unique_ptr<net::Transport>>(
-            std::make_unique<StripReplyLeaseByte>(std::move(tcp).value()));
-      },
-      options);
+  const auto client_for = [&](net::Rpc target) {
+    return std::make_unique<RemoteBackend>(
+        [port, target]() -> Result<std::unique_ptr<net::Transport>> {
+          auto tcp = net::TcpTransport::Dial("127.0.0.1", port, 2000, 2000);
+          if (!tcp.ok()) return tcp.status();
+          return Result<std::unique_ptr<net::Transport>>(
+              std::make_unique<AppendReplyByte>(std::move(tcp).value(),
+                                                target));
+        },
+        options);
+  };
 
-  EXPECT_FALSE(client.Get("obj").ok());
-  EXPECT_FALSE(client.Put("other", Blob('x', 4)).ok());
+  auto get = client_for(net::Rpc::kGet);
+  EXPECT_FALSE(get->Get("obj").ok());
+  EXPECT_TRUE(get->GetHead("obj", 4).ok()); // only Get replies are longer
+
+  auto put = client_for(net::Rpc::kPut);
+  EXPECT_FALSE(put->Put("other", Blob('x', 4)).ok());
+  EXPECT_EQ(put->Get("obj").value(), Blob('o', 16));
+
+  auto head = client_for(net::Rpc::kGetHead);
+  EXPECT_FALSE(head->GetHead("obj", 4).ok());
+  EXPECT_FALSE(head->GetHead("obj", 0).ok());
+  EXPECT_EQ(head->Get("obj").value(), Blob('o', 16));
+
   // Nothing above is a transport failure: the replies arrived whole and
   // were rejected by the decoder.
-  EXPECT_EQ(client.counters().retries, 0u);
+  for (const RemoteBackend* client : {get.get(), put.get(), head.get()}) {
+    EXPECT_EQ(client->counters().retries, 0u);
+  }
   server->Stop();
 }
 

@@ -1,7 +1,6 @@
 // Event-driven nexusd: the epoll reactor serve loop. Covers its failure
 // surface — trickled frames, half-open connections, hundreds of idle
-// sockets on a flat thread count, a lease channel that breaks protocol —
-// plus buffer-arena accounting and the batched client calls that ride on
+// sockets on a flat thread count — plus buffer-arena accounting and the batched client calls that ride on
 // it.
 #include <gtest/gtest.h>
 
@@ -300,38 +299,6 @@ TEST_F(NetReactorTest, StreamsAbortOnDisconnectUnderReactor) {
   }
   EXPECT_EQ(server_->stats().streams_aborted_on_disconnect, 1u);
   EXPECT_FALSE(remote_->Exists("torn"));
-}
-
-// After kLeaseSubscribe a connection carries only the client's acks of
-// the server's invalidation pushes. A request frame there is a protocol
-// error: it ends the lease session, and every other connection is still
-// served.
-TEST_F(NetReactorTest, RequestFrameOnALeaseChannelEndsTheSession) {
-  StartServer();
-  auto channel =
-      TcpTransport::Dial("127.0.0.1", server_->port(), 2000, 2000).value();
-  Writer subscribe = BeginRequest(Rpc::kLeaseSubscribe);
-  ASSERT_TRUE(channel->SendFrame(subscribe.bytes()).ok());
-  auto reply = channel->RecvFrame();
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  Reader reader(reply.value());
-  Status verdict = Status::Ok();
-  ASSERT_TRUE(ParseResponseHead(reader, &verdict).ok());
-  ASSERT_TRUE(verdict.ok()) << verdict.ToString();
-  ASSERT_NE(reader.U64().value(), 0u); // the session id
-  EXPECT_EQ(server_->stats().lease_sessions, 1u);
-  const std::uint64_t errors_before = server_->stats().protocol_errors;
-
-  Writer ping = BeginRequest(Rpc::kPing);
-  ASSERT_TRUE(channel->SendFrame(ping.bytes()).ok());
-  EXPECT_FALSE(channel->RecvFrame().ok()); // no reply: the server hung up
-  for (int i = 0; i < 1000 && server_->stats().lease_sessions != 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(server_->stats().lease_sessions, 0u);
-  EXPECT_EQ(server_->stats().protocol_errors, errors_before + 1);
-  ASSERT_TRUE(remote_->Put("after", Bytes{1}).ok());
-  EXPECT_EQ(remote_->Get("after").value(), Bytes{1});
 }
 
 // Many concurrent clients over one reactor loop: correctness under real

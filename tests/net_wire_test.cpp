@@ -207,23 +207,6 @@ TEST(WireResponse, WrongVersionIsProtocolViolation) {
   EXPECT_FALSE(ParseResponseHead(r, &verdict).ok());
 }
 
-// kInvalidate's name list round-trips; a count above kMaxNamesPerFrame is
-// rejected before anything is allocated for it.
-TEST(WireNames, ListRoundTripsAndHostileCountIsRejected) {
-  Writer w;
-  EncodeNameList(w, {"a", "", "nx/b"});
-  Reader r(w.bytes());
-  auto decoded = DecodeNameList(r);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded.value(), (std::vector<std::string>{"a", "", "nx/b"}));
-
-  Writer hostile;
-  hostile.U32(static_cast<std::uint32_t>(kMaxNamesPerFrame + 1));
-  Reader hr(hostile.bytes());
-  EXPECT_FALSE(DecodeNameList(hr).ok());
-}
-
 // A rogue server cannot smuggle an out-of-range enum value into client
 // branches: unknown code bytes decode as kInternal.
 TEST(WireCodes, UnknownWireByteDecodesAsInternal) {
